@@ -15,9 +15,11 @@ hashes any row range into per-table partial bucket maps (safe to run in a
 worker over a shard of the rows), and :meth:`install_tables` merges partial
 maps back in row order.  :meth:`build` composes the three for the serial
 case, so a sharded build produces hash tables with the identical bucket
-membership.  Queries hash array-at-a-time: :meth:`query_batch` computes the
-bucket ids of a whole block of query vectors in one projection pass and only
-the candidate re-ranking remains per row.  Quantized tables additionally
+membership.  Queries run block-at-a-time: :meth:`query_batch` computes the
+bucket ids of a whole block of query vectors in one projection pass, gathers
+every row's bucket candidates into one CSR list and scores the block with a
+single distance-kernel call; only the bucket lookups and the final top-k cut
+remain per row.  Quantized tables additionally
 declare a query-time policy through their codec params (rank-cut expansion
 and low-margin multiprobe — see :meth:`_query_policy`) so approximate codes
 trade a wider exact-scored shortlist for recall instead of losing it.
@@ -42,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.eval.timing import engine_counters
 from repro.exceptions import NotFittedError
 
 #: One hash table: bucket key -> row indices of the vectors hashed into it.
@@ -53,6 +56,13 @@ DEFAULT_COMPACTION_LOAD = 0.3
 #: Rows hashed per decode block when the stored vectors are int8 codes —
 #: bounds the transient float materialisation of a build/extend hash pass.
 _HASH_BLOCK_ROWS = 4096
+
+#: (query, bucket candidate) pairs one ranking block gathers before it is
+#: scored — bounds the CSR id and distance arrays of a kernel call.
+_RANK_BLOCK_PAIRS = 1 << 20
+
+#: Elements of one difference block in the raw kernels (~32 MB of float64).
+_DIFF_BLOCK_ELEMENTS = 1 << 22
 
 
 def _quant():
@@ -72,6 +82,24 @@ def _is_code_array(vectors) -> bool:
     if isinstance(vectors, np.ndarray):
         return False
     return isinstance(vectors, _quant().CodecArray)
+
+
+def _raw_sq_distances(
+    queries: np.ndarray, table: np.ndarray, rows: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Squared distances of a float query block to its CSR candidate rows.
+
+    Query ``i`` is scored against ``table[rows[offsets[i]:offsets[i + 1]]]``;
+    the result is flat, aligned with ``rows``.  Each query's gathered
+    differences are reduced row by row (``einsum("ij,ij->i")``), so a pair's
+    distance is the same whatever else shares the block.
+    """
+    out = np.empty(len(rows), dtype=np.result_type(table.dtype, queries.dtype))
+    block = max(1, _DIFF_BLOCK_ELEMENTS // max(1, table.shape[1]))
+    for query, entries in _quant().candidate_chunks(offsets, block):
+        diffs = table[rows[entries]] - queries[query]
+        out[entries] = np.einsum("ij,ij->i", diffs, diffs)
+    return out
 
 
 def _coerce_vectors(vectors):
@@ -502,9 +530,13 @@ class EuclideanLSHIndex:
     ) -> List[List[Tuple[object, float]]]:
         """Top-``k`` results for a whole block of query vectors.
 
-        Bucket hashing is array-at-a-time: one projection pass computes the
-        bucket ids of every query row, so only candidate gathering and exact
-        re-ranking remain per row.  ``exclude`` optionally supplies one key
+        Bucket hashing is array-at-a-time (one projection pass computes the
+        bucket ids of every query row) and so is ranking: rows are scored in
+        blocks of at most ``_RANK_BLOCK_PAIRS`` candidate pairs, one distance
+        kernel call per block (see :meth:`_rank_block`).  A row whose buckets
+        hold fewer than ``k`` candidates is ranked against every live row.
+        One call is recorded in the engine counters (queries, linear-scan
+        fallbacks, candidate distances).  ``exclude`` optionally supplies one key
         per query row to drop from that row's results (the per-row
         counterpart of :meth:`query`'s ``exclude``).
 
@@ -531,7 +563,6 @@ class EuclideanLSHIndex:
             raise ValueError("exclude must align with query vectors")
         if n == 0:
             return []
-        assert self._vectors is not None
         expansion, probes = self._query_policy()
         k_effective = k * expansion
         scaled = self._scaled_projections(vectors)
@@ -543,7 +574,10 @@ class EuclideanLSHIndex:
         # hashing np.int64 tuples in this per-row loop.
         bucket_blocks = [ids.tolist() for ids in id_blocks]
         results: List[Optional[List[Tuple[object, float]]]] = [None] * n
-        fallback_rows: List[int] = []
+        starved_rows: List[int] = []
+        block_rows: List[int] = []
+        block_ids: List[np.ndarray] = []
+        block_pairs = ranked = 0
         for row in range(n):
             candidates: set = set()
             for table_index in range(self.num_tables):
@@ -556,54 +590,105 @@ class EuclideanLSHIndex:
                 # so answers equal a rebuild over the live vectors alone.
                 candidates -= self._dead
             if len(candidates) < k_effective:
-                # Linear-scan fallback; batched below so one blocked
-                # distance computation serves every starved row.
-                fallback_rows.append(row)
+                # Linear-scan fallback, ranked densely below.
+                starved_rows.append(row)
                 continue
-            excluded = exclude[row] if exclude is not None else None
-            results[row] = self._rank(
-                vectors[row : row + 1], candidates, k_effective, excluded
-            )
-        if fallback_rows:
-            self._rank_fallback(vectors, fallback_rows, results, k_effective, exclude)
+            block_rows.append(row)
+            block_ids.append(np.fromiter(sorted(candidates), dtype=np.intp, count=len(candidates)))
+            block_pairs += len(candidates)
+            if block_pairs >= _RANK_BLOCK_PAIRS:
+                self._rank_block(vectors, block_rows, block_ids, k_effective, exclude, results)
+                ranked += block_pairs
+                block_rows, block_ids, block_pairs = [], [], 0
+        if block_rows:
+            self._rank_block(vectors, block_rows, block_ids, k_effective, exclude, results)
+        ranked += block_pairs
+        if starved_rows:
+            # Every live row is a candidate: recall never collapses on small
+            # tables.  Blocks keep the dense difference temp to ~32 MB.
+            live = len(self._live_rows()[0])
+            step = max(1, _DIFF_BLOCK_ELEMENTS // max(1, live * self._vectors.shape[1]))
+            for start in range(0, len(starved_rows), step):
+                self._rank_block(
+                    vectors, starved_rows[start : start + step], None, k_effective, exclude, results
+                )
+            ranked += live * len(starved_rows)
+        engine_counters().record_blocking(n, len(starved_rows), ranked)
         return results  # type: ignore[return-value]
 
-    def _rank(
-        self, vector: np.ndarray, candidates: set, k: int, exclude: Optional[object]
-    ) -> List[Tuple[object, float]]:
-        """Exact-distance re-ranking of one query row's candidate set.
+    def _rank_block(
+        self,
+        vectors: np.ndarray,
+        query_rows: List[int],
+        candidate_ids: Optional[List[np.ndarray]],
+        k: int,
+        exclude: Optional[Sequence[object]],
+        results: List[Optional[List[Tuple[object, float]]]],
+    ) -> None:
+        """Rank one block of query rows with a single distance-kernel call.
 
-        Over code vectors the distances come from the asymmetric kernel —
-        exact w.r.t. the *decoded* table (up to fp32 matmul rounding), so
-        ranking error against the raw index is bounded by the codec's
-        per-dimension quantization epsilon.
+        ``candidate_ids`` holds each row's sorted bucket candidates; the block
+        scores them as one CSR list (flat row ids + per-query offsets) and
+        each query's top ``k`` comes out of its own segment.  ``None`` ranks
+        the block against every live row, computed densely.  Over code
+        vectors the distances come from the asymmetric kernel — exact w.r.t.
+        the *decoded* table, so ranking error against the raw index is
+        bounded by the codec's quantization error.  A row's answer does not
+        depend on the rows sharing its block: the kernels reduce per pair.
         """
         assert self._vectors is not None
-        if len(candidates) < k:
-            candidates = set(range(len(self._vectors))) - self._dead
-        candidate_list = sorted(candidates)
-        if not candidate_list:
-            return []
-        if _is_code_array(self._vectors):
-            sub = self._vectors.take_rows(candidate_list)
-            distances = np.sqrt(
-                _quant().asymmetric_sq_distances(
-                    vector[0], sub, table_sq_norms=self._code_norms()[candidate_list]
+        queries = vectors[query_rows]
+        codes = _is_code_array(self._vectors)
+        if candidate_ids is None:
+            rows, base = self._live_rows()
+            if codes:
+                squared = _quant().asymmetric_sq_distances(
+                    queries, base, table_sq_norms=self._code_norms()[rows]
                 )
-            )
+            else:
+                diffs = base[None, :, :] - queries[:, None, :]
+                squared = np.einsum("bnd,bnd->bn", diffs, diffs)
         else:
-            diffs = self._vectors[candidate_list] - vector
-            distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            offsets = np.zeros(len(query_rows) + 1, dtype=np.intp)
+            np.cumsum([len(ids) for ids in candidate_ids], out=offsets[1:])
+            rows = np.concatenate(candidate_ids)
+            if codes:
+                squared = _quant().asymmetric_sq_distances(
+                    queries,
+                    self._vectors,
+                    table_sq_norms=self._code_norms(),
+                    candidates=(rows, offsets),
+                )
+            else:
+                squared = _raw_sq_distances(queries, self._vectors, rows, offsets)
+        distances = np.sqrt(squared, out=squared)
+        for position, row in enumerate(query_rows):
+            if candidate_ids is None:
+                segment_rows, segment = rows, distances[position]
+            else:
+                span = slice(offsets[position], offsets[position + 1])
+                segment_rows, segment = rows[span], distances[span]
+            excluded = exclude[row] if exclude is not None else None
+            results[row] = self._top_k(segment_rows, segment, k, excluded)
+
+    def _top_k(
+        self, rows: np.ndarray, distances: np.ndarray, k: int, excluded: Optional[object]
+    ) -> List[Tuple[object, float]]:
+        """The ``k`` nearest ``(key, distance)`` of one query, ``excluded`` skipped."""
         order = np.argsort(distances)
-        results: List[Tuple[object, float]] = []
-        for position in order:
-            key = self._keys[candidate_list[position]]
-            if exclude is not None and key == exclude:
-                continue
-            results.append((key, float(distances[position])))
-            if len(results) >= k:
-                break
-        return results
+        keys = self._keys
+        ranked: List[Tuple[object, float]] = []
+        # The head almost always suffices; the tail is read only when
+        # exclusions (or a short candidate list) leave it short of k.
+        for part in (order[: k + 1], order[k + 1 :]):
+            for row, distance in zip(rows[part].tolist(), distances[part].tolist()):
+                key = keys[row]
+                if excluded is not None and key == excluded:
+                    continue
+                ranked.append((key, distance))
+                if len(ranked) >= k:
+                    return ranked
+        return ranked
 
     def _live_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted live row indices and their vectors, cached per mutation.
@@ -637,7 +722,7 @@ class EuclideanLSHIndex:
         """Per-row ``||c*s||^2`` of the stored code vectors, cached per mutation.
 
         The constant term of the asymmetric distance kernel; amortised
-        across every ranked candidate set of a mutation epoch.
+        across every ranked block of a mutation epoch.
         """
         cache = self._norms_cache
         if cache is not None and cache[0] == self._mutations:
@@ -645,61 +730,6 @@ class EuclideanLSHIndex:
         norms = _quant().table_sq_norms_of(self._vectors)
         self._norms_cache = (self._mutations, norms)
         return norms
-
-    def _rank_fallback(
-        self,
-        vectors: np.ndarray,
-        fallback_rows: List[int],
-        results: List[Optional[List[Tuple[object, float]]]],
-        k: int,
-        exclude: Optional[Sequence[object]],
-    ) -> None:
-        """Linear-scan ranking for query rows whose buckets yielded < ``k``.
-
-        All starved rows of one batch share a blocked broadcast distance
-        computation against the cached live vectors instead of re-gathering
-        and re-reducing per row.  The arithmetic — subtract, self-``einsum``,
-        ``sqrt``, full ``argsort`` — is element-for-element the one
-        :meth:`_rank` runs, so results are bitwise identical to the per-row
-        path it replaces.
-        """
-        live_rows, base = self._live_rows()
-        if len(live_rows) == 0:
-            for row in fallback_rows:
-                results[row] = []
-            return
-        keys = self._keys
-        base_is_codes = _is_code_array(base)
-        # Norms of a gathered code sub-table are a gather of the full-table
-        # norms, so the per-mutation cache serves both live-row layouts.
-        code_norms = self._code_norms()[live_rows] if base_is_codes else None
-        # Bound the broadcast temp to ~32 MB of float64 diffs per block.
-        block = max(1, (1 << 22) // max(1, base.shape[0] * base.shape[1]))
-        for start in range(0, len(fallback_rows), block):
-            chunk = fallback_rows[start : start + block]
-            queries = vectors[chunk]
-            if base_is_codes:
-                distances_block = np.sqrt(
-                    _quant().asymmetric_sq_distances(
-                        queries, base, table_sq_norms=code_norms
-                    )
-                )
-            else:
-                diffs = base[None, :, :] - queries[:, None, :]
-                distances_block = np.sqrt(np.einsum("bnd,bnd->bn", diffs, diffs))
-            for position, row in enumerate(chunk):
-                distances = distances_block[position]
-                order = np.argsort(distances)
-                excluded = exclude[row] if exclude is not None else None
-                ranked: List[Tuple[object, float]] = []
-                for candidate in order:
-                    key = keys[live_rows[candidate]]
-                    if excluded is not None and key == excluded:
-                        continue
-                    ranked.append((key, float(distances[candidate])))
-                    if len(ranked) >= k:
-                        break
-                results[row] = ranked
 
     # ------------------------------------------------------------------
     # Pickling (worker-pool state transport)

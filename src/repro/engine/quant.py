@@ -33,14 +33,16 @@ Three pieces:
 
 ``asymmetric_sq_distances``
     Float-query × code-table squared Euclidean distances without
-    decoding the table. For ``int8`` the kernel folds the per-dimension
-    scale into the query and runs a blockwise float32 matmul against the
-    raw codes (the de-scaled-matmul identity). For ``pq`` it is a
-    classic ADC (asymmetric distance computation) kernel: per query
-    block it builds an ``m × 256`` lookup table of partial squared
-    distances (one BLAS sgemm per subspace), then accumulates table
-    distances by indexing the LUT with the stored codes — per-row cost
-    ``m`` byte gathers and adds, independent of the float dimension.
+    decoding the table — the dense ``(queries, rows)`` matrix, or, given
+    a CSR candidate list, a whole query block against each query's own
+    rows in one call. For ``int8`` the kernel folds the per-dimension
+    scale into the query and multiplies against the raw codes (the
+    de-scaled identity). For ``pq`` it is a classic ADC (asymmetric
+    distance computation) kernel: once per query block it builds the
+    lookup tables of partial squared distances (as wide as the largest
+    codebook present), then accumulates table distances by indexing a
+    query's table with the stored codes — per-row cost ``m`` byte
+    gathers and adds, independent of the float dimension.
 
 The quantize-once invariant: parameters are fitted at the first full
 encode of a table and then *fixed*; appended or edited rows are encoded
@@ -56,7 +58,7 @@ import base64
 import math
 import os
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +71,7 @@ __all__ = [
     "ScalarQuantizer",
     "ProductQuantizer",
     "asymmetric_sq_distances",
+    "candidate_chunks",
     "table_sq_norms_of",
     "available_codecs",
     "get_codec",
@@ -904,92 +907,189 @@ def resolve_codec_name(name: Optional[str] = None) -> str:
 # Asymmetric distance kernels
 # ----------------------------------------------------------------------
 _BLOCK_BYTES = 1 << 22  # ~4 MiB of float32 per decode block
+#: Bound on the float32 lookup tables one ADC query block holds; larger
+#: query blocks are scored in row slices, each building its tables once.
+_LUT_BYTES = 1 << 24
+
+#: A CSR candidate list: flat table row ids and ``len(queries) + 1`` offsets;
+#: query ``i`` is scored against ``rows[offsets[i]:offsets[i + 1]]``.
+Candidates = Tuple[np.ndarray, np.ndarray]
+
+
+def candidate_chunks(offsets: np.ndarray, block: int) -> Iterator[Tuple[int, slice]]:
+    """``(query, entries)`` pieces of a CSR candidate list, query by query.
+
+    ``entries`` slices at most ``block`` of the query's candidate entries,
+    so a kernel's gathered working set is one query's candidates (cache
+    resident at blocking sizes) and never more than ``block`` rows.
+    """
+    for query in range(len(offsets) - 1):
+        for start in range(offsets[query], offsets[query + 1], block):
+            yield query, slice(start, min(offsets[query + 1], start + block))
 
 
 def asymmetric_sq_distances(
     query: np.ndarray,
     table: CodecArray,
     table_sq_norms: Optional[np.ndarray] = None,
+    candidates: Optional[Candidates] = None,
 ) -> np.ndarray:
     """Squared Euclidean distances from float queries to a code table.
 
     ``query`` is ``(d,)`` or ``(m, d)`` float; ``table`` is an ``(n, d)``
     :class:`CodecArray`. The kernel never materialises the decoded table.
+    Without ``candidates`` the result is the dense ``(m, n)`` matrix (the
+    reference the candidate form is tested against). With ``candidates``
+    (a CSR ``(rows, offsets)`` pair, see :data:`Candidates`) every query is
+    scored against its own table rows only and the result is the flat
+    float64 array aligned with ``rows`` — the whole block in one call.
+    In both forms a query's distances do not depend on which other
+    queries share the block: every reduction is per pair and none goes
+    through BLAS, whose kernel choice follows the block's shape.
 
-    For ``int8`` it shifts queries by the offset, folds the per-dimension
-    scale into the query side, and runs a blockwise float32 matmul
-    against the raw codes — the de-scaled-matmul identity
+    For ``int8`` it shifts queries by the offset and folds the
+    per-dimension scale into the query side — the de-scaled identity
 
-        ||q - (c s + o)||^2 = ||q - o||^2 - 2 ((q - o) s) . c + ||c s||^2.
+        ||q - (c s + o)||^2 = ||q - o||^2 - 2 ((q - o) s) . c + ||c s||^2
 
-    ``table_sq_norms`` (the ``||c s||^2`` term) can be precomputed with
-    :func:`table_sq_norms_of` and cached across queries.
+    — and takes one dot product against the raw codes per pair (float32
+    and blockwise in the dense form). ``table_sq_norms`` (the
+    ``||c s||^2`` term) can be precomputed with :func:`table_sq_norms_of`
+    and cached across queries.
 
-    For ``pq`` it is the ADC kernel: per query block it builds an
-    ``m × 256`` lookup table of partial squared distances (one float32
-    sgemm per subspace, the same blockwise BLAS-friendly shape as the
-    int8 path) and accumulates ``out[q, i] = Σ_j lut[q, j, code[i, j]]``
-    by code indexing. The LUT already carries the full distance, so the
-    norm-cache term is zero for PQ tables and the argument is ignored.
+    For ``pq`` it is the ADC kernel: it builds the lookup tables of
+    partial squared distances once per query block (one pass over the
+    ``m`` codebooks for all rows of the block; as wide as the largest
+    codebook present, at most :data:`_LUT_BYTES` per block) and sums
+    ``lut[q, j, code[i, j]]`` over ``j`` by code indexing. The LUT already
+    carries the full distance, so the norm-cache term is zero for PQ
+    tables and the argument is ignored.
     """
     if table.ndim != 2:
         raise ValueError("asymmetric distances expect a 2-D code table")
     q = np.asarray(query, dtype=np.float64)
     squeeze = q.ndim == 1
     q = np.atleast_2d(q)
+    if candidates is not None:
+        rows, offsets = (np.asarray(part, dtype=np.intp) for part in candidates)
+        if len(offsets) != len(q) + 1 or offsets[0] != 0 or offsets[-1] != len(rows):
+            raise ValueError("candidate offsets must bracket every query's rows")
+        candidates = (rows, offsets)
     if isinstance(table.params, PQParams):
-        out = _pq_adc_sq_distances(q, table)
-        return out[0] if squeeze else out
-    scale = table.params.scale
-    offset = table.params.offset
-    shifted = q - offset  # (m, d)
-    scaled_q = (shifted * scale).astype(np.float32)  # fold scale into query side
-    if table_sq_norms is None:
-        table_sq_norms = table_sq_norms_of(table)
-    n = len(table)
-    d = max(1, table.codes.shape[1])
-    out = np.empty((q.shape[0], n), dtype=np.float64)
-    block = max(1, _BLOCK_BYTES // (4 * d))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        codes_f32 = table.codes[start:stop].astype(np.float32)
-        out[:, start:stop] = scaled_q @ codes_f32.T  # BLAS sgemm
-    out *= -2.0
-    out += (shifted * shifted).sum(axis=1)[:, None]
-    out += table_sq_norms[None, :]
+        out = _pq_adc_sq_distances(q, table, candidates)
+    else:
+        if table_sq_norms is None:
+            table_sq_norms = table_sq_norms_of(table)
+        out = _int8_sq_distances(q, table, table_sq_norms, candidates)
     np.maximum(out, 0.0, out=out)
-    result = out[0] if squeeze else out
-    return result
+    return out[0] if squeeze and candidates is None else out
 
 
-def _pq_adc_sq_distances(q: np.ndarray, table: CodecArray) -> np.ndarray:
-    """ADC: per-query LUT build (BLAS) + blockwise code-indexed accumulate."""
+def _int8_sq_distances(
+    q: np.ndarray,
+    table: CodecArray,
+    table_sq_norms: np.ndarray,
+    candidates: Optional[Candidates],
+) -> np.ndarray:
+    """The de-scaled identity: a dot product per (query, row) pair, all rows
+    of the table (float32, blockwise) or the listed candidates (float64)."""
+    shifted = q - table.params.offset  # (m, d)
+    scaled_q = shifted * table.params.scale  # fold scale into the query side
+    query_sq_norms = (shifted * shifted).sum(axis=1)
+    d = max(1, table.codes.shape[1])
+    if candidates is None:
+        n = len(table)
+        scaled_q = scaled_q.astype(np.float32)
+        out = np.empty((q.shape[0], n), dtype=np.float64)
+        block = max(1, _BLOCK_BYTES // (4 * d))
+        for start in range(0, n, block):
+            stop = min(n, start + block)
+            codes_f32 = table.codes[start:stop].astype(np.float32)
+            # einsum, not sgemm: BLAS picks its kernel by the block's row
+            # count, which moves a query's last bits with its neighbours.
+            out[:, start:stop] = np.einsum("qd,nd->qn", scaled_q, codes_f32)
+        out *= -2.0
+        out += query_sq_norms[:, None]
+        out += table_sq_norms[None, :]
+        return out
+    rows, offsets = candidates
+    out = np.empty(len(rows), dtype=np.float64)
+    for query, entries in candidate_chunks(offsets, max(1, _BLOCK_BYTES // (8 * d))):
+        codes = table.codes[rows[entries]].astype(np.float64)
+        out[entries] = np.einsum("ij,j->i", codes, scaled_q[query])
+    out *= -2.0
+    out += np.repeat(query_sq_norms, np.diff(offsets))
+    out += table_sq_norms[rows]
+    return out
+
+
+def _pq_lookup_tables(
+    q: np.ndarray, centroids: np.ndarray, dims: np.ndarray
+) -> np.ndarray:
+    """``lut[i, j, c]``: squared distance of query ``i``'s subvector ``j`` to
+    centroid ``c`` — one ``(len(q), m, ksub)`` float32 block.
+
+    ``centroids`` is the zero-padded codebook stack laid out
+    ``(dsub, m, ksub)`` and ``dims`` the ``(dsub, m)`` query dimension of
+    every padded slot (``q.shape[1]`` addresses an appended zero column).
+    The squared differences accumulate one subspace dimension at a time,
+    element by element, so a query's tables are the same in every block
+    it joins.
+    """
+    padded = np.concatenate(
+        [q.astype(np.float32), np.zeros((len(q), 1), dtype=np.float32)], axis=1
+    )[:, dims]  # (nq, dsub, m)
+    luts = np.zeros((len(q),) + centroids.shape[1:], dtype=np.float32)
+    diff = np.empty_like(luts)
+    for t in range(len(centroids)):
+        np.subtract(padded[:, t, :, None], centroids[t], out=diff)
+        np.multiply(diff, diff, out=diff)
+        luts += diff
+    return luts
+
+
+def _pq_adc_sq_distances(
+    q: np.ndarray, table: CodecArray, candidates: Optional[Candidates]
+) -> np.ndarray:
+    """ADC: lookup tables once per query block + code-indexed accumulate."""
     params = table.params
-    nq = q.shape[0]
+    nq, m = q.shape[0], params.m
     if q.shape[1] != params.d:
         raise ValueError(
             f"query dimension {q.shape[1]} does not match PQ table d={params.d}"
         )
-    # One (nq, m, 256) float32 LUT per call: lut[q, j, c] is the exact
-    # squared distance between query subvector j and centroid c.
-    luts = np.zeros((nq, params.m, _PQ_KSUB_MAX), dtype=np.float32)
+    ksub = max((cb.shape[0] for cb in params.codebooks), default=1)
+    dsub = max((cb.shape[1] for cb in params.codebooks), default=1)
+    centroids = np.zeros((dsub, m, ksub), dtype=np.float32)
+    dims = np.full((dsub, m), params.d, dtype=np.intp)
     for j, cb in enumerate(params.codebooks):
-        qj = q[:, params.splits[j]:params.splits[j + 1]].astype(np.float32)
-        cross = qj @ cb.T  # BLAS sgemm: (nq, ksub_j)
-        luts[:, j, : cb.shape[0]] = (
-            (qj * qj).sum(axis=1)[:, None] - 2.0 * cross + (cb * cb).sum(axis=1)[None, :]
-        )
-    n = len(table)
+        centroids[: cb.shape[1], j, : cb.shape[0]] = cb.T
+        dims[: cb.shape[1], j] = np.arange(params.splits[j], params.splits[j + 1])
     codes = table.codes
-    out = np.empty((nq, n), dtype=np.float64)
-    block = max(1, _BLOCK_BYTES // (4 * max(1, nq)))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        acc = np.zeros((nq, stop - start), dtype=np.float32)
-        for j in range(params.m):
-            acc += luts[:, j, codes[start:stop, j]]
-        out[:, start:stop] = acc
-    np.maximum(out, 0.0, out=out)
+    n = len(table)
+    out = np.empty((nq, n) if candidates is None else len(candidates[0]), dtype=np.float64)
+    code_slot = np.arange(m, dtype=np.intp) * ksub  # flat LUT offset of subspace j
+    query_block = max(1, _LUT_BYTES // (4 * max(1, m * ksub)))
+    for q_start in range(0, nq, query_block):
+        q_stop = min(nq, q_start + query_block)
+        luts = _pq_lookup_tables(q[q_start:q_stop], centroids, dims)
+        if candidates is None:
+            block = max(1, _BLOCK_BYTES // (4 * (q_stop - q_start)))
+            for start in range(0, n, block):
+                stop = min(n, start + block)
+                acc = np.zeros((q_stop - q_start, stop - start), dtype=np.float32)
+                for j in range(m):
+                    acc += luts[:, j, codes[start:stop, j]]
+                out[q_start:q_stop, start:stop] = acc
+        else:
+            rows, offsets = candidates
+            block = max(1, _BLOCK_BYTES // (4 * max(1, m)))
+            for query, entries in candidate_chunks(offsets[q_start : q_stop + 1], block):
+                # Gather from the query's own table, which stays cache
+                # resident across its candidates.
+                index = codes[rows[entries]].astype(np.intp)
+                index += code_slot
+                out[entries] = luts[query].reshape(-1).take(index).sum(axis=1)
     return out
 
 

@@ -136,6 +136,7 @@ def format_engine_stats(counters: Optional[EngineCounters] = None) -> str:
         "Tables encoded", "Disk hits", "Disk misses", "Chunk loads",
         "Rows re-encoded", "Rows tombstoned", "Chunks patched",
         "Pairs rescored", "Fingerprints", "Bytes stored", "Bytes decoded",
+        "Blocking queries", "Blocking fallbacks", "Candidates ranked",
     ]
     row = [
         str(counters.cache_hits),
@@ -154,6 +155,9 @@ def format_engine_stats(counters: Optional[EngineCounters] = None) -> str:
         str(counters.fingerprints_computed),
         str(counters.bytes_stored),
         str(counters.bytes_decoded),
+        str(counters.blocking_queries),
+        str(counters.blocking_fallback_queries),
+        str(counters.blocking_candidates_ranked),
     ]
     return format_table(headers, [row])
 

@@ -70,6 +70,13 @@ class EngineCounters:
     much of a table a warm load really paid for.  A warm second run therefore
     shows ``tables_encoded == 0``, one disk hit per side, and one chunk load
     per chunk the run consumed.
+
+    The blocking layer (:mod:`repro.blocking.lsh`) reports what its queries
+    did: ``blocking_queries`` counts query rows, ``blocking_fallback_queries``
+    those whose buckets held fewer than ``k`` candidates and were ranked
+    against every live row instead, and ``blocking_candidates_ranked`` the
+    (query, row) distances computed — their ratio to ``queries x table rows``
+    is how much the hash tables actually prune.
     """
 
     cache_hits: int = 0
@@ -87,6 +94,9 @@ class EngineCounters:
     fingerprints_computed: int = 0
     bytes_stored: int = 0
     bytes_decoded: int = 0
+    blocking_queries: int = 0
+    blocking_fallback_queries: int = 0
+    blocking_candidates_ranked: int = 0
 
     def record_hit(self, records_served: int = 0) -> None:
         self.cache_hits += 1
@@ -173,6 +183,13 @@ class EngineCounters:
         """
         self.bytes_decoded += int(count)
 
+    def record_blocking(self, queries: int, fallback: int, candidates: int) -> None:
+        """One ``query_batch`` call: rows queried, rows ranked by linear
+        scan, and candidate distances computed over the whole call."""
+        self.blocking_queries += int(queries)
+        self.blocking_fallback_queries += int(fallback)
+        self.blocking_candidates_ranked += int(candidates)
+
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
@@ -194,6 +211,9 @@ class EngineCounters:
             "fingerprints_computed": self.fingerprints_computed,
             "bytes_stored": self.bytes_stored,
             "bytes_decoded": self.bytes_decoded,
+            "blocking_queries": self.blocking_queries,
+            "blocking_fallback_queries": self.blocking_fallback_queries,
+            "blocking_candidates_ranked": self.blocking_candidates_ranked,
         }
 
     def reset(self) -> None:
@@ -212,6 +232,9 @@ class EngineCounters:
         self.fingerprints_computed = 0
         self.bytes_stored = 0
         self.bytes_decoded = 0
+        self.blocking_queries = 0
+        self.blocking_fallback_queries = 0
+        self.blocking_candidates_ranked = 0
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.schema import Record, Table
 from repro.engine import merge_scored_batches, release_engine_resources
 from repro.engine.store import encode_table_rows
-from repro.eval.timing import StageTimings
+from repro.eval.timing import StageTimings, engine_counters
 
 
 def process_rss_bytes() -> Optional[int]:
@@ -465,6 +465,13 @@ class ServeSession:
             "store_codec": store_codec,
             "store_resident_bytes": store_resident,
             "process_rss_bytes": process_rss_bytes(),
+            # What blocking did since the process started: queries, how many
+            # fell back to a linear scan, candidate distances computed.
+            **{
+                name: value
+                for name, value in engine_counters().as_dict().items()
+                if name.startswith("blocking_")
+            },
         }
 
     # ------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blocking import EuclideanLSHIndex
+from repro.blocking import lsh as lsh_module
+from repro.engine import quant
+from repro.eval.timing import engine_counters
 from repro.exceptions import NotFittedError
 
 
@@ -380,3 +384,137 @@ class TestRemovePatchCompact:
             index.patch(vectors[:2], ["k0"])  # keys misaligned
         with pytest.raises(ValueError):
             index.patch(np.zeros((1, vectors.shape[1] + 2)), ["k0"])
+
+
+# ----------------------------------------------------------------------
+# Block-at-a-time ranking
+# ----------------------------------------------------------------------
+def _ranking_table(codec: str):
+    """80 clustered rows (with two exact duplicates) as a ``codec`` table."""
+    rng = np.random.default_rng(11)
+    centres = rng.normal(scale=4.0, size=(5, 10))
+    values = centres[rng.integers(0, 5, 80)] + rng.normal(scale=0.5, size=(80, 10))
+    values[40] = values[3]  # tied distances
+    values[41] = values[3]
+    if codec == "raw":
+        return values
+    return quant.get_codec(codec).encode(values, None)
+
+
+_RANKING_TABLES = {codec: _ranking_table(codec) for codec in ("raw", "int8", "pq")}
+_RANKING_QUERIES = np.concatenate([
+    # Near the table (bucket path) and far from it (starved rows).
+    _ranking_table("raw")[::3] + np.random.default_rng(12).normal(scale=0.1, size=(27, 10)),
+    np.random.default_rng(13).normal(scale=30.0, size=(5, 10)),
+])
+
+
+def _tiny_kernel_blocks(patch: pytest.MonkeyPatch, pairs: int, nbytes: int) -> None:
+    """Shrink every internal chunk bound so small inputs cross them."""
+    patch.setattr(lsh_module, "_RANK_BLOCK_PAIRS", pairs)
+    patch.setattr(lsh_module, "_DIFF_BLOCK_ELEMENTS", nbytes)
+    patch.setattr(quant, "_BLOCK_BYTES", nbytes)
+    patch.setattr(quant, "_LUT_BYTES", nbytes)
+
+
+class TestBlockRanking:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        codec=st.sampled_from(["raw", "int8", "pq"]),
+        k=st.integers(1, 12),
+        width=st.sampled_from([0.5, 4.0]),
+        dead=st.sets(st.integers(0, 79), max_size=20),
+        cuts=st.sets(st.integers(1, len(_RANKING_QUERIES) - 1), max_size=6),
+        block_pairs=st.sampled_from([1, 97, 1 << 20]),
+        block_bytes=st.sampled_from([1, 3000, 1 << 22]),
+    )
+    def test_row_answers_do_not_depend_on_the_block(
+        self, codec, k, width, dead, cuts, block_pairs, block_bytes
+    ):
+        """``query_batch(Q)[i] == query_batch(Q[i:i+1])[0]`` exactly — keys and
+        distances — for every split of ``Q``, over raw, int8 and pq (multiprobe)
+        tables with tombstones and ``exclude`` keys, whether or not the split
+        or the batch crosses the kernels' internal chunk boundaries."""
+        keys = [f"k{i}" for i in range(80)]
+        index = EuclideanLSHIndex(
+            num_tables=4, hash_size=6, bucket_width=width, seed=5, compaction_load=1.0
+        ).build(_RANKING_TABLES[codec], keys)
+        index.remove([keys[i] for i in sorted(dead)])
+        queries = _RANKING_QUERIES
+        # Odd rows exclude the table row they were drawn next to.
+        exclude = [keys[3 * i % 80] if i % 2 else None for i in range(len(queries))]
+        with pytest.MonkeyPatch.context() as patch:
+            _tiny_kernel_blocks(patch, block_pairs, block_bytes)
+            whole = index.query_batch(queries, k=k, exclude=exclude)
+        bounds = [0, *sorted(cuts), len(queries)]
+        parts = [
+            answer
+            for lo, hi in zip(bounds, bounds[1:])
+            for answer in index.query_batch(queries[lo:hi], k=k, exclude=exclude[lo:hi])
+        ]
+        singles = [
+            index.query_batch(queries[i : i + 1], k=k, exclude=exclude[i : i + 1])[0]
+            for i in range(len(queries))
+        ]
+        assert whole == parts == singles
+        for answer, excluded in zip(whole, exclude):
+            assert excluded not in [key for key, _ in answer]
+            assert not {key for key, _ in answer} & {keys[i] for i in dead}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_raw_block_kernel_is_bit_equal_to_the_dense_reduction(self, dtype):
+        """The CSR kernel against broadcast-subtract + ``einsum`` over all rows."""
+        table = _RANKING_TABLES["raw"].astype(dtype)
+        queries = _RANKING_QUERIES.astype(dtype)
+        diffs = table[None, :, :] - queries[:, None, :]
+        dense = np.einsum("bnd,bnd->bn", diffs, diffs)
+        rng = np.random.default_rng(14)
+        picked = [np.sort(rng.choice(80, size=rng.integers(0, 81), replace=False)) for _ in queries]
+        rows = np.concatenate(picked)
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in picked])])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lsh_module, "_DIFF_BLOCK_ELEMENTS", 500)
+            flat = lsh_module._raw_sq_distances(queries, table, rows, offsets)
+        assert flat.dtype == dense.dtype
+        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
+        np.testing.assert_array_equal(flat, dense[owner, rows])
+
+    def test_pq_query_block_builds_lookup_tables_once(self, monkeypatch):
+        """One ``query_batch`` over a pq table is one kernel call and one
+        lookup-table build per block — the bucket-ranked rows, the starved
+        rows — not one per query row, and the kernel is looked up on the
+        module at call time (the hook the benchmark tracer wraps)."""
+        calls = {"kernel": 0, "luts": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            quant, "asymmetric_sq_distances", counting("kernel", quant.asymmetric_sq_distances)
+        )
+        monkeypatch.setattr(quant, "_pq_lookup_tables", counting("luts", quant._pq_lookup_tables))
+        index = EuclideanLSHIndex(num_tables=4, hash_size=6, seed=5).build(_RANKING_TABLES["pq"])
+        starved_before = engine_counters().blocking_fallback_queries
+        answers = index.query_batch(_RANKING_QUERIES, k=3)
+        starved = engine_counters().blocking_fallback_queries - starved_before
+        assert len(answers) == len(_RANKING_QUERIES)
+        assert 0 < starved < len(_RANKING_QUERIES)  # both kinds of block ran
+        assert calls == {"kernel": 2, "luts": 2}
+
+    def test_query_batch_records_what_blocking_did(self):
+        table = _RANKING_TABLES["raw"]
+        index = EuclideanLSHIndex(num_tables=4, hash_size=6, seed=5).build(table)
+        counters = engine_counters()
+        before = counters.as_dict()
+        answers = index.query_batch(_RANKING_QUERIES, k=3)
+        after = counters.as_dict()
+        assert after["blocking_queries"] - before["blocking_queries"] == len(_RANKING_QUERIES)
+        fallbacks = after["blocking_fallback_queries"] - before["blocking_fallback_queries"]
+        # The five far-away probes collide with nothing and scan every row.
+        assert 5 <= fallbacks < len(_RANKING_QUERIES)
+        ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
+        assert fallbacks * len(table) <= ranked < len(_RANKING_QUERIES) * len(table)
+        assert all(len(answer) == 3 for answer in answers)

@@ -47,6 +47,7 @@ from repro.engine import (
     merge_scored_batches,
     resolve_delta,
 )
+from repro.engine import quant as quant_module
 from repro.engine.quant import (
     CODEC_ENV_VAR,
     CodecArray,
@@ -370,6 +371,62 @@ class TestAsymmetricDistance:
             asymmetric_sq_distances(query, table, table_sq_norms=table_sq_norms_of(table)),
             rtol=1e-6, atol=1e-6,
         )
+
+    @pytest.mark.parametrize("codec", [ScalarQuantizer(), ProductQuantizer()])
+    def test_candidate_form_matches_the_dense_kernel(self, codec, monkeypatch):
+        """The block kernel (CSR candidates) against the dense reference:
+        same distances for the listed pairs, across internal chunk bounds,
+        empty candidate lists included."""
+        rng = np.random.default_rng(36)
+        table = codec.encode(rng.normal(scale=2.0, size=(90, 14)), None)
+        queries = rng.normal(scale=2.0, size=(9, 14))
+        dense = asymmetric_sq_distances(queries, table)
+        picked = [
+            np.sort(rng.choice(90, size=size, replace=False))
+            for size in (90, 0, 1, 33, 0, 90, 7, 64, 2)
+        ]
+        rows = np.concatenate(picked)
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in picked])])
+        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
+        scale = float(dense.max())
+        for nbytes in (1 << 22, 2000, 1):
+            monkeypatch.setattr(quant_module, "_BLOCK_BYTES", nbytes)
+            monkeypatch.setattr(quant_module, "_LUT_BYTES", nbytes)
+            flat = asymmetric_sq_distances(queries, table, candidates=(rows, offsets))
+            assert flat.shape == rows.shape and flat.dtype == np.float64
+            # float32 accumulation on both sides: 1e-5 relative, with the
+            # absolute floor the int8 identity's cancellation needs.
+            np.testing.assert_allclose(flat, dense[owner, rows], rtol=1e-5, atol=1e-6 * scale)
+
+    def test_candidate_offsets_are_validated(self):
+        table = ScalarQuantizer().encode(_random_floats((10, 4), seed=37), None)
+        queries = _random_floats((2, 4), seed=38)
+        rows = np.arange(6)
+        for offsets in ([0, 3], [0, 3, 5], [1, 3, 6]):
+            with pytest.raises(ValueError, match="offsets"):
+                asymmetric_sq_distances(queries, table, candidates=(rows, offsets))
+
+    def test_pq_lookup_tables_are_as_wide_as_the_largest_codebook(self):
+        """A table whose codebooks hold 64 entries builds 64-wide lookup
+        tables (not 256), and a large query block builds them in bounded
+        row slices."""
+        rng = np.random.default_rng(39)
+        table = ProductQuantizer().encode(rng.normal(size=(200, 8)), None)
+        widest = max(cb.shape[0] for cb in table.params.codebooks)
+        assert widest < 256
+        shapes = []
+        original = quant_module._pq_lookup_tables
+
+        def recording(q, centroids, dims):
+            luts = original(q, centroids, dims)
+            shapes.append(luts.shape)
+            return luts
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quant_module, "_pq_lookup_tables", recording)
+            patch.setattr(quant_module, "_LUT_BYTES", 4 * table.params.m * widest * 10)
+            asymmetric_sq_distances(rng.normal(size=(25, 8)), table)
+        assert shapes == [(10, table.params.m, widest)] * 2 + [(5, table.params.m, widest)]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(4, 60), dim=st.integers(2, 24))

@@ -187,6 +187,7 @@ class TestEmptyAndCounters:
             "rows_reencoded", "rows_tombstoned", "chunks_patched",
             "pairs_rescored", "fingerprints_computed",
             "bytes_stored", "bytes_decoded",
+            "blocking_queries", "blocking_fallback_queries", "blocking_candidates_ranked",
         }
         assert stats["cache_misses"] == 1
         assert stats["tables_encoded"] == 1
@@ -217,5 +218,7 @@ class TestEmptyAndCounters:
             "rows_reencoded": 0, "rows_tombstoned": 0, "chunks_patched": 0,
             "pairs_rescored": 0, "fingerprints_computed": 0,
             "bytes_stored": 0, "bytes_decoded": 0,
+            "blocking_queries": 0, "blocking_fallback_queries": 0,
+            "blocking_candidates_ranked": 0,
         }
         assert counters.hit_rate() == 0.0

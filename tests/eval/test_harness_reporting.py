@@ -181,6 +181,15 @@ class TestReporting:
         assert "Tables encoded" in text and "Disk hits" in text and "Disk misses" in text
         assert "4" in text
 
+    def test_engine_stats_includes_blocking_columns(self):
+        from repro.eval.timing import EngineCounters
+
+        counters = EngineCounters()
+        counters.record_blocking(250, 3, 60250)
+        text = reporting.format_engine_stats(counters)
+        assert "Blocking queries" in text and "Blocking fallbacks" in text
+        assert "Candidates ranked" in text and "60250" in text
+
     def test_shard_timings_table(self):
         from repro.eval.timing import ShardTimings
 

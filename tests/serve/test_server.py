@@ -50,6 +50,10 @@ class TestProtocol:
         assert stats["mutations_applied"] == 0
         assert stats["uptime_seconds"] >= 0
         assert stats["closed"] is False
+        # The session start blocked every left row once.
+        assert stats["blocking_queries"] > 0
+        assert 0 <= stats["blocking_fallback_queries"] <= stats["blocking_queries"]
+        assert stats["blocking_candidates_ranked"] >= stats["blocking_queries"]
 
     def test_resolve_roundtrips_floats_exactly(self, server):
         _, match_server, client = server
