@@ -8,18 +8,15 @@ Two curves, emitted as ``BENCH_blocking.json`` so CI can track them:
   the persistent pool, with the per-stage breakdown (dispatch, IPC sample,
   compute, merge) recorded per worker count.
 * **Warm cache load**: best-of-3 wall clock of a full load from the
-  row-range-chunked layout vs the legacy flat single archive, plus the lazy
-  single-shard load that only touches one chunk — the case the chunked
-  layout exists for.
+  row-range-chunked cache, plus the lazy single-shard load that only
+  touches one chunk — the case the chunked layout exists for.
 
 Correctness gates always apply (every worker count must produce the
-identical candidate-pair list; chunked, flat and lazy loads must serve
-identical arrays).  *Performance* gates only apply when
+identical candidate-pair list; full and lazy loads must serve the arrays
+that were saved).  The *performance* gate only applies when
 ``REPRO_BENCH_REQUIRE_SPEEDUP`` is set — single-core or noisy runners
-cannot meaningfully enforce them:
-
-* workers=4 must not be slower than the serial reference pass;
-* the chunked full load must stay within 1.5x of the flat full load.
+cannot meaningfully enforce it: workers=4 must not be slower than the
+serial reference pass.
 
 ``REPRO_BENCH_SCALE`` multiplies the tiled row counts (default 1.0) so a
 beefy runner can push the sweep to larger tables.
@@ -151,9 +148,9 @@ def test_blocking_scaling(domains, harness_config):
         row["speedup_vs_1"] = baseline / row["seconds"] if row["seconds"] > 0 else 0.0
 
     # ------------------------------------------------------------------
-    # Warm-load comparison (best of 3): chunked (full + one lazy shard) vs
-    # legacy flat.  The entry is tiled to the sweep's row count so it spans
-    # many chunks — the table shape the chunked layout exists for.
+    # Warm loads (best of 3): the full entry and one lazy shard.  The entry
+    # is tiled to the sweep's row count so it spans many chunks — the table
+    # shape the chunked layout exists for.
     # ------------------------------------------------------------------
     import tempfile
 
@@ -172,8 +169,6 @@ def test_blocking_scaling(domains, harness_config):
         version = representation.encoding_version
         fingerprint = encoding_fingerprint(representation, domain.task.left)
         cache.save(domain.task.name, "left", version, fingerprint, big)
-        flat_cache = PersistentEncodingCache(Path(tmp) / "flat", chunk_rows=CHUNK_ROWS)
-        flat_cache.save_flat(domain.task.name, "left", version, fingerprint, big)
 
         chunked_full_seconds, chunked_full = _best_of(
             3, lambda: cache.load(domain.task.name, "left", version, fingerprint)
@@ -188,21 +183,12 @@ def test_blocking_scaling(domains, harness_config):
         )
         assert counters.chunk_loads == 3, "a one-shard load must read exactly one chunk"
 
-        # The legacy reader is private by design (it only exists as the
-        # migration path); timing it here is the whole point of the curve.
-        flat_full_seconds, flat_full = _best_of(
-            3, lambda: flat_cache._load_flat(domain.task.name, "left", version, fingerprint)
-        )
-
-        assert chunked_full is not None and flat_full is not None and one_shard is not None
-        np.testing.assert_array_equal(chunked_full.mu, flat_full.mu)
-        np.testing.assert_array_equal(one_shard.mu, flat_full.mu[:CHUNK_ROWS])
+        assert chunked_full is not None and one_shard is not None
+        np.testing.assert_array_equal(chunked_full.mu, big.mu)
+        np.testing.assert_array_equal(one_shard.mu, big.mu[:CHUNK_ROWS])
         total_chunks = len(list(cache.dir_for(domain.task.name, "left", version).glob("chunk-*.npz")))
         assert total_chunks == -(-LEFT_ROWS // CHUNK_ROWS), "entry must span many chunks"
 
-    chunked_vs_flat = (
-        chunked_full_seconds / flat_full_seconds if flat_full_seconds > 0 else 0.0
-    )
     payload = {
         "domain": domain.name,
         "k": TOP_K,
@@ -216,13 +202,8 @@ def test_blocking_scaling(domains, harness_config):
         "cache": {
             "rows": LEFT_ROWS,
             "chunks": total_chunks,
-            "flat_full_load_seconds": flat_full_seconds,
             "chunked_full_load_seconds": chunked_full_seconds,
-            "chunked_vs_flat_ratio": chunked_vs_flat,
             "chunked_one_shard_load_seconds": chunked_shard_seconds,
-            "one_shard_vs_flat_speedup": (
-                flat_full_seconds / chunked_shard_seconds if chunked_shard_seconds > 0 else 0.0
-            ),
         },
     }
     Path("BENCH_blocking.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -240,18 +221,11 @@ def test_blocking_scaling(domains, harness_config):
               f"ipc sample {row['ipc_sample_seconds'] * 1e3:.2f}ms, "
               f"merge {row['merge_seconds'] * 1e3:.2f}ms)")
     print("\nWarm cache loads (best of 3)\n")
-    print(f"  flat full load    : {flat_full_seconds * 1e3:.2f}ms")
-    print(f"  chunked full load : {chunked_full_seconds * 1e3:.2f}ms "
-          f"({total_chunks} chunks, {chunked_vs_flat:.2f}x flat)")
-    print(f"  one-shard load    : {chunked_shard_seconds * 1e3:.2f}ms "
-          f"({payload['cache']['one_shard_vs_flat_speedup']:.1f}x vs flat full)")
+    print(f"  chunked full load : {chunked_full_seconds * 1e3:.2f}ms ({total_chunks} chunks)")
+    print(f"  one-shard load    : {chunked_shard_seconds * 1e3:.2f}ms")
 
     if REQUIRE_SPEEDUP:
         assert sweep[4]["seconds"] <= reference_seconds, (
             f"workers=4 ({sweep[4]['seconds']:.3f}s) slower than the serial "
             f"reference ({reference_seconds:.3f}s) with REPRO_BENCH_REQUIRE_SPEEDUP set"
-        )
-        assert chunked_vs_flat <= 1.5, (
-            f"chunked full load is {chunked_vs_flat:.2f}x the flat load "
-            "(budget: 1.5x) with REPRO_BENCH_REQUIRE_SPEEDUP set"
         )

@@ -515,7 +515,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 status = "ok" if report["ok"] else "FAIL"
                 print(
                     f"{status:4s} {report['task']}/{report['side']}-v{report['version']} "
-                    f"({report['layout']}, {report['chunks_checked']} chunk(s) checked)"
+                    f"({report['chunks_checked']} chunk(s) checked)"
                 )
                 for problem in report["problems"]:
                     print(f"       {problem}")
@@ -547,11 +547,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return "?" if value is None else f"{value:.1f}x"
 
     print(format_table(
-        ["Task", "Side", "Version", "Layout", "Codec", "Rows", "Tombstones",
+        ["Task", "Side", "Version", "Codec", "Rows", "Tombstones",
          "Chunks", "Generations", "Bytes", "Decoded", "Ratio",
          "Content CRC", "Weights CRC"],
         [
-            [row["task"], row["side"], _show(row["version"]), row["layout"],
+            [row["task"], row["side"], _show(row["version"]),
              _show(row.get("codec")), _show(row["rows"]), _show(row["tombstones"]),
              _show(row["chunks"]), _show(row["generations"]), _show(row["bytes"]),
              _show(row.get("decoded_bytes")),

@@ -29,7 +29,7 @@ replaced whenever a new representation is fitted or adopted:
 * :meth:`resolve_stream` chunks the same flow so candidate scoring runs in
   bounded-memory batches for inputs too large to score at once; with
   ``workers > 1`` the batches are scored in parallel across a worker pool
-  (:func:`repro.engine.resolve_sharded`) with byte-identical results;
+  with byte-identical results;
 * a ``cache_dir`` attaches a :class:`repro.engine.PersistentEncodingCache`
   to the store, so repeated runs on the same task and representation load
   table encodings from disk instead of recomputing them.
@@ -63,13 +63,20 @@ from repro.engine import (
     ScoredPairs,
     ShardedEncodingStore,
     resolve_delta,
-    resolve_sharded,
     resolve_stream,
 )
 from repro.engine.quant import resolve_codec_name
 from repro.eval.metrics import PRF, precision_recall_f1
 from repro.eval.timing import ShardTimings, StageTimings
 from repro.exceptions import NotFittedError
+
+
+def _reject_incremental_shard_timings(incremental: bool, shard_timings: Optional[ShardTimings]) -> None:
+    """The delta engine has no per-batch sink; a passed one must not be silently dropped."""
+    if incremental and shard_timings is not None:
+        raise ValueError(
+            "shard_timings is not collected by incremental resolves; pass stage_timings"
+        )
 
 
 @dataclass
@@ -292,7 +299,7 @@ class VAER:
 
         With ``workers > 1`` both the LSH blocking queries and the batch
         scoring run concurrently on a worker pool through the plan/execute
-        engine (:func:`repro.engine.resolve_sharded`) and merge back in
+        engine (:func:`repro.engine.resolve_stream`) and merge back in
         order; the yielded sequence is byte-identical to the single-process
         stream.  ``shard_timings`` optionally collects per-batch worker
         timings; ``stage_timings`` collects per-stage (encode/block/score)
@@ -304,25 +311,15 @@ class VAER:
         edited or deleted since — see :meth:`resolve_delta` for the
         contract.  ``workers > 1`` fans the delta's tail encode and query
         units across the worker pool; scoring stays serial (bounded by the
-        mutation size).
+        mutation size).  The delta engine has no per-batch sink, so
+        ``shard_timings`` with ``incremental=True`` is a ``ValueError``.
         """
         matcher = self._require_matcher()
         k = k or self.config.active_learning.top_neighbours
+        _reject_incremental_shard_timings(incremental, shard_timings)
         if incremental:
             return self.resolve_delta(
                 k=k, batch_size=batch_size, stage_timings=stage_timings, workers=workers
-            )
-        if workers != 1 or shard_timings is not None or stage_timings is not None:
-            return resolve_sharded(
-                self.store,
-                matcher,
-                blocking=self.config.blocking,
-                k=k,
-                batch_size=batch_size,
-                threshold=self.threshold,
-                workers=workers,
-                shard_timings=shard_timings,
-                stage_timings=stage_timings,
             )
         return resolve_stream(
             self.store,
@@ -331,6 +328,9 @@ class VAER:
             k=k,
             batch_size=batch_size,
             threshold=self.threshold,
+            workers=workers,
+            shard_timings=shard_timings,
+            stage_timings=stage_timings,
         )
 
     def resolve_delta(
@@ -432,6 +432,7 @@ class VAER:
         from repro.distrib import CacheRef, DistributedRuntime
 
         self._require_matcher()
+        _reject_incremental_shard_timings(incremental, shard_timings)
         k = k or self.config.active_learning.top_neighbours
         own_runtime = runtime is None
         if own_runtime:

@@ -8,15 +8,15 @@ planned and executed*:
   featurisation and scoring;
 * :class:`PersistentEncodingCache` — on-disk extension of the store's cache,
   row-range-chunked (``<task>/<side>-vN/chunk-<a>-<b>.npz`` + manifest) so
-  warm loads are lazy per shard; legacy flat archives migrate on first read;
+  warm loads are lazy per shard; one on-disk format, anything else is a miss;
 * :class:`ResolutionPlanner` / :class:`ResolutionExecutor` — the plan/execute
   core: a deterministic encode → block → score stage graph over row-range
   shards, run serially or across a *persistent* worker pool (fork-based with
   shared-memory state publishing, threaded where fork or shared memory is
   unavailable) with results merged deterministically by
   ``(batch_index, pair_index)``;
-* :func:`resolve_stream` / :func:`resolve_sharded` — thin front-ends over
-  that engine (single-process and pooled); byte-identical to each other;
+* :func:`resolve_stream` — the cold-run front-end over that engine; its
+  batch stream is byte-identical at every ``workers`` count;
 * :class:`ShardedEncodingStore` — row-range shard views of the cached tables
   (zero-copy), with lazy per-shard loads from the chunked disk cache;
 * :class:`DeltaResolutionExecutor` / :func:`resolve_delta` — incremental
@@ -34,7 +34,6 @@ here, not in the pipeline stages that consume the encodings.
 
 from repro.engine.persist import (
     DEFAULT_CHUNK_ROWS,
-    CacheDelta,
     PersistentEncodingCache,
     RowDiff,
     TableDelta,
@@ -72,7 +71,6 @@ from repro.engine.plan import (
     StageUnit,
     build_index_sharded,
     resolve_delta,
-    resolve_plan,
     sharded_candidate_pairs,
 )
 from repro.engine.shard import (
@@ -82,14 +80,12 @@ from repro.engine.shard import (
     StateHandle,
     WorkerPool,
     acquire_pool,
-    iter_sharded_candidate_batches,
     make_pool,
     merge_scored_batches,
     pool_kind_default,
     published_state,
     release_engine_resources,
     release_pool,
-    resolve_sharded,
     shard_bounds_for,
     shutdown_pools,
 )
@@ -115,7 +111,6 @@ from repro.engine.stream import (
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_SHARD_ROWS",
-    "CacheDelta",
     "CodecArray",
     "CodecParams",
     "DeltaBounds",
@@ -168,14 +163,11 @@ __all__ = [
     "encoding_fingerprint",
     "guard_store_version",
     "iter_candidate_batches",
-    "iter_sharded_candidate_batches",
     "merge_scored_batches",
     "model_fingerprint",
     "pin_store_version",
     "record_crc",
     "resolve_delta",
-    "resolve_plan",
-    "resolve_sharded",
     "resolve_stream",
     "row_range_crc",
     "table_row_crcs",

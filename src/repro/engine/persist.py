@@ -28,11 +28,10 @@ version), holding a JSON manifest plus one archive per row-range chunk::
 
 The manifest is written last (write-then-rename), so its presence marks a
 complete entry; readers that find a manifest referencing a missing or
-corrupt chunk treat the whole entry as a miss.  The flat single-archive
-layout of earlier versions (``<task>/<side>-vN.npz``) remains readable: the
-first load that finds one migrates it to the chunked layout in place
-(one-shot) and removes the flat archive.  Format-3 manifests (the chunked
-layout without a mutation layer) are migrated to format 4 on first read.
+corrupt chunk treat the whole entry as a miss.  There is one on-disk format
+(:data:`CACHE_FORMAT_VERSION`): a manifest or chunk of any other format is a
+plain miss — a load neither serves, rewrites nor removes it — and a stray
+``<task>/<side>-vN.npz`` is not an entry at all.
 
 Keying and invalidation rules
 -----------------------------
@@ -48,10 +47,10 @@ or missing chunk, stale manifest — is a miss.  Bumping ``encoding_version``
 therefore never serves stale encodings: the old entries simply stop being
 addressed.
 
-Row-identity mutation layer (format v4)
----------------------------------------
-Format 4 manifests carry a per-row content map instead of only per-chunk
-CRCs: ``row_crcs`` records one CRC per *stored* row (covering that record's
+Row-identity mutation layer
+---------------------------
+Manifests carry a per-row content map next to the per-chunk CRCs:
+``row_crcs`` records one CRC per *stored* row (covering that record's
 id and values alone), ``tombstones`` lists stored rows that have been
 deleted from the table, and every chunk entry is ``[start, stop, crc,
 generation]``.  The *stored* layout is append-only — a row keeps its stored
@@ -117,30 +116,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 PathLike = Union[str, Path]
 
-#: Bump when the on-disk layout changes; mismatching entries are treated as
-#: misses, never as errors.  Version 5 adds the codec tier (a per-entry and
-#: per-chunk ``codec`` field plus quantization params, so chunk arrays may
-#: hold int8 codes instead of floats); version 4 added the row-identity
-#: mutation layer (per-row CRCs, tombstones, chunk generations); version 3
-#: had per-chunk content CRCs only.  Both older chunked formats are
-#: migrated to the current one on first read.
+#: Bump when the on-disk layout changes; manifests and chunks tagged with any
+#: other value are treated as misses, never as errors, and never migrated.
+#: Version 5 is the row-identity mutation layer (per-row CRCs, tombstones,
+#: chunk generations) plus the codec tier (a per-entry and per-chunk ``codec``
+#: field and quantization params, so chunk arrays may hold codes, not floats).
 CACHE_FORMAT_VERSION = 5
 
-#: Format tag of the pre-codec mutation-layer layout (read for migration).
-V4_FORMAT_VERSION = 4
-
-#: Format tag of the pre-mutation chunked layout (read for migration).
-V3_FORMAT_VERSION = 3
-
-#: Format tag of the legacy flat single-archive layout (read for migration).
-FLAT_FORMAT_VERSION = 1
-
-#: Chunk formats the reader accepts: the codec formats plus the two older
-#: chunked formats whose archives are binary-compatible for the raw codec
-#: (migration rewrites manifests only, never chunk files).
-_READABLE_CHUNK_FORMATS = (V3_FORMAT_VERSION, V4_FORMAT_VERSION, CACHE_FORMAT_VERSION)
-
-#: The identity codec: entries without a codec field decode as plain floats.
+#: The identity codec: chunk arrays are the plain float encodings.
 RAW_CODEC = "raw"
 
 #: Default rows per chunk archive.
@@ -289,13 +272,25 @@ def _stored_row(array, position: int) -> np.ndarray:
 
 
 def _manifest_codec(manifest: Dict[str, Any]) -> Tuple[str, Optional[Dict[str, Any]]]:
-    """``(name, params)`` of a normalised manifest's codec field."""
-    codec = manifest.get("codec")
-    if not isinstance(codec, dict):
-        return RAW_CODEC, None
-    name = codec.get("name", RAW_CODEC)
+    """``(name, params)`` of a validated manifest's codec field."""
+    codec = manifest["codec"]
     params = codec.get("params")
-    return str(name), params if isinstance(params, dict) else None
+    return codec["name"], params if isinstance(params, dict) else None
+
+
+def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings", verb: str) -> str:
+    """The codec of an entry, once ``encodings`` are known to be writable into it.
+
+    Quantize-once: rows written into an existing entry must carry its codec
+    *and* its fixed params, or old and new chunks would decode inconsistently.
+    """
+    old_codec, old_params = _manifest_codec(manifest)
+    codec, params = _encodings_codec(encodings)
+    if codec != old_codec:
+        raise ValueError(f"cannot {verb} a {old_codec!r}-codec entry with {codec!r} encodings")
+    if params is not None and params != old_params:
+        raise ValueError(f"cannot {verb}: encodings use different codec params than the entry")
+    return codec
 
 
 def encoding_fingerprint(representation: "EntityRepresentationModel", table: "Table") -> Dict[str, Any]:
@@ -475,10 +470,6 @@ class TableDelta:
         ]
         stored = [self.survivor_stored[position] for position in positions]
         return tuple(positions), tuple(stored)
-
-
-#: Backwards-compatible alias (pre-mutation name of the probe result).
-CacheDelta = TableDelta
 
 
 #: One member's data layout inside an ``.npz``: (data offset, dtype, shape,
@@ -760,29 +751,19 @@ class PersistentEncodingCache:
         """Archive path of one row-range chunk generation."""
         return self.dir_for(task_name, side, encoding_version) / self.chunk_name(start, stop, generation)
 
-    def flat_path_for(self, task_name: str, side: str, encoding_version: int) -> Path:
-        """Archive path the legacy flat layout used (migration read path)."""
-        return self.directory / _slug(task_name) / f"{side}-v{int(encoding_version)}.npz"
-
     def entries(self) -> List[Path]:
-        """Every logical entry: chunked-layout manifests plus legacy archives."""
+        """The manifest path of every entry, sorted."""
         if not self.directory.is_dir():
             return []
-        manifests = list(self.directory.glob(f"*/*/{MANIFEST_NAME}"))
-        flats = list(self.directory.glob("*/*.npz"))
-        return sorted(manifests + flats)
+        return sorted(self.directory.glob(f"*/*/{MANIFEST_NAME}"))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many logical entries were removed."""
+        """Delete every entry; returns how many entries were removed."""
         close_chunk_handles()
-        removed = 0
-        for entry in self.entries():
-            removed += 1
-            if entry.name == MANIFEST_NAME:
-                self._remove_chunk_dir(entry.parent)
-            else:
-                entry.unlink()
-        return removed
+        entries = self.entries()
+        for entry in entries:
+            self._remove_chunk_dir(entry.parent)
+        return len(entries)
 
     @staticmethod
     def _remove_chunk_dir(chunk_dir: Path, dry_run: bool = False) -> int:
@@ -810,80 +791,57 @@ class PersistentEncodingCache:
         return side, int(version)
 
     def describe_entries(self) -> List[Dict[str, Any]]:
-        """One summary row per logical entry (the ``repro cache list`` data).
+        """One summary row per entry (the ``repro cache list`` data).
 
-        Chunked entries report live rows, tombstones, chunk count, the
-        number of distinct chunk generations referenced by the manifest,
-        on-disk bytes (stale generations included — what ``prune`` would
-        reclaim) and the fingerprint CRCs; legacy flat archives report what
-        their metadata carries.  Unreadable entries are listed with
-        ``rows == None`` rather than skipped, so stale garbage is visible.
+        Entries report live rows, tombstones, chunk count, the number of
+        distinct chunk generations referenced by the manifest, on-disk bytes
+        (stale generations included — what ``prune`` would reclaim) and the
+        fingerprint CRCs.  Unreadable entries — a manifest of another format
+        included — are listed with ``rows == None`` rather than skipped, so
+        stale garbage is visible.
         """
         rows: List[Dict[str, Any]] = []
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                chunk_dir = entry.parent
-                task = chunk_dir.parent.name
-                parsed = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
-                side, version = parsed
-                total_bytes = sum(p.stat().st_size for p in chunk_dir.glob("*.npz"))
-                manifest = self._normalise_manifest(self._read_json(entry))
-                if manifest is not None:
-                    fingerprint = manifest.get("fingerprint", {})
-                    chunks = manifest["chunks"]
-                    # What the entry would occupy fully rehydrated: the
-                    # float64 size of the stored shapes, codec-independent —
-                    # against on-disk bytes it shows the compression ratio.
-                    decoded_bytes = sum(
-                        8 * _element_count(tuple(int(d) for d in shape))
-                        for shape in manifest["shapes"].values()
-                    )
-                    rows.append({
-                        "task": task, "side": side, "version": version, "layout": "chunked",
-                        "rows": len(manifest["keys"]) - len(manifest["tombstones"]),
-                        "tombstones": len(manifest["tombstones"]),
-                        "chunks": len(chunks),
-                        "generations": len({int(chunk[3]) for chunk in chunks}) if chunks else 0,
-                        "bytes": total_bytes,
-                        "codec": _manifest_codec(manifest)[0],
-                        "decoded_bytes": decoded_bytes,
-                        # Compression vs raw float64: decoded size over the
-                        # stored chunk bytes (~1.0 for raw entries — npz
-                        # framing only; >1 for coded entries).
-                        "compression_ratio": (
-                            round(decoded_bytes / total_bytes, 2) if total_bytes else None
-                        ),
-                        "content_crc": fingerprint.get("content_crc"),
-                        "weights_crc": (fingerprint.get("model") or {}).get("weights_crc"),
-                    })
-                else:
-                    rows.append({
-                        "task": task, "side": side, "version": version, "layout": "chunked",
-                        "rows": None, "tombstones": None, "chunks": None, "generations": None,
-                        "bytes": total_bytes, "codec": None, "decoded_bytes": None,
-                        "compression_ratio": None,
-                        "content_crc": None, "weights_crc": None,
-                    })
-            else:
-                task = entry.parent.name
-                parsed = self._parse_generation(entry.stem) or (entry.stem, -1)
-                side, version = parsed
-                try:
-                    metadata = load_metadata(entry) or {}
-                    fingerprint = metadata.get("fingerprint") or {}
-                    keys = metadata.get("keys")
-                except _LOAD_ERRORS:
-                    metadata, fingerprint, keys = {}, {}, None
+            chunk_dir = entry.parent
+            task = chunk_dir.parent.name
+            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+            total_bytes = sum(p.stat().st_size for p in chunk_dir.glob("*.npz"))
+            manifest = self._valid_manifest(self._read_json(entry))
+            if manifest is not None:
+                fingerprint = manifest.get("fingerprint", {})
+                chunks = manifest["chunks"]
+                # What the entry would occupy fully rehydrated: the
+                # float64 size of the stored shapes, codec-independent —
+                # against on-disk bytes it shows the compression ratio.
+                decoded_bytes = sum(
+                    8 * _element_count(tuple(int(d) for d in shape))
+                    for shape in manifest["shapes"].values()
+                )
                 rows.append({
-                    "task": task, "side": side, "version": version, "layout": "flat",
-                    "rows": len(keys) if isinstance(keys, list) else None,
-                    "tombstones": None, "chunks": None, "generations": None,
-                    "bytes": entry.stat().st_size,
-                    "codec": RAW_CODEC if metadata else None, "decoded_bytes": None,
+                    "task": task, "side": side, "version": version,
+                    "rows": len(manifest["keys"]) - len(manifest["tombstones"]),
+                    "tombstones": len(manifest["tombstones"]),
+                    "chunks": len(chunks),
+                    "generations": len({int(chunk[3]) for chunk in chunks}) if chunks else 0,
+                    "bytes": total_bytes,
+                    "codec": _manifest_codec(manifest)[0],
+                    "decoded_bytes": decoded_bytes,
+                    # Compression vs raw float64: decoded size over the
+                    # stored chunk bytes (~1.0 for raw entries — npz
+                    # framing only; >1 for coded entries).
+                    "compression_ratio": (
+                        round(decoded_bytes / total_bytes, 2) if total_bytes else None
+                    ),
+                    "content_crc": fingerprint.get("content_crc"),
+                    "weights_crc": (fingerprint.get("model") or {}).get("weights_crc"),
+                })
+            else:
+                rows.append({
+                    "task": task, "side": side, "version": version,
+                    "rows": None, "tombstones": None, "chunks": None, "generations": None,
+                    "bytes": total_bytes, "codec": None, "decoded_bytes": None,
                     "compression_ratio": None,
-                    "content_crc": fingerprint.get("content_crc") if isinstance(fingerprint, dict) else None,
-                    "weights_crc": (fingerprint.get("model") or {}).get("weights_crc")
-                    if isinstance(fingerprint, dict) else None,
+                    "content_crc": None, "weights_crc": None,
                 })
         return rows
 
@@ -891,107 +849,82 @@ class PersistentEncodingCache:
         """Audit manifests and chunk fingerprints (``repro cache verify``).
 
         Runs the exact validation :meth:`load` performs — structural
-        manifest checks via ``_normalise_manifest``, then each referenced
+        manifest checks via ``_valid_manifest``, then each referenced
         chunk's embedded metadata against the manifest's expectations
         (task, side, model fingerprint, row range, per-chunk CRC,
         generation, codec) — but *without* materialising any arrays, so an
         operator can audit a multi-gigabyte shared cache directory in
-        manifest-and-header time.  Returns one report per logical entry::
+        manifest-and-header time.  Returns one report per entry::
 
-            {"task", "side", "version", "layout",
-             "chunks_checked", "ok", "problems": [...]}
+            {"task", "side", "version", "chunks_checked", "ok", "problems": [...]}
 
         An entry with ``ok == False`` is exactly one that ``load`` would
         treat as a miss (and a distributed worker would refuse to attach).
         """
         reports: List[Dict[str, Any]] = []
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                chunk_dir = entry.parent
-                task_dir = chunk_dir.parent.name
-                side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
-                problems: List[str] = []
-                checked = 0
-                manifest = self._normalise_manifest(self._read_json(entry))
-                if manifest is None:
-                    problems.append("manifest unreadable or structurally invalid")
-                else:
-                    task = manifest.get("task", task_dir)
-                    fingerprint = manifest.get("fingerprint")
-                    model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
-                    codec = _manifest_codec(manifest)[0]
-                    if manifest.get("side") not in (None, side):
-                        problems.append(
-                            f"manifest side {manifest.get('side')!r} does not match "
-                            f"directory {side!r}"
-                        )
-                    for start, stop, row_crc, generation in (
-                        tuple(chunk) for chunk in manifest["chunks"]
-                    ):
-                        checked += 1
-                        path = chunk_dir / self.chunk_name(start, stop, generation)
-                        name = path.name
-                        if not path.is_file():
-                            problems.append(f"{name}: missing chunk archive")
-                            continue
-                        try:
-                            metadata = load_metadata(path)
-                        except _LOAD_ERRORS:
-                            metadata = None
-                        if metadata is None:
-                            problems.append(f"{name}: chunk metadata unreadable (torn write?)")
-                        elif not self._chunk_metadata_valid(
-                            metadata, task, side, model, start, stop, row_crc, generation, codec
-                        ):
-                            problems.append(
-                                f"{name}: chunk metadata does not match manifest "
-                                "(fingerprint, row range, CRC, generation or codec)"
-                            )
-                reports.append({
-                    "task": task_dir, "side": side, "version": version, "layout": "chunked",
-                    "chunks_checked": checked, "ok": not problems, "problems": problems,
-                })
+            chunk_dir = entry.parent
+            task_dir = chunk_dir.parent.name
+            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+            problems: List[str] = []
+            checked = 0
+            manifest = self._valid_manifest(self._read_json(entry))
+            if manifest is None:
+                problems.append("manifest unreadable or structurally invalid")
             else:
-                task_dir = entry.parent.name
-                side, version = self._parse_generation(entry.stem) or (entry.stem, -1)
-                problems = []
-                try:
-                    metadata = load_metadata(entry)
-                except _LOAD_ERRORS:
-                    metadata = None
-                if metadata is None:
-                    problems.append("flat archive metadata unreadable")
-                elif metadata.get("format") != FLAT_FORMAT_VERSION:
+                task = manifest.get("task", task_dir)
+                fingerprint = manifest.get("fingerprint")
+                model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
+                codec = _manifest_codec(manifest)[0]
+                if manifest.get("side") not in (None, side):
                     problems.append(
-                        f"flat archive format {metadata.get('format')!r} is not readable"
+                        f"manifest side {manifest.get('side')!r} does not match "
+                        f"directory {side!r}"
                     )
-                reports.append({
-                    "task": task_dir, "side": side, "version": version, "layout": "flat",
-                    "chunks_checked": 0, "ok": not problems, "problems": problems,
-                })
+                for start, stop, row_crc, generation in (
+                    tuple(chunk) for chunk in manifest["chunks"]
+                ):
+                    checked += 1
+                    path = chunk_dir / self.chunk_name(start, stop, generation)
+                    name = path.name
+                    if not path.is_file():
+                        problems.append(f"{name}: missing chunk archive")
+                        continue
+                    try:
+                        metadata = load_metadata(path)
+                    except _LOAD_ERRORS:
+                        metadata = None
+                    if metadata is None:
+                        problems.append(f"{name}: chunk metadata unreadable (torn write?)")
+                    elif not self._chunk_metadata_valid(
+                        metadata, task, side, model, start, stop, row_crc, generation, codec
+                    ):
+                        problems.append(
+                            f"{name}: chunk metadata does not match manifest "
+                            "(format, fingerprint, row range, CRC, generation or codec)"
+                        )
+            reports.append({
+                "task": task_dir, "side": side, "version": version,
+                "chunks_checked": checked, "ok": not problems, "problems": problems,
+            })
         return reports
 
     def prune(self, dry_run: bool = False) -> Dict[str, Any]:
         """Remove stale generations (the ``repro cache prune`` action).
 
         For each ``(task, side)`` only the highest ``-vN`` generation is
-        kept (chunked preferred over flat at equal version); within kept
-        chunked entries, chunk archives no longer referenced by the manifest
-        — superseded chunk generations and leftovers of abandoned extensions
-        — are removed too.  With ``dry_run`` nothing is deleted; the counts
-        report what a real prune would remove.
+        kept; within kept entries, chunk archives no longer referenced by
+        the manifest — superseded chunk generations and leftovers of
+        abandoned extensions — are removed too.  With ``dry_run`` nothing is
+        deleted; the counts report what a real prune would remove.
         """
-        generations: Dict[Tuple[str, str], List[Tuple[int, int, Path]]] = {}
+        generations: Dict[Tuple[str, str], List[Tuple[int, Path]]] = {}
         for entry in self.entries():
-            if entry.name == MANIFEST_NAME:
-                task, stem, preference = entry.parent.parent.name, entry.parent.name, 1
-            else:
-                task, stem, preference = entry.parent.name, entry.stem, 0
-            parsed = self._parse_generation(stem)
+            parsed = self._parse_generation(entry.parent.name)
             if parsed is None:
                 continue
             side, version = parsed
-            generations.setdefault((task, side), []).append((version, preference, entry))
+            generations.setdefault((entry.parent.parent.name, side), []).append((version, entry))
         removed: Dict[str, Any] = {"entries": 0, "files": 0, "bytes": 0, "bytes_by_codec": {}}
 
         def _count_codec(codec: str, nbytes: int) -> None:
@@ -1000,28 +933,17 @@ class PersistentEncodingCache:
 
         for group in generations.values():
             group.sort()
-            for version, preference, entry in group[:-1]:
+            for _, entry in group[:-1]:
                 removed["entries"] += 1
-                if entry.name == MANIFEST_NAME:
-                    stale = self._normalise_manifest(self._read_json(entry))
-                    codec = _manifest_codec(stale)[0] if stale is not None else "unknown"
-                    removed["files"] += len(list(entry.parent.glob("*"))) if entry.parent.is_dir() else 0
-                    reclaimed = self._remove_chunk_dir(entry.parent, dry_run=dry_run)
-                    removed["bytes"] += reclaimed
-                    _count_codec(codec, reclaimed)
-                else:
-                    size = entry.stat().st_size
-                    removed["files"] += 1
-                    removed["bytes"] += size
-                    _count_codec(RAW_CODEC, size)
-                    if not dry_run:
-                        invalidate_chunk_handles([entry])
-                        entry.unlink()
+                stale = self._valid_manifest(self._read_json(entry))
+                codec = _manifest_codec(stale)[0] if stale is not None else "unknown"
+                removed["files"] += len(list(entry.parent.glob("*")))
+                reclaimed = self._remove_chunk_dir(entry.parent, dry_run=dry_run)
+                removed["bytes"] += reclaimed
+                _count_codec(codec, reclaimed)
             # Sweep unreferenced chunk archives out of the surviving entry.
-            _, _, kept = group[-1]
-            if kept.name != MANIFEST_NAME:
-                continue
-            manifest = self._normalise_manifest(self._read_json(kept))
+            _, kept = group[-1]
+            manifest = self._valid_manifest(self._read_json(kept))
             if manifest is None:
                 continue
             referenced = {
@@ -1065,13 +987,9 @@ class PersistentEncodingCache:
         """
         n = len(encodings)
         codec_name, codec_params = _encodings_codec(encodings)
-        bounds = [
-            (start, min(start + self.chunk_rows, n))
-            for start in range(0, n, self.chunk_rows)
-        ]
         chunks = [
             [start, stop, self._range_crc(table, encodings, start, stop), 0]
-            for start, stop in bounds
+            for start, stop in self._chunk_bounds(0, n)
         ]
         self._write_chunks(
             task_name, side, encoding_version, fingerprint, encodings, chunks, 0,
@@ -1082,21 +1000,15 @@ class PersistentEncodingCache:
             if table is not None and len(table) == len(encodings)
             else None
         )
-        manifest = {
-            "format": CACHE_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": [str(key) for key in encodings.keys],
-            "row_crcs": row_crcs,
-            "tombstones": [],
-            "chunk_rows": int(self.chunk_rows),
-            "chunks": chunks,
-            "shapes": {name: list(getattr(encodings, name).shape) for name in _ARRAY_KEYS},
-            "codec": {"name": codec_name, "params": codec_params},
-        }
-        return self._write_manifest(task_name, side, encoding_version, manifest)
+        return self._write_manifest(
+            task_name, side, encoding_version, fingerprint,
+            keys=encodings.keys,
+            row_crcs=row_crcs,
+            tombstones=[],
+            chunks=chunks,
+            trailing={name: getattr(encodings, name).shape[1:] for name in _ARRAY_KEYS},
+            codec={"name": codec_name, "params": codec_params},
+        )
 
     def extend(
         self,
@@ -1122,64 +1034,26 @@ class PersistentEncodingCache:
         if not delta.is_append_only:
             raise ValueError("extend() only handles append-only deltas; use patch()")
         old = delta.manifest
-        old_codec, _ = _manifest_codec(old)
-        tail_codec, tail_params = _encodings_codec(tail)
-        if tail_codec != old_codec:
-            raise ValueError(
-                f"cannot extend a {old_codec!r}-codec entry with {tail_codec!r} encodings"
-            )
-        if tail_params is not None and tail_params != _manifest_codec(old)[1]:
-            # Quantize-once: appended rows must be encoded with the entry's
-            # fixed params, or old and new chunks would decode inconsistently.
-            raise ValueError("appended encodings use different codec params than the entry")
-        stored = len(old["keys"])
-        appended = len(tail)
-        bounds = [
-            (start, min(start + self.chunk_rows, stored + appended))
-            for start in range(stored, stored + appended, self.chunk_rows)
-        ]
-        # Appended stored rows [stored, stored + appended) are current rows
-        # [base_rows, base_rows + appended) — contiguous at the table's tail.
-        shift = delta.base_rows - stored
-        new_chunks = [
-            [start, stop, row_range_crc(table, start + shift, stop + shift), 0]
-            for start, stop in bounds
-        ]
-        self._write_chunks(
-            task_name, side, encoding_version, fingerprint, tail, new_chunks, stored,
-            codec=tail_codec,
+        codec = _entry_codec_for(old, tail, "extend")
+        new_chunks = self._append_chunks(
+            task_name, side, encoding_version, fingerprint, table, delta, tail,
+            delta.base_rows, codec,
         )
         old_row_crcs = old.get("row_crcs")
-        if old_row_crcs is None and not old["tombstones"]:
-            # Migrated-v3 entry: the delta proved every stored row clean, so
-            # the per-row CRCs are recoverable from the current table.
-            records = table.records()
-            old_row_crcs = [record_crc(records[j]) for j in range(delta.base_rows)]
         row_crcs = (
             list(old_row_crcs) + [record_crc(record) for record in table.records()[delta.base_rows:]]
             if old_row_crcs is not None
             else None
         )
-        keys = [str(key) for key in old["keys"]] + [str(key) for key in tail.keys]
-        shapes = {
-            name: [stored + appended] + [int(d) for d in old["shapes"][name][1:]]
-            for name in _ARRAY_KEYS
-        }
-        manifest = {
-            "format": CACHE_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": keys,
-            "row_crcs": row_crcs,
-            "tombstones": list(old["tombstones"]),
-            "chunk_rows": int(self.chunk_rows),
-            "chunks": [list(chunk) for chunk in old["chunks"]] + new_chunks,
-            "shapes": shapes,
-            "codec": dict(old.get("codec") or {"name": RAW_CODEC, "params": None}),
-        }
-        return self._write_manifest(task_name, side, encoding_version, manifest)
+        return self._write_manifest(
+            task_name, side, encoding_version, fingerprint,
+            keys=list(old["keys"]) + list(tail.keys),
+            row_crcs=row_crcs,
+            tombstones=list(old["tombstones"]),
+            chunks=[list(chunk) for chunk in old["chunks"]] + new_chunks,
+            trailing={name: old["shapes"][name][1:] for name in _ARRAY_KEYS},
+            codec=dict(old["codec"]),
+        )
 
     def patch(
         self,
@@ -1212,14 +1086,7 @@ class PersistentEncodingCache:
         ``rows_tombstoned``, ``chunks_appended``).
         """
         old = delta.manifest
-        old_codec, old_params = _manifest_codec(old)
-        patch_codec, patch_params = _encodings_codec(encodings)
-        if patch_codec != old_codec:
-            raise ValueError(
-                f"cannot patch a {old_codec!r}-codec entry with {patch_codec!r} encodings"
-            )
-        if patch_params is not None and patch_params != old_params:
-            raise ValueError("patched encodings use different codec params than the entry")
+        patch_codec = _entry_codec_for(old, encodings, "patch")
         stored = len(old["keys"])
         tombstones = set(int(t) for t in old["tombstones"])
         new_dead = [int(row) for row in delta.deleted_rows]
@@ -1245,9 +1112,6 @@ class PersistentEncodingCache:
         # Superseding generations for chunks holding dirty rows.
         dirty_stored = {
             int(delta.survivor_stored[position]) for position in delta.dirty_positions()
-        }
-        arity_shapes = {
-            name: [int(d) for d in old["shapes"][name][1:]] for name in _ARRAY_KEYS
         }
         # Zero-fill templates in the entry's *stored* form: float chunks
         # stay float64 with the logical trailing shape, coded chunks keep
@@ -1300,51 +1164,20 @@ class PersistentEncodingCache:
 
         # Appended rows: new stored chunks after the existing layout.
         base, total = delta.appended_range
-        appended = total - base
-        appended_chunks: List[List[int]] = []
-        if appended:
-            shift = base - stored
-            bounds = [
-                (start, min(start + self.chunk_rows, stored + appended))
-                for start in range(stored, stored + appended, self.chunk_rows)
-            ]
-            appended_chunks = [
-                [start, stop, row_range_crc(table, start + shift, stop + shift), 0]
-                for start, stop in bounds
-            ]
-            for start, stop, crc, generation in appended_chunks:
-                arrays = {
-                    name: _stored_rows(getattr(encodings, name), start + shift, stop + shift)
-                    for name in _ARRAY_KEYS
-                }
-                self._write_chunk_arrays(
-                    task_name, side, encoding_version, fingerprint,
-                    start, stop, crc, generation, arrays,
-                    codec=patch_codec,
-                )
-            row_crcs.extend(record_crc(record) for record in records[base:total])
-
-        keys = [str(key) for key in old["keys"]] + [
-            str(key) for key in encodings.keys[base:total]
-        ]
-        shapes = {
-            name: [stored + appended] + arity_shapes[name] for name in _ARRAY_KEYS
-        }
-        manifest = {
-            "format": CACHE_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": keys,
-            "row_crcs": row_crcs,
-            "tombstones": sorted(tombstones),
-            "chunk_rows": int(self.chunk_rows),
-            "chunks": chunks + appended_chunks,
-            "shapes": shapes,
-            "codec": dict(old.get("codec") or {"name": RAW_CODEC, "params": None}),
-        }
-        path = self._write_manifest(task_name, side, encoding_version, manifest)
+        appended_chunks = self._append_chunks(
+            task_name, side, encoding_version, fingerprint, table, delta, encodings,
+            0, patch_codec,
+        )
+        row_crcs.extend(record_crc(record) for record in records[base:total])
+        path = self._write_manifest(
+            task_name, side, encoding_version, fingerprint,
+            keys=list(old["keys"]) + list(encodings.keys[base:total]),
+            row_crcs=row_crcs,
+            tombstones=sorted(tombstones),
+            chunks=chunks + appended_chunks,
+            trailing={name: old["shapes"][name][1:] for name in _ARRAY_KEYS},
+            codec=dict(old["codec"]),
+        )
         # The old generations are dead the moment the manifest lands: no
         # future read resolves to them, so drop their cached handles now
         # rather than pinning stale archives until LRU eviction.
@@ -1354,6 +1187,45 @@ class PersistentEncodingCache:
             "rows_tombstoned": len(new_dead),
             "chunks_appended": len(appended_chunks),
         }
+
+    def _chunk_bounds(self, start: int, stop: int) -> List[Tuple[int, int]]:
+        """``chunk_rows``-sized row ranges tiling ``[start, stop)``."""
+        return [
+            (lo, min(lo + self.chunk_rows, stop)) for lo in range(start, stop, self.chunk_rows)
+        ]
+
+    def _append_chunks(
+        self,
+        task_name: str,
+        side: str,
+        encoding_version: int,
+        fingerprint: Dict[str, Any],
+        table: "Table",
+        delta: "TableDelta",
+        encodings: "TableEncodings",
+        first_row: int,
+        codec: str,
+    ) -> List[List[int]]:
+        """Write ``delta``'s appended rows as new chunks after the stored rows.
+
+        ``encodings`` row 0 is current row ``first_row`` (a tail-only view
+        for :meth:`extend`, the whole table for :meth:`patch`).  The appended
+        stored rows ``[stored, stored + appended)`` are the current rows
+        ``delta.appended_range`` — contiguous at the table's tail — and each
+        new chunk's CRC covers exactly its own current rows.
+        """
+        stored = len(delta.manifest["keys"])
+        base, total = delta.appended_range
+        shift = base - stored
+        chunks = [
+            [start, stop, row_range_crc(table, start + shift, stop + shift), 0]
+            for start, stop in self._chunk_bounds(stored, stored + total - base)
+        ]
+        self._write_chunks(
+            task_name, side, encoding_version, fingerprint, encodings, chunks,
+            first_row - shift, codec=codec,
+        )
+        return chunks
 
     @staticmethod
     def _range_crc(
@@ -1372,7 +1244,7 @@ class PersistentEncodingCache:
         encodings: "TableEncodings",
         chunks: List[List[int]],
         offset: int,
-        codec: str = RAW_CODEC,
+        codec: str,
     ) -> None:
         """Write chunk archives for ``chunks`` (global row ranges) from
         ``encodings`` indexed locally at ``offset``."""
@@ -1397,7 +1269,7 @@ class PersistentEncodingCache:
         crc: int,
         generation: int,
         arrays: Dict[str, np.ndarray],
-        codec: str = RAW_CODEC,
+        codec: str,
     ) -> None:
         chunk_dir = self.dir_for(task_name, side, encoding_version)
         chunk_dir.mkdir(parents=True, exist_ok=True)
@@ -1431,43 +1303,45 @@ class PersistentEncodingCache:
         os.replace(temporary, path)
 
     def _write_manifest(
-        self, task_name: str, side: str, encoding_version: int, manifest: Dict[str, Any]
+        self,
+        task_name: str,
+        side: str,
+        encoding_version: int,
+        fingerprint: Dict[str, Any],
+        keys: Sequence[object],
+        row_crcs: Optional[List[int]],
+        tombstones: List[int],
+        chunks: List[List[int]],
+        trailing: Dict[str, Sequence[int]],
+        codec: Dict[str, Any],
     ) -> Path:
+        """Build an entry's manifest and land it atomically (always last).
+
+        ``trailing`` is each array's logical per-row shape; the leading
+        dimension is the stored row count, i.e. ``len(keys)``.
+        """
+        manifest = {
+            "format": CACHE_FORMAT_VERSION,
+            "task": task_name,
+            "side": side,
+            "encoding_version": int(encoding_version),
+            "fingerprint": fingerprint,
+            "keys": [str(key) for key in keys],
+            "row_crcs": row_crcs,
+            "tombstones": tombstones,
+            "chunk_rows": int(self.chunk_rows),
+            "chunks": chunks,
+            "shapes": {
+                name: [len(keys)] + [int(d) for d in trailing[name]] for name in _ARRAY_KEYS
+            },
+            "codec": codec,
+        }
         manifest_path = self.manifest_path(task_name, side, encoding_version)
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
         temporary = manifest_path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
         temporary.write_text(json.dumps(manifest))
         os.replace(temporary, manifest_path)
         return manifest_path
-
-    def save_flat(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        encodings: "TableEncodings",
-    ) -> Path:
-        """Write an entry in the *legacy* flat single-archive layout.
-
-        Retained so migration can be exercised end to end (tests, and the
-        flat-vs-chunked load benchmark); new entries always go through
-        :meth:`save`.
-        """
-        path = self.flat_path_for(task_name, side, encoding_version)
-        metadata = {
-            "format": FLAT_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": [str(key) for key in encodings.keys],
-        }
-        state = {name: getattr(encodings, name) for name in _ARRAY_KEYS}
-        temporary = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-        save_state_dict(state, temporary, metadata=metadata)
-        os.replace(temporary, path)
-        return path
 
     # ------------------------------------------------------------------
     # Reading
@@ -1479,25 +1353,18 @@ class PersistentEncodingCache:
         encoding_version: int,
         fingerprint: Dict[str, Any],
         counters: Optional["EngineCounters"] = None,
-        table: Optional["Table"] = None,
     ) -> Optional["TableEncodings"]:
         """Load a matching entry in full, or ``None`` on any kind of miss.
 
-        Corrupt or foreign entries are treated as misses rather than errors:
-        a cache must never be able to fail a resolution run.  A legacy flat
-        archive found under the key is migrated to the chunked layout on the
-        way through; a format-3 manifest is rewritten as format 4 (one-shot)
-        — when ``table`` is supplied, its per-row CRCs are recovered on the
-        spot (the matched fingerprint proves the content identical), making
-        the migrated entry fully delta-probeable.
+        Corrupt, foreign or other-format entries are treated as misses
+        rather than errors — a cache must never be able to fail a resolution
+        run — and a miss never writes: whatever was found stays as it was.
         """
         manifest = self._read_manifest(task_name, side, encoding_version, fingerprint)
-        if manifest is not None:
-            if manifest.get("_migrated_from") in (V3_FORMAT_VERSION, V4_FORMAT_VERSION):
-                manifest = self._migrate_manifest(task_name, side, encoding_version, manifest, table)
-            live = len(manifest["keys"]) - len(manifest["tombstones"])
-            return self._load_rows(manifest, task_name, side, encoding_version, 0, live, counters)
-        return self._migrate_flat(task_name, side, encoding_version, fingerprint)
+        if manifest is None:
+            return None
+        live = len(manifest["keys"]) - len(manifest["tombstones"])
+        return self._load_rows(manifest, task_name, side, encoding_version, 0, live, counters)
 
     def load_range(
         self,
@@ -1520,14 +1387,9 @@ class PersistentEncodingCache:
         if start < 0 or stop < start:
             raise ValueError(f"invalid row range [{start}, {stop})")
         manifest = self._read_manifest(task_name, side, encoding_version, fingerprint)
-        if manifest is not None:
-            live = len(manifest["keys"]) - len(manifest["tombstones"])
-            stop = min(stop, live)
-            return self._load_rows(manifest, task_name, side, encoding_version, start, stop, counters)
-        migrated = self._migrate_flat(task_name, side, encoding_version, fingerprint)
-        if migrated is None:
+        if manifest is None:
             return None
-        return _slice_encodings(migrated, start, min(stop, len(migrated)))
+        return self._load_rows(manifest, task_name, side, encoding_version, start, stop, counters)
 
     # ------------------------------------------------------------------
     # Delta probing (the incremental-resolution entry point)
@@ -1547,7 +1409,7 @@ class PersistentEncodingCache:
         live rows against the table by record id: surviving rows are
         compared by per-row CRC (clean or *dirty*), vanished rows become
         ``deleted_rows``, and trailing new rows the ``appended_range``.
-        Entries without per-row CRCs (migrated v3, keys-only saves) degrade
+        Entries without per-row CRCs (keys-only saves) degrade
         to chunk-granular validation: a chunk with any deletion, or whose
         range CRC no longer matches, marks all its surviving rows dirty.
         Returns ``None`` when nothing is reusable (no clean surviving rows).
@@ -1698,14 +1560,9 @@ class PersistentEncodingCache:
         self, task_name: str, side: str, encoding_version: int
     ) -> Optional[Dict[str, Any]]:
         """A structurally valid manifest of a key, *without* checking the
-        table fingerprint — the delta probe validates content row-wise.
-
-        Format-3 manifests are normalised to the v4 shape in memory (chunk
-        generation 0, no tombstones, no per-row CRCs) and tagged with
-        ``_migrated_from`` so :meth:`load` can persist the upgrade.
-        """
+        table fingerprint — the delta probe validates content row-wise."""
         path = self.manifest_path(task_name, side, encoding_version)
-        manifest = self._normalise_manifest(self._read_json(path))
+        manifest = self._valid_manifest(self._read_json(path))
         if manifest is None:
             return None
         if manifest.get("task") != task_name or manifest.get("side") != side:
@@ -1718,37 +1575,13 @@ class PersistentEncodingCache:
         return manifest
 
     @staticmethod
-    def _normalise_manifest(manifest: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-        """Structural validation plus in-memory v3/v4 -> v5 normalisation.
+    def _valid_manifest(manifest: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+        """The manifest if it is structurally valid and of the current format.
 
-        Both older chunked formats normalise to the current shape without
-        touching disk: v3 gains empty tombstones, chunk generations and (no)
-        per-row CRCs; v3 and v4 alike gain the implicit ``raw`` codec their
-        float chunks were written under.  The ``_migrated_from`` tag lets
-        :meth:`load` persist the upgrade one-shot.
+        Pure validation — nothing is filled in or rewritten: a manifest of
+        any other format is ``None``, exactly like a corrupt one.
         """
-        if not isinstance(manifest, dict):
-            return None
-        fmt = manifest.get("format")
-        if fmt == V3_FORMAT_VERSION:
-            chunks = manifest.get("chunks")
-            if not isinstance(chunks, list):
-                return None
-            manifest = dict(
-                manifest,
-                chunks=[list(chunk) + [0] for chunk in chunks if isinstance(chunk, list)],
-                row_crcs=None,
-                tombstones=[],
-                codec={"name": RAW_CODEC, "params": None},
-                _migrated_from=V3_FORMAT_VERSION,
-            )
-        elif fmt == V4_FORMAT_VERSION:
-            manifest = dict(
-                manifest,
-                codec={"name": RAW_CODEC, "params": None},
-                _migrated_from=V4_FORMAT_VERSION,
-            )
-        elif fmt != CACHE_FORMAT_VERSION:
+        if not isinstance(manifest, dict) or manifest.get("format") != CACHE_FORMAT_VERSION:
             return None
         codec = manifest.get("codec")
         if not (isinstance(codec, dict) and isinstance(codec.get("name"), str)):
@@ -1793,31 +1626,6 @@ class PersistentEncodingCache:
         if position != len(keys):
             return None
         return manifest
-
-    def _migrate_manifest(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        manifest: Dict[str, Any],
-        table: Optional["Table"],
-    ) -> Dict[str, Any]:
-        """Persist the v5 upgrade of a normalised v3/v4 manifest (one-shot).
-
-        Chunk archives are untouched — only the manifest is rewritten, so
-        the served arrays are byte-identical before and after migration
-        (the implicit codec of both older formats is ``raw``).  For a v3
-        entry whose per-row CRCs are missing, the caller has already
-        matched the full fingerprint, so when the table is in hand its
-        per-row CRCs describe the stored content exactly and the migrated
-        entry becomes row-precisely probeable.
-        """
-        upgraded = {key: value for key, value in manifest.items() if key != "_migrated_from"}
-        upgraded["format"] = CACHE_FORMAT_VERSION
-        if upgraded.get("row_crcs") is None and table is not None and len(table) == len(manifest["keys"]):
-            upgraded["row_crcs"] = table_row_crcs(table)
-        self._write_manifest(task_name, side, encoding_version, upgraded)
-        return upgraded
 
     def _live_stored_indices(self, manifest: Dict[str, Any]) -> List[int]:
         """Stored index of every live row, ascending (live -> stored map)."""
@@ -1958,8 +1766,8 @@ class PersistentEncodingCache:
         start: int,
         stop: int,
         row_crc: int,
-        generation: int = 0,
-        codec: str = RAW_CODEC,
+        generation: int,
+        codec: str,
     ) -> Optional[Dict[str, np.ndarray]]:
         """One chunk generation's arrays, validated against its metadata."""
         path = self.chunk_path(task_name, side, encoding_version, start, stop, generation)
@@ -2005,11 +1813,11 @@ class PersistentEncodingCache:
         stop: int,
         row_crc: int,
         generation: int,
-        codec: str = RAW_CODEC,
+        codec: str,
     ) -> bool:
         """Whether one chunk's embedded metadata matches what the manifest expects."""
         try:
-            if metadata.get("format") not in _READABLE_CHUNK_FORMATS:
+            if metadata.get("format") != CACHE_FORMAT_VERSION:
                 return False
             if metadata.get("task") != task_name or metadata.get("side") != side:
                 return False
@@ -2021,68 +1829,12 @@ class PersistentEncodingCache:
                 return False
             if int(metadata.get("generation", 0)) != int(generation):
                 return False
-            # Pre-codec chunks carry no codec tag: they are implicitly raw.
-            if str(metadata.get("codec", RAW_CODEC)) != str(codec):
+            # An untagged chunk is a miss: nothing is implicitly raw.
+            if metadata.get("codec") != str(codec):
                 return False
         except (TypeError, ValueError):
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Legacy flat layout: one-shot migration read path
-    # ------------------------------------------------------------------
-    def _migrate_flat(
-        self, task_name: str, side: str, encoding_version: int, fingerprint: Dict[str, Any]
-    ) -> Optional["TableEncodings"]:
-        """Serve a legacy flat archive, rewriting it as a chunked entry.
-
-        The migration has no table in hand, so the rewritten chunks carry
-        keys-only CRCs: the entry serves full loads but stays opaque to
-        delta probes until the next real (table-backed) save refreshes it.
-        """
-        encodings = self._load_flat(task_name, side, encoding_version, fingerprint)
-        if encodings is None:
-            return None
-        self.save(task_name, side, encoding_version, fingerprint, encodings)
-        try:
-            self.flat_path_for(task_name, side, encoding_version).unlink()
-        except OSError:  # pragma: no cover - concurrent migration already removed it
-            pass
-        return encodings
-
-    def _load_flat(
-        self, task_name: str, side: str, encoding_version: int, fingerprint: Dict[str, Any]
-    ) -> Optional["TableEncodings"]:
-        """Reader for the pre-chunking single-archive layout."""
-        from repro.engine.store import TableEncodings
-
-        path = self.flat_path_for(task_name, side, encoding_version)
-        if not path.is_file():
-            return None
-        try:
-            metadata = load_metadata(path)
-            if metadata is None or metadata.get("format") != FLAT_FORMAT_VERSION:
-                return None
-            if metadata.get("task") != task_name or metadata.get("side") != side:
-                return None
-            if int(metadata.get("encoding_version", -1)) != int(encoding_version):
-                return None
-            if metadata.get("fingerprint") != fingerprint:
-                return None
-            keys = tuple(metadata["keys"])
-            with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in _ARRAY_KEYS}
-        except _LOAD_ERRORS:
-            return None
-        if len(keys) != arrays["irs"].shape[0]:
-            return None
-        return TableEncodings(
-            keys=keys,
-            irs=arrays["irs"],
-            mu=arrays["mu"],
-            sigma=arrays["sigma"],
-            row_index={key: row for row, key in enumerate(keys)},
-        )
 
     def __repr__(self) -> str:
         return (

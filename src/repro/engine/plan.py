@@ -1,9 +1,8 @@
-"""Plan/execute layer: one engine behind every resolve front-end.
+"""Plan/execute layer: the one engine behind ``resolve_stream`` and ``resolve_delta``.
 
 Resolution is three stages — *encode* the two tables, *block* (LSH index
 build + top-K queries) to enumerate candidate pairs, *score* the candidates
-in batches — and every earlier entry point special-cased its own slice of
-that flow.  This module owns the whole of it:
+in batches.  This module owns the whole of it:
 
 * :class:`ResolutionPlanner` partitions the work into row-range shards
   (the same bounds :class:`~repro.engine.shard.ShardedEncodingStore` views
@@ -11,17 +10,16 @@ that flow.  This module owns the whole of it:
   from table sizes alone, so a plan can be printed or inspected without
   encoding a single record (``repro plan`` does exactly that);
 * :class:`ResolutionExecutor` runs the stages.  With ``workers == 1`` it
-  runs the exact serial schedule :func:`~repro.engine.stream.resolve_stream`
-  always had.  With a pool, the LSH hash tables are built from per-shard
-  partial maps computed in workers, left-table query shards fan out across
-  the pool, and scoring batches overlap with blocking — all merged back
-  deterministically: candidate order by (shard, row, neighbour rank), scored
-  batches by ``(batch_index, pair_index)``, so the yielded stream is
-  byte-identical to the serial one regardless of scheduling.
+  runs the serial schedule.  With a pool, the LSH hash tables are built
+  from per-shard partial maps computed in workers, left-table query shards
+  fan out across the pool, and scoring batches overlap with blocking — all
+  merged back deterministically: candidate order by (shard, row, neighbour
+  rank), scored batches by ``(batch_index, pair_index)``, so the yielded
+  stream is byte-identical to the serial one regardless of scheduling.
 
-:func:`~repro.engine.stream.resolve_stream` and
-:func:`~repro.engine.shard.resolve_sharded` are thin front-ends over this
-engine; blocking-only consumers (benchmarks, equivalence tests) can call
+:func:`~repro.engine.stream.resolve_stream` plans and executes a cold run
+at any worker count and :func:`resolve_delta` an incremental one;
+blocking-only consumers (benchmarks, equivalence tests) can call
 :func:`build_index_sharded` / :func:`sharded_candidate_pairs` directly.
 """
 
@@ -63,6 +61,7 @@ from repro.engine.stream import (
     ResolutionBatch,
     guard_store_version,
     iter_candidate_batches,
+    pack_batches,
     pin_store_version,
     query_chunk_for,
 )
@@ -795,10 +794,19 @@ def sharded_candidate_pairs(
         if pool is None or pool.broken:
             return serial_query(search, bounds)
         try:
-            return _pooled_query_fanout(
-                pool, search, query_vectors, query_keys, bounds, k, query_chunk,
-                workers, stage_timings,
-            )
+            merged: List[RecordPair] = []
+            merge_seconds = 0.0
+            state = _PlanState(flat=query_vectors, keys=query_keys, search=search)
+            with published_state(pool, state) as handle:
+                for pairs in _fanout_chunks(
+                    pool, handle, bounds, k, query_chunk, workers, stage_timings, "block-query"
+                ):
+                    started = time.perf_counter()
+                    merged.extend(pairs)
+                    merge_seconds += time.perf_counter() - started
+            if stage_timings is not None:
+                stage_timings.record("merge", merge_seconds)
+            return merged
         except BrokenExecutor:
             pool.broken = True
             return serial_query(search, bounds)
@@ -807,59 +815,80 @@ def sharded_candidate_pairs(
             release_pool(pool)
 
 
-def _pooled_query_fanout(
+def _calibrated_fanout(
     pool: WorkerPool,
-    search: NearestNeighbourSearch,
-    flat: np.ndarray,
-    keys: Sequence[object],
+    handle: StateHandle,
     bounds: Sequence[ShardBounds],
     k: int,
     query_chunk: int,
     workers: int,
     stage_timings: Optional[StageTimings],
-) -> List[RecordPair]:
+    stage: str,
+):
     """Calibrated query fan-out: first shard measures, the rest coarsen.
 
     The first planned shard runs alone — its round trip supplies the
     dispatch/compute measurements the cost model sizes the remaining tasks
-    with, and its pairs head the merged result, so calibration costs
-    nothing.  ``block-query`` units count *planned shards covered*, not
-    pool tasks, keeping the stage accounting independent of coarsening.
+    with (see :func:`_coarsen_query_bounds`), and its pairs head the stream,
+    so calibration costs nothing.  Returns ``(first_pairs, groups, submit)``:
+    ``submit(position)`` sends task group ``position`` to the pool (its
+    result is ``(position, pairs, seconds)``), so the caller decides how
+    many are in flight.  Recorded: ``dispatch``, ``block-ipc``, the first
+    shard under ``stage``, and a ``query_tasks`` counter; ``stage`` units
+    count *planned shards covered*, not pool tasks, keeping the accounting
+    independent of coarsening.
     """
 
-    def record(stage: str, seconds: float, units: int = 1) -> None:
+    def record(name: str, seconds: float) -> None:
         if stage_timings is not None:
-            stage_timings.record(stage, seconds, units=units)
+            stage_timings.record(name, seconds)
 
-    state = _PlanState(flat=flat, keys=keys, search=search)
-    with published_state(pool, state) as handle:
-        dispatch = _measure_dispatch(pool)
-        record("dispatch", dispatch)
-        first = bounds[0]
-        started = time.perf_counter()
-        _, first_pairs, first_seconds = pool.submit(
-            _query_task, handle, 0, first.start, first.stop, k, query_chunk
-        ).result()
-        round_trip = time.perf_counter() - started
-        record("block-ipc", max(0.0, round_trip - first_seconds))
-        record("block-query", first_seconds, units=1)
-        groups = _coarsen_query_bounds(bounds[1:], first.rows, first_seconds, dispatch, workers)
+    dispatch = _measure_dispatch(pool)
+    record("dispatch", dispatch)
+    first = bounds[0]
+    started = time.perf_counter()
+    _, first_pairs, first_seconds = pool.submit(
+        _query_task, handle, 0, first.start, first.stop, k, query_chunk
+    ).result()
+    round_trip = time.perf_counter() - started
+    record("block-ipc", max(0.0, round_trip - first_seconds))
+    record(stage, first_seconds)
+    groups = _coarsen_query_bounds(bounds[1:], first.rows, first_seconds, dispatch, workers)
+    if stage_timings is not None:
+        stage_timings.record_counter("query_tasks", len(groups) + 1)
+
+    def submit(position: int):
+        group = groups[position]
+        return pool.submit(_query_task, handle, position, group.start, group.stop, k, query_chunk)
+
+    return first_pairs, groups, submit
+
+
+def _fanout_chunks(
+    pool: WorkerPool,
+    handle: StateHandle,
+    bounds: Sequence[ShardBounds],
+    k: int,
+    query_chunk: int,
+    workers: int,
+    stage_timings: Optional[StageTimings],
+    stage: str,
+) -> Iterator[List[RecordPair]]:
+    """Every query task's pairs, in row order, with all tasks in flight.
+
+    Futures are consumed in submission order == row order, so the
+    concatenated stream reproduces the serial enumeration pair for pair.
+    """
+    first_pairs, groups, submit = _calibrated_fanout(
+        pool, handle, bounds, k, query_chunk, workers, stage_timings, stage
+    )
+    futures = [submit(position) for position in range(len(groups))]
+    yield first_pairs
+    for future, group in zip(futures, groups):
+        _, pairs, seconds = future.result()
         if stage_timings is not None:
-            stage_timings.record_counter("query_tasks", len(groups) + 1)
-        futures = [
-            pool.submit(_query_task, handle, position + 1, group.start, group.stop, k, query_chunk)
-            for position, group in enumerate(groups)
-        ]
-        merged: List[RecordPair] = list(first_pairs)
-        merge_seconds = 0.0
-        for future, group in zip(futures, groups):
-            _, pairs, seconds = future.result()
-            record("block-query", seconds, units=group.units)
-            started = time.perf_counter()
-            merged.extend(pairs)
-            merge_seconds += time.perf_counter() - started
-        record("merge", merge_seconds)
-    return merged
+            stage_timings.record(stage, seconds, units=group.units)
+        yield pairs
 
 
 # ----------------------------------------------------------------------
@@ -905,48 +934,53 @@ class ResolutionExecutor:
         if self.stage_timings is not None:
             self.stage_timings.record(stage, seconds, units=units)
 
-    def _run_serial(self, pinned: int) -> Iterator[ResolutionBatch]:
+    def _run_serial(self, pinned: int, skip: int = 0) -> Iterator[ResolutionBatch]:
+        """The serial schedule, minus its first ``skip`` batches.
+
+        ``skip`` is how a crashed pooled run resumes: candidate enumeration
+        and batch packing are deterministic, so batch ``i`` of a serial
+        rerun is exactly the batch the pooled schedule would have emitted as
+        ``i`` — consumers see one contiguous, duplicate-free stream.
+        """
         plan, store, matcher = self.plan, self.store, self.matcher
-
-        def generate() -> Iterator[ResolutionBatch]:
-            if self.stage_timings is not None:
-                # Warm both sides only when encode is being timed — without a
-                # sink the serial schedule encodes lazily inside enumeration,
-                # preserving the historical counter traces.
-                started = time.perf_counter()
-                store.table_encodings("left")
-                store.table_encodings("right")
-                guard_store_version(store, pinned)
-                self._record_stage("encode", time.perf_counter() - started, units=2)
-            iterator = iter(
-                iter_candidate_batches(
-                    store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size
-                )
+        if self.stage_timings is not None and not skip:
+            # Warm both sides only when encode is being timed — without a
+            # sink the serial schedule encodes lazily inside enumeration,
+            # preserving the historical counter traces.
+            started = time.perf_counter()
+            store.table_encodings("left")
+            store.table_encodings("right")
+            guard_store_version(store, pinned)
+            self._record_stage("encode", time.perf_counter() - started, units=2)
+        iterator = iter(
+            iter_candidate_batches(
+                store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size
             )
-            while True:
-                started = time.perf_counter()
-                try:
-                    batch_index, pairs = next(iterator)
-                except StopIteration:
-                    return
-                block_seconds = time.perf_counter() - started
-                guard_store_version(store, pinned)
-                started = time.perf_counter()
-                left, right = store.gather_pair_irs(pairs)
-                probabilities = matcher.predict_proba(left, right)
-                score_seconds = time.perf_counter() - started
-                self._record_stage("block", block_seconds)
-                self._record_stage("score", score_seconds)
-                if self.shard_timings is not None:
-                    self.shard_timings.record(batch_index, len(pairs), block_seconds + score_seconds)
-                yield ResolutionBatch(
-                    pairs=pairs,
-                    probabilities=probabilities,
-                    threshold=self.threshold,
-                    batch_index=batch_index,
-                )
-
-        return generate()
+        )
+        while True:
+            started = time.perf_counter()
+            try:
+                batch_index, pairs = next(iterator)
+            except StopIteration:
+                return
+            block_seconds = time.perf_counter() - started
+            if batch_index < skip:
+                continue
+            guard_store_version(store, pinned)
+            started = time.perf_counter()
+            left, right = store.gather_pair_irs(pairs)
+            probabilities = matcher.predict_proba(left, right)
+            score_seconds = time.perf_counter() - started
+            self._record_stage("block", block_seconds)
+            self._record_stage("score", score_seconds)
+            if self.shard_timings is not None:
+                self.shard_timings.record(batch_index, len(pairs), block_seconds + score_seconds)
+            yield ResolutionBatch(
+                pairs=pairs,
+                probabilities=probabilities,
+                threshold=self.threshold,
+                batch_index=batch_index,
+            )
 
     # ------------------------------------------------------------------
     def _run_parallel(self, pinned: int) -> Iterator[ResolutionBatch]:
@@ -1013,48 +1047,18 @@ class ResolutionExecutor:
                     # of the run to the serial schedule, resuming after the
                     # last batch the pooled path already emitted.
                     pool.broken = True
-                    yield from self._serial_tail(pinned, emitted)
+                    yield from self._run_serial(pinned, skip=emitted)
             finally:
                 release_pool(pool)
 
         return generate()
 
-    def _serial_tail(self, pinned: int, skip: int) -> Iterator[ResolutionBatch]:
-        """Serial re-run of the batch stream, skipping ``skip`` leading batches.
-
-        Candidate enumeration and batch packing are deterministic, so batch
-        ``i`` of a serial rerun is exactly the batch the pooled schedule
-        would have emitted as ``i`` — consumers of a crashed pooled run see
-        one contiguous, duplicate-free stream.
-        """
-        plan, store, matcher = self.plan, self.store, self.matcher
-        for batch_index, pairs in iter_candidate_batches(
-            store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size
-        ):
-            if batch_index < skip:
-                continue
-            guard_store_version(store, pinned)
-            started = time.perf_counter()
-            left_irs, right_irs = store.gather_pair_irs(pairs)
-            probabilities = matcher.predict_proba(left_irs, right_irs)
-            self._record_stage("score", time.perf_counter() - started)
-            if self.shard_timings is not None:
-                self.shard_timings.record(batch_index, len(pairs), time.perf_counter() - started)
-            yield ResolutionBatch(
-                pairs=pairs,
-                probabilities=probabilities,
-                threshold=self.threshold,
-                batch_index=batch_index,
-            )
-
     def _pump(self, pool: WorkerPool, handle: StateHandle, left: TableEncodings, right: TableEncodings, pinned: int) -> Iterator[ResolutionBatch]:
         """Overlap query tasks and score batches with bounded in-flight depth.
 
-        The fan-out is *calibrated*: the first planned query shard runs
-        alone to measure dispatch overhead and per-row compute, and the
-        remaining shards are coarsened into cost-model-sized task groups
-        (see :func:`_coarsen_query_bounds`) — recorded under the
-        ``dispatch``/``block-ipc`` stages plus a ``query_tasks`` counter.
+        The fan-out is calibrated (:func:`_calibrated_fanout`): the first
+        shard's pairs head the stream and the remaining shards arrive as
+        cost-model-sized task groups, submitted here as depth allows.
 
         Backpressure counts both unfinished futures *and* finished-but-
         unconsumed results in each stage: when one early unit is slow, later
@@ -1070,25 +1074,11 @@ class ResolutionExecutor:
             return
         max_inflight = max(2, plan.workers * 2)
 
-        # Calibration: dispatch overhead and the first shard's compute size
-        # the remaining tasks; its pairs head the stream, so nothing is
-        # thrown away.
-        dispatch = _measure_dispatch(pool)
-        self._record_stage("dispatch", dispatch)
         guard_store_version(store, pinned)
-        first = bounds[0]
-        started = time.perf_counter()
-        _, first_pairs, first_seconds = pool.submit(
-            _query_task, handle, 0, first.start, first.stop, plan.k, plan.query_chunk
-        ).result()
-        round_trip = time.perf_counter() - started
-        self._record_stage("block-ipc", max(0.0, round_trip - first_seconds))
-        self._record_stage("block", first_seconds, units=1)
-        groups = _coarsen_query_bounds(
-            bounds[1:], first.rows, first_seconds, dispatch, plan.workers
+        first_pairs, groups, submit = _calibrated_fanout(
+            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
+            self.stage_timings, "block",
         )
-        if self.stage_timings is not None:
-            self.stage_timings.record_counter("query_tasks", len(groups) + 1)
 
         query_inflight: Dict[object, int] = {}
         query_done: Dict[int, Tuple[List[RecordPair], float]] = {}
@@ -1134,13 +1124,7 @@ class ResolutionExecutor:
             # Top up the query fan-out.
             while submitted < len(groups) and len(query_inflight) + len(query_done) < max_inflight:
                 guard_store_version(store, pinned)
-                group = groups[submitted]
-                query_inflight[
-                    pool.submit(
-                        _query_task, handle, submitted, group.start, group.stop,
-                        plan.k, plan.query_chunk,
-                    )
-                ] = submitted
+                query_inflight[submit(submitted)] = submitted
                 submitted += 1
             collect(query_inflight, query_done, block=False)
             # Consume finished tasks strictly in row-range order.
@@ -1152,10 +1136,16 @@ class ResolutionExecutor:
                 merge_seconds += time.perf_counter() - started
                 next_task += 1
             blocking_done = next_task >= len(groups)
-            # Pack and submit score batches (partial batch only at the end).
-            while len(buffer) >= plan.batch_size or (blocking_done and buffer):
+            # Pack and submit score batches (partial batch only at the end),
+            # walking the buffer by offset and compacting once per round:
+            # re-slicing the remainder per batch copies it every emission.
+            offset = 0
+            while len(buffer) - offset >= plan.batch_size or (
+                blocking_done and offset < len(buffer)
+            ):
                 started = time.perf_counter()
-                head, buffer = buffer[: plan.batch_size], buffer[plan.batch_size :]
+                head = buffer[offset : offset + plan.batch_size]
+                offset += len(head)
                 guard_store_version(store, pinned)
                 left_rows = left.rows([p.left_id for p in head])
                 right_rows = right.rows([p.right_id for p in head])
@@ -1168,6 +1158,7 @@ class ResolutionExecutor:
                 while len(score_inflight) + len(score_done) >= max_inflight:
                     collect(score_inflight, score_done, block=True)
                     yield from emit_ready()
+            del buffer[:offset]
             collect(score_inflight, score_done, block=False)
             yield from emit_ready()
             if blocking_done and not score_inflight and not score_done and not buffer:
@@ -1496,79 +1487,46 @@ class DeltaResolutionExecutor:
         Serial plans walk :func:`~repro.engine.stream.iter_candidate_batches`
         (the canonical enumeration); pooled plans run the calibrated query
         fan-out on the persistent pool — acquired here, so consecutive delta
-        rounds reuse one pool — and merge tasks back in row order with the
-        same buffer/slice packing: the byte-identity contract either way.
-        A pool that dies mid-fan-out downgrades to the serial enumeration,
-        resuming after the last batch already yielded.
+        rounds reuse one pool — and pack the row-ordered task results with
+        the same :func:`~repro.engine.stream.pack_batches`: the
+        byte-identity contract either way.  A pool that dies mid-fan-out
+        downgrades to the serial enumeration, resuming after the last batch
+        already yielded.
         """
         plan, store = self.plan, self.store
         bounds = plan.query_bounds
-        if plan.workers == 1 or len(bounds) <= 1 or pool_kind_default() == "serial":
-            yield from iter_candidate_batches(
-                store, blocking=plan.blocking, k=plan.k,
-                batch_size=plan.batch_size, search=search,
-            )
-            return
         emitted = 0
-        pool = acquire_pool(plan.workers)
-        try:
+        if plan.workers > 1 and len(bounds) > 1 and pool_kind_default() != "serial":
+
+            def guarded(chunks: Iterator[List[RecordPair]]) -> Iterator[List[RecordPair]]:
+                for pairs in chunks:
+                    guard_store_version(store, pinned)
+                    yield pairs
+
+            pool = acquire_pool(plan.workers)
             try:
                 state = _PlanState(flat=left.flat_mu(), keys=left.keys, search=search)
                 with published_state(pool, state) as handle:
-                    dispatch = _measure_dispatch(pool)
-                    self._record_stage("dispatch", dispatch)
-                    first = bounds[0]
-                    started = time.perf_counter()
-                    _, first_pairs, first_seconds = pool.submit(
-                        _query_task, handle, 0, first.start, first.stop,
-                        plan.k, plan.query_chunk,
-                    ).result()
-                    round_trip = time.perf_counter() - started
-                    self._record_stage("block-ipc", max(0.0, round_trip - first_seconds))
-                    self._record_stage("block", first_seconds, units=1)
-                    groups = _coarsen_query_bounds(
-                        bounds[1:], first.rows, first_seconds, dispatch, plan.workers
+                    chunks = _fanout_chunks(
+                        pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
+                        self.stage_timings, "block",
                     )
-                    if self.stage_timings is not None:
-                        self.stage_timings.record_counter("query_tasks", len(groups) + 1)
-                    futures = [
-                        pool.submit(
-                            _query_task, handle, position + 1, group.start, group.stop,
-                            plan.k, plan.query_chunk,
-                        )
-                        for position, group in enumerate(groups)
-                    ]
-                    buffer: List[RecordPair] = list(first_pairs)
-                    batch_index = 0
-                    # Futures consumed in submission order == row order, so
-                    # the merged stream reproduces the serial enumeration
-                    # pair for pair.
-                    for future, group in zip(futures, groups):
-                        guard_store_version(store, pinned)
-                        _, pairs, seconds = future.result()
-                        self._record_stage("block", seconds, units=group.units)
-                        buffer.extend(pairs)
-                        while len(buffer) >= plan.batch_size:
-                            head, buffer = buffer[: plan.batch_size], buffer[plan.batch_size :]
-                            yield batch_index, head
-                            batch_index += 1
-                            emitted = batch_index
-                    if buffer:
-                        yield batch_index, buffer
+                    for batch_index, pairs in pack_batches(guarded(chunks), plan.batch_size):
+                        yield batch_index, pairs
                         emitted = batch_index + 1
                     return
             except BrokenExecutor:
                 pool.broken = True
-        finally:
-            release_pool(pool)
-        # Serial fallback after a dead pool, skipping already-yielded batches.
+            finally:
+                release_pool(pool)
+        # The serial schedule — and the fallback after a dead pool, which
+        # skips the batches the pooled path already yielded.
         for batch_index, pairs in iter_candidate_batches(
             store, blocking=plan.blocking, k=plan.k,
             batch_size=plan.batch_size, search=search,
         ):
-            if batch_index < emitted:
-                continue
-            yield batch_index, pairs
+            if batch_index >= emitted:
+                yield batch_index, pairs
 
 
 def resolve_delta(
@@ -1635,37 +1593,3 @@ def resolve_delta(
         stage_timings=stage_timings,
         diffs=diffs,
     )
-
-
-# ----------------------------------------------------------------------
-# Convenience front-end
-# ----------------------------------------------------------------------
-def resolve_plan(
-    store: EncodingStore,
-    matcher,
-    blocking: Optional[BlockingConfig] = None,
-    k: int = 10,
-    batch_size: int = 2048,
-    threshold: float = 0.5,
-    workers: int = 1,
-    shard_timings: Optional[ShardTimings] = None,
-    stage_timings: Optional[StageTimings] = None,
-) -> Iterator[ResolutionBatch]:
-    """Plan and execute a resolve run in one call.
-
-    The single engine behind :func:`repro.engine.stream.resolve_stream`
-    (``workers=1``) and :func:`repro.engine.shard.resolve_sharded`
-    (``workers>1``): identical knobs always produce the identical batch
-    stream, whatever the worker count.
-    """
-    plan = ResolutionPlanner.from_store(
-        store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
-    ).plan()
-    return ResolutionExecutor(
-        plan,
-        store,
-        matcher,
-        threshold=threshold,
-        shard_timings=shard_timings,
-        stage_timings=stage_timings,
-    ).run()

@@ -15,11 +15,10 @@ This module owns two building blocks the planner-driven engine
   :data:`POOL_SPAWNS`), and the :func:`publish_worker_state` registry that
   hands stage state to pool workers (via shared memory for process pools).
 
-:func:`resolve_sharded` — the parallel counterpart of
-:func:`~repro.engine.stream.resolve_stream` — is a thin front-end over the
-:class:`~repro.engine.plan.ResolutionExecutor`: candidate pairs are
-enumerated with *exactly* the same chunking and batch packing as the
-streamed path (so the two are bit-identical), blocking and scoring fan out
+:func:`~repro.engine.stream.resolve_stream` with ``workers > 1`` runs the
+:class:`~repro.engine.plan.ResolutionExecutor` on that pool: candidate pairs
+are enumerated with *exactly* the same chunking and batch packing as the
+serial schedule (so the two are bit-identical), blocking and scoring fan out
 across the pool, and results merge back deterministically by
 ``(batch_index, pair_index)`` regardless of completion order.
 
@@ -52,23 +51,15 @@ import sys
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.blocking.neighbours import NearestNeighbourSearch
-from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
 from repro.engine.quant import CodecArray
 from repro.engine.store import EncodingStore, TableEncodings
-from repro.engine.stream import (
-    ResolutionBatch,
-    ScoredPairs,
-    guard_store_version,
-    pin_store_version,
-    query_chunk_for,
-)
-from repro.eval.timing import ShardTimings, StageTimings
+from repro.engine.stream import ScoredPairs
 
 #: Default number of rows per table shard.
 DEFAULT_SHARD_ROWS = 2048
@@ -212,11 +203,6 @@ class ShardedEncodingStore(EncodingStore):
         # the store's own persistent probe, which does the miss accounting —
         # counting here too would double-book one logical probe.
         return self.table_shard(side, index)
-
-    def iter_shards(self, side: str) -> Iterator[TableEncodings]:
-        """All shards of one side, in row order."""
-        for bounds in self.shard_bounds(side):
-            yield self.table_shard(side, bounds.index)
 
     def __repr__(self) -> str:
         cached = ",".join(sorted(self._cache)) or "empty"
@@ -539,52 +525,6 @@ def release_engine_resources() -> None:
 atexit.register(release_engine_resources)
 
 
-# ----------------------------------------------------------------------
-# Parallel resolution (front-end over the planner engine)
-# ----------------------------------------------------------------------
-def resolve_sharded(
-    store: EncodingStore,
-    matcher,
-    blocking: Optional[BlockingConfig] = None,
-    k: int = 10,
-    batch_size: int = 2048,
-    threshold: float = 0.5,
-    workers: int = 2,
-    shard_timings: Optional[ShardTimings] = None,
-    stage_timings: Optional[StageTimings] = None,
-) -> Iterator[ResolutionBatch]:
-    """Resolve the candidate stream across a worker pool.
-
-    Yields the *same* :class:`ResolutionBatch` sequence as
-    :func:`~repro.engine.stream.resolve_stream` over the same store — same
-    candidate enumeration, same batch packing, byte-identical probabilities —
-    but the LSH blocking queries *and* the per-batch scoring run concurrently
-    on ``workers`` pool workers, re-merged in deterministic order, so
-    downstream consumers cannot observe scheduling nondeterminism.
-
-    This is a thin front-end over the plan/execute engine: a
-    :class:`~repro.engine.plan.ResolutionPlanner` partitions the work into
-    row-range shards and a :class:`~repro.engine.plan.ResolutionExecutor`
-    runs the encode → block → score stage graph.  ``workers=1`` runs the
-    single-process serial schedule (recording per-batch timings when a sink
-    is supplied).  Validation is eager; pools are created lazily on first
-    iteration and torn down when the iterator is exhausted or closed.
-    """
-    from repro.engine.plan import ResolutionExecutor, ResolutionPlanner
-
-    plan = ResolutionPlanner.from_store(
-        store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
-    ).plan()
-    return ResolutionExecutor(
-        plan,
-        store,
-        matcher,
-        threshold=threshold,
-        shard_timings=shard_timings,
-        stage_timings=stage_timings,
-    ).run()
-
-
 def query_shard_pairs(
     search: NearestNeighbourSearch,
     flat: np.ndarray,
@@ -596,9 +536,9 @@ def query_shard_pairs(
 ) -> List[RecordPair]:
     """Top-K candidate pairs of one row range, queried chunk by chunk.
 
-    The one query loop shared by every enumerator — the sharded serial
-    enumeration below and the planner's pool tasks — so the chunk walk that
-    underpins the byte-identity contract has a single definition.
+    The one query loop of the planner's serial blocking pass and its pool
+    tasks, so the chunk walk that underpins the byte-identity contract has a
+    single definition.
     """
     pairs: List[RecordPair] = []
     for chunk_start in range(start, stop, query_chunk):
@@ -607,47 +547,6 @@ def query_shard_pairs(
             search.candidate_pairs(flat[chunk_start:chunk_stop], keys[chunk_start:chunk_stop], k=k)
         )
     return pairs
-
-
-def iter_sharded_candidate_batches(
-    store: ShardedEncodingStore,
-    blocking: Optional[BlockingConfig] = None,
-    k: int = 10,
-    batch_size: int = 2048,
-) -> Iterator[Tuple[int, List[RecordPair]]]:
-    """Candidate batches enumerated shard by shard over the left table.
-
-    Yields exactly the ``(batch_index, pairs)`` sequence of
-    :func:`repro.engine.stream.iter_candidate_batches`: LSH top-K queries
-    are independent per query row, so walking the left table in row order —
-    shard view by shard view, chunk by chunk within a shard — produces the
-    identical pair stream, and batch packing depends only on that stream.
-    The row-range shard views are the unit of enumeration here and the unit
-    of distribution for the planner's parallel blocking stage.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    pinned = pin_store_version(store)
-
-    def generate() -> Iterator[Tuple[int, List[RecordPair]]]:
-        search = NearestNeighbourSearch.from_store(store, config=blocking)
-        query_chunk = query_chunk_for(batch_size, k)
-        buffer: List[RecordPair] = []
-        batch_index = 0
-        for bounds in store.shard_bounds("left"):
-            guard_store_version(store, pinned)
-            shard = store.table_shard("left", bounds.index)
-            buffer.extend(
-                query_shard_pairs(search, shard.flat_mu(), shard.keys, 0, len(shard), k, query_chunk)
-            )
-            while len(buffer) >= batch_size:
-                head, buffer = buffer[:batch_size], buffer[batch_size:]
-                yield batch_index, head
-                batch_index += 1
-        if buffer:
-            yield batch_index, buffer
-
-    return generate()
 
 
 def merge_scored_batches(batches: Iterable[ScoredPairs]) -> ScoredPairs:

@@ -460,7 +460,6 @@ class EncodingStore:
             self.representation.encoding_version,
             fingerprint,
             counters=self.counters,
-            table=table,
         )
         if loaded is not None:
             self._adopt_params(side, loaded)

@@ -7,16 +7,17 @@ once, which is fine for benchmark tables but not for production-scale inputs.
 queried in blocks, and candidate pairs are featurised and scored in slices of
 at most ``batch_size`` pairs.  Peak memory is therefore bounded by the cached
 table encodings plus one scoring batch, regardless of how many candidate
-pairs blocking emits.  :mod:`repro.engine.shard` builds on this seam: it
-reuses the exact candidate enumeration and batch packing below but fans the
-per-batch scoring out across a persistent worker pool, shipping the stage
-state through shared memory (:mod:`repro.engine.sharedmem`).
+pairs blocking emits.  With ``workers > 1`` the planner engine
+(:mod:`repro.engine.plan`) reuses the exact candidate enumeration and batch
+packing below but fans blocking queries and per-batch scoring out across a
+persistent worker pool (:mod:`repro.engine.shard`), shipping the stage state
+through shared memory (:mod:`repro.engine.sharedmem`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
 from repro.engine.store import EncodingStore
+from repro.eval.timing import ShardTimings, StageTimings
 from repro.exceptions import StaleEncodingError
 
 
@@ -82,7 +84,7 @@ class ResolutionBatch(ScoredPairs):
     batch_index: int
 
 
-#: Default candidate pairs per scored batch, shared by every resolve front-end.
+#: Default candidate pairs per scored batch.
 DEFAULT_BATCH_SIZE = 2048
 
 
@@ -90,9 +92,9 @@ def query_chunk_for(batch_size: int, k: int) -> int:
     """Left-table rows per blocking query chunk for a given batch size.
 
     The single definition of the chunk derivation: every enumerator — the
-    streamed path below, the sharded enumeration, the planner's parallel
-    query fan-out — chunks query rows through this formula, so they all
-    walk the left table in the same strides.
+    streamed path below and the planner's parallel query fan-out — chunks
+    query rows through this formula, so they all walk the left table in the
+    same strides.
     """
     return max(1, batch_size // max(1, k))
 
@@ -131,6 +133,32 @@ def stream_candidate_pairs(
     return generate()
 
 
+def pack_batches(
+    chunks: Iterable[List[RecordPair]], batch_size: int
+) -> Iterator[Tuple[int, List[RecordPair]]]:
+    """Pack a stream of candidate lists into ``(batch_index, pairs)`` batches.
+
+    The one definition of batch packing for streams that are not interleaved
+    with scoring: every batch but the last holds exactly ``batch_size``
+    pairs, in stream order.  Full batches are walked by offset and the tail
+    compacted once per incoming list — re-slicing the remainder per batch
+    copies the whole buffer every emission (quadratic in the list's pair
+    count).
+    """
+    buffer: List[RecordPair] = []
+    batch_index = 0
+    for candidates in chunks:
+        buffer.extend(candidates)
+        offset = 0
+        while len(buffer) - offset >= batch_size:
+            yield batch_index, buffer[offset : offset + batch_size]
+            batch_index += 1
+            offset += batch_size
+        del buffer[:offset]
+    if buffer:
+        yield batch_index, buffer
+
+
 def iter_candidate_batches(
     store: EncodingStore,
     blocking: Optional[BlockingConfig] = None,
@@ -140,39 +168,20 @@ def iter_candidate_batches(
 ) -> Iterator[Tuple[int, List[RecordPair]]]:
     """The candidate stream packed into ``(batch_index, pairs)`` batches.
 
-    This is the serial schedule's definition of batch packing, used by
-    :func:`resolve_stream` (via the executor's ``workers=1`` path).  The
-    planner's parallel pump packs its shard-merged candidate stream with the
-    same buffer/slice discipline and the same :func:`query_chunk_for`
-    stride; the byte-identity between the two is pinned by the equivalence
-    tests in ``tests/engine/test_plan.py``.
+    This is the serial schedule's enumeration: :func:`stream_candidate_pairs`
+    at the :func:`query_chunk_for` stride through :func:`pack_batches`.  The
+    planner's pooled schedules pack their shard-merged candidate stream with
+    the same discipline and stride; the byte-identity between them is pinned
+    by the equivalence tests in ``tests/engine/test_plan.py``.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-
-    def generate() -> Iterator[Tuple[int, List[RecordPair]]]:
-        buffer: List[RecordPair] = []
-        batch_index = 0
-        query_chunk = query_chunk_for(batch_size, k)
-        for candidates in stream_candidate_pairs(
-            store, blocking=blocking, k=k, query_chunk=query_chunk, search=search
-        ):
-            buffer.extend(candidates)
-            if len(buffer) < batch_size:
-                continue
-            # Walk full batches by offset and compact the tail once per
-            # chunk: re-slicing the remainder per batch copies the whole
-            # buffer every emission (quadratic in the chunk's pair count).
-            offset = 0
-            while len(buffer) - offset >= batch_size:
-                yield batch_index, buffer[offset : offset + batch_size]
-                batch_index += 1
-                offset += batch_size
-            del buffer[:offset]
-        if buffer:
-            yield batch_index, buffer
-
-    return generate()
+    return pack_batches(
+        stream_candidate_pairs(
+            store, blocking=blocking, k=k, query_chunk=query_chunk_for(batch_size, k), search=search
+        ),
+        batch_size,
+    )
 
 
 def resolve_stream(
@@ -182,6 +191,9 @@ def resolve_stream(
     k: int = 10,
     batch_size: int = 2048,
     threshold: float = 0.5,
+    workers: int = 1,
+    shard_timings: Optional[ShardTimings] = None,
+    stage_timings: Optional[StageTimings] = None,
 ) -> Iterator[ResolutionBatch]:
     """Score the candidate stream in bounded-memory batches.
 
@@ -190,19 +202,28 @@ def resolve_stream(
     Argument validation is eager (not deferred to the first iteration), so a
     bad ``batch_size`` fails before any expensive work starts.
 
-    This is a thin front-end over the plan/execute engine
-    (:mod:`repro.engine.plan`) at ``workers=1``: the serial schedule
-    enumerates candidates through :func:`iter_candidate_batches` above and
-    scores each batch inline, exactly as this function always did.
+    The one cold-run front-end of the plan/execute engine: a
+    :class:`~repro.engine.plan.ResolutionPlanner` partitions the work into
+    row-range shards and a :class:`~repro.engine.plan.ResolutionExecutor`
+    runs the encode → block → score stage graph.  ``workers=1`` enumerates
+    candidates through :func:`iter_candidate_batches` above and scores each
+    batch inline; with ``workers > 1`` the LSH blocking queries *and* the
+    per-batch scoring run concurrently on a worker pool (created lazily on
+    first iteration, handed back when the iterator is exhausted or closed)
+    and re-merge in deterministic order, so identical knobs always produce
+    the identical batch stream, whatever the worker count.  ``shard_timings``
+    collects per-batch and ``stage_timings`` per-stage compute seconds.
     """
-    from repro.engine.plan import resolve_plan
+    from repro.engine.plan import ResolutionExecutor, ResolutionPlanner
 
-    return resolve_plan(
+    plan = ResolutionPlanner.from_store(
+        store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
+    ).plan()
+    return ResolutionExecutor(
+        plan,
         store,
         matcher,
-        blocking=blocking,
-        k=k,
-        batch_size=batch_size,
         threshold=threshold,
-        workers=1,
-    )
+        shard_timings=shard_timings,
+        stage_timings=stage_timings,
+    ).run()

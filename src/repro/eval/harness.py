@@ -35,7 +35,7 @@ from repro.engine import (
     PersistentEncodingCache,
     ShardedEncodingStore,
     merge_scored_batches,
-    resolve_sharded,
+    resolve_stream,
 )
 from repro.eval.metrics import PRF, neighbour_prf_at_k, precision_recall_f1, recall_at_k
 from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
@@ -512,7 +512,7 @@ def resolution_experiment(
     stage_timings = StageTimings()
     start = time.perf_counter()
     batches = list(
-        resolve_sharded(
+        resolve_stream(
             store, matcher, k=k, batch_size=batch_size,
             threshold=threshold, workers=workers, shard_timings=timings,
             stage_timings=stage_timings,

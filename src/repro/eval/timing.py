@@ -254,7 +254,7 @@ class ShardTiming:
 
 
 class ShardTimings:
-    """Per-shard timing sink for :func:`repro.engine.shard.resolve_sharded`.
+    """Per-batch timing sink for :func:`repro.engine.stream.resolve_stream`.
 
     Each scored candidate slice reports its worker-side wall-clock time here;
     the aggregate views answer the two scaling questions — how much compute

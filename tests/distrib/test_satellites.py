@@ -122,4 +122,4 @@ class TestCacheVerify:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
         assert {row["side"] for row in rows} == {"left", "right"}
-        assert all(row["layout"] == "chunked" for row in rows)
+        assert all("layout" not in row for row in rows)

@@ -200,7 +200,8 @@ class TestRegistryEquivalence:
     def test_parallel_delta_tail_matches_serial(self):
         """workers>1 fans the pending-row encode and left-shard queries across
         the pool; the stream must stay byte-identical to the serial delta run
-        (and therefore equivalent to a cold resolve)."""
+        (and therefore equivalent to a cold resolve).  The delta round packs
+        one pair per batch, so every query task's pairs span many batches."""
         domain = _fresh_tiny_domain()
         twin = _fresh_tiny_domain()
         representation = EntityRepresentationModel(
@@ -225,11 +226,11 @@ class TestRegistryEquivalence:
 
         serial = merge_scored_batches(resolve_delta(
             store_serial, matcher, baseline=baseline_serial, blocking=blocking,
-            k=4, batch_size=13, workers=1,
+            k=4, batch_size=1, workers=1,
         ).run())
         pooled_executor = resolve_delta(
             store_pooled, matcher, baseline=baseline_pooled, blocking=blocking,
-            k=4, batch_size=13, workers=2,
+            k=4, batch_size=1, workers=2,
         )
         assert pooled_executor.plan.workers == 2
         encode_units = pooled_executor.plan.stage("encode").units

@@ -165,7 +165,7 @@ class TestRandomizedTables:
         store = _fit_store(task, shard_rows=3)
         for side in ("left", "right"):
             full = store.table_encodings(side)
-            shards = list(store.iter_shards(side))
+            shards = [store.table_shard(side, b.index) for b in store.shard_bounds(side)]
             assert sum(len(s) for s in shards) == len(full)
             np.testing.assert_array_equal(np.concatenate([s.irs for s in shards]), full.irs)
             np.testing.assert_array_equal(np.concatenate([s.mu for s in shards]), full.mu)

@@ -18,7 +18,8 @@ from repro.engine import (
     encoding_fingerprint,
     row_range_crc,
 )
-from repro.engine.persist import MANIFEST_NAME
+from repro.engine.persist import CACHE_FORMAT_VERSION, MANIFEST_NAME
+from repro.nn.serialization import load_metadata, save_state_dict
 from repro.eval.timing import EngineCounters
 
 
@@ -626,6 +627,21 @@ class TestDeltaProbeAndExtend:
         assert cache.prune() == preview
         assert not stray.is_file()
 
+    def test_probe_without_row_crcs_degrades_to_chunk_granularity(self, tmp_path):
+        """A manifest that carries no per-row CRCs still probes: edits dirty
+        their whole chunk (safe over-approximation), appends stay row-exact."""
+        cache, table, _, _ = self._saved(tmp_path)
+        manifest_path = cache.manifest_path("t", "right", 1)
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(dict(manifest, row_crcs=None)))
+        table.replace(Record("r10", ("EDITED", "beta-10")))
+        for i in range(20, 23):
+            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
+        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
+        assert delta is not None
+        assert delta.dirty_ranges == ((8, 16),)  # chunk-aligned, not row-exact
+        assert delta.appended_range == (20, 23)
+
     def test_keys_only_entries_are_opaque_to_delta(self, tmp_path):
         """Entries saved without a table (synthetic benchmarks) serve full
         loads but never claim a delta prefix."""
@@ -647,7 +663,7 @@ class TestCacheInspection:
         assert {row["side"] for row in rows} == {"left", "right"}
         for row in rows:
             assert row["task"] == tiny_domain.task.name
-            assert row["layout"] == "chunked"
+            assert "layout" not in row  # one layout: the field is gone
             assert row["rows"] > 0 and row["chunks"] > 1 and row["bytes"] > 0
             assert row["content_crc"] is not None and row["weights_crc"] is not None
 
@@ -679,237 +695,79 @@ class TestCacheInspection:
         assert cache.load("t", "right", 1, _synthetic_fingerprint(table)) is not None
 
 
-class TestV3ManifestMigration:
-    """Format-3 (pre-mutation) manifests are upgraded to the current format
-    on first read."""
+class TestOldFormats:
+    """There is one on-disk format.  Whatever else sits under a key is a plain
+    miss that no read path rewrites or removes; the next save replaces it."""
 
-    CHUNK = 8
-
-    def _v3_entry(self, tmp_path, n=20):
-        """Write a current-format entry, then rewrite its manifest in the v3 shape."""
-        cache = PersistentEncodingCache(tmp_path / "v3", chunk_rows=self.CHUNK)
-        table = _synthetic_table(n)
-        encodings = _synthetic_encodings(n)
+    @pytest.mark.parametrize(
+        "case", ["v3-manifest", "v4-manifest", "untagged-chunk", "stray-flat-archive"]
+    )
+    def test_old_format_is_an_untouched_miss(self, tmp_path, case):
+        cache = PersistentEncodingCache(tmp_path / "old", chunk_rows=8)
+        table = _synthetic_table(20)
+        encodings = _synthetic_encodings(20)
         fingerprint = _synthetic_fingerprint(table)
         cache.save("t", "right", 1, fingerprint, encodings, table=table)
         manifest_path = cache.manifest_path("t", "right", 1)
         manifest = json.loads(manifest_path.read_text())
-        downgraded = {
-            key: value
-            for key, value in manifest.items()
-            if key not in ("row_crcs", "tombstones")
-        }
-        downgraded["format"] = 3
-        downgraded.pop("codec", None)
-        downgraded["chunks"] = [chunk[:3] for chunk in manifest["chunks"]]
-        manifest_path.write_text(json.dumps(downgraded))
-        return cache, table, encodings, fingerprint
+        stray = cache.directory / "t" / "right-v1.npz"
+        if case == "v3-manifest":  # per-chunk CRCs only
+            old = {
+                key: value for key, value in manifest.items()
+                if key not in ("row_crcs", "tombstones", "codec")
+            }
+            old.update(format=3, chunks=[chunk[:3] for chunk in manifest["chunks"]])
+            manifest_path.write_text(json.dumps(old))
+        elif case == "v4-manifest":  # everything but the codec field
+            old = dict(manifest, format=4)
+            del old["codec"]
+            manifest_path.write_text(json.dumps(old))
+        elif case == "untagged-chunk":  # current manifest, pre-codec chunk metadata
+            chunk = cache.chunk_path("t", "right", 1, 0, 8)
+            metadata = load_metadata(chunk)
+            del metadata["codec"]
+            with np.load(chunk) as archive:
+                arrays = {name: archive[name] for name in ("irs", "mu", "sigma")}
+            save_state_dict(arrays, chunk, metadata=metadata)
+        else:  # a single archive next to (not inside) the chunk directories
+            cache.clear()
+            stray.parent.mkdir(parents=True, exist_ok=True)
+            save_state_dict(
+                {name: getattr(encodings, name) for name in ("irs", "mu", "sigma")},
+                stray,
+                metadata={
+                    "format": 1, "task": "t", "side": "right", "encoding_version": 1,
+                    "fingerprint": fingerprint, "keys": list(encodings.keys),
+                },
+            )
 
-    def test_v3_manifest_migrates_on_first_load(self, tmp_path):
-        cache, table, encodings, fingerprint = self._v3_entry(tmp_path)
-        loaded = cache.load("t", "right", 1, fingerprint, table=table)
-        assert loaded is not None
-        manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
-        assert manifest["format"] == 5
-        assert manifest["tombstones"] == []
-        assert [chunk[3] for chunk in manifest["chunks"]] == [0, 0, 0]
-        # With the table in hand, the migration recovers per-row CRCs, so the
-        # entry is immediately row-precisely delta-probeable.
-        from repro.engine import table_row_crcs
+        def files():
+            return {
+                path: path.read_bytes() for path in cache.directory.rglob("*") if path.is_file()
+            }
 
-        assert manifest["row_crcs"] == table_row_crcs(table)
-        table.replace(Record("r7", ("EDITED", "beta-7")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None and delta.dirty_ranges == ((7, 8),)
+        before = files()
+        assert cache.load("t", "right", 1, fingerprint) is None
+        assert cache.load_range("t", "right", 1, fingerprint, 0, 8) is None
+        delta = cache.delta("t", "right", 1, fingerprint, table)
+        # The probe reads manifests only, so under a current manifest it is
+        # the reuse load that meets the untagged chunk.
+        assert delta is None or cache.load_reused("t", "right", 1, delta) is None
+        reports = cache.verify_entries()
+        if case == "stray-flat-archive":
+            assert reports == [] and cache.describe_entries() == []
+        else:
+            assert [report["ok"] for report in reports] == [False]
+        assert files() == before, "a miss must not write, migrate or delete anything"
 
-    def test_v3_migration_preserves_arrays_byte_identically(self, tmp_path):
-        """Mirror of the flat->chunked byte-identity test: migration rewrites
-        only the manifest, so every served array is bit-for-bit unchanged."""
-        cache, table, encodings, fingerprint = self._v3_entry(tmp_path)
-        chunk_bytes = {
-            path.name: path.read_bytes()
-            for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz")
-        }
-        migrated = cache.load("t", "right", 1, fingerprint, table=table)
-        reloaded = cache.load("t", "right", 1, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
-            for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
-        # The chunk archives themselves were not rewritten at all.
-        for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz"):
-            assert path.read_bytes() == chunk_bytes[path.name]
-
-    def test_v3_probe_without_row_crcs_degrades_to_chunk_granularity(self, tmp_path):
-        """A delta probe hitting a not-yet-migrated v3 manifest still works:
-        edits dirty their whole chunk (safe over-approximation), appends stay
-        row-exact."""
-        cache, table, _, _ = self._v3_entry(tmp_path)
-        table.replace(Record("r10", ("EDITED", "beta-10")))
-        for i in range(20, 23):
-            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None
-        assert delta.dirty_ranges == ((8, 16),)  # chunk-aligned, not row-exact
-        assert delta.appended_range == (20, 23)
-
-
-class TestV4ManifestMigration:
-    """Format-4 (pre-codec) manifests are upgraded to format 5 on first
-    read; the float chunk archives themselves are never rewritten, so the
-    ``raw``-codec migration is byte-identical."""
-
-    CHUNK = 8
-
-    def _v4_entry(self, tmp_path, n=20):
-        """Write a current-format entry, then rewrite its manifest in the v4
-        shape (everything format 5 has, minus the ``codec`` field)."""
-        cache = PersistentEncodingCache(tmp_path / "v4", chunk_rows=self.CHUNK)
-        table = _synthetic_table(n)
-        encodings = _synthetic_encodings(n)
-        fingerprint = _synthetic_fingerprint(table)
         cache.save("t", "right", 1, fingerprint, encodings, table=table)
-        manifest_path = cache.manifest_path("t", "right", 1)
-        manifest = json.loads(manifest_path.read_text())
-        downgraded = dict(manifest, format=4)
-        downgraded.pop("codec", None)
-        manifest_path.write_text(json.dumps(downgraded))
-        return cache, table, encodings, fingerprint
-
-    def test_v4_manifest_migrates_on_first_load(self, tmp_path):
-        cache, table, encodings, fingerprint = self._v4_entry(tmp_path)
-        loaded = cache.load("t", "right", 1, fingerprint, table=table)
-        assert loaded is not None
-        manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
-        assert manifest["format"] == 5
-        assert manifest["codec"] == {"name": "raw", "params": None}
-        # v4 already carried row CRCs and tombstones; migration must not
-        # degrade either.
-        from repro.engine import table_row_crcs
-
-        assert manifest["row_crcs"] == table_row_crcs(table)
-        assert manifest["tombstones"] == []
-
-    def test_v4_migration_preserves_arrays_byte_identically(self, tmp_path):
-        """The codec migration rewrites only the manifest: every chunk file
-        on disk and every served array is bit-for-bit unchanged."""
-        cache, table, encodings, fingerprint = self._v4_entry(tmp_path)
-        chunk_bytes = {
-            path.name: path.read_bytes()
-            for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz")
-        }
-        migrated = cache.load("t", "right", 1, fingerprint, table=table)
-        reloaded = cache.load("t", "right", 1, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
-            for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
-        for path in cache.dir_for("t", "right", 1).glob("chunk-*.npz"):
-            assert path.read_bytes() == chunk_bytes[path.name]
-
-    def test_v4_entry_stays_row_precisely_delta_probeable(self, tmp_path):
-        """v4 manifests carry row CRCs, so a delta probe against one (before
-        any migrating load) is row-exact — no degradation to chunks."""
-        cache, table, _, _ = self._v4_entry(tmp_path)
-        table.replace(Record("r7", ("EDITED", "beta-7")))
-        for i in range(20, 23):
-            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None
-        assert delta.dirty_ranges == ((7, 8),)  # row-exact, unlike v3
-        assert delta.appended_range == (20, 23)
-
-    def test_v4_migration_survives_describe_and_prune(self, tmp_path):
-        """Inspection tools treat a not-yet-migrated v4 entry as raw codec."""
-        cache, table, _, fingerprint = self._v4_entry(tmp_path)
-        rows = cache.describe_entries()
-        assert len(rows) == 1 and rows[0]["codec"] == "raw"
-        assert rows[0]["decoded_bytes"] is not None
-        removed = cache.prune(dry_run=True)
-        assert removed["entries"] == 0 and removed["bytes_by_codec"] == {}
-        assert cache.load("t", "right", 1, fingerprint, table=table) is not None
-
-
-class TestFlatLayoutMigration:
-    def _flat_entry(self, cache, tiny_domain, tiny_representation):
-        """Write a legacy flat archive for the left side and return its key."""
-        plain = EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
-        encodings = plain.table_encodings("left")
-        version = tiny_representation.encoding_version
-        fingerprint = encoding_fingerprint(tiny_representation, tiny_domain.task.left)
-        cache.save_flat(tiny_domain.task.name, "left", version, fingerprint, encodings)
-        return encodings, version, fingerprint
-
-    def test_flat_archive_migrates_on_first_load(self, tiny_domain, tiny_representation, small_chunk_cache):
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
-        )
-        flat_path = small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version)
-        assert flat_path.is_file()
-        loaded = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.mu, encodings.mu)
-        # One-shot migration: the flat archive became a chunked entry.
-        assert not flat_path.is_file()
-        assert small_chunk_cache.manifest_path(tiny_domain.task.name, "left", version).is_file()
-        assert len(_chunks_of(small_chunk_cache, tiny_domain.task.name, "left", version)) > 1
-        # Second load is served from chunks (counted as chunk loads).
-        counters = EngineCounters()
-        again = small_chunk_cache.load(
-            tiny_domain.task.name, "left", version, fingerprint, counters=counters
-        )
-        assert again is not None and counters.chunk_loads > 1
-        np.testing.assert_array_equal(again.mu, encodings.mu)
-
-    def test_flat_archive_serves_range_loads_via_migration(
-        self, tiny_domain, tiny_representation, small_chunk_cache
-    ):
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
-        )
-        loaded = small_chunk_cache.load_range(
-            tiny_domain.task.name, "left", version, fingerprint, 16, 32
-        )
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.mu, encodings.mu[16:32])
-        assert not small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version).is_file()
-
-    def test_migration_preserves_arrays_byte_identically(
-        self, tiny_domain, tiny_representation, small_chunk_cache
-    ):
-        """save_flat -> chunked migration must not perturb a single byte of
-        any array: the chunked reload equals the original buffers exactly."""
-        encodings, version, fingerprint = self._flat_entry(
-            small_chunk_cache, tiny_domain, tiny_representation
-        )
-        migrated = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        reloaded = small_chunk_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        for served in (migrated, reloaded):
-            assert served is not None
-            assert served.keys == encodings.keys
-            for name in ("irs", "mu", "sigma"):
-                original = np.ascontiguousarray(getattr(encodings, name))
-                roundtripped = np.ascontiguousarray(np.asarray(getattr(served, name)))
-                assert original.dtype == roundtripped.dtype
-                assert original.shape == roundtripped.shape
-                assert original.tobytes() == roundtripped.tobytes()
-
-    def test_foreign_flat_archive_does_not_migrate(self, tiny_domain, tiny_representation, small_chunk_cache):
-        _, version, fingerprint = self._flat_entry(small_chunk_cache, tiny_domain, tiny_representation)
-        tampered = dict(fingerprint, n_records=fingerprint["n_records"] + 1)
-        assert small_chunk_cache.load(tiny_domain.task.name, "left", version, tampered) is None
-        # The mismatching flat archive is left untouched for its real owner.
-        assert small_chunk_cache.flat_path_for(tiny_domain.task.name, "left", version).is_file()
+        loaded = cache.load("t", "right", 1, fingerprint)
+        assert loaded is not None and loaded.keys == encodings.keys
+        np.testing.assert_array_equal(np.asarray(loaded.mu), encodings.mu)
+        assert json.loads(manifest_path.read_text())["format"] == CACHE_FORMAT_VERSION
+        assert [report["ok"] for report in cache.verify_entries()] == [True]
+        if case == "stray-flat-archive":
+            assert stray.read_bytes() == before[stray]
 
 
 class TestCrossProcessWarmth:

@@ -14,7 +14,7 @@ Three invariants pin the plan/execute refactor:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.blocking import NearestNeighbourSearch
 from repro.config import BlockingConfig, MatcherConfig, VAERConfig, VAEConfig
@@ -27,7 +27,6 @@ from repro.engine import (
     ShardedEncodingStore,
     build_index_sharded,
     merge_scored_batches,
-    resolve_sharded,
     resolve_stream,
     sharded_candidate_pairs,
 )
@@ -208,11 +207,13 @@ class TestPlannerResolveEquivalence:
         k=st.integers(min_value=1, max_value=8),
         workers=st.integers(min_value=2, max_value=3),
     )
+    # One pair per batch: the pump packs many batches out of each query task.
+    @example(batch_size=1, k=4, workers=2)
     def test_planner_resolve_byte_identical_to_stream(self, planned_pipeline, batch_size, k, workers):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
         streamed = merge_scored_batches(resolve_stream(store, matcher, k=k, batch_size=batch_size))
         planned = merge_scored_batches(
-            resolve_sharded(store, matcher, k=k, batch_size=batch_size, workers=workers)
+            resolve_stream(store, matcher, k=k, batch_size=batch_size, workers=workers)
         )
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
@@ -245,7 +246,7 @@ class TestPlannerResolveEquivalence:
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
         streamed = merge_scored_batches(resolve_stream(store, matcher, k=100, batch_size=10_000))
         planned = merge_scored_batches(
-            resolve_sharded(store, matcher, k=100, batch_size=10_000, workers=2)
+            resolve_stream(store, matcher, k=100, batch_size=10_000, workers=2)
         )
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
@@ -253,7 +254,7 @@ class TestPlannerResolveEquivalence:
     def test_batches_emitted_in_index_order(self, planned_pipeline):
         indices = [
             batch.batch_index
-            for batch in resolve_sharded(
+            for batch in resolve_stream(
                 planned_pipeline.store, planned_pipeline.matcher, k=5, batch_size=13, workers=2
             )
         ]
@@ -277,7 +278,7 @@ class TestWarmChunkedCacheResolve:
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )
         cold = merge_scored_batches(
-            resolve_sharded(cold_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
+            resolve_stream(cold_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
         )
         assert cold_store.counters.tables_encoded == 2
 
@@ -290,7 +291,7 @@ class TestWarmChunkedCacheResolve:
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )
         warm = merge_scored_batches(
-            resolve_sharded(warm_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
+            resolve_stream(warm_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
         )
         assert warm_store.counters.tables_encoded == 0, "warm planner run must not encode"
         assert warm_store.counters.disk_hits == 2

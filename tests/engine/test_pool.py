@@ -26,7 +26,6 @@ from repro.engine import (
     ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
-    resolve_sharded,
     resolve_stream,
 )
 from repro.engine import shard as shard_module
@@ -81,7 +80,7 @@ class TestPoolReuse:
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         merge_scored_batches(
-            resolve_sharded(store, _DistanceMatcher(), k=4, batch_size=13, workers=2)
+            resolve_stream(store, _DistanceMatcher(), k=4, batch_size=13, workers=2)
         )
         assert shard_module.POOL_SPAWNS == before + 1
 
@@ -144,7 +143,7 @@ class TestTransportEquivalence:
         def run():
             store = _store(representation, domain.task)
             return merge_scored_batches(
-                resolve_sharded(store, matcher, k=4, batch_size=13, workers=2)
+                resolve_stream(store, matcher, k=4, batch_size=13, workers=2)
             )
 
         forked = run()
@@ -165,7 +164,7 @@ class TestTransportEquivalence:
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         pooled = merge_scored_batches(
-            resolve_sharded(store, matcher, k=4, batch_size=13, workers=4)
+            resolve_stream(store, matcher, k=4, batch_size=13, workers=4)
         )
         assert shard_module.POOL_SPAWNS == before, "serial override must not spawn pools"
         assert [p.key() for p in pooled.pairs] == [p.key() for p in streamed.pairs]

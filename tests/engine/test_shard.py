@@ -10,7 +10,6 @@ from repro.engine import (
     ScoredPairs,
     ShardedEncodingStore,
     merge_scored_batches,
-    resolve_sharded,
     resolve_stream,
 )
 from repro.eval.timing import EngineCounters, ShardTimings
@@ -66,28 +65,23 @@ class TestShardViews:
             np.testing.assert_array_equal(shard.mu[local_row], full.mu[full.row_index[key]])
 
 
-class TestShardedEnumeration:
-    def test_sharded_batches_equal_streamed_batches(self, store, tiny_domain):
-        """Per-shard enumeration yields the identical (index, pairs) stream."""
-        from repro.engine import iter_candidate_batches, iter_sharded_candidate_batches
-
-        streamed = list(iter_candidate_batches(store, k=5, batch_size=13))
-        sharded = list(iter_sharded_candidate_batches(store, k=5, batch_size=13))
-        assert [i for i, _ in sharded] == [i for i, _ in streamed]
-        assert [[p.key() for p in pairs] for _, pairs in sharded] == [
-            [p.key() for p in pairs] for _, pairs in streamed
-        ]
-        # Shard boundaries genuinely partition the enumeration here.
-        assert store.num_shards("left") > 1
-
-
 class TestResolveSharded:
     def test_rejects_bad_arguments_eagerly(self, sharded_pipeline):
         store, matcher = sharded_pipeline.store, sharded_pipeline.matcher
         with pytest.raises(ValueError):
-            resolve_sharded(store, matcher, batch_size=0, workers=2)
+            resolve_stream(store, matcher, batch_size=0, workers=2)
         with pytest.raises(ValueError):
-            resolve_sharded(store, matcher, batch_size=8, workers=0)
+            resolve_stream(store, matcher, batch_size=8, workers=0)
+
+    def test_incremental_rejects_a_shard_timings_sink(self, sharded_pipeline, tmp_path):
+        """The delta engine has no per-batch sink: a passed one is refused at
+        the call (not silently dropped, not deferred to the first batch)."""
+        with pytest.raises(ValueError, match="shard_timings"):
+            sharded_pipeline.resolve_stream(incremental=True, shard_timings=ShardTimings())
+        with pytest.raises(ValueError, match="shard_timings"):
+            sharded_pipeline.resolve_distributed(
+                queue_dir=tmp_path, incremental=True, shard_timings=ShardTimings()
+            )
 
     def test_single_worker_equals_stream(self, sharded_pipeline):
         streamed = merge_scored_batches(
@@ -95,7 +89,7 @@ class TestResolveSharded:
         )
         timings = ShardTimings()
         serial = merge_scored_batches(
-            resolve_sharded(
+            resolve_stream(
                 sharded_pipeline.store, sharded_pipeline.matcher,
                 k=5, batch_size=13, workers=1, shard_timings=timings,
             )
@@ -109,7 +103,7 @@ class TestResolveSharded:
             resolve_stream(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13)
         )
         parallel = merge_scored_batches(
-            resolve_sharded(
+            resolve_stream(
                 sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13, workers=2
             )
         )

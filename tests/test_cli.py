@@ -132,7 +132,7 @@ class TestCacheCommand:
         self._populate(tmp_path / "enc", versions=(1,))
         assert main(["cache", "list", "--cache-dir", str(tmp_path / "enc")]) == 0
         output = capsys.readouterr().out
-        assert "clitask" in output and "right" in output and "chunked" in output
+        assert "clitask" in output and "right" in output and "raw" in output
         assert "20" in output  # row count from the manifest
 
     def test_cache_list_empty_directory(self, tmp_path, capsys):
