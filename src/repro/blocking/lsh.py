@@ -801,7 +801,7 @@ class EuclideanLSHIndex:
         """Monotonic count of structural changes (build/extend/remove/patch/compact).
 
         Lets a holder of a reference detect that someone else mutated the
-        index since a snapshot was taken — the delta executor records it in
+        index since a snapshot was taken — a capturing executor records it in
         its baseline so an abandoned half-mutated run can never be mistaken
         for the published state.
         """

@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     resolve.add_argument(
         "--incremental", action="store_true",
         help="Resolve, mutate the right table (append/edit/delete), then re-resolve "
-             "through the delta engine (only new and dirty rows are encoded and rescored).",
+             "against the captured baseline (only new and dirty rows are encoded and rescored).",
     )
     resolve.add_argument(
         "--append-rows", type=int, default=48,
@@ -403,20 +403,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                 "--queue-dir", args.queue_dir,
             ]))
 
-    def _stream(shard_timings, stage_timings, incremental):
-        if args.distributed:
-            return model.resolve_distributed(
-                workers=args.distributed, queue_dir=args.queue_dir,
-                k=args.k, batch_size=args.batch_size,
-                shard_timings=shard_timings, stage_timings=stage_timings,
-                incremental=incremental,
-            )
-        return model.resolve_stream(
-            k=args.k, batch_size=args.batch_size, workers=args.workers,
-            shard_timings=shard_timings, stage_timings=stage_timings,
-            incremental=incremental,
-        )
-
     def _reap_workers():
         for proc in worker_procs:
             proc.terminate()
@@ -426,20 +412,32 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             except Exception:  # pragma: no cover - stuck worker
                 proc.kill()
 
+    def _drain(shard_timings, stage_timings):
+        """(candidates, matches, batches) of one fully drained resolve."""
+        options = dict(
+            k=args.k, batch_size=args.batch_size, shard_timings=shard_timings,
+            stage_timings=stage_timings, incremental=args.incremental,
+        )
+        if args.distributed:
+            stream = model.resolve_distributed(
+                workers=args.distributed, queue_dir=args.queue_dir, **options
+            )
+        else:
+            stream = model.resolve_stream(workers=args.workers, **options)
+        candidates = matches = batches = 0
+        try:
+            for batch in stream:
+                candidates += len(batch)
+                matches += len(batch.matches())
+                batches += 1
+        except BaseException:
+            _reap_workers()
+            raise
+        return candidates, matches, batches
+
     timings = ShardTimings()
     stage_timings = StageTimings()
-    candidates = matches = batches = 0
-    try:
-        for batch in _stream(
-            shard_timings=None if args.incremental else timings,
-            stage_timings=stage_timings, incremental=args.incremental,
-        ):
-            candidates += len(batch)
-            matches += len(batch.matches())
-            batches += 1
-    except BaseException:
-        _reap_workers()
-        raise
+    candidates, matches, batches = _drain(timings, stage_timings)
 
     print(
         f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
@@ -466,16 +464,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             mutations.append(f"{args.append_rows} appended")
         reset_engine_counters()
         delta_timings = StageTimings()
-        candidates = matches = 0
-        try:
-            for batch in _stream(
-                shard_timings=None, stage_timings=delta_timings, incremental=True,
-            ):
-                candidates += len(batch)
-                matches += len(batch.matches())
-        except BaseException:
-            _reap_workers()
-            raise
+        candidates, matches, _ = _drain(None, delta_timings)
         print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
         print(f"  candidate pairs:        {candidates}")
         print(f"  predicted matches:      {matches}")
@@ -489,11 +478,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     _reap_workers()
     print("\nEngine cache statistics\n")
     print(format_engine_stats())
-    if not args.incremental:
-        print("\nPer-stage timings (encode -> block -> score, plus dispatch/IPC/merge for pooled runs)\n")
-        print(format_stage_timings(stage_timings))
-        print("\nPer-shard timings\n")
-        print(format_shard_timings(timings))
+    print("\nPer-stage timings (encode -> block -> score, plus dispatch/IPC/merge for pooled runs)\n")
+    print(format_stage_timings(stage_timings))
+    print("\nPer-shard timings\n")
+    print(format_shard_timings(timings))
     return 0
 
 

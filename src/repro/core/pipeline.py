@@ -71,14 +71,6 @@ from repro.eval.timing import ShardTimings, StageTimings
 from repro.exceptions import NotFittedError
 
 
-def _reject_incremental_shard_timings(incremental: bool, shard_timings: Optional[ShardTimings]) -> None:
-    """The delta engine has no per-batch sink; a passed one must not be silently dropped."""
-    if incremental and shard_timings is not None:
-        raise ValueError(
-            "shard_timings is not collected by incremental resolves; pass stage_timings"
-        )
-
-
 @dataclass
 class ResolutionResult(ScoredPairs):
     """Output of :meth:`VAER.resolve`: scored candidate pairs."""
@@ -305,25 +297,15 @@ class VAER:
         timings; ``stage_timings`` collects per-stage (encode/block/score)
         compute seconds.
 
-        With ``incremental=True`` the run goes through the delta engine
-        (:meth:`resolve_delta`): the first such call is a cold resolve that
-        captures a baseline, every later call pays only for the rows added,
-        edited or deleted since — see :meth:`resolve_delta` for the
-        contract.  ``workers > 1`` fans the delta's tail encode and query
-        units across the worker pool; scoring stays serial (bounded by the
-        mutation size).  The delta engine has no per-batch sink, so
-        ``shard_timings`` with ``incremental=True`` is a ``ValueError``.
+        With ``incremental=True`` the same executor resolves against the
+        baseline captured by the previous incremental run: the first such
+        call is a cold resolve that captures one, every later call pays only
+        for the rows added, edited or deleted since — see
+        :meth:`resolve_delta` for the contract.
         """
         matcher = self._require_matcher()
         k = k or self.config.active_learning.top_neighbours
-        _reject_incremental_shard_timings(incremental, shard_timings)
-        if incremental:
-            return self.resolve_delta(
-                k=k, batch_size=batch_size, stage_timings=stage_timings, workers=workers
-            )
-        return resolve_stream(
-            self.store,
-            matcher,
+        options = dict(
             blocking=self.config.blocking,
             k=k,
             batch_size=batch_size,
@@ -332,6 +314,16 @@ class VAER:
             shard_timings=shard_timings,
             stage_timings=stage_timings,
         )
+        if not incremental:
+            return resolve_stream(self.store, matcher, **options)
+        executor = resolve_delta(self.store, matcher, baseline=self._baseline, **options)
+
+        def stream() -> Iterator[ResolutionBatch]:
+            yield from executor.run()
+            if executor.baseline_out is not None:
+                self._baseline = executor.baseline_out
+
+        return stream()
 
     def resolve_delta(
         self,
@@ -369,29 +361,13 @@ class VAER:
         baseline is refreshed when the stream is fully drained (an abandoned
         stream keeps the previous baseline).  Refitting the representation
         or matcher invalidates the affected parts automatically.  With
-        ``workers > 1`` tail encodes and query shards run on the worker
-        pool when the delta outgrows one shard.
+        ``workers > 1`` tail encodes, query shards and score batches run on
+        the worker pool.
         """
-        matcher = self._require_matcher()
-        k = k or self.config.active_learning.top_neighbours
-        executor = resolve_delta(
-            self.store,
-            matcher,
-            baseline=self._baseline,
-            blocking=self.config.blocking,
-            k=k,
-            batch_size=batch_size,
-            threshold=self.threshold,
-            stage_timings=stage_timings,
-            workers=workers,
+        return self.resolve_stream(
+            k=k, batch_size=batch_size, workers=workers,
+            stage_timings=stage_timings, incremental=True,
         )
-
-        def stream() -> Iterator[ResolutionBatch]:
-            yield from executor.run()
-            if executor.baseline_out is not None:
-                self._baseline = executor.baseline_out
-
-        return stream()
 
     def resolve_distributed(
         self,
@@ -432,7 +408,6 @@ class VAER:
         from repro.distrib import CacheRef, DistributedRuntime
 
         self._require_matcher()
-        _reject_incremental_shard_timings(incremental, shard_timings)
         k = k or self.config.active_learning.top_neighbours
         own_runtime = runtime is None
         if own_runtime:

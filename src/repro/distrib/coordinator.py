@@ -1,17 +1,17 @@
 """The coordinator: leased dispatch of executor stage units, with recovery.
 
 The distributed runner deliberately adds **no new resolution logic**.  The
-existing :class:`~repro.engine.plan.ResolutionExecutor` and
-:class:`~repro.engine.plan.DeltaResolutionExecutor` already decompose a
+one :class:`~repro.engine.plan.ResolutionExecutor` — cold or against a
+baseline — already decomposes a
 :class:`~repro.engine.plan.ResolutionPlan` into stage units — LSH
 partial-bucket builds (``_hash_task``), query shards (``_query_task``),
 score batches (``_score_task``), delta encode ranges
-(``_encode_range_task``) — and already merge results deterministically by
-``(batch_index, pair_index)``.  What they need from a pool is exactly three
+(``_encode_range_task``) — and already merges results deterministically by
+``(batch_index, pair_index)``.  What it needs from a pool is exactly three
 things: ``submit(fn, *args) -> Future``, a ``broken`` flag, and a way to
 publish stage state.  :class:`DistributedPool` provides those over a
 :class:`Coordinator`, and :func:`repro.engine.shard.pool_override` routes
-the executors to it — so a distributed run executes the *same* unit graph
+the executor to it — so a distributed run executes the *same* unit graph
 as a local pooled run, merged by the *same* code, and inherits its
 byte-identity contract with the serial stream.
 
@@ -27,8 +27,8 @@ The coordinator's own job is delivery, not computation:
   artifact — rejected by its content CRC — is discarded and re-dispatched
   the same way;
 * surface unrecoverable failures as
-  :class:`concurrent.futures.BrokenExecutor`, which the executors already
-  translate into their crash-safe serial-tail fallback — a distributed run
+  :class:`concurrent.futures.BrokenExecutor`, which the executor already
+  translates into its crash-safe serial resume — a distributed run
   whose workers all die finishes correctly on the coordinator alone;
 * account for the distributed overheads in the shared
   :class:`~repro.eval.timing.StageTimings` (``dispatch``, ``lease``,
@@ -200,7 +200,7 @@ class Coordinator:
             repeat = self._issued.get(base, 0)
             self._issued[base] = repeat + 1
         # Re-submissions of an identical logical unit within one run (the
-        # executors' dispatch calibration no-ops) get a fresh identity so
+        # executor's dispatch calibration no-ops) get a fresh identity so
         # each measures a real round trip; the first instance keeps the
         # restart-stable id.
         return base if repeat == 0 else f"{base}-r{repeat}"
@@ -308,7 +308,7 @@ class Coordinator:
             return True
         # A worker-side exception: deterministic failures will not heal by
         # retrying, so treat it like an expired attempt (bounded), ending in
-        # the executors' serial fallback.
+        # the executor's serial resume.
         self.queue.discard_result(record.unit_id)
         self._bump_attempts(record, reason=f"worker error: {value}")
         return True
@@ -338,7 +338,7 @@ class DistributedPool(WorkerPool):
     """A :class:`~repro.engine.shard.WorkerPool` facade over a coordinator.
 
     Installed via :func:`repro.engine.shard.pool_override`, it receives the
-    executors' stage units verbatim.  ``publish_state`` is the hook
+    executor's stage units verbatim.  ``publish_state`` is the hook
     :func:`~repro.engine.shard.publish_worker_state` duck-types on; the
     engine never touches ``executor`` (``submit`` is overridden), so none
     exists.

@@ -11,16 +11,17 @@ planned and executed*:
   warm loads are lazy per shard; one on-disk format, anything else is a miss;
 * :class:`ResolutionPlanner` / :class:`ResolutionExecutor` — the plan/execute
   core: a deterministic encode → block → score stage graph over row-range
-  shards, run serially or across a *persistent* worker pool (fork-based with
-  shared-memory state publishing, threaded where fork or shared memory is
-  unavailable) with results merged deterministically by
-  ``(batch_index, pair_index)``;
-* :func:`resolve_stream` — the cold-run front-end over that engine; its
+  shards, run by the one executor — cold or against a baseline, serially or
+  across a *persistent* worker pool (fork-based with shared-memory state
+  publishing, threaded where fork or shared memory is unavailable) with
+  results merged deterministically by ``(batch_index, pair_index)``;
+* :func:`resolve_stream` — constructs that executor for a cold run; its
   batch stream is byte-identical at every ``workers`` count;
 * :class:`ShardedEncodingStore` — row-range shard views of the cached tables
   (zero-copy), with lazy per-shard loads from the chunked disk cache;
-* :class:`DeltaResolutionExecutor` / :func:`resolve_delta` — incremental
-  resolution against a :class:`ResolutionBaseline`: a row-identity diff
+* :func:`resolve_delta` — constructs it for an incremental run that
+  captures a :class:`ResolutionBaseline` and resolves against the previous
+  one (a cold run is a delta run with no baseline): a row-identity diff
   (per-row CRCs keyed on stable record ids) classifies every current row as
   clean, dirty, appended or deleted, so only edited and appended rows are
   re-encoded (patch/tombstone chunk generations on disk), the LSH index is
@@ -62,7 +63,6 @@ from repro.engine.quant import (
 )
 from repro.engine.plan import (
     DeltaBounds,
-    DeltaResolutionExecutor,
     ResolutionBaseline,
     ResolutionExecutor,
     ResolutionPlan,
@@ -114,7 +114,6 @@ __all__ = [
     "CodecArray",
     "CodecParams",
     "DeltaBounds",
-    "DeltaResolutionExecutor",
     "EncodingStore",
     "PQParams",
     "PersistentEncodingCache",

@@ -7,19 +7,21 @@ in batches.  This module owns the whole of it:
 * :class:`ResolutionPlanner` partitions the work into row-range shards
   (the same bounds :class:`~repro.engine.shard.ShardedEncodingStore` views
   expose) and emits a deterministic stage graph — pure metadata, computed
-  from table sizes alone, so a plan can be printed or inspected without
-  encoding a single record (``repro plan`` does exactly that);
-* :class:`ResolutionExecutor` runs the stages.  With ``workers == 1`` it
-  runs the serial schedule.  With a pool, the LSH hash tables are built
-  from per-shard partial maps computed in workers, left-table query shards
-  fan out across the pool, and scoring batches overlap with blocking — all
-  merged back deterministically: candidate order by (shard, row, neighbour
-  rank), scored batches by ``(batch_index, pair_index)``, so the yielded
-  stream is byte-identical to the serial one regardless of scheduling.
+  from table sizes (and, for an incremental run, the mutation summary in
+  :class:`DeltaBounds`) alone, so a plan can be printed or inspected
+  without encoding a single record (``repro plan`` does exactly that);
+* :class:`ResolutionExecutor` runs the stages — the only executor: cold or
+  against a :class:`ResolutionBaseline`, serial or pooled.  With a pool,
+  the LSH hash tables are built from per-shard partial maps computed in
+  workers, left-table query shards fan out across the pool, and scoring
+  batches overlap with blocking — all merged back deterministically:
+  candidate order by (shard, row, neighbour rank), scored batches by
+  ``(batch_index, pair_index)``, so the yielded stream is byte-identical to
+  the serial one regardless of scheduling.
 
-:func:`~repro.engine.stream.resolve_stream` plans and executes a cold run
-at any worker count and :func:`resolve_delta` an incremental one;
-blocking-only consumers (benchmarks, equivalence tests) can call
+:func:`~repro.engine.stream.resolve_stream` constructs the executor for a
+cold run and :func:`resolve_delta` for an incremental, baseline-capturing
+one; blocking-only consumers (benchmarks, equivalence tests) can call
 :func:`build_index_sharded` / :func:`sharded_candidate_pairs` directly.
 """
 
@@ -29,18 +31,18 @@ import os
 import time
 from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.persist import RowDiff  # noqa: F401 - re-exported for baselines
+from repro.engine.persist import RowDiff, diff_rows, table_row_crcs
 
 from repro.blocking.lsh import EuclideanLSHIndex
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
-from repro.data.schema import ERTask
+from repro.data.schema import ERTask, Table
 from repro.engine.quant import CodecArray
 from repro.engine.shard import (
     DEFAULT_SHARD_ROWS,
@@ -55,13 +57,12 @@ from repro.engine.shard import (
     shard_bounds_for,
     worker_state,
 )
-from repro.engine.store import EncodingStore, TableEncodings
+from repro.engine.store import EncodingStore, TableEncodings, encode_table_rows
 from repro.engine.stream import (
     DEFAULT_BATCH_SIZE,
     ResolutionBatch,
     guard_store_version,
     iter_candidate_batches,
-    pack_batches,
     pin_store_version,
     query_chunk_for,
 )
@@ -112,6 +113,32 @@ class DeltaBounds:
     dirty_right_rows: int = 0
     deleted_left_rows: int = 0
     deleted_right_rows: int = 0
+
+    @classmethod
+    def from_diffs(cls, left: Optional[RowDiff], right: Optional[RowDiff]) -> "DeltaBounds":
+        """Summarise two row-identity diffs (``None`` = nothing reusable on that side)."""
+
+        def counts(diff: Optional[RowDiff]) -> Tuple[int, int, int]:
+            if diff is None:
+                return 0, 0, 0
+            return diff.appended_range[0], len(diff.dirty_new or ()), len(diff.deleted_old)
+
+        base_left, dirty_left, deleted_left = counts(left)
+        base_right, dirty_right, deleted_right = counts(right)
+        return cls(base_left, base_right, dirty_left, dirty_right, deleted_left, deleted_right)
+
+    def clamped(self, left_rows: int, right_rows: int) -> "DeltaBounds":
+        """These bounds forced into the current tables' row ranges."""
+        base_left = max(0, min(int(self.base_left_rows), left_rows))
+        base_right = max(0, min(int(self.base_right_rows), right_rows))
+        return DeltaBounds(
+            base_left_rows=base_left,
+            base_right_rows=base_right,
+            dirty_left_rows=max(0, min(int(self.dirty_left_rows), base_left)),
+            dirty_right_rows=max(0, min(int(self.dirty_right_rows), base_right)),
+            deleted_left_rows=max(0, int(self.deleted_left_rows)),
+            deleted_right_rows=max(0, int(self.deleted_right_rows)),
+        )
 
     def new_rows(self, side: str, total: int) -> int:
         base = self.base_left_rows if side == "left" else self.base_right_rows
@@ -248,198 +275,32 @@ class ResolutionPlanner:
             shard_rows=shard_rows,
         )
 
-    def plan(self) -> ResolutionPlan:
-        """The deterministic stage graph for the current knobs."""
-        left_rows = len(self.task.left)
-        right_rows = len(self.task.right)
-        query_bounds = tuple(shard_bounds_for("left", left_rows, self.shard_rows))
-        build_bounds = tuple(shard_bounds_for("right", right_rows, self.shard_rows))
-        query_chunk = query_chunk_for(self.batch_size, self.k)
-
-        encode = Stage(
-            name="encode",
-            depends_on=(),
-            units=(
-                StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
-                StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
-            ),
-        )
-        block_units = [
-            StageUnit(name=f"build right[{b.index}]", rows=b.rows, detail=f"hash rows {b.start}..{b.stop}")
-            for b in build_bounds
-        ] + [
-            StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
-            for b in query_bounds
-        ]
-        block = Stage(name="block", depends_on=("encode",), units=tuple(block_units))
-        plan_without_score = ResolutionPlan(
-            task_name=self.task.name,
-            left_rows=left_rows,
-            right_rows=right_rows,
-            k=self.k,
-            batch_size=self.batch_size,
-            workers=self.workers,
-            shard_rows=self.shard_rows,
-            query_chunk=query_chunk,
-            blocking=self.blocking,
-            query_bounds=query_bounds,
-            build_bounds=build_bounds,
-        )
-        score = Stage(
-            name="score",
-            depends_on=("block",),
-            units=(
-                StageUnit(
-                    name="batches",
-                    detail=(
-                        f"streaming, <={plan_without_score.max_batches()} batches "
-                        f"of <={self.batch_size} pairs"
-                    ),
-                ),
-            ),
-        )
-        return ResolutionPlan(
-            task_name=self.task.name,
-            left_rows=left_rows,
-            right_rows=right_rows,
-            k=self.k,
-            batch_size=self.batch_size,
-            workers=self.workers,
-            shard_rows=self.shard_rows,
-            query_chunk=query_chunk,
-            blocking=self.blocking,
-            query_bounds=query_bounds,
-            build_bounds=build_bounds,
-            stages=(encode, block, score),
-        )
-
-    def plan_delta(
-        self,
-        base_left_rows: int = 0,
-        base_right_rows: int = 0,
-        index_reusable: bool = False,
-        dirty_left_rows: int = 0,
-        dirty_right_rows: int = 0,
-        deleted_left_rows: int = 0,
-        deleted_right_rows: int = 0,
+    def plan(
+        self, delta: Optional[DeltaBounds] = None, index_reusable: bool = False
     ) -> ResolutionPlan:
-        """The stage graph of an *incremental* resolve against a baseline.
+        """The deterministic stage graph for the current knobs (pure metadata).
 
-        ``base_*_rows`` are the per-side current-row counts the baseline run
-        already covers (0 = nothing reusable: the plan degenerates to a cold
-        run); ``dirty_*_rows`` of them were edited in place and
-        ``deleted_*_rows`` baseline rows vanished.  The encode stage
-        schedules only the new tail ranges plus *patch* units for the dirty
-        rows; the block stage mutates the baseline LSH index in place when
-        ``index_reusable`` — *tombstone* units mask deleted right rows out
-        of the bucket maps, *patch* units rebucket edited rows, an *extend*
-        unit hashes appended rows — and re-queries every left shard (top-K
-        answers can change whenever the index changes); the score stage
-        drops baseline probabilities for pairs touching deleted or edited
-        rows and runs the matcher only on pairs not covered by the surviving
-        baseline scores.  Like :meth:`plan`, pure metadata.
+        Without ``delta`` the run is cold: both tables encode, the right
+        table's LSH index is built shard by shard, every left shard is
+        queried and every candidate scored.
 
-        With ``workers > 1`` the tail-encode and query units fan out across
-        the worker pool: encode units are emitted per ``shard_rows`` slice
-        of each side's pending (dirty + appended) rows, and the executor
-        runs them — and the left-shard queries — on the pool, merged back in
-        row order so the stream stays byte-identical to a serial delta run.
+        ``delta`` summarises the mutation since a baseline run (all zero =
+        nothing reusable).  The encode stage then schedules only the new tail
+        ranges plus *patch* units for the dirty rows — with ``workers > 1``,
+        one unit per ``shard_rows`` slice of each side's pending (dirty, then
+        appended) rows, the executor's pooled encode order.  With
+        ``index_reusable`` the block stage mutates the baseline LSH index in
+        place — *tombstone* units mask deleted right rows out of the bucket
+        maps, *patch* units rebucket edited rows, an *extend* unit hashes
+        appended rows — instead of building it; every left shard is
+        re-queried either way (top-K answers can change whenever the index
+        changes).  The score stage drops baseline probabilities for pairs
+        touching deleted or edited rows and runs the matcher only on pairs the
+        surviving baseline scores do not cover.
         """
         left_rows = len(self.task.left)
         right_rows = len(self.task.right)
-        base_left = max(0, min(int(base_left_rows), left_rows))
-        base_right = max(0, min(int(base_right_rows), right_rows))
-        dirty_left = max(0, min(int(dirty_left_rows), base_left))
-        dirty_right = max(0, min(int(dirty_right_rows), base_right))
-        query_bounds = tuple(shard_bounds_for("left", left_rows, self.shard_rows))
-        build_bounds = tuple(shard_bounds_for("right", right_rows, self.shard_rows))
-        query_chunk = query_chunk_for(self.batch_size, self.k)
-
-        encode_units = []
-        for side, base, dirty, total in (
-            ("left", base_left, dirty_left, left_rows),
-            ("right", base_right, dirty_right, right_rows),
-        ):
-            pending = dirty + (total - base)
-            if pending == 0:
-                encode_units.append(StageUnit(
-                    name=side, rows=0, detail="cached (no new or dirty rows)"
-                ))
-                continue
-            if self.workers > 1 and pending > self.shard_rows:
-                # Fan the pending rows (dirty first, then the appended tail —
-                # the executor's encode order) across worker-sized slices.
-                slices = range(0, pending, self.shard_rows)
-                for index, start in enumerate(slices):
-                    stop = min(start + self.shard_rows, pending)
-                    encode_units.append(StageUnit(
-                        name=f"{side} delta[{index}]",
-                        rows=stop - start,
-                        detail=f"pooled encode of pending rows {start}..{stop}",
-                    ))
-                continue
-            if dirty:
-                encode_units.append(StageUnit(
-                    name=f"{side} patch",
-                    rows=dirty,
-                    detail=f"re-encode {dirty} edited row(s) in place",
-                ))
-            if total > base:
-                encode_units.append(StageUnit(
-                    name=f"{side} tail",
-                    rows=total - base,
-                    detail=f"append-only encode rows {base}..{total}",
-                ))
-        encode = Stage(name="encode", depends_on=(), units=tuple(encode_units))
-
-        block_units: List[StageUnit] = []
-        if index_reusable:
-            if deleted_right_rows:
-                block_units.append(StageUnit(
-                    name="tombstone right",
-                    rows=int(deleted_right_rows),
-                    detail="mask deleted rows out of the bucket maps",
-                ))
-            if dirty_right:
-                block_units.append(StageUnit(
-                    name="patch right",
-                    rows=dirty_right,
-                    detail="rebucket edited rows in place",
-                ))
-            if base_right < right_rows:
-                block_units.append(StageUnit(
-                    name="extend right",
-                    rows=right_rows - base_right,
-                    detail=f"hash rows {base_right}..{right_rows} into existing buckets",
-                ))
-            if not block_units:
-                block_units.append(
-                    StageUnit(name="reuse right index", rows=0, detail="no new rows")
-                )
-        else:
-            block_units.append(StageUnit(
-                name="build right", rows=right_rows, detail="no baseline index: full build"
-            ))
-        block_units.extend(
-            StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
-            for b in query_bounds
-        )
-        block = Stage(name="block", depends_on=("encode",), units=tuple(block_units))
-        score = Stage(
-            name="score",
-            depends_on=("block",),
-            units=(
-                StageUnit(
-                    name="batches",
-                    detail=(
-                        "streaming; baseline scores dropped for pairs touching "
-                        "deleted/edited rows, matcher runs only on pairs "
-                        "involving new or dirty rows"
-                    ),
-                ),
-            ),
-        )
-        return ResolutionPlan(
+        bare = ResolutionPlan(
             task_name=self.task.name,
             left_rows=left_rows,
             right_rows=right_rows,
@@ -447,20 +308,86 @@ class ResolutionPlanner:
             batch_size=self.batch_size,
             workers=self.workers,
             shard_rows=self.shard_rows,
-            query_chunk=query_chunk,
+            query_chunk=query_chunk_for(self.batch_size, self.k),
             blocking=self.blocking,
-            query_bounds=query_bounds,
-            build_bounds=build_bounds,
-            stages=(encode, block, score),
-            delta=DeltaBounds(
-                base_left_rows=base_left,
-                base_right_rows=base_right,
-                dirty_left_rows=dirty_left,
-                dirty_right_rows=dirty_right,
-                deleted_left_rows=max(0, int(deleted_left_rows)),
-                deleted_right_rows=max(0, int(deleted_right_rows)),
-            ),
+            query_bounds=tuple(shard_bounds_for("left", left_rows, self.shard_rows)),
+            build_bounds=tuple(shard_bounds_for("right", right_rows, self.shard_rows)),
         )
+        block_units = [
+            StageUnit(name=f"build right[{b.index}]", rows=b.rows, detail=f"hash rows {b.start}..{b.stop}")
+            for b in bare.build_bounds
+        ]
+        if delta is None:
+            encode_units = [
+                StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
+                StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
+            ]
+            score_detail = (
+                f"streaming, <={bare.max_batches()} batches of <={self.batch_size} pairs"
+            )
+        else:
+            delta = delta.clamped(left_rows, right_rows)
+            encode_units = self._delta_encode_units(delta, left_rows, right_rows)
+            if index_reusable:
+                block_units = self._index_mutation_units(delta, right_rows)
+            score_detail = (
+                "streaming; baseline scores dropped for pairs touching "
+                "deleted/edited rows, matcher runs only on pairs "
+                "involving new or dirty rows"
+            )
+        block_units.extend(
+            StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
+            for b in bare.query_bounds
+        )
+        return replace(
+            bare,
+            stages=(
+                Stage(name="encode", depends_on=(), units=tuple(encode_units)),
+                Stage(name="block", depends_on=("encode",), units=tuple(block_units)),
+                Stage(
+                    name="score",
+                    depends_on=("block",),
+                    units=(StageUnit(name="batches", detail=score_detail),),
+                ),
+            ),
+            delta=delta,
+        )
+
+    def _delta_encode_units(self, delta: DeltaBounds, left_rows: int, right_rows: int) -> List[StageUnit]:
+        units: List[StageUnit] = []
+        for side, total in (("left", left_rows), ("right", right_rows)):
+            dirty, new = delta.dirty_rows(side), delta.new_rows(side, total)
+            pending = dirty + new
+            if pending == 0:
+                units.append(StageUnit(side, 0, "cached (no new or dirty rows)"))
+            elif self.workers > 1 and pending > self.shard_rows:
+                for index, start in enumerate(range(0, pending, self.shard_rows)):
+                    stop = min(start + self.shard_rows, pending)
+                    units.append(StageUnit(
+                        f"{side} delta[{index}]", stop - start, f"pooled encode of pending rows {start}..{stop}"
+                    ))
+            else:
+                if dirty:
+                    units.append(StageUnit(f"{side} patch", dirty, f"re-encode {dirty} edited row(s) in place"))
+                if new:
+                    units.append(StageUnit(f"{side} tail", new, f"append-only encode rows {total - new}..{total}"))
+        return units
+
+    @staticmethod
+    def _index_mutation_units(delta: DeltaBounds, right_rows: int) -> List[StageUnit]:
+        units: List[StageUnit] = []
+        if delta.deleted_right_rows:
+            units.append(StageUnit(
+                "tombstone right", delta.deleted_right_rows, "mask deleted rows out of the bucket maps"
+            ))
+        if delta.dirty_right_rows:
+            units.append(StageUnit("patch right", delta.dirty_right_rows, "rebucket edited rows in place"))
+        new = delta.new_rows("right", right_rows)
+        if new:
+            units.append(StageUnit(
+                "extend right", new, f"hash rows {right_rows - new}..{right_rows} into existing buckets"
+            ))
+        return units or [StageUnit("reuse right index", 0, "no new rows")]
 
 
 # ----------------------------------------------------------------------
@@ -612,9 +539,6 @@ def _encode_range_task(handle: StateHandle, start: int, stop: int):
     inline, so pooled and serial tail encodes agree row for row (up to
     matmul batch composition, like every other batch-shape change).
     """
-    from repro.data.schema import Table
-    from repro.engine.store import encode_table_rows
-
     representation, sub_table = worker_state(handle)
     started = time.perf_counter()
     records = sub_table.records()[start:stop]
@@ -624,47 +548,36 @@ def _encode_range_task(handle: StateHandle, start: int, stop: int):
 
 
 @contextmanager
-def _pooled_tail_encoder(store: EncodingStore, workers: int, shard_rows: int):
-    """Fan the store's delta re-encodes across a worker pool while active.
+def _pooled_tail_encoder(store: EncodingStore, pool: Optional[WorkerPool], shard_rows: int):
+    """Fan the store's delta re-encodes across ``pool`` while active.
 
     Installs a :data:`repro.engine.store.RangeEncoder` hook: whenever the
     store needs to encode a pending sub-table (dirty + appended rows of one
     side) larger than one shard, the rows are split into ``shard_rows``
-    slices, encoded on a fork-based pool, and concatenated in row order.
-    Sub-shard work (or ``workers == 1``) encodes inline — pooling a few
-    dozen rows would cost more in forks than it saves.
+    slices, encoded on the pool, and concatenated in row order.  Sub-shard
+    work (or no pool) encodes inline — pooling a few dozen rows would cost
+    more in dispatch than it saves.  A pool that dies is marked broken and
+    the sub-table encoded inline.
     """
-    if workers <= 1 or pool_kind_default() == "serial":
+    if pool is None:
         yield
         return
 
-    from repro.engine.store import encode_table_rows
-
     def encoder(sub_table):
         n = len(sub_table)
-        if n <= shard_rows:
+        if n <= shard_rows or pool.broken:
             return encode_table_rows(store.representation, sub_table)
-        bounds = [
-            (start, min(start + shard_rows, n)) for start in range(0, n, shard_rows)
-        ]
-        pool = acquire_pool(workers)
         try:
             with published_state(pool, (store.representation, sub_table)) as handle:
                 futures = [
-                    pool.submit(_encode_range_task, handle, start, stop)
-                    for start, stop in bounds
+                    pool.submit(_encode_range_task, handle, start, min(start + shard_rows, n))
+                    for start in range(0, n, shard_rows)
                 ]
                 parts = [future.result()[1] for future in futures]
         except BrokenExecutor:
             pool.broken = True
             return encode_table_rows(store.representation, sub_table)
-        finally:
-            release_pool(pool)
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-        )
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))  # (irs, mu, sigma)
 
     previous = store.range_encoder
     store.range_encoder = encoder
@@ -707,7 +620,11 @@ def build_index_sharded(
     )
     index.prepare(vectors, keys)
     bounds = shard_bounds_for("right", index.size, shard_rows)
-    if workers == 1 or len(bounds) <= 1 or (pool is None and pool_kind_default() == "serial"):
+    if (
+        workers == 1
+        or len(bounds) <= 1
+        or (pool.broken if pool is not None else pool_kind_default() == "serial")
+    ):
         index.install_tables([index.hash_rows(0, index.size)])
         return index
     owned = pool is None
@@ -794,16 +711,24 @@ def sharded_candidate_pairs(
         if pool is None or pool.broken:
             return serial_query(search, bounds)
         try:
-            merged: List[RecordPair] = []
-            merge_seconds = 0.0
+            # Every task in flight at once, the calibration shard's pairs
+            # heading the list; futures are consumed in submission order ==
+            # row order, so the concatenation reproduces the serial
+            # enumeration pair for pair.
             state = _PlanState(flat=query_vectors, keys=query_keys, search=search)
             with published_state(pool, state) as handle:
-                for pairs in _fanout_chunks(
+                merged, groups, submit = _calibrated_fanout(
                     pool, handle, bounds, k, query_chunk, workers, stage_timings, "block-query"
-                ):
+                )
+                futures = [submit(position) for position in range(len(groups))]
+                merge_seconds = 0.0
+                for future, group in zip(futures, groups):
+                    _, pairs, seconds = future.result()
                     started = time.perf_counter()
                     merged.extend(pairs)
                     merge_seconds += time.perf_counter() - started
+                    if stage_timings is not None:
+                        stage_timings.record("block-query", seconds, units=group.units)
             if stage_timings is not None:
                 stage_timings.record("merge", merge_seconds)
             return merged
@@ -864,324 +789,15 @@ def _calibrated_fanout(
     return first_pairs, groups, submit
 
 
-def _fanout_chunks(
-    pool: WorkerPool,
-    handle: StateHandle,
-    bounds: Sequence[ShardBounds],
-    k: int,
-    query_chunk: int,
-    workers: int,
-    stage_timings: Optional[StageTimings],
-    stage: str,
-) -> Iterator[List[RecordPair]]:
-    """Every query task's pairs, in row order, with all tasks in flight.
-
-    Futures are consumed in submission order == row order, so the
-    concatenated stream reproduces the serial enumeration pair for pair.
-    """
-    first_pairs, groups, submit = _calibrated_fanout(
-        pool, handle, bounds, k, query_chunk, workers, stage_timings, stage
-    )
-    futures = [submit(position) for position in range(len(groups))]
-    yield first_pairs
-    for future, group in zip(futures, groups):
-        _, pairs, seconds = future.result()
-        if stage_timings is not None:
-            stage_timings.record(stage, seconds, units=group.units)
-        yield pairs
-
-
 # ----------------------------------------------------------------------
-# The executor
-# ----------------------------------------------------------------------
-class ResolutionExecutor:
-    """Run a :class:`ResolutionPlan` against a store and matcher.
-
-    ``workers == 1`` executes the serial schedule
-    (:func:`~repro.engine.stream.resolve_stream`'s historical behaviour,
-    batch for batch and byte for byte).  With a pool, blocking and scoring
-    overlap: query shards and score batches are in flight together, with
-    bounded in-flight depth in both stages, and batches are emitted strictly
-    in ``batch_index`` order.
-    """
-
-    def __init__(
-        self,
-        plan: ResolutionPlan,
-        store: EncodingStore,
-        matcher,
-        threshold: float = 0.5,
-        shard_timings: Optional[ShardTimings] = None,
-        stage_timings: Optional[StageTimings] = None,
-    ) -> None:
-        self.plan = plan
-        self.store = store
-        self.matcher = matcher
-        self.threshold = threshold
-        self.shard_timings = shard_timings
-        self.stage_timings = stage_timings
-
-    # ------------------------------------------------------------------
-    def run(self) -> Iterator[ResolutionBatch]:
-        """The scored batch stream; validation and version pinning are eager."""
-        pinned = pin_store_version(self.store)
-        if self.plan.workers == 1 or pool_kind_default() == "serial":
-            return self._run_serial(pinned)
-        return self._run_parallel(pinned)
-
-    # ------------------------------------------------------------------
-    def _record_stage(self, stage: str, seconds: float, units: int = 1) -> None:
-        if self.stage_timings is not None:
-            self.stage_timings.record(stage, seconds, units=units)
-
-    def _run_serial(self, pinned: int, skip: int = 0) -> Iterator[ResolutionBatch]:
-        """The serial schedule, minus its first ``skip`` batches.
-
-        ``skip`` is how a crashed pooled run resumes: candidate enumeration
-        and batch packing are deterministic, so batch ``i`` of a serial
-        rerun is exactly the batch the pooled schedule would have emitted as
-        ``i`` — consumers see one contiguous, duplicate-free stream.
-        """
-        plan, store, matcher = self.plan, self.store, self.matcher
-        if self.stage_timings is not None and not skip:
-            # Warm both sides only when encode is being timed — without a
-            # sink the serial schedule encodes lazily inside enumeration,
-            # preserving the historical counter traces.
-            started = time.perf_counter()
-            store.table_encodings("left")
-            store.table_encodings("right")
-            guard_store_version(store, pinned)
-            self._record_stage("encode", time.perf_counter() - started, units=2)
-        iterator = iter(
-            iter_candidate_batches(
-                store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size
-            )
-        )
-        while True:
-            started = time.perf_counter()
-            try:
-                batch_index, pairs = next(iterator)
-            except StopIteration:
-                return
-            block_seconds = time.perf_counter() - started
-            if batch_index < skip:
-                continue
-            guard_store_version(store, pinned)
-            started = time.perf_counter()
-            left, right = store.gather_pair_irs(pairs)
-            probabilities = matcher.predict_proba(left, right)
-            score_seconds = time.perf_counter() - started
-            self._record_stage("block", block_seconds)
-            self._record_stage("score", score_seconds)
-            if self.shard_timings is not None:
-                self.shard_timings.record(batch_index, len(pairs), block_seconds + score_seconds)
-            yield ResolutionBatch(
-                pairs=pairs,
-                probabilities=probabilities,
-                threshold=self.threshold,
-                batch_index=batch_index,
-            )
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, pinned: int) -> Iterator[ResolutionBatch]:
-        plan, store, matcher = self.plan, self.store, self.matcher
-
-        def generate() -> Iterator[ResolutionBatch]:
-            # Stage 1 — encode in the parent.  The persistent pool is not
-            # forked per resolve, so workers never inherit these arrays;
-            # each stage publishes what its tasks need through the
-            # shared-memory transport below.  The version was pinned before
-            # warming: if a refit lands between the two encodes, the guard
-            # catches it instead of silently pairing a version-N left table
-            # with a version-N+1 right table.
-            started = time.perf_counter()
-            left = store.table_encodings("left")
-            right = store.table_encodings("right")
-            guard_store_version(store, pinned)
-            self._record_stage("encode", time.perf_counter() - started, units=2)
-
-            # One pool for the whole resolve: build, query fan-out and
-            # scoring all run on it, and release_pool hands it back to the
-            # cache for the next resolve (delta rounds reuse it for free).
-            pool = acquire_pool(plan.workers)
-            emitted = 0
-            try:
-                try:
-                    # Stage 2a — build the LSH index, hash maps computed in
-                    # workers; the prepared (unhashed) index is published to
-                    # the pool, the merged tables stay parent-side.
-                    started = time.perf_counter()
-                    index = build_index_sharded(
-                        right.flat_mu(),
-                        right.keys,
-                        blocking=plan.blocking,
-                        workers=plan.workers,
-                        shard_rows=plan.shard_rows,
-                        pool=pool,
-                    )
-                    search = NearestNeighbourSearch.from_index(index, plan.blocking)
-                    self._record_stage(
-                        "block", time.perf_counter() - started, units=len(plan.build_bounds)
-                    )
-                    guard_store_version(store, pinned)
-                    if pool.broken:
-                        raise BrokenExecutor("pool died during index build")
-
-                    # Stages 2b+3 — query fan-out and scoring share the
-                    # pool under one published state, so a worker drains
-                    # whichever stage has work.
-                    state = _PlanState(
-                        flat=left.flat_mu(),
-                        keys=left.keys,
-                        search=search,
-                        left_irs=left.irs,
-                        right_irs=right.irs,
-                        matcher=matcher,
-                    )
-                    with published_state(pool, state) as handle:
-                        for batch in self._pump(pool, handle, left, right, pinned):
-                            emitted = batch.batch_index + 1
-                            yield batch
-                except BrokenExecutor:
-                    # Crash-safe fallback: a dead pool downgrades the rest
-                    # of the run to the serial schedule, resuming after the
-                    # last batch the pooled path already emitted.
-                    pool.broken = True
-                    yield from self._run_serial(pinned, skip=emitted)
-            finally:
-                release_pool(pool)
-
-        return generate()
-
-    def _pump(self, pool: WorkerPool, handle: StateHandle, left: TableEncodings, right: TableEncodings, pinned: int) -> Iterator[ResolutionBatch]:
-        """Overlap query tasks and score batches with bounded in-flight depth.
-
-        The fan-out is calibrated (:func:`_calibrated_fanout`): the first
-        shard's pairs head the stream and the remaining shards arrive as
-        cost-model-sized task groups, submitted here as depth allows.
-
-        Backpressure counts both unfinished futures *and* finished-but-
-        unconsumed results in each stage: when one early unit is slow, later
-        completions park until it lands, and without counting them the
-        parent would keep submitting and buffer the whole stream — the
-        unbounded materialisation this layer exists to avoid.  Emission is
-        strictly ordered: query tasks are consumed by ascending row range,
-        and batches are yielded by ascending ``batch_index``.
-        """
-        plan, store = self.plan, self.store
-        bounds = plan.query_bounds
-        if not bounds:
-            return
-        max_inflight = max(2, plan.workers * 2)
-
-        guard_store_version(store, pinned)
-        first_pairs, groups, submit = _calibrated_fanout(
-            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
-            self.stage_timings, "block",
-        )
-
-        query_inflight: Dict[object, int] = {}
-        query_done: Dict[int, Tuple[List[RecordPair], float]] = {}
-        score_inflight: Dict[object, int] = {}
-        score_done: Dict[int, Tuple[np.ndarray, float]] = {}
-        pending_pairs: Dict[int, List[RecordPair]] = {}
-        buffer: List[RecordPair] = list(first_pairs)
-        merge_seconds = 0.0
-        submitted = 0
-        next_task = 0
-        batch_index = 0
-        next_emit = 0
-
-        def collect(inflight: Dict[object, int], done: Dict, block: bool) -> None:
-            if not inflight:
-                return
-            completed, _ = wait(
-                list(inflight), timeout=None if block else 0, return_when=FIRST_COMPLETED
-            )
-            for future in completed:
-                inflight.pop(future)
-                key, payload, seconds = future.result()
-                done[key] = (payload, seconds)
-
-        def emit_ready() -> Iterator[ResolutionBatch]:
-            nonlocal next_emit
-            while next_emit in score_done:
-                probabilities, seconds = score_done.pop(next_emit)
-                pairs = pending_pairs.pop(next_emit)
-                if self.shard_timings is not None:
-                    self.shard_timings.record(next_emit, len(pairs), seconds)
-                self._record_stage("score", seconds)
-                store.record_external_gather(len(pairs))
-                yield ResolutionBatch(
-                    pairs=pairs,
-                    probabilities=probabilities,
-                    threshold=self.threshold,
-                    batch_index=next_emit,
-                )
-                next_emit += 1
-
-        while True:
-            # Top up the query fan-out.
-            while submitted < len(groups) and len(query_inflight) + len(query_done) < max_inflight:
-                guard_store_version(store, pinned)
-                query_inflight[submit(submitted)] = submitted
-                submitted += 1
-            collect(query_inflight, query_done, block=False)
-            # Consume finished tasks strictly in row-range order.
-            while next_task in query_done:
-                pairs, seconds = query_done.pop(next_task)
-                self._record_stage("block", seconds, units=groups[next_task].units)
-                started = time.perf_counter()
-                buffer.extend(pairs)
-                merge_seconds += time.perf_counter() - started
-                next_task += 1
-            blocking_done = next_task >= len(groups)
-            # Pack and submit score batches (partial batch only at the end),
-            # walking the buffer by offset and compacting once per round:
-            # re-slicing the remainder per batch copies it every emission.
-            offset = 0
-            while len(buffer) - offset >= plan.batch_size or (
-                blocking_done and offset < len(buffer)
-            ):
-                started = time.perf_counter()
-                head = buffer[offset : offset + plan.batch_size]
-                offset += len(head)
-                guard_store_version(store, pinned)
-                left_rows = left.rows([p.left_id for p in head])
-                right_rows = right.rows([p.right_id for p in head])
-                pending_pairs[batch_index] = head
-                merge_seconds += time.perf_counter() - started
-                score_inflight[
-                    pool.submit(_score_task, handle, batch_index, left_rows, right_rows)
-                ] = batch_index
-                batch_index += 1
-                while len(score_inflight) + len(score_done) >= max_inflight:
-                    collect(score_inflight, score_done, block=True)
-                    yield from emit_ready()
-            del buffer[:offset]
-            collect(score_inflight, score_done, block=False)
-            yield from emit_ready()
-            if blocking_done and not score_inflight and not score_done and not buffer:
-                break
-            if not blocking_done and next_task not in query_done:
-                # Progress needs the next task: park on the query futures.
-                collect(query_inflight, query_done, block=True)
-            elif blocking_done and score_inflight:
-                collect(score_inflight, score_done, block=True)
-                yield from emit_ready()
-        self._record_stage("merge", merge_seconds)
-        guard_store_version(store, pinned)
-
-
-# ----------------------------------------------------------------------
-# Incremental (delta) resolution
+# The baseline a drained run leaves for the next one
 # ----------------------------------------------------------------------
 @dataclass
 class ResolutionBaseline:
     """Reusable artefacts of a completed resolve run.
 
-    Captured by :class:`DeltaResolutionExecutor` as its batch stream drains
-    and handed back in on the next incremental run:
+    Captured by a :class:`ResolutionExecutor` run with ``capture`` as its
+    batch stream drains, and handed back in on the next incremental run:
 
     * ``scores`` — per-pair match probabilities; the matcher is a pure
       row-wise function of the two cached IR tensors, so a pair's baseline
@@ -1205,8 +821,6 @@ class ResolutionBaseline:
     encoding_version: int
     matcher: object
     blocking_token: str
-    left_rows: int
-    right_rows: int
     scores: Dict[PairKey, float]
     index: EuclideanLSHIndex
     left_keys: Tuple[str, ...] = ()
@@ -1221,8 +835,6 @@ class ResolutionBaseline:
 
     def diff_side(self, side: str, table) -> Optional["RowDiff"]:
         """Row-identity diff of one side's current table vs this baseline."""
-        from repro.engine.persist import diff_rows
-
         keys = self.left_keys if side == "left" else self.right_keys
         crcs = self.left_row_crcs if side == "left" else self.right_row_crcs
         return diff_rows(keys, crcs, table)
@@ -1252,10 +864,10 @@ class ResolutionBaseline:
             return False
         return self.index.live_keys == self.right_keys
 
-    def stale_keys(
+    def surviving_scores(
         self, left_diff: Optional["RowDiff"], right_diff: Optional["RowDiff"], table_keys
-    ) -> Tuple[set, set]:
-        """(left, right) key sets whose baseline scores must be dropped.
+    ) -> Dict[PairKey, float]:
+        """The baseline scores still valid for the current ``(left, right)`` keys.
 
         A pair's baseline probability is reusable only while both of its
         rows still hold the content they were scored with: deleted rows
@@ -1264,46 +876,55 @@ class ResolutionBaseline:
         """
         stale_left: set = set()
         stale_right: set = set()
-        for side, diff, keys, current in (
-            ("left", left_diff, self.left_keys, table_keys[0]),
-            ("right", right_diff, self.right_keys, table_keys[1]),
+        for stale, diff, keys, current in (
+            (stale_left, left_diff, self.left_keys, table_keys[0]),
+            (stale_right, right_diff, self.right_keys, table_keys[1]),
         ):
-            stale = stale_left if side == "left" else stale_right
             if diff is None:
                 continue
             stale.update(str(keys[j]) for j in diff.deleted_old)
-            if diff.dirty_new:
-                stale.update(str(current[p]) for p in diff.dirty_new)
-        return stale_left, stale_right
+            stale.update(str(current[p]) for p in diff.dirty_new or ())
+        if not (stale_left or stale_right):
+            return self.scores
+        return {
+            pair: probability
+            for pair, probability in self.scores.items()
+            if pair[0] not in stale_left and pair[1] not in stale_right
+        }
 
 
-class DeltaResolutionExecutor:
-    """Run a delta :class:`ResolutionPlan` against a baseline run.
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+class ResolutionExecutor:
+    """Run a :class:`ResolutionPlan` against a store and matcher.
 
-    Produces the batch stream a cold
-    :func:`~repro.engine.stream.resolve_stream` with the same knobs yields
-    on the current (mutated) tables — the identical candidate enumeration
-    and batch packing, probabilities byte-identical for reused pairs and
-    equal up to matmul batch-composition round-off (~1 ulp) for rescored
-    ones, so the match set is identical — while paying only for the delta:
+    One flow whatever the mode — a cold run is a delta run with no baseline:
 
-    * table encodings come from the mutation-aware store (dirty and
-      appended rows only; deleted rows are dropped for free);
-    * the baseline LSH index is mutated in place instead of rebuilt —
-      deleted right rows are tombstoned out of the bucket maps, edited rows
-      rebucketed, appended rows hashed in (each step answer-identical to a
-      rebuild, and bucket-identical once compaction runs);
-    * baseline scores for pairs touching deleted or edited rows are
-      dropped; the matcher runs only on candidate pairs not covered by the
-      surviving scores — pairs involving new or dirty rows, plus any
-      old-old pair newly surfaced by a deletion reshaping some top-K —
-      counted through ``pairs_rescored``.
+    1. diff both tables against ``baseline`` (while its encodings are
+       current), classifying every row as clean, dirty, appended or deleted;
+    2. encode — the mutation-aware store re-encodes only dirty and appended
+       rows (on the pool, when one is held and they outgrow a shard) and
+       drops deleted ones for free;
+    3. mutate the baseline LSH index in place — deleted right rows
+       tombstoned, edited rows rebucketed, appended rows hashed in, each step
+       answer-identical to a rebuild — or build it (:func:`build_index_sharded`);
+    4. take candidate batches from the serial source
+       (:func:`~repro.engine.stream.iter_candidate_batches`) or, with a pool,
+       from :meth:`_pump`, which overlaps the query fan-out with scoring;
+    5. score each batch: baseline probabilities for pairs whose rows are
+       untouched since, the matcher (inline, or :func:`_score_task` on the
+       pool) for the rest — ``pairs_rescored``; every pair without a baseline.
 
-    The refreshed :class:`ResolutionBaseline` is published on ``baseline_out``
-    once the stream is exhausted.  With ``plan.workers > 1`` the tail/dirty
-    encode and the left-shard queries fan out across the worker pool (the
-    regime where a delta outgrows one shard); scoring stays serial — it is
-    bounded by the mutation size.
+    Enumeration and batch packing are the same in every mode and batches are
+    emitted strictly in ``batch_index`` order, so the stream is
+    byte-identical whatever the worker count.  Against a baseline, reused
+    probabilities are the baseline's bytes and rescored ones equal a cold
+    run's up to matmul batch-composition round-off (~1 ulp), so the match
+    set is identical.  A pool that dies hands the rest of the run to the
+    serial source.  With ``capture`` the refreshed
+    :class:`ResolutionBaseline` is published on ``baseline_out`` once the
+    stream is exhausted (an abandoned stream publishes nothing).
     """
 
     def __init__(
@@ -1312,7 +933,9 @@ class DeltaResolutionExecutor:
         store: EncodingStore,
         matcher,
         baseline: Optional[ResolutionBaseline] = None,
+        capture: bool = False,
         threshold: float = 0.5,
+        shard_timings: Optional[ShardTimings] = None,
         stage_timings: Optional[StageTimings] = None,
         diffs: Optional[Dict[str, Tuple[int, Optional[RowDiff]]]] = None,
     ) -> None:
@@ -1320,7 +943,9 @@ class DeltaResolutionExecutor:
         self.store = store
         self.matcher = matcher
         self.baseline = baseline
+        self.capture = capture
         self.threshold = threshold
+        self.shard_timings = shard_timings
         self.stage_timings = stage_timings
         self.baseline_out: Optional[ResolutionBaseline] = None
         #: Revision-stamped per-side diffs precomputed by :func:`resolve_delta`
@@ -1329,13 +954,12 @@ class DeltaResolutionExecutor:
         #: disagree about the mutation they describe.
         self._diffs = diffs or {}
 
-    def _diff_side(self, side: str) -> Optional[RowDiff]:
-        assert self.baseline is not None
+    def _diff_side(self, baseline: ResolutionBaseline, side: str) -> Optional[RowDiff]:
         table = self.store.task.left if side == "left" else self.store.task.right
         memo = self._diffs.get(side)
         if memo is not None and memo[0] == table.revision:
             return memo[1]
-        diff = self.baseline.diff_side(side, table)
+        diff = baseline.diff_side(side, table)
         self._diffs[side] = (table.revision, diff)
         return diff
 
@@ -1347,128 +971,79 @@ class DeltaResolutionExecutor:
         if self.stage_timings is not None:
             self.stage_timings.record_counter(name, value)
 
+    # ------------------------------------------------------------------
     def run(self) -> Iterator[ResolutionBatch]:
         """The scored batch stream; validation and version pinning are eager."""
-        pinned = pin_store_version(self.store)
-        plan, store, matcher = self.plan, self.store, self.matcher
+        return self._stream(pin_store_version(self.store))
 
-        def generate() -> Iterator[ResolutionBatch]:
-            # Row-identity diffs against the baseline snapshot — computed
-            # *before* encoding so they describe the transition, not the
-            # refreshed state.
-            baseline = self.baseline
-            left_diff = right_diff = None
-            if baseline is not None and baseline.encoding_version == pinned:
-                left_diff = self._diff_side("left")
-                right_diff = self._diff_side("right")
+    def _stream(self, pinned: int) -> Iterator[ResolutionBatch]:
+        plan, store = self.plan, self.store
+        # Row-identity diffs against the baseline snapshot — computed
+        # *before* encoding so they describe the transition, not the
+        # refreshed state.  A refit invalidates the whole baseline.
+        baseline = self.baseline
+        if baseline is not None and baseline.encoding_version != pinned:
+            baseline = None
+        left_diff = right_diff = None
+        if baseline is not None:
+            left_diff = self._diff_side(baseline, "left")
+            right_diff = self._diff_side(baseline, "right")
 
-            rows_before = store.counters.rows_reencoded
-            tombstoned_before = store.counters.rows_tombstoned
+        # One pool for the whole resolve — tail encode, build, query fan-out
+        # and scoring — handed back to the cache for the next one.  It is not
+        # forked per resolve, so workers never inherit the encoded arrays;
+        # each stage publishes what its tasks need.
+        pool = None
+        if plan.workers > 1 and pool_kind_default() != "serial":
+            pool = acquire_pool(plan.workers)
+        try:
+            # Pinned before encoding: a refit landing between the two encodes
+            # trips the guard instead of pairing a version-N left table with a
+            # version-N+1 right table.
+            reencoded = store.counters.rows_reencoded
+            tombstoned = store.counters.rows_tombstoned
             started = time.perf_counter()
-            with _pooled_tail_encoder(store, plan.workers, plan.shard_rows):
+            with _pooled_tail_encoder(store, pool, plan.shard_rows):
                 left = store.table_encodings("left")
                 right = store.table_encodings("right")
             guard_store_version(store, pinned)
             self._record_stage("encode", time.perf_counter() - started, units=2)
-            self._record_counter("rows_reencoded", store.counters.rows_reencoded - rows_before)
-            self._record_counter(
-                "rows_tombstoned", store.counters.rows_tombstoned - tombstoned_before
-            )
+            self._record_counter("rows_reencoded", store.counters.rows_reencoded - reencoded)
+            self._record_counter("rows_tombstoned", store.counters.rows_tombstoned - tombstoned)
 
-            index_reused = baseline is not None and baseline.index_usable(
-                pinned, plan.blocking, right_diff
-            )
             started = time.perf_counter()
-            if index_reused:
+            if baseline is not None and baseline.index_usable(pinned, plan.blocking, right_diff):
                 index = baseline.index
-                flat = right.flat_mu()
-                removed = [
-                    str(baseline.right_keys[j]) for j in right_diff.deleted_old
-                ]
-                if removed:
-                    index.remove(removed)
-                if right_diff.dirty_new:
-                    dirty = list(right_diff.dirty_new)
-                    index.patch(flat[dirty], [str(right.keys[p]) for p in dirty])
-                base, total = right_diff.appended_range
-                if total > base:
-                    tail = (
-                        flat.row_slice(base, total)  # keep appended rows as codes
-                        if isinstance(flat, CodecArray)
-                        else flat[base:total]
-                    )
-                    index.extend(tail, [str(key) for key in right.keys[base:total]])
+                _apply_right_diff(index, baseline.right_keys, right, right_diff)
                 self._record_stage("block-extend", time.perf_counter() - started)
             else:
-                index = EuclideanLSHIndex(
-                    num_tables=(plan.blocking or BlockingConfig()).num_tables,
-                    hash_size=(plan.blocking or BlockingConfig()).hash_size,
-                    bucket_width=(plan.blocking or BlockingConfig()).bucket_width,
-                    seed=(plan.blocking or BlockingConfig()).seed,
-                ).build(right.flat_mu(), list(right.keys))
-                self._record_stage("block", time.perf_counter() - started)
+                index = build_index_sharded(
+                    right.flat_mu(), right.keys, plan.blocking, plan.workers, plan.shard_rows, pool
+                )
+                self._record_stage("block", time.perf_counter() - started, units=len(plan.build_bounds))
             guard_store_version(store, pinned)
             search = NearestNeighbourSearch.from_index(index, plan.blocking)
 
-            scores: Dict[PairKey, float]
-            if (
-                baseline is not None
-                and baseline.encoding_version == pinned
-                and baseline.matcher is matcher
-            ):
-                stale_left, stale_right = baseline.stale_keys(
-                    left_diff, right_diff, (left.keys, right.keys)
-                )
-                if stale_left or stale_right:
-                    scores = {
-                        pair: probability
-                        for pair, probability in baseline.scores.items()
-                        if pair[0] not in stale_left and pair[1] not in stale_right
-                    }
-                else:
-                    scores = baseline.scores
-            else:
-                scores = {}
-            new_scores: Dict[PairKey, float] = {}
-            rescored = 0
-            for batch_index, pairs in self._iter_batches(search, left, pinned):
-                guard_store_version(store, pinned)
-                started = time.perf_counter()
-                probabilities = np.empty(len(pairs))
-                unknown: List[int] = []
-                for position, pair in enumerate(pairs):
-                    known = scores.get((pair.left_id, pair.right_id))
-                    if known is None:
-                        unknown.append(position)
-                    else:
-                        probabilities[position] = known
-                if unknown:
-                    subset = [pairs[position] for position in unknown]
-                    left_irs, right_irs = store.gather_pair_irs(subset)
-                    probabilities[unknown] = matcher.predict_proba(left_irs, right_irs)
-                    rescored += len(unknown)
-                    store.counters.record_pairs_rescored(len(unknown))
-                for position, pair in enumerate(pairs):
-                    new_scores[(pair.left_id, pair.right_id)] = float(probabilities[position])
-                self._record_stage("score", time.perf_counter() - started)
-                yield ResolutionBatch(
-                    pairs=pairs,
-                    probabilities=probabilities,
-                    threshold=self.threshold,
-                    batch_index=batch_index,
-                )
+            scores: Dict[PairKey, float] = {}
+            if baseline is not None and baseline.matcher is self.matcher:
+                scores = baseline.surviving_scores(left_diff, right_diff, (left.keys, right.keys))
+            captured: Dict[PairKey, float] = {}
+            for batch in self._batches(pool, search, left, right, pinned, scores):
+                if self.capture:
+                    for pair, probability in zip(batch.pairs, batch.probabilities):
+                        captured[pair.key()] = float(probability)
+                yield batch
             guard_store_version(store, pinned)
-            self._record_counter("pairs_rescored", rescored)
-            from repro.engine.persist import table_row_crcs
-
+        finally:
+            if pool is not None:
+                release_pool(pool)
+        if self.capture:
             left_table, right_table = store.task.left, store.task.right
             self.baseline_out = ResolutionBaseline(
                 encoding_version=pinned,
-                matcher=matcher,
+                matcher=self.matcher,
                 blocking_token=repr(plan.blocking),
-                left_rows=len(left_table),
-                right_rows=len(right_table),
-                scores=new_scores,
+                scores=captured,
                 index=index,
                 left_keys=tuple(left_table.record_ids()),
                 right_keys=tuple(right_table.record_ids()),
@@ -1477,56 +1052,242 @@ class DeltaResolutionExecutor:
                 index_mutations=index.mutations,
             )
 
-        return generate()
+    def _batches(
+        self,
+        pool: Optional[WorkerPool],
+        search: NearestNeighbourSearch,
+        left: TableEncodings,
+        right: TableEncodings,
+        pinned: int,
+        scores: Dict[PairKey, float],
+    ) -> Iterator[ResolutionBatch]:
+        """Scored batches from the pool while it lives, then the serial source.
 
-    def _iter_batches(
-        self, search: NearestNeighbourSearch, left: TableEncodings, pinned: int
-    ) -> Iterator[Tuple[int, List[RecordPair]]]:
-        """Candidate batches against the delta-updated index.
+        Candidate enumeration and batch packing are deterministic, so batch
+        ``i`` of the serial source is exactly the batch the pump would have
+        emitted as ``i``: after a dead pool the serial source skips what was
+        already emitted and consumers see one contiguous, duplicate-free
+        stream.
+        """
+        plan, store = self.plan, self.store
+        emitted = 0
+        if pool is not None and not pool.broken:
+            state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
+            try:
+                with published_state(pool, state) as handle:
+                    for batch in self._pump(pool, handle, left, right, pinned, scores):
+                        emitted = batch.batch_index + 1
+                        yield batch
+                return
+            except BrokenExecutor:
+                pool.broken = True
+        iterator = iter_candidate_batches(
+            store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size, search=search
+        )
+        while True:
+            started = time.perf_counter()
+            try:
+                batch_index, pairs = next(iterator)
+            except StopIteration:
+                return
+            block_seconds = time.perf_counter() - started
+            if batch_index < emitted:
+                continue
+            guard_store_version(store, pinned)
+            started = time.perf_counter()
+            probabilities, unknown = self._split(pairs, scores)
+            scored = None
+            if unknown:
+                left_irs, right_irs = store.gather_pair_irs([pairs[i] for i in unknown])
+                scored = self.matcher.predict_proba(left_irs, right_irs)
+            score_seconds = time.perf_counter() - started
+            self._record_stage("block", block_seconds)
+            self._record_stage("score", score_seconds)
+            yield self._emit(batch_index, pairs, probabilities, unknown, scored, block_seconds + score_seconds)
 
-        Serial plans walk :func:`~repro.engine.stream.iter_candidate_batches`
-        (the canonical enumeration); pooled plans run the calibrated query
-        fan-out on the persistent pool — acquired here, so consecutive delta
-        rounds reuse one pool — and pack the row-ordered task results with
-        the same :func:`~repro.engine.stream.pack_batches`: the
-        byte-identity contract either way.  A pool that dies mid-fan-out
-        downgrades to the serial enumeration, resuming after the last batch
-        already yielded.
+    @staticmethod
+    def _split(pairs: List[RecordPair], scores: Dict[PairKey, float]) -> Tuple[np.ndarray, List[int]]:
+        """Baseline probabilities where known, and the positions left to score."""
+        probabilities = np.empty(len(pairs))
+        unknown: List[int] = []
+        for position, pair in enumerate(pairs):
+            known = scores.get(pair.key())
+            if known is None:
+                unknown.append(position)
+            else:
+                probabilities[position] = known
+        return probabilities, unknown
+
+    def _emit(
+        self,
+        batch_index: int,
+        pairs: List[RecordPair],
+        probabilities: np.ndarray,
+        unknown: List[int],
+        scored: Optional[np.ndarray],
+        seconds: float,
+    ) -> ResolutionBatch:
+        """Fill in the matcher's answers for ``unknown`` and account the batch."""
+        if unknown:
+            probabilities[unknown] = scored
+            self.store.counters.record_pairs_rescored(len(unknown))
+        self._record_counter("pairs_rescored", len(unknown))
+        if self.shard_timings is not None:
+            self.shard_timings.record(batch_index, len(pairs), seconds)
+        return ResolutionBatch(
+            pairs=pairs,
+            probabilities=probabilities,
+            threshold=self.threshold,
+            batch_index=batch_index,
+        )
+
+    def _pump(
+        self,
+        pool: WorkerPool,
+        handle: StateHandle,
+        left: TableEncodings,
+        right: TableEncodings,
+        pinned: int,
+        scores: Dict[PairKey, float],
+    ) -> Iterator[ResolutionBatch]:
+        """Overlap query tasks and score batches with bounded in-flight depth.
+
+        The fan-out is calibrated (:func:`_calibrated_fanout`): the first
+        shard's pairs head the stream and the remaining shards arrive as
+        cost-model-sized task groups, submitted here as depth allows.
+
+        Backpressure counts both unfinished futures *and* finished-but-
+        unconsumed results in each stage: when one early unit is slow, later
+        completions park until it lands, and without counting them the
+        parent would keep submitting and buffer the whole stream — the
+        unbounded materialisation this layer exists to avoid.  Emission is
+        strictly ordered: query tasks are consumed by ascending row range,
+        and batches are yielded by ascending ``batch_index``.
         """
         plan, store = self.plan, self.store
         bounds = plan.query_bounds
-        emitted = 0
-        if plan.workers > 1 and len(bounds) > 1 and pool_kind_default() != "serial":
+        if not bounds:
+            return
+        max_inflight = max(2, plan.workers * 2)
 
-            def guarded(chunks: Iterator[List[RecordPair]]) -> Iterator[List[RecordPair]]:
-                for pairs in chunks:
-                    guard_store_version(store, pinned)
-                    yield pairs
+        guard_store_version(store, pinned)
+        first_pairs, groups, submit = _calibrated_fanout(
+            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
+            self.stage_timings, "block",
+        )
 
-            pool = acquire_pool(plan.workers)
-            try:
-                state = _PlanState(flat=left.flat_mu(), keys=left.keys, search=search)
-                with published_state(pool, state) as handle:
-                    chunks = _fanout_chunks(
-                        pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
-                        self.stage_timings, "block",
-                    )
-                    for batch_index, pairs in pack_batches(guarded(chunks), plan.batch_size):
-                        yield batch_index, pairs
-                        emitted = batch_index + 1
-                    return
-            except BrokenExecutor:
-                pool.broken = True
-            finally:
-                release_pool(pool)
-        # The serial schedule — and the fallback after a dead pool, which
-        # skips the batches the pooled path already yielded.
-        for batch_index, pairs in iter_candidate_batches(
-            store, blocking=plan.blocking, k=plan.k,
-            batch_size=plan.batch_size, search=search,
-        ):
-            if batch_index >= emitted:
-                yield batch_index, pairs
+        query_inflight: Dict[object, int] = {}
+        query_done: Dict[int, Tuple[List[RecordPair], float]] = {}
+        score_inflight: Dict[object, int] = {}
+        score_done: Dict[int, Tuple[Optional[np.ndarray], float]] = {}
+        pending: Dict[int, Tuple[List[RecordPair], np.ndarray, List[int]]] = {}
+        buffer: List[RecordPair] = list(first_pairs)
+        merge_seconds = 0.0
+        submitted = 0
+        next_task = 0
+        batch_index = 0
+        next_emit = 0
+
+        def collect(inflight: Dict[object, int], done: Dict, block: bool) -> None:
+            if not inflight:
+                return
+            completed, _ = wait(
+                list(inflight), timeout=None if block else 0, return_when=FIRST_COMPLETED
+            )
+            for future in completed:
+                inflight.pop(future)
+                key, payload, seconds = future.result()
+                done[key] = (payload, seconds)
+
+        def emit_ready() -> Iterator[ResolutionBatch]:
+            nonlocal next_emit
+            while next_emit in score_done:
+                scored, seconds = score_done.pop(next_emit)
+                pairs, probabilities, unknown = pending.pop(next_emit)
+                self._record_stage("score", seconds)
+                store.record_external_gather(len(unknown))
+                yield self._emit(next_emit, pairs, probabilities, unknown, scored, seconds)
+                next_emit += 1
+
+        while True:
+            # Top up the query fan-out.
+            while submitted < len(groups) and len(query_inflight) + len(query_done) < max_inflight:
+                guard_store_version(store, pinned)
+                query_inflight[submit(submitted)] = submitted
+                submitted += 1
+            collect(query_inflight, query_done, block=False)
+            # Consume finished tasks strictly in row-range order.
+            while next_task in query_done:
+                pairs, seconds = query_done.pop(next_task)
+                self._record_stage("block", seconds, units=groups[next_task].units)
+                started = time.perf_counter()
+                buffer.extend(pairs)
+                merge_seconds += time.perf_counter() - started
+                next_task += 1
+            blocking_done = next_task >= len(groups)
+            # Pack and submit score batches (partial batch only at the end),
+            # walking the buffer by offset and compacting once per round:
+            # re-slicing the remainder per batch copies it every emission.
+            offset = 0
+            while len(buffer) - offset >= plan.batch_size or (
+                blocking_done and offset < len(buffer)
+            ):
+                started = time.perf_counter()
+                head = buffer[offset : offset + plan.batch_size]
+                offset += len(head)
+                guard_store_version(store, pinned)
+                probabilities, unknown = self._split(head, scores)
+                pending[batch_index] = (head, probabilities, unknown)
+                left_rows = left.rows([head[i].left_id for i in unknown])
+                right_rows = right.rows([head[i].right_id for i in unknown])
+                merge_seconds += time.perf_counter() - started
+                if unknown:
+                    score_inflight[
+                        pool.submit(_score_task, handle, batch_index, left_rows, right_rows)
+                    ] = batch_index
+                else:  # served whole from the baseline: nothing to dispatch
+                    score_done[batch_index] = (None, 0.0)
+                batch_index += 1
+                while len(score_inflight) + len(score_done) >= max_inflight:
+                    collect(score_inflight, score_done, block=True)
+                    yield from emit_ready()
+            del buffer[:offset]
+            collect(score_inflight, score_done, block=False)
+            yield from emit_ready()
+            if blocking_done and not score_inflight and not score_done and not buffer:
+                break
+            if not blocking_done and next_task not in query_done:
+                # Progress needs the next task: park on the query futures.
+                collect(query_inflight, query_done, block=True)
+            elif blocking_done and score_inflight:
+                collect(score_inflight, score_done, block=True)
+                yield from emit_ready()
+        self._record_stage("merge", merge_seconds)
+        guard_store_version(store, pinned)
+
+
+def _apply_right_diff(
+    index: EuclideanLSHIndex,
+    baseline_keys: Sequence[str],
+    right: TableEncodings,
+    diff: RowDiff,
+) -> None:
+    """Mutate a baseline index into the index of the current right table."""
+    flat = right.flat_mu()
+    removed = [str(baseline_keys[j]) for j in diff.deleted_old]
+    if removed:
+        index.remove(removed)
+    if diff.dirty_new:
+        dirty = list(diff.dirty_new)
+        index.patch(flat[dirty], [str(right.keys[p]) for p in dirty])
+    base, total = diff.appended_range
+    if total > base:
+        tail = (
+            flat.row_slice(base, total)  # keep appended rows as codes
+            if isinstance(flat, CodecArray)
+            else flat[base:total]
+        )
+        index.extend(tail, [str(key) for key in right.keys[base:total]])
 
 
 def resolve_delta(
@@ -1539,23 +1300,21 @@ def resolve_delta(
     threshold: float = 0.5,
     stage_timings: Optional[StageTimings] = None,
     workers: int = 1,
-) -> DeltaResolutionExecutor:
+    shard_timings: Optional[ShardTimings] = None,
+) -> ResolutionExecutor:
     """Plan an incremental resolve against ``baseline`` and return its executor.
 
-    Returns the :class:`DeltaResolutionExecutor` (rather than the raw
+    Returns the capturing :class:`ResolutionExecutor` (rather than the raw
     iterator) so the caller can collect ``baseline_out`` after draining
-    ``.run()`` — :meth:`repro.core.pipeline.VAER.resolve_delta` does exactly
+    ``.run()`` — :meth:`repro.core.pipeline.VAER.resolve_stream` does exactly
     that to chain incremental runs.  With ``baseline=None`` the run is a
     cold resolve that merely *captures* a baseline for the next call.  The
     plan is parameterised by a row-identity diff of both tables against the
     baseline snapshot, so its encode/block stages name the exact patch,
-    tombstone and tail units the executor will run; ``workers > 1`` fans
-    the tail encode and query units across the worker pool.
+    tombstone and tail units the executor will run.
     """
     pinned = store.representation.encoding_version
-    base_left = base_right = 0
-    dirty_left = dirty_right = deleted_left = deleted_right = 0
-    index_reusable = False
+    left_diff = right_diff = None
     diffs: Dict[str, Tuple[int, Optional[RowDiff]]] = {}
     if baseline is not None and baseline.encoding_version == pinned:
         left_diff = baseline.diff_side("left", store.task.left)
@@ -1564,32 +1323,21 @@ def resolve_delta(
             "left": (store.task.left.revision, left_diff),
             "right": (store.task.right.revision, right_diff),
         }
-        if left_diff is not None:
-            base_left = left_diff.appended_range[0]
-            dirty_left = len(left_diff.dirty_new or ())
-            deleted_left = len(left_diff.deleted_old)
-        if right_diff is not None:
-            base_right = right_diff.appended_range[0]
-            dirty_right = len(right_diff.dirty_new or ())
-            deleted_right = len(right_diff.deleted_old)
-        index_reusable = baseline.index_usable(pinned, blocking, right_diff)
     plan = ResolutionPlanner.from_store(
         store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
-    ).plan_delta(
-        base_left,
-        base_right,
-        index_reusable=index_reusable,
-        dirty_left_rows=dirty_left,
-        dirty_right_rows=dirty_right,
-        deleted_left_rows=deleted_left,
-        deleted_right_rows=deleted_right,
+    ).plan(
+        delta=DeltaBounds.from_diffs(left_diff, right_diff),
+        index_reusable=baseline is not None
+        and baseline.index_usable(pinned, blocking, right_diff),
     )
-    return DeltaResolutionExecutor(
+    return ResolutionExecutor(
         plan,
         store,
         matcher,
         baseline=baseline,
+        capture=True,
         threshold=threshold,
+        shard_timings=shard_timings,
         stage_timings=stage_timings,
         diffs=diffs,
     )

@@ -426,7 +426,7 @@ _CACHED_POOL: Optional[WorkerPool] = None
 
 #: When set, :func:`acquire_pool` hands out this pool instead of a local
 #: one — the hook the distributed runner uses to route every pooled stage
-#: (build, query, score, tail encode) of the existing executors through its
+#: (build, query, score, tail encode) of the executor through its
 #: coordinator/queue transport without touching their control flow.
 _POOL_OVERRIDE: Optional[WorkerPool] = None
 
@@ -439,7 +439,7 @@ def pool_override(pool: WorkerPool) -> Iterator[WorkerPool]:
     override is never cached, shut down or replaced by
     :func:`release_pool`/:func:`shutdown_pools` — its owner manages its
     lifetime.  A pool marked broken inside the block stops being handed
-    out, so the executors' serial-tail fallback degrades exactly as it
+    out, so the executor's serial resume degrades exactly as it
     does for a crashed local pool.
     """
     global _POOL_OVERRIDE

@@ -167,7 +167,7 @@ class EncodingStore:
         #: unchanged table never re-CRC its rows while any in-place edit or
         #: deletion (which bumps the revision) invalidates immediately.
         self._fingerprints: Dict[str, _SideState] = {}
-        #: See :data:`RangeEncoder`; installed by the delta executor to fan
+        #: See :data:`RangeEncoder`; installed by a pooled executor to fan
         #: large tail/dirty encodes across its worker pool.
         self.range_encoder: Optional[RangeEncoder] = None
 

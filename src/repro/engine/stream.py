@@ -110,8 +110,8 @@ def stream_candidate_pairs(
 
     The LSH index over the right-hand side is built once from the store's
     cached encodings; each yielded list covers ``query_chunk`` query records.
-    ``search`` optionally supplies an already-built index (the delta resolve
-    path hands in its incrementally *extended* one); the chunk walk — and
+    ``search`` optionally supplies an already-built index (the executor
+    hands in the one it built or mutated in place); the chunk walk — and
     therefore the emitted pair stream for an equivalent index — is identical
     either way.
     """
@@ -168,11 +168,11 @@ def iter_candidate_batches(
 ) -> Iterator[Tuple[int, List[RecordPair]]]:
     """The candidate stream packed into ``(batch_index, pairs)`` batches.
 
-    This is the serial schedule's enumeration: :func:`stream_candidate_pairs`
-    at the :func:`query_chunk_for` stride through :func:`pack_batches`.  The
-    planner's pooled schedules pack their shard-merged candidate stream with
-    the same discipline and stride; the byte-identity between them is pinned
-    by the equivalence tests in ``tests/engine/test_plan.py``.
+    This is the executor's serial source: :func:`stream_candidate_pairs` at
+    the :func:`query_chunk_for` stride through :func:`pack_batches`.  Its
+    pooled source packs the shard-merged candidate stream with the same
+    discipline and stride; the byte-identity between them is pinned by the
+    equivalence tests in ``tests/engine/test_plan.py``.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -202,16 +202,17 @@ def resolve_stream(
     Argument validation is eager (not deferred to the first iteration), so a
     bad ``batch_size`` fails before any expensive work starts.
 
-    The one cold-run front-end of the plan/execute engine: a
+    A thin constructor of the plan/execute engine's one executor for a cold
+    run (no baseline, nothing captured): a
     :class:`~repro.engine.plan.ResolutionPlanner` partitions the work into
     row-range shards and a :class:`~repro.engine.plan.ResolutionExecutor`
     runs the encode → block → score stage graph.  ``workers=1`` enumerates
     candidates through :func:`iter_candidate_batches` above and scores each
     batch inline; with ``workers > 1`` the LSH blocking queries *and* the
-    per-batch scoring run concurrently on a worker pool (created lazily on
-    first iteration, handed back when the iterator is exhausted or closed)
-    and re-merge in deterministic order, so identical knobs always produce
-    the identical batch stream, whatever the worker count.  ``shard_timings``
+    per-batch scoring run concurrently on a worker pool (acquired on first
+    iteration, handed back when the iterator is exhausted or closed) and
+    re-merge in deterministic order, so identical knobs always produce the
+    identical batch stream, whatever the worker count.  ``shard_timings``
     collects per-batch and ``stage_timings`` per-stage compute seconds.
     """
     from repro.engine.plan import ResolutionExecutor, ResolutionPlanner

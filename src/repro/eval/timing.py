@@ -152,11 +152,11 @@ class EngineCounters:
         self.chunks_patched += int(count)
 
     def record_pairs_rescored(self, count: int) -> None:
-        """``count`` candidate pairs actually scored by a delta resolve.
+        """``count`` candidate pairs a resolve actually ran the matcher on.
 
         Pairs whose probabilities were reused from the baseline run are
-        *not* counted — the gap to ``pairs_scored`` is the scoring work the
-        incremental path saved.
+        *not* counted — the gap to ``pairs_scored`` is the scoring work an
+        incremental run saved (none for a run without a baseline).
         """
         self.pairs_rescored += int(count)
 
@@ -325,9 +325,9 @@ class StageTimings:
         self._units[stage] = self._units.get(stage, 0) + int(units)
 
     def record_counter(self, name: str, value: int) -> None:
-        """Accumulate a named work counter (delta resolves report
-        ``rows_reencoded`` and ``pairs_rescored`` here so the timing sink
-        carries the full incremental-cost picture)."""
+        """Accumulate a named work counter (every resolve reports
+        ``rows_reencoded``, ``rows_tombstoned`` and ``pairs_rescored`` here
+        so the timing sink carries the full incremental-cost picture)."""
         self._counters[name] = self._counters.get(name, 0) + int(value)
 
     def counter(self, name: str) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -580,18 +580,12 @@ class ServeSession:
     def _refresh_locked(self) -> Tuple[Snapshot, StageTimings]:
         """Drain one delta resolve and publish the resulting snapshot.
 
-        Caller holds the index write lock: the delta executor mutates the
+        Caller holds the index write lock: the executor mutates the
         LSH index and the encoding store in place while it runs, and the
         snapshot pointer swap is the linearisation point for readers.
         """
         stage = StageTimings()
-        if self.runtime is not None:
-            with self.runtime.activate():
-                batches = list(self.model.resolve_delta(
-                    k=self.k, batch_size=self.batch_size,
-                    stage_timings=stage, workers=self.workers,
-                ))
-        else:
+        with self.runtime.activate() if self.runtime is not None else nullcontext():
             batches = list(self.model.resolve_delta(
                 k=self.k, batch_size=self.batch_size,
                 stage_timings=stage, workers=self.workers,

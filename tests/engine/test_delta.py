@@ -13,6 +13,8 @@ Three invariants pin the delta engine:
   output stays equivalent to a cold run.
 """
 
+from concurrent.futures import BrokenExecutor, Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from repro.data.generators import (
 )
 from repro.data.generators.base import DomainSpec, SyntheticDomainGenerator, compose, pick
 from repro.engine import (
+    DeltaBounds,
     EncodingStore,
     PersistentEncodingCache,
     ResolutionPlanner,
@@ -36,6 +39,7 @@ from repro.engine import (
     resolve_delta,
     resolve_stream,
 )
+from repro.engine.shard import WorkerPool, pool_override
 from repro.eval.timing import EngineCounters, StageTimings
 
 
@@ -198,10 +202,13 @@ class TestRegistryEquivalence:
         assert {p.key() for p in delta.matches()} == {p.key() for p in cold.matches()}
 
     def test_parallel_delta_tail_matches_serial(self):
-        """workers>1 fans the pending-row encode and left-shard queries across
-        the pool; the stream must stay byte-identical to the serial delta run
-        (and therefore equivalent to a cold resolve).  The delta round packs
-        one pair per batch, so every query task's pairs span many batches."""
+        """workers>1 fans the pending-row encode, the left-shard queries and
+        the scoring across the pool; the stream must honour the delta
+        contract against the serial delta run: keys, batch packing and match
+        set exact, reused pairs byte-equal, pairs touching a re-encoded row
+        (encoded in pool-sized slices, a different matmul batch shape) within
+        1 ulp.  The delta round packs one pair per batch, so every query
+        task's pairs span many batches."""
         domain = _fresh_tiny_domain()
         twin = _fresh_tiny_domain()
         representation = EntityRepresentationModel(
@@ -220,11 +227,13 @@ class TestRegistryEquivalence:
 
         store_serial, baseline_serial = capture(domain)
         store_pooled, baseline_pooled = capture(twin)
+        reencoded = set()
         for d in (domain, twin):
-            mutate_rows(d, side="right", rows=3)
-            append_rows(d, side="right", rows=20)  # > shard_rows: fans out
+            reencoded.update(r.record_id for r in mutate_rows(d, side="right", rows=3))
+            # > shard_rows: fans out
+            reencoded.update(r.record_id for r in append_rows(d, side="right", rows=20))
 
-        serial = merge_scored_batches(resolve_delta(
+        serial = list(resolve_delta(
             store_serial, matcher, baseline=baseline_serial, blocking=blocking,
             k=4, batch_size=1, workers=1,
         ).run())
@@ -237,11 +246,19 @@ class TestRegistryEquivalence:
         assert any("delta[" in unit.name for unit in encode_units), (
             "a pending tail larger than one shard must fan out in the plan"
         )
-        pooled = merge_scored_batches(pooled_executor.run())
+        pooled = list(pooled_executor.run())
         assert store_pooled.counters.rows_reencoded == store_serial.counters.rows_reencoded == 23
-        assert [p.key() for p in pooled.pairs] == [p.key() for p in serial.pairs]
-        np.testing.assert_array_equal(pooled.probabilities, serial.probabilities)
+        assert [(b.batch_index, [p.key() for p in b.pairs]) for b in pooled] == [
+            (b.batch_index, [p.key() for p in b.pairs]) for b in serial
+        ]
+        pooled, serial = merge_scored_batches(pooled), merge_scored_batches(serial)
         assert {p.key() for p in pooled.matches()} == {p.key() for p in serial.matches()}
+        touched = np.array([p.right_id in reencoded for p in serial.pairs])
+        assert touched.any() and not touched.all()
+        np.testing.assert_array_equal(pooled.probabilities[~touched], serial.probabilities[~touched])
+        np.testing.assert_array_max_ulp(
+            pooled.probabilities[touched], serial.probabilities[touched], maxulp=1
+        )
 
     def test_rescored_pairs_all_involve_new_rows(self):
         """The score stage restricts matcher work to pairs touching new rows."""
@@ -417,62 +434,170 @@ class TestChunkFingerprintReuse:
         assert store.counters.fingerprints_computed == 2
 
 
-class TestMutationProperty:
+def _batch_rows(batches):
+    """``(batch_index, pair keys, probability bytes)`` per batch, in yield order."""
+    return [
+        (b.batch_index, [p.key() for p in b.pairs], np.asarray(b.probabilities).tobytes())
+        for b in batches
+    ]
+
+
+class TestModeEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(
-        k=st.integers(min_value=0, max_value=6),
-        d=st.integers(min_value=0, max_value=6),
-        a=st.integers(min_value=0, max_value=10),
+        k=st.integers(min_value=1, max_value=6),
+        batch_size=st.integers(min_value=1, max_value=40),
+        shard_rows=st.sampled_from((8, 16, 64)),
+        edits=st.integers(min_value=0, max_value=6),
+        left_edits=st.integers(min_value=0, max_value=3),
+        deletes=st.integers(min_value=0, max_value=6),
+        appends=st.integers(min_value=0, max_value=10),
     )
-    def test_random_mutation_mix_reencodes_exactly_k_plus_a(
-        self, delta_representation, k, d, a
+    def test_every_mode_equals_a_cold_serial_resolve(
+        self, delta_representation, k, batch_size, shard_rows, edits, left_edits, deletes, appends
     ):
-        """For any mix of k edits, d deletes and a appends to the right table:
-        ``rows_reencoded == k + a``, tombstoned rows never appear in any
-        candidate pair, and the match set equals a cold resolve."""
-        domain = _fresh_tiny_domain()
+        """One executor, one answer.  Cold: workers in {1, 2} x capture in
+        {False, True} yield byte-identical batch streams.  After any mix of
+        edits, deletes and appends, the baseline-served stream (serial and
+        pooled) equals a cold resolve of the mutated tables — same keys and
+        batch packing, same match set, probabilities to float round-off (a
+        cold encode of the mutated table is a different matmul batch shape),
+        reused pairs carrying the baseline's bytes — while re-encoding exactly the edited and appended
+        rows and running the matcher on exactly the pairs the surviving
+        baseline does not cover."""
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
-        store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
-        merge_scored_batches(executor.run())
-        baseline = executor.baseline_out
+        knobs = dict(blocking=blocking, k=k, batch_size=batch_size)
 
-        deleted_ids = set()
-        reissued = 0
-        if d:
-            deleted_ids = {r.record_id for r in delete_rows(domain, side="right", rows=d)}
-        if k:
-            mutate_rows(domain, side="right", rows=k)
-        if a:
-            # Appends may re-issue deleted trailing ids (delete + re-add);
-            # those rows are new, not the tombstoned ones.  A re-issued id
-            # whose position realigns is classified as an in-place edit
-            # instead of delete + append — either way it re-encodes once.
-            appended_ids = {r.record_id for r in append_rows(domain, side="right", rows=a)}
-            reissued = len(deleted_ids & appended_ids)
-            deleted_ids -= appended_ids
+        def fresh_store(domain):
+            return ShardedEncodingStore(
+                delta_representation, domain.task, counters=EngineCounters(), shard_rows=shard_rows
+            )
 
-        rows_before = store.counters.rows_reencoded
-        tombstoned_before = store.counters.rows_tombstoned
-        warm = resolve_delta(
-            store, matcher, baseline=baseline, blocking=blocking, k=4, batch_size=13
-        )
-        delta = merge_scored_batches(warm.run())
-        assert store.counters.rows_reencoded - rows_before == k + a
-        assert d - reissued <= store.counters.rows_tombstoned - tombstoned_before <= d
-        assert store.counters.tables_encoded == 2  # the cold capture only
-        assert all(p.right_id not in deleted_ids for p in delta.pairs)
+        reference = _batch_rows(resolve_stream(fresh_store(_fresh_tiny_domain()), matcher, **knobs))
+        for workers in (1, 2):
+            domain = _fresh_tiny_domain()
+            assert _batch_rows(
+                resolve_stream(fresh_store(domain), matcher, workers=workers, **knobs)
+            ) == reference
+            store = fresh_store(domain)
+            capturing = resolve_delta(store, matcher, baseline=None, workers=workers, **knobs)
+            assert _batch_rows(capturing.run()) == reference
+            baseline = capturing.baseline_out
+            assert store.counters.tables_encoded == 2
 
-        cold_store = EncodingStore(
-            delta_representation, domain.task, counters=EngineCounters()
-        )
-        cold = merge_scored_batches(
-            resolve_stream(cold_store, matcher, blocking=blocking, k=4, batch_size=13)
-        )
-        assert [p.key() for p in delta.pairs] == [p.key() for p in cold.pairs]
-        np.testing.assert_allclose(delta.probabilities, cold.probabilities, atol=1e-9)
-        assert {p.key() for p in delta.matches()} == {p.key() for p in cold.matches()}
+            stale_left, stale_right = set(), set()
+            if deletes:
+                stale_right |= {r.record_id for r in delete_rows(domain, side="right", rows=deletes)}
+            if edits:
+                stale_right |= {r.record_id for r in mutate_rows(domain, side="right", rows=edits)}
+            if left_edits:
+                stale_left |= {r.record_id for r in mutate_rows(domain, side="left", rows=left_edits)}
+            # Appends may re-issue deleted trailing ids (delete + re-add, or an
+            # in-place edit when the position realigns): new rows either way,
+            # so their old scores stay stale and they re-encode once.
+            appended = (
+                {r.record_id for r in append_rows(domain, side="right", rows=appends)}
+                if appends else set()
+            )
+            gone = stale_right - appended - set(domain.task.right.record_ids())
+            surviving = {
+                pair for pair in baseline.scores
+                if pair[0] not in stale_left and pair[1] not in stale_right
+            }
+
+            reencoded = store.counters.rows_reencoded
+            tombstoned = store.counters.rows_tombstoned
+            timings = StageTimings()
+            warm = resolve_delta(
+                store, matcher, baseline=baseline, workers=workers, stage_timings=timings, **knobs
+            )
+            served = list(warm.run())
+            assert store.counters.rows_reencoded - reencoded == edits + left_edits + appends
+            assert len(gone) <= store.counters.rows_tombstoned - tombstoned <= deletes
+            assert store.counters.tables_encoded == 2  # the cold capture only
+
+            cold = list(resolve_stream(fresh_store(domain), matcher, **knobs))
+            assert [row[:2] for row in _batch_rows(served)] == [row[:2] for row in _batch_rows(cold)]
+            served, cold = merge_scored_batches(served), merge_scored_batches(cold)
+            assert all(p.right_id not in gone for p in served.pairs)
+            assert {p.key() for p in served.matches()} == {p.key() for p in cold.matches()}
+            reused = np.array([p.key() in surviving for p in served.pairs], dtype=bool)
+            assert timings.counter("pairs_rescored") == int((~reused).sum())
+            assert served.probabilities[reused].tolist() == [
+                baseline.scores[p.key()] for p in served.pairs if p.key() in surviving
+            ]
+            np.testing.assert_allclose(served.probabilities, cold.probabilities, atol=1e-9)
+            assert len(warm.baseline_out.scores) == len(served)
+
+
+class _DyingPool(WorkerPool):
+    """Runs each task inline; ``submit`` raises ``BrokenExecutor`` once
+    ``budget`` tasks have run — a pool whose workers all died at that point."""
+
+    def __init__(self, budget: int) -> None:
+        super().__init__(executor=None, kind="thread", workers=2)
+        self.budget = budget
+        self.refused = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.budget <= 0:
+            self.refused = True
+            raise BrokenExecutor("injected pool death")
+        self.budget -= 1
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self) -> None:
+        pass
+
+
+class TestDeadPoolResume:
+    # Pool tasks of these runs, in submission order: 5 hash tasks (cold only),
+    # 2 dispatch probes, the calibration query shard, then the remaining
+    # query groups interleaved with one score task per batch the baseline
+    # does not fully cover (all 13 when cold).
+    @pytest.mark.parametrize("budget", [0, 2, 4, 6, 8, 10, 14, 22, 10**6])
+    @pytest.mark.parametrize("mutated", [False, True], ids=["cold", "baseline"])
+    def test_stream_survives_pool_death_at_any_task(self, delta_representation, mutated, budget):
+        """A pool that dies before, inside or after the query fan-out hands
+        the rest of the run to the serial source: the stream equals the
+        serial one, with no duplicate or missing ``batch_index``."""
+        matcher = _DistanceMatcher()
+        knobs = dict(blocking=BlockingConfig(seed=19), k=4, batch_size=13)
+        runs = []
+        for _ in ("serial", "dying"):
+            domain = _fresh_tiny_domain()
+            store = ShardedEncodingStore(
+                delta_representation, domain.task, counters=EngineCounters(), shard_rows=8
+            )
+            baseline = None
+            if mutated:
+                capturing = resolve_delta(store, matcher, baseline=None, **knobs)
+                list(capturing.run())
+                baseline = capturing.baseline_out
+                delete_rows(domain, side="right", rows=2)
+                mutate_rows(domain, side="right", rows=2)
+                append_rows(domain, side="right", rows=5)  # < shard_rows: encoded inline
+            runs.append((store, baseline))
+
+        (store, baseline), (twin_store, twin_baseline) = runs
+        serial = list(resolve_delta(store, matcher, baseline=baseline, **knobs).run())
+        pool = _DyingPool(budget)
+        with pool_override(pool):
+            executor = resolve_delta(twin_store, matcher, baseline=twin_baseline, workers=2, **knobs)
+            resumed = list(executor.run())
+        assert pool.broken == pool.refused
+        # Every pooled run submits at least the probes and the calibration
+        # shard; how many tasks follow depends on the measured coarsening.
+        if budget <= 2:
+            assert pool.refused
+        if budget == 10**6:
+            assert not pool.refused
+        assert [b.batch_index for b in resumed] == list(range(len(resumed)))
+        assert _batch_rows(resumed) == _batch_rows(serial)
+        assert len(executor.baseline_out.scores) == sum(len(b) for b in serial)
 
 
 class TestBaselineHygiene:
@@ -595,8 +720,9 @@ class TestDeltaPlan:
         domain = _fresh_tiny_domain()
         planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
         base_right = len(domain.task.right) - 6
-        plan = planner.plan_delta(
-            base_left_rows=len(domain.task.left), base_right_rows=base_right, index_reusable=True
+        plan = planner.plan(
+            delta=DeltaBounds(base_left_rows=len(domain.task.left), base_right_rows=base_right),
+            index_reusable=True,
         )
         assert [stage.name for stage in plan.stages] == ["encode", "block", "score"]
         assert plan.workers == 1
@@ -614,12 +740,14 @@ class TestDeltaPlan:
         """Edits and deletions surface as patch/tombstone units in the graph."""
         domain = _fresh_tiny_domain()
         planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
-        plan = planner.plan_delta(
-            base_left_rows=len(domain.task.left),
-            base_right_rows=len(domain.task.right) - 5,
+        plan = planner.plan(
+            delta=DeltaBounds(
+                base_left_rows=len(domain.task.left),
+                base_right_rows=len(domain.task.right) - 5,
+                dirty_right_rows=3,
+                deleted_right_rows=2,
+            ),
             index_reusable=True,
-            dirty_right_rows=3,
-            deleted_right_rows=2,
         )
         assert plan.delta.dirty_right_rows == 3
         assert plan.delta.deleted_right_rows == 2
@@ -636,9 +764,11 @@ class TestDeltaPlan:
         encode units."""
         domain = _fresh_tiny_domain()
         planner = ResolutionPlanner(domain.task, k=4, batch_size=13, workers=2, shard_rows=8)
-        plan = planner.plan_delta(
-            base_left_rows=len(domain.task.left),
-            base_right_rows=len(domain.task.right) - 20,
+        plan = planner.plan(
+            delta=DeltaBounds(
+                base_left_rows=len(domain.task.left),
+                base_right_rows=len(domain.task.right) - 20,
+            ),
             index_reusable=True,
         )
         assert plan.workers == 2
@@ -650,18 +780,22 @@ class TestDeltaPlan:
 
     def test_delta_plan_without_baseline_is_cold(self):
         domain = _fresh_tiny_domain()
-        plan = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16).plan_delta()
-        assert plan.stage("block").units[0].name == "build right"
+        planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
+        plan = planner.plan(delta=DeltaBounds(0, 0))
+        # Nothing reusable: the block stage is the cold run's, unit for unit.
+        assert plan.stage("block") == planner.plan().stage("block")
+        assert plan.stage("block").units[0].name == "build right[0]"
         assert all(unit.rows > 0 for unit in plan.stage("encode").units)
         # Base rows are clamped into the table's range.
-        clamped = ResolutionPlanner(domain.task, shard_rows=16).plan_delta(10_000, -5)
+        clamped = ResolutionPlanner(domain.task, shard_rows=16).plan(delta=DeltaBounds(10_000, -5))
         assert clamped.delta.base_left_rows == len(domain.task.left)
         assert clamped.delta.base_right_rows == 0
 
     def test_delta_plan_describe_mentions_delta(self):
         domain = _fresh_tiny_domain()
-        plan = ResolutionPlanner(domain.task, k=4, shard_rows=16).plan_delta(
-            base_left_rows=len(domain.task.left), base_right_rows=30, index_reusable=True
+        plan = ResolutionPlanner(domain.task, k=4, shard_rows=16).plan(
+            delta=DeltaBounds(base_left_rows=len(domain.task.left), base_right_rows=30),
+            index_reusable=True,
         )
         text = plan.describe()
         assert "delta:" in text and "extend right" in text

@@ -67,6 +67,26 @@ class TestPlannerGraph:
         with pytest.raises(KeyError):
             plan.stage("transmogrify")
 
+    def test_cold_plan_units(self, tiny_domain):
+        """The cold graph (``plan()`` without ``delta``), unit for unit."""
+        left, right = len(tiny_domain.task.left), len(tiny_domain.task.right)
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, shard_rows=16).plan()
+        assert plan.delta is None
+        assert [(u.name, u.rows, u.detail) for u in plan.stage("encode").units] == [
+            ("left", left, "IR transform + VAE forward"),
+            ("right", right, "IR transform + VAE forward"),
+        ]
+        assert [(u.name, u.rows, u.detail) for u in plan.stage("block").units] == [
+            (f"build right[{i}]", min(16, right - s), f"hash rows {s}..{min(s + 16, right)}")
+            for i, s in enumerate(range(0, right, 16))
+        ] + [
+            (f"query left[{i}]", min(16, left - s), f"top-5 rows {s}..{min(s + 16, left)}")
+            for i, s in enumerate(range(0, left, 16))
+        ]
+        assert [(u.name, u.rows, u.detail) for u in plan.stage("score").units] == [
+            ("batches", 0, f"streaming, <={plan.max_batches()} batches of <=32 pairs"),
+        ]
+
     def test_bounds_cover_both_tables(self, tiny_domain):
         plan = ResolutionPlanner(tiny_domain.task, shard_rows=16).plan()
         assert plan.query_bounds[0].start == 0

@@ -12,7 +12,7 @@ from repro.engine import (
     merge_scored_batches,
     resolve_stream,
 )
-from repro.eval.timing import EngineCounters, ShardTimings
+from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
 from repro.exceptions import StaleEncodingError
 
 
@@ -73,15 +73,31 @@ class TestResolveSharded:
         with pytest.raises(ValueError):
             resolve_stream(store, matcher, batch_size=8, workers=0)
 
-    def test_incremental_rejects_a_shard_timings_sink(self, sharded_pipeline, tmp_path):
-        """The delta engine has no per-batch sink: a passed one is refused at
-        the call (not silently dropped, not deferred to the first batch)."""
-        with pytest.raises(ValueError, match="shard_timings"):
-            sharded_pipeline.resolve_stream(incremental=True, shard_timings=ShardTimings())
-        with pytest.raises(ValueError, match="shard_timings"):
-            sharded_pipeline.resolve_distributed(
-                queue_dir=tmp_path, incremental=True, shard_timings=ShardTimings()
+    def test_incremental_fills_a_shard_timings_sink(self, sharded_pipeline):
+        """The one executor records per-batch rows in every mode: an
+        incremental run fills the sink exactly like a cold one."""
+        sink = ShardTimings()
+        stream = merge_scored_batches(
+            sharded_pipeline.resolve_stream(k=5, batch_size=13, incremental=True, shard_timings=sink)
+        )
+        assert len(sink) > 0 and sink.total_pairs() == len(stream)
+
+    def test_timing_sinks_do_not_change_what_the_store_does(self, sharded_pipeline, tiny_domain):
+        """Observability arguments must not decide when the store encodes:
+        the counters after a drained resolve are the same with and without
+        ``stage_timings`` / ``shard_timings``."""
+        def drained(**sinks):
+            store = ShardedEncodingStore(
+                sharded_pipeline.representation, tiny_domain.task,
+                counters=EngineCounters(), shard_rows=16,
             )
+            list(resolve_stream(store, sharded_pipeline.matcher, k=5, batch_size=13, **sinks))
+            return store.stats()
+
+        bare = drained()
+        assert drained(stage_timings=StageTimings()) == bare
+        assert drained(shard_timings=ShardTimings()) == bare
+        assert drained(stage_timings=StageTimings(), shard_timings=ShardTimings()) == bare
 
     def test_single_worker_equals_stream(self, sharded_pipeline):
         streamed = merge_scored_batches(
@@ -97,19 +113,6 @@ class TestResolveSharded:
         assert [p.key() for p in serial.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(serial.probabilities, streamed.probabilities)
         assert len(timings) > 0 and timings.total_pairs() == len(serial)
-
-    def test_two_workers_byte_identical_to_stream(self, sharded_pipeline):
-        streamed = merge_scored_batches(
-            resolve_stream(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13)
-        )
-        parallel = merge_scored_batches(
-            resolve_stream(
-                sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13, workers=2
-            )
-        )
-        assert [p.key() for p in parallel.pairs] == [p.key() for p in streamed.pairs]
-        np.testing.assert_array_equal(parallel.probabilities, streamed.probabilities)
-        assert {p.key() for p in parallel.matches()} == {p.key() for p in streamed.matches()}
 
     def test_interleaved_parallel_streams_do_not_cross_wires(self, sharded_pipeline):
         """Two concurrent sharded resolves over one process stay independent."""
