@@ -34,12 +34,12 @@ import numpy as np
 from repro.blocking import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     encoding_fingerprint,
     sharded_candidate_pairs,
 )
-from repro.engine.shard import pool_kind_default, shutdown_pools
+from repro.engine.shard import fork_pool_available, shutdown_pools
 from repro.eval.harness import fit_representation
 from repro.eval.timing import EngineCounters, StageTimings
 
@@ -96,7 +96,7 @@ def _best_of(runs: int, fn):
 def test_blocking_scaling(domains, harness_config):
     domain = domains["restaurants"]
     representation, _ = fit_representation(domain, harness_config)
-    store = ShardedEncodingStore(
+    store = EncodingStore(
         representation, domain.task, counters=EngineCounters(), shard_rows=CHUNK_ROWS
     )
     left = store.table_encodings("left")
@@ -195,7 +195,7 @@ def test_blocking_scaling(domains, harness_config):
         "shard_rows": CHUNK_ROWS,
         "left_rows": len(query_keys),
         "right_rows": len(index_keys),
-        "pool_kind": pool_kind_default(),
+        "pool_kind": "fork" if fork_pool_available() else "thread",
         "candidate_pairs": len(reference_keys),
         "serial_reference_seconds": reference_seconds,
         "workers": {str(workers): row for workers, row in sweep.items()},

@@ -29,8 +29,8 @@ import numpy as np
 from repro.config import BlockingConfig
 from repro.data.generators import append_rows
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
     resolve_stream,
@@ -68,7 +68,7 @@ def test_delta_scaling(harness_config):
 
     with tempfile.TemporaryDirectory(prefix="delta-bench-cache") as tmp:
         cache = PersistentEncodingCache(Path(tmp), chunk_rows=CHUNK_ROWS)
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             representation, domain.task,
             counters=EngineCounters(), persistent=cache, shard_rows=CHUNK_ROWS,
         )
@@ -121,7 +121,7 @@ def test_delta_scaling(harness_config):
 
         # Cold reference on the fully grown table: a fresh store with a cold
         # cache must encode both whole tables from scratch.
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=CHUNK_ROWS
         )
         start = time.perf_counter()

@@ -41,7 +41,7 @@ from repro.config import VAEConfig
 from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, load_domain
-from repro.distrib import FileLeaseQueue, Worker
+from repro.distrib import DistributedRuntime, FileLeaseQueue, Worker
 from repro.eval.timing import StageTimings
 
 REQUIRE_SPEEDUP = bool(os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP", "").strip())
@@ -194,12 +194,12 @@ def test_distrib_determinism_and_scaling(tmp_path):
             else:
                 live, stop_live = _start_thread_workers(queue_dir, workers)
             stage = StageTimings()
+            options = {"lease_timeout": 0.5} if kill_run else {}
             try:
-                distributed = list(model.resolve_distributed(
-                    workers=workers, queue_dir=queue_dir, k=k,
-                    batch_size=batch_size, stage_timings=stage,
-                    lease_timeout=0.5 if kill_run else None,
-                ))
+                with DistributedRuntime.file_queue(queue_dir, workers=workers, **options) as runtime:
+                    distributed = list(model.resolve_stream(
+                        pool=runtime.pool, k=k, batch_size=batch_size, stage_timings=stage,
+                    ))
             finally:
                 stop_live()
                 if kill_run:
@@ -251,10 +251,10 @@ def test_distrib_determinism_and_scaling(tmp_path):
         stage = StageTimings()
         try:
             started = time.perf_counter()
-            distributed = list(model.resolve_distributed(
-                workers=workers, queue_dir=queue_dir, k=k,
-                batch_size=batch_size, stage_timings=stage,
-            ))
+            with DistributedRuntime.file_queue(queue_dir, workers=workers) as runtime:
+                distributed = list(model.resolve_stream(
+                    pool=runtime.pool, k=k, batch_size=batch_size, stage_timings=stage,
+                ))
             wall = time.perf_counter() - started
         finally:
             stop()

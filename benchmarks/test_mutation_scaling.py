@@ -33,8 +33,8 @@ import numpy as np
 from repro.config import BlockingConfig
 from repro.data.generators import append_rows, delete_rows, load_domain, mutate_rows
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
     resolve_stream,
@@ -72,7 +72,7 @@ def test_mutation_scaling(harness_config):
 
     with tempfile.TemporaryDirectory(prefix="mutation-bench-cache") as tmp:
         cache = PersistentEncodingCache(Path(tmp), chunk_rows=CHUNK_ROWS)
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             representation, domain.task,
             counters=EngineCounters(), persistent=cache, shard_rows=CHUNK_ROWS,
         )
@@ -142,7 +142,7 @@ def test_mutation_scaling(harness_config):
 
         # Cold reference on the fully mutated table: a fresh store with a
         # cold cache must encode both whole tables from scratch.
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=CHUNK_ROWS
         )
         start = time.perf_counter()

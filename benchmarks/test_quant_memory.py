@@ -38,8 +38,8 @@ from repro.config import BlockingConfig, VAEConfig
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, load_domain
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
 )
@@ -81,7 +81,7 @@ def _dir_bytes(root: Path) -> int:
 
 def _resolve_with_codec(representation, domain, codec, cache_dir):
     cache = PersistentEncodingCache(cache_dir, chunk_rows=CHUNK_ROWS)
-    store = ShardedEncodingStore(
+    store = EncodingStore(
         representation, domain.task, counters=EngineCounters(),
         shard_rows=256, persistent=cache, codec=codec,
     )
@@ -96,7 +96,7 @@ def _resolve_with_codec(representation, domain, codec, cache_dir):
 def _warm_store(representation, domain, codec, cache_dir):
     """A fresh store after warm-loading both sides from the cache."""
     cache = PersistentEncodingCache(cache_dir, chunk_rows=CHUNK_ROWS)
-    store = ShardedEncodingStore(
+    store = EncodingStore(
         representation, domain.task, counters=EngineCounters(),
         shard_rows=256, persistent=cache, codec=codec,
     )

@@ -32,6 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.cli import _harness_config  # noqa: E402
 from repro.core import VAER  # noqa: E402
 from repro.data.generators import load_domain  # noqa: E402
+from repro.distrib import DistributedRuntime  # noqa: E402
 from repro.eval.timing import StageTimings  # noqa: E402
 
 SCALE = 0.4
@@ -105,10 +106,12 @@ def main() -> int:
         stage = StageTimings()
         try:
             started = time.perf_counter()
-            distributed = list(model.resolve_distributed(
-                workers=WORKERS, queue_dir=queue_dir, k=K, batch_size=BATCH,
-                stage_timings=stage, lease_timeout=LEASE_TIMEOUT,
-            ))
+            with DistributedRuntime.file_queue(
+                queue_dir, workers=WORKERS, lease_timeout=LEASE_TIMEOUT
+            ) as runtime:
+                distributed = list(model.resolve_stream(
+                    pool=runtime.pool, k=K, batch_size=BATCH, stage_timings=stage,
+                ))
             wall = time.perf_counter() - started
         finally:
             killer.join(timeout=130)

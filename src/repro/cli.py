@@ -234,14 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "shared queue, execute them against the shared encoding cache, "
              "publish content-addressed results.",
     )
-    transport = worker.add_mutually_exclusive_group(required=True)
-    transport.add_argument(
-        "--queue-dir", default=None,
-        help="File-lease queue directory (shared-filesystem transport).",
-    )
-    transport.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="Coordinator socket-queue address (TCP transport).",
+    worker.add_argument(
+        "--queue-dir", required=True,
+        help="File-lease queue directory, shared with the coordinator.",
     )
     worker.add_argument(
         "--poll-interval", type=float, default=None,
@@ -364,6 +359,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    import subprocess
+
     from repro.core import VAER
     from repro.data.generators import load_domain
     from repro.eval.reporting import format_engine_stats, format_shard_timings, format_stage_timings
@@ -393,89 +390,84 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     model.fit_representation(domain.task)
     model.fit_matcher(domain.splits.train, domain.splits.validation)
 
+    runtime = None
     worker_procs = []
-    if args.distributed:
-        import subprocess
+    def _drain(shard_timings, stage_timings):
+        """(candidates, matches, batches) of one fully drained resolve."""
+        candidates = matches = batches = 0
+        for batch in model.resolve_stream(
+            k=args.k, batch_size=args.batch_size, workers=args.workers,
+            shard_timings=shard_timings, stage_timings=stage_timings,
+            incremental=args.incremental, pool=runtime.pool if runtime else None,
+        ):
+            candidates += len(batch)
+            matches += len(batch.matches())
+            batches += 1
+        return candidates, matches, batches
 
-        for _ in range(args.distributed):
-            worker_procs.append(subprocess.Popen([
-                sys.executable, "-m", "repro", "worker",
-                "--queue-dir", args.queue_dir,
-            ]))
+    # The spawned workers serve forever: whatever raises from the first
+    # spawn on, reap them.
+    try:
+        if args.distributed:
+            from repro.distrib import DistributedRuntime
 
-    def _reap_workers():
+            runtime = DistributedRuntime.file_queue(args.queue_dir, workers=args.distributed)
+            for _ in range(args.distributed):
+                worker_procs.append(subprocess.Popen([
+                    sys.executable, "-m", "repro", "worker",
+                    "--queue-dir", args.queue_dir,
+                ]))
+
+        timings = ShardTimings()
+        stage_timings = StageTimings()
+        candidates, matches, batches = _drain(timings, stage_timings)
+
+        print(
+            f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
+            f"workers={args.distributed or args.workers} codec={model.codec}"
+            + (" transport=file-queue" if args.distributed else "")
+        )
+        print(f"  candidate pairs scored: {candidates} (in {batches} batches)")
+        print(f"  predicted matches:      {matches} (threshold {model.threshold:.2f})")
+        if args.cache_dir:
+            print(f"  encoding cache:         {args.cache_dir}")
+
+        if args.incremental:
+            from repro.data.generators import append_rows, delete_rows, mutate_rows
+
+            mutations = []
+            if args.edit_rows:
+                mutate_rows(domain, side="right", rows=args.edit_rows)
+                mutations.append(f"{args.edit_rows} edited")
+            if args.delete_rows:
+                delete_rows(domain, side="right", rows=args.delete_rows)
+                mutations.append(f"{args.delete_rows} deleted")
+            if args.append_rows:
+                append_rows(domain, side="right", rows=args.append_rows)
+                mutations.append(f"{args.append_rows} appended")
+            reset_engine_counters()
+            delta_timings = StageTimings()
+            candidates, matches, _ = _drain(None, delta_timings)
+            print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
+            print(f"  candidate pairs:        {candidates}")
+            print(f"  predicted matches:      {matches}")
+            print(f"  rows re-encoded:        {delta_timings.counter('rows_reencoded')}")
+            print(f"  rows tombstoned:        {delta_timings.counter('rows_tombstoned')}")
+            print(f"  pairs rescored:         {delta_timings.counter('pairs_rescored')} "
+                  f"(of {candidates} candidates)")
+            print("\nDelta-stage timings\n")
+            print(format_stage_timings(delta_timings))
+    finally:
+        if runtime is not None:
+            runtime.close()
         for proc in worker_procs:
             proc.terminate()
         for proc in worker_procs:
             try:
                 proc.wait(timeout=10)
-            except Exception:  # pragma: no cover - stuck worker
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 proc.kill()
 
-    def _drain(shard_timings, stage_timings):
-        """(candidates, matches, batches) of one fully drained resolve."""
-        options = dict(
-            k=args.k, batch_size=args.batch_size, shard_timings=shard_timings,
-            stage_timings=stage_timings, incremental=args.incremental,
-        )
-        if args.distributed:
-            stream = model.resolve_distributed(
-                workers=args.distributed, queue_dir=args.queue_dir, **options
-            )
-        else:
-            stream = model.resolve_stream(workers=args.workers, **options)
-        candidates = matches = batches = 0
-        try:
-            for batch in stream:
-                candidates += len(batch)
-                matches += len(batch.matches())
-                batches += 1
-        except BaseException:
-            _reap_workers()
-            raise
-        return candidates, matches, batches
-
-    timings = ShardTimings()
-    stage_timings = StageTimings()
-    candidates, matches, batches = _drain(timings, stage_timings)
-
-    print(
-        f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
-        f"workers={args.distributed or args.workers} codec={model.codec}"
-        + (" transport=file-queue" if args.distributed else "")
-    )
-    print(f"  candidate pairs scored: {candidates} (in {batches} batches)")
-    print(f"  predicted matches:      {matches} (threshold {model.threshold:.2f})")
-    if args.cache_dir:
-        print(f"  encoding cache:         {args.cache_dir}")
-
-    if args.incremental:
-        from repro.data.generators import append_rows, delete_rows, mutate_rows
-
-        mutations = []
-        if args.edit_rows:
-            mutate_rows(domain, side="right", rows=args.edit_rows)
-            mutations.append(f"{args.edit_rows} edited")
-        if args.delete_rows:
-            delete_rows(domain, side="right", rows=args.delete_rows)
-            mutations.append(f"{args.delete_rows} deleted")
-        if args.append_rows:
-            append_rows(domain, side="right", rows=args.append_rows)
-            mutations.append(f"{args.append_rows} appended")
-        reset_engine_counters()
-        delta_timings = StageTimings()
-        candidates, matches, _ = _drain(None, delta_timings)
-        print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
-        print(f"  candidate pairs:        {candidates}")
-        print(f"  predicted matches:      {matches}")
-        print(f"  rows re-encoded:        {delta_timings.counter('rows_reencoded')}")
-        print(f"  rows tombstoned:        {delta_timings.counter('rows_tombstoned')}")
-        print(f"  pairs rescored:         {delta_timings.counter('pairs_rescored')} "
-              f"(of {candidates} candidates)")
-        print("\nDelta-stage timings\n")
-        print(format_stage_timings(delta_timings))
-
-    _reap_workers()
     print("\nEngine cache statistics\n")
     print(format_engine_stats())
     print("\nPer-stage timings (encode -> block -> score, plus dispatch/IPC/merge for pooled runs)\n")
@@ -608,8 +600,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
     try:
         executed = run_worker(
-            queue_dir=args.queue_dir,
-            connect=args.connect,
+            args.queue_dir,
             poll_interval=(
                 args.poll_interval if args.poll_interval is not None else DEFAULT_POLL_INTERVAL
             ),
@@ -623,9 +614,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         return 0
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     print(f"worker exiting: {executed} unit(s) executed")
     return 0
 

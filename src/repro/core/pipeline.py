@@ -28,8 +28,8 @@ replaced whenever a new representation is fitted or adopted:
   no stage ever re-tokenizes or re-encodes a record the store already holds;
 * :meth:`resolve_stream` chunks the same flow so candidate scoring runs in
   bounded-memory batches for inputs too large to score at once; with
-  ``workers > 1`` the batches are scored in parallel across a worker pool
-  with byte-identical results;
+  ``workers > 1`` (or a supplied ``pool=``) the batches are scored in
+  parallel across a worker pool with byte-identical results;
 * a ``cache_dir`` attaches a :class:`repro.engine.PersistentEncodingCache`
   to the store, so repeated runs on the same task and representation load
   table encodings from disk instead of recomputing them.
@@ -61,7 +61,7 @@ from repro.engine import (
     ResolutionPlan,
     ResolutionPlanner,
     ScoredPairs,
-    ShardedEncodingStore,
+    WorkerPool,
     resolve_delta,
     resolve_stream,
 )
@@ -151,7 +151,7 @@ class VAER:
             persistent = (
                 PersistentEncodingCache(self.cache_dir) if self.cache_dir is not None else None
             )
-            self._store = ShardedEncodingStore(
+            self._store = EncodingStore(
                 representation,
                 self.task,
                 persistent=persistent,
@@ -280,6 +280,7 @@ class VAER:
         shard_timings: Optional[ShardTimings] = None,
         stage_timings: Optional[StageTimings] = None,
         incremental: bool = False,
+        pool: Optional[WorkerPool] = None,
     ) -> Iterator[ResolutionBatch]:
         """Chunked ER pass: score candidates in bounded-memory batches.
 
@@ -290,12 +291,24 @@ class VAER:
         memory.
 
         With ``workers > 1`` both the LSH blocking queries and the batch
-        scoring run concurrently on a worker pool through the plan/execute
-        engine (:func:`repro.engine.resolve_stream`) and merge back in
-        order; the yielded sequence is byte-identical to the single-process
-        stream.  ``shard_timings`` optionally collects per-batch worker
-        timings; ``stage_timings`` collects per-stage (encode/block/score)
-        compute seconds.
+        scoring run concurrently on the cached local worker pool through the
+        plan/execute engine (:func:`repro.engine.resolve_stream`) and merge
+        back in order; the yielded sequence is byte-identical to the
+        single-process stream.  ``shard_timings`` optionally collects
+        per-batch worker timings; ``stage_timings`` collects per-stage
+        (encode/block/score) compute seconds.
+
+        ``pool`` runs the same stage units on a pool of the caller's instead
+        (and sizes the plan by its worker count).  With
+        ``pool=runtime.pool`` of a :class:`repro.distrib.DistributedRuntime`
+        that is the distributed resolve: worker *processes or hosts* started
+        with ``python -m repro worker --queue-dir <dir>`` claim leased units,
+        attach published stage state (cache-resident encodings load
+        codec-aware from the shared :class:`PersistentEncodingCache`) and
+        publish content-addressed results; expired leases re-dispatch, and a
+        fully dead fleet degrades to the serial schedule here.  The stream
+        stays byte-identical to the serial one; the pool is the caller's to
+        shut down.
 
         With ``incremental=True`` the same executor resolves against the
         baseline captured by the previous incremental run: the first such
@@ -313,6 +326,7 @@ class VAER:
             workers=workers,
             shard_timings=shard_timings,
             stage_timings=stage_timings,
+            pool=pool,
         )
         if not incremental:
             return resolve_stream(self.store, matcher, **options)
@@ -331,6 +345,7 @@ class VAER:
         batch_size: int = 2048,
         stage_timings: Optional[StageTimings] = None,
         workers: int = 1,
+        pool: Optional[WorkerPool] = None,
     ) -> Iterator[ResolutionBatch]:
         """Incremental ER pass: pay only for rows mutated since the last one.
 
@@ -361,105 +376,13 @@ class VAER:
         baseline is refreshed when the stream is fully drained (an abandoned
         stream keeps the previous baseline).  Refitting the representation
         or matcher invalidates the affected parts automatically.  With
-        ``workers > 1`` tail encodes, query shards and score batches run on
-        the worker pool.
+        ``workers > 1`` (or a supplied ``pool``) tail encodes, query shards
+        and score batches run on the worker pool.
         """
         return self.resolve_stream(
             k=k, batch_size=batch_size, workers=workers,
-            stage_timings=stage_timings, incremental=True,
+            stage_timings=stage_timings, incremental=True, pool=pool,
         )
-
-    def resolve_distributed(
-        self,
-        workers: int = 2,
-        queue_dir: Optional[Union[str, Path]] = None,
-        runtime: Optional[object] = None,
-        k: Optional[int] = None,
-        batch_size: int = 2048,
-        shard_timings: Optional[ShardTimings] = None,
-        stage_timings: Optional[StageTimings] = None,
-        incremental: bool = False,
-        lease_timeout: Optional[float] = None,
-        job_id: Optional[str] = None,
-    ) -> Iterator[ResolutionBatch]:
-        """Resolve across worker *processes or hosts* sharing the cache dir.
-
-        The same plan/execute engine as :meth:`resolve_stream` runs, but
-        its stage units — LSH partial-bucket builds, query shards, score
-        batches and (on ``incremental`` runs) tail encode ranges — are
-        dispatched through a :class:`repro.distrib.DistributedRuntime`
-        instead of a local pool: workers claim leased units from the queue,
-        attach published stage state (cache-resident encodings load
-        codec-aware from the shared :class:`PersistentEncodingCache`), and
-        publish content-addressed results the coordinator validates by
-        fingerprint and merges in deterministic ``(batch_index,
-        pair_index)`` order.  The yielded stream is byte-identical to the
-        serial :meth:`resolve_stream` over the same store, whatever the
-        worker count, and survives worker crashes: expired leases re-
-        dispatch, and a fully dead fleet degrades to the coordinator's
-        serial schedule.
-
-        Pass either an existing ``runtime`` (kept open for the caller) or a
-        ``queue_dir`` to build a file-lease runtime for this run; start
-        workers with ``python -m repro worker --queue-dir <dir>``.
-        ``workers == 1`` degenerates to the local serial schedule — real
-        distribution needs at least two planned workers.
-        """
-        from repro.distrib import CacheRef, DistributedRuntime
-
-        self._require_matcher()
-        k = k or self.config.active_learning.top_neighbours
-        own_runtime = runtime is None
-        if own_runtime:
-            if queue_dir is None:
-                raise ValueError("resolve_distributed needs a queue_dir or a runtime")
-            options: Dict[str, object] = {
-                "workers": workers,
-                "cache_dir": self.cache_dir,
-                "stage_timings": stage_timings,
-            }
-            if lease_timeout is not None:
-                options["lease_timeout"] = lease_timeout
-            if job_id is not None:
-                options["job_id"] = job_id
-            runtime = DistributedRuntime.file_queue(queue_dir, **options)
-        elif stage_timings is not None:
-            runtime.coordinator.stage_timings = stage_timings
-        if self.cache_dir is not None:
-            # Warm (and write through) both sides, then register the cached
-            # IR arrays so published score states ship tiny cache references
-            # instead of the arrays themselves.
-            store = self.store
-            version = self._require_representation().encoding_version
-            for side in ("left", "right"):
-                encodings = store.table_encodings(side)
-                runtime.add_cache_ref(
-                    encodings.irs,
-                    CacheRef(
-                        task_name=self.task.name,
-                        side=side,
-                        encoding_version=version,
-                        fingerprint=store.table_fingerprint(side),
-                        array="irs",
-                    ),
-                )
-
-        def stream() -> Iterator[ResolutionBatch]:
-            try:
-                with runtime.activate():
-                    yield from self.resolve_stream(
-                        k=k,
-                        batch_size=batch_size,
-                        workers=runtime.workers,
-                        shard_timings=shard_timings,
-                        stage_timings=stage_timings,
-                        incremental=incremental,
-                    )
-            finally:
-                if own_runtime:
-                    runtime.close()
-
-        return stream()
 
     @property
     def baseline(self) -> Optional[ResolutionBaseline]:

@@ -3,16 +3,18 @@
 A coordinator/worker execution layer that partitions the plan/execute
 engine's stage units — LSH partial-bucket builds, query shards, score
 batches, delta encode ranges — across N worker processes or hosts that
-share only a cache directory (and, optionally, a TCP connection).  See
-:mod:`repro.distrib.coordinator` for the execution model,
-:mod:`repro.distrib.queue` for the two transports and
+share only a filesystem (the queue directory and, when one is used, the
+encoding cache directory).  :class:`DistributedPool` is a
+:class:`repro.engine.WorkerPool`: pass it as ``pool=`` and the one executor
+runs its units there.  See :mod:`repro.distrib.coordinator` for the
+execution model, :mod:`repro.distrib.queue` for the lease queue and
 :mod:`repro.distrib.artifacts` for the content-addressed data plane.
 
 Typical use::
 
     runtime = DistributedRuntime.file_queue("/shared/queue", workers=4)
     # start workers:  python -m repro worker --queue-dir /shared/queue
-    for batch in model.resolve_distributed(runtime=runtime):
+    for batch in model.resolve_stream(pool=runtime.pool):
         ...
     runtime.close()
 
@@ -38,13 +40,8 @@ from repro.distrib.coordinator import (
     DistributedPool,
     DistributedRuntime,
 )
-from repro.distrib.queue import (
-    FileLeaseQueue,
-    SocketQueueClient,
-    SocketWorkQueue,
-    WorkUnit,
-)
-from repro.distrib.worker import Worker, make_queue_client, run_worker
+from repro.distrib.queue import FileLeaseQueue, WorkUnit
+from repro.distrib.worker import Worker, run_worker
 
 __all__ = [
     "CacheRef",
@@ -55,15 +52,12 @@ __all__ = [
     "DistributedPool",
     "DistributedRuntime",
     "FileLeaseQueue",
-    "SocketQueueClient",
-    "SocketWorkQueue",
     "WorkUnit",
     "Worker",
     "blob_crc",
     "dump_object",
     "find_blob",
     "load_object",
-    "make_queue_client",
     "read_blob",
     "run_worker",
     "write_blob",

@@ -195,8 +195,8 @@ class DistribStateSpec:
     ``path`` is the state blob (content-addressed, so the path doubles as
     the state's identity); ``refs`` lists attributes that were stripped
     before pickling and must be re-attached from the shared cache at
-    ``cache_dir``.  ``attach`` is the hook
-    :func:`repro.engine.shard.worker_state` duck-types on.
+    ``cache_dir``.  ``attach`` is what
+    :func:`repro.engine.shard.worker_state` calls in the worker.
     """
 
     path: str

@@ -7,13 +7,14 @@ baseline — already decomposes a
 partial-bucket builds (``_hash_task``), query shards (``_query_task``),
 score batches (``_score_task``), delta encode ranges
 (``_encode_range_task``) — and already merges results deterministically by
-``(batch_index, pair_index)``.  What it needs from a pool is exactly three
-things: ``submit(fn, *args) -> Future``, a ``broken`` flag, and a way to
-publish stage state.  :class:`DistributedPool` provides those over a
-:class:`Coordinator`, and :func:`repro.engine.shard.pool_override` routes
-the executor to it — so a distributed run executes the *same* unit graph
-as a local pooled run, merged by the *same* code, and inherits its
-byte-identity contract with the serial stream.
+``(batch_index, pair_index)``.  What it needs from a pool is the
+:class:`~repro.engine.shard.WorkerPool` seam: ``submit(fn, *args) ->
+Future``, a ``broken`` flag, a way to publish stage state, and one hook per
+run.  :class:`DistributedPool` implements it over a :class:`Coordinator`,
+and a caller hands it to the engine like any other pool
+(``model.resolve_stream(pool=runtime.pool)``) — so a distributed run
+executes the *same* unit graph as a local pooled run, merged by the *same*
+code, and inherits its byte-identity contract with the serial stream.
 
 The coordinator's own job is delivery, not computation:
 
@@ -44,7 +45,7 @@ import time
 import zlib
 from concurrent.futures import BrokenExecutor, Future
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.distrib.artifacts import (
     CacheRef,
@@ -54,8 +55,8 @@ from repro.distrib.artifacts import (
     strip_cache_refs,
     write_blob,
 )
-from repro.distrib.queue import FileLeaseQueue, SocketWorkQueue
-from repro.engine.shard import WorkerPool, pool_override
+from repro.distrib.queue import FileLeaseQueue
+from repro.engine.shard import StateHandle, WorkerPool
 
 #: Default seconds without a heartbeat before a lease is considered dead.
 DEFAULT_LEASE_TIMEOUT = 10.0
@@ -68,11 +69,12 @@ class _UnitRecord:
     """Coordinator-side bookkeeping of one in-flight unit."""
 
     __slots__ = (
-        "unit_id", "future", "enqueued_at", "attempts", "lease_seen_at", "label",
+        "unit_id", "base", "future", "enqueued_at", "attempts", "lease_seen_at", "label",
     )
 
-    def __init__(self, unit_id: str, future: Future, label: str) -> None:
+    def __init__(self, unit_id: str, base: str, future: Future, label: str) -> None:
         self.unit_id = unit_id
+        self.base = base
         self.future = future
         self.enqueued_at = time.monotonic()
         self.attempts = 0
@@ -89,7 +91,6 @@ class Coordinator:
         state_dir: Union[str, Path],
         *,
         job_id: Optional[str] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
         poll_interval: float = 0.02,
@@ -103,15 +104,25 @@ class Coordinator:
         self.queue = queue
         self.state_dir = Path(state_dir)
         self.job_id = job_id or f"job-{os.getpid():x}-{int(time.time() * 1000):x}"
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
+        #: Directory of the shared encoding cache workers resolve cache refs
+        #: in: that of the last cache-backed store :meth:`begin_run` saw.
+        self.cache_dir: Optional[str] = None
         self.lease_timeout = float(lease_timeout)
         self.max_retries = int(max_retries)
         self.poll_interval = float(poll_interval)
         self.claim_timeout = claim_timeout
         self.stage_timings = stage_timings
+        #: Units in flight only: a record leaves when its future completes.
         self._records: Dict[str, _UnitRecord] = {}
+        #: Runs begun on this coordinator, and submissions per unit-id base
+        #: within the current one (together the ``-rRUN.N`` suffix);
+        #: :meth:`begin_run` forgets bases no longer in flight.
+        self._run = 0
         self._issued: Dict[str, int] = {}
-        self._cache_refs: List[Tuple[object, CacheRef]] = []
+        #: ``(task, side, array name) -> (array, ref)``.  The pinned array
+        #: is what makes ``id()`` matching in ``strip_cache_refs`` safe, so
+        #: an entry and its reference are always replaced together.
+        self._cache_refs: Dict[Tuple[str, str, str], Tuple[object, CacheRef]] = {}
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._closed = False
@@ -132,20 +143,43 @@ class Coordinator:
             self.stage_timings.record_counter(name, value)
 
     # ------------------------------------------------------------------
-    # State publication (the DistributedPool delegates here)
+    # Per-run hook and state publication (the DistributedPool delegates here)
     # ------------------------------------------------------------------
-    def add_cache_ref(self, array: object, ref: CacheRef) -> None:
-        """Register an array the shared cache already holds.
+    def begin_run(self, store, stage_timings) -> None:
+        """Adopt one resolve's timing sink and its store's cache-resident arrays.
 
-        Published states carrying that exact array (by identity) ship a
+        With a persistent cache on the store, both sides are encoded (and
+        written through) here and their IR arrays registered: published
+        states carrying that exact array (by identity) ship a
         :class:`CacheRef` instead of the bytes, and workers re-attach it
-        through the shared cache's codec-aware loader.
+        through the shared cache's codec-aware loader.  Registration is per
+        ``(task, side, array)``, so a later run's arrays replace — and
+        un-pin — the ones they supersede.
         """
-        self._cache_refs.append((array, ref))
+        self.stage_timings = stage_timings
+        with self._lock:
+            self._run += 1
+            live = {record.base for record in self._records.values()}
+            self._issued = {base: n for base, n in self._issued.items() if base in live}
+        if store.persistent is None:
+            return
+        self.cache_dir = str(store.persistent.directory)
+        for side in ("left", "right"):
+            encodings = store.table_encodings(side)
+            self._cache_refs[(store.task.name, side, "irs")] = (
+                encodings.irs,
+                CacheRef(
+                    task_name=store.task.name,
+                    side=side,
+                    encoding_version=store.representation.encoding_version,
+                    fingerprint=store.table_fingerprint(side),
+                    array="irs",
+                ),
+            )
 
-    def publish_state(self, token: str, state: object) -> DistribStateSpec:
+    def publish_state(self, state: object) -> DistribStateSpec:
         started = time.perf_counter()
-        stripped, refs = strip_cache_refs(state, self._cache_refs)
+        stripped, refs = strip_cache_refs(state, self._cache_refs.values())
         path = write_blob(self.state_dir, "state", dump_object(stripped))
         self._record_stage("dispatch", time.perf_counter() - started)
         return DistribStateSpec(path=str(path), cache_dir=self.cache_dir, refs=refs)
@@ -160,12 +194,13 @@ class Coordinator:
         started = time.perf_counter()
         future: Future = Future()
         future.set_running_or_notify_cancel()
-        unit_id = self._unit_id(fn, args, kwargs)
+        unit_id, base = self._unit_id(fn, args, kwargs)
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
-            record = _UnitRecord(unit_id, future, label=getattr(fn, "__name__", str(fn)))
+            record = _UnitRecord(unit_id, base, future, label=getattr(fn, "__name__", str(fn)))
             self._records[unit_id] = record
+        future.add_done_callback(lambda _: self._forget(unit_id))
         resumed = self._try_adopt(record)
         if not resumed:
             self.queue.submit(unit_id, dump_object((fn, args, kwargs)))
@@ -176,34 +211,38 @@ class Coordinator:
         self._wake.set()
         return future
 
-    def _unit_id(self, fn, args, kwargs) -> str:
-        """Deterministic unit identity: job + function + argument content.
+    def _forget(self, unit_id: str) -> None:
+        """Drop a unit whose future completed (delivered, failed or cancelled)."""
+        with self._lock:
+            self._records.pop(unit_id, None)
 
-        :class:`~repro.engine.shard.StateHandle` arguments are identified
-        by their published artifact path (content-addressed) rather than
-        their process-local token, so the same logical unit re-submitted by
-        a restarted coordinator maps to the same id — the hook that lets a
-        restart adopt completed results instead of recomputing them.
+    def _unit_id(self, fn, args, kwargs) -> Tuple[str, str]:
+        """Deterministic unit identity (and its repeat-free base): job +
+        function + argument content.
+
+        A :class:`~repro.engine.shard.StateHandle` argument carries nothing
+        but its state's artifact path (content-addressed) and cache refs, so
+        the same logical unit re-submitted by a restarted coordinator maps
+        to the same id — the hook that lets a restart adopt completed
+        results instead of recomputing them.
         """
-        logical: List[object] = [getattr(fn, "__module__", ""), getattr(fn, "__qualname__", str(fn))]
-        for arg in args:
-            spec = getattr(arg, "spec", None)
-            if getattr(arg, "token", None) is not None and isinstance(spec, DistribStateSpec):
-                logical.append(("state", spec.path, spec.refs))
-            else:
-                logical.append(arg)
-        logical.append(tuple(sorted(kwargs.items())))
-        crc = zlib.crc32(dump_object(tuple(logical))) & 0xFFFFFFFF
+        logical = (
+            getattr(fn, "__module__", ""), getattr(fn, "__qualname__", str(fn)),
+            args, tuple(sorted(kwargs.items())),
+        )
+        crc = zlib.crc32(dump_object(logical)) & 0xFFFFFFFF
         name = getattr(fn, "__name__", "unit").replace("_", "")
         base = f"{self.job_id}-{name}-{crc:08x}"
         with self._lock:
+            run = self._run
             repeat = self._issued.get(base, 0)
             self._issued[base] = repeat + 1
-        # Re-submissions of an identical logical unit within one run (the
-        # executor's dispatch calibration no-ops) get a fresh identity so
-        # each measures a real round trip; the first instance keeps the
-        # restart-stable id.
-        return base if repeat == 0 else f"{base}-r{repeat}"
+        # Only the first instance in a coordinator's first run keeps the
+        # restart-stable id.  Re-submissions of an identical logical unit —
+        # within one run (the executor's dispatch calibration no-ops) or by
+        # a later run of a long-lived runtime — get a fresh identity, so
+        # each is a real round trip and never adopts an earlier result.
+        return (base if run <= 1 and repeat == 0 else f"{base}-r{run}.{repeat}"), base
 
     def _try_adopt(self, record: _UnitRecord) -> bool:
         """Adopt a result a previous coordinator run already completed."""
@@ -233,7 +272,7 @@ class Coordinator:
             with self._lock:
                 if self._closed:
                     return
-                pending = [r for r in self._records.values() if not r.future.done()]
+                pending = list(self._records.values())
             for record in pending:
                 try:
                     self._poll_unit(record)
@@ -316,7 +355,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     def pending_units(self) -> int:
         with self._lock:
-            return sum(1 for r in self._records.values() if not r.future.done())
+            return len(self._records)
 
     def close(self) -> None:
         """Stop the poll loop and cancel anything still outstanding."""
@@ -335,26 +374,28 @@ class Coordinator:
 
 
 class DistributedPool(WorkerPool):
-    """A :class:`~repro.engine.shard.WorkerPool` facade over a coordinator.
+    """The :class:`~repro.engine.shard.WorkerPool` over a coordinator.
 
-    Installed via :func:`repro.engine.shard.pool_override`, it receives the
-    executor's stage units verbatim.  ``publish_state`` is the hook
-    :func:`~repro.engine.shard.publish_worker_state` duck-types on; the
-    engine never touches ``executor`` (``submit`` is overridden), so none
-    exists.
+    Passed to the engine as ``pool=``, it receives the executor's stage
+    units verbatim; stage state is published as content-addressed artifacts
+    on the shared directory (nothing to release: a blob is a file workers
+    may still be reading).  Its owner shuts it down.
     """
 
     def __init__(self, coordinator: Coordinator, workers: int) -> None:
-        super().__init__(executor=None, kind="distrib", workers=int(workers))
+        super().__init__(workers)
         self.coordinator = coordinator
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         return self.coordinator.submit(fn, *args, **kwargs)
 
-    def publish_state(self, token: str, state: object) -> DistribStateSpec:
-        return self.coordinator.publish_state(token, state)
+    def publish(self, state: object) -> StateHandle:
+        return StateHandle(spec=self.coordinator.publish_state(state))
 
-    def shutdown(self) -> None:  # pragma: no cover - owner-managed lifetime
+    def begin_run(self, store, stage_timings) -> None:
+        self.coordinator.begin_run(store, stage_timings)
+
+    def shutdown(self) -> None:
         self.coordinator.close()
 
 
@@ -362,9 +403,9 @@ class DistributedRuntime:
     """One distributed execution context: queue + coordinator + pool.
 
     The object a caller holds across a resolve (or a serve session):
-    construct with :meth:`file_queue` or :meth:`socket_queue`, ``activate()``
-    around engine work, ``close()`` when done.  Usable as a context
-    manager.
+    construct with :meth:`file_queue`, pass ``runtime.pool`` as ``pool=`` to
+    the resolve entries or :class:`~repro.serve.ServeSession`, ``close()``
+    when done.  Usable as a context manager.
     """
 
     def __init__(
@@ -373,7 +414,6 @@ class DistributedRuntime:
         state_dir: Union[str, Path],
         *,
         workers: int = 2,
-        owns_queue: bool = True,
         **coordinator_options: Any,
     ) -> None:
         if workers <= 0:
@@ -381,7 +421,6 @@ class DistributedRuntime:
         self.queue = queue
         self.coordinator = Coordinator(queue, state_dir, **coordinator_options)
         self.pool = DistributedPool(self.coordinator, workers)
-        self._owns_queue = owns_queue
 
     @classmethod
     def file_queue(
@@ -393,39 +432,12 @@ class DistributedRuntime:
             FileLeaseQueue(root), root / "state", workers=workers, **options
         )
 
-    @classmethod
-    def socket_queue(
-        cls,
-        state_dir: Union[str, Path],
-        *,
-        workers: int = 2,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **options: Any,
-    ) -> "DistributedRuntime":
-        """A runtime serving units over TCP; state still rides the shared
-        filesystem at ``state_dir`` (workers share at least that)."""
-        return cls(
-            SocketWorkQueue(host=host, port=port), state_dir, workers=workers, **options
-        )
-
     @property
     def workers(self) -> int:
         return self.pool.workers
 
-    def activate(self):
-        """Route the engine's pooled stages through this runtime."""
-        return pool_override(self.pool)
-
-    def add_cache_ref(self, array: object, ref: CacheRef) -> None:
-        self.coordinator.add_cache_ref(array, ref)
-
     def close(self) -> None:
         self.coordinator.close()
-        if self._owns_queue:
-            close = getattr(self.queue, "close", None)
-            if close is not None:
-                close()
 
     def __enter__(self) -> "DistributedRuntime":
         return self

@@ -1,51 +1,37 @@
-"""Work-queue transports: leased units between a coordinator and workers.
+"""The work queue: leased units between a coordinator and workers.
 
-Two interchangeable backends move work units (opaque byte payloads, see
-:mod:`repro.distrib.artifacts`) from one coordinator to N workers:
+:class:`FileLeaseQueue` moves work units (opaque byte payloads, see
+:mod:`repro.distrib.artifacts`) from one coordinator to N workers through a
+directory on a filesystem they all reach — the same one that holds the
+published stage state and the shared encoding cache.  Three subdirectories::
 
-:class:`FileLeaseQueue`
-    A directory protocol for shared-filesystem clusters — the only thing
-    coordinator and workers must share.  Three subdirectories::
+    <root>/units/    unit-<id>-<crc>.bin      (work payloads)
+    <root>/leases/   <id>.lease               (claim markers)
+    <root>/results/  <id>-<crc>.bin           (result payloads)
 
-        <root>/units/    unit-<id>-<crc>.bin      (work payloads)
-        <root>/leases/   <id>.lease               (claim markers)
-        <root>/results/  <id>-<crc>.bin           (result payloads)
+A worker claims a unit by creating its lease file with ``O_EXCL`` — exactly
+one claimant wins, atomically, with no server.  Liveness is the lease
+file's mtime: the worker touches it on a heartbeat interval, and a
+coordinator that observes a stale mtime breaks the lease so another worker
+can claim the unit.  Results are content-addressed blobs, so a re-dispatched
+unit completed twice converges on identical bytes and a torn result (worker
+killed mid-write) is indistinguishable from no result.  Because every state
+transition is a file, a *restarted* coordinator recovers completed units by
+rescanning ``results/``.
 
-    A worker claims a unit by creating its lease file with ``O_EXCL`` —
-    exactly one claimant wins, atomically, with no server.  Liveness is the
-    lease file's mtime: the worker touches it on a heartbeat interval, and
-    a coordinator that observes a stale mtime breaks the lease so another
-    worker can claim the unit.  Results are content-addressed blobs, so a
-    re-dispatched unit completed twice converges on identical bytes and a
-    torn result (worker killed mid-write) is indistinguishable from no
-    result.  Because every state transition is a file, a *restarted*
-    coordinator recovers completed units by rescanning ``results/``.
-
-:class:`SocketWorkQueue` / :class:`SocketQueueClient`
-    The same claim/heartbeat/complete protocol over a stdlib TCP socket
-    with newline-delimited JSON messages (base64 payloads) — the PR 7 serve
-    daemon's wire idiom — for workers that reach the coordinator over the
-    network rather than a shared queue directory.  State lives in the
-    coordinator process; lease liveness is the last heartbeat's wall-clock
-    age.
-
-Both backends expose the same two narrow interfaces: the *worker* side
-(``claim`` / ``heartbeat`` / ``complete``) and the *coordinator* side
-(``submit`` / ``result`` / ``lease_age`` / ``break_lease``).
+The queue has two narrow sides: the *worker* side (``claim`` /
+``heartbeat`` / ``complete``) and the *coordinator* side (``submit`` /
+``result`` / ``lease_age`` / ``break_lease`` / ``cancel``).
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 import socket
-import socketserver
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.distrib.artifacts import find_blob, read_blob, write_blob
 
@@ -61,7 +47,7 @@ class WorkUnit:
 
 
 class FileLeaseQueue:
-    """Lease-directory transport over a shared filesystem (serverless)."""
+    """Lease-directory queue over a shared filesystem (serverless)."""
 
     def __init__(self, root: PathLike, worker_id: Optional[str] = None) -> None:
         self.root = Path(root)
@@ -193,168 +179,3 @@ class FileLeaseQueue:
         if not unit_id or len(crc) != 8:
             return None
         return unit_id
-
-
-# ----------------------------------------------------------------------
-# Socket transport (newline-delimited JSON, base64 payloads)
-# ----------------------------------------------------------------------
-def _send_message(sock: socket.socket, message: Dict[str, object]) -> None:
-    sock.sendall(json.dumps(message).encode("utf-8") + b"\n")
-
-
-def _recv_message(handle) -> Optional[Dict[str, object]]:
-    line = handle.readline()
-    if not line:
-        return None
-    try:
-        decoded = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return decoded if isinstance(decoded, dict) else None
-
-
-class _QueueHandler(socketserver.StreamRequestHandler):
-    """One request = one JSON line in, one JSON line out."""
-
-    def handle(self) -> None:  # pragma: no cover - exercised via client calls
-        message = _recv_message(self.rfile)
-        if message is None:
-            return
-        response = self.server.queue._handle(message)  # type: ignore[attr-defined]
-        self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-
-
-class _QueueServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class SocketWorkQueue:
-    """Coordinator-resident queue served over a TCP socket."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._lock = threading.Lock()
-        self._units: Dict[str, bytes] = {}
-        self._last_beat: Dict[str, float] = {}
-        self._results: Dict[str, bytes] = {}
-        self._server = _QueueServer((host, port), _QueueHandler)
-        self._server.queue = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="distrib-queue", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-    # ------------------------------------------------------------------
-    # Coordinator side (direct, in-process)
-    # ------------------------------------------------------------------
-    def submit(self, unit_id: str, payload: bytes) -> None:
-        with self._lock:
-            self._units[unit_id] = payload
-
-    def result(self, unit_id: str) -> Optional[bytes]:
-        with self._lock:
-            return self._results.get(unit_id)
-
-    def discard_result(self, unit_id: str) -> None:
-        with self._lock:
-            self._results.pop(unit_id, None)
-
-    def lease_age(self, unit_id: str) -> Optional[float]:
-        with self._lock:
-            beat = self._last_beat.get(unit_id)
-        if beat is None:
-            return None
-        return max(0.0, time.time() - beat)
-
-    def break_lease(self, unit_id: str) -> None:
-        with self._lock:
-            self._last_beat.pop(unit_id, None)
-
-    def cancel(self, unit_id: str) -> None:
-        with self._lock:
-            self._units.pop(unit_id, None)
-            self._last_beat.pop(unit_id, None)
-
-    # ------------------------------------------------------------------
-    # Wire protocol (worker requests)
-    # ------------------------------------------------------------------
-    def _handle(self, message: Dict[str, object]) -> Dict[str, object]:
-        op = message.get("op")
-        if op == "claim":
-            with self._lock:
-                for unit_id, payload in self._units.items():
-                    if unit_id in self._last_beat or unit_id in self._results:
-                        continue
-                    self._last_beat[unit_id] = time.time()
-                    return {
-                        "ok": True,
-                        "unit": unit_id,
-                        "payload": base64.b64encode(payload).decode("ascii"),
-                    }
-            return {"ok": True, "unit": None}
-        if op == "heartbeat":
-            unit_id = str(message.get("unit"))
-            with self._lock:
-                live = unit_id in self._last_beat
-                if live:
-                    self._last_beat[unit_id] = time.time()
-            return {"ok": live}
-        if op == "complete":
-            unit_id = str(message.get("unit"))
-            try:
-                payload = base64.b64decode(str(message.get("payload")), validate=True)
-            except (ValueError, TypeError):
-                return {"ok": False, "error": "bad payload"}
-            with self._lock:
-                self._results[unit_id] = payload
-                self._last_beat.pop(unit_id, None)
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
-
-class SocketQueueClient:
-    """Worker-side adapter speaking :class:`SocketWorkQueue`'s protocol."""
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self.host = host
-        self.port = int(port)
-        self.timeout = timeout
-        self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
-
-    def _call(self, message: Dict[str, object]) -> Dict[str, object]:
-        with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
-            _send_message(sock, message)
-            with sock.makefile("rb") as handle:
-                response = _recv_message(handle)
-        return response or {"ok": False, "error": "no response"}
-
-    def claim(self) -> Optional[WorkUnit]:
-        response = self._call({"op": "claim", "worker": self.worker_id})
-        unit_id = response.get("unit")
-        if not response.get("ok") or not unit_id:
-            return None
-        try:
-            payload = base64.b64decode(str(response.get("payload")), validate=True)
-        except (ValueError, TypeError):
-            return None
-        return WorkUnit(unit_id=str(unit_id), payload=payload)
-
-    def heartbeat(self, unit_id: str) -> bool:
-        return bool(self._call({"op": "heartbeat", "unit": unit_id}).get("ok"))
-
-    def complete(self, unit_id: str, result: bytes) -> None:
-        self._call({
-            "op": "complete",
-            "unit": unit_id,
-            "payload": base64.b64encode(result).decode("ascii"),
-        })

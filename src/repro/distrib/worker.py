@@ -30,14 +30,14 @@ import traceback
 from typing import Optional
 
 from repro.distrib.artifacts import dump_object, load_object
-from repro.distrib.queue import FileLeaseQueue, SocketQueueClient, WorkUnit
+from repro.distrib.queue import FileLeaseQueue, WorkUnit
 
 DEFAULT_POLL_INTERVAL = 0.05
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 
 class Worker:
-    """Claim-execute loop over one queue client (file or socket)."""
+    """Claim-execute loop over one queue handle."""
 
     def __init__(
         self,
@@ -118,23 +118,8 @@ class Worker:
                 return
 
 
-def make_queue_client(
-    queue_dir: Optional[str] = None, connect: Optional[str] = None
-):
-    """The worker-side queue handle for one of the two transports."""
-    if (queue_dir is None) == (connect is None):
-        raise ValueError("exactly one of queue_dir / connect is required")
-    if queue_dir is not None:
-        return FileLeaseQueue(queue_dir)
-    host, _, port = connect.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"connect must look like host:port, got {connect!r}")
-    return SocketQueueClient(host, int(port))
-
-
 def run_worker(
-    queue_dir: Optional[str] = None,
-    connect: Optional[str] = None,
+    queue_dir: str,
     *,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -143,7 +128,7 @@ def run_worker(
 ) -> int:
     """Entry point behind ``python -m repro worker``."""
     worker = Worker(
-        make_queue_client(queue_dir, connect),
+        FileLeaseQueue(queue_dir),
         poll_interval=poll_interval,
         heartbeat_interval=heartbeat_interval,
         max_units=max_units,

@@ -12,13 +12,15 @@ planned and executed*:
 * :class:`ResolutionPlanner` / :class:`ResolutionExecutor` — the plan/execute
   core: a deterministic encode → block → score stage graph over row-range
   shards, run by the one executor — cold or against a baseline, serially or
-  across a *persistent* worker pool (fork-based with shared-memory state
-  publishing, threaded where fork or shared memory is unavailable) with
-  results merged deterministically by ``(batch_index, pair_index)``;
+  on a :class:`WorkerPool` — with results merged deterministically by
+  ``(batch_index, pair_index)``;
+* :class:`WorkerPool` — the one seam for *where units run*, passed as
+  ``pool=``: :class:`ForkWorkerPool` (shared-memory state publishing),
+  :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) and
+  :class:`repro.distrib.DistributedPool`; ``pool=None`` with ``workers > 1``
+  borrows the cached, persistent local pool;
 * :func:`resolve_stream` — constructs that executor for a cold run; its
-  batch stream is byte-identical at every ``workers`` count;
-* :class:`ShardedEncodingStore` — row-range shard views of the cached tables
-  (zero-copy), with lazy per-shard loads from the chunked disk cache;
+  batch stream is byte-identical at every ``workers`` count and on every pool;
 * :func:`resolve_delta` — constructs it for an incremental run that
   captures a :class:`ResolutionBaseline` and resolves against the previous
   one (a cold run is a delta run with no baseline): a row-identity diff
@@ -74,16 +76,15 @@ from repro.engine.plan import (
     sharded_candidate_pairs,
 )
 from repro.engine.shard import (
-    DEFAULT_SHARD_ROWS,
+    ForkWorkerPool,
     ShardBounds,
-    ShardedEncodingStore,
     StateHandle,
+    ThreadWorkerPool,
     WorkerPool,
     acquire_pool,
+    fork_pool_available,
     make_pool,
     merge_scored_batches,
-    pool_kind_default,
-    published_state,
     release_engine_resources,
     release_pool,
     shard_bounds_for,
@@ -92,12 +93,16 @@ from repro.engine.shard import (
 from repro.engine.sharedmem import (
     StatePublication,
     StateSpec,
-    attach_state,
     detach_all,
     publish_state,
     shared_memory_available,
 )
-from repro.engine.store import EncodingStore, TableEncodings, encode_table_rows
+from repro.engine.store import (
+    DEFAULT_SHARD_ROWS,
+    EncodingStore,
+    TableEncodings,
+    encode_table_rows,
+)
 from repro.engine.stream import (
     ResolutionBatch,
     ScoredPairs,
@@ -115,6 +120,7 @@ __all__ = [
     "CodecParams",
     "DeltaBounds",
     "EncodingStore",
+    "ForkWorkerPool",
     "PQParams",
     "PersistentEncodingCache",
     "ProductQuantizer",
@@ -127,7 +133,6 @@ __all__ = [
     "ScalarQuantizer",
     "ScoredPairs",
     "ShardBounds",
-    "ShardedEncodingStore",
     "Stage",
     "StageUnit",
     "StateHandle",
@@ -135,10 +140,10 @@ __all__ = [
     "StateSpec",
     "TableDelta",
     "TableEncodings",
+    "ThreadWorkerPool",
     "WorkerPool",
     "acquire_pool",
     "asymmetric_sq_distances",
-    "attach_state",
     "available_codecs",
     "get_codec",
     "params_from_json",
@@ -147,10 +152,9 @@ __all__ = [
     "table_sq_norms_of",
     "build_index_sharded",
     "detach_all",
+    "fork_pool_available",
     "make_pool",
-    "pool_kind_default",
     "publish_state",
-    "published_state",
     "release_engine_resources",
     "release_pool",
     "shared_memory_available",

@@ -1380,8 +1380,7 @@ class PersistentEncodingCache:
 
         Reads just the chunks overlapping the range — the lazy warm path for
         row-range-sharded consumers.  Row indices in the returned encodings
-        are local to the range (0-based), mirroring
-        :meth:`repro.engine.shard.ShardedEncodingStore.table_shard` views.
+        are local to the range (0-based).
         Returns ``None`` on any miss, exactly like :meth:`load`.
         """
         if start < 0 or stop < start:

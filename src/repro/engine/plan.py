@@ -5,14 +5,17 @@ build + top-K queries) to enumerate candidate pairs, *score* the candidates
 in batches.  This module owns the whole of it:
 
 * :class:`ResolutionPlanner` partitions the work into row-range shards
-  (the same bounds :class:`~repro.engine.shard.ShardedEncodingStore` views
-  expose) and emits a deterministic stage graph — pure metadata, computed
-  from table sizes (and, for an incremental run, the mutation summary in
-  :class:`DeltaBounds`) alone, so a plan can be printed or inspected
-  without encoding a single record (``repro plan`` does exactly that);
+  (:func:`~repro.engine.shard.shard_bounds_for` at the store's
+  ``shard_rows``) and emits a deterministic stage graph — pure metadata,
+  computed from table sizes (and, for an incremental run, the mutation
+  summary in :class:`DeltaBounds`) alone, so a plan can be printed or
+  inspected without encoding a single record (``repro plan`` does exactly
+  that);
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
-  against a :class:`ResolutionBaseline`, serial or pooled.  With a pool,
-  the LSH hash tables are built from per-shard partial maps computed in
+  against a :class:`ResolutionBaseline`, serial or on a
+  :class:`~repro.engine.shard.WorkerPool` (the cached local one, or
+  whichever pool the caller passes).  With a pool, the LSH hash tables are
+  built from per-shard partial maps computed in
   workers, left-table query shards fan out across the pool, and scoring
   batches overlap with blocking — all merged back deterministically:
   candidate order by (shard, row, neighbour rank), scored batches by
@@ -27,7 +30,6 @@ one; blocking-only consumers (benchmarks, equivalence tests) can call
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait
 from contextlib import contextmanager
@@ -45,19 +47,16 @@ from repro.data.pairs import RecordPair
 from repro.data.schema import ERTask, Table
 from repro.engine.quant import CodecArray
 from repro.engine.shard import (
-    DEFAULT_SHARD_ROWS,
     ShardBounds,
     StateHandle,
     WorkerPool,
     acquire_pool,
-    pool_kind_default,
-    published_state,
     query_shard_pairs,
     release_pool,
     shard_bounds_for,
     worker_state,
 )
-from repro.engine.store import EncodingStore, TableEncodings, encode_table_rows
+from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings, encode_table_rows
 from repro.engine.stream import (
     DEFAULT_BATCH_SIZE,
     ResolutionBatch,
@@ -227,8 +226,7 @@ class ResolutionPlanner:
     """Partition a task's resolve run into a stage graph over row shards.
 
     Parameters mirror the resolve knobs; ``shard_rows`` fixes the row-range
-    partitioning shared by the blocking fan-out, the sharded store views and
-    the chunked persistent cache.
+    partitioning shared by the blocking fan-out and the pooled delta encode.
     """
 
     def __init__(
@@ -265,14 +263,13 @@ class ResolutionPlanner:
         workers: int = 1,
     ) -> "ResolutionPlanner":
         """Planner over a store's task, adopting the store's shard layout."""
-        shard_rows = getattr(store, "shard_rows", DEFAULT_SHARD_ROWS)
         return cls(
             store.task,
             blocking=blocking,
             k=k,
             batch_size=batch_size,
             workers=workers,
-            shard_rows=shard_rows,
+            shard_rows=store.shard_rows,
         )
 
     def plan(
@@ -397,19 +394,7 @@ class ResolutionPlanner:
 #: fixed per-``shard_rows`` split sends a pool task per planned shard even
 #: when one shard computes for less than a fork round-trip; coarsening until
 #: compute dwarfs dispatch by this factor keeps overhead under ~2%.
-#: Override with ``REPRO_SHARD_COST_RATIO``.
-DEFAULT_SHARD_COST_RATIO = 50.0
-
-
-def _shard_cost_ratio() -> float:
-    raw = os.environ.get("REPRO_SHARD_COST_RATIO", "").strip()
-    if not raw:
-        return DEFAULT_SHARD_COST_RATIO
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_SHARD_COST_RATIO
-    return value if value > 0 else DEFAULT_SHARD_COST_RATIO
+SHARD_COST_RATIO = 50.0
 
 
 @dataclass(frozen=True)
@@ -432,7 +417,7 @@ def _coarsen_query_bounds(
 
     The calibration shard (already executed) supplies the measured per-row
     compute cost; the target task size is the row count whose compute is
-    ``REPRO_SHARD_COST_RATIO`` times the measured dispatch overhead, capped
+    :data:`SHARD_COST_RATIO` times the measured dispatch overhead, capped
     so the pool still gets at least one task per worker.  Groups are runs of
     *consecutive* shard bounds, consumed in row order — and top-K queries
     are independent per row — so any grouping reproduces the serial
@@ -443,7 +428,7 @@ def _coarsen_query_bounds(
     total_rows = sum(b.rows for b in bounds)
     per_row = calibration_seconds / calibration_rows if calibration_rows > 0 else 0.0
     if per_row > 0.0 and dispatch_seconds > 0.0:
-        target = _shard_cost_ratio() * dispatch_seconds / per_row
+        target = SHARD_COST_RATIO * dispatch_seconds / per_row
     else:  # degenerate timer resolution: keep the planned granularity
         target = float(calibration_rows or 1)
     cap = max(1.0, total_rows / max(1, workers))
@@ -478,17 +463,16 @@ def _measure_dispatch(pool: WorkerPool) -> float:
 
 
 # ----------------------------------------------------------------------
-# Worker tasks (state arrives via the shared-memory publisher, or the
-# parent registry for thread pools — the persistent pool predates any
-# stage's state, so nothing is inherited by fork)
+# Worker tasks (state arrives through the handle the pool published it
+# under — a pool can predate any stage's state, so nothing is inherited)
 # ----------------------------------------------------------------------
 @dataclass
 class _PlanState:
     """Everything a pool worker needs, published under one state handle.
 
     Deliberately slim — bare arrays rather than richer store objects — so
-    the shared-memory publisher hoists exactly the payloads workers touch
-    and the residual pickle stays small.
+    a pool's publisher ships exactly the payloads workers touch and the
+    residual pickle stays small.
     """
 
     flat: np.ndarray  # record-level query vectors of the left table
@@ -568,7 +552,7 @@ def _pooled_tail_encoder(store: EncodingStore, pool: Optional[WorkerPool], shard
         if n <= shard_rows or pool.broken:
             return encode_table_rows(store.representation, sub_table)
         try:
-            with published_state(pool, (store.representation, sub_table)) as handle:
+            with pool.published((store.representation, sub_table)) as handle:
                 futures = [
                     pool.submit(_encode_range_task, handle, start, min(start + shard_rows, n))
                     for start in range(0, n, shard_rows)
@@ -604,10 +588,10 @@ def build_index_sharded(
     row-range shard into partial bucket maps and the parent merges them in
     row order, so bucket membership — and therefore every query answer — is
     identical to a serial :meth:`EuclideanLSHIndex.build`.  Pass ``pool`` to
-    run on a caller-owned persistent pool (the executor shares one pool
-    across build, query and score); otherwise one is acquired and released
-    here.  If the pool dies mid-build the tables are hashed serially and
-    the pool is marked broken for the caller.
+    run on the caller's pool (the executor shares one pool across build,
+    query and score); otherwise the cached local pool is borrowed here.  If
+    the pool dies mid-build the tables are hashed serially and the pool is
+    marked broken for the caller.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
@@ -620,11 +604,7 @@ def build_index_sharded(
     )
     index.prepare(vectors, keys)
     bounds = shard_bounds_for("right", index.size, shard_rows)
-    if (
-        workers == 1
-        or len(bounds) <= 1
-        or (pool.broken if pool is not None else pool_kind_default() == "serial")
-    ):
+    if workers == 1 or len(bounds) <= 1 or (pool is not None and pool.broken):
         index.install_tables([index.hash_rows(0, index.size)])
         return index
     owned = pool is None
@@ -632,7 +612,7 @@ def build_index_sharded(
         pool = acquire_pool(workers)
     try:
         try:
-            with published_state(pool, index) as handle:
+            with pool.published(index) as handle:
                 futures = [pool.submit(_hash_task, handle, b.start, b.stop) for b in bounds]
                 results = sorted(future.result() for future in futures)
             index.install_tables([partial for _, partial, _ in results])
@@ -698,8 +678,7 @@ def sharded_candidate_pairs(
         return pairs
 
     bounds = shard_bounds_for("left", len(query_vectors), shard_rows)
-    pooled = workers > 1 and len(bounds) > 1 and pool_kind_default() != "serial"
-    pool = acquire_pool(workers) if pooled else None
+    pool = acquire_pool(workers) if workers > 1 and len(bounds) > 1 else None
     try:
         started = time.perf_counter()
         index = build_index_sharded(
@@ -716,7 +695,7 @@ def sharded_candidate_pairs(
             # row order, so the concatenation reproduces the serial
             # enumeration pair for pair.
             state = _PlanState(flat=query_vectors, keys=query_keys, search=search)
-            with published_state(pool, state) as handle:
+            with pool.published(state) as handle:
                 merged, groups, submit = _calibrated_fanout(
                     pool, handle, bounds, k, query_chunk, workers, stage_timings, "block-query"
                 )
@@ -922,7 +901,10 @@ class ResolutionExecutor:
     probabilities are the baseline's bytes and rescored ones equal a cold
     run's up to matmul batch-composition round-off (~1 ulp), so the match
     set is identical.  A pool that dies hands the rest of the run to the
-    serial source.  With ``capture`` the refreshed
+    serial source.  ``pool=None`` borrows the cached local pool when the
+    plan has ``workers > 1`` and hands it back afterwards; a supplied
+    ``pool`` is used as is and left alone — never cached, released or shut
+    down here.  With ``capture`` the refreshed
     :class:`ResolutionBaseline` is published on ``baseline_out`` once the
     stream is exhausted (an abandoned stream publishes nothing).
     """
@@ -938,10 +920,12 @@ class ResolutionExecutor:
         shard_timings: Optional[ShardTimings] = None,
         stage_timings: Optional[StageTimings] = None,
         diffs: Optional[Dict[str, Tuple[int, Optional[RowDiff]]]] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.plan = plan
         self.store = store
         self.matcher = matcher
+        self.pool = pool
         self.baseline = baseline
         self.capture = capture
         self.threshold = threshold
@@ -990,11 +974,11 @@ class ResolutionExecutor:
             right_diff = self._diff_side(baseline, "right")
 
         # One pool for the whole resolve — tail encode, build, query fan-out
-        # and scoring — handed back to the cache for the next one.  It is not
-        # forked per resolve, so workers never inherit the encoded arrays;
-        # each stage publishes what its tasks need.
-        pool = None
-        if plan.workers > 1 and pool_kind_default() != "serial":
+        # and scoring.  It predates the run, so workers never inherit the
+        # encoded arrays; each stage publishes what its tasks need.
+        pool = self.pool if plan.workers > 1 else None
+        borrowed = pool is None and plan.workers > 1
+        if borrowed:
             pool = acquire_pool(plan.workers)
         try:
             # Pinned before encoding: a refit landing between the two encodes
@@ -1004,6 +988,8 @@ class ResolutionExecutor:
             tombstoned = store.counters.rows_tombstoned
             started = time.perf_counter()
             with _pooled_tail_encoder(store, pool, plan.shard_rows):
+                if pool is not None:
+                    pool.begin_run(store, self.stage_timings)
                 left = store.table_encodings("left")
                 right = store.table_encodings("right")
             guard_store_version(store, pinned)
@@ -1035,7 +1021,7 @@ class ResolutionExecutor:
                 yield batch
             guard_store_version(store, pinned)
         finally:
-            if pool is not None:
+            if borrowed:
                 release_pool(pool)
         if self.capture:
             left_table, right_table = store.task.left, store.task.right
@@ -1074,7 +1060,7 @@ class ResolutionExecutor:
         if pool is not None and not pool.broken:
             state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
             try:
-                with published_state(pool, state) as handle:
+                with pool.published(state) as handle:
                     for batch in self._pump(pool, handle, left, right, pinned, scores):
                         emitted = batch.batch_index + 1
                         yield batch
@@ -1301,6 +1287,7 @@ def resolve_delta(
     stage_timings: Optional[StageTimings] = None,
     workers: int = 1,
     shard_timings: Optional[ShardTimings] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> ResolutionExecutor:
     """Plan an incremental resolve against ``baseline`` and return its executor.
 
@@ -1311,8 +1298,11 @@ def resolve_delta(
     cold resolve that merely *captures* a baseline for the next call.  The
     plan is parameterised by a row-identity diff of both tables against the
     baseline snapshot, so its encode/block stages name the exact patch,
-    tombstone and tail units the executor will run.
+    tombstone and tail units the executor will run.  A supplied ``pool``
+    runs the units and sizes the plan (``workers`` is then its worker count).
     """
+    if pool is not None:
+        workers = pool.workers
     pinned = store.representation.encoding_version
     left_diff = right_diff = None
     diffs: Dict[str, Tuple[int, Optional[RowDiff]]] = {}
@@ -1340,4 +1330,5 @@ def resolve_delta(
         shard_timings=shard_timings,
         stage_timings=stage_timings,
         diffs=diffs,
+        pool=pool,
     )

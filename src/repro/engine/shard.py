@@ -1,54 +1,54 @@
-"""Row-range sharding and the worker pool shared by the resolve stages.
+"""Row-range shard bounds and the worker-pool seam of the resolve stages.
 
 This module owns two building blocks the planner-driven engine
 (:mod:`repro.engine.plan`) distributes work with:
 
-* :class:`ShardedEncodingStore` — an :class:`~repro.engine.store.EncodingStore`
-  that additionally exposes its cached IR/latent arrays as row-range shard
-  views (zero-copy slices), the unit of distribution for parallel work.
-  Shard *bounds* are derived from the task's table sizes, so planning never
-  forces an encode; :meth:`ShardedEncodingStore.load_shard` serves a single
-  shard lazily from the chunked persistent cache when the table is not in
-  memory yet.
-* the persistent worker pool — :func:`acquire_pool`/:func:`release_pool`
-  over a single-slot cache, :func:`make_pool` (instrumented by
-  :data:`POOL_SPAWNS`), and the :func:`publish_worker_state` registry that
-  hands stage state to pool workers (via shared memory for process pools).
+* :func:`shard_bounds_for` / :class:`ShardBounds` — the row ranges a table
+  is partitioned into, derived from table sizes alone, so planning never
+  forces an encode;
+* :class:`WorkerPool` — the one seam between the executor and *where its
+  units run*.  A pool is a value the caller passes, not process state: it
+  takes ``submit`` calls, publishes stage state (``publish`` / ``release``)
+  through a transport it owns, and reports ``workers`` and ``broken``.
+  Three implementations exist: :class:`ForkWorkerPool` (state travels
+  through shared-memory segments, :mod:`repro.engine.sharedmem`),
+  :class:`ThreadWorkerPool` (workers share the address space, the handle
+  simply carries the state object) and
+  :class:`repro.distrib.DistributedPool` (state travels as content-addressed
+  artifacts on a shared directory).
 
-:func:`~repro.engine.stream.resolve_stream` with ``workers > 1`` runs the
-:class:`~repro.engine.plan.ResolutionExecutor` on that pool: candidate pairs
-are enumerated with *exactly* the same chunking and batch packing as the
-serial schedule (so the two are bit-identical), blocking and scoring fan out
-across the pool, and results merge back deterministically by
-``(batch_index, pair_index)`` regardless of completion order.
+An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
+pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
+instrumented by :data:`POOL_SPAWNS`); a pool the caller supplies is used as
+is and never cached, released or shut down by the engine.  Either way
+candidate pairs are enumerated with *exactly* the same chunking and batch
+packing as the serial schedule, blocking and scoring fan out across the
+pool, and results merge back deterministically by ``(batch_index,
+pair_index)`` regardless of completion order.
 
-Worker strategy
----------------
-On Linux the pool is fork-based and *persistent*: one pool survives the
-encode → block → score stages of a resolve and is cached across resolves
-(delta rounds reuse it), so pool spawn cost is paid once, not per stage.
-Because the pool can predate any given stage's state, forked workers no
-longer rely on copy-on-write inheritance; instead each stage *publishes* its
-state — encoded arrays, the LSH index, the matcher — into
-``multiprocessing.shared_memory`` segments (:mod:`repro.engine.sharedmem`)
-that workers map as zero-copy NumPy views, attached once per stage and
-memoized.  Tasks still ship only small index ranges; results ship only
-candidate pairs or probability vectors.  Where fork or shared memory is
-unavailable the pool falls back to threads (NumPy's BLAS releases the GIL in
-the kernels that dominate), and ``REPRO_ENGINE_POOL=fork|thread|serial``
-forces the choice.  Work is deterministic on every path: workers run the
-same NumPy ops on the same arrays, so merged results are byte-identical to a
-single-process run over the same store.
+Which local pool
+----------------
+Observed, not configured: :func:`make_pool` forks on Linux when the ``fork``
+start method and shared-memory segments both work (:func:`fork_pool_available`),
+and falls back to threads everywhere else (NumPy's BLAS releases the GIL in
+the kernels that dominate; fork stays off on macOS, where forking after the
+parent has touched Accelerate/BLAS aborts the children).  The local pool is
+*persistent*: one pool survives the encode → block → score stages of a
+resolve and is cached across resolves (delta rounds reuse it), so spawn cost
+is paid once.  Because the pool can predate any given stage's state, forked
+workers never rely on copy-on-write inheritance; each stage *publishes* its
+state and tasks ship only the small :class:`StateHandle` plus index ranges.
+Work is deterministic on every pool: workers run the same NumPy ops on the
+same arrays, so merged results are byte-identical to a single-process run
+over the same store.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
-import os
 import sys
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
@@ -57,29 +57,11 @@ import numpy as np
 
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.pairs import RecordPair
-from repro.engine.quant import CodecArray
-from repro.engine.store import EncodingStore, TableEncodings
+from repro.engine import sharedmem
+from repro.engine.persist import close_chunk_handles
 from repro.engine.stream import ScoredPairs
 
-#: Default number of rows per table shard.
-DEFAULT_SHARD_ROWS = 2048
 
-
-def shard_bounds_for(side: str, n_rows: int, shard_rows: int) -> List["ShardBounds"]:
-    """Row ranges covering ``n_rows`` rows of one side, in row order."""
-    if shard_rows <= 0:
-        raise ValueError("shard_rows must be positive")
-    if n_rows <= 0:
-        return []
-    return [
-        ShardBounds(side=side, index=i, start=start, stop=min(start + shard_rows, n_rows))
-        for i, start in enumerate(range(0, n_rows, shard_rows))
-    ]
-
-
-# ----------------------------------------------------------------------
-# Row-range sharding of cached encodings
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardBounds:
     """Half-open row range ``[start, stop)`` of one shard of a table."""
@@ -94,402 +76,220 @@ class ShardBounds:
         return self.stop - self.start
 
 
-class ShardedEncodingStore(EncodingStore):
-    """An encoding store whose cached tables are addressable in row shards.
-
-    Sharding is a *view* concern: the underlying cache still holds one
-    contiguous array per table (so gathers spanning shards stay a single
-    fancy-index), and :meth:`table_shard` hands out zero-copy row-range
-    slices for consumers that distribute work — the parallel resolver, the
-    scaling benchmark, per-shard diagnostics.
-
-    Parameters
-    ----------
-    shard_rows:
-        Target rows per shard; the last shard of a table may be short.
-    codec:
-        Passed through to :class:`EncodingStore` — with a quantized codec,
-        shard views stay code views (one byte per dimension).
-    """
-
-    def __init__(
-        self,
-        representation,
-        task,
-        counters=None,
-        persistent=None,
-        shard_rows: int = DEFAULT_SHARD_ROWS,
-        codec: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            representation, task, counters=counters, persistent=persistent, codec=codec
-        )
-        if shard_rows <= 0:
-            raise ValueError("shard_rows must be positive")
-        self.shard_rows = shard_rows
-
-    # ------------------------------------------------------------------
-    def shard_bounds(self, side: str) -> List[ShardBounds]:
-        """Row ranges covering one side, in row order.
-
-        Derived from the task's table size (a table's encodings always carry
-        one row per record), so planning shard layouts never forces an
-        encode or a disk load.
-        """
-        return shard_bounds_for(side, len(self._table_of(side)), self.shard_rows)
-
-    def num_shards(self, side: str) -> int:
-        return len(self.shard_bounds(side))
-
-    def table_shard(self, side: str, index: int) -> TableEncodings:
-        """Zero-copy row-range view of one shard of a table's encodings.
-
-        The returned object is a full :class:`TableEncodings` (local row
-        index included) whose arrays are slices sharing memory with the
-        cached table, so handing shards to workers does not duplicate data.
-        """
-        bounds = self.shard_bounds(side)
-        if not 0 <= index < len(bounds):
-            raise IndexError(f"shard {index} out of range for side {side!r} ({len(bounds)} shards)")
-        b = bounds[index]
-        full = self.table_encodings(side)
-        keys = full.keys[b.start : b.stop]
-
-        def _slice(array):
-            # Keep quantized shards as code views: a plain slice of a
-            # CodecArray would decode the whole shard eagerly.
-            if isinstance(array, CodecArray):
-                return array.row_slice(b.start, b.stop)
-            return array[b.start : b.stop]
-
-        return TableEncodings(
-            keys=keys,
-            irs=_slice(full.irs),
-            mu=_slice(full.mu),
-            sigma=_slice(full.sigma),
-            row_index={key: row for row, key in enumerate(keys)},
-        )
-
-    def load_shard(self, side: str, index: int) -> TableEncodings:
-        """One shard's encodings without materialising the whole table.
-
-        Serving priority mirrors the store's cache hierarchy: an in-memory
-        table serves a zero-copy view; otherwise, when a persistent cache is
-        attached, only the chunks overlapping the shard's row range are read
-        (counted via ``chunk_loads``); only when both miss is the full table
-        computed and the view sliced from it.
-        """
-        self._check_version()
-        bounds = self.shard_bounds(side)
-        if not 0 <= index < len(bounds):
-            raise IndexError(f"shard {index} out of range for side {side!r} ({len(bounds)} shards)")
-        if side in self._cache or self.persistent is None:
-            return self.table_shard(side, index)
-        b = bounds[index]
-        loaded = self.persistent.load_range(
-            self.task.name,
-            side,
-            self.representation.encoding_version,
-            # Memoized: repeated shard loads of one table CRC its rows once.
-            self.table_fingerprint(side),
-            b.start,
-            b.stop,
-            counters=self.counters,
-        )
-        if loaded is not None:
-            self.counters.record_disk_hit()
-            return loaded
-        # Miss: fall back to materialising the whole table.  That path runs
-        # the store's own persistent probe, which does the miss accounting —
-        # counting here too would double-book one logical probe.
-        return self.table_shard(side, index)
-
-    def __repr__(self) -> str:
-        cached = ",".join(sorted(self._cache)) or "empty"
-        return (
-            f"ShardedEncodingStore(task={self.task.name!r}, cached=[{cached}], "
-            f"shard_rows={self.shard_rows})"
-        )
+def shard_bounds_for(side: str, n_rows: int, shard_rows: int) -> List[ShardBounds]:
+    """Row ranges covering ``n_rows`` rows of one side, in row order."""
+    if shard_rows <= 0:
+        raise ValueError("shard_rows must be positive")
+    if n_rows <= 0:
+        return []
+    return [
+        ShardBounds(side=side, index=i, start=start, stop=min(start + shard_rows, n_rows))
+        for i, start in enumerate(range(0, n_rows, shard_rows))
+    ]
 
 
 # ----------------------------------------------------------------------
-# Worker-pool plumbing
+# The worker-pool seam
 # ----------------------------------------------------------------------
-#: Pools spawned since import — the observable cost the persistent-pool
-#: cache exists to minimise.  Regression tests pin this: one full pooled
-#: resolve must spawn exactly one pool, and delta rounds must spawn none.
-POOL_SPAWNS = 0
-
-#: Parent-side state registry, keyed by a token unique to each published
-#: stage state so concurrent runs can never cross wires.  Thread pools (and
-#: the publishing parent itself) resolve states here; forked workers of the
-#: persistent pool resolve them via the shared-memory spec carried on the
-#: :class:`StateHandle` instead, because the pool may predate the state.
-_WORKER_STATES: Dict[str, object] = {}
-_PUBLICATIONS: Dict[str, object] = {}
-_POOL_TOKENS = itertools.count()
-
-
-def new_pool_token() -> str:
-    """A process-unique token for one published worker state."""
-    return f"{os.getpid()}-{next(_POOL_TOKENS)}"
-
-
-def release_pool_token(token: str) -> None:
-    """Drop a token's parent-side state."""
-    _WORKER_STATES.pop(token, None)
-
-
 @dataclass(frozen=True)
 class StateHandle:
-    """Small picklable reference to one published stage state.
+    """Reference to one published stage state, carried by every task.
 
-    Carries the registry token (enough for thread pools, which share the
-    parent's address space) plus, for process pools, the shared-memory
-    :class:`~repro.engine.sharedmem.StateSpec` a worker attaches on first
-    use.
+    Exactly one field is set: ``state`` (the object itself — pools whose
+    workers share the publisher's address space) or ``spec`` (a small
+    picklable description with an ``attach()`` method — pools whose workers
+    must map or load the state themselves).
     """
 
-    token: str
     spec: Optional[object] = None
+    state: Optional[object] = None
 
 
-def worker_state(ref) -> object:
-    """Resolve a :class:`StateHandle` (or bare token) to its state.
+def worker_state(handle: StateHandle) -> object:
+    """The state a task's handle refers to, in whichever process runs it.
 
-    In the publishing process — and in thread-pool workers — the parent
-    registry answers directly.  In a forked pool worker the registry misses
-    (the pool predates the state), so the handle's shared-memory spec is
-    attached instead; the attachment is memoized per process, so only the
-    first task of a stage pays the unpickle.  A spec that carries its own
-    ``attach`` method — the distributed runner's artifact-backed specs —
-    resolves through it instead, so remote worker processes that share
-    nothing but a filesystem can still reach published stage state.
+    Specs memoize their attachment per process, so only the first task of a
+    stage pays the unpickle.
     """
-    token = ref if isinstance(ref, str) else ref.token
-    try:
-        return _WORKER_STATES[token]
-    except KeyError:
-        if isinstance(ref, str) or ref.spec is None:
-            raise
-    attach = getattr(ref.spec, "attach", None)
-    if attach is not None:
-        return attach()
-    from repro.engine import sharedmem
-
-    return sharedmem.attach_state(ref.spec)
-
-
-def publish_worker_state(state: object, pool: Optional["WorkerPool"]) -> StateHandle:
-    """Register a stage state and return the handle tasks should carry.
-
-    The state always lands in the parent registry; when ``pool`` is a
-    process pool it is additionally published to shared memory (large
-    arrays hoisted into segments, zero-copy on both sides) so the
-    persistent pool's pre-existing workers can reach it.
-    """
-    token = new_pool_token()
-    _WORKER_STATES[token] = state
-    spec = None
-    publish = getattr(pool, "publish_state", None)
-    if publish is not None:
-        # Pools with their own transport (the distributed runner publishes
-        # state as content-addressed artifacts on the shared directory)
-        # produce the spec themselves; the parent registry entry above
-        # still serves in-process consumers.
-        spec = publish(token, state)
-    elif pool is not None and pool.kind == "fork":
-        from repro.engine import sharedmem
-
-        publication = sharedmem.publish_state(token, state)
-        _PUBLICATIONS[token] = publication
-        spec = publication.spec
-    return StateHandle(token=token, spec=spec)
-
-
-def release_worker_state(handle: StateHandle) -> None:
-    """Unregister a published state and unlink its shared-memory segments."""
-    _WORKER_STATES.pop(handle.token, None)
-    publication = _PUBLICATIONS.pop(handle.token, None)
-    if publication is not None:
-        publication.close()
-
-
-@contextmanager
-def published_state(pool: Optional["WorkerPool"], state: object) -> Iterator[StateHandle]:
-    """Publish ``state`` for the duration of a ``with`` block."""
-    handle = publish_worker_state(state, pool)
-    try:
-        yield handle
-    finally:
-        release_worker_state(handle)
+    return handle.state if handle.spec is None else handle.spec.attach()
 
 
 class WorkerPool:
-    """One persistent executor plus the metadata the cache keys on.
+    """Where a resolve's stage units run: the seam the executor is given.
 
-    ``broken`` is set by callers that observed the pool die (a worker
-    segfault raises :class:`concurrent.futures.BrokenExecutor`); a broken
-    pool is never cached and its ``shutdown`` is idempotent, so the failure
-    path is: mark broken → release → the executor is torn down and the next
-    acquire spawns fresh — while the caller falls back to the serial
-    schedule for the remainder of its run.
+    ``submit`` returns a :class:`concurrent.futures.Future`; ``publish``
+    makes a stage state reachable from the pool's workers and ``release``
+    withdraws it; ``workers`` sizes the fan-out.  ``broken`` is set by
+    callers that observed the pool die (``submit`` or a future raising
+    :class:`concurrent.futures.BrokenExecutor`): the caller falls back to
+    the serial schedule for the rest of its run and the pool is never handed
+    out again.  ``begin_run`` is called once per resolve, inside its encode
+    stage, with the run's store and timing sink; local pools have nothing to
+    do there.
+
+    The defaults describe a pool whose workers share this process's memory,
+    so a subclass only has to say how ``submit`` runs a call.
     """
 
-    def __init__(self, executor: Executor, kind: str, workers: int) -> None:
-        self.executor = executor
-        self.kind = kind
-        self.workers = workers
+    def __init__(self, workers: int) -> None:
+        self.workers = int(workers)
         self.broken = False
-        self._shut_down = False
 
-    def submit(self, fn, /, *args, **kwargs):
-        return self.executor.submit(fn, *args, **kwargs)
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        raise NotImplementedError
+
+    def publish(self, state: object) -> StateHandle:
+        return StateHandle(state=state)
+
+    def release(self, handle: StateHandle) -> None:
+        """Withdraw a published state (tasks carrying it have finished)."""
+
+    @contextmanager
+    def published(self, state: object) -> Iterator[StateHandle]:
+        """Publish ``state`` for the duration of a ``with`` block."""
+        handle = self.publish(state)
+        try:
+            yield handle
+        finally:
+            self.release(handle)
+
+    def begin_run(self, store, stage_timings) -> None:
+        """Per-resolve hook (see the class docstring)."""
 
     def shutdown(self) -> None:
-        if self._shut_down:
+        """Stop the workers and withdraw every published state (idempotent)."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(workers={self.workers}, broken={self.broken})"
+
+
+class _ExecutorPool(WorkerPool):
+    """A pool over one :mod:`concurrent.futures` executor."""
+
+    def __init__(self, executor: Executor, workers: int) -> None:
+        super().__init__(workers)
+        self._executor: Optional[Executor] = executor
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        return self._executor.submit(fn, *args, **kwargs)
+
+    def shutdown(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is None:
             return
-        self._shut_down = True
         # A broken process pool can raise from shutdown; the pool is being
         # discarded either way.
         try:
-            self.executor.shutdown(wait=True, cancel_futures=True)
+            executor.shutdown(wait=True, cancel_futures=True)
         except Exception:  # pragma: no cover - depends on how the pool died
             pass
 
-    def __repr__(self) -> str:
-        return f"WorkerPool(kind={self.kind!r}, workers={self.workers}, broken={self.broken})"
+
+class ThreadWorkerPool(_ExecutorPool):
+    """Threads of this process: the fallback where fork is unavailable."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(ThreadPoolExecutor(max_workers=workers), workers)
 
 
-def pool_kind_default() -> str:
-    """Which pool transport this process should use: fork, thread or serial.
+class ForkWorkerPool(_ExecutorPool):
+    """Forked worker processes; state is published to shared memory.
 
-    ``REPRO_ENGINE_POOL`` overrides (``fork``/``thread``/``serial``).
-    Otherwise fork is chosen on Linux when shared-memory segments work —
-    the persistent pool ships stage state through shared memory, so without
-    segments the process path would have to pickle arrays per task and the
-    threaded path (NumPy releases the GIL in the kernels that dominate) is
-    the better fallback.  Fork stays gated off on macOS: forking after the
-    parent has touched Accelerate/BLAS aborts the children, which is why
-    CPython made ``spawn`` the macOS default.
+    The pool owns its publications: ``release`` unlinks one state's
+    segments, ``shutdown`` whatever an abandoned run left behind.
     """
-    if _POOL_OVERRIDE is not None and not _POOL_OVERRIDE.broken:
-        # An installed override (the distributed runner) claims every pooled
-        # stage for the duration of its ``pool_override`` block, including
-        # on hosts where the env would otherwise force the serial schedule.
-        # A broken override falls through: the rest of the run degrades to
-        # whatever local transport this host would normally use.
-        return _POOL_OVERRIDE.kind
-    forced = os.environ.get("REPRO_ENGINE_POOL", "").strip().lower()
-    if forced in ("fork", "thread", "serial"):
-        return forced
-    if forced:
-        raise ValueError(
-            f"REPRO_ENGINE_POOL={forced!r} is not one of 'fork', 'thread', 'serial'"
-        )
-    from repro.engine.sharedmem import shared_memory_available
 
-    if (
+    def __init__(self, workers: int) -> None:
+        context = multiprocessing.get_context("fork")
+        super().__init__(ProcessPoolExecutor(max_workers=workers, mp_context=context), workers)
+        self._publications: Dict[str, sharedmem.StatePublication] = {}
+
+    def publish(self, state: object) -> StateHandle:
+        publication = sharedmem.publish_state(state)
+        self._publications[publication.spec.token] = publication
+        return StateHandle(spec=publication.spec)
+
+    def release(self, handle: StateHandle) -> None:
+        publication = self._publications.pop(handle.spec.token, None)
+        if publication is not None:
+            publication.close()
+
+    def shutdown(self) -> None:
+        while self._publications:
+            self._publications.popitem()[1].close()
+        super().shutdown()
+
+
+#: Pools spawned by :func:`make_pool` since import — the observable cost the
+#: cached slot exists to minimise.  Regression tests pin this: one full
+#: pooled resolve must spawn exactly one pool, and delta rounds must spawn
+#: none.  Pools a caller builds and supplies itself are not counted.
+POOL_SPAWNS = 0
+
+
+def fork_pool_available() -> bool:
+    """Whether this process can run a :class:`ForkWorkerPool`.
+
+    Linux with the ``fork`` start method and working shared-memory segments:
+    the fork pool ships stage state through segments, so without them the
+    process path would pickle arrays per task and threads are the better
+    fallback.
+    """
+    return (
         sys.platform.startswith("linux")
         and "fork" in multiprocessing.get_all_start_methods()
-        and shared_memory_available()
-    ):
-        return "fork"
-    return "thread"
+        and sharedmem.shared_memory_available()
+    )
 
 
-def make_pool(workers: int, kind: Optional[str] = None) -> WorkerPool:
-    """Spawn a new worker pool (callers normally want :func:`acquire_pool`).
+def make_pool(workers: int) -> WorkerPool:
+    """Spawn a new local pool (callers normally want :func:`acquire_pool`).
 
     Workers are stateless at spawn time — stage state arrives later through
-    :func:`publish_worker_state` — which is what makes one pool reusable
+    :meth:`WorkerPool.publish` — which is what makes one pool reusable
     across encode → block → score and across delta rounds.
     """
     global POOL_SPAWNS
-    kind = kind or pool_kind_default()
-    if kind == "serial":
-        raise ValueError("serial schedules do not use a pool")
     POOL_SPAWNS += 1
-    if kind == "fork":
-        context = multiprocessing.get_context("fork")
-        executor: Executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-    else:
-        executor = ThreadPoolExecutor(max_workers=workers)
-    return WorkerPool(executor, kind, workers)
+    return ForkWorkerPool(workers) if fork_pool_available() else ThreadWorkerPool(workers)
 
 
-#: Single-slot pool cache: the released pool of the last parallel run,
-#: handed back verbatim when the next run wants the same shape.  One slot is
-#: deliberate — resolves run one at a time in this engine, and a second
-#: cached pool would only pin idle processes.
+#: Single-slot cache of the local pool: the released pool of the last
+#: parallel run, handed back verbatim when the next run wants the same
+#: size.  One slot is deliberate — a second cached pool would only pin idle
+#: processes.  The only module-level pool state there is.
 _CACHED_POOL: Optional[WorkerPool] = None
 
-#: When set, :func:`acquire_pool` hands out this pool instead of a local
-#: one — the hook the distributed runner uses to route every pooled stage
-#: (build, query, score, tail encode) of the executor through its
-#: coordinator/queue transport without touching their control flow.
-_POOL_OVERRIDE: Optional[WorkerPool] = None
 
+def acquire_pool(workers: int) -> WorkerPool:
+    """The local pool with ``workers`` workers — cached if it fits, else fresh.
 
-@contextmanager
-def pool_override(pool: WorkerPool) -> Iterator[WorkerPool]:
-    """Route :func:`acquire_pool` to ``pool`` for the duration of the block.
-
-    Overrides do not nest (the engine runs one resolve at a time), and the
-    override is never cached, shut down or replaced by
-    :func:`release_pool`/:func:`shutdown_pools` — its owner manages its
-    lifetime.  A pool marked broken inside the block stops being handed
-    out, so the executor's serial resume degrades exactly as it
-    does for a crashed local pool.
-    """
-    global _POOL_OVERRIDE
-    if _POOL_OVERRIDE is not None:
-        raise RuntimeError("a pool override is already active")
-    _POOL_OVERRIDE = pool
-    try:
-        yield pool
-    finally:
-        _POOL_OVERRIDE = None
-
-
-def acquire_pool(workers: int, kind: Optional[str] = None) -> WorkerPool:
-    """A pool of the requested shape — cached if compatible, else fresh.
-
-    A cached pool of a different shape (or one marked broken) is shut down
+    A cached pool of a different size (or one marked broken) is shut down
     *before* the replacement spawns, so forked children never inherit a live
-    executor.  With an active (unbroken) :func:`pool_override` that pool is
-    returned verbatim, whatever shape was requested.
+    executor.
     """
     global _CACHED_POOL
-    if _POOL_OVERRIDE is not None and not _POOL_OVERRIDE.broken:
-        return _POOL_OVERRIDE
-    kind = kind or pool_kind_default()
     pool, _CACHED_POOL = _CACHED_POOL, None
     if pool is not None:
-        if pool.kind == kind and pool.workers == workers and not pool.broken:
+        if pool.workers == workers and not pool.broken:
             return pool
         pool.shutdown()
-    return make_pool(workers, kind)
+    return make_pool(workers)
 
 
 def release_pool(pool: WorkerPool) -> None:
-    """Return a pool to the cache (broken pools are shut down instead)."""
+    """Return an acquired pool to the cache (broken pools are shut down instead)."""
     global _CACHED_POOL
-    if pool is _POOL_OVERRIDE:
-        # Override pools are owned by whoever installed them; the engine
-        # neither caches nor tears them down (broken or not).
-        return
     if pool.broken:
         pool.shutdown()
-        return
-    if _CACHED_POOL is None:
+    elif _CACHED_POOL is None:
         _CACHED_POOL = pool
     elif _CACHED_POOL is not pool:
         pool.shutdown()
 
 
 def shutdown_pools() -> None:
-    """Tear down the cached pool (idempotent; registered atexit)."""
+    """Tear down the cached pool (idempotent)."""
     global _CACHED_POOL
     pool, _CACHED_POOL = _CACHED_POOL, None
     if pool is not None:
@@ -500,24 +300,13 @@ def release_engine_resources() -> None:
     """Release everything a long-lived process holds between resolve tasks.
 
     A batch CLI run can lean on the ``atexit`` hook below, but a daemon
-    that stops serving one task (or goes idle) must not keep the persistent
-    fork pool, published shared-memory segments, worker-state registry
-    entries or open chunk-archive handles alive for hours.  Idempotent and
-    safe to call between tasks: the next resolve simply re-acquires a pool
-    and re-opens handles on demand.
+    that stops serving one task (or goes idle) must not keep the cached
+    local pool, the shared-memory segments it published (including those an
+    abandoned run never released) or open chunk-archive handles alive for
+    hours.  Idempotent and safe to call between tasks: the next resolve
+    simply re-acquires a pool and re-opens handles on demand.
     """
     shutdown_pools()
-    # Leaked publications: states published but never released (an abandoned
-    # run that errored between publish and release).  Closing unlinks the
-    # shared-memory segments.
-    for token in list(_PUBLICATIONS):
-        publication = _PUBLICATIONS.pop(token, None)
-        if publication is not None:
-            publication.close()
-    _WORKER_STATES.clear()
-    from repro.engine import sharedmem
-    from repro.engine.persist import close_chunk_handles
-
     sharedmem.detach_all()
     close_chunk_handles()
 

@@ -1,28 +1,28 @@
-"""Shared-memory state transport for the persistent worker pool.
+"""Shared-memory state transport of the fork worker pool.
 
-The persistent pool (:mod:`repro.engine.shard`) outlives any single resolve,
-so forked workers can no longer inherit stage state by copy-on-write — the
-state does not exist yet when the pool's processes are forked.  This module
-is the replacement transport: :func:`publish_state` pickles a state object
-with a pickler that *hoists* every large ndarray into its own
+The fork pool (:class:`repro.engine.shard.ForkWorkerPool`) outlives any
+single resolve, so its workers cannot inherit stage state by copy-on-write —
+the state does not exist yet when the pool's processes are forked.  This
+module is the transport instead: :func:`publish_state` pickles a state
+object with a pickler that *hoists* every large ndarray into its own
 :class:`multiprocessing.shared_memory.SharedMemory` segment (the pickle
-stream itself lands in one more segment), and returns a tiny picklable
-:class:`StateSpec` naming the segments.  Workers :func:`attach_state` the
-spec: the arrays come back as zero-copy NumPy views over the mapped
-segments, so publishing a gigabyte of encodings ships gigabytes through the
-page cache exactly once and every task afterwards carries only the spec.
+stream itself lands in one more segment), and returns the owner handle of a
+tiny picklable :class:`StateSpec` naming the segments.  Workers call
+:meth:`StateSpec.attach`: the arrays come back as zero-copy NumPy views over
+the mapped segments, so publishing a gigabyte of encodings ships gigabytes
+through the page cache exactly once and every task afterwards carries only
+the spec.
 
-Thread pools never need any of this (workers share the parent's address
-space); the pool layer therefore only publishes through here for
-process-backed pools, and falls back to threads when
-:func:`shared_memory_available` says the platform cannot provide segments
-(``/dev/shm`` missing, sealed sandbox) or the user forced it off with
-``REPRO_ENGINE_SHM=0``.
+Only the fork pool publishes through here; where
+:func:`shared_memory_available` finds the platform cannot provide segments
+(``/dev/shm`` missing, sealed sandbox) the local pool is a thread pool,
+whose workers share the parent's address space.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import pickle
 from collections import OrderedDict
@@ -48,24 +48,16 @@ _available: Optional[bool] = None
 
 
 def shared_memory_available() -> bool:
-    """Whether POSIX shared-memory segments work here (memoized probe).
-
-    ``REPRO_ENGINE_SHM=0`` forces ``False`` — the kill switch that sends the
-    pool layer down its threaded fast path on platforms where segments
-    exist but misbehave.
-    """
+    """Whether POSIX shared-memory segments work here (memoized probe)."""
     global _available
     if _available is None:
-        if os.environ.get("REPRO_ENGINE_SHM", "").strip().lower() in ("0", "false", "off", "no"):
+        try:
+            probe = shared_memory.SharedMemory(create=True, size=16)
+            probe.close()
+            probe.unlink()
+            _available = True
+        except (OSError, ValueError):
             _available = False
-        else:
-            try:
-                probe = shared_memory.SharedMemory(create=True, size=16)
-                probe.close()
-                probe.unlink()
-                _available = True
-            except (OSError, ValueError):
-                _available = False
     return _available
 
 
@@ -84,6 +76,30 @@ class StateSpec:
     payload_segment: str
     payload_bytes: int
     arrays: Tuple[str, ...]
+
+    def attach(self) -> object:
+        """Materialise the published state in this process (memoized by token).
+
+        Hoisted arrays come back as zero-copy views over the mapped segments;
+        everything else is unpickled from the payload segment.  The memo
+        keeps the last :data:`ATTACHED_STATE_CACHE` states alive so a worker
+        pays the unpickle once per resolve, not once per task.
+        """
+        cached = _attached.get(self.token)
+        if cached is not None:
+            _attached.move_to_end(self.token)
+            return cached[0]
+        attachments: List[shared_memory.SharedMemory] = []
+        payload_segment = _open_segment(self.payload_segment)
+        attachments.append(payload_segment)
+        payload = bytes(payload_segment.buf[: self.payload_bytes])
+        state = _AttachingUnpickler(io.BytesIO(payload), attachments).load()
+        _attached[self.token] = (state, attachments)
+        while len(_attached) > ATTACHED_STATE_CACHE:
+            _, (_, old_attachments) = _attached.popitem(last=False)
+            for segment in old_attachments:
+                _close_segment(segment)
+        return state
 
 
 class _HoistingPickler(pickle.Pickler):
@@ -193,7 +209,12 @@ class StatePublication:
             pass
 
 
-def publish_state(token: str, state: object) -> StatePublication:
+#: Numbers this process's publications; with the pid, a token no other
+#: publication a worker could have memoized shares.
+_TOKENS = itertools.count()
+
+
+def publish_state(state: object) -> StatePublication:
     """Pickle ``state`` into shared memory and return the owner handle.
 
     Large ndarrays anywhere in the object graph (encodings, LSH projections,
@@ -212,7 +233,7 @@ def publish_state(token: str, state: object) -> StatePublication:
         segments.append(payload_segment)
         payload_segment.buf[: payload.nbytes] = payload
         spec = StateSpec(
-            token=token,
+            token=f"{os.getpid()}-{next(_TOKENS)}",
             payload_segment=payload_segment.name,
             payload_bytes=payload.nbytes,
             arrays=tuple(s.name for s in segments[:-1]),
@@ -230,31 +251,6 @@ def publish_state(token: str, state: object) -> StatePublication:
 
 #: Worker-side memo of attached states: token -> (state, segment handles).
 _attached: "OrderedDict[str, Tuple[object, List[shared_memory.SharedMemory]]]" = OrderedDict()
-
-
-def attach_state(spec: StateSpec) -> object:
-    """Materialise a published state in this process (memoized by token).
-
-    Hoisted arrays come back as zero-copy views over the mapped segments;
-    everything else is unpickled from the payload segment.  The memo keeps
-    the last :data:`ATTACHED_STATE_CACHE` states alive so a worker pays the
-    unpickle once per resolve, not once per task.
-    """
-    cached = _attached.get(spec.token)
-    if cached is not None:
-        _attached.move_to_end(spec.token)
-        return cached[0]
-    attachments: List[shared_memory.SharedMemory] = []
-    payload_segment = _open_segment(spec.payload_segment)
-    attachments.append(payload_segment)
-    payload = bytes(payload_segment.buf[: spec.payload_bytes])
-    state = _AttachingUnpickler(io.BytesIO(payload), attachments).load()
-    _attached[spec.token] = (state, attachments)
-    while len(_attached) > ATTACHED_STATE_CACHE:
-        _, (_, old_attachments) = _attached.popitem(last=False)
-        for segment in old_attachments:
-            _close_segment(segment)
-    return state
 
 
 def detach_all() -> None:

@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - break the engine <-> core import cycle
 
 SIDES = ("left", "right")
 
+#: Default number of rows per table shard.
+DEFAULT_SHARD_ROWS = 2048
+
 #: The three encoded arrays a :class:`TableEncodings` carries.
 _ARRAY_FIELDS = ("irs", "mu", "sigma")
 
@@ -139,6 +142,10 @@ class EncodingStore:
         every mutation re-encode, so codes splice consistently across
         chunks and generations.  The codec rides in the persistent-cache
         fingerprint, so raw and quantized entries never serve each other.
+    shard_rows:
+        Target rows per row-range shard (the last shard of a table may be
+        short).  The cache itself holds one contiguous array per table, so
+        gathers spanning shards stay a single fancy-index.
     """
 
     def __init__(
@@ -148,9 +155,15 @@ class EncodingStore:
         counters: Optional[EngineCounters] = None,
         persistent: Optional["PersistentEncodingCache"] = None,
         codec: Optional[str] = None,
+        shard_rows: int = DEFAULT_SHARD_ROWS,
     ) -> None:
+        if shard_rows <= 0:
+            raise ValueError("shard_rows must be positive")
         self.representation = representation
         self.task = task
+        #: Rows per row-range shard: the partitioning a planner over this
+        #: store distributes blocking and delta encodes in.
+        self.shard_rows = shard_rows
         self.counters = counters if counters is not None else engine_counters()
         self.persistent = persistent
         self.codec_name = resolve_codec_name(codec)

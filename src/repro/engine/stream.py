@@ -10,14 +10,14 @@ table encodings plus one scoring batch, regardless of how many candidate
 pairs blocking emits.  With ``workers > 1`` the planner engine
 (:mod:`repro.engine.plan`) reuses the exact candidate enumeration and batch
 packing below but fans blocking queries and per-batch scoring out across a
-persistent worker pool (:mod:`repro.engine.shard`), shipping the stage state
-through shared memory (:mod:`repro.engine.sharedmem`).
+:class:`~repro.engine.shard.WorkerPool` — the cached local one, or a pool the
+caller passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from repro.data.pairs import RecordPair
 from repro.engine.store import EncodingStore
 from repro.eval.timing import ShardTimings, StageTimings
 from repro.exceptions import StaleEncodingError
+
+if TYPE_CHECKING:  # pragma: no cover - shard imports this module
+    from repro.engine.shard import WorkerPool
 
 
 @dataclass
@@ -194,6 +197,7 @@ def resolve_stream(
     workers: int = 1,
     shard_timings: Optional[ShardTimings] = None,
     stage_timings: Optional[StageTimings] = None,
+    pool: Optional["WorkerPool"] = None,
 ) -> Iterator[ResolutionBatch]:
     """Score the candidate stream in bounded-memory batches.
 
@@ -209,14 +213,19 @@ def resolve_stream(
     runs the encode → block → score stage graph.  ``workers=1`` enumerates
     candidates through :func:`iter_candidate_batches` above and scores each
     batch inline; with ``workers > 1`` the LSH blocking queries *and* the
-    per-batch scoring run concurrently on a worker pool (acquired on first
-    iteration, handed back when the iterator is exhausted or closed) and
-    re-merge in deterministic order, so identical knobs always produce the
-    identical batch stream, whatever the worker count.  ``shard_timings``
-    collects per-batch and ``stage_timings`` per-stage compute seconds.
+    per-batch scoring run concurrently on the cached local worker pool
+    (borrowed on first iteration, handed back when the iterator is exhausted
+    or closed) and re-merge in deterministic order, so identical knobs
+    always produce the identical batch stream, whatever the worker count.
+    A supplied ``pool`` runs the units instead and sizes the plan
+    (``workers`` is then its worker count); it is the caller's to shut down.
+    ``shard_timings`` collects per-batch and ``stage_timings`` per-stage
+    compute seconds.
     """
     from repro.engine.plan import ResolutionExecutor, ResolutionPlanner
 
+    if pool is not None:
+        workers = pool.workers
     plan = ResolutionPlanner.from_store(
         store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
     ).plan()
@@ -227,4 +236,5 @@ def resolve_stream(
         threshold=threshold,
         shard_timings=shard_timings,
         stage_timings=stage_timings,
+        pool=pool,
     ).run()

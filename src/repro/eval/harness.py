@@ -33,7 +33,6 @@ from repro.data.pairs import PairSet
 from repro.engine import (
     EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_stream,
 )
@@ -485,7 +484,7 @@ def resolution_experiment(
     """Blocking + matching over the full task through the sharded engine.
 
     Fits a representation and matcher when not supplied (so sweeps can share
-    them across worker counts), builds a :class:`ShardedEncodingStore` with
+    them across worker counts), builds an :class:`EncodingStore` with
     its own counters — attached to a :class:`PersistentEncodingCache` when
     ``cache_dir`` is given — and resolves the task with ``workers`` pool
     workers, recording per-shard timings and engine cache traffic.
@@ -505,7 +504,7 @@ def resolution_experiment(
 
     counters = EngineCounters()
     persistent = PersistentEncodingCache(cache_dir) if cache_dir is not None else None
-    store = ShardedEncodingStore(
+    store = EncodingStore(
         representation, domain.task, counters=counters, persistent=persistent
     )
     timings = ShardTimings()

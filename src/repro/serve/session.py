@@ -29,8 +29,8 @@ Concurrency model (the snapshot-isolation contract the server documents):
 
 Shutdown drains the queue (pending mutations complete, late ones are
 refused), joins the writer, and releases every engine resource the process
-holds — the persistent worker pool, shared-memory publications and open
-chunk-archive handles (:func:`repro.engine.release_engine_resources`).
+holds — the cached local worker pool with its shared-memory publications
+and open chunk-archive handles (:func:`repro.engine.release_engine_resources`).
 Persistent-cache manifests are flushed synchronously by each mutation's
 write-then-rename, so a drained queue implies a consistent on-disk cache.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -278,7 +278,7 @@ class ServeSession:
         k: Optional[int] = None,
         batch_size: int = 2048,
         workers: int = 1,
-        runtime=None,
+        pool=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -293,14 +293,13 @@ class ServeSession:
             raise ValueError("k must be positive")
         self.batch_size = int(batch_size)
         self.workers = int(workers)
-        #: Optional :class:`repro.distrib.DistributedRuntime` — when set,
-        #: every refresh (the cold resolve and each mutation's delta
-        #: resolve) fans its stage units out to the runtime's remote
-        #: workers instead of a local pool.  The session does not own the
-        #: runtime; the caller closes it.
-        self.runtime = runtime
-        if runtime is not None:
-            self.workers = max(self.workers, int(runtime.workers))
+        #: Optional :class:`repro.engine.WorkerPool` — when set, every
+        #: refresh (the cold resolve and each mutation's delta resolve) runs
+        #: its stage units there (``runtime.pool`` of a
+        #: :class:`repro.distrib.DistributedRuntime` fans them out to remote
+        #: workers) instead of the cached local pool.  The session does not
+        #: own the pool; the caller shuts it down.
+        self.pool = pool
         self._snapshot: Optional[Snapshot] = None
         self._generation = -1
         self._index_lock = _ReadWriteLock()
@@ -585,11 +584,10 @@ class ServeSession:
         snapshot pointer swap is the linearisation point for readers.
         """
         stage = StageTimings()
-        with self.runtime.activate() if self.runtime is not None else nullcontext():
-            batches = list(self.model.resolve_delta(
-                k=self.k, batch_size=self.batch_size,
-                stage_timings=stage, workers=self.workers,
-            ))
+        batches = list(self.model.resolve_delta(
+            k=self.k, batch_size=self.batch_size,
+            stage_timings=stage, workers=self.workers, pool=self.pool,
+        ))
         merged = merge_scored_batches(batches)
         pairs: List[Tuple[str, str, float]] = []
         by_left: Dict[str, List[Tuple[str, float]]] = {}

@@ -47,7 +47,11 @@ class LSAModel:
         # Economy SVD of the document-term matrix; right singular vectors give
         # the term -> topic projection used at transform time.
         _, singular_values, vt = linalg.svd(matrix, full_matrices=False)
-        self._components = vt[:effective_dim]
+        # LAPACK returns ``vt`` column-major, so its leading rows are a strided
+        # view; a pickled copy would come back row-major and BLAS would round
+        # ``matrix @ components.T`` differently.  The column-major copy keeps
+        # the bytes ``transform`` produces and survives pickling as it is.
+        self._components = np.asfortranarray(vt[:effective_dim])
         self._singular_values = singular_values[:effective_dim]
         return self
 

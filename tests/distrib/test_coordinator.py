@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import BrokenExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,41 +155,58 @@ class TestRecovery:
         finally:
             second.close()
 
+    def test_later_run_does_not_adopt_an_earlier_runs_result(self, tmp_path, queue):
+        """Adoption is for restarts: a long-lived coordinator re-submitting an
+        identical unit in its next run (the calibration probes always are)
+        gets a real round trip, not the result file the last run left."""
+        no_cache = SimpleNamespace(persistent=None)
+        stop = threading.Event()
+        coordinator = Coordinator(queue, tmp_path / "state", poll_interval=0.01)
+        worker, thread = _start_worker(tmp_path, stop)
+        try:
+            for _ in range(2):
+                coordinator.begin_run(no_cache, None)
+                assert coordinator.submit(_double, 5).result(timeout=10) == 10
+                assert coordinator.submit(_double, 5).result(timeout=10) == 10
+            assert coordinator.units_resumed == 0
+            assert worker.units_executed == 4
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            coordinator.close()
+
 
 class TestRuntime:
     def test_file_queue_runtime_context(self, tmp_path):
-        from repro.engine.shard import acquire_pool, pool_kind_default
+        from repro.engine import WorkerPool
 
         with DistributedRuntime.file_queue(tmp_path / "queue", workers=3) as runtime:
             assert runtime.workers == 3
-            with runtime.activate():
-                assert pool_kind_default() == "distrib"
-                assert acquire_pool("fork", 3) is runtime.pool
+            assert isinstance(runtime.pool, WorkerPool) and runtime.pool.workers == 3
+            assert not runtime.pool.broken
+        with pytest.raises(RuntimeError):
+            runtime.pool.submit(_double, 1)  # closed with the runtime
 
-    def test_socket_queue_runtime(self, tmp_path):
+    def test_completed_units_are_forgotten(self, tmp_path, queue):
+        """A long-lived coordinator must not grow with every unit it ever
+        dispatched: delivered, failed and cancelled units all leave."""
         stop = threading.Event()
-        runtime = DistributedRuntime.socket_queue(tmp_path / "state", workers=2)
+        coordinator = Coordinator(
+            queue, tmp_path / "state", poll_interval=0.01, max_retries=0
+        )
+        worker, thread = _start_worker(tmp_path, stop)
         try:
-            host, port = runtime.queue.address
-            from repro.distrib import make_queue_client
-
-            worker = Worker(
-                make_queue_client(connect=f"{host}:{port}"), poll_interval=0.01
-            )
-            thread = threading.Thread(target=worker.run, args=(stop,), daemon=True)
-            thread.start()
-            try:
-                future = runtime.coordinator.submit(_double, 100)
-                assert future.result(timeout=10) == 200
-            finally:
-                stop.set()
-                thread.join(timeout=5)
+            futures = [coordinator.submit(_double, value) for value in range(5)]
+            assert [future.result(timeout=10) for future in futures] == [0, 2, 4, 6, 8]
+            with pytest.raises(BrokenExecutor):
+                coordinator.submit(_boom).result(timeout=20)
+            assert coordinator._records == {} and coordinator.pending_units() == 0
         finally:
-            runtime.close()
-
-    def test_nested_activation_is_refused(self, tmp_path):
-        with DistributedRuntime.file_queue(tmp_path / "queue", workers=2) as runtime:
-            with runtime.activate():
-                with pytest.raises(RuntimeError):
-                    with runtime.activate():
-                        pass  # pragma: no cover
+            stop.set()
+            thread.join(timeout=5)
+        stranded = coordinator.submit(_double, 99)  # no worker left to claim it
+        assert coordinator.pending_units() == 1
+        coordinator.close()
+        with pytest.raises(BrokenExecutor):
+            stranded.result(timeout=5)
+        assert coordinator._records == {}

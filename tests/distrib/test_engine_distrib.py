@@ -19,8 +19,8 @@ import pytest
 from repro.config import VAEConfig
 from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
-from repro.data.generators import load_domain
-from repro.distrib import DistributedRuntime, FileLeaseQueue, Worker
+from repro.data.generators import append_rows, load_domain, mutate_rows
+from repro.distrib import DistributedRuntime, FileLeaseQueue, Worker, load_object, read_blob
 from repro.eval.timing import StageTimings
 
 
@@ -49,8 +49,8 @@ class AbandonOnceWorker(Worker):
         super().execute(unit)
 
 
-def _build_model(cache_dir=None):
-    domain = load_domain("beer", scale=0.3)
+def _build_model(cache_dir=None, domain=None):
+    domain = domain or load_domain("beer", scale=0.3)
     model = VAER(cache_dir=cache_dir)
     model.representation = EntityRepresentationModel(
         VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7),
@@ -93,10 +93,10 @@ def test_distributed_matches_serial_stream(tmp_path, workers):
     _, stop = _start_workers(tmp_path / "queue", workers)
     try:
         stage = StageTimings()
-        distributed = list(model.resolve_distributed(
-            workers=workers, queue_dir=tmp_path / "queue",
-            k=5, batch_size=64, stage_timings=stage,
-        ))
+        with DistributedRuntime.file_queue(tmp_path / "queue", workers=workers) as runtime:
+            distributed = list(model.resolve_stream(
+                pool=runtime.pool, k=5, batch_size=64, stage_timings=stage,
+            ))
     finally:
         stop()
     _assert_identical(serial, distributed)
@@ -115,10 +115,12 @@ def test_distributed_survives_abandoned_unit(tmp_path):
     healthy, stop_healthy = _start_workers(tmp_path / "queue", 1)
     try:
         stage = StageTimings()
-        distributed = list(model.resolve_distributed(
-            workers=2, queue_dir=tmp_path / "queue",
-            k=5, batch_size=64, stage_timings=stage, lease_timeout=0.5,
-        ))
+        with DistributedRuntime.file_queue(
+            tmp_path / "queue", workers=2, lease_timeout=0.5
+        ) as runtime:
+            distributed = list(model.resolve_stream(
+                pool=runtime.pool, k=5, batch_size=64, stage_timings=stage,
+            ))
     finally:
         stop()
         stop_healthy()
@@ -136,27 +138,58 @@ def test_distributed_without_workers_falls_back_serially(tmp_path):
         tmp_path / "queue", workers=2, claim_timeout=0.3
     )
     with runtime:
-        distributed = list(model.resolve_distributed(
-            runtime=runtime, k=5, batch_size=64,
-        ))
+        distributed = list(model.resolve_stream(pool=runtime.pool, k=5, batch_size=64))
+        assert runtime.pool.broken
     _assert_identical(serial, distributed)
 
 
 def test_workers_one_degenerates_to_local_serial(tmp_path):
     model = _build_model()
     serial = list(model.resolve_stream(k=5, batch_size=64))
-    distributed = list(model.resolve_distributed(
-        workers=1, queue_dir=tmp_path / "queue", k=5, batch_size=64,
-    ))
+    with DistributedRuntime.file_queue(tmp_path / "queue", workers=1) as runtime:
+        distributed = list(model.resolve_stream(pool=runtime.pool, k=5, batch_size=64))
     _assert_identical(serial, distributed)
-    units_dir = tmp_path / "queue" / "units"
-    assert not units_dir.is_dir() or not list(units_dir.iterdir())
+    assert not list((tmp_path / "queue" / "units").iterdir())
 
 
-def test_resolve_distributed_requires_a_transport():
-    model = _build_model()
-    with pytest.raises(ValueError):
-        list(model.resolve_distributed(workers=2))
+def test_reused_runtime_forgets_units_and_superseded_arrays(tmp_path):
+    """Two incremental rounds on one runtime: every dispatched unit is
+    forgotten once delivered, no round adopts a result an earlier one left
+    behind (adoption is for restarts), and the second round's cache refs
+    replace (and un-pin) the first round's instead of piling up beside them."""
+    domain = load_domain("beer", scale=0.3)
+    model = _build_model(cache_dir=str(tmp_path / "cache"), domain=domain)
+    oracle_domain = load_domain("beer", scale=0.3)
+    oracle = _build_model(domain=oracle_domain)
+    oracle.representation = model.representation
+    _, stop = _start_workers(tmp_path / "queue", 2)
+    try:
+        with DistributedRuntime.file_queue(tmp_path / "queue", workers=2) as runtime:
+            coordinator = runtime.coordinator
+            for round_index in range(2):
+                if round_index:
+                    for mutated in (domain, oracle_domain):
+                        mutate_rows(mutated, side="right", rows=3)
+                        append_rows(mutated, side="right", rows=5)
+                distributed = list(model.resolve_stream(
+                    pool=runtime.pool, k=5, batch_size=64, incremental=True,
+                ))
+                _assert_identical(
+                    list(oracle.resolve_stream(k=5, batch_size=64, incremental=True)),
+                    distributed,
+                )
+                assert not runtime.pool.broken
+                assert len(coordinator._records) == 0 and coordinator.pending_units() == 0
+                assert coordinator.units_resumed == 0
+                assert sorted(coordinator._cache_refs) == [
+                    ("beer", "left", "irs"), ("beer", "right", "irs"),
+                ]
+                store = model.store
+                for side in ("left", "right"):
+                    pinned, _ = coordinator._cache_refs[("beer", side, "irs")]
+                    assert pinned is store.table_encodings(side).irs
+    finally:
+        stop()
 
 
 def test_serve_session_refreshes_through_runtime(tmp_path):
@@ -174,12 +207,49 @@ def test_serve_session_refreshes_through_runtime(tmp_path):
     runtime = DistributedRuntime.file_queue(tmp_path / "queue", workers=2)
     try:
         session = ServeSession(
-            _build_model(), k=4, batch_size=32, runtime=runtime
+            _build_model(), k=4, batch_size=32, pool=runtime.pool
         ).start()
         try:
             snapshot = session.snapshot
             assert snapshot.pairs == reference.pairs
             assert snapshot.match_count == reference.match_count
+        finally:
+            session.close()
+        assert not runtime.pool.broken, "closing a session leaves a supplied pool alone"
+    finally:
+        runtime.close()
+        stop()
+
+
+def test_daemon_refresh_ships_cache_refs_not_ir_arrays(tmp_path):
+    """Library, CLI and daemon share one distributed entry: a daemon refresh
+    under a ``cache_dir`` publishes score state that references the shared
+    cache instead of carrying the IR arrays."""
+    from repro.serve import ServeSession
+
+    model = _build_model(cache_dir=str(tmp_path / "cache"))
+    _, stop = _start_workers(tmp_path / "queue", 2)
+    runtime = DistributedRuntime.file_queue(tmp_path / "queue", workers=2)
+    try:
+        session = ServeSession(model, k=4, batch_size=32, pool=runtime.pool).start()
+        try:
+            assert not runtime.pool.broken
+            states = [
+                load_object(read_blob(path))
+                for path in sorted((tmp_path / "queue" / "state").glob("state-*.bin"))
+            ]
+            scored = [state for state in states if hasattr(state, "left_irs")]
+            assert scored, "the refresh published its query/score state"
+            assert all(s.left_irs is None and s.right_irs is None for s in scored)
+            oracle = _build_model()
+            oracle.representation = model.representation
+            reference = list(oracle.resolve_stream(k=4, batch_size=32))
+            assert [(p.left_id, p.right_id) for b in reference for p in b.pairs] == [
+                pair[:2] for pair in session.snapshot.pairs
+            ]
+            assert [float(x) for b in reference for x in b.probabilities] == [
+                pair[2] for pair in session.snapshot.pairs
+            ]
         finally:
             session.close()
     finally:

@@ -1,16 +1,14 @@
-"""Queue transports: lease semantics, exclusivity, and the wire protocol.
+"""The file-lease queue: lease semantics, exclusivity, torn blobs.
 
-Both backends implement one contract — coordinator submits, exactly one
-worker claims, heartbeats keep the lease alive, complete publishes a
-result — so the file-lease and socket variants are tested against the same
-behavioural checklist.
+One contract — coordinator submits, exactly one worker claims, heartbeats
+keep the lease alive, complete publishes a result.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.distrib import FileLeaseQueue, SocketQueueClient, SocketWorkQueue
+from repro.distrib import FileLeaseQueue
 from repro.distrib.artifacts import find_blob
 
 
@@ -21,9 +19,10 @@ def file_queue(tmp_path):
 
 class TestFileLeaseQueue:
     def test_submit_claim_complete_roundtrip(self, file_queue):
-        file_queue.submit("u1", b"payload")
+        assert file_queue.claim() is None
+        file_queue.submit("u1", b"\x00\x01payload")
         unit = file_queue.claim()
-        assert unit is not None and unit.unit_id == "u1" and unit.payload == b"payload"
+        assert unit is not None and unit.unit_id == "u1" and unit.payload == b"\x00\x01payload"
         assert file_queue.heartbeat("u1")
         file_queue.complete("u1", b"result")
         assert file_queue.result("u1") == b"result"
@@ -82,47 +81,3 @@ class TestFileLeaseQueue:
         file_queue.submit("b-unit", b"second")
         file_queue.submit("a-unit", b"first")
         assert file_queue.claim().unit_id == "a-unit"
-
-
-class TestSocketQueue:
-    def test_roundtrip_over_tcp(self):
-        server = SocketWorkQueue()
-        try:
-            host, port = server.address
-            client = SocketQueueClient(host, port)
-            server.submit("u1", b"\x00\x01payload")
-            unit = client.claim()
-            assert unit is not None and unit.unit_id == "u1"
-            assert unit.payload == b"\x00\x01payload"
-            assert client.heartbeat("u1")
-            assert server.lease_age("u1") is not None
-            client.complete("u1", b"result-bytes")
-            assert server.result("u1") == b"result-bytes"
-        finally:
-            server.close()
-
-    def test_empty_claim_and_revoked_heartbeat(self):
-        server = SocketWorkQueue()
-        try:
-            host, port = server.address
-            client = SocketQueueClient(host, port)
-            assert client.claim() is None
-            assert not client.heartbeat("never-leased")
-            server.submit("u1", b"p")
-            assert client.claim() is not None
-            server.break_lease("u1")
-            assert not client.heartbeat("u1")
-        finally:
-            server.close()
-
-    def test_claim_is_exclusive_across_clients(self):
-        server = SocketWorkQueue()
-        try:
-            host, port = server.address
-            c1 = SocketQueueClient(host, port)
-            c2 = SocketQueueClient(host, port)
-            server.submit("u1", b"p")
-            assert c1.claim() is not None
-            assert c2.claim() is None
-        finally:
-            server.close()

@@ -13,6 +13,7 @@ Three invariants pin the delta engine:
   output stays equivalent to a cold run.
 """
 
+import time
 from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
@@ -34,12 +35,11 @@ from repro.engine import (
     EncodingStore,
     PersistentEncodingCache,
     ResolutionPlanner,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
     resolve_stream,
 )
-from repro.engine.shard import WorkerPool, pool_override
+from repro.engine.shard import WorkerPool, acquire_pool, release_pool
 from repro.eval.timing import EngineCounters, StageTimings
 
 
@@ -107,7 +107,7 @@ class TestRegistryEquivalence:
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
 
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
@@ -129,7 +129,7 @@ class TestRegistryEquivalence:
         rescored = store.counters.pairs_rescored - rescored_before
         assert 0 < rescored < len(delta), "some baseline scores must be reused"
 
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         cold = merge_scored_batches(
@@ -156,7 +156,7 @@ class TestRegistryEquivalence:
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
 
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
@@ -191,7 +191,7 @@ class TestRegistryEquivalence:
         stale = [p for p in delta.pairs if p.right_id in edited_ids]
         assert stale, "edited rows should still block (they remain similar)"
 
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         cold = merge_scored_batches(
@@ -202,6 +202,21 @@ class TestRegistryEquivalence:
         assert {p.key() for p in delta.matches()} == {p.key() for p in cold.matches()}
 
     def test_parallel_delta_tail_matches_serial(self):
+        self._check_parallel_delta_tail()
+
+    def test_parallel_delta_tail_on_a_pool_that_predates_the_model(self):
+        """The production case: the cached pool was spawned by an earlier
+        resolve, so its workers cannot have inherited anything of this run
+        and encode with a published (pickled) copy of the model."""
+        pool = acquire_pool(2)
+        try:
+            for future in [pool.submit(time.sleep, 0.2) for _ in range(2)]:
+                future.result()  # both workers exist before the model does
+        finally:
+            release_pool(pool)
+        self._check_parallel_delta_tail()
+
+    def _check_parallel_delta_tail(self):
         """workers>1 fans the pending-row encode, the left-shard queries and
         the scoring across the pool; the stream must honour the delta
         contract against the serial delta run: keys, batch packing and match
@@ -218,7 +233,7 @@ class TestRegistryEquivalence:
         blocking = BlockingConfig(seed=19)
 
         def capture(d):
-            store = ShardedEncodingStore(
+            store = EncodingStore(
                 representation, d.task, counters=EngineCounters(), shard_rows=8
             )
             executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
@@ -470,7 +485,7 @@ class TestModeEquivalence:
         knobs = dict(blocking=blocking, k=k, batch_size=batch_size)
 
         def fresh_store(domain):
-            return ShardedEncodingStore(
+            return EncodingStore(
                 delta_representation, domain.task, counters=EngineCounters(), shard_rows=shard_rows
             )
 
@@ -536,7 +551,7 @@ class _DyingPool(WorkerPool):
     ``budget`` tasks have run — a pool whose workers all died at that point."""
 
     def __init__(self, budget: int) -> None:
-        super().__init__(executor=None, kind="thread", workers=2)
+        super().__init__(workers=2)
         self.budget = budget
         self.refused = False
 
@@ -548,9 +563,6 @@ class _DyingPool(WorkerPool):
         future: Future = Future()
         future.set_result(fn(*args, **kwargs))
         return future
-
-    def shutdown(self) -> None:
-        pass
 
 
 class TestDeadPoolResume:
@@ -569,7 +581,7 @@ class TestDeadPoolResume:
         runs = []
         for _ in ("serial", "dying"):
             domain = _fresh_tiny_domain()
-            store = ShardedEncodingStore(
+            store = EncodingStore(
                 delta_representation, domain.task, counters=EngineCounters(), shard_rows=8
             )
             baseline = None
@@ -585,9 +597,8 @@ class TestDeadPoolResume:
         (store, baseline), (twin_store, twin_baseline) = runs
         serial = list(resolve_delta(store, matcher, baseline=baseline, **knobs).run())
         pool = _DyingPool(budget)
-        with pool_override(pool):
-            executor = resolve_delta(twin_store, matcher, baseline=twin_baseline, workers=2, **knobs)
-            resumed = list(executor.run())
+        executor = resolve_delta(twin_store, matcher, baseline=twin_baseline, pool=pool, **knobs)
+        resumed = list(executor.run())
         assert pool.broken == pool.refused
         # Every pooled run submits at least the probes and the calibration
         # shard; how many tasks follow depends on the measured coarsening.

@@ -2,7 +2,7 @@
 
 The engine's one non-negotiable invariant is that every scoring path —
 the legacy per-pair Python loop, the store's vectorized gather, and gathers
-through row-range shard views — computes the *same numbers*.  These tests
+through row-range shard slices — computes the *same numbers*.  These tests
 pin that equivalence to 1e-9 over randomized tables and pair sets, including
 the degenerate shapes (empty pair sets, single-row tables) where indexing
 bugs hide.
@@ -17,7 +17,7 @@ from repro.core.active.sampler import _pair_latent_distances_loop, pair_latent_d
 from repro.core.representation import EntityRepresentationModel
 from repro.data.pairs import RecordPair
 from repro.data.schema import ERTask, Record, Table
-from repro.engine import ShardedEncodingStore
+from repro.engine import EncodingStore, shard_bounds_for
 from repro.eval.timing import EngineCounters
 
 ATOL = 1e-9
@@ -40,19 +40,19 @@ def _random_task(rng: np.random.Generator, left_rows: int, right_rows: int, name
     return ERTask(name=name, left=left, right=right)
 
 
-def _fit_store(task: ERTask, shard_rows: int) -> ShardedEncodingStore:
+def _fit_store(task: ERTask, shard_rows: int) -> EncodingStore:
     config = VAEConfig(ir_dim=8, hidden_dim=12, latent_dim=4, epochs=1, seed=7)
     representation = EntityRepresentationModel(config, ir_method="lsa").fit(task)
-    return ShardedEncodingStore(
+    return EncodingStore(
         representation, task, counters=EngineCounters(), shard_rows=shard_rows
     )
 
 
-def _sharded_latent_distances(store: ShardedEncodingStore, pairs) -> np.ndarray:
-    """Score pairs by gathering mu rows *through the shard views*.
+def _sharded_latent_distances(store: EncodingStore, pairs) -> np.ndarray:
+    """Score pairs by gathering mu rows *through row-range shard slices*.
 
-    Each referenced row is fetched from the shard that owns it (via the
-    shard's local row index), proving the row-range decomposition loses no
+    Each referenced row is fetched from the slice of the shard that owns it
+    (at its shard-local row), proving the row-range decomposition loses no
     information relative to the contiguous cached arrays.
     """
     if not pairs:
@@ -60,13 +60,13 @@ def _sharded_latent_distances(store: ShardedEncodingStore, pairs) -> np.ndarray:
 
     def gather_mu(side: str, record_ids) -> np.ndarray:
         full = store.table_encodings(side)
-        bounds = store.shard_bounds(side)
-        shards = [store.table_shard(side, b.index) for b in bounds]
+        bounds = shard_bounds_for(side, len(full), store.shard_rows)
+        shards = [full.mu[b.start : b.stop] for b in bounds]
         rows = []
         for rid in record_ids:
             global_row = full.row_index[rid]
-            shard = shards[global_row // store.shard_rows]
-            rows.append(shard.mu[shard.row_index[rid]])
+            owner = bounds[global_row // store.shard_rows]
+            rows.append(shards[owner.index][global_row - owner.start])
         return np.stack(rows)
 
     mu_left = gather_mu("left", [p.left_id for p in pairs])
@@ -79,7 +79,7 @@ def _sharded_latent_distances(store: ShardedEncodingStore, pairs) -> np.ndarray:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fixed_store(tiny_domain, tiny_representation):
-    return ShardedEncodingStore(
+    return EncodingStore(
         tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=7
     )
 
@@ -144,7 +144,7 @@ class TestRandomizedTables:
         vectorized = store.pair_latent_distances(pairs)
         loop = _pair_latent_distances_loop(task, store.representation, pairs)
         sharded = _sharded_latent_distances(store, pairs)
-        assert store.num_shards("left") == store.num_shards("right") == 1
+        assert len(shard_bounds_for("left", 1, store.shard_rows)) == 1
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
         np.testing.assert_allclose(sharded, loop, atol=ATOL)
 
@@ -159,17 +159,18 @@ class TestRandomizedTables:
         assert left.shape[0] == right.shape[0] == labels.shape[0] == 0
 
     def test_shard_views_reassemble_to_full_arrays(self):
-        """Concatenating every shard view reproduces the cached arrays exactly."""
+        """Concatenating every shard slice reproduces the cached arrays exactly."""
         rng = np.random.default_rng(8)
         task = _random_task(rng, 11, 7, "reassemble")
         store = _fit_store(task, shard_rows=3)
         for side in ("left", "right"):
             full = store.table_encodings(side)
-            shards = [store.table_shard(side, b.index) for b in store.shard_bounds(side)]
-            assert sum(len(s) for s in shards) == len(full)
-            np.testing.assert_array_equal(np.concatenate([s.irs for s in shards]), full.irs)
-            np.testing.assert_array_equal(np.concatenate([s.mu for s in shards]), full.mu)
-            np.testing.assert_array_equal(np.concatenate([s.sigma for s in shards]), full.sigma)
-            assert tuple(k for s in shards for k in s.keys) == full.keys
-            # Views share memory with the cache — sharding copies nothing.
-            assert all(np.shares_memory(s.mu, full.mu) for s in shards)
+            bounds = shard_bounds_for(side, len(full), store.shard_rows)
+            assert sum(b.rows for b in bounds) == len(full)
+            for name in ("irs", "mu", "sigma"):
+                array = getattr(full, name)
+                slices = [array[b.start : b.stop] for b in bounds]
+                np.testing.assert_array_equal(np.concatenate(slices), array)
+                # Slices share memory with the cache — sharding copies nothing.
+                assert all(np.shares_memory(piece, array) for piece in slices)
+            assert tuple(k for b in bounds for k in full.keys[b.start : b.stop]) == full.keys

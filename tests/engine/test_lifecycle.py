@@ -6,6 +6,8 @@ its shared-memory segments were only torn down ``atexit``, and a ``patch()``
 superseding a chunk left the old generation's open handle cached until LRU
 eviction.  A daemon that serves for hours needs both released eagerly."""
 
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.engine import (
 from repro.engine import shard as shard_module
 from repro.engine import persist as persist_module
 from repro.engine.persist import _chunk_handle, invalidate_chunk_handles
-from repro.engine.shard import acquire_pool, publish_worker_state, release_pool
+from repro.engine.shard import acquire_pool, release_pool, worker_state
 
 
 N = 20
@@ -133,10 +135,17 @@ class TestHandleInvalidation:
 class TestReleaseEngineResources:
     def test_releases_pool_states_and_handles(self, tmp_path):
         pool = acquire_pool(2)
+        # A state published and never released — what an abandoned run that
+        # errored between publish and release leaves behind.
+        state = {"stage": "probe", "big": np.zeros(1 << 14)}
+        handle = pool.publish(state)
+        assert worker_state(handle)["stage"] == "probe"
+        segments = []
+        if handle.spec is not None:  # fork pool: the state lives in segments
+            segments = [handle.spec.payload_segment, *handle.spec.arrays]
+            assert len(segments) == 2
         release_pool(pool)
-        assert shard_module._CACHED_POOL is not None
-        handle = publish_worker_state({"stage": "probe"}, None)
-        assert handle.token in shard_module._WORKER_STATES
+        assert shard_module._CACHED_POOL is pool
 
         cache = PersistentEncodingCache(tmp_path / "cache", chunk_rows=CHUNK)
         table = _table()
@@ -146,8 +155,10 @@ class TestReleaseEngineResources:
 
         release_engine_resources()
         assert shard_module._CACHED_POOL is None
-        assert not shard_module._WORKER_STATES
-        assert not shard_module._PUBLICATIONS
+        assert not getattr(pool, "_publications", None), "no published state outlives the release"
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
         assert not persist_module._handles
         release_engine_resources()  # idempotent
 

@@ -183,30 +183,20 @@ class TestLazyRangeLoads:
             small_chunk_cache.load_range(tiny_domain.task.name, "left", version, fingerprint, 8, 4)
 
     def test_sharded_store_lazy_shard_load(self, tiny_domain, tiny_representation, small_chunk_cache):
-        from repro.engine import ShardedEncodingStore
-
-        cold = ShardedEncodingStore(
-            tiny_representation, tiny_domain.task,
-            counters=EngineCounters(), persistent=small_chunk_cache, shard_rows=16,
-        )
-        reference = cold.table_shard("left", 1)
+        cold = _store(tiny_representation, tiny_domain.task, small_chunk_cache)
+        full = cold.table_encodings("left")
         cold.table_encodings("right")
 
-        warm = ShardedEncodingStore(
-            tiny_representation, tiny_domain.task,
-            counters=EngineCounters(), persistent=small_chunk_cache, shard_rows=16,
+        counters = EngineCounters()
+        shard = small_chunk_cache.load_range(
+            tiny_domain.task.name, "left", tiny_representation.encoding_version,
+            encoding_fingerprint(tiny_representation, tiny_domain.task.left),
+            16, 32, counters=counters,
         )
-        shard = warm.load_shard("left", 1)
-        assert warm.counters.tables_encoded == 0, "lazy shard load must not encode"
-        assert warm.counters.chunk_loads == 1, "only the one overlapping chunk is read"
-        assert shard.keys == reference.keys
-        np.testing.assert_array_equal(shard.mu, reference.mu)
-        # Once the table is in memory, load_shard serves the zero-copy view.
-        warm.table_encodings("left")
-        chunk_loads_before = warm.counters.chunk_loads
-        again = warm.load_shard("left", 1)
-        assert warm.counters.chunk_loads == chunk_loads_before
-        np.testing.assert_array_equal(again.mu, reference.mu)
+        assert counters.tables_encoded == 0, "lazy shard load must not encode"
+        assert counters.chunk_loads == 1, "only the one overlapping chunk is read"
+        assert shard.keys == full.keys[16:32]
+        np.testing.assert_array_equal(shard.mu, full.mu[16:32])
 
     def test_mmap_mode_serves_identical_arrays(self, tiny_domain, tiny_representation, tmp_path):
         eager_cache = PersistentEncodingCache(tmp_path / "mm", chunk_rows=16)

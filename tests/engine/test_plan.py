@@ -21,13 +21,14 @@ from repro.config import BlockingConfig, MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.generators import DOMAIN_NAMES, load_domain
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
     ResolutionExecutor,
     ResolutionPlanner,
-    ShardedEncodingStore,
     build_index_sharded,
     merge_scored_batches,
     resolve_stream,
+    shard_bounds_for,
     sharded_candidate_pairs,
 )
 from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
@@ -51,7 +52,7 @@ class TestPlannerGraph:
     def test_plan_is_pure_metadata(self, tiny_domain, tiny_representation):
         """Planning must not encode a single record."""
         counters = EngineCounters()
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             tiny_representation, tiny_domain.task, counters=counters, shard_rows=16
         )
         ResolutionPlanner.from_store(store, k=5, batch_size=32, workers=4).plan()
@@ -137,13 +138,14 @@ class TestPlannerGraph:
                 ResolutionPlanner(tiny_domain.task, **kwargs)
 
     def test_from_store_adopts_shard_layout(self, tiny_domain, tiny_representation):
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=16
         )
         plan = ResolutionPlanner.from_store(store, workers=2).plan()
         assert plan.shard_rows == 16
         assert [(b.start, b.stop) for b in plan.query_bounds] == [
-            (b.start, b.stop) for b in store.shard_bounds("left")
+            (b.start, b.stop)
+            for b in shard_bounds_for("left", len(tiny_domain.task.left), store.shard_rows)
         ]
 
     def test_pipeline_plan_resolution(self, planned_pipeline, tiny_domain):
@@ -293,7 +295,7 @@ class TestWarmChunkedCacheResolve:
             config=matcher_config,
         )
 
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             tiny_representation, tiny_domain.task,
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )
@@ -306,7 +308,7 @@ class TestWarmChunkedCacheResolve:
             len(list(cache.dir_for(tiny_domain.task.name, side, tiny_representation.encoding_version).glob("chunk-*.npz")))
             for side in ("left", "right")
         )
-        warm_store = ShardedEncodingStore(
+        warm_store = EncodingStore(
             tiny_representation, tiny_domain.task,
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )

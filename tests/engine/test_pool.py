@@ -1,20 +1,24 @@
-"""Persistent worker pool: spawn accounting, transport fallbacks, shared memory.
+"""Worker pools: spawn accounting, the ``pool=`` seam, shared memory.
 
-Three regressions pinned here:
+Pinned here:
 
-* **Pool reuse** — a full pooled resolve spawns exactly one pool
+* **Pool reuse** — a full pooled resolve spawns exactly one local pool
   (:data:`repro.engine.shard.POOL_SPAWNS`), and delta rounds after it spawn
-  none: the single-slot cache hands the same executor back across the
+  none: the single-slot cache hands the same pool back across the
   encode → block → score stages and across resolves;
-* **Transport equivalence** — forcing the threaded fallback
-  (``REPRO_ENGINE_POOL=thread``) or the serial schedule
-  (``REPRO_ENGINE_POOL=serial``) produces a byte-identical candidate stream
-  and match set to the fork path on a registry domain;
+* **Transport equivalence** — a thread pool and a fork pool passed as
+  ``pool=`` both produce the serial stream's bytes, cold and over one delta
+  round, and the local pool is a thread pool wherever the shared-memory
+  probe fails;
+* **Pools are values** — a supplied pool is never spawned, cached or shut
+  down by the engine, survives an abandoned stream, hands a run over to the
+  serial schedule when marked broken, and two of them resolve concurrently;
 * **Shared-memory lifecycle** — publish/attach round-trips hoisted arrays
   losslessly, attachments memoize, and publication close is idempotent.
 """
 
-import sys
+import threading
+from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
@@ -23,14 +27,18 @@ from repro.config import BlockingConfig, VAEConfig
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import append_rows, load_domain
 from repro.engine import (
-    ShardedEncodingStore,
+    EncodingStore,
+    ForkWorkerPool,
+    ThreadWorkerPool,
+    WorkerPool,
+    fork_pool_available,
     merge_scored_batches,
     resolve_delta,
     resolve_stream,
 )
 from repro.engine import shard as shard_module
 from repro.engine import sharedmem
-from repro.engine.shard import acquire_pool, pool_kind_default, release_pool, shutdown_pools
+from repro.engine.shard import acquire_pool, make_pool, release_pool, shutdown_pools
 from repro.eval.timing import EngineCounters
 
 
@@ -62,19 +70,20 @@ def pool_domain():
 
 
 def _store(representation, task):
-    return ShardedEncodingStore(
+    return EncodingStore(
         representation, task, counters=EngineCounters(), shard_rows=16
     )
 
 
-def _needs_pool():
-    if pool_kind_default() == "serial":
-        pytest.skip("pool transport forced to serial in this environment")
+def _rows(batches):
+    return [
+        (b.batch_index, [p.key() for p in b.pairs], np.asarray(b.probabilities).tobytes())
+        for b in batches
+    ]
 
 
 class TestPoolReuse:
     def test_full_resolve_spawns_exactly_one_pool(self, pool_domain):
-        _needs_pool()
         domain, representation = pool_domain
         store = _store(representation, domain.task)
         shutdown_pools()
@@ -85,7 +94,6 @@ class TestPoolReuse:
         assert shard_module.POOL_SPAWNS == before + 1
 
     def test_delta_rounds_reuse_the_cached_pool(self, pool_domain):
-        _needs_pool()
         _, representation = pool_domain
         domain = load_domain("restaurants", scale=0.2)  # private copy to mutate
         matcher = _DistanceMatcher()
@@ -107,7 +115,6 @@ class TestPoolReuse:
         assert shard_module.POOL_SPAWNS == before + 1, "delta round must reuse the cached pool"
 
     def test_broken_pool_is_not_recycled(self):
-        _needs_pool()
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         pool = acquire_pool(2)
@@ -121,7 +128,6 @@ class TestPoolReuse:
         shutdown_pools()
 
     def test_shape_change_replaces_cached_pool(self):
-        _needs_pool()
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         release_pool(acquire_pool(2))
@@ -134,49 +140,152 @@ class TestPoolReuse:
 
 
 class TestTransportEquivalence:
-    def test_thread_fallback_matches_fork_path(self, pool_domain, monkeypatch):
-        if pool_kind_default() != "fork":
-            pytest.skip("fork transport unavailable here; nothing to compare against")
-        domain, representation = pool_domain
+    def test_thread_fallback_matches_fork_path(self, pool_domain):
+        """thread == fork == serial bytes, cold and over one delta round
+        (the fork side only where this platform can fork)."""
+        _, representation = pool_domain
         matcher = _DistanceMatcher()
+        knobs = dict(blocking=BlockingConfig(seed=19), k=4, batch_size=13)
 
-        def run():
+        def run(pool):
+            domain = load_domain("restaurants", scale=0.2)  # private copy to mutate
             store = _store(representation, domain.task)
-            return merge_scored_batches(
-                resolve_stream(store, matcher, k=4, batch_size=13, workers=2)
-            )
+            cold = resolve_delta(store, matcher, baseline=None, pool=pool, **knobs)
+            rounds = [_rows(cold.run())]
+            append_rows(domain, side="right", rows=7)
+            warm = resolve_delta(store, matcher, baseline=cold.baseline_out, pool=pool, **knobs)
+            rounds.append(_rows(warm.run()))
+            return rounds
 
-        forked = run()
-        shutdown_pools()
-        monkeypatch.setenv("REPRO_ENGINE_POOL", "thread")
-        threaded = run()
-        shutdown_pools()
-        assert [p.key() for p in threaded.pairs] == [p.key() for p in forked.pairs]
-        np.testing.assert_array_equal(threaded.probabilities, forked.probabilities)
-        assert [p.key() for p in threaded.matches()] == [p.key() for p in forked.matches()]
+        serial = run(None)
+        for pool_class in (ThreadWorkerPool, ForkWorkerPool):
+            if pool_class is ForkWorkerPool and not fork_pool_available():
+                continue
+            pool = pool_class(2)
+            try:
+                assert run(pool) == serial, type(pool).__name__
+            finally:
+                pool.shutdown()
 
-    def test_serial_override_spawns_nothing_and_matches_stream(self, pool_domain, monkeypatch):
+    def test_serial_override_spawns_nothing_and_matches_stream(self, pool_domain):
+        """``workers=1`` is the serial override: no pool, the pooled bytes."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
-        store = _store(representation, domain.task)
-        streamed = merge_scored_batches(resolve_stream(store, matcher, k=4, batch_size=13))
-        monkeypatch.setenv("REPRO_ENGINE_POOL", "serial")
+        pooled = _rows(
+            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=2)
+        )
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
-        pooled = merge_scored_batches(
-            resolve_stream(store, matcher, k=4, batch_size=13, workers=4)
+        serial = _rows(
+            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=1)
         )
-        assert shard_module.POOL_SPAWNS == before, "serial override must not spawn pools"
-        assert [p.key() for p in pooled.pairs] == [p.key() for p in streamed.pairs]
-        np.testing.assert_array_equal(pooled.probabilities, streamed.probabilities)
+        assert shard_module.POOL_SPAWNS == before and shard_module._CACHED_POOL is None
+        assert serial == pooled
 
     def test_shm_kill_switch_forces_thread_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_SHM", "0")
-        monkeypatch.delenv("REPRO_ENGINE_POOL", raising=False)
-        monkeypatch.setattr(sharedmem, "_available", None)  # drop the memoized probe
-        assert not sharedmem.shared_memory_available()
-        if sys.platform.startswith("linux"):
-            assert pool_kind_default() == "thread"
+        """No shared memory (a failed probe) means no fork pool: threads."""
+        monkeypatch.setattr(sharedmem, "_available", False)  # the memoized probe
+        assert not fork_pool_available()
+        pool = make_pool(2)
+        try:
+            assert isinstance(pool, ThreadWorkerPool)
+        finally:
+            pool.shutdown()
+
+
+class _InlinePool(WorkerPool):
+    """Runs each task inline; once ``dead`` is set, ``submit`` fails like a
+    pool whose workers are gone."""
+
+    def __init__(self) -> None:
+        super().__init__(workers=2)
+        self.dead = False
+        self.shut_down = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.dead:
+            raise BrokenExecutor("workers are gone")
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self) -> None:
+        self.shut_down = True
+
+
+class TestSuppliedPool:
+    def test_supplied_pool_spawns_nothing_and_matches_stream(self, pool_domain):
+        """Drained or abandoned mid-way, a supplied pool is left alone: not
+        counted in ``POOL_SPAWNS``, not cached, not shut down."""
+        domain, representation = pool_domain
+        matcher = _DistanceMatcher()
+        streamed = _rows(resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13))
+        shutdown_pools()
+        pool = _InlinePool()
+        before = shard_module.POOL_SPAWNS
+        drained = _rows(
+            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool)
+        )
+        abandoned = resolve_stream(
+            _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
+        )
+        first = next(abandoned)
+        abandoned.close()
+        assert drained == streamed and _rows([first]) == streamed[:1]
+        assert shard_module.POOL_SPAWNS == before
+        assert shard_module._CACHED_POOL is None
+        assert not pool.shut_down and not pool.broken
+
+    def test_pool_that_dies_mid_run_is_marked_broken_and_left_alone(self, pool_domain):
+        """The run resumes serially (no duplicate or missing batch); the
+        dead pool is flagged for its owner, who still shuts it down."""
+        domain, representation = pool_domain
+        matcher = _DistanceMatcher()
+        serial = _rows(resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13))
+        pool = _InlinePool()
+        stream = resolve_stream(
+            _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
+        )
+        resumed = [next(stream)]
+        pool.dead = True
+        resumed.extend(stream)
+        assert [b.batch_index for b in resumed] == list(range(len(serial)))
+        assert _rows(resumed) == serial
+        assert pool.broken and not pool.shut_down
+        assert shard_module._CACHED_POOL is not pool
+
+    def test_two_pools_resolve_concurrently(self, pool_domain):
+        """Two resolves on two threads, each with its own store and pool."""
+        domain, representation = pool_domain
+        matcher = _DistanceMatcher()
+        knobs = [dict(k=4, batch_size=13), dict(k=3, batch_size=9)]
+        serial = [
+            _rows(resolve_stream(_store(representation, domain.task), matcher, **knob))
+            for knob in knobs
+        ]
+        pools = [ThreadWorkerPool(2), ThreadWorkerPool(2)]
+        results = [None, None]
+        gate = threading.Barrier(2, timeout=60)
+
+        def resolve(slot):
+            stream = resolve_stream(
+                _store(representation, domain.task), matcher, pool=pools[slot], **knobs[slot]
+            )
+            first = next(stream)
+            gate.wait()  # both runs are mid-stream at once
+            results[slot] = _rows([first, *stream])
+
+        threads = [threading.Thread(target=resolve, args=(slot,)) for slot in (0, 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        assert results == serial
 
 
 class TestSharedMemoryStates:
@@ -190,16 +299,16 @@ class TestSharedMemoryStates:
             "label": "x",
             "nested": {"k": 3},
         }
-        publication = sharedmem.publish_state("test-pool-roundtrip", state)
+        publication = sharedmem.publish_state(state)
         try:
             assert publication.spec.arrays, "the large array must be hoisted to a segment"
-            attached = sharedmem.attach_state(publication.spec)
+            attached = publication.spec.attach()
             np.testing.assert_array_equal(attached["big"], big)
             np.testing.assert_array_equal(attached["small"], state["small"])
             assert attached["label"] == "x"
             assert attached["nested"] == {"k": 3}
             # Re-attaching the same spec is memoized, not re-unpickled.
-            assert sharedmem.attach_state(publication.spec) is attached
+            assert publication.spec.attach() is attached
         finally:
             sharedmem.detach_all()
             publication.close()

@@ -42,8 +42,8 @@ from repro.config import BlockingConfig, VAEConfig
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators.base import DomainSpec, SyntheticDomainGenerator, compose, pick
 from repro.engine import (
+    EncodingStore,
     PersistentEncodingCache,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_delta,
 )
@@ -492,7 +492,7 @@ def quant_representation():
 
 def _resolve(representation, domain, codec, cache=None, baseline=None, store=None):
     if store is None:
-        store = ShardedEncodingStore(
+        store = EncodingStore(
             representation, domain.task, counters=EngineCounters(),
             shard_rows=16, persistent=cache, codec=codec,
         )
@@ -564,7 +564,7 @@ class TestStoreEquivalence:
             quant_representation, domain, "pq", cache=cache
         )
         cold_mu = cold_store.table_encodings("right").mu
-        warm_store = ShardedEncodingStore(
+        warm_store = EncodingStore(
             quant_representation, domain.task, counters=EngineCounters(),
             shard_rows=16, persistent=cache, codec="pq",
         )
@@ -618,7 +618,7 @@ class TestQuantizePatchPruneRoundtrip:
         # quantized entry and a fresh store warm-loads it without encoding.
         removed = int8_cache.prune()
         assert set(removed["bytes_by_codec"]) <= {"int8"}
-        warm = ShardedEncodingStore(
+        warm = EncodingStore(
             quant_representation, int8_store.task, counters=EngineCounters(),
             shard_rows=16, persistent=int8_cache, codec="int8",
         )
@@ -645,7 +645,7 @@ class TestQuantizePatchPruneRoundtrip:
 
         removed = pq_cache.prune()
         assert set(removed["bytes_by_codec"]) <= {"pq"}
-        warm = ShardedEncodingStore(
+        warm = EncodingStore(
             quant_representation, pq_store.task, counters=EngineCounters(),
             shard_rows=16, persistent=pq_cache, codec="pq",
         )

@@ -99,7 +99,7 @@ class TestScenarioEquivalence:
         set as a cold full resolve of the grown task.
         """
         from repro.data.generators import append_rows
-        from repro.engine import ShardedEncodingStore, resolve_stream
+        from repro.engine import EncodingStore, resolve_stream
         from repro.eval.timing import EngineCounters, StageTimings
 
         append = int(os.environ.get("REPRO_ENGINE_APPEND_ROWS", "10"))
@@ -127,7 +127,7 @@ class TestScenarioEquivalence:
         assert 0 < timings.counter("pairs_rescored") <= len(delta)
         assert len(delta) >= len(base)
 
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             model.representation, domain.task, counters=EngineCounters()
         )
         cold = merge_scored_batches(
@@ -150,7 +150,7 @@ class TestScenarioEquivalence:
         cold full resolve of the mutated task.
         """
         from repro.data.generators import append_rows, delete_rows, mutate_rows
-        from repro.engine import ShardedEncodingStore, resolve_stream
+        from repro.engine import EncodingStore, resolve_stream
         from repro.eval.timing import EngineCounters, StageTimings
 
         edits = int(os.environ.get("REPRO_ENGINE_EDIT_ROWS", "6"))
@@ -184,7 +184,7 @@ class TestScenarioEquivalence:
         assert 0 < timings.counter("pairs_rescored") <= len(delta)
         assert all(p.right_id not in gone for p in delta.pairs)
 
-        cold_store = ShardedEncodingStore(
+        cold_store = EncodingStore(
             model.representation, domain.task, counters=EngineCounters()
         )
         cold = merge_scored_batches(

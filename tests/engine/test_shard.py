@@ -1,4 +1,4 @@
-"""ShardedEncodingStore mechanics and parallel resolve behaviour."""
+"""Shard bounds of an EncodingStore and parallel resolve behaviour."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,12 @@ from repro.config import MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.pairs import RecordPair
 from repro.engine import (
+    EncodingStore,
+    PersistentEncodingCache,
     ScoredPairs,
-    ShardedEncodingStore,
     merge_scored_batches,
     resolve_stream,
+    shard_bounds_for,
 )
 from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
 from repro.exceptions import StaleEncodingError
@@ -29,14 +31,14 @@ def sharded_pipeline(tiny_domain):
 
 @pytest.fixture()
 def store(tiny_domain, tiny_representation):
-    return ShardedEncodingStore(
+    return EncodingStore(
         tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=16
     )
 
 
 class TestShardViews:
     def test_bounds_cover_table_in_order(self, store, tiny_domain):
-        bounds = store.shard_bounds("left")
+        bounds = shard_bounds_for("left", len(tiny_domain.task.left), store.shard_rows)
         assert bounds[0].start == 0
         assert bounds[-1].stop == len(tiny_domain.task.left)
         for previous, current in zip(bounds, bounds[1:]):
@@ -45,21 +47,26 @@ class TestShardViews:
         assert [b.index for b in bounds] == list(range(len(bounds)))
 
     def test_pipeline_store_is_sharded(self, sharded_pipeline):
-        assert isinstance(sharded_pipeline.store, ShardedEncodingStore)
         assert sharded_pipeline.store.shard_rows == 16
 
     def test_invalid_shard_rows_rejected(self, tiny_domain, tiny_representation):
         with pytest.raises(ValueError):
-            ShardedEncodingStore(tiny_representation, tiny_domain.task, shard_rows=0)
+            EncodingStore(tiny_representation, tiny_domain.task, shard_rows=0)
 
-    def test_out_of_range_shard_rejected(self, store):
-        with pytest.raises(IndexError):
-            store.table_shard("left", store.num_shards("left"))
-
-    def test_shard_local_row_index(self, store, tiny_domain):
-        """Each shard addresses its own rows 0..len-1 by the original keys."""
+    def test_shard_local_row_index(self, tiny_domain, tiny_representation, tmp_path):
+        """A shard loaded by row range addresses its own rows 0..len-1 by
+        the original keys."""
+        cache = PersistentEncodingCache(tmp_path / "cache", chunk_rows=16)
+        store = EncodingStore(
+            tiny_representation, tiny_domain.task, counters=EngineCounters(),
+            persistent=cache, shard_rows=16,
+        )
         full = store.table_encodings("left")
-        shard = store.table_shard("left", 1)
+        shard = cache.load_range(
+            tiny_domain.task.name, "left", tiny_representation.encoding_version,
+            store.table_fingerprint("left"), 16, 32,
+        )
+        assert len(shard.keys) == 16
         for local_row, key in enumerate(shard.keys):
             assert shard.row_index[key] == local_row
             np.testing.assert_array_equal(shard.mu[local_row], full.mu[full.row_index[key]])
@@ -87,7 +94,7 @@ class TestResolveSharded:
         the counters after a drained resolve are the same with and without
         ``stage_timings`` / ``shard_timings``."""
         def drained(**sinks):
-            store = ShardedEncodingStore(
+            store = EncodingStore(
                 sharded_pipeline.representation, tiny_domain.task,
                 counters=EngineCounters(), shard_rows=16,
             )

@@ -97,6 +97,84 @@ class TestCommands:
         assert "--incremental" in capsys.readouterr().err
 
 
+class TestDistributedResolve:
+    def test_spawned_workers_are_reaped_when_the_run_raises(self, tmp_path, monkeypatch):
+        """``--distributed N`` spawns N workers that serve forever; a raise
+        anywhere after the spawn — here in the ``--incremental`` mutation
+        step — must still terminate every one of them."""
+        import subprocess
+        import threading
+
+        import repro.data.generators as generators
+        from repro.distrib import FileLeaseQueue, Worker
+
+        children = []
+
+        class RecordingPopen:
+            def __init__(self, argv, **kwargs):
+                self.argv, self.terminated, self.waited = argv, False, False
+                children.append(self)
+
+            def terminate(self):
+                self.terminated = True
+
+            def wait(self, timeout=None):
+                self.waited = True
+                return 0
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("mutation helper failed")
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        monkeypatch.setattr(generators, "append_rows", explode)
+        # The stubbed children claim nothing; serve the first pass from here.
+        stop = threading.Event()
+        worker = Worker(FileLeaseQueue(tmp_path / "queue"), poll_interval=0.01)
+        thread = threading.Thread(target=worker.run, args=(stop,), daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(RuntimeError, match="mutation helper failed"):
+                main([
+                    "resolve", "--domain", "beer", "--scale", "0.2", "--k", "4",
+                    "--distributed", "2", "--queue-dir", str(tmp_path / "queue"),
+                    "--incremental", "--append-rows", "4",
+                ])
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert worker.units_executed > 0, "the first pass really went through the queue"
+        assert len(children) == 2
+        assert all("worker" in child.argv for child in children)
+        assert all(child.terminated and child.waited for child in children)
+
+    def test_a_failing_spawn_reaps_the_workers_already_started(self, tmp_path, monkeypatch):
+        import subprocess
+
+        children = []
+
+        class SecondSpawnFails:
+            def __init__(self, argv, **kwargs):
+                if children:
+                    raise OSError("cannot fork")
+                self.terminated = self.waited = False
+                children.append(self)
+
+            def terminate(self):
+                self.terminated = True
+
+            def wait(self, timeout=None):
+                self.waited = True
+                return 0
+
+        monkeypatch.setattr(subprocess, "Popen", SecondSpawnFails)
+        with pytest.raises(OSError, match="cannot fork"):
+            main([
+                "resolve", "--domain", "beer", "--scale", "0.2", "--k", "4",
+                "--distributed", "2", "--queue-dir", str(tmp_path / "queue"),
+            ])
+        assert len(children) == 1 and children[0].terminated and children[0].waited
+
+
 class TestCacheCommand:
     @staticmethod
     def _populate(cache_dir, versions=(1,)):

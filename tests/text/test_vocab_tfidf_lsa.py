@@ -1,5 +1,7 @@
 """Vocabulary, TF-IDF and LSA behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,13 @@ class TestLSA:
     def test_explained_dim_at_most_requested(self):
         model = LSAModel(dim=4).fit(CORPUS)
         assert model.explained_dim <= 4
+
+    def test_pickled_model_transforms_to_the_same_bytes(self):
+        """Pool workers encode with an unpickled copy of the model: the copy
+        must keep the memory layout BLAS sees, or every IR moves by an ulp."""
+        words = [w for sentence in CORPUS for w in sentence.split()]
+        corpus = [" ".join(words[i % len(words)] for i in range(n, n + 6)) for n in range(60)]
+        model = LSAModel(dim=12).fit(corpus)
+        copy = pickle.loads(pickle.dumps(model))
+        for rows in (1, 3, 8, 23, 60):
+            np.testing.assert_array_equal(copy.transform(corpus[:rows]), model.transform(corpus[:rows]))
