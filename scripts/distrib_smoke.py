@@ -4,7 +4,7 @@
 Trains a real model, resolves it serially, then resolves it again through
 the file-lease queue with two separate ``python -m repro worker``
 subprocesses sharing only the queue directory and the persistent encoding
-cache.  One worker is SIGKILLed shortly after the run starts — the
+cache.  One worker is SIGKILLed while it holds the lease of a unit — the
 coordinator must recover via lease expiry and re-dispatch — and the
 distributed match stream must still be byte-identical to the serial one:
 same batch order, same pair keys, same probability bytes.
@@ -33,6 +33,7 @@ from repro.cli import _harness_config  # noqa: E402
 from repro.core import VAER  # noqa: E402
 from repro.data.generators import load_domain  # noqa: E402
 from repro.distrib import DistributedRuntime  # noqa: E402
+from repro.distrib.artifacts import find_blob  # noqa: E402
 from repro.eval.timing import StageTimings  # noqa: E402
 
 SCALE = 0.4
@@ -84,24 +85,41 @@ def main() -> int:
         serial = list(model.resolve_stream(k=K, batch_size=BATCH))
         print(f"  serial reference: {len(serial)} batches")
 
-        # Deterministic kill: only the victim runs at first, so the first
-        # lease that appears is necessarily its claim.  SIGKILL lands while
-        # the unit is mid-execution, then the healthy worker spawns and the
-        # coordinator must recover via lease expiry and re-dispatch.
+        # Deterministic kill: only the victim runs at first, so every lease
+        # is its claim.  The executor's first units are millisecond
+        # ``_noop_task`` calibration probes (a lease is named after its
+        # unit's task), and a kill landing on one of those, or between two
+        # units, leaves no lease to expire and nothing to re-dispatch.  So
+        # the victim is frozen first and killed only if it still holds the
+        # lease of a real unit; otherwise it resumes and the watch re-arms.
+        # Then the healthy worker spawns and the coordinator must recover via
+        # lease expiry and re-dispatch.
         processes = spawn_workers(queue_dir, 1)
         victim = processes[0]
         leases_dir = queue_dir / "leases"
 
-        def _kill_on_first_claim():
+        def _holds_real_lease() -> bool:
+            # A unit whose result is already out is delivered, not re-dispatched.
+            return leases_dir.is_dir() and any(
+                "nooptask" not in lease.name
+                and find_blob(queue_dir / "results", lease.name[: -len(".lease")]) is None
+                for lease in leases_dir.iterdir()
+            )
+
+        def _kill_while_holding_a_lease():
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if leases_dir.is_dir() and any(leases_dir.iterdir()):
-                    victim.send_signal(signal.SIGKILL)
-                    processes.extend(spawn_workers(queue_dir, WORKERS - 1))
-                    return
+                if _holds_real_lease():
+                    victim.send_signal(signal.SIGSTOP)
+                    time.sleep(0.05)  # let the stop land before looking again
+                    if _holds_real_lease():
+                        victim.send_signal(signal.SIGKILL)
+                        processes.extend(spawn_workers(queue_dir, WORKERS - 1))
+                        return
+                    victim.send_signal(signal.SIGCONT)
                 time.sleep(0.005)
 
-        killer = threading.Thread(target=_kill_on_first_claim, daemon=True)
+        killer = threading.Thread(target=_kill_while_holding_a_lease, daemon=True)
         killer.start()
         stage = StageTimings()
         try:

@@ -4,9 +4,35 @@ The engine is a self-contained substitute for the subset of PyTorch that the
 paper's models (VAE representation model, Siamese matcher, deep baselines)
 require.  See :mod:`repro.autograd.tensor` for the graph mechanics and
 :mod:`repro.autograd.gradcheck` for numerical verification utilities.
+
+When an op records
+    An op records its operands and a backward closure only when gradient mode
+    is on (the default) *and* at least one operand requires a gradient.
+    Otherwise it returns a plain tensor: no parents, no closure,
+    ``requires_grad=False``.  Inside :func:`no_grad` nothing records, so a
+    forward-only score holds exactly the arrays it returns.  The mode is kept
+    per thread: one thread may score under ``no_grad`` while another trains.
+
+Graph lifetime
+    A recorded node refers to its parents and to a closure over them; nothing
+    refers back to the node, so a graph is acyclic and is freed by reference
+    counting the moment its output is dropped.  :meth:`Tensor.backward`
+    releases the graph as it walks: each node loses its closure, its parents
+    and (unless it is a leaf) its gradient as soon as it has propagated, so
+    activations are freed during the backward pass and only leaves keep a
+    ``.grad``.  A second backward pass through a released node raises.
+
+Buffers
+    A closure skips operands that do not require a gradient, and a gradient
+    array the closure computed itself is adopted by the receiving tensor
+    rather than copied.  ``+=``, ``*=``, :meth:`Tensor.relu_`,
+    :meth:`Tensor.clip_` and :meth:`Tensor.exp_` write into the left operand's
+    buffer when it is not part of a graph, and fall back to the recording op
+    when it is — the layers in :mod:`repro.nn` use them on products they have
+    just computed, which spares inference an array per bias add and activation.
 """
 
-from repro.autograd.tensor import Tensor, concatenate, stack, where
+from repro.autograd.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
 from repro.autograd.gradcheck import numerical_gradient, check_gradient
 
 __all__ = [
@@ -14,6 +40,8 @@ __all__ = [
     "concatenate",
     "stack",
     "where",
+    "no_grad",
+    "is_grad_enabled",
     "numerical_gradient",
     "check_gradient",
 ]

@@ -3,24 +3,53 @@
 This module provides the :class:`Tensor` class used by every neural model in
 the reproduction (the VAE representation model, the Siamese matcher, and the
 baseline matchers).  It implements a small but complete dynamic computation
-graph: each operation records the inputs it consumed and a backward closure
-that propagates gradients to them.  Calling :meth:`Tensor.backward` on a
-scalar output walks the graph in reverse topological order and accumulates
-gradients into every tensor created with ``requires_grad=True``.
+graph that mirrors the subset of the PyTorch tensor API the paper's models
+need (matmul, elementwise arithmetic, exp/log, reductions, indexing,
+concatenation, broadcasting), so the higher-level ``repro.nn`` package reads
+like the PyTorch code the original authors would have written.
 
-The design intentionally mirrors the subset of the PyTorch tensor API that
-the paper's models need (matmul, elementwise arithmetic, exp/log, reductions,
-indexing, concatenation, broadcasting), so the higher-level ``repro.nn``
-package reads like the PyTorch code the original authors would have written.
+When an op records, how long a graph lives and which buffers ops reuse are
+described in the package docstring (:mod:`repro.autograd`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
+
+
+class _GradMode(threading.local):
+    """Whether ops record, per thread (every thread starts recording)."""
+
+    enabled = True
+
+
+_mode = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops in the calling thread record a graph."""
+    return _mode.enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without recording a graph, in the calling thread only.
+
+    The previous mode is restored on exit, also when the block raises, so the
+    context nests.
+    """
+    previous = _mode.enabled
+    _mode.enabled = False
+    try:
+        yield
+    finally:
+        _mode.enabled = previous
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -38,6 +67,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     Numpy broadcasting can expand an operand along new leading axes or along
     axes of size one.  The gradient flowing back through a broadcast operation
     must be summed over those expanded axes to recover the operand's shape.
+    Returns ``grad`` itself when nothing was expanded, a new array otherwise.
     """
     if grad.shape == shape:
         return grad
@@ -51,6 +81,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released(grad: np.ndarray) -> None:
+    """Stands in for the closure of a node :meth:`Tensor.backward` has released."""
+    raise RuntimeError(
+        "backward() through a graph that has already been released: a backward "
+        "pass frees the graph as it walks, so run the forward pass again"
+    )
+
+
 class Tensor:
     """A node in the dynamic computation graph.
 
@@ -61,12 +99,13 @@ class Tensor:
     requires_grad:
         Whether gradients should be accumulated into this tensor during
         :meth:`backward`.
-    _parents:
-        Tensors this node was computed from (internal).
-    _backward:
-        Closure propagating ``self.grad`` into the parents (internal).
     name:
         Optional label used in error messages and graph dumps.
+
+    A tensor made by this constructor is a *leaf*.  Ops make the other kind:
+    a node with ``_parents`` (its operands, in order) and ``_backward`` (a
+    closure that takes this node's gradient and accumulates into the parents
+    that require one).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
@@ -75,15 +114,13 @@ class Tensor:
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        _backward: Optional[Callable[[], None]] = None,
         name: Optional[str] = None,
     ) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents: Tuple[Tensor, ...] = tuple(_parents)
-        self._backward = _backward
+        self._parents: Tuple[Tensor, ...] = ()
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -132,15 +169,43 @@ class Tensor:
     def _ensure(value: Union["Tensor", ArrayLike]) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``, allocating on first use."""
-        if not self.requires_grad:
-            return
-        grad = _unbroadcast(_as_array(grad), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+    @staticmethod
+    def _result(
+        data: np.ndarray,
+        parents: Tuple["Tensor", ...],
+        backward: Callable[[np.ndarray], None],
+    ) -> "Tensor":
+        """The tensor an op returns: a recorded node when gradient mode is on
+        and a parent requires a gradient, a plain tensor otherwise.
+
+        ``backward`` must not refer to the result (that would be a cycle).
+        """
+        out = Tensor(data)
+        if _mode.enabled:
+            for parent in parents:
+                if parent.requires_grad:
+                    out.requires_grad = True
+                    out._parents = parents
+                    out._backward = backward
+                    break
+        return out
+
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``self.grad`` is always an array nothing else refers to, so later
+        contributions are added in place.  ``owned`` says the caller computed
+        ``grad`` for this call and keeps no reference: it is then adopted on
+        first use instead of copied.
+        """
+        grad = _as_array(grad)
+        reduced = _unbroadcast(grad, self.data.shape)
+        if self.grad is not None:
+            self.grad += reduced
+        elif (owned or reduced is not grad) and reduced.flags.c_contiguous:
+            self.grad = reduced
         else:
-            self.grad = self.grad + grad
+            self.grad = reduced.copy()
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -152,29 +217,45 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        The graph is released as it is walked (see :mod:`repro.autograd`), so
+        only leaves hold a gradient afterwards and a second call raises
+        ``RuntimeError``.
+
         Parameters
         ----------
         grad:
             The upstream gradient.  Defaults to ``1.0`` which is only valid
             when ``self`` is a scalar (the usual loss case).
         """
+        if grad is None and self.data.size != 1:
+            raise ValueError(
+                "backward() without an explicit gradient is only defined "
+                f"for scalar tensors, got shape {self.shape}"
+            )
+        if not self.requires_grad:
+            return
         if grad is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without an explicit gradient is only defined "
-                    f"for scalar tensors, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        self._accumulate(grad)
+            self._accumulate(np.ones_like(self.data), owned=True)
+        else:
+            self._accumulate(grad)
 
         order = self._topological_order()
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        while order:
+            node = order.pop()
+            backward, node_grad = node._backward, node.grad
+            node._backward, node._parents = _released, ()
+            if node_grad is not None:
+                node.grad = None
+                backward(node_grad)
 
     def _topological_order(self) -> list:
-        """Return graph nodes reachable from ``self`` in topological order."""
+        """Recorded nodes reachable from ``self``, parents before children.
+
+        Leaves are left out: they have nothing to propagate.
+        """
         order: list = []
+        if self._backward is None:
+            return order
         visited: set = set()
         stack: list = [(self, False)]
         while stack:
@@ -187,7 +268,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
         return order
 
@@ -196,63 +277,86 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._ensure(other)
-        out = Tensor(
-            self.data + other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-        )
+        data = self.data + other.data
+        def backward(grad: np.ndarray) -> None:
+            # ``grad`` is the result's own gradient, dropped after this call:
+            # the last operand to take it may keep it.
+            if self.requires_grad:
+                self._accumulate(grad, owned=not other.requires_grad)
+            if other.requires_grad:
+                other._accumulate(grad, owned=True)
 
-        def _backward() -> None:
-            self._accumulate(out.grad)
-            other._accumulate(out.grad)
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self, other), backward)
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
+
+    def __iadd__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
+        other = self._ensure(other)
+        if self._writable_for(other):
+            self.data += other.data
+            return self
+        return self + other
 
     def __neg__(self) -> "Tensor":
         return self * -1.0
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self + (-self._ensure(other))
+        other = self._ensure(other)
+        data = self.data - other.data
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad, owned=True)
+            if other.requires_grad:
+                other._accumulate(-grad, owned=True)
+
+        return self._result(data, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._ensure(other) + (-self)
+        return self._ensure(other) - self
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._ensure(other)
-        out = Tensor(
-            self.data * other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-        )
+        data = self.data * other.data
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(grad * self.data, owned=True)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * other.data)
-            other._accumulate(out.grad * self.data)
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self, other), backward)
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
+    def __imul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
+        other = self._ensure(other)
+        if self._writable_for(other):
+            self.data *= other.data
+            return self
+        return self * other
+
+    def _writable_for(self, other: "Tensor") -> bool:
+        """Whether ``self op= other`` may write into ``self.data``.
+
+        It may when neither the old nor the new value belongs to a graph and
+        broadcasting leaves the shape alone.
+        """
+        if self.requires_grad or (other.requires_grad and _mode.enabled):
+            return False
+        shape = self.data.shape
+        return other.data.shape == shape or np.broadcast_shapes(shape, other.data.shape) == shape
+
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._ensure(other)
-        out = Tensor(
-            self.data / other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-        )
+        data = self.data / other.data
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad / other.data, owned=True)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
-        def _backward() -> None:
-            self._accumulate(out.grad / other.data)
-            other._accumulate(-out.grad * self.data / (other.data ** 2))
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._ensure(other) / self
@@ -260,17 +364,11 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out = Tensor(
-            self.data ** exponent,
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-        )
+        data = self.data ** exponent
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * exponent * (self.data ** (exponent - 1)), owned=True)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * exponent * (self.data ** (exponent - 1)))
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self,), backward)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self.matmul(other)
@@ -278,163 +376,133 @@ class Tensor:
     def matmul(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         """Matrix product supporting 1-D and 2-D operands."""
         other = self._ensure(other)
-        out = Tensor(
-            self.data @ other.data,
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-        )
-
-        def _backward() -> None:
-            grad = out.grad
+        data = self.data @ other.data
+        def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(grad * b)
-                other._accumulate(grad * a)
-            elif a.ndim == 2 and b.ndim == 2:
-                self._accumulate(grad @ b.T)
-                other._accumulate(a.T @ grad)
-            elif a.ndim == 1 and b.ndim == 2:
-                self._accumulate(grad @ b.T)
-                other._accumulate(np.outer(a, grad))
-            elif a.ndim == 2 and b.ndim == 1:
-                self._accumulate(np.outer(grad, b))
-                other._accumulate(a.T @ grad)
-            else:  # pragma: no cover - guarded by supported model shapes
+            if a.ndim > 2 or b.ndim > 2:  # pragma: no cover - guarded by supported model shapes
                 raise NotImplementedError(
                     f"matmul backward undefined for shapes {a.shape} @ {b.shape}"
                 )
+            if self.requires_grad:
+                if b.ndim == 1:
+                    self._accumulate(grad * b if a.ndim == 1 else np.outer(grad, b), owned=True)
+                else:
+                    self._accumulate(grad @ b.T, owned=True)
+            if other.requires_grad:
+                if a.ndim == 1:
+                    other._accumulate(grad * a if b.ndim == 1 else np.outer(a, grad), owned=True)
+                else:
+                    other._accumulate(a.T @ grad, owned=True)
 
-        out._backward = _backward
-        return out
+        return self._result(data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
     # ------------------------------------------------------------------
+    def _unary(self, data: np.ndarray, local_gradient: Callable[[], np.ndarray]) -> "Tensor":
+        """Result of an elementwise op whose gradient is ``grad * local_gradient()``."""
+
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * local_gradient(), owned=True)
+
+        return self._result(data, (self,), backward)
+
     def exp(self) -> "Tensor":
-        value = np.exp(np.clip(self.data, -60.0, 60.0))
-        out = Tensor(value, requires_grad=self.requires_grad, _parents=(self,))
+        value = np.clip(self.data, -60.0, 60.0)
+        np.exp(value, out=value)
+        return self._unary(value, lambda: value)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * value)
-
-        out._backward = _backward
-        return out
+    def exp_(self) -> "Tensor":
+        """:meth:`exp`, free to overwrite ``self`` when it is not part of a graph."""
+        if self.requires_grad:
+            return self.exp()
+        np.clip(self.data, -60.0, 60.0, out=self.data)
+        np.exp(self.data, out=self.data)
+        return self
 
     def log(self) -> "Tensor":
         safe = np.maximum(self.data, 1e-12)
-        out = Tensor(np.log(safe), requires_grad=self.requires_grad, _parents=(self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad / safe)
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad / safe, owned=True)
 
-        out._backward = _backward
-        return out
+        return self._result(np.log(safe), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def abs(self) -> "Tensor":
-        out = Tensor(np.abs(self.data), requires_grad=self.requires_grad, _parents=(self,))
-
-        def _backward() -> None:
-            self._accumulate(out.grad * np.sign(self.data))
-
-        out._backward = _backward
-        return out
+        return self._unary(np.abs(self.data), lambda: np.sign(self.data))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out = Tensor(self.data * mask, requires_grad=self.requires_grad, _parents=(self,))
+        return self._unary(self.data * mask, lambda: mask)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+    def relu_(self) -> "Tensor":
+        """:meth:`relu`, free to overwrite ``self`` when it is not part of a graph."""
+        if self.requires_grad:
+            return self.relu()
+        np.multiply(self.data, self.data > 0, out=self.data)
+        return self
 
     def sigmoid(self) -> "Tensor":
         value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-        out = Tensor(value, requires_grad=self.requires_grad, _parents=(self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad * value * (1.0 - value))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * value * (1.0 - value), owned=True)
 
-        out._backward = _backward
-        return out
+        return self._result(value, (self,), backward)
 
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
-        out = Tensor(value, requires_grad=self.requires_grad, _parents=(self,))
-
-        def _backward() -> None:
-            self._accumulate(out.grad * (1.0 - value ** 2))
-
-        out._backward = _backward
-        return out
+        return self._unary(value, lambda: 1.0 - value ** 2)
 
     def softplus(self) -> "Tensor":
         """Numerically stable ``log(1 + exp(x))``."""
-        value = np.logaddexp(0.0, self.data)
-        out = Tensor(value, requires_grad=self.requires_grad, _parents=(self,))
-
-        def _backward() -> None:
-            # d/dx softplus(x) = sigmoid(x); clip to keep exp() in range.
-            sigmoid = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-            self._accumulate(out.grad * sigmoid)
-
-        out._backward = _backward
-        return out
+        # d/dx softplus(x) = sigmoid(x); clip to keep exp() in range.
+        return self._unary(
+            np.logaddexp(0.0, self.data),
+            lambda: 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0))),
+        )
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; the gradient is passed through inside the bounds."""
-        mask = (self.data >= low) & (self.data <= high)
-        out = Tensor(
-            np.clip(self.data, low, high),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
+        return self._unary(
+            np.clip(self.data, low, high), lambda: (self.data >= low) & (self.data <= high)
         )
 
-        def _backward() -> None:
-            self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+    def clip_(self, low: float, high: float) -> "Tensor":
+        """:meth:`clip`, free to overwrite ``self`` when it is not part of a graph."""
+        if self.requires_grad:
+            return self.clip(low, high)
+        np.clip(self.data, low, high, out=self.data)
+        return self
 
     def maximum(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         """Elementwise maximum; ties send the full gradient to ``self``."""
         other = self._ensure(other)
-        take_self = self.data >= other.data
-        out = Tensor(
-            np.maximum(self.data, other.data),
-            requires_grad=self.requires_grad or other.requires_grad,
-            _parents=(self, other),
-        )
+        data = np.maximum(self.data, other.data)
 
-        def _backward() -> None:
-            self._accumulate(out.grad * take_self)
-            other._accumulate(out.grad * (~take_self))
+        def backward(grad: np.ndarray) -> None:
+            take_self = self.data >= other.data
+            if self.requires_grad:
+                self._accumulate(grad * take_self, owned=True)
+            if other.requires_grad:
+                other._accumulate(grad * (~take_self), owned=True)
 
-        out._backward = _backward
-        return out
+        return self._result(data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-        )
-
-        def _backward() -> None:
-            grad = out.grad
+        data = self.data.sum(axis=axis, keepdims=keepdims)
+        def backward(grad: np.ndarray) -> None:
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
             self._accumulate(np.broadcast_to(grad, self.data.shape))
 
-        out._backward = _backward
-        return out
+        return self._result(data, (self,), backward)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -451,50 +519,29 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        data = self.data.reshape(shape)
         original = self.data.shape
-        out = Tensor(
-            self.data.reshape(shape),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-        )
 
-        def _backward() -> None:
-            self._accumulate(out.grad.reshape(original))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.reshape(original), owned=True)
 
-        out._backward = _backward
-        return out
+        return self._result(data, (self,), backward)
 
     def transpose(self, axes: Optional[Tuple[int, ...]] = None) -> "Tensor":
-        out = Tensor(
-            np.transpose(self.data, axes),
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-        )
+        data = np.transpose(self.data, axes)
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(np.transpose(grad, None if axes is None else np.argsort(axes)))
 
-        def _backward() -> None:
-            if axes is None:
-                self._accumulate(np.transpose(out.grad))
-            else:
-                inverse = np.argsort(axes)
-                self._accumulate(np.transpose(out.grad, inverse))
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        out = Tensor(
-            self.data[index],
-            requires_grad=self.requires_grad,
-            _parents=(self,),
-        )
+        data = self.data[index]
+        def backward(grad: np.ndarray) -> None:
+            scattered = np.zeros_like(self.data)
+            np.add.at(scattered, index, grad)
+            self._accumulate(scattered, owned=True)
 
-        def _backward() -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
-            self._accumulate(grad)
-
-        out._backward = _backward
-        return out
+        return self._result(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -517,41 +564,29 @@ def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing back to each."""
     tensors = [Tensor._ensure(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(
-        data,
-        requires_grad=any(t.requires_grad for t in tensors),
-        _parents=tuple(tensors),
-    )
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def _backward() -> None:
+    def backward(grad: np.ndarray) -> None:
         for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * data.ndim
-            slicer[axis] = slice(int(start), int(end))
-            tensor._accumulate(out.grad[tuple(slicer)])
+            if tensor.requires_grad:
+                slicer = [slice(None)] * data.ndim
+                slicer[axis] = slice(int(start), int(end))
+                tensor._accumulate(grad[tuple(slicer)])
 
-    out._backward = _backward
-    return out
+    return Tensor._result(data, tuple(tensors), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient routing back to each."""
     tensors = [Tensor._ensure(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    out = Tensor(
-        data,
-        requires_grad=any(t.requires_grad for t in tensors),
-        _parents=tuple(tensors),
-    )
+    def backward(grad: np.ndarray) -> None:
+        for tensor, part in zip(tensors, np.split(grad, len(tensors), axis=axis)):
+            if tensor.requires_grad:
+                tensor._accumulate(np.squeeze(part, axis=axis))
 
-    def _backward() -> None:
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            tensor._accumulate(np.squeeze(grad, axis=axis))
-
-    out._backward = _backward
-    return out
+    return Tensor._result(data, tuple(tensors), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -559,15 +594,11 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = Tensor._ensure(a)
     b = Tensor._ensure(b)
     condition = np.asarray(condition, dtype=bool)
-    out = Tensor(
-        np.where(condition, a.data, b.data),
-        requires_grad=a.requires_grad or b.requires_grad,
-        _parents=(a, b),
-    )
+    data = np.where(condition, a.data, b.data)
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(grad * condition, owned=True)
+        if b.requires_grad:
+            b._accumulate(grad * (~condition), owned=True)
 
-    def _backward() -> None:
-        a._accumulate(out.grad * condition)
-        b._accumulate(out.grad * (~condition))
-
-    out._backward = _backward
-    return out
+    return Tensor._result(data, (a, b), backward)

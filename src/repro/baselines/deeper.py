@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.baselines.base import BaselineMatcher, records_of
 from repro.data.pairs import LabeledPair, PairSet
 from repro.data.schema import ERTask, Record
@@ -99,5 +99,6 @@ class DeepERMatcher(BaselineMatcher):
         if not left:
             return np.zeros(0)
         features = self._pair_features(left, right)
-        logits = self._classifier(Tensor(features)).reshape(features.shape[0])
+        with no_grad():
+            logits = self._classifier(Tensor(features)).reshape(features.shape[0])
         return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))

@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, concatenate
+from repro.autograd import Tensor, concatenate, no_grad
 from repro.baselines.base import BaselineMatcher, records_of
 from repro.data.pairs import LabeledPair, PairSet
 from repro.data.schema import ERTask, Record
@@ -43,8 +43,8 @@ class _HybridNetwork(Module):
     def forward(self, left: Tensor, right: Tensor) -> Tensor:
         """left/right: (batch, arity, embedding_dim) -> logits (batch,)."""
         batch = left.shape[0]
-        left_summary = self.summarizer(left.reshape(batch * self.arity, self.embedding_dim)).relu()
-        right_summary = self.summarizer(right.reshape(batch * self.arity, self.embedding_dim)).relu()
+        left_summary = self.summarizer(left.reshape(batch * self.arity, self.embedding_dim)).relu_()
+        right_summary = self.summarizer(right.reshape(batch * self.arity, self.embedding_dim)).relu_()
         difference = (left_summary - right_summary).abs()
         product = left_summary * right_summary
         comparison = concatenate([difference, product], axis=-1)
@@ -126,5 +126,6 @@ class DeepMatcherMatcher(BaselineMatcher):
         if left.shape[0] == 0:
             return np.zeros(0)
         self._network.eval()
-        logits = self._network(Tensor(left), Tensor(right))
+        with no_grad():
+            logits = self._network(Tensor(left), Tensor(right))
         return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))

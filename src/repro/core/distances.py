@@ -66,9 +66,14 @@ def tuple_wasserstein(mu_p: np.ndarray, sigma_p: np.ndarray, mu_q: np.ndarray, s
 # ----------------------------------------------------------------------
 def wasserstein2_vector_t(mu_p: Tensor, sigma_p: Tensor, mu_q: Tensor, sigma_q: Tensor) -> Tensor:
     """Differentiable per-dimension W2^2 contributions (the Distance layer)."""
-    mu_diff = mu_p - mu_q
+    # Augmented assignments: each difference is squared and summed in its own
+    # buffer when no graph needs it, and recorded as ``a * a + b * b`` otherwise.
+    distance = mu_p - mu_q
+    distance *= distance
     sigma_diff = sigma_p - sigma_q
-    return mu_diff * mu_diff + sigma_diff * sigma_diff
+    sigma_diff *= sigma_diff
+    distance += sigma_diff
+    return distance
 
 
 def wasserstein2_squared_t(mu_p: Tensor, sigma_p: Tensor, mu_q: Tensor, sigma_q: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.store import EncodingStore
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.config import MatcherConfig, VAEConfig
 from repro.core.distances import mahalanobis_vector_t, wasserstein2_vector_t
 from repro.core.representation import EntityRepresentationModel
@@ -108,7 +108,7 @@ class SiameseMatcher(Module):
         batch = irs.shape[0]
         flat = irs.reshape(batch * self.arity, self.vae_config.ir_dim)
         mu, log_var = self.encoder(flat)
-        sigma = (log_var * 0.5).exp()
+        sigma = (log_var * 0.5).exp_()
         latent = self.vae_config.latent_dim
         return (
             mu.reshape(batch, self.arity, latent),
@@ -188,8 +188,8 @@ class SiameseMatcher(Module):
         if not self._fitted:
             raise NotFittedError("SiameseMatcher.predict_proba called before fit")
         self.eval()
-        logits, _ = self.forward(Tensor(np.asarray(left_irs, dtype=np.float64)),
-                                 Tensor(np.asarray(right_irs, dtype=np.float64)))
+        with no_grad():
+            logits, _ = self.forward(Tensor(left_irs), Tensor(right_irs))
         return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))
 
     def predict(self, left_irs: np.ndarray, right_irs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -199,8 +199,8 @@ class SiameseMatcher(Module):
     def pair_distances(self, left_irs: np.ndarray, right_irs: np.ndarray) -> np.ndarray:
         """Tuple-level W2^2 distances under the (possibly fine-tuned) encoder."""
         self.eval()
-        _, distances = self.forward(Tensor(np.asarray(left_irs, dtype=np.float64)),
-                                    Tensor(np.asarray(right_irs, dtype=np.float64)))
+        with no_grad():
+            _, distances = self.forward(Tensor(left_irs), Tensor(right_irs))
         return distances.data
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.config import VAEConfig
 from repro.nn import (
     Adam,
@@ -47,10 +47,12 @@ class GaussianEncoder(Module):
         self.log_var_head = Linear(hidden_dim, latent_dim, activation="linear", rng=rng)
 
     def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        hidden = self.hidden(x).relu()
+        # The trailing-underscore ops reuse the layer output they are handed
+        # whenever no graph needs it (inference), and record otherwise.
+        hidden = self.hidden(x).relu_()
         mu = self.mu_head(hidden)
         # Clip the log-variance so sigma stays in a numerically safe range.
-        log_var = self.log_var_head(hidden).clip(-8.0, 8.0)
+        log_var = self.log_var_head(hidden).clip_(-8.0, 8.0)
         return mu, log_var
 
 
@@ -63,7 +65,7 @@ class GaussianDecoder(Module):
         self.output = Linear(hidden_dim, ir_dim, activation="linear", rng=rng)
 
     def forward(self, z: Tensor) -> Tensor:
-        return self.output(self.hidden(z).relu())
+        return self.output(self.hidden(z).relu_())
 
 
 class VariationalAutoEncoder(Module):
@@ -95,7 +97,7 @@ class VariationalAutoEncoder(Module):
         """
         if not self.training:
             return mu
-        sigma = (log_var * 0.5).exp()
+        sigma = (log_var * 0.5).exp_()
         epsilon = Tensor(self._rng.standard_normal(mu.shape))
         return mu + sigma * epsilon
 
@@ -144,7 +146,8 @@ class VariationalAutoEncoder(Module):
         if irs.ndim == 1:
             irs = irs[None, :]
             squeeze = True
-        mu, log_var = self.encode(Tensor(irs))
+        with no_grad():
+            mu, log_var = self.encode(Tensor(irs))
         sigma = np.exp(0.5 * log_var.data)
         if squeeze:
             return mu.data[0], sigma[0]

@@ -57,7 +57,9 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         out = x.matmul(self.weight)
         if self.bias is not None:
-            out = out + self.bias
+            # The product is this layer's own array: when nothing records,
+            # the bias is added into it rather than into a second one.
+            out += self.bias
         return out
 
     def __repr__(self) -> str:

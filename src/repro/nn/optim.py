@@ -47,9 +47,10 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch = [np.empty_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
+        for param, velocity, scratch in zip(self.parameters, self._velocity, self._scratch):
             if param.grad is None:
                 continue
             grad = param.grad
@@ -59,7 +60,7 @@ class SGD(Optimizer):
                 velocity *= self.momentum
                 velocity += grad
                 grad = velocity
-            param.data = param.data - self.lr * grad
+            param.data -= np.multiply(grad, self.lr, out=scratch)
 
 
 class Adam(Optimizer):
@@ -85,24 +86,36 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        # Two work arrays per parameter: a step allocates nothing.
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.parameters]
 
     def step(self) -> None:
+        """One update, ``m``, ``v`` and the weights written in place.
+
+        Each line computes the expression in its comment, in that operation
+        order, so the weights equal the textbook form bit for bit.
+        """
         self._step += 1
         bias_correction1 = 1.0 - self.beta1 ** self._step
         bias_correction2 = 1.0 - self.beta2 ** self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for param, m, v, (work, root) in zip(self.parameters, self._m, self._v, self._scratch):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=work)  # m = b1 m + (1 - b1) g
             v *= self.beta2
-            v += (1.0 - self.beta2) * (grad * grad)
-            m_hat = m / bias_correction1
-            v_hat = v / bias_correction2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(grad, grad, out=work)
+            v += np.multiply(work, 1.0 - self.beta2, out=work)  # v = b2 v + (1 - b2) (g g)
+            np.divide(v, bias_correction2, out=root)
+            np.sqrt(root, out=root)
+            root += self.epsilon  # sqrt(v_hat) + epsilon
+            np.divide(m, bias_correction1, out=work)
+            work *= self.lr
+            work /= root  # lr m_hat / (sqrt(v_hat) + epsilon)
+            param.data -= work
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -111,12 +124,16 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     Returns the norm before clipping; parameters whose gradient is ``None``
     are skipped.
     """
-    params = [p for p in parameters if p.grad is not None]
-    if not params:
+    grads = [p.grad for p in parameters if p.grad is not None]
+    if not grads:
         return 0.0
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+    # One work array, as large as the largest gradient, holds each square in turn.
+    work = np.empty(max(grad.size for grad in grads))
+    total = float(np.sqrt(sum(
+        float(np.square(grad, out=work[:grad.size].reshape(grad.shape)).sum()) for grad in grads
+    )))
     if total > max_norm and total > 0:
         scale = max_norm / total
-        for p in params:
-            p.grad = p.grad * scale
+        for grad in grads:
+            grad *= scale
     return total

@@ -157,6 +157,7 @@ class Trainer:
         """Train on the given aligned arrays and return the loss history."""
         history = TrainingHistory()
         self.module.train()
+        parameters = self.module.parameters()
         for _ in range(self.max_epochs):
             epoch_loss = 0.0
             batches = 0
@@ -165,7 +166,7 @@ class Trainer:
                 loss = self.loss_fn(*batch)
                 loss.backward()
                 if self.grad_clip is not None:
-                    clip_grad_norm(self.module.parameters(), self.grad_clip)
+                    clip_grad_norm(parameters, self.grad_clip)
                 self.optimizer.step()
                 epoch_loss += float(loss.data)
                 batches += 1
