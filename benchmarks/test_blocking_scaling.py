@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.blocking import NearestNeighbourSearch
 from repro.config import BlockingConfig
+from repro.data.schema import Record, Table
 from repro.engine import (
     EncodingStore,
     PersistentEncodingCache,
@@ -168,7 +169,13 @@ def test_blocking_scaling(domains, harness_config):
         cache = PersistentEncodingCache(Path(tmp), chunk_rows=CHUNK_ROWS)
         version = representation.encoding_version
         fingerprint = encoding_fingerprint(representation, domain.task.left)
-        cache.save(domain.task.name, "left", version, fingerprint, big)
+        # The tiled rows have no records behind them: a keys-only table is
+        # the identity a load-only entry needs.
+        identity = Table(
+            "tiled", domain.task.left.attributes,
+            [Record(key, ("",) * domain.task.left.arity) for key in query_keys],
+        )
+        cache.save(domain.task.name, "left", version, fingerprint, big, identity)
 
         chunked_full_seconds, chunked_full = _best_of(
             3, lambda: cache.load(domain.task.name, "left", version, fingerprint)

@@ -114,12 +114,21 @@ def _build_model(name: str, scale: float, matcher, cache_dir=None) -> VAER:
     return model
 
 
-def _start_thread_workers(queue_dir, count, worker_cls=Worker):
+def _start_thread_workers(queue_dir, count, worker_cls=Worker, after=None):
     stop = threading.Event()
     workers, threads = [], []
+
+    def _run(worker):
+        # ``after`` holds the workers back until it is true: three pollers
+        # race for the one or two units of each stage of a tiny domain, and
+        # the kill variant must win one before the live workers take them all.
+        while after is not None and not after() and not stop.is_set():
+            time.sleep(0.005)
+        worker.run(stop)
+
     for _ in range(count):
         worker = worker_cls(FileLeaseQueue(queue_dir), poll_interval=0.01)
-        thread = threading.Thread(target=worker.run, args=(stop,), daemon=True)
+        thread = threading.Thread(target=_run, args=(worker,), daemon=True)
         thread.start()
         workers.append(worker)
         threads.append(thread)
@@ -190,7 +199,9 @@ def test_distrib_determinism_and_scaling(tmp_path):
                 killed, stop_killed = _start_thread_workers(
                     queue_dir, 1, worker_cls=AbandonOnceWorker
                 )
-                live, stop_live = _start_thread_workers(queue_dir, workers)
+                live, stop_live = _start_thread_workers(
+                    queue_dir, workers, after=lambda: killed[0].abandoned
+                )
             else:
                 live, stop_live = _start_thread_workers(queue_dir, workers)
             stage = StageTimings()

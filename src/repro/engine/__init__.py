@@ -40,13 +40,11 @@ from repro.engine.persist import (
     PersistentEncodingCache,
     RowDiff,
     TableDelta,
-    close_chunk_handles,
     diff_rows,
     encoding_fingerprint,
-    invalidate_chunk_handles,
     model_fingerprint,
     record_crc,
-    row_range_crc,
+    rows_crc,
     table_row_crcs,
 )
 from repro.engine.quant import (
@@ -159,9 +157,7 @@ __all__ = [
     "release_pool",
     "shared_memory_available",
     "shutdown_pools",
-    "close_chunk_handles",
     "diff_rows",
-    "invalidate_chunk_handles",
     "encode_table_rows",
     "encoding_fingerprint",
     "guard_store_version",
@@ -172,7 +168,7 @@ __all__ = [
     "record_crc",
     "resolve_delta",
     "resolve_stream",
-    "row_range_crc",
+    "rows_crc",
     "table_row_crcs",
     "shard_bounds_for",
     "sharded_candidate_pairs",

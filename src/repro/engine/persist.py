@@ -10,10 +10,10 @@ representation skips the IR transform and VAE forward pass entirely — and a
 consumer that only needs one row-range shard of a huge table reads only the
 chunks covering it instead of the whole archive.
 
-Cache-directory layout
-----------------------
+A cache entry is a JSON manifest plus archives that numpy reads
+---------------------------------------------------------------
 One subdirectory per task, one *chunk directory* per (side, encoding
-version), holding a JSON manifest plus one archive per row-range chunk::
+version), holding the manifest plus one archive per row-range chunk::
 
     <cache_dir>/
         <task-name>/
@@ -26,12 +26,26 @@ version), holding a JSON manifest plus one archive per row-range chunk::
             right-v4/
                 ...
 
-The manifest is written last (write-then-rename), so its presence marks a
-complete entry; readers that find a manifest referencing a missing or
-corrupt chunk treat the whole entry as a miss.  There is one on-disk format
-(:data:`CACHE_FORMAT_VERSION`): a manifest or chunk of any other format is a
-plain miss — a load neither serves, rewrites nor removes it — and a stray
-``<task>/<side>-vN.npz`` is not an entry at all.
+The manifest (format :data:`CACHE_FORMAT_VERSION`) carries the entry's
+``fingerprint``, its codec and quantization params, the stored ``keys``,
+one ``row_crcs`` element per stored row, the ``tombstones`` (stored rows
+deleted from the table since), the logical array ``shapes`` and the chunk
+list, each chunk ``[start, stop, crc, generation]`` in stored-row
+coordinates.  It is written last (write-then-rename), so its presence marks
+a complete entry; a reader that finds a manifest referencing a missing,
+foreign or corrupt chunk treats the whole entry as a miss.  A manifest or
+chunk of any other format is a plain miss too — a load neither serves,
+rewrites nor removes it — and a stray ``<task>/<side>-vN.npz`` is not an
+entry at all.
+
+There is one chunk reader: every read opens the archive with ``np.load``,
+checks the metadata embedded in it against what the manifest expects (format,
+task, side, model fingerprint, row range, chunk CRC, generation, codec) and
+reads the three arrays, which verifies each member's zip CRC-32 — a payload
+damaged on disk is a miss, never an answer.  Nothing stays open between
+reads, so a long-lived process pins no descriptors and no superseded
+archives.  Chunk reads are reported through the ``chunk_loads`` counter of
+whatever :class:`~repro.eval.timing.EngineCounters` the caller passes in.
 
 Keying and invalidation rules
 -----------------------------
@@ -39,25 +53,29 @@ Entries are keyed by ``(task.name, side, encoding_version)`` — the same
 monotonic version token the in-memory store watches.  Because the token is
 process-local, every manifest additionally embeds a *fingerprint* with two
 parts: a **model** fingerprint (IR method, dimensions, seed and a CRC of the
-VAE weights) and a **table** identity (record count plus a whole-table CRC
-of record ids and values).  A full load only succeeds when both the key and
-the complete fingerprint match; anything else — missing manifest, foreign
-task, refit or differently-seeded model, resized or edited table, corrupt
-or missing chunk, stale manifest — is a miss.  Bumping ``encoding_version``
-therefore never serves stale encodings: the old entries simply stop being
-addressed.
+VAE weights) and a **table** identity (record count plus ``content_crc``).
+A full load only succeeds when both the key and the complete fingerprint
+match; anything else — missing manifest, foreign task, refit or
+differently-seeded model, resized or edited table, corrupt or missing chunk,
+stale manifest — is a miss.  Bumping ``encoding_version`` therefore never
+serves stale encodings: the old entries simply stop being addressed.
+
+One identity rule
+-----------------
+:func:`record_crc` is the only function that hashes row content: one CRC per
+record, covering its id and values alone.  :func:`table_row_crcs` memoises
+that list per table state, so a table is hashed once however many consumers
+ask; every coarser identity is :func:`rows_crc` over a run of it — a
+chunk's CRC covers the ``row_crcs`` of its stored rows, the fingerprint's
+``content_crc`` those of the whole table.  Appending rows therefore leaves
+every existing chunk's CRC, and its archive, valid.
 
 Row-identity mutation layer
 ---------------------------
-Manifests carry a per-row content map next to the per-chunk CRCs:
-``row_crcs`` records one CRC per *stored* row (covering that record's
-id and values alone), ``tombstones`` lists stored rows that have been
-deleted from the table, and every chunk entry is ``[start, stop, crc,
-generation]``.  The *stored* layout is append-only — a row keeps its stored
-index forever; deletions tombstone it and edits write a *superseding
-generation* of the chunk holding it (``chunk-a-b-gN.npz``) — while the
-*live* view (stored rows minus tombstones, in stored order) always equals
-the current table.
+The *stored* layout is append-only — a row keeps its stored index forever;
+deletions tombstone it and edits write a *superseding generation* of the
+chunk holding it (``chunk-a-b-gN.npz``) — while the *live* view (stored rows
+minus tombstones, in stored order) always equals the current table.
 
 :meth:`PersistentEncodingCache.delta` diffs a manifest against the current
 table *by record id*: surviving rows are matched by key, compared by row
@@ -70,38 +88,25 @@ from disk (:meth:`PersistentEncodingCache.load_reused`).
 generations and appended chunks first and the manifest last, so concurrent
 readers see either the old complete entry or the new one, never a torn
 state.  Old generations are swept by :meth:`prune`.
-
-Lazy loads and memory mapping
------------------------------
 :meth:`PersistentEncodingCache.load_range` reads only the chunks overlapping
 a ``[start, stop)`` *live*-row range — the warm-load path for
-row-range-sharded consumers.  With ``mmap_mode`` set, chunk arrays are
-memory-mapped straight out of the (uncompressed) ``.npz`` members instead of
-copied into RAM; the mapping degrades silently to an eager read where it
-cannot apply.  Chunk reads are reported through the ``chunk_loads`` counter
-of whatever :class:`~repro.eval.timing.EngineCounters` the caller passes in.
-
-Chunk reads go through a process-wide LRU of :class:`_ChunkHandle` objects
-— one open descriptor, parsed member layout and metadata per archive — so a
-warm load costs one zip-directory parse per chunk *ever*, not three opens
-per read; handles are validated by stat identity and degrade to the plain
-``np.load`` path for archives the raw reader cannot serve.
+row-range-sharded consumers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-import threading
+import weakref
 import zipfile
 import zlib
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,10 +123,12 @@ PathLike = Union[str, Path]
 
 #: Bump when the on-disk layout changes; manifests and chunks tagged with any
 #: other value are treated as misses, never as errors, and never migrated.
-#: Version 5 is the row-identity mutation layer (per-row CRCs, tombstones,
-#: chunk generations) plus the codec tier (a per-entry and per-chunk ``codec``
-#: field and quantization params, so chunk arrays may hold codes, not floats).
-CACHE_FORMAT_VERSION = 5
+#: Version 6 derives every chunk CRC and the fingerprint's ``content_crc``
+#: from the per-row CRCs (:func:`rows_crc`) and requires ``row_crcs`` in every
+#: manifest; the layout is otherwise version 5's (tombstones, chunk
+#: generations, a per-entry and per-chunk ``codec`` field with quantization
+#: params, so chunk arrays may hold codes, not floats).
+CACHE_FORMAT_VERSION = 6
 
 #: The identity codec: chunk arrays are the plain float encodings.
 RAW_CODEC = "raw"
@@ -171,10 +178,10 @@ def model_fingerprint(representation: "EntityRepresentationModel") -> Dict[str, 
 def record_crc(record: "Record") -> int:
     """Independent CRC of one record's id and values.
 
-    The row-identity primitive of the mutation layer: unlike the running
-    :func:`row_range_crc`, each record's CRC stands alone, so a manifest
-    storing one CRC per row can tell exactly *which* rows of a mutated table
-    changed, not just that some range did.
+    The one row-identity primitive: each record's CRC stands alone, so a
+    manifest storing one CRC per row can tell exactly *which* rows of a
+    mutated table changed, and every coarser identity (a chunk's, a whole
+    table's) is :func:`rows_crc` over a run of these.
     """
     crc = zlib.crc32(str(record.record_id).encode("utf-8"))
     for value in record.values:
@@ -182,54 +189,39 @@ def record_crc(record: "Record") -> int:
     return int(crc)
 
 
-def table_row_crcs(table: "Table") -> List[int]:
-    """Per-row :func:`record_crc` of every record, in table order."""
-    return [record_crc(record) for record in table]
+#: ``table -> ((len(table), table.revision), row CRCs)``: the hashed-once memo
+#: behind :func:`table_row_crcs`.  Keyed weakly by the table object, so an
+#: entry dies with its table, and valid only for the state it was taken at —
+#: every ``add`` / ``replace`` / ``remove`` bumps ``revision``.
+_row_crc_memo: "weakref.WeakKeyDictionary[Table, Tuple[Tuple[int, int], Tuple[int, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def row_range_crc(table: "Table", start: int, stop: int) -> int:
-    """Running CRC of the record ids *and values* of rows ``[start, stop)``.
+def table_row_crcs(table: "Table") -> Tuple[int, ...]:
+    """Per-row :func:`record_crc` of every record, hashed once per table state.
 
-    The content-addressing primitive of the chunked cache: each chunk's CRC
-    covers exactly its own row range (restarting from zero), so appending
-    rows to a table leaves every existing chunk's CRC — and therefore its
-    on-disk archive — valid.  Iterates the table in place (``islice`` over
-    its record order) rather than copying the record list, since the delta
-    probe calls this once per chunk.
+    The fingerprint, the chunk CRCs, the row diff, the cache write-through
+    and the baseline capture of one resolve round all need this list for the
+    same table state; the memo makes the first of them pay for the walk and
+    the rest read it.
     """
-    crc = 0
-    for record in islice(iter(table), start, stop):
-        crc = zlib.crc32(str(record.record_id).encode("utf-8"), crc)
-        for value in record.values:
-            crc = zlib.crc32(value.encode("utf-8"), crc)
-    return int(crc)
+    state = (len(table), table.revision)
+    memo = _row_crc_memo.get(table)
+    if memo is not None and memo[0] == state:
+        return memo[1]
+    crcs = tuple(record_crc(record) for record in table)
+    _row_crc_memo[table] = (state, crcs)
+    return crcs
 
 
-def _crc_of_ints(values: Iterable[int]) -> int:
-    """CRC over a sequence of integers (chunk CRCs of patched generations).
+def rows_crc(row_crcs: Sequence[int]) -> int:
+    """CRC of a run of per-row CRCs: the identity of a chunk or a whole table.
 
-    A superseding chunk generation may hold tombstoned rows with no backing
-    record, so its CRC is derived from the manifest's per-row CRCs rather
-    than from table content directly.
+    Derived from the row CRCs rather than from table content because a
+    chunk's stored rows may include tombstoned ones with no backing record.
     """
-    crc = zlib.crc32(b"row-crcs")
-    for value in values:
-        crc = zlib.crc32(int(value).to_bytes(8, "little", signed=True), crc)
-    return int(crc)
-
-
-def _keys_crc(keys: Sequence[object]) -> int:
-    """Fallback chunk CRC over record keys alone.
-
-    Used when :meth:`PersistentEncodingCache.save` is handed encodings with
-    no backing table (synthetic benchmark entries).  Never matches a real
-    :func:`row_range_crc`, so such entries serve full loads but are opaque
-    to delta detection — the safe degradation.
-    """
-    crc = zlib.crc32(b"keys-only")
-    for key in keys:
-        crc = zlib.crc32(str(key).encode("utf-8"), crc)
-    return int(crc)
+    return int(zlib.crc32(np.asarray(row_crcs, dtype="<i8").tobytes(), zlib.crc32(b"row-crcs")))
 
 
 def _encodings_codec(encodings: "TableEncodings") -> Tuple[str, Optional[Dict[str, Any]]]:
@@ -278,7 +270,7 @@ def _manifest_codec(manifest: Dict[str, Any]) -> Tuple[str, Optional[Dict[str, A
     return codec["name"], params if isinstance(params, dict) else None
 
 
-def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings", verb: str) -> str:
+def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings") -> str:
     """The codec of an entry, once ``encodings`` are known to be writable into it.
 
     Quantize-once: rows written into an existing entry must carry its codec
@@ -287,26 +279,43 @@ def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings", verb
     old_codec, old_params = _manifest_codec(manifest)
     codec, params = _encodings_codec(encodings)
     if codec != old_codec:
-        raise ValueError(f"cannot {verb} a {old_codec!r}-codec entry with {codec!r} encodings")
+        raise ValueError(f"cannot write {codec!r} encodings into a {old_codec!r}-codec entry")
     if params is not None and params != old_params:
-        raise ValueError(f"cannot {verb}: encodings use different codec params than the entry")
+        raise ValueError("cannot write: encodings use different codec params than the entry")
     return codec
+
+
+@contextmanager
+def _renamed_into(temporary: Path, path: Path) -> Iterator[None]:
+    """Land what the body writes to ``temporary`` at ``path`` atomically.
+
+    A body that raises (ENOSPC, EIO) never touches ``path``, and its
+    half-written temporary is removed so it neither counts towards the
+    entry's bytes nor waits for a ``prune``; the error propagates unchanged.
+    """
+    try:
+        yield
+        os.replace(temporary, path)
+    finally:
+        try:
+            temporary.unlink()
+        except OSError:  # FileNotFoundError: the rename happened
+            pass
 
 
 def encoding_fingerprint(representation: "EntityRepresentationModel", table: "Table") -> Dict[str, Any]:
     """Identity check binding an entry to the exact model and table state.
 
     Two parts: the nested ``model`` fingerprint (see :func:`model_fingerprint`)
-    and the table identity — record count plus a whole-table CRC of record
-    ids and values (renamed, resized or edited tables all miss a full load;
+    and the table identity — record count plus :func:`rows_crc` of the whole
+    table's row CRCs (renamed, resized or edited tables all miss a full load;
     *mutated* tables are recovered row-wise via
     :meth:`PersistentEncodingCache.delta`).
     """
-    n = len(table)
     return {
         "model": model_fingerprint(representation),
-        "n_records": int(n),
-        "content_crc": row_range_crc(table, 0, n),
+        "n_records": len(table),
+        "content_crc": rows_crc(table_row_crcs(table)),
     }
 
 
@@ -320,14 +329,12 @@ class RowDiff:
     All ``old`` positions index the old sequence; all ``new`` positions
     index the current table.  ``survivor_old[j]`` is the old position of the
     current row ``j`` (for ``j < len(survivor_old)``); rows past that are
-    appended.  ``dirty_new`` is ``None`` when the old side carried no
-    per-row CRCs (content comparison impossible — callers must treat every
-    surviving row as potentially dirty at whatever granularity they can).
+    appended.  ``dirty_new`` lists the surviving rows whose content changed.
     """
 
     survivor_old: Tuple[int, ...]
     deleted_old: Tuple[int, ...]
-    dirty_new: Optional[Tuple[int, ...]]
+    dirty_new: Tuple[int, ...]
     total_rows: int
 
     @property
@@ -341,7 +348,7 @@ class RowDiff:
 
 def diff_rows(
     old_keys: Sequence[object],
-    old_row_crcs: Optional[Sequence[int]],
+    old_row_crcs: Sequence[int],
     table: "Table",
 ) -> Optional[RowDiff]:
     """Classify every row of ``table`` against an old key/CRC sequence.
@@ -377,17 +384,12 @@ def diff_rows(
         # Landed in the appended region: treat as deleted + re-added.
         deleted_old.append(old_position)
     deleted_old.sort()
-    dirty_new: Optional[Tuple[int, ...]]
-    if old_row_crcs is None:
-        dirty_new = None
-    else:
-        records = table.records()
-        dirty = [
-            new_position
-            for new_position, old_position in enumerate(survivor_old)
-            if record_crc(records[new_position]) != int(old_row_crcs[old_position])
-        ]
-        dirty_new = tuple(dirty)
+    row_crcs = table_row_crcs(table)
+    dirty_new = tuple(
+        new_position
+        for new_position, old_position in enumerate(survivor_old)
+        if row_crcs[new_position] != int(old_row_crcs[old_position])
+    )
     return RowDiff(
         survivor_old=tuple(survivor_old),
         deleted_old=tuple(deleted_old),
@@ -472,220 +474,6 @@ class TableDelta:
         return tuple(positions), tuple(stored)
 
 
-#: One member's data layout inside an ``.npz``: (data offset, dtype, shape,
-#: fortran order).  Enough to read or map the array without touching the
-#: zip or npy headers again.
-_MemberLayout = Tuple[int, np.dtype, Tuple[int, ...], bool]
-
-
-def _parse_npz_member(handle, info: zipfile.ZipInfo) -> _MemberLayout:
-    """Locate one uncompressed ``.npy`` member's raw data inside its archive.
-
-    ``np.load`` silently ignores ``mmap_mode`` for ``.npz`` files, so the
-    member's data offset (past the zip local header and the npy header) is
-    found by hand.  Raises on anything unexpected — compressed members,
-    object arrays, foreign npy versions — and the caller degrades to
-    ``np.load``.
-    """
-    from numpy.lib import format as npy_format
-
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError("compressed archive member cannot be raw-read")
-    handle.seek(info.header_offset)
-    local_header = handle.read(30)
-    if local_header[:4] != b"PK\x03\x04":
-        raise ValueError("malformed local file header")
-    name_length = int.from_bytes(local_header[26:28], "little")
-    extra_length = int.from_bytes(local_header[28:30], "little")
-    handle.seek(info.header_offset + 30 + name_length + extra_length)
-    version = npy_format.read_magic(handle)
-    if version == (1, 0):
-        shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
-    elif version == (2, 0):
-        shape, fortran, dtype = npy_format.read_array_header_2_0(handle)
-    else:
-        raise ValueError(f"unsupported npy format version {version}")
-    if dtype.hasobject:
-        raise ValueError("object arrays cannot be raw-read")
-    return handle.tell(), dtype, tuple(int(d) for d in shape), bool(fortran)
-
-
-class _ChunkHandle:
-    """One chunk archive held open with its member layout and metadata parsed.
-
-    The warm-load hot path reads every chunk of an entry back to back; the
-    naive path pays three opens and two zip-directory parses per chunk
-    (``load_metadata``, ``zipfile.ZipFile``, then the data read).  A handle
-    pays that once: the archive's file descriptor stays open, member data
-    offsets and the parsed metadata dict are retained, and repeat loads —
-    the chunked full-table warm path, range loads revisiting a chunk, delta
-    reuse — are a seek-and-read per array.  Validity is tied to the stat
-    identity ``(st_mtime_ns, st_size)`` captured at open; writers replace
-    archives atomically (write-then-rename), so a stale handle can only see
-    the complete old file, never a torn one.
-    """
-
-    __slots__ = ("path", "stat_key", "metadata", "members", "_file", "_lock")
-
-    def __init__(self, path: Path) -> None:
-        stat = path.stat()
-        self.path = path
-        self.stat_key = (int(stat.st_mtime_ns), int(stat.st_size))
-        self._lock = threading.Lock()
-        self._file = open(path, "rb")
-        try:
-            with zipfile.ZipFile(self._file) as archive:
-                infos = {info.filename: info for info in archive.infolist()}
-            members: Dict[str, _MemberLayout] = {}
-            for name in _ARRAY_KEYS + (_META_KEY,):
-                info = infos.get(name + ".npy")
-                if info is None:
-                    raise KeyError(f"archive member {name!r} missing")
-                members[name] = _parse_npz_member(self._file, info)
-            self.members = members
-            offset, dtype, shape, _ = members[_META_KEY]
-            raw = self._read_span(offset, dtype.itemsize * _element_count(shape))
-            metadata = json.loads(bytes(raw).decode("utf-8"))
-            if not isinstance(metadata, dict):
-                raise ValueError("chunk metadata is not a mapping")
-            self.metadata = metadata
-        except BaseException:
-            self._file.close()
-            raise
-
-    def _read_span(self, offset: int, nbytes: int) -> bytearray:
-        buffer = bytearray(nbytes)
-        with self._lock:
-            self._file.seek(offset)
-            read = self._file.readinto(buffer)
-        if read != nbytes:
-            raise ValueError("short read from chunk archive")
-        return buffer
-
-    def read_arrays(self) -> Dict[str, np.ndarray]:
-        """Eagerly read the encoding arrays (writable, one copy, no reparse)."""
-        arrays: Dict[str, np.ndarray] = {}
-        for name in _ARRAY_KEYS:
-            offset, dtype, shape, fortran = self.members[name]
-            buffer = self._read_span(offset, dtype.itemsize * _element_count(shape))
-            # frombuffer over a bytearray yields a *writable* array, matching
-            # what np.load hands out, without an extra copy.
-            arrays[name] = np.frombuffer(buffer, dtype=dtype).reshape(
-                shape, order="F" if fortran else "C"
-            )
-        return arrays
-
-    def mmap_arrays(self, mmap_mode: str) -> Dict[str, np.ndarray]:
-        """Memory-map the encoding arrays from the cached member offsets."""
-        return {
-            name: np.memmap(
-                self.path,
-                dtype=dtype,
-                mode=mmap_mode,
-                offset=offset,
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-            for name, (offset, dtype, shape, fortran) in self.members.items()
-            if name != _META_KEY
-        }
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:  # pragma: no cover - close of a dup'd/raced descriptor
-            pass
-
-
-def _element_count(shape: Tuple[int, ...]) -> int:
-    count = 1
-    for dim in shape:
-        count *= int(dim)
-    return count
-
-
-#: Open chunk handles kept per process (LRU).  Sized for a handful of
-#: concurrently-warm entries: a full-table load touches each chunk once in
-#: order, so even 1 would serve it — the slack keeps interleaved range loads
-#: of a few tables warm too.
-CHUNK_HANDLE_CACHE = 64
-
-_handles: "OrderedDict[str, _ChunkHandle]" = OrderedDict()
-_handles_lock = threading.Lock()
-
-
-def _chunk_handle(path: Path) -> Optional[_ChunkHandle]:
-    """The cached handle of ``path``, (re)opened and stat-validated.
-
-    ``None`` when the archive is missing or cannot be raw-read (compressed
-    members, foreign layout) — callers degrade to the ``np.load`` path.
-    """
-    try:
-        stat = path.stat()
-    except OSError:
-        with _handles_lock:
-            stale = _handles.pop(str(path), None)
-        if stale is not None:
-            stale.close()
-        return None
-    stat_key = (int(stat.st_mtime_ns), int(stat.st_size))
-    key = str(path)
-    with _handles_lock:
-        cached = _handles.get(key)
-        if cached is not None:
-            if cached.stat_key == stat_key:
-                _handles.move_to_end(key)
-                return cached
-            del _handles[key]
-            cached.close()
-    try:
-        handle = _ChunkHandle(path)
-    except _LOAD_ERRORS:
-        return None
-    evicted: List[_ChunkHandle] = []
-    with _handles_lock:
-        previous = _handles.pop(key, None)
-        if previous is not None:  # pragma: no cover - concurrent open race
-            evicted.append(previous)
-        _handles[key] = handle
-        while len(_handles) > CHUNK_HANDLE_CACHE:
-            _, old = _handles.popitem(last=False)
-            evicted.append(old)
-    for old in evicted:
-        old.close()
-    return handle
-
-
-def close_chunk_handles() -> None:
-    """Close every cached chunk handle (cache clears, test isolation)."""
-    with _handles_lock:
-        handles = list(_handles.values())
-        _handles.clear()
-    for handle in handles:
-        handle.close()
-
-
-def invalidate_chunk_handles(paths: Iterable[object]) -> int:
-    """Eagerly close the cached handles of specific chunk archives.
-
-    Called for chunk files that just became dead — superseded by a newer
-    generation in :meth:`PersistentEncodingCache.patch`, or about to be
-    unlinked by :meth:`PersistentEncodingCache.prune` — so a long-lived
-    process does not pin stale archives (and their file descriptors) in the
-    LRU until eviction.  Returns how many handles were closed.
-    """
-    keys = {str(path) for path in paths}
-    closed: List[_ChunkHandle] = []
-    with _handles_lock:
-        for key in keys:
-            handle = _handles.pop(key, None)
-            if handle is not None:
-                closed.append(handle)
-    for handle in closed:
-        handle.close()
-    return len(closed)
-
-
 class PersistentEncodingCache:
     """Directory-backed, row-range-chunked archive of table encodings.
 
@@ -704,27 +492,13 @@ class PersistentEncodingCache:
         Rows per chunk archive written by :meth:`save`; the last chunk of a
         table may be short.  Readers honour whatever chunking the manifest
         records, so caches written with different ``chunk_rows`` interoperate.
-    mmap_mode:
-        When set (e.g. ``"r"``), loaded chunk arrays are memory-mapped from
-        the archives instead of read into RAM, where the archive permits it.
     """
 
-    def __init__(
-        self,
-        directory: PathLike,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        mmap_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, directory: PathLike, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         if chunk_rows <= 0:
             raise ValueError("chunk_rows must be positive")
-        if mmap_mode not in (None, "r", "c"):
-            # "r+" would let consumers write through to the shared cache and
-            # "w+" would truncate chunks on open; only read-only ("r") and
-            # copy-on-write ("c") mappings are safe for a cache.
-            raise ValueError(f"mmap_mode must be None, 'r' or 'c', got {mmap_mode!r}")
         self.directory = Path(directory)
         self.chunk_rows = chunk_rows
-        self.mmap_mode = mmap_mode
 
     # ------------------------------------------------------------------
     # Paths and layout
@@ -759,7 +533,6 @@ class PersistentEncodingCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many entries were removed."""
-        close_chunk_handles()
         entries = self.entries()
         for entry in entries:
             self._remove_chunk_dir(entry.parent)
@@ -773,7 +546,6 @@ class PersistentEncodingCache:
             if path.is_file():
                 removed_bytes += path.stat().st_size
                 if not dry_run:
-                    invalidate_chunk_handles([path])
                     path.unlink()
         if not dry_run:
             try:
@@ -814,7 +586,7 @@ class PersistentEncodingCache:
                 # float64 size of the stored shapes, codec-independent —
                 # against on-disk bytes it shows the compression ratio.
                 decoded_bytes = sum(
-                    8 * _element_count(tuple(int(d) for d in shape))
+                    8 * math.prod(int(d) for d in shape)
                     for shape in manifest["shapes"].values()
                 )
                 rows.append({
@@ -846,15 +618,17 @@ class PersistentEncodingCache:
         return rows
 
     def verify_entries(self) -> List[Dict[str, Any]]:
-        """Audit manifests and chunk fingerprints (``repro cache verify``).
+        """Audit manifests and chunk archives (``repro cache verify``).
 
         Runs the exact validation :meth:`load` performs — structural
         manifest checks via ``_valid_manifest``, then each referenced
         chunk's embedded metadata against the manifest's expectations
         (task, side, model fingerprint, row range, per-chunk CRC,
-        generation, codec) — but *without* materialising any arrays, so an
-        operator can audit a multi-gigabyte shared cache directory in
-        manifest-and-header time.  Returns one report per entry::
+        generation, codec) and the zip CRC-32 of every member of the
+        archive — but *without* materialising any arrays: the audit streams
+        every referenced archive once, so it costs one sequential read of the
+        cache directory and no more memory than a read buffer.  Returns one
+        report per entry::
 
             {"task", "side", "version", "chunks_checked", "ok", "problems": [...]}
 
@@ -892,8 +666,10 @@ class PersistentEncodingCache:
                         continue
                     try:
                         metadata = load_metadata(path)
+                        with zipfile.ZipFile(path) as archive:
+                            damaged = archive.testzip()
                     except _LOAD_ERRORS:
-                        metadata = None
+                        metadata = damaged = None
                     if metadata is None:
                         problems.append(f"{name}: chunk metadata unreadable (torn write?)")
                     elif not self._chunk_metadata_valid(
@@ -902,6 +678,10 @@ class PersistentEncodingCache:
                         problems.append(
                             f"{name}: chunk metadata does not match manifest "
                             "(format, fingerprint, row range, CRC, generation or codec)"
+                        )
+                    elif damaged is not None:
+                        problems.append(
+                            f"{name}: member {damaged} fails its CRC-32 (damaged payload)"
                         )
             reports.append({
                 "task": task_dir, "side": side, "version": version,
@@ -957,7 +737,6 @@ class PersistentEncodingCache:
                     removed["bytes"] += size
                     _count_codec(_manifest_codec(manifest)[0], size)
                     if not dry_run:
-                        invalidate_chunk_handles([chunk])
                         chunk.unlink()
         return removed
 
@@ -971,7 +750,7 @@ class PersistentEncodingCache:
         encoding_version: int,
         fingerprint: Dict[str, Any],
         encodings: "TableEncodings",
-        table: Optional["Table"] = None,
+        table: "Table",
     ) -> Path:
         """Persist one table's encodings in row-range chunks; returns the manifest path.
 
@@ -980,30 +759,28 @@ class PersistentEncodingCache:
         never observe a partial entry: either the manifest is present and
         every chunk it references is complete, or the entry misses.
 
-        ``table`` supplies the per-row and per-chunk content CRCs that make
-        the entry delta-probeable; without it (synthetic encodings in tests
-        and benchmarks) chunks are addressed by their keys alone and only
-        serve full loads.
+        ``table`` is the table ``encodings`` describe, row for row: its row
+        CRCs become the manifest's ``row_crcs`` and every chunk's CRC, which
+        is what makes the entry delta-probeable.
         """
-        n = len(encodings)
+        row_crcs = table_row_crcs(table)
+        if len(row_crcs) != len(encodings):
+            raise ValueError(
+                f"table has {len(row_crcs)} rows but encodings describe {len(encodings)}"
+            )
         codec_name, codec_params = _encodings_codec(encodings)
         chunks = [
-            [start, stop, self._range_crc(table, encodings, start, stop), 0]
-            for start, stop in self._chunk_bounds(0, n)
+            [start, stop, rows_crc(row_crcs[start:stop]), 0]
+            for start, stop in self._chunk_bounds(0, len(encodings))
         ]
         self._write_chunks(
             task_name, side, encoding_version, fingerprint, encodings, chunks, 0,
             codec=codec_name,
         )
-        row_crcs = (
-            table_row_crcs(table)
-            if table is not None and len(table) == len(encodings)
-            else None
-        )
         return self._write_manifest(
             task_name, side, encoding_version, fingerprint,
             keys=encodings.keys,
-            row_crcs=row_crcs,
+            row_crcs=list(row_crcs),
             tombstones=[],
             chunks=chunks,
             trailing={name: getattr(encodings, name).shape[1:] for name in _ARRAY_KEYS},
@@ -1018,42 +795,22 @@ class PersistentEncodingCache:
         fingerprint: Dict[str, Any],
         table: "Table",
         delta: "TableDelta",
-        tail: "TableEncodings",
+        encodings: "TableEncodings",
     ) -> Path:
         """Append-only extension of an entry whose base ``delta`` validated.
 
-        ``tail`` holds the encodings of current rows ``[delta.base_rows, n)``
-        only (locally indexed); they are written as *new* chunk archives
-        after the existing stored rows and the manifest is rewritten last, so
-        the old entry stays fully readable until the new manifest lands
-        atomically.  No existing chunk is touched — the whole point of
-        content-addressed chunks is that an append re-encodes and rewrites
-        only the tail.  For deltas that also carry edits or deletions use
-        :meth:`patch`.
+        :meth:`patch` restricted to a delta without edits or deletions: the
+        appended rows of ``encodings`` (the *full current table's*, like
+        ``patch`` takes them) are written as *new* chunk archives after the
+        existing stored rows and the manifest is rewritten last.  No existing
+        chunk is touched — the whole point of content-addressed chunks is
+        that an append re-encodes and rewrites only the tail.
         """
         if not delta.is_append_only:
             raise ValueError("extend() only handles append-only deltas; use patch()")
-        old = delta.manifest
-        codec = _entry_codec_for(old, tail, "extend")
-        new_chunks = self._append_chunks(
-            task_name, side, encoding_version, fingerprint, table, delta, tail,
-            delta.base_rows, codec,
-        )
-        old_row_crcs = old.get("row_crcs")
-        row_crcs = (
-            list(old_row_crcs) + [record_crc(record) for record in table.records()[delta.base_rows:]]
-            if old_row_crcs is not None
-            else None
-        )
-        return self._write_manifest(
-            task_name, side, encoding_version, fingerprint,
-            keys=list(old["keys"]) + list(tail.keys),
-            row_crcs=row_crcs,
-            tombstones=list(old["tombstones"]),
-            chunks=[list(chunk) for chunk in old["chunks"]] + new_chunks,
-            trailing={name: old["shapes"][name][1:] for name in _ARRAY_KEYS},
-            codec=dict(old["codec"]),
-        )
+        return self._write_through(
+            task_name, side, encoding_version, fingerprint, table, delta, encodings
+        )[0]
 
     def patch(
         self,
@@ -1073,8 +830,7 @@ class PersistentEncodingCache:
         * chunks containing edited rows get a **superseding generation**
           (``chunk-a-b-gN.npz``) holding the updated rows — tombstoned rows
           inside them are zero-filled, they are never read again;
-        * appended rows become new chunks after the stored rows, exactly as
-          :meth:`extend` writes them;
+        * appended rows become new chunks after the stored rows;
         * deleted rows become **tombstone entries** in the manifest — no
           chunk is rewritten for a pure deletion, the old archive still
           serves the surviving rows.
@@ -1085,8 +841,23 @@ class PersistentEncodingCache:
         the manifest path and a work report (``chunks_patched``,
         ``rows_tombstoned``, ``chunks_appended``).
         """
+        return self._write_through(
+            task_name, side, encoding_version, fingerprint, table, delta, encodings
+        )
+
+    def _write_through(
+        self,
+        task_name: str,
+        side: str,
+        encoding_version: int,
+        fingerprint: Dict[str, Any],
+        table: "Table",
+        delta: "TableDelta",
+        encodings: "TableEncodings",
+    ) -> Tuple[Path, Dict[str, int]]:
+        """The one writer behind :meth:`extend` and :meth:`patch`."""
         old = delta.manifest
-        patch_codec = _entry_codec_for(old, encodings, "patch")
+        codec = _entry_codec_for(old, encodings)
         stored = len(old["keys"])
         tombstones = set(int(t) for t in old["tombstones"])
         new_dead = [int(row) for row in delta.deleted_rows]
@@ -1097,53 +868,34 @@ class PersistentEncodingCache:
             int(stored_index): position
             for position, stored_index in enumerate(delta.survivor_stored)
         }
-        records = table.records()
-        old_row_crcs = old.get("row_crcs")
-        row_crcs: List[int] = []
-        for stored_index in range(stored):
-            position = current_of_stored.get(stored_index)
-            if position is not None:
-                row_crcs.append(record_crc(records[position]))
-            elif old_row_crcs is not None:
-                row_crcs.append(int(old_row_crcs[stored_index]))
-            else:
-                row_crcs.append(0)
+        # Surviving rows take the current table's CRC (an edit changed it),
+        # tombstoned rows keep the one they were stored with.
+        current_crcs = table_row_crcs(table)
+        row_crcs: List[int] = list(old["row_crcs"])
+        for stored_index, position in current_of_stored.items():
+            row_crcs[stored_index] = current_crcs[position]
 
         # Superseding generations for chunks holding dirty rows.
         dirty_stored = {
             int(delta.survivor_stored[position]) for position in delta.dirty_positions()
         }
-        # Zero-fill templates in the entry's *stored* form: float chunks
-        # stay float64 with the logical trailing shape, coded chunks keep
-        # their code dtype and code trailing (for PQ that is ``(m,)``, not
-        # the manifest's logical shape).
-        stored_templates = {}
-        for name in _ARRAY_KEYS:
-            array = getattr(encodings, name)
-            if isinstance(array, CodecArray):
-                stored_templates[name] = (list(array.codes.shape[1:]), array.codes.dtype)
-            else:
-                stored_templates[name] = (
-                    [int(d) for d in old["shapes"][name][1:]], np.dtype(np.float64)
-                )
+        # Zero-fill templates in the entry's *stored* form: float chunks keep
+        # the logical trailing shape, coded chunks their code dtype and code
+        # trailing (for PQ that is ``(m,)``, not the manifest's logical shape).
+        templates = {
+            name: _stored_rows(getattr(encodings, name), 0, 0) for name in _ARRAY_KEYS
+        }
         chunks: List[List[int]] = []
         patched = 0
-        superseded: List[Path] = []
         for chunk_start, chunk_stop, chunk_crc, generation in old["chunks"]:
             chunk_start, chunk_stop = int(chunk_start), int(chunk_stop)
             if dirty_stored.isdisjoint(range(chunk_start, chunk_stop)):
                 chunks.append([chunk_start, chunk_stop, int(chunk_crc), int(generation)])
                 continue
-            superseded.append(self.chunk_path(
-                task_name, side, encoding_version, chunk_start, chunk_stop, int(generation)
-            ))
             new_generation = int(generation) + 1
             arrays: Dict[str, np.ndarray] = {
-                name: np.zeros(
-                    [chunk_stop - chunk_start] + stored_templates[name][0],
-                    dtype=stored_templates[name][1],
-                )
-                for name in _ARRAY_KEYS
+                name: np.zeros((chunk_stop - chunk_start,) + empty.shape[1:], dtype=empty.dtype)
+                for name, empty in templates.items()
             }
             for stored_index in range(chunk_start, chunk_stop):
                 position = current_of_stored.get(stored_index)
@@ -1153,22 +905,28 @@ class PersistentEncodingCache:
                     arrays[name][stored_index - chunk_start] = _stored_row(
                         getattr(encodings, name), position
                     )
-            new_crc = _crc_of_ints(row_crcs[chunk_start:chunk_stop])
+            new_crc = rows_crc(row_crcs[chunk_start:chunk_stop])
             self._write_chunk_arrays(
                 task_name, side, encoding_version, fingerprint,
                 chunk_start, chunk_stop, new_crc, new_generation, arrays,
-                codec=patch_codec,
+                codec=codec,
             )
             chunks.append([chunk_start, chunk_stop, new_crc, new_generation])
             patched += 1
 
-        # Appended rows: new stored chunks after the existing layout.
+        # Appended rows: new stored chunks after the existing layout.  Stored
+        # rows ``[stored, stored + appended)`` are the current rows
+        # ``delta.appended_range`` — contiguous at the table's tail.
         base, total = delta.appended_range
-        appended_chunks = self._append_chunks(
-            task_name, side, encoding_version, fingerprint, table, delta, encodings,
-            0, patch_codec,
+        row_crcs.extend(current_crcs[base:total])
+        appended_chunks = [
+            [start, stop, rows_crc(row_crcs[start:stop]), 0]
+            for start, stop in self._chunk_bounds(stored, stored + total - base)
+        ]
+        self._write_chunks(
+            task_name, side, encoding_version, fingerprint, encodings, appended_chunks,
+            stored - base, codec=codec,
         )
-        row_crcs.extend(record_crc(record) for record in records[base:total])
         path = self._write_manifest(
             task_name, side, encoding_version, fingerprint,
             keys=list(old["keys"]) + list(encodings.keys[base:total]),
@@ -1178,10 +936,6 @@ class PersistentEncodingCache:
             trailing={name: old["shapes"][name][1:] for name in _ARRAY_KEYS},
             codec=dict(old["codec"]),
         )
-        # The old generations are dead the moment the manifest lands: no
-        # future read resolves to them, so drop their cached handles now
-        # rather than pinning stale archives until LRU eviction.
-        invalidate_chunk_handles(superseded)
         return path, {
             "chunks_patched": patched,
             "rows_tombstoned": len(new_dead),
@@ -1193,47 +947,6 @@ class PersistentEncodingCache:
         return [
             (lo, min(lo + self.chunk_rows, stop)) for lo in range(start, stop, self.chunk_rows)
         ]
-
-    def _append_chunks(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        table: "Table",
-        delta: "TableDelta",
-        encodings: "TableEncodings",
-        first_row: int,
-        codec: str,
-    ) -> List[List[int]]:
-        """Write ``delta``'s appended rows as new chunks after the stored rows.
-
-        ``encodings`` row 0 is current row ``first_row`` (a tail-only view
-        for :meth:`extend`, the whole table for :meth:`patch`).  The appended
-        stored rows ``[stored, stored + appended)`` are the current rows
-        ``delta.appended_range`` — contiguous at the table's tail — and each
-        new chunk's CRC covers exactly its own current rows.
-        """
-        stored = len(delta.manifest["keys"])
-        base, total = delta.appended_range
-        shift = base - stored
-        chunks = [
-            [start, stop, row_range_crc(table, start + shift, stop + shift), 0]
-            for start, stop in self._chunk_bounds(stored, stored + total - base)
-        ]
-        self._write_chunks(
-            task_name, side, encoding_version, fingerprint, encodings, chunks,
-            first_row - shift, codec=codec,
-        )
-        return chunks
-
-    @staticmethod
-    def _range_crc(
-        table: Optional["Table"], encodings: "TableEncodings", start: int, stop: int
-    ) -> int:
-        if table is not None and len(table) == len(encodings):
-            return row_range_crc(table, start, stop)
-        return _keys_crc(encodings.keys[start:stop])
 
     def _write_chunks(
         self,
@@ -1299,8 +1012,8 @@ class PersistentEncodingCache:
         # The temp name keeps the .npz suffix (np.savez appends it
         # otherwise) and the pid so parallel writers cannot collide.
         temporary = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-        save_state_dict(arrays, temporary, metadata=metadata)
-        os.replace(temporary, path)
+        with _renamed_into(temporary, path):
+            save_state_dict(arrays, temporary, metadata=metadata)
 
     def _write_manifest(
         self,
@@ -1309,7 +1022,7 @@ class PersistentEncodingCache:
         encoding_version: int,
         fingerprint: Dict[str, Any],
         keys: Sequence[object],
-        row_crcs: Optional[List[int]],
+        row_crcs: List[int],
         tombstones: List[int],
         chunks: List[List[int]],
         trailing: Dict[str, Sequence[int]],
@@ -1339,8 +1052,8 @@ class PersistentEncodingCache:
         manifest_path = self.manifest_path(task_name, side, encoding_version)
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
         temporary = manifest_path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
-        temporary.write_text(json.dumps(manifest))
-        os.replace(temporary, manifest_path)
+        with _renamed_into(temporary, manifest_path):
+            temporary.write_text(json.dumps(manifest))
         return manifest_path
 
     # ------------------------------------------------------------------
@@ -1408,9 +1121,6 @@ class PersistentEncodingCache:
         live rows against the table by record id: surviving rows are
         compared by per-row CRC (clean or *dirty*), vanished rows become
         ``deleted_rows``, and trailing new rows the ``appended_range``.
-        Entries without per-row CRCs (keys-only saves) degrade
-        to chunk-granular validation: a chunk with any deletion, or whose
-        range CRC no longer matches, marks all its surviving rows dirty.
         Returns ``None`` when nothing is reusable (no clean surviving rows).
         """
         manifest = self._read_manifest_loose(task_name, side, encoding_version)
@@ -1422,25 +1132,17 @@ class PersistentEncodingCache:
         if recorded.get("model") != fingerprint.get("model"):
             return None
         tombstones = set(manifest["tombstones"])
-        stored_keys = manifest["keys"]
-        live_stored = [i for i in range(len(stored_keys)) if i not in tombstones]
-        live_keys = [stored_keys[i] for i in live_stored]
-        row_crcs = manifest.get("row_crcs")
-        live_crcs = [row_crcs[i] for i in live_stored] if row_crcs is not None else None
+        live_stored = self._live_stored_indices(manifest)
+        live_keys = [manifest["keys"][i] for i in live_stored]
+        live_crcs = [manifest["row_crcs"][i] for i in live_stored]
         diff = diff_rows(live_keys, live_crcs, table)
         if diff is None:
             return None
         survivor_stored = tuple(live_stored[j] for j in diff.survivor_old)
         deleted_rows = tuple(live_stored[j] for j in diff.deleted_old)
-        if diff.dirty_new is not None:
-            dirty_positions = list(diff.dirty_new)
-        else:
-            dirty_positions = self._chunk_granular_dirty(
-                manifest, table, survivor_stored, deleted_rows, tombstones
-            )
-        if len(dirty_positions) >= len(survivor_stored):
+        if len(diff.dirty_new) >= len(survivor_stored):
             return None  # nothing provably clean to reuse
-        dirty_stored = {survivor_stored[position] for position in dirty_positions}
+        dirty_stored = {survivor_stored[position] for position in diff.dirty_new}
         unusable = tombstones | set(deleted_rows) | dirty_stored
         valid_chunks = tuple(
             (int(a), int(b), int(crc), int(gen))
@@ -1450,46 +1152,12 @@ class PersistentEncodingCache:
         return TableDelta(
             manifest=manifest,
             valid_chunks=valid_chunks,
-            dirty_ranges=group_ranges(sorted(dirty_positions)),
+            dirty_ranges=group_ranges(diff.dirty_new),
             appended_range=diff.appended_range,
             deleted_rows=deleted_rows,
             survivor_stored=survivor_stored,
             total_rows=len(table),
         )
-
-    @staticmethod
-    def _chunk_granular_dirty(
-        manifest: Dict[str, Any],
-        table: "Table",
-        survivor_stored: Tuple[int, ...],
-        deleted_rows: Tuple[int, ...],
-        tombstones: set,
-    ) -> List[int]:
-        """Dirty current positions for entries without per-row CRCs.
-
-        Chunk-level fallback: a chunk validates only when every stored row in
-        it is live and surviving *and* the running CRC over the corresponding
-        current rows matches the chunk CRC recorded at save time.  Any other
-        chunk marks all its surviving rows dirty (a safe over-approximation —
-        at worst chunk-aligned re-encoding instead of row-exact).
-        """
-        position_of_stored = {
-            stored_index: position for position, stored_index in enumerate(survivor_stored)
-        }
-        dead = tombstones | set(deleted_rows)
-        dirty: List[int] = []
-        for chunk_start, chunk_stop, chunk_crc, _generation in manifest["chunks"]:
-            chunk_start, chunk_stop = int(chunk_start), int(chunk_stop)
-            rows = range(chunk_start, chunk_stop)
-            surviving = [position_of_stored[i] for i in rows if i in position_of_stored]
-            if not surviving:
-                continue
-            if dead.isdisjoint(rows) and len(surviving) == len(rows):
-                # All rows present: surviving positions are contiguous.
-                if row_range_crc(table, surviving[0], surviving[-1] + 1) == int(chunk_crc):
-                    continue
-            dirty.extend(surviving)
-        return dirty
 
     def load_prefix(
         self,
@@ -1602,13 +1270,11 @@ class PersistentEncodingCache:
             return None
         if len(set(tombstones)) != len(tombstones):
             return None
-        if row_crcs is not None and (
-            not isinstance(row_crcs, list)
-            or len(row_crcs) != len(keys)
-            # A corrupt element would otherwise surface as a raise deep in
-            # the delta probe — a cache must never fail a resolution run.
-            or not all(isinstance(crc, int) for crc in row_crcs)
-        ):
+        if not isinstance(row_crcs, list) or len(row_crcs) != len(keys):
+            return None
+        # A corrupt element would otherwise surface as a raise deep in the
+        # delta probe — a cache must never fail a resolution run.
+        if not all(isinstance(crc, int) for crc in row_crcs):
             return None
         # Chunks must tile [0, n) contiguously and in order — anything else
         # (hand-edited manifest, mixed-up files) is a stale manifest: miss.
@@ -1665,9 +1331,8 @@ class PersistentEncodingCache:
 
         For quantized entries the materialised arrays are
         :class:`~repro.engine.quant.CodecArray` views over the int8 chunk
-        data (memory-mapped where the cache maps) — floats are rehydrated
-        only when a consumer gathers rows, so a cold table never builds its
-        full float store.
+        data — floats are rehydrated only when a consumer gathers rows, so a
+        cold table never builds its full float store.
         """
         from repro.engine.store import TableEncodings
 
@@ -1730,7 +1395,7 @@ class PersistentEncodingCache:
                 if arrays[name].shape[0] != chunk_stop - chunk_start:
                     return None
                 if contiguous:
-                    # A slice keeps zero-copy (possibly memory-mapped) views.
+                    # A slice is a view of the chunk's array, not a copy.
                     pieces[name].append(arrays[name][local[0] : local[-1] + 1])
                 else:
                     pieces[name].append(np.asarray(arrays[name])[gather])
@@ -1739,8 +1404,8 @@ class PersistentEncodingCache:
             return None
         try:
             merged = {
-                # A range served by a single chunk stays a zero-copy (possibly
-                # memory-mapped) view; multi-chunk ranges concatenate.
+                # A range served by a single chunk stays a zero-copy view;
+                # multi-chunk ranges concatenate.
                 name: _finalise(name, parts[0] if len(parts) == 1 else np.concatenate(parts))
                 for name, parts in pieces.items()
             }
@@ -1768,38 +1433,24 @@ class PersistentEncodingCache:
         generation: int,
         codec: str,
     ) -> Optional[Dict[str, np.ndarray]]:
-        """One chunk generation's arrays, validated against its metadata."""
+        """One chunk generation's arrays, validated against its metadata.
+
+        The one chunk reader.  Reading a member checks its zip CRC-32, so an
+        archive damaged on disk raises inside ``np.load`` and is a miss.
+        """
         path = self.chunk_path(task_name, side, encoding_version, start, stop, generation)
-        handle = _chunk_handle(path)
-        if handle is not None:
-            if not self._chunk_metadata_valid(
-                handle.metadata, task_name, side, model, start, stop, row_crc, generation, codec
-            ):
-                return None
-            if self.mmap_mode:
-                try:
-                    return handle.mmap_arrays(self.mmap_mode)
-                except _LOAD_ERRORS:
-                    pass  # degrade to an eager read of the same chunk
-            try:
-                return handle.read_arrays()
-            except _LOAD_ERRORS:
-                return None
-        # Raw-read path unavailable (missing file, compressed or foreign
-        # archive): fall through to the np.load reader.
-        if not path.is_file():
-            return None
         try:
-            metadata = load_metadata(path)
-            if metadata is None or not self._chunk_metadata_valid(
-                metadata, task_name, side, model, start, stop, row_crc, generation, codec
-            ):
-                return None
             with np.load(path, allow_pickle=False) as archive:
+                metadata = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
+                if not isinstance(metadata, dict) or not self._chunk_metadata_valid(
+                    metadata, task_name, side, model, start, stop, row_crc, generation, codec
+                ):
+                    return None
                 return {name: archive[name] for name in _ARRAY_KEYS}
         except _LOAD_ERRORS:
-            # BadZipFile/struct.error cover truncated archives (killed
-            # writer) whose zip header still looks plausible.
+            # OSError covers a missing archive; BadZipFile/struct.error cover
+            # truncated ones (killed writer) whose zip header still looks
+            # plausible, and a failed member CRC.
             return None
 
     @staticmethod
@@ -1840,26 +1491,3 @@ class PersistentEncodingCache:
             f"PersistentEncodingCache({str(self.directory)!r}, "
             f"chunk_rows={self.chunk_rows}, entries={len(self.entries())})"
         )
-
-
-def _slice_encodings(encodings: "TableEncodings", start: int, stop: int) -> "TableEncodings":
-    """Row-range view of in-memory encodings with a local row index.
-
-    Codec-preserving: quantized arrays stay :class:`CodecArray` views over
-    the sliced codes instead of decoding the range.
-    """
-    from repro.engine.store import TableEncodings
-
-    def _rows(array):
-        if isinstance(array, CodecArray):
-            return array.row_slice(start, stop)
-        return array[start:stop]
-
-    keys = encodings.keys[start:stop]
-    return TableEncodings(
-        keys=keys,
-        irs=_rows(encodings.irs),
-        mu=_rows(encodings.mu),
-        sigma=_rows(encodings.sigma),
-        row_index={key: row for row, key in enumerate(keys)},
-    )

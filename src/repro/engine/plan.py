@@ -120,7 +120,7 @@ class DeltaBounds:
         def counts(diff: Optional[RowDiff]) -> Tuple[int, int, int]:
             if diff is None:
                 return 0, 0, 0
-            return diff.appended_range[0], len(diff.dirty_new or ()), len(diff.deleted_old)
+            return diff.appended_range[0], len(diff.dirty_new), len(diff.deleted_old)
 
         base_left, dirty_left, deleted_left = counts(left)
         base_right, dirty_right, deleted_right = counts(right)
@@ -862,7 +862,7 @@ class ResolutionBaseline:
             if diff is None:
                 continue
             stale.update(str(keys[j]) for j in diff.deleted_old)
-            stale.update(str(current[p]) for p in diff.dirty_new or ())
+            stale.update(str(current[p]) for p in diff.dirty_new)
         if not (stale_left or stale_right):
             return self.scores
         return {
@@ -1033,8 +1033,8 @@ class ResolutionExecutor:
                 index=index,
                 left_keys=tuple(left_table.record_ids()),
                 right_keys=tuple(right_table.record_ids()),
-                left_row_crcs=tuple(table_row_crcs(left_table)),
-                right_row_crcs=tuple(table_row_crcs(right_table)),
+                left_row_crcs=table_row_crcs(left_table),
+                right_row_crcs=table_row_crcs(right_table),
                 index_mutations=index.mutations,
             )
 

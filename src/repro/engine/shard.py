@@ -58,7 +58,6 @@ import numpy as np
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.pairs import RecordPair
 from repro.engine import sharedmem
-from repro.engine.persist import close_chunk_handles
 from repro.engine.stream import ScoredPairs
 
 
@@ -301,14 +300,12 @@ def release_engine_resources() -> None:
 
     A batch CLI run can lean on the ``atexit`` hook below, but a daemon
     that stops serving one task (or goes idle) must not keep the cached
-    local pool, the shared-memory segments it published (including those an
-    abandoned run never released) or open chunk-archive handles alive for
-    hours.  Idempotent and safe to call between tasks: the next resolve
-    simply re-acquires a pool and re-opens handles on demand.
+    local pool or the shared-memory segments it published (including those
+    an abandoned run never released) alive for hours.  Idempotent and safe to
+    call between tasks: the next resolve simply re-acquires a pool on demand.
     """
     shutdown_pools()
     sharedmem.detach_all()
-    close_chunk_handles()
 
 
 atexit.register(release_engine_resources)

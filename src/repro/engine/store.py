@@ -38,7 +38,7 @@ from repro.eval.timing import EngineCounters, engine_counters
 
 if TYPE_CHECKING:  # pragma: no cover - break the engine <-> core import cycle
     from repro.core.representation import EntityEncoding, EntityRepresentationModel
-    from repro.engine.persist import PersistentEncodingCache
+    from repro.engine.persist import PersistentEncodingCache, TableDelta
 
 SIDES = ("left", "right")
 
@@ -205,10 +205,10 @@ class EncodingStore:
     def table_fingerprint(self, side: str) -> Dict[str, Any]:
         """The (memoized) persistent-cache fingerprint of one side's table.
 
-        Computing a fingerprint CRCs every row, so the result is cached per
-        ``(side, encoding_version, row count, table revision)`` and the
-        ``fingerprints_computed`` counter reports how many times the rows
-        were actually walked.
+        Computing a fingerprint CRCs the model weights and folds the table's
+        row CRCs, so the result is cached per ``(side, encoding_version, row
+        count, table revision)`` and the ``fingerprints_computed`` counter
+        reports how many times it was actually derived.
         """
         return self._side_state(side).fingerprint
 
@@ -231,7 +231,7 @@ class EncodingStore:
             n_rows=len(table),
             revision=table.revision,
             fingerprint=self._fingerprint_of(table),
-            row_crcs=tuple(table_row_crcs(table)),
+            row_crcs=table_row_crcs(table),
         )
         self.counters.record_fingerprint()
         self._fingerprints[side] = state
@@ -302,7 +302,7 @@ class EncodingStore:
         encodings = self._load_persistent(side, table)
         if encodings is None:
             encodings = self._compute(side, table)
-            self._save_persistent(side, table, encodings)
+            self._write_through(side, table, encodings, None)
         self._cache[side] = encodings
         # Memoize the identity at encode time: the mutation refresh above
         # needs the previous table state's per-row CRCs to classify rows,
@@ -360,10 +360,6 @@ class EncodingStore:
         # Delta rows splice into an existing entry: quantize with its fixed
         # params (quantize-once) so codes stay chunk-compatible.
         return self._quantize(side, encodings, fit=False)
-
-    def _compute_range(self, side: str, table: Table, start: int, stop: int) -> TableEncodings:
-        """Encode only rows ``[start, stop)`` (the append-only delta path)."""
-        return self._compute_records(side, table, range(start, stop))
 
     def _quantize(self, side: str, encodings: TableEncodings, fit: bool) -> TableEncodings:
         """Wrap freshly encoded float arrays into the codec's resident form.
@@ -435,7 +431,6 @@ class EncodingStore:
         diff = diff_rows(cached.keys, memo.row_crcs, table)
         if diff is None:
             return None
-        assert diff.dirty_new is not None  # memo always carries row CRCs
         self._adopt_params(side, cached)
         base, total = diff.appended_range
         encode_positions = list(diff.dirty_new) + list(range(base, total))
@@ -460,7 +455,11 @@ class EncodingStore:
                 fresh=fresh,
             )
         fingerprint = self.table_fingerprint(side)  # recomputed for the new state
-        self._sync_persistent(side, table, merged, fingerprint)
+        if self.persistent is not None:
+            # The disk entry may lag the in-memory state (or not exist at
+            # all), so the probe decides what the write-through builds on.
+            delta = self.persistent.delta(self.task.name, side, version, fingerprint, table)
+            self._write_through(side, table, merged, delta)
         return merged
 
     def _load_persistent(self, side: str, table: Table) -> Optional[TableEncodings]:
@@ -516,73 +515,38 @@ class EncodingStore:
         self.counters.record_rows_tombstoned(len(delta.deleted_rows))
         if delta.is_append_only:
             merged = _concat_encodings(base, fresh) if fresh is not None else base
-            if fresh is not None:
-                self.persistent.extend(
-                    self.task.name, side, version, fingerprint, table, delta, fresh
-                )
-            return merged
-        merged = _splice_encodings(
-            keys=tuple(table.record_ids()),
-            reused_positions=positions,
-            reused=base,
-            reused_rows=range(len(base)),
-            fresh_positions=encode_positions,
-            fresh=fresh,
-        )
-        _, stats = self.persistent.patch(
-            self.task.name, side, version, fingerprint, table, delta, merged
-        )
-        self.counters.record_chunks_patched(stats["chunks_patched"])
+        else:
+            merged = _splice_encodings(
+                keys=tuple(table.record_ids()),
+                reused_positions=positions,
+                reused=base,
+                reused_rows=range(len(base)),
+                fresh_positions=encode_positions,
+                fresh=fresh,
+            )
+        self._write_through(side, table, merged, delta)
         return merged
 
-    def _save_persistent(self, side: str, table: Table, encodings: TableEncodings) -> None:
-        if self.persistent is None:
-            return
-        self.persistent.save(
-            self.task.name,
-            side,
-            self.representation.encoding_version,
-            self.table_fingerprint(side),
-            encodings,
-            table=table,
-        )
-
-    def _sync_persistent(
-        self, side: str, table: Table, merged: TableEncodings, fingerprint: Dict[str, Any]
+    def _write_through(
+        self, side: str, table: Table, encodings: TableEncodings, delta: Optional["TableDelta"]
     ) -> None:
-        """Write an in-memory mutation refresh through to the persistent cache.
+        """Bring the persistent entry up to ``encodings`` (the current table's).
 
-        The disk entry may lag the in-memory state (or not exist at all), so
-        the probe decides: extend or patch from whatever is valid on disk,
-        or fall back to a full save.
+        ``delta`` is the probe of the entry against the current table: with
+        nothing reusable on disk (``None``) the entry is saved whole, an
+        append-only delta extends it, anything else patches it.
         """
         if self.persistent is None:
             return
         version = self.representation.encoding_version
-        delta = self.persistent.delta(self.task.name, side, version, fingerprint, table)
+        key = (self.task.name, side, version, self.table_fingerprint(side))
         if delta is None:
-            self.persistent.save(
-                self.task.name, side, version, fingerprint, merged, table=table
-            )
-            return
-        if delta.is_append_only:
-            if delta.base_rows < len(merged):
-                from repro.engine.persist import _slice_encodings
-
-                self.persistent.extend(
-                    self.task.name,
-                    side,
-                    version,
-                    fingerprint,
-                    table,
-                    delta,
-                    _slice_encodings(merged, delta.base_rows, len(merged)),
-                )
-            return
-        _, stats = self.persistent.patch(
-            self.task.name, side, version, fingerprint, table, delta, merged
-        )
-        self.counters.record_chunks_patched(stats["chunks_patched"])
+            self.persistent.save(*key, encodings, table)
+        elif not delta.is_append_only:
+            _, stats = self.persistent.patch(*key, table, delta, encodings)
+            self.counters.record_chunks_patched(stats["chunks_patched"])
+        elif delta.new_rows:
+            self.persistent.extend(*key, table, delta, encodings)
 
     def _serve(self, side: str, records: Optional[int] = None) -> TableEncodings:
         """Serve one side, counting a cache hit when no compute was needed.

@@ -28,7 +28,7 @@ from repro.engine import PersistentEncodingCache
 HELPER_SRC = '''
 import numpy as np
 from repro.data.schema import Record, Table
-from repro.engine import TableEncodings, row_range_crc
+from repro.engine import TableEncodings, rows_crc, table_row_crcs
 
 TASK = "sync"
 N = 32
@@ -61,7 +61,7 @@ def build_fingerprint(table):
             "seed": 1, "weights_crc": 1234,
         },
         "n_records": len(table),
-        "content_crc": row_range_crc(table, 0, len(table)),
+        "content_crc": rows_crc(table_row_crcs(table)),
     }
 '''
 

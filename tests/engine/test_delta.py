@@ -448,6 +448,43 @@ class TestChunkFingerprintReuse:
         assert store.table_fingerprint("right") != first
         assert store.counters.fingerprints_computed == 2
 
+    def test_rows_are_hashed_once_per_table_state(
+        self, delta_representation, tmp_path, monkeypatch
+    ):
+        """One identity primitive, hashed once: the fingerprint, the row diff,
+        the cache probe, the patch and the baseline capture of a round all
+        read one memoised list, so a single-row edit hashes the edited table
+        and nothing else, and an unchanged round hashes nothing."""
+        from repro.engine import persist
+
+        hashed = []
+        real = persist.record_crc
+        monkeypatch.setattr(
+            persist, "record_crc", lambda record: hashed.append(record.record_id) or real(record)
+        )
+        domain = _fresh_tiny_domain()
+        left_rows, right_rows = len(domain.task.left), len(domain.task.right)
+        store = EncodingStore(
+            delta_representation, domain.task, counters=EngineCounters(),
+            persistent=PersistentEncodingCache(tmp_path / "hash-cache", chunk_rows=16),
+        )
+        matcher = _DistanceMatcher()
+
+        def round_(baseline):
+            del hashed[:]
+            executor = resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13)
+            merge_scored_batches(executor.run())
+            return executor.baseline_out
+
+        baseline = round_(None)
+        assert len(hashed) == left_rows + right_rows  # each table, once
+        mutate_rows(domain, side="right", rows=1)
+        baseline = round_(baseline)
+        assert store.counters.rows_reencoded == 1 and store.counters.chunks_patched == 1
+        assert len(hashed) == right_rows and set(hashed) == set(domain.task.right.record_ids())
+        round_(baseline)
+        assert hashed == []
+
 
 def _batch_rows(batches):
     """``(batch_index, pair keys, probability bytes)`` per batch, in yield order."""

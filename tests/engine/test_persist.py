@@ -1,8 +1,10 @@
 """Persistent encoding cache: chunked layout, keying, invalidation, laziness,
 and the content-addressed delta path (probe → prefix load → extend)."""
 
+import errno
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ from repro.engine import (
     PersistentEncodingCache,
     TableEncodings,
     encoding_fingerprint,
-    row_range_crc,
+    rows_crc,
+    table_row_crcs,
 )
 from repro.engine.persist import CACHE_FORMAT_VERSION, MANIFEST_NAME
 from repro.nn.serialization import load_metadata, save_state_dict
@@ -40,6 +43,20 @@ def _store(representation, task, cache):
 
 def _chunks_of(cache, task_name, side, version):
     return sorted(cache.dir_for(task_name, side, version).glob("chunk-*.npz"))
+
+
+def _flip_payload_byte(chunk, member="mu.npy"):
+    """Flip the last data byte of one stored archive member, in place."""
+    with zipfile.ZipFile(chunk) as archive:
+        info = archive.getinfo(member)
+    raw = bytearray(chunk.read_bytes())
+    # The local header's own name/extra lengths (they can differ from the
+    # central directory's) locate the member's data.
+    name_length = int.from_bytes(raw[info.header_offset + 26 : info.header_offset + 28], "little")
+    extra_length = int.from_bytes(raw[info.header_offset + 28 : info.header_offset + 30], "little")
+    data_start = info.header_offset + 30 + name_length + extra_length
+    raw[data_start + info.file_size - 1] ^= 0x01
+    chunk.write_bytes(bytes(raw))
 
 
 class TestLayoutAndRoundtrip:
@@ -88,11 +105,10 @@ class TestLayoutAndRoundtrip:
             [start, min(start + 16, n)] for start in range(0, n, 16)
         ]
         # Every chunk is content-addressed: its CRC covers exactly its rows.
-        from repro.engine import row_range_crc
-
+        row_crcs = table_row_crcs(tiny_domain.task.left)
+        assert manifest["row_crcs"] == list(row_crcs)
         assert [chunk[2] for chunk in manifest["chunks"]] == [
-            row_range_crc(tiny_domain.task.left, start, min(start + 16, n))
-            for start in range(0, n, 16)
+            rows_crc(row_crcs[start : start + 16]) for start in range(0, n, 16)
         ]
         assert manifest["keys"] == list(left.keys)
 
@@ -198,28 +214,6 @@ class TestLazyRangeLoads:
         assert shard.keys == full.keys[16:32]
         np.testing.assert_array_equal(shard.mu, full.mu[16:32])
 
-    def test_mmap_mode_serves_identical_arrays(self, tiny_domain, tiny_representation, tmp_path):
-        eager_cache = PersistentEncodingCache(tmp_path / "mm", chunk_rows=16)
-        cold = _store(tiny_representation, tiny_domain.task, eager_cache)
-        full = cold.table_encodings("left")
-        version = tiny_representation.encoding_version
-        fingerprint = encoding_fingerprint(tiny_representation, tiny_domain.task.left)
-
-        mapped_cache = PersistentEncodingCache(tmp_path / "mm", chunk_rows=16, mmap_mode="r")
-        loaded = mapped_cache.load(tiny_domain.task.name, "left", version, fingerprint)
-        assert loaded is not None
-        np.testing.assert_array_equal(np.asarray(loaded.irs), full.irs)
-        np.testing.assert_array_equal(np.asarray(loaded.mu), full.mu)
-        # A single-chunk range load stays a memory map (no eager copy) — a
-        # plain ndarray here would mean mmap_mode silently became a no-op.
-        ranged = mapped_cache.load_range(tiny_domain.task.name, "left", version, fingerprint, 0, 16)
-        assert isinstance(ranged.mu, np.memmap)
-
-    def test_unsafe_mmap_modes_rejected(self, tmp_path):
-        for mode in ("r+", "w+", "rw"):
-            with pytest.raises(ValueError):
-                PersistentEncodingCache(tmp_path, mmap_mode=mode)
-
 
 class TestInvalidationRules:
     def test_version_bump_is_a_disk_miss(self, tiny_domain, small_vae_config, cache):
@@ -307,6 +301,44 @@ class TestInvalidationRules:
         assert warm.counters.tables_encoded == 1
         np.testing.assert_array_equal(after.mu, before.mu)
 
+    @pytest.mark.parametrize("codec", ["raw", "pq"])
+    def test_flipped_payload_byte_is_a_miss_and_fails_verify(
+        self, tiny_domain, tiny_representation, small_chunk_cache, codec
+    ):
+        """One damaged payload byte: the archive still opens and its metadata
+        still matches, so only the member CRC stands between the reader and
+        different arrays served as a hit."""
+        task, table = tiny_domain.task.name, tiny_domain.task.left
+        store = EncodingStore(
+            tiny_representation, tiny_domain.task, counters=EngineCounters(),
+            persistent=small_chunk_cache, codec=codec,
+        )
+        store.table_encodings("left")
+        version = tiny_representation.encoding_version
+        fingerprint = store.table_fingerprint("left")
+        assert small_chunk_cache.load(task, "left", version, fingerprint) is not None
+        assert [report["ok"] for report in small_chunk_cache.verify_entries()] == [True]
+
+        damaged = _chunks_of(small_chunk_cache, task, "left", version)[1]
+        _flip_payload_byte(damaged)
+        assert small_chunk_cache.load(task, "left", version, fingerprint) is None
+        # Rows 16..32 live in the damaged chunk; ranges elsewhere still serve.
+        assert small_chunk_cache.load_range(task, "left", version, fingerprint, 16, 32) is None
+        assert small_chunk_cache.load_range(task, "left", version, fingerprint, 0, 16) is not None
+        delta = small_chunk_cache.delta(task, "left", version, fingerprint, table)
+        assert delta is not None  # the probe reads the manifest only
+        assert small_chunk_cache.load_reused(task, "left", version, delta) is None
+        (report,) = small_chunk_cache.verify_entries()
+        assert not report["ok"]
+        assert [damaged.name in problem for problem in report["problems"]] == [True]
+        # A store over the damaged entry recomputes instead of raising.
+        warm = EncodingStore(
+            tiny_representation, tiny_domain.task, counters=EngineCounters(),
+            persistent=small_chunk_cache, codec=codec,
+        )
+        warm.table_encodings("left")
+        assert warm.counters.disk_hits == 0 and warm.counters.tables_encoded == 1
+
     def test_stale_manifest_missing_chunk_is_a_miss(self, tiny_domain, tiny_representation, small_chunk_cache):
         """A manifest referencing a deleted chunk must degrade to a miss."""
         store = _store(tiny_representation, tiny_domain.task, small_chunk_cache)
@@ -373,6 +405,84 @@ class TestInvalidationRules:
         leftovers = [p for p in chunk_dir.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
+    @pytest.mark.parametrize("failing", ["chunk", "manifest"])
+    def test_failed_write_leaves_no_temporary_and_the_old_entry(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """ENOSPC mid-write: the error propagates, nothing half-written stays
+        behind to be counted or pruned, and the live entry is untouched."""
+        from repro.engine import persist
+
+        cache = PersistentEncodingCache(tmp_path / "full-disk", chunk_rows=8)
+        table = _synthetic_table(20)
+        fingerprint = _synthetic_fingerprint(table)
+        encodings = _synthetic_encodings(20)
+        cache.save("t", "right", 1, fingerprint, encodings, table=table)
+        chunk_dir = cache.dir_for("t", "right", 1)
+        before = {path.name: path.read_bytes() for path in chunk_dir.iterdir()}
+
+        if failing == "chunk":
+            real = persist.save_state_dict
+
+            def disk_full(arrays, path, metadata=None):
+                real(arrays, path, metadata=metadata)  # the bytes that did fit
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(persist, "save_state_dict", disk_full)
+        else:
+            real = Path.write_text
+
+            def disk_full(self, data, *args, **kwargs):
+                real(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError) as raised:
+            cache.save("t", "right", 1, fingerprint, _synthetic_encodings(20, seed=1), table=table)
+        assert raised.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+
+        after = {path.name: path.read_bytes() for path in chunk_dir.iterdir()}
+        assert [name for name in after if ".tmp" in name] == []
+        if failing == "chunk":
+            assert after == before
+        assert after[MANIFEST_NAME] == before[MANIFEST_NAME]
+        assert cache.describe_entries()[0]["bytes"] == sum(
+            len(data) for name, data in after.items() if name.endswith(".npz")
+        )
+
+    def test_failed_patch_leaves_the_previous_entry_loadable(self, tmp_path, monkeypatch):
+        """The same fault on the write-through of a mutation: chunks land
+        before the manifest, so the old manifest still names only archives
+        that are intact."""
+        from repro.engine import persist
+
+        cache = PersistentEncodingCache(tmp_path / "full-disk", chunk_rows=8)
+        table = _synthetic_table(20)
+        fingerprint = _synthetic_fingerprint(table)
+        encodings = _synthetic_encodings(20)
+        cache.save("t", "right", 1, fingerprint, encodings, table=table)
+        edited = _synthetic_table(20)
+        edited.replace(Record("r10", ("EDITED", "beta-10")))
+        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(edited), edited)
+
+        def disk_full(arrays, path, metadata=None):
+            Path(path).write_bytes(b"PK half an archive")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(persist, "save_state_dict", disk_full)
+        with pytest.raises(OSError):
+            cache.patch(
+                "t", "right", 1, _synthetic_fingerprint(edited), edited, delta,
+                _synthetic_encodings(20, seed=2),
+            )
+        monkeypatch.undo()
+        assert [p.name for p in cache.dir_for("t", "right", 1).iterdir() if ".tmp" in p.name] == []
+        loaded = cache.load("t", "right", 1, fingerprint)
+        assert loaded is not None
+        np.testing.assert_array_equal(np.asarray(loaded.mu), encodings.mu)
+        assert [report["ok"] for report in cache.verify_entries()] == [True]
+
     def test_store_without_cache_never_touches_disk_counters(self, tiny_domain, tiny_representation):
         store = EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
         store.table_encodings("left")
@@ -409,7 +519,7 @@ def _synthetic_fingerprint(table, weights_crc=1234):
             "seed": 1, "weights_crc": weights_crc,
         },
         "n_records": len(table),
-        "content_crc": row_range_crc(table, 0, len(table)),
+        "content_crc": rows_crc(table_row_crcs(table)),
     }
 
 
@@ -523,13 +633,10 @@ class TestDeltaProbeAndExtend:
             table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
         grown_fp = _synthetic_fingerprint(table)
         delta = cache.delta("t", "right", 1, grown_fp, table)
-        tail = _synthetic_encodings(31, seed=9)
-        tail_view = TableEncodings(
-            keys=tuple(f"r{i}" for i in range(20, 31)),
-            irs=tail.irs[20:], mu=tail.mu[20:], sigma=tail.sigma[20:],
-            row_index={f"r{i}": i - 20 for i in range(20, 31)},
-        )
-        cache.extend("t", "right", 1, grown_fp, table, delta, tail_view)
+        # The full current table's encodings, as patch takes them: only the
+        # appended rows are written, the first 20 are never looked at.
+        grown = _synthetic_encodings(31, seed=9)
+        cache.extend("t", "right", 1, grown_fp, table, delta, grown)
 
         # Old chunk archives were not rewritten; new ones continue from row 20.
         manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
@@ -540,7 +647,7 @@ class TestDeltaProbeAndExtend:
         loaded = cache.load("t", "right", 1, grown_fp)
         assert loaded is not None and len(loaded) == 31
         np.testing.assert_array_equal(np.asarray(loaded.mu[:20]), encodings.mu)
-        np.testing.assert_array_equal(np.asarray(loaded.mu[20:]), tail_view.mu)
+        np.testing.assert_array_equal(np.asarray(loaded.mu[20:]), grown.mu[20:])
         # A second append extends again, from the new boundary.
         for i in range(31, 33):
             table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
@@ -586,7 +693,7 @@ class TestDeltaProbeAndExtend:
         assert stats["chunks_appended"] == 1  # rows 20..23
 
         manifest = json.loads(cache.manifest_path("t", "right", 1).read_text())
-        assert manifest["format"] == 5
+        assert manifest["format"] == CACHE_FORMAT_VERSION
         assert manifest["tombstones"] == [2]
         by_range = {(chunk[0], chunk[1]): chunk for chunk in manifest["chunks"]}
         assert by_range[(8, 16)][3] == 1  # superseded generation
@@ -617,29 +724,16 @@ class TestDeltaProbeAndExtend:
         assert cache.prune() == preview
         assert not stray.is_file()
 
-    def test_probe_without_row_crcs_degrades_to_chunk_granularity(self, tmp_path):
-        """A manifest that carries no per-row CRCs still probes: edits dirty
-        their whole chunk (safe over-approximation), appends stay row-exact."""
-        cache, table, _, _ = self._saved(tmp_path)
-        manifest_path = cache.manifest_path("t", "right", 1)
-        manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps(dict(manifest, row_crcs=None)))
-        table.replace(Record("r10", ("EDITED", "beta-10")))
-        for i in range(20, 23):
-            table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
-        delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
-        assert delta is not None
-        assert delta.dirty_ranges == ((8, 16),)  # chunk-aligned, not row-exact
-        assert delta.appended_range == (20, 23)
-
     def test_keys_only_entries_are_opaque_to_delta(self, tmp_path):
-        """Entries saved without a table (synthetic benchmarks) serve full
-        loads but never claim a delta prefix."""
+        """Entries saved under a keys-only identity (synthetic benchmarks:
+        the ids of the encoded rows, no values) serve full loads but never
+        claim a delta prefix against the real table."""
         cache = self._cache(tmp_path)
         table = _synthetic_table(20)
         encodings = _synthetic_encodings(20)
         fingerprint = _synthetic_fingerprint(table)
-        cache.save("t", "right", 1, fingerprint, encodings)  # note: no table=
+        keys_only = Table("t", ("a", "b"), [Record(key, ("", "")) for key in encodings.keys])
+        cache.save("t", "right", 1, fingerprint, encodings, table=keys_only)
         assert cache.load("t", "right", 1, fingerprint) is not None
         assert cache.delta("t", "right", 1, fingerprint, table) is None
 
@@ -690,7 +784,11 @@ class TestOldFormats:
     miss that no read path rewrites or removes; the next save replaces it."""
 
     @pytest.mark.parametrize(
-        "case", ["v3-manifest", "v4-manifest", "untagged-chunk", "stray-flat-archive"]
+        "case",
+        [
+            "v3-manifest", "v4-manifest", "v5-manifest", "null-row-crcs",
+            "untagged-chunk", "stray-flat-archive",
+        ],
     )
     def test_old_format_is_an_untouched_miss(self, tmp_path, case):
         cache = PersistentEncodingCache(tmp_path / "old", chunk_rows=8)
@@ -712,6 +810,10 @@ class TestOldFormats:
             old = dict(manifest, format=4)
             del old["codec"]
             manifest_path.write_text(json.dumps(old))
+        elif case == "v5-manifest":  # same layout, CRCs that meant something else
+            manifest_path.write_text(json.dumps(dict(manifest, format=5)))
+        elif case == "null-row-crcs":  # what a table-less format-5 save wrote
+            manifest_path.write_text(json.dumps(dict(manifest, row_crcs=None)))
         elif case == "untagged-chunk":  # current manifest, pre-codec chunk metadata
             chunk = cache.chunk_path("t", "right", 1, 0, 8)
             metadata = load_metadata(chunk)

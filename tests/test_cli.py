@@ -182,7 +182,7 @@ class TestCacheCommand:
         import numpy as np
 
         from repro.data.schema import Record, Table
-        from repro.engine import PersistentEncodingCache, TableEncodings, row_range_crc
+        from repro.engine import PersistentEncodingCache, TableEncodings, rows_crc, table_row_crcs
 
         cache = PersistentEncodingCache(cache_dir, chunk_rows=8)
         table = Table("clitask", ("a", "b"),
@@ -200,7 +200,7 @@ class TestCacheCommand:
             "model": {"ir_method": "lsa", "ir_dim": 3, "hidden_dim": 4,
                       "latent_dim": 3, "seed": 1, "weights_crc": 42},
             "n_records": 20,
-            "content_crc": row_range_crc(table, 0, 20),
+            "content_crc": rows_crc(table_row_crcs(table)),
         }
         for version in versions:
             cache.save("clitask", "right", version, fingerprint, encodings, table=table)
