@@ -127,8 +127,11 @@ PathLike = Union[str, Path]
 #: from the per-row CRCs (:func:`rows_crc`) and requires ``row_crcs`` in every
 #: manifest; the layout is otherwise version 5's (tombstones, chunk
 #: generations, a per-entry and per-chunk ``codec`` field with quantization
-#: params, so chunk arrays may hold codes, not floats).
-CACHE_FORMAT_VERSION = 6
+#: params, so chunk arrays may hold codes, not floats).  Version 7 keeps that
+#: layout: LSA IRs moved by up to ~2e-15 when their transform went sparse, and
+#: an entry extended or patched across that change would splice two roundings
+#: into one table.
+CACHE_FORMAT_VERSION = 7
 
 #: The identity codec: chunk arrays are the plain float encodings.
 RAW_CODEC = "raw"

@@ -730,10 +730,11 @@ def encode_table_rows(
     Standalone so pool workers — which receive the representation through a
     shared-memory published state (:mod:`repro.engine.sharedmem`), or share
     it outright on the threaded path — can encode row ranges without
-    constructing a store: the per-value IR transform and row-wise VAE
-    forward make each row's encoding independent of which batch it rides
-    in, which is what lets delta paths and pooled tail encodes splice rows
-    encoded at different times into one table.
+    constructing a store.  Each IR row is a pure function of its value (the
+    same bytes in any batch, table, process or request), and the row-wise
+    VAE forward keeps a row's ``mu``/``sigma`` within the documented 1 ulp
+    of any other batch's, which is what lets delta paths and pooled tail
+    encodes splice rows encoded at different times into one table.
     """
     irs = representation.ir_generator.transform_table(table)
     n, arity, _ = irs.shape

@@ -135,6 +135,10 @@ class EmbDIModel:
         return self._word2vec.embed_tokens(tokens)
 
     def embed_sentences(self, sentences: Iterable[str]) -> np.ndarray:
+        """Stack of sentence embeddings, shape (n, dim)."""
+        sentences = list(sentences)
+        if not sentences:
+            return np.zeros((0, self.dim))
         return np.vstack([self.embed_sentence(s) for s in sentences])
 
     def token_embeddings(self) -> Dict[str, np.ndarray]:

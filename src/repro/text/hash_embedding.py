@@ -38,6 +38,11 @@ class HashEmbedding:
         self._cache: Dict[str, np.ndarray] = {}
         self._cache_size = cache_size
 
+    def __getstate__(self) -> dict:
+        # The cache is re-derivable from the n-grams' hashes; a pickle (every
+        # published pool state) must not carry up to ``cache_size`` vectors.
+        return {**self.__dict__, "_cache": {}}
+
     # ------------------------------------------------------------------
     def ngram_vector(self, ngram: str) -> np.ndarray:
         """Pseudo-random unit-variance vector assigned to one n-gram."""
@@ -67,8 +72,11 @@ class HashEmbedding:
         return np.mean([self.embed_token(token) for token in tokens], axis=0)
 
     def embed_sentences(self, sentences: Iterable[str]) -> np.ndarray:
-        """Stack of sentence embeddings."""
-        return np.vstack([self.embed_sentence(s) for s in sentences]) if sentences else np.zeros((0, self.dim))
+        """Stack of sentence embeddings, shape (n, dim)."""
+        sentences = list(sentences)
+        if not sentences:
+            return np.zeros((0, self.dim))
+        return np.vstack([self.embed_sentence(s) for s in sentences])
 
 
 class ContextualHashEmbedding(HashEmbedding):

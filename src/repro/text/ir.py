@@ -99,23 +99,32 @@ class IRGenerator:
 
     # ------------------------------------------------------------------
     def transform_values(self, values: Iterable[str]) -> np.ndarray:
-        """IR vectors for a list of attribute-value sentences, shape (n, dim)."""
+        """IR vectors for a list of attribute-value sentences, shape (n, dim).
+
+        Every method is a pure function of the single value, so each distinct
+        value is embedded once and its row gathered back to every position it
+        occupies: a row's bytes never depend on the batch around it.
+        """
         if not self._fitted:
             raise NotFittedError("IRGenerator.transform_values called before fit")
-        values = list(values)
-        if not values:
+        index: Dict[str, int] = {}
+        inverse = [index.setdefault(value, len(index)) for value in values]
+        if not inverse:
             return np.zeros((0, self.dim))
+        distinct = list(index)
         if self.method == "lsa":
             assert self._lsa is not None
-            return self._lsa.transform(values)
-        if self.method == "w2v":
+            irs = self._lsa.transform(distinct)
+        elif self.method == "w2v":
             assert self._hash is not None
-            return self._hash.embed_sentences(values)
-        if self.method == "bert":
+            irs = self._hash.embed_sentences(distinct)
+        elif self.method == "bert":
             assert self._contextual is not None
-            return self._contextual.embed_sentences(values)
-        assert self._embdi is not None
-        return self._embdi.embed_sentences(values)
+            irs = self._contextual.embed_sentences(distinct)
+        else:
+            assert self._embdi is not None
+            irs = self._embdi.embed_sentences(distinct)
+        return irs[inverse]
 
     def transform_record(self, record: Record) -> np.ndarray:
         """Per-attribute IRs of one record, shape (arity, dim)."""
@@ -124,8 +133,9 @@ class IRGenerator:
     def transform_table(self, table: Table) -> np.ndarray:
         """Per-attribute IRs of every record of a table, shape (n, arity, dim).
 
-        Values are transformed in one flat batch (important for LSA, whose
-        projection is a matrix product) and reshaped back to records.
+        Values are transformed in one flat batch (one weights pass and one
+        sparse product for LSA, over the table's distinct values) and reshaped
+        back to records.
         """
         records = table.records()
         if not records:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 
 from repro.exceptions import NotFittedError
 from repro.text.tfidf import TfidfVectorizer
@@ -48,17 +48,31 @@ class LSAModel:
         # the term -> topic projection used at transform time.
         _, singular_values, vt = linalg.svd(matrix, full_matrices=False)
         # LAPACK returns ``vt`` column-major, so its leading rows are a strided
-        # view; a pickled copy would come back row-major and BLAS would round
-        # ``matrix @ components.T`` differently.  The column-major copy keeps
-        # the bytes ``transform`` produces and survives pickling as it is.
+        # view.  The column-major copy makes ``components.T`` the one
+        # C-contiguous ``(vocab, dim)`` operand the sparse product in
+        # ``transform`` wants (no per-call copy), and it survives pickling as
+        # it is, so pickled and original models share bytes.
         self._components = np.asfortranarray(vt[:effective_dim])
         self._singular_values = singular_values[:effective_dim]
         return self
 
     def transform(self, sentences: Iterable[str]) -> np.ndarray:
+        """LSA IRs, shape (n, dim); each row is a pure function of its sentence.
+
+        The tf-idf rows are L2-normalised and projected as one CSR matrix, so
+        memory is O(non-zeros) and a row's bytes do not depend on the batch
+        it rides in (a sparse product accumulates row by row, in feature-id
+        order).
+        """
         if self._components is None:
             raise NotFittedError("LSAModel.transform called before fit")
-        matrix = self.vectorizer.transform(sentences)
+        sentences = list(sentences)
+        rows, cols, data = self.vectorizer.weights(sentences)
+        norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=len(sentences)))
+        indptr = np.searchsorted(rows, np.arange(len(sentences) + 1))
+        matrix = sparse.csr_matrix(
+            (data / norms[rows], cols, indptr), shape=(len(sentences), self._components.shape[1])
+        )
         projected = matrix @ self._components.T
         if projected.shape[1] < self.dim:
             padding = np.zeros((projected.shape[0], self.dim - projected.shape[1]))

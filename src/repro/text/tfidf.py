@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -12,12 +12,14 @@ from repro.text.vocab import Vocabulary
 
 
 class TfidfVectorizer:
-    """Sparse-free TF-IDF vectoriser (dense output, suitable for small corpora).
+    """TF-IDF vectoriser built around one sparse weights pass.
 
-    The corpus in every ER task here is the set of attribute-value sentences
-    of both tables — a few thousand short strings at most — so dense
-    document-term matrices are affordable and keep downstream SVD (LSA)
-    simple.
+    :meth:`weights` counts ``(sentence, feature)`` pairs for a whole batch
+    with a single ``np.unique`` and returns the tf-idf weights as COO
+    triplets, so memory is O(non-zeros) and no Python runs per n-gram
+    occurrence.  :meth:`transform` scatters them into the dense, L2-normalised
+    document-term matrix that LSA's SVD is fitted on; LSA's own transform
+    consumes the triplets without ever going dense.
 
     With ``include_char_ngrams`` the feature space contains word tokens *and*
     their character n-grams, so typo'd duplicates still share most features.
@@ -42,45 +44,74 @@ class TfidfVectorizer:
         self._idf: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def _analyze(self, sentence: str) -> list:
-        tokens = tokenize(sentence)
+    def _features(self, token: str) -> List[str]:
+        """The token itself plus, if enabled, its padded character n-grams."""
         if not self.include_char_ngrams:
-            return tokens
-        features = list(tokens)
-        low, high = self.char_ngram_range
-        for token in tokens:
-            features.extend(character_ngrams(token, low, high))
-        return features
+            return [token]
+        return [token] + character_ngrams(token, *self.char_ngram_range)
 
-    def fit(self, sentences: Iterable[str]) -> "TfidfVectorizer":
-        documents = [self._analyze(sentence) for sentence in sentences]
+    def _fit(self, tokenised: List[List[str]]) -> None:
+        features = {token: self._features(token) for tokens in tokenised for token in tokens}
+        documents = [[f for token in tokens for f in features[token]] for tokens in tokenised]
         self.vocabulary = Vocabulary(min_count=self.min_count, max_size=self.max_features).fit(documents)
         self._idf = self.vocabulary.idf()
-        return self
 
-    def transform(self, sentences: Iterable[str]) -> np.ndarray:
+    def _weights(self, tokenised: List[List[str]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.vocabulary is None or self._idf is None:
-            raise NotFittedError("TfidfVectorizer.transform called before fit")
-        sentences = list(sentences)
-        matrix = np.zeros((len(sentences), len(self.vocabulary)), dtype=np.float64)
-        for row, sentence in enumerate(sentences):
-            ids = self.vocabulary.encode(self._analyze(sentence))
-            if not ids:
-                continue
-            counts = np.bincount(ids, minlength=len(self.vocabulary)).astype(np.float64)
-            if self.sublinear_tf:
-                nonzero = counts > 0
-                counts[nonzero] = 1.0 + np.log(counts[nonzero])
-            matrix[row] = counts * self._idf
-        # L2-normalise non-empty rows so cosine similarity is meaningful.
+            raise NotFittedError("TfidfVectorizer used before fit")
+        width = len(self.vocabulary)
+        # Call-local memo: each distinct token meets the vocabulary once.
+        token_ids: Dict[str, List[int]] = {}
+        flat: List[int] = []
+        ends: List[int] = []
+        for tokens in tokenised:
+            for token in tokens:
+                ids = token_ids.get(token)
+                if ids is None:
+                    ids = token_ids[token] = self.vocabulary.encode(self._features(token))
+                flat += ids
+            ends.append(len(flat))
+        lengths = np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+        keys = np.repeat(np.arange(len(tokenised), dtype=np.int64) * width, lengths)
+        keys += np.asarray(flat, dtype=np.int64)
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, cols = np.divmod(keys, width)
+        data = counts.astype(np.float64)
+        if self.sublinear_tf:
+            data = 1.0 + np.log(data)
+        return rows, cols, data * self._idf[cols]
+
+    def _dense(self, tokenised: List[List[str]]) -> np.ndarray:
+        rows, cols, data = self._weights(tokenised)
+        matrix = np.zeros((len(tokenised), len(self.vocabulary)), dtype=np.float64)
+        matrix[rows, cols] = data
+        # L2-normalise non-empty rows so cosine similarity is meaningful.  The
+        # norm stays dense: LSA's SVD amplifies a 1e-15 change in this matrix
+        # into a different basis, so these bytes must not move.
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         np.divide(matrix, norms, out=matrix, where=norms > 0)
         return matrix
 
+    # ------------------------------------------------------------------
+    def fit(self, sentences: Iterable[str]) -> "TfidfVectorizer":
+        self._fit([tokenize(sentence) for sentence in sentences])
+        return self
+
+    def weights(self, sentences: Iterable[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Un-normalised tf-idf weights as COO ``(rows, cols, data)`` triplets.
+
+        Sorted by row, then by feature id, one triplet per distinct pair.
+        """
+        return self._weights([tokenize(sentence) for sentence in sentences])
+
+    def transform(self, sentences: Iterable[str]) -> np.ndarray:
+        """Dense L2-normalised document-term matrix, shape (n, |vocab|)."""
+        return self._dense([tokenize(sentence) for sentence in sentences])
+
     def fit_transform(self, sentences: Iterable[str]) -> np.ndarray:
-        sentences = list(sentences)
-        self.fit(sentences)
-        return self.transform(sentences)
+        tokenised = [tokenize(sentence) for sentence in sentences]
+        self._fit(tokenised)
+        return self._dense(tokenised)
 
     @property
     def num_features(self) -> int:

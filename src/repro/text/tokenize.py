@@ -30,12 +30,7 @@ def character_ngrams(token: str, n_min: int = 3, n_max: int = 4, pad: bool = Tru
     """
     if pad:
         token = f"<{token}>"
-    grams: List[str] = []
-    for n in range(n_min, n_max + 1):
-        if len(token) < n:
-            continue
-        grams.extend(token[i:i + n] for i in range(len(token) - n + 1))
-    return grams
+    return [token[i:i + n] for n in range(n_min, n_max + 1) for i in range(len(token) - n + 1)]
 
 
 def sentence_of(values: List[str], separator: str = " ") -> str:

@@ -59,12 +59,7 @@ class Vocabulary:
 
     def encode(self, tokens: List[str]) -> List[int]:
         """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
-        out = []
-        for token in tokens:
-            index = self._token_to_id.get(token)
-            if index is not None:
-                out.append(index)
-        return out
+        return [index for index in map(self._token_to_id.get, tokens) if index is not None]
 
     def idf(self, smooth: bool = True) -> np.ndarray:
         """Inverse document frequency vector aligned with token ids."""
