@@ -50,9 +50,8 @@ def _codec_arg(value: str) -> str:
     """Validate ``--codec`` at flag-parse time.
 
     Runs the engine's own :func:`repro.engine.resolve_codec_name`, so an
-    unknown or unusable codec name is refused here — with the usable
-    codecs named — instead of surfacing as an error deep inside the
-    first encode.
+    unknown codec name is refused here — with the available codecs
+    named — instead of surfacing as an error deep inside the first encode.
     """
     from repro.engine import resolve_codec_name
 
@@ -363,8 +362,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     from repro.core import VAER
     from repro.data.generators import load_domain
-    from repro.eval.reporting import format_engine_stats, format_shard_timings, format_stage_timings
-    from repro.eval.timing import ShardTimings, StageTimings, reset_engine_counters
+    from repro.eval.reporting import format_engine_stats, format_stage_timings
+    from repro.eval.timing import StageTimings, reset_engine_counters
 
     code = _check_positive(
         ("--batch-size", args.batch_size), ("--k", args.k), ("--workers", args.workers),
@@ -392,12 +391,12 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     runtime = None
     worker_procs = []
-    def _drain(shard_timings, stage_timings):
+    def _drain(stage_timings):
         """(candidates, matches, batches) of one fully drained resolve."""
         candidates = matches = batches = 0
         for batch in model.resolve_stream(
             k=args.k, batch_size=args.batch_size, workers=args.workers,
-            shard_timings=shard_timings, stage_timings=stage_timings,
+            stage_timings=stage_timings,
             incremental=args.incremental, pool=runtime.pool if runtime else None,
         ):
             candidates += len(batch)
@@ -418,9 +417,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                     "--queue-dir", args.queue_dir,
                 ]))
 
-        timings = ShardTimings()
         stage_timings = StageTimings()
-        candidates, matches, batches = _drain(timings, stage_timings)
+        candidates, matches, batches = _drain(stage_timings)
 
         print(
             f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
@@ -447,7 +445,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                 mutations.append(f"{args.append_rows} appended")
             reset_engine_counters()
             delta_timings = StageTimings()
-            candidates, matches, _ = _drain(None, delta_timings)
+            candidates, matches, _ = _drain(delta_timings)
             print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
             print(f"  candidate pairs:        {candidates}")
             print(f"  predicted matches:      {matches}")
@@ -472,8 +470,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     print(format_engine_stats())
     print("\nPer-stage timings (encode -> block -> score, plus dispatch/IPC/merge for pooled runs)\n")
     print(format_stage_timings(stage_timings))
-    print("\nPer-shard timings\n")
-    print(format_shard_timings(timings))
     return 0
 
 

@@ -94,28 +94,6 @@ def pair_latent_distances(
     return store.pair_latent_distances(pairs)
 
 
-def _pair_latent_distances_loop(
-    task: ERTask,
-    representation: EntityRepresentationModel,
-    pairs: Sequence[RecordPair],
-) -> np.ndarray:
-    """Legacy per-pair reference implementation of :func:`pair_latent_distances`.
-
-    Kept (unused by the pipeline) as the ground truth for the engine's
-    equivalence tests and the throughput benchmark baseline.
-    """
-    if not pairs:
-        return np.zeros(0)
-    left_encoding = representation.encode_table(task.left)
-    right_encoding = representation.encode_table(task.right)
-    distances = np.zeros(len(pairs))
-    for i, pair in enumerate(pairs):
-        mu_s, _ = left_encoding.of(pair.left_id)
-        mu_t, _ = right_encoding.of(pair.right_id)
-        distances[i] = float(np.sqrt(((mu_s - mu_t) ** 2).sum(axis=-1)).mean())
-    return distances
-
-
 @dataclass
 class SampleSelection:
     """The four candidate groups chosen in one AL iteration."""

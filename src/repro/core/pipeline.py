@@ -67,7 +67,7 @@ from repro.engine import (
 )
 from repro.engine.quant import resolve_codec_name
 from repro.eval.metrics import PRF, precision_recall_f1
-from repro.eval.timing import ShardTimings, StageTimings
+from repro.eval.timing import StageTimings
 from repro.exceptions import NotFittedError
 
 
@@ -277,7 +277,6 @@ class VAER:
         k: Optional[int] = None,
         batch_size: int = 2048,
         workers: int = 1,
-        shard_timings: Optional[ShardTimings] = None,
         stage_timings: Optional[StageTimings] = None,
         incremental: bool = False,
         pool: Optional[WorkerPool] = None,
@@ -294,8 +293,7 @@ class VAER:
         scoring run concurrently on the cached local worker pool through the
         plan/execute engine (:func:`repro.engine.resolve_stream`) and merge
         back in order; the yielded sequence is byte-identical to the
-        single-process stream.  ``shard_timings`` optionally collects
-        per-batch worker timings; ``stage_timings`` collects per-stage
+        single-process stream.  ``stage_timings`` collects per-stage
         (encode/block/score) compute seconds.
 
         ``pool`` runs the same stage units on a pool of the caller's instead
@@ -324,7 +322,6 @@ class VAER:
             batch_size=batch_size,
             threshold=self.threshold,
             workers=workers,
-            shard_timings=shard_timings,
             stage_timings=stage_timings,
             pool=pool,
         )

@@ -59,7 +59,6 @@ from repro.engine.quant import (
     params_from_json,
     resolve_codec_name,
     table_sq_norms_of,
-    usable_codecs,
 )
 from repro.engine.plan import (
     DeltaBounds,
@@ -71,7 +70,6 @@ from repro.engine.plan import (
     StageUnit,
     build_index_sharded,
     resolve_delta,
-    sharded_candidate_pairs,
 )
 from repro.engine.shard import (
     ForkWorkerPool,
@@ -146,7 +144,6 @@ __all__ = [
     "get_codec",
     "params_from_json",
     "resolve_codec_name",
-    "usable_codecs",
     "table_sq_norms_of",
     "build_index_sharded",
     "detach_all",
@@ -171,6 +168,5 @@ __all__ = [
     "rows_crc",
     "table_row_crcs",
     "shard_bounds_for",
-    "sharded_candidate_pairs",
     "stream_candidate_pairs",
 ]

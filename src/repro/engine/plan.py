@@ -24,8 +24,7 @@ in batches.  This module owns the whole of it:
 
 :func:`~repro.engine.stream.resolve_stream` constructs the executor for a
 cold run and :func:`resolve_delta` for an incremental, baseline-capturing
-one; blocking-only consumers (benchmarks, equivalence tests) can call
-:func:`build_index_sharded` / :func:`sharded_candidate_pairs` directly.
+one.
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ from repro.engine.shard import (
 )
 from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings, encode_table_rows
 from repro.engine.stream import (
-    DEFAULT_BATCH_SIZE,
     ResolutionBatch,
     guard_store_version,
     iter_candidate_batches,
     pin_store_version,
     query_chunk_for,
 )
-from repro.eval.timing import ShardTimings, StageTimings
+from repro.eval.timing import StageTimings
 
 #: Pair-probability key used for baseline score reuse across delta resolves.
 PairKey = Tuple[str, str]
@@ -478,9 +476,9 @@ class _PlanState:
     flat: np.ndarray  # record-level query vectors of the left table
     keys: Sequence[object]  # aligned query keys
     search: NearestNeighbourSearch
-    left_irs: Optional[np.ndarray] = None
-    right_irs: Optional[np.ndarray] = None
-    matcher: object = None
+    left_irs: Optional[np.ndarray]  # None once swapped for a shared-cache reference
+    right_irs: Optional[np.ndarray]
+    matcher: object
 
 
 def _hash_task(handle: StateHandle, start: int, stop: int):
@@ -572,29 +570,25 @@ def _pooled_tail_encoder(store: EncodingStore, pool: Optional[WorkerPool], shard
 
 
 # ----------------------------------------------------------------------
-# Parallel blocking primitives (also used standalone by benchmarks/tests)
+# Parallel index build
 # ----------------------------------------------------------------------
 def build_index_sharded(
     vectors: np.ndarray,
     keys: Sequence[object],
     blocking: Optional[BlockingConfig] = None,
-    workers: int = 1,
     shard_rows: int = DEFAULT_SHARD_ROWS,
     pool: Optional[WorkerPool] = None,
 ) -> EuclideanLSHIndex:
-    """Build an LSH index with per-shard hash maps computed in workers.
+    """Build an LSH index with per-shard hash maps computed on ``pool``.
 
     The projections are fixed once in the parent; each worker hashes one
     row-range shard into partial bucket maps and the parent merges them in
     row order, so bucket membership — and therefore every query answer — is
-    identical to a serial :meth:`EuclideanLSHIndex.build`.  Pass ``pool`` to
-    run on the caller's pool (the executor shares one pool across build,
-    query and score); otherwise the cached local pool is borrowed here.  If
-    the pool dies mid-build the tables are hashed serially and the pool is
-    marked broken for the caller.
+    identical to a serial :meth:`EuclideanLSHIndex.build`.  The executor
+    passes the one pool it shares across build, query and score; with no
+    pool the tables are hashed serially.  If the pool dies mid-build the
+    tables are hashed serially and the pool is marked broken for the caller.
     """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
     config = blocking or BlockingConfig()
     index = EuclideanLSHIndex(
         num_tables=config.num_tables,
@@ -604,119 +598,18 @@ def build_index_sharded(
     )
     index.prepare(vectors, keys)
     bounds = shard_bounds_for("right", index.size, shard_rows)
-    if workers == 1 or len(bounds) <= 1 or (pool is not None and pool.broken):
+    if pool is None or pool.broken or len(bounds) <= 1:
         index.install_tables([index.hash_rows(0, index.size)])
         return index
-    owned = pool is None
-    if owned:
-        pool = acquire_pool(workers)
     try:
-        try:
-            with pool.published(index) as handle:
-                futures = [pool.submit(_hash_task, handle, b.start, b.stop) for b in bounds]
-                results = sorted(future.result() for future in futures)
-            index.install_tables([partial for _, partial, _ in results])
-        except BrokenExecutor:
-            pool.broken = True
-            index.install_tables([index.hash_rows(0, index.size)])
-    finally:
-        if owned:
-            release_pool(pool)
+        with pool.published(index) as handle:
+            futures = [pool.submit(_hash_task, handle, b.start, b.stop) for b in bounds]
+            results = sorted(future.result() for future in futures)
+        index.install_tables([partial for _, partial, _ in results])
+    except BrokenExecutor:
+        pool.broken = True
+        index.install_tables([index.hash_rows(0, index.size)])
     return index
-
-
-def sharded_candidate_pairs(
-    vectors: np.ndarray,
-    keys: Sequence[object],
-    query_vectors: np.ndarray,
-    query_keys: Sequence[object],
-    blocking: Optional[BlockingConfig] = None,
-    k: int = 10,
-    workers: int = 1,
-    shard_rows: int = DEFAULT_SHARD_ROWS,
-    query_chunk: Optional[int] = None,
-    stage_timings: Optional[StageTimings] = None,
-) -> List[RecordPair]:
-    """Blocking alone, sharded end to end: build in workers, query in workers.
-
-    Returns the full candidate-pair list in serial enumeration order —
-    task results are merged by ascending row range, each task's pairs
-    ordered by (row, neighbour rank).  With ``workers == 1`` every step runs
-    serially in the calling process; any worker count yields the identical
-    pair list.  The pooled path records the per-stage breakdown —
-    ``dispatch`` (no-op round trip), ``block-ipc`` (calibration transport
-    overhead), ``block-build``/``block-query`` (in-worker compute) and
-    ``merge`` (parent-side concatenation) — plus a ``query_tasks`` counter.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if not isinstance(query_vectors, CodecArray):
-        # No forced float64 copy: fp32 queries pass through, code arrays
-        # stay compressed and decode chunk by chunk in query_shard_pairs.
-        query_vectors = np.asarray(query_vectors)
-        if query_vectors.dtype not in (np.float32, np.float64):
-            query_vectors = query_vectors.astype(np.float64)
-    query_keys = list(query_keys)
-    if query_chunk is None:
-        # Mirror the resolve path's chunking at its default batch size, so
-        # standalone blocking walks the left table in the same strides.
-        query_chunk = query_chunk_for(DEFAULT_BATCH_SIZE, k)
-    if query_chunk <= 0:
-        raise ValueError("query_chunk must be positive")
-
-    def serial_query(search: NearestNeighbourSearch, bounds) -> List[RecordPair]:
-        started = time.perf_counter()
-        pairs: List[RecordPair] = []
-        for b in bounds:
-            pairs.extend(
-                query_shard_pairs(
-                    search, query_vectors, query_keys, b.start, b.stop, k, query_chunk
-                )
-            )
-        if stage_timings is not None:
-            stage_timings.record("block-query", time.perf_counter() - started, units=len(bounds))
-        return pairs
-
-    bounds = shard_bounds_for("left", len(query_vectors), shard_rows)
-    pool = acquire_pool(workers) if workers > 1 and len(bounds) > 1 else None
-    try:
-        started = time.perf_counter()
-        index = build_index_sharded(
-            vectors, keys, blocking=blocking, workers=workers, shard_rows=shard_rows, pool=pool
-        )
-        if stage_timings is not None:
-            stage_timings.record("block-build", time.perf_counter() - started)
-        search = NearestNeighbourSearch.from_index(index, blocking)
-        if pool is None or pool.broken:
-            return serial_query(search, bounds)
-        try:
-            # Every task in flight at once, the calibration shard's pairs
-            # heading the list; futures are consumed in submission order ==
-            # row order, so the concatenation reproduces the serial
-            # enumeration pair for pair.
-            state = _PlanState(flat=query_vectors, keys=query_keys, search=search)
-            with pool.published(state) as handle:
-                merged, groups, submit = _calibrated_fanout(
-                    pool, handle, bounds, k, query_chunk, workers, stage_timings, "block-query"
-                )
-                futures = [submit(position) for position in range(len(groups))]
-                merge_seconds = 0.0
-                for future, group in zip(futures, groups):
-                    _, pairs, seconds = future.result()
-                    started = time.perf_counter()
-                    merged.extend(pairs)
-                    merge_seconds += time.perf_counter() - started
-                    if stage_timings is not None:
-                        stage_timings.record("block-query", seconds, units=group.units)
-            if stage_timings is not None:
-                stage_timings.record("merge", merge_seconds)
-            return merged
-        except BrokenExecutor:
-            pool.broken = True
-            return serial_query(search, bounds)
-    finally:
-        if pool is not None:
-            release_pool(pool)
 
 
 def _calibrated_fanout(
@@ -727,7 +620,6 @@ def _calibrated_fanout(
     query_chunk: int,
     workers: int,
     stage_timings: Optional[StageTimings],
-    stage: str,
 ):
     """Calibrated query fan-out: first shard measures, the rest coarsen.
 
@@ -738,7 +630,7 @@ def _calibrated_fanout(
     ``submit(position)`` sends task group ``position`` to the pool (its
     result is ``(position, pairs, seconds)``), so the caller decides how
     many are in flight.  Recorded: ``dispatch``, ``block-ipc``, the first
-    shard under ``stage``, and a ``query_tasks`` counter; ``stage`` units
+    shard under ``block``, and a ``query_tasks`` counter; ``block`` units
     count *planned shards covered*, not pool tasks, keeping the accounting
     independent of coarsening.
     """
@@ -756,7 +648,7 @@ def _calibrated_fanout(
     ).result()
     round_trip = time.perf_counter() - started
     record("block-ipc", max(0.0, round_trip - first_seconds))
-    record(stage, first_seconds)
+    record("block", first_seconds)
     groups = _coarsen_query_bounds(bounds[1:], first.rows, first_seconds, dispatch, workers)
     if stage_timings is not None:
         stage_timings.record_counter("query_tasks", len(groups) + 1)
@@ -917,7 +809,6 @@ class ResolutionExecutor:
         baseline: Optional[ResolutionBaseline] = None,
         capture: bool = False,
         threshold: float = 0.5,
-        shard_timings: Optional[ShardTimings] = None,
         stage_timings: Optional[StageTimings] = None,
         diffs: Optional[Dict[str, Tuple[int, Optional[RowDiff]]]] = None,
         pool: Optional[WorkerPool] = None,
@@ -929,7 +820,6 @@ class ResolutionExecutor:
         self.baseline = baseline
         self.capture = capture
         self.threshold = threshold
-        self.shard_timings = shard_timings
         self.stage_timings = stage_timings
         self.baseline_out: Optional[ResolutionBaseline] = None
         #: Revision-stamped per-side diffs precomputed by :func:`resolve_delta`
@@ -1003,9 +893,7 @@ class ResolutionExecutor:
                 _apply_right_diff(index, baseline.right_keys, right, right_diff)
                 self._record_stage("block-extend", time.perf_counter() - started)
             else:
-                index = build_index_sharded(
-                    right.flat_mu(), right.keys, plan.blocking, plan.workers, plan.shard_rows, pool
-                )
+                index = build_index_sharded(right.flat_mu(), right.keys, plan.blocking, plan.shard_rows, pool)
                 self._record_stage("block", time.perf_counter() - started, units=len(plan.build_bounds))
             guard_store_version(store, pinned)
             search = NearestNeighbourSearch.from_index(index, plan.blocking)
@@ -1089,7 +977,7 @@ class ResolutionExecutor:
             score_seconds = time.perf_counter() - started
             self._record_stage("block", block_seconds)
             self._record_stage("score", score_seconds)
-            yield self._emit(batch_index, pairs, probabilities, unknown, scored, block_seconds + score_seconds)
+            yield self._emit(batch_index, pairs, probabilities, unknown, scored)
 
     @staticmethod
     def _split(pairs: List[RecordPair], scores: Dict[PairKey, float]) -> Tuple[np.ndarray, List[int]]:
@@ -1111,15 +999,12 @@ class ResolutionExecutor:
         probabilities: np.ndarray,
         unknown: List[int],
         scored: Optional[np.ndarray],
-        seconds: float,
     ) -> ResolutionBatch:
         """Fill in the matcher's answers for ``unknown`` and account the batch."""
         if unknown:
             probabilities[unknown] = scored
             self.store.counters.record_pairs_rescored(len(unknown))
         self._record_counter("pairs_rescored", len(unknown))
-        if self.shard_timings is not None:
-            self.shard_timings.record(batch_index, len(pairs), seconds)
         return ResolutionBatch(
             pairs=pairs,
             probabilities=probabilities,
@@ -1158,8 +1043,7 @@ class ResolutionExecutor:
 
         guard_store_version(store, pinned)
         first_pairs, groups, submit = _calibrated_fanout(
-            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers,
-            self.stage_timings, "block",
+            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers, self.stage_timings
         )
 
         query_inflight: Dict[object, int] = {}
@@ -1192,7 +1076,7 @@ class ResolutionExecutor:
                 pairs, probabilities, unknown = pending.pop(next_emit)
                 self._record_stage("score", seconds)
                 store.record_external_gather(len(unknown))
-                yield self._emit(next_emit, pairs, probabilities, unknown, scored, seconds)
+                yield self._emit(next_emit, pairs, probabilities, unknown, scored)
                 next_emit += 1
 
         while True:
@@ -1286,7 +1170,6 @@ def resolve_delta(
     threshold: float = 0.5,
     stage_timings: Optional[StageTimings] = None,
     workers: int = 1,
-    shard_timings: Optional[ShardTimings] = None,
     pool: Optional[WorkerPool] = None,
 ) -> ResolutionExecutor:
     """Plan an incremental resolve against ``baseline`` and return its executor.
@@ -1327,7 +1210,6 @@ def resolve_delta(
         baseline=baseline,
         capture=True,
         threshold=threshold,
-        shard_timings=shard_timings,
         stage_timings=stage_timings,
         diffs=diffs,
         pool=pool,

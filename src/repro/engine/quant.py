@@ -558,11 +558,6 @@ class Codec:
 
     name: str = "abstract"
     is_identity: bool = False
-    #: ``False`` marks a registered-but-unimplemented tier: the name stays
-    #: resolvable for discovery (``available_codecs``), but selecting it —
-    #: via flag or environment — fails at name-resolution time rather than
-    #: deep inside the engine.
-    usable: bool = True
 
     def fit(self, values: np.ndarray) -> Optional[AnyParams]:
         raise NotImplementedError
@@ -739,7 +734,6 @@ class ProductQuantizer(Codec):
     """
 
     name = "pq"
-    usable = True
 
     def __init__(self, m: Optional[int] = None, seed: int = _PQ_SEED) -> None:
         self.m = m
@@ -852,11 +846,6 @@ def available_codecs() -> List[str]:
     return sorted(_CODECS)
 
 
-def usable_codecs() -> List[str]:
-    """Codec names that can actually encode today (stub tiers excluded)."""
-    return sorted(name for name, codec in _CODECS.items() if codec.usable)
-
-
 def get_codec(name: str) -> Codec:
     try:
         return _CODECS[name]
@@ -874,28 +863,23 @@ def resolve_codec_name(name: Optional[str] = None) -> str:
     """Resolve an explicit codec name, falling back to ``REPRO_ENGINE_CODEC``.
 
     Explicit names are validated loudly. An unset/empty environment value
-    resolves to the raw default; an unknown or unusable environment value
-    also degrades to ``raw`` (the forgiving posture of
-    ``REPRO_ENGINE_WORKERS``) but emits a one-shot :class:`RuntimeWarning`
-    naming the ignored value and the usable codecs, so a typo'd
-    ``REPRO_ENGINE_CODEC=pq8`` no longer silently runs uncompressed.
+    resolves to the raw default; an unknown environment value also degrades
+    to ``raw`` (the forgiving posture of ``REPRO_ENGINE_WORKERS``) but emits
+    a one-shot :class:`RuntimeWarning` naming the ignored value and the
+    available codecs, so a typo'd ``REPRO_ENGINE_CODEC=pq8`` no longer
+    silently runs uncompressed.
     """
     if name:
-        codec = get_codec(name)  # validate explicit choices loudly
-        if not codec.usable:
-            raise ValueError(
-                f"codec {name!r} is a registered stub and cannot encode yet; "
-                f"supported codecs: {', '.join(usable_codecs())}"
-            )
+        get_codec(name)  # validate explicit choices loudly
         return name
     env = os.environ.get(CODEC_ENV_VAR, "").strip().lower()
-    if env in _CODECS and _CODECS[env].usable:
+    if env in _CODECS:
         return env
     if env and env not in _WARNED_ENV_CODECS:
         _WARNED_ENV_CODECS.add(env)
         warnings.warn(
-            f"ignoring {CODEC_ENV_VAR}={env!r}: not a usable codec "
-            f"(usable: {', '.join(usable_codecs())}); falling back to "
+            f"ignoring {CODEC_ENV_VAR}={env!r}: not a codec "
+            f"(available: {', '.join(available_codecs())}); falling back to "
             f"{DEFAULT_CODEC!r}",
             RuntimeWarning,
             stacklevel=2,

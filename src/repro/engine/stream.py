@@ -25,7 +25,7 @@ from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
 from repro.engine.store import EncodingStore
-from repro.eval.timing import ShardTimings, StageTimings
+from repro.eval.timing import StageTimings
 from repro.exceptions import StaleEncodingError
 
 if TYPE_CHECKING:  # pragma: no cover - shard imports this module
@@ -85,10 +85,6 @@ class ResolutionBatch(ScoredPairs):
     """One scored slice of the candidate stream."""
 
     batch_index: int
-
-
-#: Default candidate pairs per scored batch.
-DEFAULT_BATCH_SIZE = 2048
 
 
 def query_chunk_for(batch_size: int, k: int) -> int:
@@ -195,7 +191,6 @@ def resolve_stream(
     batch_size: int = 2048,
     threshold: float = 0.5,
     workers: int = 1,
-    shard_timings: Optional[ShardTimings] = None,
     stage_timings: Optional[StageTimings] = None,
     pool: Optional["WorkerPool"] = None,
 ) -> Iterator[ResolutionBatch]:
@@ -219,8 +214,7 @@ def resolve_stream(
     always produce the identical batch stream, whatever the worker count.
     A supplied ``pool`` runs the units instead and sizes the plan
     (``workers`` is then its worker count); it is the caller's to shut down.
-    ``shard_timings`` collects per-batch and ``stage_timings`` per-stage
-    compute seconds.
+    ``stage_timings`` collects per-stage compute seconds.
     """
     from repro.engine.plan import ResolutionExecutor, ResolutionPlanner
 
@@ -234,7 +228,6 @@ def resolve_stream(
         store,
         matcher,
         threshold=threshold,
-        shard_timings=shard_timings,
         stage_timings=stage_timings,
         pool=pool,
     ).run()

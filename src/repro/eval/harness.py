@@ -25,19 +25,13 @@ from repro.config import (
     VAERConfig,
 )
 from repro.core.active import ActiveLearningLoop, GroundTruthOracle
-from repro.core.matcher import SiameseMatcher, fit_matcher_with_threshold, pair_ir_arrays
+from repro.core.matcher import fit_matcher_with_threshold, pair_ir_arrays
 from repro.core.representation import EntityRepresentationModel
 from repro.core.transfer import adapt_task_arity, transfer_representation
 from repro.data.generators import GeneratedDomain, load_domain
 from repro.data.pairs import PairSet
-from repro.engine import (
-    EncodingStore,
-    PersistentEncodingCache,
-    merge_scored_batches,
-    resolve_stream,
-)
+from repro.engine import EncodingStore
 from repro.eval.metrics import PRF, neighbour_prf_at_k, precision_recall_f1, recall_at_k
-from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
 from repro.text.ir import IRGenerator
 
 
@@ -446,92 +440,6 @@ def active_learning_experiment(
         labels_used=oracle.labels_provided,
         full_training_size=len(domain.splits.train),
         f1_trace=result.f1_trace(),
-    )
-
-
-# ----------------------------------------------------------------------
-# End-to-end resolution (sharded workers + persistent cache)
-# ----------------------------------------------------------------------
-@dataclass
-class ResolutionRow:
-    """One end-to-end resolution run: throughput, matches and cache reuse."""
-
-    domain: str
-    workers: int
-    candidate_pairs: int
-    predicted_matches: int
-    batches: int
-    resolve_seconds: float
-    threshold: float
-    counters: Dict[str, int]
-    shard_timings: ShardTimings
-    match_keys: List[Tuple[str, str]] = field(default_factory=list)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-
-def resolution_experiment(
-    domain: GeneratedDomain,
-    config: Optional[HarnessConfig] = None,
-    ir_method: str = "lsa",
-    k: Optional[int] = None,
-    batch_size: int = 2048,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    representation: Optional[EntityRepresentationModel] = None,
-    matcher: Optional[SiameseMatcher] = None,
-    threshold: float = 0.5,
-) -> ResolutionRow:
-    """Blocking + matching over the full task through the sharded engine.
-
-    Fits a representation and matcher when not supplied (so sweeps can share
-    them across worker counts), builds an :class:`EncodingStore` with
-    its own counters — attached to a :class:`PersistentEncodingCache` when
-    ``cache_dir`` is given — and resolves the task with ``workers`` pool
-    workers, recording per-shard timings and engine cache traffic.
-    """
-    config = config or HarnessConfig()
-    k = k or config.top_k
-    if representation is None:
-        representation, _ = fit_representation(domain, config, ir_method=ir_method)
-    if matcher is None:
-        matcher, threshold = fit_matcher_with_threshold(
-            representation,
-            domain.task,
-            domain.splits.train,
-            domain.splits.validation,
-            config=config.matcher_config(),
-        )
-
-    counters = EngineCounters()
-    persistent = PersistentEncodingCache(cache_dir) if cache_dir is not None else None
-    store = EncodingStore(
-        representation, domain.task, counters=counters, persistent=persistent
-    )
-    timings = ShardTimings()
-    stage_timings = StageTimings()
-    start = time.perf_counter()
-    batches = list(
-        resolve_stream(
-            store, matcher, k=k, batch_size=batch_size,
-            threshold=threshold, workers=workers, shard_timings=timings,
-            stage_timings=stage_timings,
-        )
-    )
-    resolve_seconds = time.perf_counter() - start
-    merged = merge_scored_batches(batches)
-    matches = merged.matches()
-    return ResolutionRow(
-        domain=domain.name,
-        workers=workers,
-        candidate_pairs=len(merged),
-        predicted_matches=len(matches),
-        batches=len(batches),
-        resolve_seconds=resolve_seconds,
-        threshold=threshold,
-        counters=store.stats(),
-        shard_timings=timings,
-        match_keys=[pair.key() for pair in matches],
-        stage_seconds=stage_timings.as_dict(),
     )
 
 

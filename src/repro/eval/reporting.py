@@ -6,7 +6,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.eval.harness import ActiveLearningRow, MatchingRow, TransferRow
 from repro.eval.metrics import PRF
-from repro.eval.timing import EngineCounters, ShardTimings, StageTimings, engine_counters
+from repro.eval.timing import EngineCounters, StageTimings, engine_counters
 
 
 def _fmt(value: float, digits: int = 2) -> str:
@@ -184,27 +184,6 @@ def format_stage_timings(timings: StageTimings) -> str:
             f"{name} = {value}" for name, value in sorted(counters.items())
         )
     return table
-
-
-def format_shard_timings(timings: ShardTimings) -> str:
-    """Per-shard timing report of a sharded resolve, plus an aggregate row.
-
-    ``Total`` sums worker compute across shards; with ``workers > 1`` the
-    wall clock of the run approaches ``max`` (the slowest shard) instead of
-    the sum — the gap is the parallel speedup.
-    """
-    headers = ["Shard", "Pairs", "Seconds", "Pairs/s"]
-    rows = [
-        [str(t.shard_index), str(t.pairs), f"{t.seconds:.4f}", f"{t.pairs_per_second:,.0f}"]
-        for t in timings
-    ]
-    rows.append([
-        "total",
-        str(timings.total_pairs()),
-        f"{timings.total_seconds():.4f}",
-        f"{timings.total_pairs() / timings.total_seconds():,.0f}" if timings.total_seconds() > 0 else "0",
-    ])
-    return format_table(headers, rows)
 
 
 def format_f1_trace(traces: Mapping[str, Sequence[Tuple[int, float]]]) -> str:

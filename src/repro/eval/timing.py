@@ -238,57 +238,6 @@ class EngineCounters:
 
 
 # ----------------------------------------------------------------------
-# Sharded-resolution instrumentation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardTiming:
-    """Wall-clock record of one scored work unit of a sharded resolve."""
-
-    shard_index: int
-    pairs: int
-    seconds: float
-
-    @property
-    def pairs_per_second(self) -> float:
-        return self.pairs / self.seconds if self.seconds > 0 else 0.0
-
-
-class ShardTimings:
-    """Per-batch timing sink for :func:`repro.engine.stream.resolve_stream`.
-
-    Each scored candidate slice reports its worker-side wall-clock time here;
-    the aggregate views answer the two scaling questions — how much compute
-    the pool performed in total and how imbalanced the shards were.
-    """
-
-    def __init__(self) -> None:
-        self._records: list = []
-
-    def record(self, shard_index: int, pairs: int, seconds: float) -> None:
-        self._records.append(ShardTiming(shard_index=int(shard_index), pairs=int(pairs), seconds=float(seconds)))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(sorted(self._records, key=lambda r: r.shard_index))
-
-    def total_pairs(self) -> int:
-        return sum(r.pairs for r in self._records)
-
-    def total_seconds(self) -> float:
-        """Summed worker compute time (exceeds wall clock when parallel)."""
-        return sum(r.seconds for r in self._records)
-
-    def max_seconds(self) -> float:
-        """The slowest shard — the lower bound on parallel wall clock."""
-        return max((r.seconds for r in self._records), default=0.0)
-
-    def as_rows(self) -> list:
-        return [(r.shard_index, r.pairs, r.seconds) for r in self]
-
-
-# ----------------------------------------------------------------------
 # Planner-stage instrumentation
 # ----------------------------------------------------------------------
 #: Stage names of the planner's resolve graph, in dependency order.
@@ -310,8 +259,8 @@ class StageTimings:
     parallel-overhead stages — ``dispatch`` (task submission), ``block-ipc``
     (a result-transfer sample) and ``merge`` (deterministic reassembly) —
     plus a ``query_tasks`` counter, so a sweep can show where the wall clock
-    went, not just that it moved.  Like :class:`ShardTimings`, the
-    per-stage seconds are *worker compute* time: with a pool, the summed
+    went, not just that it moved.  The per-stage seconds are *worker
+    compute* time: with a pool, the summed
     figure exceeds the run's wall clock — the gap is the parallel speedup.
     """
 
@@ -350,9 +299,6 @@ class StageTimings:
 
     def total(self) -> float:
         return sum(self._seconds.values())
-
-    def as_dict(self) -> Dict[str, float]:
-        return {stage: self._seconds[stage] for stage in self.stages()}
 
     def __len__(self) -> int:
         return len(self._seconds)

@@ -46,7 +46,13 @@ class LSAModel:
         effective_dim = min(self.dim, min(matrix.shape) - 1) if min(matrix.shape) > 1 else 1
         # Economy SVD of the document-term matrix; right singular vectors give
         # the term -> topic projection used at transform time.
-        _, singular_values, vt = linalg.svd(matrix, full_matrices=False)
+        try:
+            _, singular_values, vt = linalg.svd(matrix, full_matrices=False)
+        except linalg.LinAlgError:
+            # The default divide-and-conquer driver (gesdd) can fail to
+            # converge where the QR-iteration driver does not; retrying only
+            # on failure keeps every model gesdd can fit byte-identical.
+            _, singular_values, vt = linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
         # LAPACK returns ``vt`` column-major, so its leading rows are a strided
         # view.  The column-major copy makes ``components.T`` the one
         # C-contiguous ``(vocab, dim)`` operand the sparse product in

@@ -19,7 +19,7 @@ import pytest
 from repro.config import VAEConfig
 from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
-from repro.data.generators import append_rows, load_domain, mutate_rows
+from repro.data.generators import DOMAIN_NAMES, append_rows, load_domain, mutate_rows
 from repro.distrib import DistributedRuntime, FileLeaseQueue, Worker, load_object, read_blob
 from repro.eval.timing import StageTimings
 
@@ -103,6 +103,20 @@ def test_distributed_matches_serial_stream(tmp_path, workers):
     assert stage.counter("units_dispatched") > 0
     assert stage.seconds("dispatch") >= 0.0
     assert "merge" in stage.stages()
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_distributed_matches_serial_on_every_registry_domain(tmp_path, name):
+    model = _build_model(domain=load_domain(name, scale=0.25))
+    serial = list(model.resolve_stream(k=8, batch_size=128))
+    _, stop = _start_workers(tmp_path / "queue", 2)
+    try:
+        with DistributedRuntime.file_queue(tmp_path / "queue", workers=2) as runtime:
+            distributed = list(model.resolve_stream(pool=runtime.pool, k=8, batch_size=128))
+            assert not runtime.pool.broken
+    finally:
+        stop()
+    _assert_identical(serial, distributed)
 
 
 def test_distributed_survives_abandoned_unit(tmp_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -22,7 +23,6 @@ from repro.engine import (
     available_codecs,
     get_codec,
     resolve_codec_name,
-    usable_codecs,
 )
 from repro.engine.quant import CODEC_ENV_VAR
 from repro.eval.timing import EngineCounters
@@ -34,7 +34,9 @@ class TestPqCodecErgonomics:
         assert get_codec("pq").name == "pq"
 
     def test_pq_is_usable(self):
-        assert set(usable_codecs()) == {"raw", "int8", "pq"}
+        """Every registered codec encodes: the catalogue is the one list."""
+        assert set(available_codecs()) == {"raw", "int8", "pq"}
+        assert get_codec("pq").encode(np.ones((4, 2)), None).decode().shape == (4, 2)
 
     def test_resolving_pq_resolves(self):
         assert resolve_codec_name("pq") == "pq"

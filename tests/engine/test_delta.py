@@ -364,7 +364,8 @@ class TestChunkFingerprintReuse:
         assert warm.counters.tables_encoded == 0
         assert warm.counters.rows_reencoded == 4 + 5
         assert warm.counters.rows_tombstoned == 3
-        assert warm.counters.chunks_patched >= 1
+        # Write amplification is bounded by the dirt, never the table size.
+        assert 1 <= warm.counters.chunks_patched <= 4 + 3
         assert served.keys == tuple(domain.task.right.record_ids())
         assert all(r.record_id not in served.row_index for r in deleted)
 

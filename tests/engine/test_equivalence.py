@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import VAEConfig
-from repro.core.active.sampler import _pair_latent_distances_loop, pair_latent_distances
+from repro.core.active.sampler import pair_latent_distances
 from repro.core.representation import EntityRepresentationModel
 from repro.data.pairs import RecordPair
 from repro.data.schema import ERTask, Record, Table
@@ -87,13 +87,15 @@ def fixed_store(tiny_domain, tiny_representation):
 class TestRandomizedPairSets:
     @given(indices=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 35)), max_size=60))
     @settings(max_examples=30, deadline=None)
-    def test_three_paths_agree_on_random_pairs(self, fixed_store, tiny_domain, tiny_representation, indices):
+    def test_three_paths_agree_on_random_pairs(
+        self, fixed_store, tiny_domain, tiny_representation, pair_distance_loop, indices
+    ):
         left_ids = tiny_domain.task.left.record_ids()
         right_ids = tiny_domain.task.right.record_ids()
         pairs = [RecordPair(left_ids[i], right_ids[j]) for i, j in indices]
 
         vectorized = fixed_store.pair_latent_distances(pairs)
-        loop = _pair_latent_distances_loop(tiny_domain.task, tiny_representation, pairs)
+        loop = pair_distance_loop(tiny_domain.task, tiny_representation, pairs)
         sharded = _sharded_latent_distances(fixed_store, pairs)
 
         assert vectorized.shape == loop.shape == sharded.shape == (len(pairs),)
@@ -122,7 +124,7 @@ class TestRandomizedTables:
         (1, 12, 5, 3),
         (2, 9, 12, 100),  # one shard spanning everything
     ])
-    def test_random_tables_agree(self, seed, left_rows, right_rows, shard_rows):
+    def test_random_tables_agree(self, seed, left_rows, right_rows, shard_rows, pair_distance_loop):
         rng = np.random.default_rng(seed)
         task = _random_task(rng, left_rows, right_rows, f"rand{seed}")
         store = _fit_store(task, shard_rows)
@@ -131,29 +133,29 @@ class TestRandomizedTables:
             for _ in range(25)
         ]
         vectorized = pair_latent_distances(task, store.representation, pairs, store=store)
-        loop = _pair_latent_distances_loop(task, store.representation, pairs)
+        loop = pair_distance_loop(task, store.representation, pairs)
         sharded = _sharded_latent_distances(store, pairs)
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
         np.testing.assert_allclose(sharded, loop, atol=ATOL)
 
-    def test_single_row_tables(self):
+    def test_single_row_tables(self, pair_distance_loop):
         rng = np.random.default_rng(5)
         task = _random_task(rng, 1, 1, "single")
         store = _fit_store(task, shard_rows=4)
         pairs = [RecordPair("l0", "r0")] * 3  # repeated references to the only row
         vectorized = store.pair_latent_distances(pairs)
-        loop = _pair_latent_distances_loop(task, store.representation, pairs)
+        loop = pair_distance_loop(task, store.representation, pairs)
         sharded = _sharded_latent_distances(store, pairs)
         assert len(shard_bounds_for("left", 1, store.shard_rows)) == 1
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
         np.testing.assert_allclose(sharded, loop, atol=ATOL)
 
-    def test_empty_pair_set(self):
+    def test_empty_pair_set(self, pair_distance_loop):
         rng = np.random.default_rng(6)
         task = _random_task(rng, 3, 3, "emptypairs")
         store = _fit_store(task, shard_rows=2)
         assert store.pair_latent_distances([]).shape == (0,)
-        assert _pair_latent_distances_loop(task, store.representation, []).shape == (0,)
+        assert pair_distance_loop(task, store.representation, []).shape == (0,)
         assert _sharded_latent_distances(store, []).shape == (0,)
         left, right, labels = store.pair_ir_arrays([])
         assert left.shape[0] == right.shape[0] == labels.shape[0] == 0

@@ -4,9 +4,9 @@ Three invariants pin the plan/execute refactor:
 
 * the plan is pure metadata — stage graph and shard bounds derive from table
   sizes alone, no encoding;
-* sharded blocking (worker-built hash maps + query fan-out) produces the
-  *identical* candidate-pair list as the serial path, on every registry
-  domain;
+* pooled blocking (worker-built hash maps + the executor's query fan-out)
+  produces the *identical* candidate-pair list as a serial search, on every
+  registry domain;
 * planner-driven resolution is byte-identical to ``resolve_stream`` for any
   (k, batch_size, workers) combination, and a warm run against a chunked
   persistent cache encodes zero tables.
@@ -19,20 +19,21 @@ from hypothesis import example, given, settings, strategies as st
 from repro.blocking import NearestNeighbourSearch
 from repro.config import BlockingConfig, MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
+from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, load_domain
 from repro.engine import (
     EncodingStore,
     PersistentEncodingCache,
     ResolutionExecutor,
     ResolutionPlanner,
+    acquire_pool,
     build_index_sharded,
     merge_scored_batches,
+    release_pool,
     resolve_stream,
     shard_bounds_for,
-    sharded_candidate_pairs,
 )
-from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
-from repro.text.ir import IRGenerator
+from repro.eval.timing import EngineCounters, StageTimings
 
 WORKERS = 2
 
@@ -154,35 +155,35 @@ class TestPlannerGraph:
         assert plan.left_rows == len(tiny_domain.task.left)
 
 
-def _domain_vectors(name: str):
-    """Record-level LSA IR vectors of a registry domain (no VAE needed)."""
-    domain = load_domain(name, scale=0.25)
-    generator = IRGenerator(method="lsa", dim=12).fit(domain.task)
-    left = generator.transform_table(domain.task.left)
-    right = generator.transform_table(domain.task.right)
-    return (
-        right.reshape(len(right), -1),
-        list(domain.task.right.record_ids()),
-        left.reshape(len(left), -1),
-        list(domain.task.left.record_ids()),
-    )
+class _ConstantMatcher:
+    """A matcher stand-in for tests that compare candidate keys only."""
+
+    def predict_proba(self, left_irs, right_irs):
+        return np.full(len(left_irs), 0.5)
 
 
 class TestShardedBlockingEquivalence:
     @pytest.mark.parametrize("name", DOMAIN_NAMES)
     def test_identical_candidate_pairs_on_every_registry_domain(self, name):
-        vectors, keys, query_vectors, query_keys = _domain_vectors(name)
+        """The executor's pooled source — worker-built hash maps and the
+        calibrated query fan-out — enumerates exactly the serial candidates."""
+        domain = load_domain(name, scale=0.25)
+        representation = EntityRepresentationModel(
+            VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7), ir_method="lsa"
+        ).fit(domain.task)
+        store = EncodingStore(representation, domain.task, counters=EngineCounters(), shard_rows=7)
         config = BlockingConfig(seed=17)
+        left, right = store.table_encodings("left"), store.table_encodings("right")
         serial = (
             NearestNeighbourSearch(config)
-            .build(vectors, keys)
-            .candidate_pairs(query_vectors, query_keys, k=5)
+            .build(right.flat_mu(), right.keys)
+            .candidate_pairs(left.flat_mu(), left.keys, k=5)
         )
-        sharded = sharded_candidate_pairs(
-            vectors, keys, query_vectors, query_keys,
-            blocking=config, k=5, workers=WORKERS, shard_rows=7,
+        pooled = merge_scored_batches(
+            resolve_stream(store, _ConstantMatcher(), blocking=config, k=5, workers=WORKERS)
         )
-        assert [p.key() for p in sharded] == [p.key() for p in serial]
+        assert len(pooled) > 0
+        assert [p.key() for p in pooled.pairs] == [p.key() for p in serial]
 
     def test_sharded_build_matches_serial_tables(self):
         rng = np.random.default_rng(5)
@@ -190,36 +191,15 @@ class TestShardedBlockingEquivalence:
         keys = [f"r{i}" for i in range(45)]
         config = BlockingConfig(seed=3)
         serial = NearestNeighbourSearch(config).build(vectors, keys).index
-        sharded = build_index_sharded(vectors, keys, blocking=config, workers=3, shard_rows=10)
+        pool = acquire_pool(3)
+        try:
+            sharded = build_index_sharded(vectors, keys, blocking=config, shard_rows=10, pool=pool)
+            assert not pool.broken
+        finally:
+            release_pool(pool)
         assert len(serial._tables) == len(sharded._tables)
         for serial_table, sharded_table in zip(serial._tables, sharded._tables):
             assert dict(serial_table) == dict(sharded_table)
-
-    def test_single_worker_path_is_serial(self):
-        rng = np.random.default_rng(9)
-        vectors = rng.normal(size=(20, 4))
-        keys = [f"r{i}" for i in range(20)]
-        queries = rng.normal(size=(8, 4))
-        query_keys = [f"q{i}" for i in range(8)]
-        one = sharded_candidate_pairs(vectors, keys, queries, query_keys, k=3, workers=1, shard_rows=6)
-        two = sharded_candidate_pairs(vectors, keys, queries, query_keys, k=3, workers=2, shard_rows=6)
-        assert [p.key() for p in one] == [p.key() for p in two]
-
-    def test_stage_timings_record_blocking_work(self):
-        rng = np.random.default_rng(2)
-        vectors = rng.normal(size=(30, 4))
-        keys = [f"r{i}" for i in range(30)]
-        timings = StageTimings()
-        sharded_candidate_pairs(
-            vectors, keys, vectors, keys, k=3, workers=2, shard_rows=8, stage_timings=timings
-        )
-        assert timings.seconds("block-build") >= 0.0
-        # Units count *planned* shards covered, however the cost model
-        # groups them into pool tasks.
-        assert timings.units("block-query") == 4  # 30 rows in shards of 8
-        assert timings.seconds("dispatch") >= 0.0
-        assert timings.seconds("block-ipc") >= 0.0
-        assert 1 <= timings.counter("query_tasks") <= 4
 
 
 class TestPlannerResolveEquivalence:
@@ -244,11 +224,9 @@ class TestPlannerResolveEquivalence:
         """Driving the executor directly (no front-end) stays byte-identical."""
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
         plan = ResolutionPlanner.from_store(store, k=5, batch_size=13, workers=2).plan()
-        shard_timings = ShardTimings()
         stage_timings = StageTimings()
         executor = ResolutionExecutor(
-            plan, store, matcher, threshold=planned_pipeline.threshold,
-            shard_timings=shard_timings, stage_timings=stage_timings,
+            plan, store, matcher, threshold=planned_pipeline.threshold, stage_timings=stage_timings,
         )
         planned = merge_scored_batches(executor.run())
         streamed = merge_scored_batches(
@@ -261,8 +239,11 @@ class TestPlannerResolveEquivalence:
         assert set(stage_timings.stages()) == {
             "encode", "block", "score", "dispatch", "block-ipc", "merge",
         }
-        assert stage_timings.counter("query_tasks") >= 1
-        assert shard_timings.total_pairs() == len(planned)
+        # Block units count *planned* shards (built and queried), however the
+        # cost model groups the queries into pool tasks.
+        assert stage_timings.units("block") == len(plan.build_bounds) + len(plan.query_bounds)
+        assert 1 <= stage_timings.counter("query_tasks") <= len(plan.query_bounds)
+        assert stage_timings.counter("pairs_rescored") == len(planned)
 
     def test_oversized_k_and_batch(self, planned_pipeline):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher

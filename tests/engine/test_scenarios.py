@@ -23,7 +23,7 @@ from repro.config import MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.generators import CLEAN_DOMAINS, NOISY_DOMAINS, domain_spec, load_domain
 from repro.engine import merge_scored_batches
-from repro.eval.timing import ShardTimings
+from repro.eval.timing import StageTimings
 
 WORKERS = int(os.environ.get("REPRO_ENGINE_WORKERS", "2"))
 
@@ -58,9 +58,9 @@ class TestScenarioEquivalence:
         streamed_batches = list(model.resolve_stream(k=5, batch_size=17))
         streamed = merge_scored_batches(streamed_batches)
 
-        timings = ShardTimings()
+        timings = StageTimings()
         sharded_batches = list(
-            model.resolve_stream(k=5, batch_size=17, workers=WORKERS, shard_timings=timings)
+            model.resolve_stream(k=5, batch_size=17, workers=WORKERS, stage_timings=timings)
         )
         sharded = merge_scored_batches(sharded_batches)
 
@@ -81,8 +81,8 @@ class TestScenarioEquivalence:
         assert {p.key() for p in sharded.matches()} == monolithic_matches
 
         # The pool actually timed every batch it scored.
-        assert len(timings) == len(sharded_batches)
-        assert timings.total_pairs() == len(sharded)
+        assert timings.units("score") == len(sharded_batches)
+        assert timings.counter("pairs_rescored") == len(sharded)
 
     def test_sharded_batches_arrive_in_order(self, scenario):
         _, model = scenario
@@ -100,7 +100,7 @@ class TestScenarioEquivalence:
         """
         from repro.data.generators import append_rows
         from repro.engine import EncodingStore, resolve_stream
-        from repro.eval.timing import EngineCounters, StageTimings
+        from repro.eval.timing import EngineCounters
 
         append = int(os.environ.get("REPRO_ENGINE_APPEND_ROWS", "10"))
         domain = load_domain("citations2", scale=0.25)
@@ -151,7 +151,7 @@ class TestScenarioEquivalence:
         """
         from repro.data.generators import append_rows, delete_rows, mutate_rows
         from repro.engine import EncodingStore, resolve_stream
-        from repro.eval.timing import EngineCounters, StageTimings
+        from repro.eval.timing import EngineCounters
 
         edits = int(os.environ.get("REPRO_ENGINE_EDIT_ROWS", "6"))
         deletes = int(os.environ.get("REPRO_ENGINE_DELETE_ROWS", "4"))

@@ -14,7 +14,7 @@ from repro.engine import (
     resolve_stream,
     shard_bounds_for,
 )
-from repro.eval.timing import EngineCounters, ShardTimings, StageTimings
+from repro.eval.timing import EngineCounters, StageTimings
 from repro.exceptions import StaleEncodingError
 
 
@@ -80,19 +80,20 @@ class TestResolveSharded:
         with pytest.raises(ValueError):
             resolve_stream(store, matcher, batch_size=8, workers=0)
 
-    def test_incremental_fills_a_shard_timings_sink(self, sharded_pipeline):
-        """The one executor records per-batch rows in every mode: an
+    def test_incremental_fills_a_stage_timings_sink(self, sharded_pipeline):
+        """The one executor accounts every batch in every mode: an
         incremental run fills the sink exactly like a cold one."""
-        sink = ShardTimings()
-        stream = merge_scored_batches(
-            sharded_pipeline.resolve_stream(k=5, batch_size=13, incremental=True, shard_timings=sink)
+        sink = StageTimings()
+        batches = list(
+            sharded_pipeline.resolve_stream(k=5, batch_size=13, incremental=True, stage_timings=sink)
         )
-        assert len(sink) > 0 and sink.total_pairs() == len(stream)
+        assert batches and sink.units("score") == len(batches)
+        assert sink.counter("pairs_rescored") == len(merge_scored_batches(batches))
 
     def test_timing_sinks_do_not_change_what_the_store_does(self, sharded_pipeline, tiny_domain):
         """Observability arguments must not decide when the store encodes:
         the counters after a drained resolve are the same with and without
-        ``stage_timings`` / ``shard_timings``."""
+        ``stage_timings``."""
         def drained(**sinks):
             store = EncodingStore(
                 sharded_pipeline.representation, tiny_domain.task,
@@ -101,25 +102,19 @@ class TestResolveSharded:
             list(resolve_stream(store, sharded_pipeline.matcher, k=5, batch_size=13, **sinks))
             return store.stats()
 
-        bare = drained()
-        assert drained(stage_timings=StageTimings()) == bare
-        assert drained(shard_timings=ShardTimings()) == bare
-        assert drained(stage_timings=StageTimings(), shard_timings=ShardTimings()) == bare
+        assert drained(stage_timings=StageTimings()) == drained()
 
     def test_single_worker_equals_stream(self, sharded_pipeline):
         streamed = merge_scored_batches(
             resolve_stream(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13)
         )
-        timings = ShardTimings()
         serial = merge_scored_batches(
             resolve_stream(
-                sharded_pipeline.store, sharded_pipeline.matcher,
-                k=5, batch_size=13, workers=1, shard_timings=timings,
+                sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13, workers=1,
             )
         )
         assert [p.key() for p in serial.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(serial.probabilities, streamed.probabilities)
-        assert len(timings) > 0 and timings.total_pairs() == len(serial)
 
     def test_interleaved_parallel_streams_do_not_cross_wires(self, sharded_pipeline):
         """Two concurrent sharded resolves over one process stay independent."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.active.sampler import _pair_latent_distances_loop, pair_latent_distances
+from repro.core.active.sampler import pair_latent_distances
 from repro.core.distances import tuple_wasserstein
 from repro.core.matcher import pair_ir_arrays
 from repro.core.transfer import transfer_representation
@@ -128,14 +128,18 @@ class TestBatchedEqualsLegacy:
         for l_arr, b_arr in zip(legacy, batched):
             np.testing.assert_allclose(b_arr, l_arr, atol=1e-8)
 
-    def test_pair_latent_distances_match_loop(self, store, tiny_domain, tiny_representation, some_pairs):
+    def test_pair_latent_distances_match_loop(
+        self, store, tiny_domain, tiny_representation, some_pairs, pair_distance_loop
+    ):
         vectorized = pair_latent_distances(tiny_domain.task, tiny_representation, some_pairs, store=store)
-        loop = _pair_latent_distances_loop(tiny_domain.task, tiny_representation, some_pairs)
+        loop = pair_distance_loop(tiny_domain.task, tiny_representation, some_pairs)
         np.testing.assert_allclose(vectorized, loop, atol=1e-8)
 
-    def test_pair_latent_distances_builds_own_store(self, tiny_domain, tiny_representation, some_pairs):
+    def test_pair_latent_distances_builds_own_store(
+        self, tiny_domain, tiny_representation, some_pairs, pair_distance_loop
+    ):
         vectorized = pair_latent_distances(tiny_domain.task, tiny_representation, some_pairs)
-        loop = _pair_latent_distances_loop(tiny_domain.task, tiny_representation, some_pairs)
+        loop = pair_distance_loop(tiny_domain.task, tiny_representation, some_pairs)
         np.testing.assert_allclose(vectorized, loop, atol=1e-8)
 
     def test_tuple_wasserstein_matches_loop(self, store, tiny_domain, tiny_representation, some_pairs):

@@ -190,26 +190,3 @@ class TestReporting:
         assert "Blocking queries" in text and "Blocking fallbacks" in text
         assert "Candidates ranked" in text and "60250" in text
 
-    def test_shard_timings_table(self):
-        from repro.eval.timing import ShardTimings
-
-        timings = ShardTimings()
-        timings.record(0, 128, 0.5)
-        timings.record(1, 64, 0.25)
-        text = reporting.format_shard_timings(timings)
-        assert "Shard" in text and "Pairs/s" in text
-        assert "total" in text and "192" in text
-
-    def test_resolution_experiment_runs_sharded(self, tiny_domain, harness_config):
-        from repro.eval.harness import resolution_experiment
-
-        row = resolution_experiment(
-            tiny_domain, harness_config, k=3, batch_size=16, workers=2
-        )
-        assert row.workers == 2
-        assert row.candidate_pairs > 0
-        assert row.batches == len(row.shard_timings)
-        assert row.shard_timings.total_pairs() == row.candidate_pairs
-        assert row.counters["pairs_scored"] == row.candidate_pairs
-        assert row.counters["tables_encoded"] == 2  # no cache dir: cold encode
-        assert len(row.match_keys) == row.predicted_matches

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.eval.timing import ShardTimings, Timer, timed
+from repro.eval.timing import Timer, timed
 
 
 class TestTimer:
@@ -43,34 +43,3 @@ class TestTimed:
             time.sleep(0.01)
         assert result[0] >= 0.01
 
-
-class TestShardTimings:
-    def test_iterates_in_shard_order(self):
-        timings = ShardTimings()
-        timings.record(2, 10, 0.2)
-        timings.record(0, 30, 0.1)
-        timings.record(1, 20, 0.4)
-        assert [t.shard_index for t in timings] == [0, 1, 2]
-        assert timings.as_rows() == [(0, 30, 0.1), (1, 20, 0.4), (2, 10, 0.2)]
-
-    def test_aggregates(self):
-        timings = ShardTimings()
-        timings.record(0, 100, 0.5)
-        timings.record(1, 50, 1.5)
-        assert len(timings) == 2
-        assert timings.total_pairs() == 150
-        assert abs(timings.total_seconds() - 2.0) < 1e-12
-        assert timings.max_seconds() == 1.5
-
-    def test_empty(self):
-        timings = ShardTimings()
-        assert len(timings) == 0
-        assert timings.total_pairs() == 0
-        assert timings.total_seconds() == 0.0
-        assert timings.max_seconds() == 0.0
-
-    def test_pairs_per_second(self):
-        timings = ShardTimings()
-        timings.record(0, 100, 0.5)
-        (record,) = list(timings)
-        assert record.pairs_per_second == 200.0

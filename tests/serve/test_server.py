@@ -94,6 +94,11 @@ class TestProtocol:
         assert report["edited"] == 1 and report["deleted"] == 1
         assert client.health()["generation"] == 1
         assert client.stats()["mutations_applied"] == 1
+        # Each accepted request is one mutation and one generation, whatever it holds.
+        client.mutate(ingest=[record_payload("fresh-1", target.values)])
+        client.mutate(delete=[right.record_ids()[0]])
+        stats = client.stats()
+        assert stats["mutations_applied"] == stats["generation"] == 3
 
 
 class TestErrors:

@@ -131,3 +131,33 @@ class TestLSA:
         copy = pickle.loads(pickle.dumps(model))
         for rows in (1, 3, 8, 23, 60):
             np.testing.assert_array_equal(copy.transform(corpus[:rows]), model.transform(corpus[:rows]))
+
+    def test_fit_retries_with_gesvd_when_gesdd_fails(self, monkeypatch):
+        """gesdd can fail to converge on a matrix gesvd factors: fit retries
+        with gesvd, only then, and lands on the same singular values."""
+        from repro.text import lsa
+
+        reference = LSAModel(dim=4).fit(CORPUS)
+        real_svd = lsa.linalg.svd
+        drivers = []
+
+        def svd(matrix, full_matrices=True, lapack_driver="gesdd", **kwargs):
+            drivers.append(lapack_driver)
+            if lapack_driver == "gesdd":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(matrix, full_matrices=full_matrices, lapack_driver=lapack_driver, **kwargs)
+
+        monkeypatch.setattr(lsa.linalg, "svd", svd)
+        model = LSAModel(dim=4).fit(CORPUS)
+        assert drivers == ["gesdd", "gesvd"]
+        np.testing.assert_allclose(model._singular_values, reference._singular_values, rtol=1e-10)
+        assert model.transform(CORPUS).shape == (len(CORPUS), 4)
+
+    def test_citations2_at_scale_4_fits(self):
+        """``citations2`` at scale 4 is an 8320x1500 tf-idf matrix on which
+        gesdd fails to converge with some LAPACK builds."""
+        from repro.data.generators import load_domain
+        from repro.text.ir import IRGenerator
+
+        generator = IRGenerator(method="lsa", dim=64).fit(load_domain("citations2", scale=4.0).task)
+        assert np.isfinite(generator.transform_values(["deep learning"])).all()
