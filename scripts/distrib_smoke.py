@@ -86,14 +86,12 @@ def main() -> int:
         print(f"  serial reference: {len(serial)} batches")
 
         # Deterministic kill: only the victim runs at first, so every lease
-        # is its claim.  The executor's first units are millisecond
-        # ``_noop_task`` calibration probes (a lease is named after its
-        # unit's task), and a kill landing on one of those, or between two
-        # units, leaves no lease to expire and nothing to re-dispatch.  So
-        # the victim is frozen first and killed only if it still holds the
-        # lease of a real unit; otherwise it resumes and the watch re-arms.
-        # Then the healthy worker spawns and the coordinator must recover via
-        # lease expiry and re-dispatch.
+        # is its claim.  A kill landing between two units leaves no lease to
+        # expire and nothing to re-dispatch, so the victim is frozen first
+        # and killed only if it still holds the lease of an undelivered
+        # unit; otherwise it resumes and the watch re-arms.  Then the
+        # healthy worker spawns and the coordinator must recover via lease
+        # expiry and re-dispatch.
         processes = spawn_workers(queue_dir, 1)
         victim = processes[0]
         leases_dir = queue_dir / "leases"
@@ -101,8 +99,7 @@ def main() -> int:
         def _holds_real_lease() -> bool:
             # A unit whose result is already out is delivered, not re-dispatched.
             return leases_dir.is_dir() and any(
-                "nooptask" not in lease.name
-                and find_blob(queue_dir / "results", lease.name[: -len(".lease")]) is None
+                find_blob(queue_dir / "results", lease.name[: -len(".lease")]) is None
                 for lease in leases_dir.iterdir()
             )
 

@@ -9,13 +9,12 @@ projects vectors onto random Gaussian directions, shifts and quantises them
 into buckets of width ``w``; near vectors collide in at least one table with
 high probability.
 
-The index build is decomposed for parallel construction: :meth:`prepare`
-fixes the random projections and registers the vectors, :meth:`hash_rows`
-hashes any row range into per-table partial bucket maps (safe to run in a
-worker over a shard of the rows), and :meth:`install_tables` merges partial
-maps back in row order.  :meth:`build` composes the three for the serial
-case, so a sharded build produces hash tables with the identical bucket
-membership.  Queries run block-at-a-time: :meth:`query_batch` computes the
+The index build is three steps: :meth:`prepare` fixes the random
+projections and registers the vectors, :meth:`hash_rows` hashes a row range
+into per-table bucket maps, and :meth:`install_tables` merges maps in row
+order.  :meth:`build` composes the three over the whole table and
+:meth:`extend` hashes only the appended rows.  Queries run
+block-at-a-time: :meth:`query_batch` computes the
 bucket ids of a whole block of query vectors in one projection pass, gathers
 every row's bucket candidates into one CSR list and scores the block with a
 single distance-kernel call; only the bucket lookups and the final top-k cut
@@ -173,14 +172,14 @@ class EuclideanLSHIndex:
         self._norms_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # Build: prepare -> hash_rows (parallelisable) -> install_tables
+    # Build: prepare -> hash_rows -> install_tables
     # ------------------------------------------------------------------
     def prepare(self, vectors: np.ndarray, keys: Optional[Sequence[object]] = None) -> "EuclideanLSHIndex":
         """Fix the projections and register ``vectors`` without hashing them.
 
         After ``prepare`` the index is *not* queryable yet: the hash tables
-        are built by feeding :meth:`hash_rows` output (possibly computed in
-        parallel over row ranges) to :meth:`install_tables`.
+        are built by feeding :meth:`hash_rows` output to
+        :meth:`install_tables`.
 
         ``vectors`` may be float64, float32 (hashed through the fp32
         projection fast path, no upcast copy) or a
@@ -210,10 +209,10 @@ class EuclideanLSHIndex:
     def hash_rows(self, start: int, stop: int) -> List[BucketMap]:
         """Per-table bucket maps of rows ``[start, stop)`` (global indices).
 
-        Pure function of the prepared projections and vectors — row ranges
-        can be hashed concurrently (each worker hashes its shard) and merged
-        with :meth:`install_tables`.  Bucket ids for the whole range are
-        computed in one array-at-a-time projection pass.
+        Pure function of the prepared projections and vectors; the maps of
+        consecutive ranges merge with :meth:`install_tables`.  Bucket ids for
+        the whole range are computed in one array-at-a-time projection
+        pass.
         """
         if self._vectors is None:
             raise NotFittedError("EuclideanLSHIndex.hash_rows called before prepare")
@@ -238,8 +237,7 @@ class EuclideanLSHIndex:
         """Merge partial bucket maps (in ascending row-range order) into the index.
 
         Feeding the ranges in row order keeps each bucket's row list sorted
-        exactly as a serial :meth:`build` would produce it, so a sharded
-        build is indistinguishable from a serial one.
+        exactly as one :meth:`build` over all the rows would produce it.
         """
         if self._vectors is None:
             raise NotFittedError("EuclideanLSHIndex.install_tables called before prepare")
@@ -264,9 +262,9 @@ class EuclideanLSHIndex:
         """Install additional rows into a built index without a rebuild.
 
         The incremental-blocking primitive: appended rows are hashed with
-        the *existing* projections through :meth:`hash_rows` (the same
-        partial-map machinery a sharded build uses) and appended into the
-        existing bucket lists in place — O(delta) bucket work, not O(table).
+        the *existing* projections through :meth:`hash_rows` (the step
+        :meth:`build` uses) and appended into the existing bucket lists in
+        place — O(delta) bucket work, not O(table).
         New rows receive the next global indices, so every bucket's row list
         stays exactly what a from-scratch :meth:`build` over the
         concatenated vectors produces; query answers are therefore

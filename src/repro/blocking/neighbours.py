@@ -89,7 +89,7 @@ class NearestNeighbourSearch:
     def from_index(
         cls, index: EuclideanLSHIndex, config: Optional[BlockingConfig] = None
     ) -> "NearestNeighbourSearch":
-        """Wrap an already-built index (e.g. one assembled by parallel build)."""
+        """Wrap an already-built index (e.g. a delta baseline's, mutated in place)."""
         search = cls(config)
         search._index = index
         return search

@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=_default_workers(),
         help="Worker pool size the plan schedules for (defaults to REPRO_ENGINE_WORKERS when set).",
     )
-    plan.add_argument("--shard-rows", type=int, default=2048, help="Rows per row-range shard.")
+    plan.add_argument("--shard-rows", type=int, default=2048, help="Rows per left-table query shard.")
 
     cache = subparsers.add_parser(
         "cache",

@@ -373,8 +373,9 @@ class VAER:
         baseline is refreshed when the stream is fully drained (an abandoned
         stream keeps the previous baseline).  Refitting the representation
         or matcher invalidates the affected parts automatically.  With
-        ``workers > 1`` (or a supplied ``pool``) tail encodes, query shards
-        and score batches run on the worker pool.
+        ``workers > 1`` (or a supplied ``pool``) query shards and score
+        batches run on the worker pool; encodes and index mutations run in
+        this process.
         """
         return self.resolve_stream(
             k=k, batch_size=batch_size, workers=workers,

@@ -3,11 +3,10 @@
 The distributed runner deliberately adds **no new resolution logic**.  The
 one :class:`~repro.engine.plan.ResolutionExecutor` — cold or against a
 baseline — already decomposes a
-:class:`~repro.engine.plan.ResolutionPlan` into stage units — LSH
-partial-bucket builds (``_hash_task``), query shards (``_query_task``),
-score batches (``_score_task``), delta encode ranges
-(``_encode_range_task``) — and already merges results deterministically by
-``(batch_index, pair_index)``.  What it needs from a pool is the
+:class:`~repro.engine.plan.ResolutionPlan` into pool units — one query
+shard (``_query_task``) per planned left-table shard and one score batch
+(``_score_task``) per batch — and already merges results deterministically
+by ``(batch_index, pair_index)``.  What it needs from a pool is the
 :class:`~repro.engine.shard.WorkerPool` seam: ``submit(fn, *args) ->
 Future``, a ``broken`` flag, a way to publish stage state, and one hook per
 run.  :class:`DistributedPool` implements it over a :class:`Coordinator`,
@@ -32,9 +31,10 @@ The coordinator's own job is delivery, not computation:
   translates into its crash-safe serial resume — a distributed run
   whose workers all die finishes correctly on the coordinator alone;
 * account for the distributed overheads in the shared
-  :class:`~repro.eval.timing.StageTimings` (``dispatch``, ``lease``,
-  ``merge`` stages; ``units_dispatched`` / ``units_redispatched``
-  counters).
+  :class:`~repro.eval.timing.StageTimings` (``lease`` and ``merge``
+  stages; ``units_dispatched`` / ``units_redispatched`` counters).  The
+  parent's publish and submit seconds are ``dispatch``, timed by the
+  executor as on every other pool.
 """
 
 from __future__ import annotations
@@ -178,10 +178,8 @@ class Coordinator:
             )
 
     def publish_state(self, state: object) -> DistribStateSpec:
-        started = time.perf_counter()
         stripped, refs = strip_cache_refs(state, self._cache_refs.values())
         path = write_blob(self.state_dir, "state", dump_object(stripped))
-        self._record_stage("dispatch", time.perf_counter() - started)
         return DistribStateSpec(path=str(path), cache_dir=self.cache_dir, refs=refs)
 
     # ------------------------------------------------------------------
@@ -191,7 +189,6 @@ class Coordinator:
         """Enqueue one unit; the Future completes when a worker publishes
         its validated result (or fails with :class:`BrokenExecutor` after
         retries are exhausted)."""
-        started = time.perf_counter()
         future: Future = Future()
         future.set_running_or_notify_cancel()
         unit_id, base = self._unit_id(fn, args, kwargs)
@@ -205,7 +202,6 @@ class Coordinator:
         if not resumed:
             self.queue.submit(unit_id, dump_object((fn, args, kwargs)))
         self.units_dispatched += 1
-        self._record_stage("dispatch", time.perf_counter() - started)
         self._record_counter("units_dispatched", 1)
         self._ensure_poller()
         self._wake.set()
@@ -239,9 +235,9 @@ class Coordinator:
             self._issued[base] = repeat + 1
         # Only the first instance in a coordinator's first run keeps the
         # restart-stable id.  Re-submissions of an identical logical unit —
-        # within one run (the executor's dispatch calibration no-ops) or by
-        # a later run of a long-lived runtime — get a fresh identity, so
-        # each is a real round trip and never adopts an earlier result.
+        # within one run or by a later run of a long-lived runtime — get a
+        # fresh identity, so each is a real round trip and never adopts an
+        # earlier result.
         return (base if run <= 1 and repeat == 0 else f"{base}-r{run}.{repeat}"), base
 
     def _try_adopt(self, record: _UnitRecord) -> bool:

@@ -68,7 +68,6 @@ from repro.engine.plan import (
     ResolutionPlanner,
     Stage,
     StageUnit,
-    build_index_sharded,
     resolve_delta,
 )
 from repro.engine.shard import (
@@ -145,7 +144,6 @@ __all__ = [
     "params_from_json",
     "resolve_codec_name",
     "table_sq_norms_of",
-    "build_index_sharded",
     "detach_all",
     "fork_pool_available",
     "make_pool",

@@ -4,8 +4,8 @@ Resolution is three stages — *encode* the two tables, *block* (LSH index
 build + top-K queries) to enumerate candidate pairs, *score* the candidates
 in batches.  This module owns the whole of it:
 
-* :class:`ResolutionPlanner` partitions the work into row-range shards
-  (:func:`~repro.engine.shard.shard_bounds_for` at the store's
+* :class:`ResolutionPlanner` partitions the left table into row-range query
+  shards (:func:`~repro.engine.shard.shard_bounds_for` at the store's
   ``shard_rows``) and emits a deterministic stage graph — pure metadata,
   computed from table sizes (and, for an incremental run, the mutation
   summary in :class:`DeltaBounds`) alone, so a plan can be printed or
@@ -14,13 +14,13 @@ in batches.  This module owns the whole of it:
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
   against a :class:`ResolutionBaseline`, serial or on a
   :class:`~repro.engine.shard.WorkerPool` (the cached local one, or
-  whichever pool the caller passes).  With a pool, the LSH hash tables are
-  built from per-shard partial maps computed in
-  workers, left-table query shards fan out across the pool, and scoring
-  batches overlap with blocking — all merged back deterministically:
-  candidate order by (shard, row, neighbour rank), scored batches by
-  ``(batch_index, pair_index)``, so the yielded stream is byte-identical to
-  the serial one regardless of scheduling.
+  whichever pool the caller passes).  The pool runs two kinds of unit only:
+  one query task per planned left-table shard and one score task per
+  batch, overlapped and merged back deterministically — candidate order by
+  (shard, row, neighbour rank), scored batches by ``(batch_index,
+  pair_index)`` — so the yielded stream is byte-identical to the serial one
+  regardless of scheduling.  Encoding and the LSH build (or its in-place
+  mutation) run in the parent, on the same code a serial run uses.
 
 :func:`~repro.engine.stream.resolve_stream` constructs the executor for a
 cold run and :func:`resolve_delta` for an incremental, baseline-capturing
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,7 @@ from repro.blocking.lsh import EuclideanLSHIndex
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
-from repro.data.schema import ERTask, Table
+from repro.data.schema import ERTask
 from repro.engine.quant import CodecArray
 from repro.engine.shard import (
     ShardBounds,
@@ -55,7 +54,7 @@ from repro.engine.shard import (
     shard_bounds_for,
     worker_state,
 )
-from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings, encode_table_rows
+from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings
 from repro.engine.stream import (
     ResolutionBatch,
     guard_store_version,
@@ -169,7 +168,6 @@ class ResolutionPlan:
     query_chunk: int
     blocking: Optional[BlockingConfig]
     query_bounds: Tuple[ShardBounds, ...]
-    build_bounds: Tuple[ShardBounds, ...]
     stages: Tuple[Stage, ...] = field(default=())
     delta: Optional[DeltaBounds] = None
 
@@ -192,7 +190,7 @@ class ResolutionPlan:
             f"  knobs: workers={self.workers} shard_rows={self.shard_rows} "
             f"k={self.k} batch_size={self.batch_size} query_chunk={self.query_chunk}",
             f"  tables: left={self.left_rows} rows ({len(self.query_bounds)} shards), "
-            f"right={self.right_rows} rows ({len(self.build_bounds)} shards)",
+            f"right={self.right_rows} rows",
         ]
         if self.delta is not None:
             def _side(side: str, total: int, base: int) -> str:
@@ -223,8 +221,8 @@ class ResolutionPlan:
 class ResolutionPlanner:
     """Partition a task's resolve run into a stage graph over row shards.
 
-    Parameters mirror the resolve knobs; ``shard_rows`` fixes the row-range
-    partitioning shared by the blocking fan-out and the pooled delta encode.
+    Parameters mirror the resolve knobs; ``shard_rows`` fixes the left-table
+    row ranges the query fan-out submits, one pool task per range.
     """
 
     def __init__(
@@ -276,14 +274,12 @@ class ResolutionPlanner:
         """The deterministic stage graph for the current knobs (pure metadata).
 
         Without ``delta`` the run is cold: both tables encode, the right
-        table's LSH index is built shard by shard, every left shard is
-        queried and every candidate scored.
+        table's LSH index is built, every left shard is queried and every
+        candidate scored.
 
         ``delta`` summarises the mutation since a baseline run (all zero =
         nothing reusable).  The encode stage then schedules only the new tail
-        ranges plus *patch* units for the dirty rows — with ``workers > 1``,
-        one unit per ``shard_rows`` slice of each side's pending (dirty, then
-        appended) rows, the executor's pooled encode order.  With
+        ranges plus *patch* units for the dirty rows.  With
         ``index_reusable`` the block stage mutates the baseline LSH index in
         place — *tombstone* units mask deleted right rows out of the bucket
         maps, *patch* units rebucket edited rows, an *extend* unit hashes
@@ -306,12 +302,8 @@ class ResolutionPlanner:
             query_chunk=query_chunk_for(self.batch_size, self.k),
             blocking=self.blocking,
             query_bounds=tuple(shard_bounds_for("left", left_rows, self.shard_rows)),
-            build_bounds=tuple(shard_bounds_for("right", right_rows, self.shard_rows)),
         )
-        block_units = [
-            StageUnit(name=f"build right[{b.index}]", rows=b.rows, detail=f"hash rows {b.start}..{b.stop}")
-            for b in bare.build_bounds
-        ]
+        block_units = [StageUnit("build right", right_rows, f"hash rows 0..{right_rows}")]
         if delta is None:
             encode_units = [
                 StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
@@ -348,24 +340,17 @@ class ResolutionPlanner:
             delta=delta,
         )
 
-    def _delta_encode_units(self, delta: DeltaBounds, left_rows: int, right_rows: int) -> List[StageUnit]:
+    @staticmethod
+    def _delta_encode_units(delta: DeltaBounds, left_rows: int, right_rows: int) -> List[StageUnit]:
         units: List[StageUnit] = []
         for side, total in (("left", left_rows), ("right", right_rows)):
             dirty, new = delta.dirty_rows(side), delta.new_rows(side, total)
-            pending = dirty + new
-            if pending == 0:
+            if dirty == new == 0:
                 units.append(StageUnit(side, 0, "cached (no new or dirty rows)"))
-            elif self.workers > 1 and pending > self.shard_rows:
-                for index, start in enumerate(range(0, pending, self.shard_rows)):
-                    stop = min(start + self.shard_rows, pending)
-                    units.append(StageUnit(
-                        f"{side} delta[{index}]", stop - start, f"pooled encode of pending rows {start}..{stop}"
-                    ))
-            else:
-                if dirty:
-                    units.append(StageUnit(f"{side} patch", dirty, f"re-encode {dirty} edited row(s) in place"))
-                if new:
-                    units.append(StageUnit(f"{side} tail", new, f"append-only encode rows {total - new}..{total}"))
+            if dirty:
+                units.append(StageUnit(f"{side} patch", dirty, f"re-encode {dirty} edited row(s) in place"))
+            if new:
+                units.append(StageUnit(f"{side} tail", new, f"append-only encode rows {total - new}..{total}"))
         return units
 
     @staticmethod
@@ -383,81 +368,6 @@ class ResolutionPlanner:
                 "extend right", new, f"hash rows {right_rows - new}..{right_rows} into existing buckets"
             ))
         return units or [StageUnit("reuse right index", 0, "no new rows")]
-
-
-# ----------------------------------------------------------------------
-# Cost-model query sizing
-# ----------------------------------------------------------------------
-#: Target ratio of per-task compute to measured dispatch overhead.  The
-#: fixed per-``shard_rows`` split sends a pool task per planned shard even
-#: when one shard computes for less than a fork round-trip; coarsening until
-#: compute dwarfs dispatch by this factor keeps overhead under ~2%.
-SHARD_COST_RATIO = 50.0
-
-
-@dataclass(frozen=True)
-class QueryTaskGroup:
-    """One pool task covering a contiguous run of planned query shards."""
-
-    start: int
-    stop: int
-    units: int  # planned shards this task covers (stage-timing units)
-
-
-def _coarsen_query_bounds(
-    bounds: Sequence[ShardBounds],
-    calibration_rows: int,
-    calibration_seconds: float,
-    dispatch_seconds: float,
-    workers: int,
-) -> List[QueryTaskGroup]:
-    """Group the remaining query shards into cost-model-sized pool tasks.
-
-    The calibration shard (already executed) supplies the measured per-row
-    compute cost; the target task size is the row count whose compute is
-    :data:`SHARD_COST_RATIO` times the measured dispatch overhead, capped
-    so the pool still gets at least one task per worker.  Groups are runs of
-    *consecutive* shard bounds, consumed in row order — and top-K queries
-    are independent per row — so any grouping reproduces the serial
-    candidate stream pair for pair; only the task count changes.
-    """
-    if not bounds:
-        return []
-    total_rows = sum(b.rows for b in bounds)
-    per_row = calibration_seconds / calibration_rows if calibration_rows > 0 else 0.0
-    if per_row > 0.0 and dispatch_seconds > 0.0:
-        target = SHARD_COST_RATIO * dispatch_seconds / per_row
-    else:  # degenerate timer resolution: keep the planned granularity
-        target = float(calibration_rows or 1)
-    cap = max(1.0, total_rows / max(1, workers))
-    rows_per_task = int(max(1.0, min(target, cap)))
-    groups: List[QueryTaskGroup] = []
-    current: List[ShardBounds] = []
-    rows = 0
-    for b in bounds:
-        if current and rows + b.rows > rows_per_task:
-            groups.append(QueryTaskGroup(current[0].start, current[-1].stop, len(current)))
-            current, rows = [], 0
-        current.append(b)
-        rows += b.rows
-    if current:
-        groups.append(QueryTaskGroup(current[0].start, current[-1].stop, len(current)))
-    return groups
-
-
-def _noop_task() -> None:
-    """Calibration probe: measures pure submit/round-trip overhead."""
-    return None
-
-
-def _measure_dispatch(pool: WorkerPool) -> float:
-    """Best-of-two no-op round trip through the pool (dispatch overhead)."""
-    best = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        pool.submit(_noop_task).result()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -481,21 +391,13 @@ class _PlanState:
     matcher: object
 
 
-def _hash_task(handle: StateHandle, start: int, stop: int):
-    """Build stage: per-table partial bucket maps of one row range."""
-    index: EuclideanLSHIndex = worker_state(handle)
-    started = time.perf_counter()
-    partial = index.hash_rows(start, stop)
-    return start, partial, time.perf_counter() - started
-
-
 def _query_task(handle: StateHandle, task_index: int, start: int, stop: int, k: int, query_chunk: int):
-    """Block stage: top-K candidate pairs of one query row range.
+    """Block stage: top-K candidate pairs of one planned query shard.
 
     Rows are walked through :func:`repro.engine.shard.query_shard_pairs`,
     the chunk-walk definition every enumerator shares; results are per-row
     and rank-ordered, so concatenating task results in row order reproduces
-    the serial candidate stream pair for pair whatever the task sizing.
+    the serial candidate stream pair for pair.
     """
     state: _PlanState = worker_state(handle)
     started = time.perf_counter()
@@ -511,153 +413,6 @@ def _score_task(handle: StateHandle, batch_index: int, left_rows: np.ndarray, ri
         state.left_irs[left_rows], state.right_irs[right_rows]
     )
     return batch_index, probabilities, time.perf_counter() - started
-
-
-def _encode_range_task(handle: StateHandle, start: int, stop: int):
-    """Encode stage (delta fan-out): one row range of a pending sub-table.
-
-    State is ``(representation, sub_table)``; rows are encoded through the
-    same :func:`repro.engine.store.encode_table_rows` the store uses
-    inline, so pooled and serial tail encodes agree row for row (up to
-    matmul batch composition, like every other batch-shape change).
-    """
-    representation, sub_table = worker_state(handle)
-    started = time.perf_counter()
-    records = sub_table.records()[start:stop]
-    piece = Table(sub_table.name, sub_table.attributes, records)
-    irs, mu, sigma = encode_table_rows(representation, piece)
-    return start, (irs, mu, sigma), time.perf_counter() - started
-
-
-@contextmanager
-def _pooled_tail_encoder(store: EncodingStore, pool: Optional[WorkerPool], shard_rows: int):
-    """Fan the store's delta re-encodes across ``pool`` while active.
-
-    Installs a :data:`repro.engine.store.RangeEncoder` hook: whenever the
-    store needs to encode a pending sub-table (dirty + appended rows of one
-    side) larger than one shard, the rows are split into ``shard_rows``
-    slices, encoded on the pool, and concatenated in row order.  Sub-shard
-    work (or no pool) encodes inline — pooling a few dozen rows would cost
-    more in dispatch than it saves.  A pool that dies is marked broken and
-    the sub-table encoded inline.
-    """
-    if pool is None:
-        yield
-        return
-
-    def encoder(sub_table):
-        n = len(sub_table)
-        if n <= shard_rows or pool.broken:
-            return encode_table_rows(store.representation, sub_table)
-        try:
-            with pool.published((store.representation, sub_table)) as handle:
-                futures = [
-                    pool.submit(_encode_range_task, handle, start, min(start + shard_rows, n))
-                    for start in range(0, n, shard_rows)
-                ]
-                parts = [future.result()[1] for future in futures]
-        except BrokenExecutor:
-            pool.broken = True
-            return encode_table_rows(store.representation, sub_table)
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))  # (irs, mu, sigma)
-
-    previous = store.range_encoder
-    store.range_encoder = encoder
-    try:
-        yield
-    finally:
-        store.range_encoder = previous
-
-
-# ----------------------------------------------------------------------
-# Parallel index build
-# ----------------------------------------------------------------------
-def build_index_sharded(
-    vectors: np.ndarray,
-    keys: Sequence[object],
-    blocking: Optional[BlockingConfig] = None,
-    shard_rows: int = DEFAULT_SHARD_ROWS,
-    pool: Optional[WorkerPool] = None,
-) -> EuclideanLSHIndex:
-    """Build an LSH index with per-shard hash maps computed on ``pool``.
-
-    The projections are fixed once in the parent; each worker hashes one
-    row-range shard into partial bucket maps and the parent merges them in
-    row order, so bucket membership — and therefore every query answer — is
-    identical to a serial :meth:`EuclideanLSHIndex.build`.  The executor
-    passes the one pool it shares across build, query and score; with no
-    pool the tables are hashed serially.  If the pool dies mid-build the
-    tables are hashed serially and the pool is marked broken for the caller.
-    """
-    config = blocking or BlockingConfig()
-    index = EuclideanLSHIndex(
-        num_tables=config.num_tables,
-        hash_size=config.hash_size,
-        bucket_width=config.bucket_width,
-        seed=config.seed,
-    )
-    index.prepare(vectors, keys)
-    bounds = shard_bounds_for("right", index.size, shard_rows)
-    if pool is None or pool.broken or len(bounds) <= 1:
-        index.install_tables([index.hash_rows(0, index.size)])
-        return index
-    try:
-        with pool.published(index) as handle:
-            futures = [pool.submit(_hash_task, handle, b.start, b.stop) for b in bounds]
-            results = sorted(future.result() for future in futures)
-        index.install_tables([partial for _, partial, _ in results])
-    except BrokenExecutor:
-        pool.broken = True
-        index.install_tables([index.hash_rows(0, index.size)])
-    return index
-
-
-def _calibrated_fanout(
-    pool: WorkerPool,
-    handle: StateHandle,
-    bounds: Sequence[ShardBounds],
-    k: int,
-    query_chunk: int,
-    workers: int,
-    stage_timings: Optional[StageTimings],
-):
-    """Calibrated query fan-out: first shard measures, the rest coarsen.
-
-    The first planned shard runs alone — its round trip supplies the
-    dispatch/compute measurements the cost model sizes the remaining tasks
-    with (see :func:`_coarsen_query_bounds`), and its pairs head the stream,
-    so calibration costs nothing.  Returns ``(first_pairs, groups, submit)``:
-    ``submit(position)`` sends task group ``position`` to the pool (its
-    result is ``(position, pairs, seconds)``), so the caller decides how
-    many are in flight.  Recorded: ``dispatch``, ``block-ipc``, the first
-    shard under ``block``, and a ``query_tasks`` counter; ``block`` units
-    count *planned shards covered*, not pool tasks, keeping the accounting
-    independent of coarsening.
-    """
-
-    def record(name: str, seconds: float) -> None:
-        if stage_timings is not None:
-            stage_timings.record(name, seconds)
-
-    dispatch = _measure_dispatch(pool)
-    record("dispatch", dispatch)
-    first = bounds[0]
-    started = time.perf_counter()
-    _, first_pairs, first_seconds = pool.submit(
-        _query_task, handle, 0, first.start, first.stop, k, query_chunk
-    ).result()
-    round_trip = time.perf_counter() - started
-    record("block-ipc", max(0.0, round_trip - first_seconds))
-    record("block", first_seconds)
-    groups = _coarsen_query_bounds(bounds[1:], first.rows, first_seconds, dispatch, workers)
-    if stage_timings is not None:
-        stage_timings.record_counter("query_tasks", len(groups) + 1)
-
-    def submit(position: int):
-        group = groups[position]
-        return pool.submit(_query_task, handle, position, group.start, group.stop, k, query_chunk)
-
-    return first_pairs, groups, submit
 
 
 # ----------------------------------------------------------------------
@@ -775,11 +530,10 @@ class ResolutionExecutor:
     1. diff both tables against ``baseline`` (while its encodings are
        current), classifying every row as clean, dirty, appended or deleted;
     2. encode — the mutation-aware store re-encodes only dirty and appended
-       rows (on the pool, when one is held and they outgrow a shard) and
-       drops deleted ones for free;
+       rows and drops deleted ones for free;
     3. mutate the baseline LSH index in place — deleted right rows
        tombstoned, edited rows rebucketed, appended rows hashed in, each step
-       answer-identical to a rebuild — or build it (:func:`build_index_sharded`);
+       answer-identical to a rebuild — or build it;
     4. take candidate batches from the serial source
        (:func:`~repro.engine.stream.iter_candidate_batches`) or, with a pool,
        from :meth:`_pump`, which overlaps the query fan-out with scoring;
@@ -787,7 +541,9 @@ class ResolutionExecutor:
        untouched since, the matcher (inline, or :func:`_score_task` on the
        pool) for the rest — ``pairs_rescored``; every pair without a baseline.
 
-    Enumeration and batch packing are the same in every mode and batches are
+    Steps 1-3 run in the parent whatever the pool; only query shards and
+    score batches are pool units.  Enumeration and batch packing are the
+    same in every mode and batches are
     emitted strictly in ``batch_index`` order, so the stream is
     byte-identical whatever the worker count.  Against a baseline, reused
     probabilities are the baseline's bytes and rescored ones equal a cold
@@ -863,9 +619,9 @@ class ResolutionExecutor:
             left_diff = self._diff_side(baseline, "left")
             right_diff = self._diff_side(baseline, "right")
 
-        # One pool for the whole resolve — tail encode, build, query fan-out
-        # and scoring.  It predates the run, so workers never inherit the
-        # encoded arrays; each stage publishes what its tasks need.
+        # One pool for the query fan-out and scoring.  It predates the run,
+        # so workers never inherit the encoded arrays; the run publishes
+        # what its tasks need.
         pool = self.pool if plan.workers > 1 else None
         borrowed = pool is None and plan.workers > 1
         if borrowed:
@@ -877,11 +633,10 @@ class ResolutionExecutor:
             reencoded = store.counters.rows_reencoded
             tombstoned = store.counters.rows_tombstoned
             started = time.perf_counter()
-            with _pooled_tail_encoder(store, pool, plan.shard_rows):
-                if pool is not None:
-                    pool.begin_run(store, self.stage_timings)
-                left = store.table_encodings("left")
-                right = store.table_encodings("right")
+            if pool is not None:
+                pool.begin_run(store, self.stage_timings)
+            left = store.table_encodings("left")
+            right = store.table_encodings("right")
             guard_store_version(store, pinned)
             self._record_stage("encode", time.perf_counter() - started, units=2)
             self._record_counter("rows_reencoded", store.counters.rows_reencoded - reencoded)
@@ -891,12 +646,13 @@ class ResolutionExecutor:
             if baseline is not None and baseline.index_usable(pinned, plan.blocking, right_diff):
                 index = baseline.index
                 _apply_right_diff(index, baseline.right_keys, right, right_diff)
+                search = NearestNeighbourSearch.from_index(index, plan.blocking)
                 self._record_stage("block-extend", time.perf_counter() - started)
             else:
-                index = build_index_sharded(right.flat_mu(), right.keys, plan.blocking, plan.shard_rows, pool)
-                self._record_stage("block", time.perf_counter() - started, units=len(plan.build_bounds))
+                search = NearestNeighbourSearch(plan.blocking).build(right.flat_mu(), right.keys)
+                index = search.index
+                self._record_stage("block", time.perf_counter() - started)
             guard_store_version(store, pinned)
-            search = NearestNeighbourSearch.from_index(index, plan.blocking)
 
             scores: Dict[PairKey, float] = {}
             if baseline is not None and baseline.matcher is self.matcher:
@@ -948,10 +704,15 @@ class ResolutionExecutor:
         if pool is not None and not pool.broken:
             state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
             try:
-                with pool.published(state) as handle:
+                started = time.perf_counter()
+                handle = pool.publish(state)
+                self._record_stage("dispatch", time.perf_counter() - started)
+                try:
                     for batch in self._pump(pool, handle, left, right, pinned, scores):
                         emitted = batch.batch_index + 1
                         yield batch
+                finally:
+                    pool.release(handle)
                 return
             except BrokenExecutor:
                 pool.broken = True
@@ -1023,9 +784,12 @@ class ResolutionExecutor:
     ) -> Iterator[ResolutionBatch]:
         """Overlap query tasks and score batches with bounded in-flight depth.
 
-        The fan-out is calibrated (:func:`_calibrated_fanout`): the first
-        shard's pairs head the stream and the remaining shards arrive as
-        cost-model-sized task groups, submitted here as depth allows.
+        One :func:`_query_task` per planned query shard, submitted in row
+        order as depth allows.  Recorded besides ``block``, ``score`` and
+        ``merge``: ``dispatch``, the parent's seconds in ``submit`` (the
+        state's publication is timed by :meth:`_batches`), and ``block-ipc``,
+        per query task the time from submit to completion (stamped by a
+        done-callback) minus the worker's compute.
 
         Backpressure counts both unfinished futures *and* finished-but-
         unconsumed results in each stage: when one early unit is slow, later
@@ -1041,22 +805,28 @@ class ResolutionExecutor:
             return
         max_inflight = max(2, plan.workers * 2)
 
-        guard_store_version(store, pinned)
-        first_pairs, groups, submit = _calibrated_fanout(
-            pool, handle, bounds, plan.k, plan.query_chunk, plan.workers, self.stage_timings
-        )
-
         query_inflight: Dict[object, int] = {}
         query_done: Dict[int, Tuple[List[RecordPair], float]] = {}
+        # Per query task: when it was submitted, and when its future
+        # completed (written by a done-callback in whichever thread
+        # finishes the future).
+        query_submitted: Dict[int, float] = {}
+        query_completed: Dict[int, float] = {}
         score_inflight: Dict[object, int] = {}
         score_done: Dict[int, Tuple[Optional[np.ndarray], float]] = {}
         pending: Dict[int, Tuple[List[RecordPair], np.ndarray, List[int]]] = {}
-        buffer: List[RecordPair] = list(first_pairs)
+        buffer: List[RecordPair] = []
         merge_seconds = 0.0
         submitted = 0
         next_task = 0
         batch_index = 0
         next_emit = 0
+
+        def submit(fn, *args):
+            started = time.perf_counter()
+            future = pool.submit(fn, handle, *args)
+            self._record_stage("dispatch", time.perf_counter() - started)
+            return future
 
         def collect(inflight: Dict[object, int], done: Dict, block: bool) -> None:
             if not inflight:
@@ -1081,20 +851,30 @@ class ResolutionExecutor:
 
         while True:
             # Top up the query fan-out.
-            while submitted < len(groups) and len(query_inflight) + len(query_done) < max_inflight:
+            while submitted < len(bounds) and len(query_inflight) + len(query_done) < max_inflight:
                 guard_store_version(store, pinned)
-                query_inflight[submit(submitted)] = submitted
+                shard = bounds[submitted]
+                query_submitted[submitted] = time.perf_counter()
+                future = submit(_query_task, submitted, shard.start, shard.stop, plan.k, plan.query_chunk)
+                future.add_done_callback(
+                    lambda _, task=submitted: query_completed.__setitem__(task, time.perf_counter())
+                )
+                query_inflight[future] = submitted
                 submitted += 1
             collect(query_inflight, query_done, block=False)
             # Consume finished tasks strictly in row-range order.
             while next_task in query_done:
                 pairs, seconds = query_done.pop(next_task)
-                self._record_stage("block", seconds, units=groups[next_task].units)
+                self._record_stage("block", seconds)
+                # ``wait`` can return before the done-callbacks have run.
+                completed = query_completed.pop(next_task, time.perf_counter())
+                round_trip = completed - query_submitted.pop(next_task)
+                self._record_stage("block-ipc", max(0.0, round_trip - seconds))
                 started = time.perf_counter()
                 buffer.extend(pairs)
                 merge_seconds += time.perf_counter() - started
                 next_task += 1
-            blocking_done = next_task >= len(groups)
+            blocking_done = next_task >= len(bounds)
             # Pack and submit score batches (partial batch only at the end),
             # walking the buffer by offset and compacting once per round:
             # re-slicing the remainder per batch copies it every emission.
@@ -1112,9 +892,7 @@ class ResolutionExecutor:
                 right_rows = right.rows([head[i].right_id for i in unknown])
                 merge_seconds += time.perf_counter() - started
                 if unknown:
-                    score_inflight[
-                        pool.submit(_score_task, handle, batch_index, left_rows, right_rows)
-                    ] = batch_index
+                    score_inflight[submit(_score_task, batch_index, left_rows, right_rows)] = batch_index
                 else:  # served whole from the baseline: nothing to dispatch
                     score_done[batch_index] = (None, 0.0)
                 batch_index += 1

@@ -22,9 +22,9 @@ pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
 instrumented by :data:`POOL_SPAWNS`); a pool the caller supplies is used as
 is and never cached, released or shut down by the engine.  Either way
 candidate pairs are enumerated with *exactly* the same chunking and batch
-packing as the serial schedule, blocking and scoring fan out across the
-pool, and results merge back deterministically by ``(batch_index,
-pair_index)`` regardless of completion order.
+packing as the serial schedule, query shards and score batches fan out
+across the pool, and results merge back deterministically by
+``(batch_index, pair_index)`` regardless of completion order.
 
 Which local pool
 ----------------
@@ -33,9 +33,9 @@ start method and shared-memory segments both work (:func:`fork_pool_available`),
 and falls back to threads everywhere else (NumPy's BLAS releases the GIL in
 the kernels that dominate; fork stays off on macOS, where forking after the
 parent has touched Accelerate/BLAS aborts the children).  The local pool is
-*persistent*: one pool survives the encode → block → score stages of a
-resolve and is cached across resolves (delta rounds reuse it), so spawn cost
-is paid once.  Because the pool can predate any given stage's state, forked
+*persistent*: one pool serves the query and score units of a resolve and is
+cached across resolves (delta rounds reuse it), so spawn cost is paid
+once.  Because the pool can predate any given stage's state, forked
 workers never rely on copy-on-write inheritance; each stage *publishes* its
 state and tasks ship only the small :class:`StateHandle` plus index ranges.
 Work is deterministic on every pool: workers run the same NumPy ops on the
@@ -49,9 +49,8 @@ import atexit
 import multiprocessing
 import sys
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -142,15 +141,6 @@ class WorkerPool:
 
     def release(self, handle: StateHandle) -> None:
         """Withdraw a published state (tasks carrying it have finished)."""
-
-    @contextmanager
-    def published(self, state: object) -> Iterator[StateHandle]:
-        """Publish ``state`` for the duration of a ``with`` block."""
-        handle = self.publish(state)
-        try:
-            yield handle
-        finally:
-            self.release(handle)
 
     def begin_run(self, store, stage_timings) -> None:
         """Per-resolve hook (see the class docstring)."""
@@ -246,7 +236,7 @@ def make_pool(workers: int) -> WorkerPool:
 
     Workers are stateless at spawn time — stage state arrives later through
     :meth:`WorkerPool.publish` — which is what makes one pool reusable
-    across encode → block → score and across delta rounds.
+    across resolves and delta rounds.
     """
     global POOL_SPAWNS
     POOL_SPAWNS += 1

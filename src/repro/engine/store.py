@@ -27,7 +27,7 @@ reported through :class:`repro.eval.timing.EngineCounters`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,12 +50,6 @@ _ARRAY_FIELDS = ("irs", "mu", "sigma")
 
 #: Anything with ``left_id``/``right_id`` attributes addresses a pair.
 PairLike = Union[RecordPair, LabeledPair]
-
-#: Optional hook encoding a whole (sub-)table outside the store — the delta
-#: executor installs a pooled implementation so large mutation tails fan out
-#: across workers; ``None`` encodes inline.
-RangeEncoder = Callable[[Table], Tuple[np.ndarray, np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class _SideState:
@@ -143,9 +137,10 @@ class EncodingStore:
         chunks and generations.  The codec rides in the persistent-cache
         fingerprint, so raw and quantized entries never serve each other.
     shard_rows:
-        Target rows per row-range shard (the last shard of a table may be
-        short).  The cache itself holds one contiguous array per table, so
-        gathers spanning shards stay a single fancy-index.
+        Rows per left-table query shard, the unit a pooled resolve submits
+        to its workers (the last shard may be short).  The cache itself
+        holds one contiguous array per table, so gathers spanning shards
+        stay a single fancy-index.
     """
 
     def __init__(
@@ -161,8 +156,8 @@ class EncodingStore:
             raise ValueError("shard_rows must be positive")
         self.representation = representation
         self.task = task
-        #: Rows per row-range shard: the partitioning a planner over this
-        #: store distributes blocking and delta encodes in.
+        #: Rows per query shard: the left-table ranges a planner over this
+        #: store fans out, one pool task each.
         self.shard_rows = shard_rows
         self.counters = counters if counters is not None else engine_counters()
         self.persistent = persistent
@@ -180,9 +175,6 @@ class EncodingStore:
         #: unchanged table never re-CRC its rows while any in-place edit or
         #: deletion (which bumps the revision) invalidates immediately.
         self._fingerprints: Dict[str, _SideState] = {}
-        #: See :data:`RangeEncoder`; installed by a pooled executor to fan
-        #: large tail/dirty encodes across its worker pool.
-        self.range_encoder: Optional[RangeEncoder] = None
 
     # ------------------------------------------------------------------
     # Cache lifecycle
@@ -311,13 +303,9 @@ class EncodingStore:
         self._side_state(side)
         return encodings, False
 
-    def _encode_rows(self, table: Table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(irs, mu, sigma) of one table-shaped record collection."""
-        return encode_table_rows(self.representation, table)
-
     def _compute(self, side: str, table: Table) -> TableEncodings:
         """Encode one table from scratch (the work both caches exist to avoid)."""
-        irs, mu, sigma = self._encode_rows(table)
+        irs, mu, sigma = encode_table_rows(self.representation, table)
         self.counters.record_encode()
         keys = tuple(table.record_ids())
         encodings = TableEncodings(
@@ -330,12 +318,6 @@ class EncodingStore:
         # A from-scratch encode starts a new cache entry, so new params.
         return self._quantize(side, encodings, fit=True)
 
-    def _encode_subtable(self, sub_table: Table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode a record subset, through the pooled hook when installed."""
-        if self.range_encoder is not None:
-            return self.range_encoder(sub_table)
-        return self._encode_rows(sub_table)
-
     def _compute_records(self, side: str, table: Table, positions: Sequence[int]) -> TableEncodings:
         """Encode only the rows at ``positions`` (the delta re-encode path).
 
@@ -347,7 +329,7 @@ class EncodingStore:
         all_records = table.records()
         records = [all_records[position] for position in positions]
         sub_table = Table(table.name, table.attributes, records)
-        irs, mu, sigma = self._encode_subtable(sub_table)
+        irs, mu, sigma = encode_table_rows(self.representation, sub_table)
         self.counters.record_rows_reencoded(len(records))
         keys = tuple(record.record_id for record in records)
         encodings = TableEncodings(
@@ -727,14 +709,12 @@ def encode_table_rows(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(irs, mu, sigma) of one table-shaped record collection.
 
-    Standalone so pool workers — which receive the representation through a
-    shared-memory published state (:mod:`repro.engine.sharedmem`), or share
-    it outright on the threaded path — can encode row ranges without
-    constructing a store.  Each IR row is a pure function of its value (the
-    same bytes in any batch, table, process or request), and the row-wise
-    VAE forward keeps a row's ``mu``/``sigma`` within the documented 1 ulp
-    of any other batch's, which is what lets delta paths and pooled tail
-    encodes splice rows encoded at different times into one table.
+    Standalone so callers without a store — the serve daemon's probe
+    queries — encode through the same code.  Each IR row is a pure function
+    of its value (the same bytes in any batch, table, process or request),
+    and the row-wise VAE forward keeps a row's ``mu``/``sigma`` within the
+    documented 1 ulp of any other batch's, which is what lets delta paths
+    splice rows encoded at different times into one table.
     """
     irs = representation.ir_generator.transform_table(table)
     n, arity, _ = irs.shape

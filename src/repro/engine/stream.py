@@ -203,8 +203,8 @@ def resolve_stream(
 
     A thin constructor of the plan/execute engine's one executor for a cold
     run (no baseline, nothing captured): a
-    :class:`~repro.engine.plan.ResolutionPlanner` partitions the work into
-    row-range shards and a :class:`~repro.engine.plan.ResolutionExecutor`
+    :class:`~repro.engine.plan.ResolutionPlanner` partitions the left table
+    into query shards and a :class:`~repro.engine.plan.ResolutionExecutor`
     runs the encode → block → score stage graph.  ``workers=1`` enumerates
     candidates through :func:`iter_candidate_batches` above and scores each
     batch inline; with ``workers > 1`` the LSH blocking queries *and* the

@@ -243,12 +243,6 @@ class EngineCounters:
 #: Stage names of the planner's resolve graph, in dependency order.
 RESOLUTION_STAGES = ("encode", "block", "score")
 
-#: Overhead stages the distributed coordinator adds on top of the
-#: resolution stages: ``dispatch`` (state publication + unit submission),
-#: ``lease`` (enqueue → first observed worker lease) and ``merge`` (result
-#: transfer, validation and deterministic reassembly).
-DISTRIB_STAGES = ("dispatch", "lease", "merge")
-
 
 class StageTimings:
     """Per-stage compute-time sink for planner-driven resolution.
@@ -256,11 +250,14 @@ class StageTimings:
     The :class:`repro.engine.plan.ResolutionExecutor` reports every timed
     work unit here under its stage name (``encode``, ``block``, ``score``),
     accumulating seconds and unit counts per stage.  Pooled runs add the
-    parallel-overhead stages — ``dispatch`` (task submission), ``block-ipc``
-    (a result-transfer sample) and ``merge`` (deterministic reassembly) —
-    plus a ``query_tasks`` counter, so a sweep can show where the wall clock
-    went, not just that it moved.  The per-stage seconds are *worker
-    compute* time: with a pool, the summed
+    parallel-overhead stages, with one meaning on every pool: ``dispatch``
+    (the parent's seconds publishing stage state and submitting units),
+    ``block-ipc`` (per query task, submit-to-completion time minus the
+    worker's compute) and ``merge`` (deterministic reassembly); the
+    distributed coordinator adds ``lease`` (enqueue → first observed worker
+    lease) and its result decoding under ``merge``.  So a sweep can show
+    where the wall clock went, not just that it moved.  The ``block`` and
+    ``score`` seconds are *worker compute* time: with a pool, the summed
     figure exceeds the run's wall clock — the gap is the parallel speedup.
     """
 

@@ -157,8 +157,9 @@ class TestRecovery:
 
     def test_later_run_does_not_adopt_an_earlier_runs_result(self, tmp_path, queue):
         """Adoption is for restarts: a long-lived coordinator re-submitting an
-        identical unit in its next run (the calibration probes always are)
-        gets a real round trip, not the result file the last run left."""
+        identical unit in its next run (a repeated resolve of unchanged
+        tables does) gets a real round trip, not the result file the last
+        run left."""
         no_cache = SimpleNamespace(persistent=None)
         stop = threading.Event()
         coordinator = Coordinator(queue, tmp_path / "state", poll_interval=0.01)

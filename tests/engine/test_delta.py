@@ -39,7 +39,7 @@ from repro.engine import (
     resolve_delta,
     resolve_stream,
 )
-from repro.engine.shard import WorkerPool, acquire_pool, release_pool
+from repro.engine.shard import ThreadWorkerPool, WorkerPool, acquire_pool, release_pool
 from repro.eval.timing import EngineCounters, StageTimings
 
 
@@ -217,13 +217,12 @@ class TestRegistryEquivalence:
         self._check_parallel_delta_tail()
 
     def _check_parallel_delta_tail(self):
-        """workers>1 fans the pending-row encode, the left-shard queries and
-        the scoring across the pool; the stream must honour the delta
-        contract against the serial delta run: keys, batch packing and match
-        set exact, reused pairs byte-equal, pairs touching a re-encoded row
-        (encoded in pool-sized slices, a different matmul batch shape) within
-        1 ulp.  The delta round packs one pair per batch, so every query
-        task's pairs span many batches."""
+        """workers>1 fans the left-shard queries and the scoring across the
+        pool while the pending rows (more than one shard of them) encode in
+        the parent, as in a serial run; the pooled delta stream must equal
+        the serial one byte for byte — keys, batch packing and probabilities,
+        pairs touching a re-encoded row included.  The delta round packs one
+        pair per batch, so every query task's pairs span many batches."""
         domain = _fresh_tiny_domain()
         twin = _fresh_tiny_domain()
         representation = EntityRepresentationModel(
@@ -257,23 +256,11 @@ class TestRegistryEquivalence:
             k=4, batch_size=1, workers=2,
         )
         assert pooled_executor.plan.workers == 2
-        encode_units = pooled_executor.plan.stage("encode").units
-        assert any("delta[" in unit.name for unit in encode_units), (
-            "a pending tail larger than one shard must fan out in the plan"
-        )
         pooled = list(pooled_executor.run())
         assert store_pooled.counters.rows_reencoded == store_serial.counters.rows_reencoded == 23
-        assert [(b.batch_index, [p.key() for p in b.pairs]) for b in pooled] == [
-            (b.batch_index, [p.key() for p in b.pairs]) for b in serial
-        ]
-        pooled, serial = merge_scored_batches(pooled), merge_scored_batches(serial)
-        assert {p.key() for p in pooled.matches()} == {p.key() for p in serial.matches()}
-        touched = np.array([p.right_id in reencoded for p in serial.pairs])
-        assert touched.any() and not touched.all()
-        np.testing.assert_array_equal(pooled.probabilities[~touched], serial.probabilities[~touched])
-        np.testing.assert_array_max_ulp(
-            pooled.probabilities[touched], serial.probabilities[touched], maxulp=1
-        )
+        assert _batch_rows(pooled) == _batch_rows(serial)
+        touched = [p.right_id in reencoded for b in serial for p in b.pairs]
+        assert any(touched) and not all(touched)
 
     def test_rescored_pairs_all_involve_new_rows(self):
         """The score stage restricts matcher work to pairs touching new rows."""
@@ -517,7 +504,8 @@ class TestModeEquivalence:
         cold encode of the mutated table is a different matmul batch shape),
         reused pairs carrying the baseline's bytes — while re-encoding exactly the edited and appended
         rows and running the matcher on exactly the pairs the surviving
-        baseline does not cover."""
+        baseline does not cover.  The pooled served stream equals the serial
+        one byte for byte."""
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
         knobs = dict(blocking=blocking, k=k, batch_size=batch_size)
@@ -528,6 +516,7 @@ class TestModeEquivalence:
             )
 
         reference = _batch_rows(resolve_stream(fresh_store(_fresh_tiny_domain()), matcher, **knobs))
+        served_by_workers = {}
         for workers in (1, 2):
             domain = _fresh_tiny_domain()
             assert _batch_rows(
@@ -566,6 +555,7 @@ class TestModeEquivalence:
                 store, matcher, baseline=baseline, workers=workers, stage_timings=timings, **knobs
             )
             served = list(warm.run())
+            served_by_workers[workers] = _batch_rows(served)
             assert store.counters.rows_reencoded - reencoded == edits + left_edits + appends
             assert len(gone) <= store.counters.rows_tombstoned - tombstoned <= deletes
             assert store.counters.tables_encoded == 2  # the cold capture only
@@ -582,6 +572,9 @@ class TestModeEquivalence:
             ]
             np.testing.assert_allclose(served.probabilities, cold.probabilities, atol=1e-9)
             assert len(warm.baseline_out.scores) == len(served)
+        # The pool runs only query and score units, so the served delta
+        # streams are the same bytes at either worker count.
+        assert served_by_workers[2] == served_by_workers[1]
 
 
 class _DyingPool(WorkerPool):
@@ -604,10 +597,9 @@ class _DyingPool(WorkerPool):
 
 
 class TestDeadPoolResume:
-    # Pool tasks of these runs, in submission order: 5 hash tasks (cold only),
-    # 2 dispatch probes, the calibration query shard, then the remaining
-    # query groups interleaved with one score task per batch the baseline
-    # does not fully cover (all 13 when cold).
+    # Pool tasks of these runs, in submission order: the 5 query shards (40
+    # left rows, shard_rows=8) interleaved with one score task per batch the
+    # baseline does not fully cover (all 13 when cold).
     @pytest.mark.parametrize("budget", [0, 2, 4, 6, 8, 10, 14, 22, 10**6])
     @pytest.mark.parametrize("mutated", [False, True], ids=["cold", "baseline"])
     def test_stream_survives_pool_death_at_any_task(self, delta_representation, mutated, budget):
@@ -638,15 +630,57 @@ class TestDeadPoolResume:
         executor = resolve_delta(twin_store, matcher, baseline=twin_baseline, pool=pool, **knobs)
         resumed = list(executor.run())
         assert pool.broken == pool.refused
-        # Every pooled run submits at least the probes and the calibration
-        # shard; how many tasks follow depends on the measured coarsening.
-        if budget <= 2:
+        # Every pooled run submits one task per planned query shard.
+        if budget < len(executor.plan.query_bounds):
             assert pool.refused
         if budget == 10**6:
             assert not pool.refused
         assert [b.batch_index for b in resumed] == list(range(len(resumed)))
         assert _batch_rows(resumed) == _batch_rows(serial)
         assert len(executor.baseline_out.scores) == sum(len(b) for b in serial)
+
+
+class _RecordingPool(ThreadWorkerPool):
+    """A thread pool that records the name of every function submitted to it."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(workers)
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append(fn.__name__)
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestPoolUnits:
+    def test_only_query_and_score_units_reach_the_pool(self, delta_representation):
+        """Encodes and the LSH build or mutation run in the parent: a cold
+        resolve and a delta round whose pending rows outgrow a shard each
+        submit one query task per planned shard plus score tasks, and
+        nothing else."""
+        domain = _fresh_tiny_domain()
+        store = EncodingStore(
+            delta_representation, domain.task, counters=EngineCounters(), shard_rows=8
+        )
+        pool = _RecordingPool(2)
+        baseline = None
+        try:
+            for mutate in (False, True):
+                if mutate:
+                    mutate_rows(domain, side="right", rows=3)
+                    append_rows(domain, side="right", rows=20)
+                    append_rows(domain, side="left", rows=12)
+                executor = resolve_delta(
+                    store, _DistanceMatcher(), baseline=baseline, pool=pool, k=4, batch_size=13
+                )
+                del pool.submitted[:]
+                list(executor.run())
+                baseline = executor.baseline_out
+                assert set(pool.submitted) == {"_query_task", "_score_task"}
+                assert pool.submitted.count("_query_task") == len(executor.plan.query_bounds)
+        finally:
+            pool.shutdown()
+        assert store.counters.rows_reencoded == 3 + 20 + 12
 
 
 class TestBaselineHygiene:
@@ -809,23 +843,23 @@ class TestDeltaPlan:
         assert "tombstone right" in text
 
     def test_delta_plan_pooled_encode_units(self):
-        """With workers > 1, pending rows beyond one shard fan into per-slice
-        encode units."""
+        """Pending rows encode in the parent whatever the worker count: a
+        pooled plan whose tail outgrows a shard has the serial encode units."""
         domain = _fresh_tiny_domain()
-        planner = ResolutionPlanner(domain.task, k=4, batch_size=13, workers=2, shard_rows=8)
-        plan = planner.plan(
-            delta=DeltaBounds(
-                base_left_rows=len(domain.task.left),
-                base_right_rows=len(domain.task.right) - 20,
-            ),
-            index_reusable=True,
+        delta = DeltaBounds(
+            base_left_rows=len(domain.task.left), base_right_rows=len(domain.task.right) - 20
         )
-        assert plan.workers == 2
-        names = [unit.name for unit in plan.stage("encode").units]
-        assert names[0] == "left"
-        assert [n for n in names if n.startswith("right delta[")], names
-        fanned = [unit for unit in plan.stage("encode").units if "delta[" in unit.name]
-        assert sum(unit.rows for unit in fanned) == 20
+        plans = [
+            ResolutionPlanner(domain.task, k=4, batch_size=13, workers=workers, shard_rows=8).plan(
+                delta=delta, index_reusable=True
+            )
+            for workers in (1, 2)
+        ]
+        assert plans[1].workers == 2
+        assert plans[1].stage("encode") == plans[0].stage("encode")
+        assert [(u.name, u.rows) for u in plans[1].stage("encode").units] == [
+            ("left", 0), ("right tail", 20),
+        ]
 
     def test_delta_plan_without_baseline_is_cold(self):
         domain = _fresh_tiny_domain()
@@ -833,7 +867,7 @@ class TestDeltaPlan:
         plan = planner.plan(delta=DeltaBounds(0, 0))
         # Nothing reusable: the block stage is the cold run's, unit for unit.
         assert plan.stage("block") == planner.plan().stage("block")
-        assert plan.stage("block").units[0].name == "build right[0]"
+        assert plan.stage("block").units[0].name == "build right"
         assert all(unit.rows > 0 for unit in plan.stage("encode").units)
         # Base rows are clamped into the table's range.
         clamped = ResolutionPlanner(domain.task, shard_rows=16).plan(delta=DeltaBounds(10_000, -5))

@@ -4,9 +4,9 @@ Three invariants pin the plan/execute refactor:
 
 * the plan is pure metadata — stage graph and shard bounds derive from table
   sizes alone, no encoding;
-* pooled blocking (worker-built hash maps + the executor's query fan-out)
-  produces the *identical* candidate-pair list as a serial search, on every
-  registry domain;
+* pooled blocking (the executor's query fan-out, one pool task per planned
+  shard) produces the *identical* candidate-pair list as a serial search, on
+  every registry domain;
 * planner-driven resolution is byte-identical to ``resolve_stream`` for any
   (k, batch_size, workers) combination, and a warm run against a chunked
   persistent cache encodes zero tables.
@@ -26,10 +26,7 @@ from repro.engine import (
     PersistentEncodingCache,
     ResolutionExecutor,
     ResolutionPlanner,
-    acquire_pool,
-    build_index_sharded,
     merge_scored_batches,
-    release_pool,
     resolve_stream,
     shard_bounds_for,
 )
@@ -79,8 +76,7 @@ class TestPlannerGraph:
             ("right", right, "IR transform + VAE forward"),
         ]
         assert [(u.name, u.rows, u.detail) for u in plan.stage("block").units] == [
-            (f"build right[{i}]", min(16, right - s), f"hash rows {s}..{min(s + 16, right)}")
-            for i, s in enumerate(range(0, right, 16))
+            ("build right", right, f"hash rows 0..{right}"),
         ] + [
             (f"query left[{i}]", min(16, left - s), f"top-5 rows {s}..{min(s + 16, left)}")
             for i, s in enumerate(range(0, left, 16))
@@ -93,12 +89,11 @@ class TestPlannerGraph:
         plan = ResolutionPlanner(tiny_domain.task, shard_rows=16).plan()
         assert plan.query_bounds[0].start == 0
         assert plan.query_bounds[-1].stop == len(tiny_domain.task.left)
-        assert plan.build_bounds[-1].stop == len(tiny_domain.task.right)
         for previous, current in zip(plan.query_bounds, plan.query_bounds[1:]):
             assert previous.stop == current.start
-        # The block stage schedules one build unit per right shard and one
-        # query unit per left shard.
-        assert plan.stage("block").num_units == len(plan.build_bounds) + len(plan.query_bounds)
+        # The block stage schedules one build unit for the whole right table
+        # and one query unit per left shard.
+        assert plan.stage("block").num_units == 1 + len(plan.query_bounds)
 
     def test_max_batches_upper_bound(self, tiny_domain):
         plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=17).plan()
@@ -165,8 +160,8 @@ class _ConstantMatcher:
 class TestShardedBlockingEquivalence:
     @pytest.mark.parametrize("name", DOMAIN_NAMES)
     def test_identical_candidate_pairs_on_every_registry_domain(self, name):
-        """The executor's pooled source — worker-built hash maps and the
-        calibrated query fan-out — enumerates exactly the serial candidates."""
+        """The executor's pooled source — one query task per planned shard —
+        enumerates exactly the serial candidates."""
         domain = load_domain(name, scale=0.25)
         representation = EntityRepresentationModel(
             VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7), ir_method="lsa"
@@ -184,22 +179,6 @@ class TestShardedBlockingEquivalence:
         )
         assert len(pooled) > 0
         assert [p.key() for p in pooled.pairs] == [p.key() for p in serial]
-
-    def test_sharded_build_matches_serial_tables(self):
-        rng = np.random.default_rng(5)
-        vectors = rng.normal(size=(45, 6))
-        keys = [f"r{i}" for i in range(45)]
-        config = BlockingConfig(seed=3)
-        serial = NearestNeighbourSearch(config).build(vectors, keys).index
-        pool = acquire_pool(3)
-        try:
-            sharded = build_index_sharded(vectors, keys, blocking=config, shard_rows=10, pool=pool)
-            assert not pool.broken
-        finally:
-            release_pool(pool)
-        assert len(serial._tables) == len(sharded._tables)
-        for serial_table, sharded_table in zip(serial._tables, sharded._tables):
-            assert dict(serial_table) == dict(sharded_table)
 
 
 class TestPlannerResolveEquivalence:
@@ -239,10 +218,12 @@ class TestPlannerResolveEquivalence:
         assert set(stage_timings.stages()) == {
             "encode", "block", "score", "dispatch", "block-ipc", "merge",
         }
-        # Block units count *planned* shards (built and queried), however the
-        # cost model groups the queries into pool tasks.
-        assert stage_timings.units("block") == len(plan.build_bounds) + len(plan.query_bounds)
-        assert 1 <= stage_timings.counter("query_tasks") <= len(plan.query_bounds)
+        # One build, then one pool task per planned query shard, each with
+        # its own submit-to-completion overhead sample.
+        assert stage_timings.units("block") == 1 + len(plan.query_bounds)
+        assert stage_timings.units("block-ipc") == len(plan.query_bounds)
+        # Dispatch: the state's publication plus every submitted unit.
+        assert stage_timings.units("dispatch") > len(plan.query_bounds)
         assert stage_timings.counter("pairs_rescored") == len(planned)
 
     def test_oversized_k_and_batch(self, planned_pipeline):
