@@ -627,11 +627,9 @@ class ScalarQuantizer(Codec):
 
 
 # -- PQ training knobs --------------------------------------------------
-#: Override the subspace count ``m`` (default: one subspace per
-#: ``_PQ_DSUB`` flattened dimensions, clamped to ``d``).
-PQ_M_ENV_VAR = "REPRO_PQ_M"
 #: Target subvector width when ``m`` is derived (4 floats -> 1 byte = 32x
 #: on the code payload; accuracy-leaning vs the classic 8).
+#: ``ProductQuantizer(m=...)`` overrides the derived count.
 _PQ_DSUB = 4
 #: Hard cap on codebook entries (uint8 codes).
 _PQ_KSUB_MAX = 256
@@ -642,7 +640,8 @@ _PQ_KSUB_MIN = 64
 #: Centroid budget grows with the table: ~one centroid per this many rows;
 #: f16 codebooks amortise against code bytes from a few hundred rows up.
 _PQ_ROWS_PER_CENTROID = 8
-#: Lloyd iterations (assignments converge long before this on our tables).
+#: Cap on Lloyd passes. A fit stops earlier, at its fixed point: most
+#: subspaces repeat their assignment by the fourth to seventh pass.
 _PQ_ITERS = 15
 #: Distortion-adaptive refinement target: a fitted subspace whose mean
 #: squared quantization error exceeds this fraction of its total variance
@@ -657,23 +656,43 @@ _PQ_SEED = 0x5EED
 
 
 def _pq_assign(sub: np.ndarray, codebook: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid assignment by exact blockwise broadcast-diff.
+    """Nearest-centroid assignment by exact, per-dimension squared differences.
 
-    The difference of bit-equal float32 values is exactly ``0.0``, so a
-    subvector that *is* a codebook entry always assigns to it with
-    distance exactly zero — the property the low-variance exact-decode
-    guard relies on (a matmul-based expansion would round).
-    Returns ``(indices, squared distances)``.
+    Each subspace dimension contributes one ``(rows, ksub)`` plane
+    ``(sub[:, t] - codebook[:, t]) ** 2``. The planes add in one fixed
+    order: four lanes, lane ``l`` summing dimensions ``l, l + 4, ...`` in
+    turn, then ``((l0 + l1) + (l2 + l3))``. That is sequential at widths
+    1-3 and the order numpy's 4-wide SIMD ``einsum`` reduction uses below
+    width 16, but it is written out, so it does not depend on how numpy
+    was built. The difference of bit-equal float32 values is exactly
+    ``0.0``, so a subvector that *is* a codebook entry always assigns to it
+    with distance exactly zero — the property the low-variance
+    exact-decode guard relies on (a matmul-based expansion would round).
+    Ties go to the lowest index. Returns ``(indices, squared distances)``.
     """
     n = sub.shape[0]
     ksub, dsub = codebook.shape
+    columns = np.ascontiguousarray(codebook.T)  # one contiguous row per dimension
     indices = np.empty(n, dtype=np.intp)
     dists = np.empty(n, dtype=np.float32)
     block = max(1, _BLOCK_BYTES // (4 * max(1, ksub * max(1, dsub))))
     for start in range(0, n, block):
         stop = min(n, start + block)
-        diff = sub[start:stop, None, :] - codebook[None, :, :]
-        sq = np.einsum("ikd,ikd->ik", diff, diff)
+        lanes: List[np.ndarray] = []
+        for t in range(dsub):
+            plane = sub[start:stop, t, None] - columns[t]
+            np.multiply(plane, plane, out=plane)
+            if t < 4:
+                lanes.append(plane)
+            else:
+                lanes[t % 4] += plane
+        if len(lanes) > 1:
+            lanes[0] += lanes[1]
+        if len(lanes) > 3:
+            lanes[2] += lanes[3]
+        if len(lanes) > 2:
+            lanes[0] += lanes[2]
+        sq = lanes[0]
         indices[start:stop] = sq.argmin(axis=1)
         dists[start:stop] = sq[np.arange(stop - start), indices[start:stop]]
     return indices, dists
@@ -681,13 +700,22 @@ def _pq_assign(sub: np.ndarray, codebook: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 def _pq_kmeans(
     sub: np.ndarray, unique_rows: np.ndarray, ksub: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Seeded Lloyd k-means over one float32 subspace; float32 centroids.
 
     Deterministic end to end: seeded init from distinct rows, stable
     argmin assignment, and empty clusters reseeded to the points farthest
     from their current centroid (largest distance first, lowest row index
     on ties). Means accumulate in float64 and round once to float32.
+
+    Lloyd stops at its fixed point (at most ``_PQ_ITERS`` passes): when a
+    pass repeats the assignment of the pass before it and that pass left
+    no cluster empty, every centre is already the mean of the same
+    members, so further passes cannot change a byte. A pass that reseeds
+    is never the reference for that check. Returns ``(codebook, dists)``:
+    ``dists`` are the squared distances of every row of ``sub`` to its
+    codebook entry when the fixed-point pass computed them over the whole
+    subspace (no ``_PQ_TRAIN_CAP`` subsample), else ``None``.
     """
     train = sub
     if train.shape[0] > _PQ_TRAIN_CAP:
@@ -696,8 +724,12 @@ def _pq_kmeans(
     init = rng.choice(unique_rows.shape[0], ksub, replace=False)
     centers = unique_rows[np.sort(init)].astype(np.float64)
     x = train.astype(np.float64)
+    settled: Optional[np.ndarray] = None  # last assignment that left no cluster empty
     for _ in range(_PQ_ITERS):
-        assign, dist = _pq_assign(train, centers.astype(np.float32))
+        codebook = centers.astype(np.float32)
+        assign, dist = _pq_assign(train, codebook)
+        if settled is not None and np.array_equal(assign, settled):
+            return codebook, (dist if train is sub else None)
         counts = np.bincount(assign, minlength=ksub)
         sums = np.zeros((ksub, x.shape[1]), dtype=np.float64)
         for dim in range(x.shape[1]):
@@ -705,20 +737,22 @@ def _pq_kmeans(
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         empties = np.flatnonzero(~filled)
+        settled = None if empties.size else assign
         if empties.size:
             far = np.argsort(-dist.astype(np.float64), kind="stable")
             for empty, point in zip(empties, far[: empties.size]):
                 centers[empty] = x[point]
-    return centers.astype(np.float32)
+    return centers.astype(np.float32), None
 
 
 class ProductQuantizer(Codec):
     """Trained product quantization: per-subspace k-means codebooks.
 
     ``fit`` flattens the trailing dims to ``d`` float dimensions, splits
-    them into ``m`` contiguous subspaces (``REPRO_PQ_M`` overrides the
-    ``d / 4`` default) and trains one codebook per subspace with seeded,
-    deterministic Lloyd k-means. The codebook budget scales with the
+    them into ``m`` contiguous subspaces (``ProductQuantizer(m=...)``
+    overrides the ``d / 4`` default) and trains one codebook per subspace
+    with seeded, deterministic Lloyd k-means that stops at its fixed point
+    (at most ``_PQ_ITERS`` passes). The codebook budget scales with the
     table — ``min(256, max(64, rows / 8))`` centroids — floored high
     enough for blocking-grade fidelity; tables smaller than the floor
     fall into the exact-decode guard, so the budget never degenerates.
@@ -742,13 +776,6 @@ class ProductQuantizer(Codec):
     def _subspaces(self, d: int) -> List[int]:
         """Split boundaries: ``m + 1`` monotone offsets covering ``d``."""
         m = self.m
-        if m is None:
-            env = os.environ.get(PQ_M_ENV_VAR, "").strip()
-            if env:
-                try:
-                    m = int(env)
-                except ValueError:
-                    m = None
         if m is None or m <= 0:
             m = math.ceil(d / _PQ_DSUB)
         m = max(1, min(int(m), d)) if d else 0
@@ -777,9 +804,10 @@ class ProductQuantizer(Codec):
             codebooks.append(unique_rows)
             widths.append(sub.shape[1])
             return
-        codebook = _pq_kmeans(sub, unique_rows, ksub, rng)
+        codebook, dists = _pq_kmeans(sub, unique_rows, ksub, rng)
         if sub.shape[1] >= 2:
-            _, dists = _pq_assign(sub, codebook)
+            if dists is None:
+                _, dists = _pq_assign(sub, codebook)
             variance = float(sub.var(axis=0, dtype=np.float64).sum())
             if variance > 0.0 and float(dists.mean(dtype=np.float64)) > (
                 _PQ_DISTORTION_TARGET * variance

@@ -299,11 +299,11 @@ class TestProductQuantizer:
         grown = array.concat_rows(_clustered_floats(n=8, seed=32))
         assert len(grown) == 48 and grown.params is array.params
 
-    def test_m_override_via_constructor_and_env(self, monkeypatch):
+    def test_m_override_via_constructor(self):
         values = _clustered_floats(n=100, d=8, seed=33)
         assert ProductQuantizer(m=2).fit(values).m == 2
-        monkeypatch.setenv("REPRO_PQ_M", "4")
-        assert ProductQuantizer().fit(values).m == 4
+        assert ProductQuantizer(m=4).fit(values).m == 4
+        assert ProductQuantizer().fit(values).m == 2  # the d / 4 default
 
     def test_query_policy_attributes(self):
         # The LSH index reads these off the table params: int8 ranks
@@ -311,6 +311,164 @@ class TestProductQuantizer:
         # ADC shortlist plus one extra bucket probe per table.
         assert (CodecParams.rank_expansion, CodecParams.extra_probes) == (1, 0)
         assert (PQParams.rank_expansion, PQParams.extra_probes) == (2, 1)
+
+
+def _reference_assign(sub, codebook):
+    """The broadcast-difference ``einsum`` assignment the per-dimension
+    kernel replaced (blocking never changed a row's answer, so none here)."""
+    diff = sub[:, None, :] - codebook[None, :, :]
+    sq = np.einsum("ikd,ikd->ik", diff, diff)
+    indices = sq.argmin(axis=1)
+    return indices, sq[np.arange(len(sub)), indices]
+
+
+def _reference_kmeans(sub, unique_rows, ksub, rng):
+    """Lloyd as it ran before the fixed-point exit: always ``_PQ_ITERS``
+    passes. Returns ``(centres, passes that reseeded an empty cluster)``."""
+    train = sub
+    if train.shape[0] > quant_module._PQ_TRAIN_CAP:
+        picked = np.sort(rng.choice(train.shape[0], quant_module._PQ_TRAIN_CAP, replace=False))
+        train = train[picked]
+    init = rng.choice(unique_rows.shape[0], ksub, replace=False)
+    centers = unique_rows[np.sort(init)].astype(np.float64)
+    x = train.astype(np.float64)
+    reseeds = 0
+    for _ in range(quant_module._PQ_ITERS):
+        assign, dist = _reference_assign(train, centers.astype(np.float32))
+        counts = np.bincount(assign, minlength=ksub)
+        sums = np.zeros((ksub, x.shape[1]), dtype=np.float64)
+        for dim in range(x.shape[1]):
+            sums[:, dim] = np.bincount(assign, weights=x[:, dim], minlength=ksub)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        empties = np.flatnonzero(~filled)
+        if empties.size:
+            reseeds += 1
+            far = np.argsort(-dist.astype(np.float64), kind="stable")
+            for empty, point in zip(empties, far[: empties.size]):
+                centers[empty] = x[point]
+    return centers.astype(np.float32), reseeds
+
+
+def _reference_fit(values, m=None):
+    """``ProductQuantizer.fit`` on the reference kernel and the full Lloyd
+    loop, with the separate distortion pass that follows it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quant_module, "_pq_assign", _reference_assign)
+        patch.setattr(quant_module, "_pq_kmeans", lambda *args: (_reference_kmeans(*args)[0], None))
+        return ProductQuantizer(m=m).fit(values)
+
+
+def _duplicated_rows(rng, width, rows=400):
+    """Every one of 70-120 distinct values — more than the 64-entry
+    codebook — then heavy repeats (1/rank multiplicities), shuffled."""
+    distinct = rng.normal(size=(int(rng.integers(70, 120)), width)).astype(np.float32)
+    weights = 1.0 / np.arange(1, len(distinct) + 1)
+    picked = rng.choice(len(distinct), size=rows - len(distinct), p=weights / weights.sum())
+    return distinct[rng.permutation(np.concatenate([np.arange(len(distinct)), picked]))]
+
+
+class TestLloydEquivalence:
+    """PQ training stops at its fixed point and assigns with a per-dimension
+    kernel; against the full fifteen-pass loop on the ``einsum`` kernel not a
+    byte moves (at widths 1-4, the widths the default split produces)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        width=st.integers(1, 4),
+        rows=st.integers(1, 90),
+        ksub=st.integers(1, 64),
+        grid=st.booleans(),
+        block_bytes=st.sampled_from([1 << 22, 600]),
+    )
+    def test_assign_kernel_matches_einsum_reference(
+        self, seed, width, rows, ksub, grid, block_bytes
+    ):
+        rng = np.random.default_rng(seed)
+        if grid:  # few values on a coarse grid: exact ties everywhere
+            draw = lambda n: rng.integers(-3, 4, size=(n, width)) / 4.0
+        else:  # per-dimension scales far apart: the sum order shows in the bits
+            scales = 10.0 ** rng.uniform(-3, 3, size=width)
+            draw = lambda n: rng.normal(size=(n, width)) * scales
+        codebook = draw(ksub).astype(np.float32)
+        codebook[rng.integers(0, ksub, size=ksub // 4)] = codebook[0]  # duplicate entries
+        sub = np.concatenate([draw(rows), codebook[rng.integers(0, ksub, size=rows)]])
+        sub = sub[rng.integers(0, len(sub), size=2 * rows)].astype(np.float32)  # duplicate rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quant_module, "_BLOCK_BYTES", block_bytes)
+            indices, dists = quant_module._pq_assign(sub, codebook)
+        want_indices, want_dists = _reference_assign(sub, codebook)
+        np.testing.assert_array_equal(indices, want_indices)
+        assert dists.dtype == np.float32 and dists.tobytes() == want_dists.tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_codebook_entries_assign_to_themselves_at_distance_zero(self, width):
+        """The exact-decode guard's property, at every width an ``m=``
+        override can produce."""
+        rng = np.random.default_rng(width)
+        scales = 10.0 ** rng.uniform(-3, 3, size=width)
+        codebook = (rng.normal(size=(64, width)) * scales).astype(np.float32)
+        sub = np.concatenate([codebook[::-1], (rng.normal(size=(20, width)) * scales).astype(np.float32)])
+        indices, dists = quant_module._pq_assign(sub, codebook)
+        np.testing.assert_array_equal(indices[:64], np.arange(64)[::-1])
+        assert np.all(dists[:64] == 0.0)
+
+    @pytest.mark.parametrize("repeated_init", [False, True], ids=["distinct-init", "repeated-init"])
+    def test_kmeans_matches_the_fifteen_pass_reference(self, repeated_init):
+        """Byte-equal centres over 24 seeds, and byte-equal distances when
+        the fixed-point pass hands them back. Drawing the initial centres
+        from rows with repeats puts equal centres into the first pass, so
+        the higher-index twin is empty and reseeds."""
+        reseeded = reused = 0
+        for seed in range(24):
+            sub = _duplicated_rows(np.random.default_rng(seed), width=1 + seed % 4)
+            unique_rows = sub if repeated_init else np.unique(sub, axis=0)
+            want, reseeds = _reference_kmeans(sub, unique_rows, 64, np.random.default_rng(seed))
+            got, dists = quant_module._pq_kmeans(sub, unique_rows, 64, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"
+            if dists is not None:
+                assert dists.tobytes() == _reference_assign(sub, want)[1].tobytes(), f"seed {seed}"
+            reseeded += reseeds > 0
+            reused += dists is not None
+        assert reused >= 12  # most runs reach their fixed point well inside the cap
+        if repeated_init:
+            assert reseeded >= 12  # the reseed branch is exercised, not just present
+
+    @pytest.mark.parametrize("m", [None, 2])
+    @pytest.mark.parametrize("kind", ["noise", "clustered", "duplicated"])
+    def test_fit_matches_the_reference_fit(self, kind, m):
+        rng = np.random.default_rng(41)
+        if kind == "noise":
+            values = rng.normal(size=(300, 8))
+        elif kind == "clustered":
+            values = _clustered_floats(n=300, d=8, centers=40, noise=0.05, seed=42)
+        else:
+            values = _duplicated_rows(rng, width=8).astype(np.float64)
+        assert ProductQuantizer(m=m).fit(values) == _reference_fit(values, m)
+
+    def test_subsampled_fit_recomputes_distortion_over_the_whole_subspace(self, monkeypatch):
+        """Under a ``_PQ_TRAIN_CAP`` subsample the fixed-point pass saw only
+        the sample, so every distortion check assigns all rows again."""
+        monkeypatch.setattr(quant_module, "_PQ_TRAIN_CAP", 150)
+        values = np.random.default_rng(43).normal(size=(400, 8))
+        want = _reference_fit(values)
+        assigned, widths = [], []
+        assign, kmeans = quant_module._pq_assign, quant_module._pq_kmeans
+
+        def recording_assign(sub, codebook):
+            assigned.append(len(sub))
+            return assign(sub, codebook)
+
+        def recording_kmeans(sub, unique_rows, ksub, rng):
+            widths.append(sub.shape[1])
+            return kmeans(sub, unique_rows, ksub, rng)
+
+        monkeypatch.setattr(quant_module, "_pq_assign", recording_assign)
+        monkeypatch.setattr(quant_module, "_pq_kmeans", recording_kmeans)
+        assert ProductQuantizer().fit(values) == want
+        assert set(assigned) == {150, 400}  # Lloyd on the sample, checks on every row
+        assert assigned.count(400) == sum(width >= 2 for width in widths) > 0
 
 
 class TestAsymmetricDistance:
