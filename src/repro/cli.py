@@ -16,8 +16,6 @@ Usage (after installing the package)::
     python -m repro cache prune --cache-dir .repro-cache --dry-run
     python -m repro cache verify --cache-dir .repro-cache
     python -m repro serve --domain music --cache-dir .repro-cache --port 8123
-    python -m repro resolve --domain music --distributed 4 --queue-dir /shared/queue
-    python -m repro worker --queue-dir /shared/queue
 
 Each sub-command drives the same harness functions the benchmark suite uses,
 so the CLI is a convenient way to reproduce a single cell of the paper's
@@ -27,23 +25,8 @@ tables without running the whole pytest-benchmark sweep.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
-
-
-def _default_workers() -> int:
-    """Default worker count: ``REPRO_ENGINE_WORKERS`` when set, else 1.
-
-    Garbage (``abc``), zero and negative values all degrade to 1 — an env
-    knob must never make the CLI unusable.
-    """
-    raw = os.environ.get("REPRO_ENGINE_WORKERS", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value > 0 else 1
 
 
 def _codec_arg(value: str) -> str:
@@ -118,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     resolve.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     resolve.add_argument(
-        "--workers", type=int, default=_default_workers(),
+        "--workers", type=int, default=1,
         help="Worker pool size for sharded parallel blocking and scoring "
-             "(1 = single process; defaults to REPRO_ENGINE_WORKERS when set).",
+             "(1 = single process).",
     )
     resolve.add_argument(
         "--cache-dir", default=None,
@@ -134,17 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "ranks an ADC lookup-table shortlist, matcher still scores "
              "rehydrated floats). Defaults to REPRO_ENGINE_CODEC when set, "
              "else raw.",
-    )
-    resolve.add_argument(
-        "--distributed", type=int, default=0, metavar="N",
-        help="Fan resolution out to N worker subprocesses over a shared work "
-             "queue (requires --queue-dir; the match stream stays "
-             "byte-identical to a serial run).",
-    )
-    resolve.add_argument(
-        "--queue-dir", default=None,
-        help="Shared work-queue directory for --distributed (any filesystem "
-             "every worker can reach).",
     )
     resolve.add_argument(
         "--incremental", action="store_true",
@@ -173,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     plan.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     plan.add_argument(
-        "--workers", type=int, default=_default_workers(),
-        help="Worker pool size the plan schedules for (defaults to REPRO_ENGINE_WORKERS when set).",
+        "--workers", type=int, default=1,
+        help="Worker pool size the plan schedules for.",
     )
     plan.add_argument("--shard-rows", type=int, default=2048, help="Rows per left-table query shard.")
 
@@ -212,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     serve.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     serve.add_argument(
-        "--workers", type=int, default=_default_workers(),
-        help="Worker pool size for delta refreshes (defaults to REPRO_ENGINE_WORKERS when set).",
+        "--workers", type=int, default=1,
+        help="Worker pool size for delta refreshes.",
     )
     serve.add_argument(
         "--cache-dir", default=None,
@@ -225,34 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "daemon's encodings quantized (~8x smaller RSS); pq stores trained "
              "product-quantization codes (~16-32x smaller, point queries rank "
              "via ADC lookup tables); raw keeps float64.",
-    )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="Run one distributed resolution worker: claim stage units from a "
-             "shared queue, execute them against the shared encoding cache, "
-             "publish content-addressed results.",
-    )
-    worker.add_argument(
-        "--queue-dir", required=True,
-        help="File-lease queue directory, shared with the coordinator.",
-    )
-    worker.add_argument(
-        "--poll-interval", type=float, default=None,
-        help="Seconds between claim attempts when the queue is empty.",
-    )
-    worker.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="Seconds between lease heartbeats while a unit runs.",
-    )
-    worker.add_argument(
-        "--max-units", type=int, default=None,
-        help="Exit after executing this many units (default: serve forever).",
-    )
-    worker.add_argument(
-        "--idle-timeout", type=float, default=None,
-        help="Exit after this many seconds without claimable work "
-             "(default: serve forever).",
     )
 
     return parser
@@ -358,8 +302,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    import subprocess
-
     from repro.core import VAER
     from repro.data.generators import load_domain
     from repro.eval.reporting import format_engine_stats, format_stage_timings
@@ -376,12 +318,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.incremental and args.append_rows + args.edit_rows + args.delete_rows == 0:
         print("error: --incremental needs at least one of --append-rows/--edit-rows/--delete-rows", file=sys.stderr)
         return 2
-    if args.distributed < 0:
-        print("error: --distributed must be non-negative", file=sys.stderr)
-        return 2
-    if args.distributed and not args.queue_dir:
-        print("error: --distributed requires --queue-dir", file=sys.stderr)
-        return 2
     reset_engine_counters()
     domain = load_domain(args.domain, scale=args.scale)
     config = _harness_config(args.seed).vaer_config(ir_method=args.ir)
@@ -389,82 +325,55 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     model.fit_representation(domain.task)
     model.fit_matcher(domain.splits.train, domain.splits.validation)
 
-    runtime = None
-    worker_procs = []
     def _drain(stage_timings):
         """(candidates, matches, batches) of one fully drained resolve."""
         candidates = matches = batches = 0
         for batch in model.resolve_stream(
             k=args.k, batch_size=args.batch_size, workers=args.workers,
-            stage_timings=stage_timings,
-            incremental=args.incremental, pool=runtime.pool if runtime else None,
+            stage_timings=stage_timings, incremental=args.incremental,
         ):
             candidates += len(batch)
             matches += len(batch.matches())
             batches += 1
         return candidates, matches, batches
 
-    # The spawned workers serve forever: whatever raises from the first
-    # spawn on, reap them.
-    try:
-        if args.distributed:
-            from repro.distrib import DistributedRuntime
+    stage_timings = StageTimings()
+    candidates, matches, batches = _drain(stage_timings)
 
-            runtime = DistributedRuntime.file_queue(args.queue_dir, workers=args.distributed)
-            for _ in range(args.distributed):
-                worker_procs.append(subprocess.Popen([
-                    sys.executable, "-m", "repro", "worker",
-                    "--queue-dir", args.queue_dir,
-                ]))
+    print(
+        f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
+        f"workers={args.workers} codec={model.codec}"
+    )
+    print(f"  candidate pairs scored: {candidates} (in {batches} batches)")
+    print(f"  predicted matches:      {matches} (threshold {model.threshold:.2f})")
+    if args.cache_dir:
+        print(f"  encoding cache:         {args.cache_dir}")
 
-        stage_timings = StageTimings()
-        candidates, matches, batches = _drain(stage_timings)
+    if args.incremental:
+        from repro.data.generators import append_rows, delete_rows, mutate_rows
 
-        print(
-            f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
-            f"workers={args.distributed or args.workers} codec={model.codec}"
-            + (" transport=file-queue" if args.distributed else "")
-        )
-        print(f"  candidate pairs scored: {candidates} (in {batches} batches)")
-        print(f"  predicted matches:      {matches} (threshold {model.threshold:.2f})")
-        if args.cache_dir:
-            print(f"  encoding cache:         {args.cache_dir}")
-
-        if args.incremental:
-            from repro.data.generators import append_rows, delete_rows, mutate_rows
-
-            mutations = []
-            if args.edit_rows:
-                mutate_rows(domain, side="right", rows=args.edit_rows)
-                mutations.append(f"{args.edit_rows} edited")
-            if args.delete_rows:
-                delete_rows(domain, side="right", rows=args.delete_rows)
-                mutations.append(f"{args.delete_rows} deleted")
-            if args.append_rows:
-                append_rows(domain, side="right", rows=args.append_rows)
-                mutations.append(f"{args.append_rows} appended")
-            reset_engine_counters()
-            delta_timings = StageTimings()
-            candidates, matches, _ = _drain(delta_timings)
-            print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
-            print(f"  candidate pairs:        {candidates}")
-            print(f"  predicted matches:      {matches}")
-            print(f"  rows re-encoded:        {delta_timings.counter('rows_reencoded')}")
-            print(f"  rows tombstoned:        {delta_timings.counter('rows_tombstoned')}")
-            print(f"  pairs rescored:         {delta_timings.counter('pairs_rescored')} "
-                  f"(of {candidates} candidates)")
-            print("\nDelta-stage timings\n")
-            print(format_stage_timings(delta_timings))
-    finally:
-        if runtime is not None:
-            runtime.close()
-        for proc in worker_procs:
-            proc.terminate()
-        for proc in worker_procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-                proc.kill()
+        mutations = []
+        if args.edit_rows:
+            mutate_rows(domain, side="right", rows=args.edit_rows)
+            mutations.append(f"{args.edit_rows} edited")
+        if args.delete_rows:
+            delete_rows(domain, side="right", rows=args.delete_rows)
+            mutations.append(f"{args.delete_rows} deleted")
+        if args.append_rows:
+            append_rows(domain, side="right", rows=args.append_rows)
+            mutations.append(f"{args.append_rows} appended")
+        reset_engine_counters()
+        delta_timings = StageTimings()
+        candidates, matches, _ = _drain(delta_timings)
+        print(f"\nIncremental re-resolve after mutating the right table ({', '.join(mutations)} rows)\n")
+        print(f"  candidate pairs:        {candidates}")
+        print(f"  predicted matches:      {matches}")
+        print(f"  rows re-encoded:        {delta_timings.counter('rows_reencoded')}")
+        print(f"  rows tombstoned:        {delta_timings.counter('rows_tombstoned')}")
+        print(f"  pairs rescored:         {delta_timings.counter('pairs_rescored')} "
+              f"(of {candidates} candidates)")
+        print("\nDelta-stage timings\n")
+        print(format_stage_timings(delta_timings))
 
     print("\nEngine cache statistics\n")
     print(format_engine_stats())
@@ -584,36 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distrib import run_worker
-    from repro.distrib.worker import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_POLL_INTERVAL
-
-    if args.poll_interval is not None and args.poll_interval <= 0:
-        print("error: --poll-interval must be positive", file=sys.stderr)
-        return 2
-    if args.heartbeat_interval is not None and args.heartbeat_interval <= 0:
-        print("error: --heartbeat-interval must be positive", file=sys.stderr)
-        return 2
-    try:
-        executed = run_worker(
-            args.queue_dir,
-            poll_interval=(
-                args.poll_interval if args.poll_interval is not None else DEFAULT_POLL_INTERVAL
-            ),
-            heartbeat_interval=(
-                args.heartbeat_interval
-                if args.heartbeat_interval is not None
-                else DEFAULT_HEARTBEAT_INTERVAL
-            ),
-            max_units=args.max_units,
-            idle_timeout=args.idle_timeout,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        return 0
-    print(f"worker exiting: {executed} unit(s) executed")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro`` and the ``repro`` console script."""
     args = _build_parser().parse_args(argv)
@@ -635,8 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_cache(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     return 1
 
 

@@ -297,16 +297,13 @@ class VAER:
         (encode/block/score) compute seconds.
 
         ``pool`` runs the same stage units on a pool of the caller's instead
-        (and sizes the plan by its worker count).  With
-        ``pool=runtime.pool`` of a :class:`repro.distrib.DistributedRuntime`
-        that is the distributed resolve: worker *processes or hosts* started
-        with ``python -m repro worker --queue-dir <dir>`` claim leased units,
-        attach published stage state (cache-resident encodings load
-        codec-aware from the shared :class:`PersistentEncodingCache`) and
-        publish content-addressed results; expired leases re-dispatch, and a
-        fully dead fleet degrades to the serial schedule here.  The stream
-        stays byte-identical to the serial one; the pool is the caller's to
-        shut down.
+        (and sizes the plan by its worker count): a
+        :class:`repro.engine.ForkWorkerPool`, a
+        :class:`repro.engine.ThreadWorkerPool` or any
+        :class:`repro.engine.WorkerPool` subclass.  A pool that dies
+        mid-run degrades to the serial schedule here.  The stream stays
+        byte-identical to the serial one; the pool is the caller's to shut
+        down.
 
         With ``incremental=True`` the same executor resolves against the
         baseline captured by the previous incremental run: the first such

@@ -16,8 +16,8 @@ planned and executed*:
   ``(batch_index, pair_index)``;
 * :class:`WorkerPool` — the one seam for *where units run*, passed as
   ``pool=``: :class:`ForkWorkerPool` (shared-memory state publishing),
-  :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) and
-  :class:`repro.distrib.DistributedPool`; ``pool=None`` with ``workers > 1``
+  :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) or
+  any subclass the caller builds; ``pool=None`` with ``workers > 1``
   borrows the cached, persistent local pool;
 * :func:`resolve_stream` — constructs that executor for a cold run; its
   batch stream is byte-identical at every ``workers`` count and on every pool;

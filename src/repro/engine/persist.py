@@ -636,7 +636,7 @@ class PersistentEncodingCache:
             {"task", "side", "version", "chunks_checked", "ok", "problems": [...]}
 
         An entry with ``ok == False`` is exactly one that ``load`` would
-        treat as a miss (and a distributed worker would refuse to attach).
+        treat as a miss.
         """
         reports: List[Dict[str, Any]] = []
         for entry in self.entries():

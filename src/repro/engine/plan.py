@@ -633,8 +633,6 @@ class ResolutionExecutor:
             reencoded = store.counters.rows_reencoded
             tombstoned = store.counters.rows_tombstoned
             started = time.perf_counter()
-            if pool is not None:
-                pool.begin_run(store, self.stage_timings)
             left = store.table_encodings("left")
             right = store.table_encodings("right")
             guard_store_version(store, pinned)

@@ -892,10 +892,9 @@ def resolve_codec_name(name: Optional[str] = None) -> str:
 
     Explicit names are validated loudly. An unset/empty environment value
     resolves to the raw default; an unknown environment value also degrades
-    to ``raw`` (the forgiving posture of ``REPRO_ENGINE_WORKERS``) but emits
-    a one-shot :class:`RuntimeWarning` naming the ignored value and the
-    available codecs, so a typo'd ``REPRO_ENGINE_CODEC=pq8`` no longer
-    silently runs uncompressed.
+    to ``raw`` but emits a one-shot :class:`RuntimeWarning` naming the
+    ignored value and the available codecs, so a typo'd
+    ``REPRO_ENGINE_CODEC=pq8`` no longer silently runs uncompressed.
     """
     if name:
         get_codec(name)  # validate explicit choices loudly

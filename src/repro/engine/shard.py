@@ -1,7 +1,7 @@
 """Row-range shard bounds and the worker-pool seam of the resolve stages.
 
 This module owns two building blocks the planner-driven engine
-(:mod:`repro.engine.plan`) distributes work with:
+(:mod:`repro.engine.plan`) fans work out with:
 
 * :func:`shard_bounds_for` / :class:`ShardBounds` — the row ranges a table
   is partitioned into, derived from table sizes alone, so planning never
@@ -10,12 +10,11 @@ This module owns two building blocks the planner-driven engine
   units run*.  A pool is a value the caller passes, not process state: it
   takes ``submit`` calls, publishes stage state (``publish`` / ``release``)
   through a transport it owns, and reports ``workers`` and ``broken``.
-  Three implementations exist: :class:`ForkWorkerPool` (state travels
-  through shared-memory segments, :mod:`repro.engine.sharedmem`),
+  Two local implementations exist: :class:`ForkWorkerPool` (state travels
+  through shared-memory segments, :mod:`repro.engine.sharedmem`) and
   :class:`ThreadWorkerPool` (workers share the address space, the handle
-  simply carries the state object) and
-  :class:`repro.distrib.DistributedPool` (state travels as content-addressed
-  artifacts on a shared directory).
+  simply carries the state object); any other subclass can be passed as
+  ``pool=``.
 
 An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
 pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
@@ -121,12 +120,11 @@ class WorkerPool:
     callers that observed the pool die (``submit`` or a future raising
     :class:`concurrent.futures.BrokenExecutor`): the caller falls back to
     the serial schedule for the rest of its run and the pool is never handed
-    out again.  ``begin_run`` is called once per resolve, inside its encode
-    stage, with the run's store and timing sink; local pools have nothing to
-    do there.
+    out again.
 
     The defaults describe a pool whose workers share this process's memory,
-    so a subclass only has to say how ``submit`` runs a call.
+    so a subclass passed as ``pool=`` only has to say how ``submit`` runs a
+    call.
     """
 
     def __init__(self, workers: int) -> None:
@@ -141,9 +139,6 @@ class WorkerPool:
 
     def release(self, handle: StateHandle) -> None:
         """Withdraw a published state (tasks carrying it have finished)."""
-
-    def begin_run(self, store, stage_timings) -> None:
-        """Per-resolve hook (see the class docstring)."""
 
     def shutdown(self) -> None:
         """Stop the workers and withdraw every published state (idempotent)."""

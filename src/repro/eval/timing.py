@@ -253,12 +253,11 @@ class StageTimings:
     parallel-overhead stages, with one meaning on every pool: ``dispatch``
     (the parent's seconds publishing stage state and submitting units),
     ``block-ipc`` (per query task, submit-to-completion time minus the
-    worker's compute) and ``merge`` (deterministic reassembly); the
-    distributed coordinator adds ``lease`` (enqueue → first observed worker
-    lease) and its result decoding under ``merge``.  So a sweep can show
-    where the wall clock went, not just that it moved.  The ``block`` and
-    ``score`` seconds are *worker compute* time: with a pool, the summed
-    figure exceeds the run's wall clock — the gap is the parallel speedup.
+    worker's compute) and ``merge`` (deterministic reassembly).  So a sweep
+    can show where the wall clock went, not just that it moved.  The
+    ``block`` and ``score`` seconds are *worker compute* time: with a pool,
+    the summed figure exceeds the run's wall clock — the gap is the parallel
+    speedup.
     """
 
     def __init__(self) -> None:

@@ -295,10 +295,9 @@ class ServeSession:
         self.workers = int(workers)
         #: Optional :class:`repro.engine.WorkerPool` — when set, every
         #: refresh (the cold resolve and each mutation's delta resolve) runs
-        #: its stage units there (``runtime.pool`` of a
-        #: :class:`repro.distrib.DistributedRuntime` fans them out to remote
-        #: workers) instead of the cached local pool.  The session does not
-        #: own the pool; the caller shuts it down.
+        #: its stage units there (a fork or thread pool, or any subclass
+        #: the caller builds) instead of the cached local pool.  The session
+        #: does not own the pool; the caller shuts it down.
         self.pool = pool
         self._snapshot: Optional[Snapshot] = None
         self._generation = -1

@@ -4,6 +4,7 @@ and the content-addressed delta path (probe → prefix load → extend)."""
 import errno
 import json
 import os
+import pickle
 import zipfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.config import VAEConfig
 from repro.core.representation import EntityRepresentationModel
 from repro.data.schema import Record, Table
 from repro.engine import (
+    CodecArray,
     EncodingStore,
     PersistentEncodingCache,
     TableEncodings,
@@ -138,6 +140,40 @@ class TestLayoutAndRoundtrip:
         # The reloaded row index must gather identically.
         ids = tiny_domain.task.left.record_ids()[:5]
         np.testing.assert_array_equal(warm_left.rows(ids), cold_left.rows(ids))
+
+    def test_warm_pq_store_holds_and_pickles_codes(
+        self, tiny_domain, tiny_representation, small_chunk_cache
+    ):
+        """A pq entry reloaded through a fresh cache handle stays codes end
+        to end: the warm array is a :class:`CodecArray` whose uint8 codes
+        and codebooks equal the cold ones, and neither the load nor a
+        pickle round trip rehydrates floats (``bytes_decoded`` stays zero
+        until a consumer actually gathers)."""
+        cold = EncodingStore(
+            tiny_representation, tiny_domain.task, counters=EngineCounters(),
+            persistent=small_chunk_cache, codec="pq",
+        )
+        cold_mu = cold.table_encodings("left").mu
+        counters = EngineCounters()
+        warm = EncodingStore(
+            tiny_representation, tiny_domain.task, counters=counters,
+            persistent=PersistentEncodingCache(small_chunk_cache.directory, chunk_rows=16),
+            codec="pq",
+        )
+        warm_mu = warm.table_encodings("left").mu
+        assert counters.disk_hits == 1 and counters.tables_encoded == 0
+        assert isinstance(warm_mu, CodecArray)
+        assert warm_mu.codes.dtype == np.uint8
+        np.testing.assert_array_equal(warm_mu.codes, cold_mu.codes)
+        assert warm_mu.params == cold_mu.params  # codebooks roundtrip bit-exact
+        wire = pickle.dumps(warm_mu)
+        assert counters.bytes_decoded == 0
+        clone = pickle.loads(wire)
+        np.testing.assert_array_equal(clone.codes, warm_mu.codes)
+        assert clone.params == warm_mu.params
+        decoded = cold_mu.decode()
+        assert len(wire) < decoded.nbytes  # codes are the smaller payload
+        np.testing.assert_array_equal(clone.decode(), decoded)
 
     def test_clear_removes_entries(self, tiny_domain, tiny_representation, cache):
         store = _store(tiny_representation, tiny_domain.task, cache)

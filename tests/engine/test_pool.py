@@ -13,17 +13,21 @@ Pinned here:
 * **Pools are values** — a supplied pool is never spawned, cached or shut
   down by the engine, survives an abandoned stream, hands a run over to the
   serial schedule when marked broken, and two of them resolve concurrently;
+  a subclass that writes only ``submit`` serves ``VAER.resolve_stream`` and
+  ``ServeSession`` with the serial bytes, and a closed session leaves it
+  usable;
 * **Shared-memory lifecycle** — publish/attach round-trips hoisted arrays
   losslessly, attachments memoize, and publication close is idempotent.
 """
 
 import threading
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.config import BlockingConfig, VAEConfig
+from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import append_rows, load_domain
 from repro.engine import (
@@ -40,6 +44,7 @@ from repro.engine import shard as shard_module
 from repro.engine import sharedmem
 from repro.engine.shard import acquire_pool, make_pool, release_pool, shutdown_pools
 from repro.eval.timing import EngineCounters
+from repro.serve import ServeSession
 
 
 class _DistanceMatcher:
@@ -286,6 +291,69 @@ class TestSuppliedPool:
             for pool in pools:
                 pool.shutdown()
         assert results == serial
+
+
+class _SubmitOnlyPool(WorkerPool):
+    """The least an out-of-tree pool writes: ``submit`` over an executor
+    its owner runs; ``publish`` / ``release`` / ``shutdown`` are inherited."""
+
+    def __init__(self, executor: ThreadPoolExecutor) -> None:
+        super().__init__(workers=2)
+        self.executor = executor
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return self.executor.submit(fn, *args, **kwargs)
+
+
+def _vaer(domain, representation):
+    model = VAER()
+    model.representation = representation
+    model.task = domain.task
+    model.matcher = _DistanceMatcher()
+    return model
+
+
+class TestOutOfTreePool:
+    @pytest.fixture()
+    def submit_only_pool(self):
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            yield _SubmitOnlyPool(executor)
+
+    def test_vaer_stream_on_a_submit_only_pool_matches_serial(self, pool_domain, submit_only_pool):
+        domain, representation = pool_domain
+        serial = _rows(_vaer(domain, representation).resolve_stream(k=4, batch_size=13))
+        pooled = _rows(
+            _vaer(domain, representation).resolve_stream(k=4, batch_size=13, pool=submit_only_pool)
+        )
+        assert pooled == serial
+        assert submit_only_pool.submitted > 0, "the stage units ran on the supplied pool"
+        assert not submit_only_pool.broken
+
+    def test_serve_session_on_a_submit_only_pool(self, pool_domain, submit_only_pool, monkeypatch):
+        """The snapshot equals a local session's; closing the session leaves
+        the pool unbroken, not shut down and still taking work."""
+        domain, representation = pool_domain
+        local = ServeSession(_vaer(domain, representation), k=4, batch_size=13).start()
+        try:
+            reference = local.snapshot
+        finally:
+            local.close()
+        shutdowns = []
+        monkeypatch.setattr(submit_only_pool, "shutdown", lambda: shutdowns.append(True))
+        session = ServeSession(
+            _vaer(domain, representation), k=4, batch_size=13, pool=submit_only_pool
+        ).start()
+        try:
+            snapshot = session.snapshot
+        finally:
+            session.close()
+        assert snapshot == reference
+        assert submit_only_pool.submitted > 0, "the refresh ran on the supplied pool"
+        assert not submit_only_pool.broken and not shutdowns
+        assert shard_module._CACHED_POOL is not submit_only_pool
+        assert submit_only_pool.submit(sum, (1, 2)).result(timeout=10) == 3
 
 
 class TestSharedMemoryStates:

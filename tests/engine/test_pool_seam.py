@@ -1,0 +1,257 @@
+"""A caller-built pool vs. the serial stream: the byte-identity gate.
+
+The ``pool=`` seam's whole contract is that running the stage units on a
+pool the caller built changes where they run, not what comes out: same
+candidate pairs, same order, same probability bytes as the serial
+``VAER.resolve_stream``.  Every test here runs three kinds of supplied
+pool through the public entry points (``VAER.resolve_stream`` and
+``ServeSession``):
+
+* ``submit-only`` — a :class:`WorkerPool` subclass that writes only
+  ``submit``, over a thread executor its owner runs (the least an
+  out-of-tree pool writes);
+* ``thread`` — a :class:`ThreadWorkerPool`;
+* ``local`` — the pool :func:`repro.engine.shard.make_pool` would spawn
+  (a :class:`ForkWorkerPool` where this platform can fork, threads
+  elsewhere), built and owned by the caller.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.config import VAEConfig
+from repro.core.pipeline import VAER
+from repro.core.representation import EntityRepresentationModel
+from repro.data.generators import DOMAIN_NAMES, append_rows, load_domain, mutate_rows
+from repro.data.schema import Record
+from repro.engine import ForkWorkerPool, ThreadWorkerPool, WorkerPool, fork_pool_available
+from repro.engine import shard as shard_module
+from repro.eval.timing import StageTimings
+from repro.serve import MutationSpec, ServeSession
+
+POOL_KINDS = ("submit-only", "thread", "local")
+
+
+class DistanceMatcher:
+    """Elementwise deterministic matcher (see tests/engine/test_delta.py):
+    probabilities are independent of batch composition, so identity checks
+    can demand exact float equality."""
+
+    def predict_proba(self, left_irs, right_irs):
+        diffs = np.asarray(left_irs) - np.asarray(right_irs)
+        distances = np.sqrt((diffs ** 2).sum(axis=(1, 2)))
+        return 1.0 / (1.0 + distances)
+
+
+class SubmitOnlyPool(WorkerPool):
+    """``submit`` over an executor the caller runs; everything else inherited."""
+
+    def __init__(self, executor: ThreadPoolExecutor, workers: int) -> None:
+        super().__init__(workers)
+        self.executor = executor
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return self.executor.submit(fn, *args, **kwargs)
+
+
+@pytest.fixture()
+def supplied_pool():
+    """``supplied_pool(kind, workers)`` builds a caller-owned pool; every
+    pool built is shut down (and its executor stopped) at teardown."""
+    built = []
+
+    def build(kind: str, workers: int = 2) -> WorkerPool:
+        if kind == "submit-only":
+            executor = ThreadPoolExecutor(max_workers=workers)
+            pool = SubmitOnlyPool(executor, workers)
+            built.append(executor.shutdown)
+        elif kind == "thread":
+            pool = ThreadWorkerPool(workers)
+            built.append(pool.shutdown)
+        else:
+            pool = ForkWorkerPool(workers) if fork_pool_available() else ThreadWorkerPool(workers)
+            built.append(pool.shutdown)
+        return pool
+
+    yield build
+    for shutdown in built:
+        shutdown()
+
+
+def _fit(domain):
+    return EntityRepresentationModel(
+        VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7),
+        ir_method="lsa",
+    ).fit(domain.task)
+
+
+def _build_model(domain, representation, cache_dir=None):
+    model = VAER(cache_dir=cache_dir)
+    model.representation = representation
+    model.task = domain.task
+    model.matcher = DistanceMatcher()
+    return model
+
+
+def _rows(batches):
+    return [
+        (b.batch_index, [p.key() for p in b.pairs], np.asarray(b.probabilities).tobytes())
+        for b in batches
+    ]
+
+
+def _publications(pool):
+    """States a pool still holds published (only the fork pool keeps any)."""
+    return dict(getattr(pool, "_publications", {}))
+
+
+@pytest.fixture(scope="module")
+def beer():
+    """The beer domain and a representation fitted on it; tests that mutate
+    tables regenerate their own identical copy of the domain."""
+    domain = load_domain("beer", scale=0.3)
+    return domain, _fit(domain)
+
+
+_SERIAL_BY_DOMAIN = {}
+
+
+def _registry_case(name):
+    """(domain, representation, serial rows) per registry domain, built once."""
+    if name not in _SERIAL_BY_DOMAIN:
+        domain = load_domain(name, scale=0.25)
+        representation = _fit(domain)
+        serial = _rows(_build_model(domain, representation).resolve_stream(k=8, batch_size=128))
+        _SERIAL_BY_DOMAIN[name] = (domain, representation, serial)
+    return _SERIAL_BY_DOMAIN[name]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_supplied_pool_matches_serial_stream(tmp_path, beer, supplied_pool, kind, workers):
+    domain, representation = beer
+    serial = _rows(_build_model(domain, representation).resolve_stream(k=5, batch_size=64))
+    pool = supplied_pool(kind, workers)
+    stage = StageTimings()
+    model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
+    pooled = _rows(model.resolve_stream(pool=pool, k=5, batch_size=64, stage_timings=stage))
+    assert pooled == serial
+    assert not pool.broken
+    assert "block-ipc" in stage.stages(), "the query shards ran on the supplied pool"
+    assert stage.seconds("dispatch") >= 0.0
+    assert _publications(pool) == {}, "every published stage state was released"
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_supplied_pool_matches_serial_on_every_registry_domain(supplied_pool, kind, name):
+    domain, representation, serial = _registry_case(name)
+    pool = supplied_pool(kind)
+    pooled = _rows(_build_model(domain, representation).resolve_stream(pool=pool, k=8, batch_size=128))
+    assert not pool.broken
+    assert pooled == serial
+
+
+def _failing_initializer():
+    raise RuntimeError("worker could not start")
+
+
+@pytest.mark.parametrize("death", ["initializer", "submit"])
+def test_dead_pool_hands_the_run_to_the_serial_schedule(beer, death):
+    """A pool that is dead before the run (its workers cannot start, or
+    ``submit`` itself refuses work) is marked broken and the serial
+    schedule still produces the exact stream."""
+    domain, representation = beer
+    serial = _rows(_build_model(domain, representation).resolve_stream(k=5, batch_size=64))
+    executor = ThreadPoolExecutor(max_workers=2, initializer=_failing_initializer)
+    if death == "submit":
+        executor.submit(int).exception(timeout=10)  # the failed start breaks the executor
+    try:
+        pool = SubmitOnlyPool(executor, workers=2)
+        pooled = _rows(_build_model(domain, representation).resolve_stream(pool=pool, k=5, batch_size=64))
+    finally:
+        executor.shutdown()
+    assert pool.broken and pool.submitted >= 1
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_one_worker_pool_degenerates_to_local_serial(beer, supplied_pool, kind):
+    """A supplied pool sizes the plan: with one worker the plan is serial,
+    so the pool receives nothing and no local pool is spawned."""
+    domain, representation = beer
+    serial = _rows(_build_model(domain, representation).resolve_stream(k=5, batch_size=64))
+    pool = supplied_pool(kind, workers=1)
+    spawns = shard_module.POOL_SPAWNS
+    stage = StageTimings()
+    pooled = _rows(_build_model(domain, representation).resolve_stream(
+        pool=pool, k=5, batch_size=64, stage_timings=stage,
+    ))
+    assert pooled == serial
+    assert "block-ipc" not in stage.stages() and "dispatch" not in stage.stages()
+    assert getattr(pool, "submitted", 0) == 0
+    assert shard_module.POOL_SPAWNS == spawns
+
+
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_reused_pool_across_incremental_rounds(tmp_path, beer, supplied_pool, kind):
+    """Two incremental rounds on one pool equal a pool-less oracle's, the
+    pool stays healthy, and each round releases what it published."""
+    _, representation = beer
+    domain = load_domain("beer", scale=0.3)  # private copies to mutate
+    oracle_domain = load_domain("beer", scale=0.3)
+    model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
+    oracle = _build_model(oracle_domain, representation)
+    pool = supplied_pool(kind)
+    for round_index in range(2):
+        if round_index:
+            for mutated in (domain, oracle_domain):
+                mutate_rows(mutated, side="right", rows=3)
+                append_rows(mutated, side="right", rows=5)
+        pooled = _rows(model.resolve_stream(pool=pool, k=5, batch_size=64, incremental=True))
+        assert pooled == _rows(oracle.resolve_stream(k=5, batch_size=64, incremental=True))
+        assert not pool.broken
+        assert _publications(pool) == {}
+
+
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_serve_session_refreshes_through_supplied_pool(tmp_path, beer, supplied_pool, kind):
+    """The cold refresh and a mutation's delta refresh both run on the
+    supplied pool and match the batch oracle exactly; closing the session
+    leaves the pool healthy and still taking work."""
+    _, representation = beer
+    domain = load_domain("beer", scale=0.3)  # private copy to mutate
+    model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
+    oracle = _build_model(load_domain("beer", scale=0.3), representation)
+    pool = supplied_pool(kind)
+    session = ServeSession(model, k=4, batch_size=32, pool=pool).start()
+    try:
+        reference = _rows(oracle.resolve_stream(k=4, batch_size=32))
+        assert [(p[0], p[1]) for p in session.snapshot.pairs] == [
+            key for _, keys, _ in reference for key in keys
+        ]
+        assert np.array([p[2] for p in session.snapshot.pairs]).tobytes() == b"".join(
+            raw for _, _, raw in reference
+        )
+        target = domain.task.right.records()[2]
+        edited = Record(target.record_id, tuple(f"EDIT-{value}" for value in target.values))
+        session.mutate(MutationSpec(side="right", edit=(edited,)))
+        oracle.task.right.replace(edited)
+        expected = [
+            (pair.left_id, pair.right_id, float(p))
+            for batch in oracle.resolve_stream(k=4, batch_size=32)
+            for pair, p in zip(batch.pairs, batch.probabilities)
+        ]
+        assert list(session.snapshot.pairs) == expected
+        assert not pool.broken
+    finally:
+        session.close()
+    assert not pool.broken
+    assert shard_module._CACHED_POOL is not pool
+    assert pool.submit(sum, (1, 2)).result(timeout=10) == 3

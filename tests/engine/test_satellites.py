@@ -1,4 +1,4 @@
-"""Satellite regressions riding the distributed-resolution PR.
+"""Engine regressions: ``pq`` codec ergonomics and the cache audit commands.
 
 * the ``pq`` codec must resolve end to end — name resolution, the
   environment knob and CLI flag parsing all accept it now that the trained

@@ -97,84 +97,6 @@ class TestCommands:
         assert "--incremental" in capsys.readouterr().err
 
 
-class TestDistributedResolve:
-    def test_spawned_workers_are_reaped_when_the_run_raises(self, tmp_path, monkeypatch):
-        """``--distributed N`` spawns N workers that serve forever; a raise
-        anywhere after the spawn — here in the ``--incremental`` mutation
-        step — must still terminate every one of them."""
-        import subprocess
-        import threading
-
-        import repro.data.generators as generators
-        from repro.distrib import FileLeaseQueue, Worker
-
-        children = []
-
-        class RecordingPopen:
-            def __init__(self, argv, **kwargs):
-                self.argv, self.terminated, self.waited = argv, False, False
-                children.append(self)
-
-            def terminate(self):
-                self.terminated = True
-
-            def wait(self, timeout=None):
-                self.waited = True
-                return 0
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("mutation helper failed")
-
-        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
-        monkeypatch.setattr(generators, "append_rows", explode)
-        # The stubbed children claim nothing; serve the first pass from here.
-        stop = threading.Event()
-        worker = Worker(FileLeaseQueue(tmp_path / "queue"), poll_interval=0.01)
-        thread = threading.Thread(target=worker.run, args=(stop,), daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(RuntimeError, match="mutation helper failed"):
-                main([
-                    "resolve", "--domain", "beer", "--scale", "0.2", "--k", "4",
-                    "--distributed", "2", "--queue-dir", str(tmp_path / "queue"),
-                    "--incremental", "--append-rows", "4",
-                ])
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert worker.units_executed > 0, "the first pass really went through the queue"
-        assert len(children) == 2
-        assert all("worker" in child.argv for child in children)
-        assert all(child.terminated and child.waited for child in children)
-
-    def test_a_failing_spawn_reaps_the_workers_already_started(self, tmp_path, monkeypatch):
-        import subprocess
-
-        children = []
-
-        class SecondSpawnFails:
-            def __init__(self, argv, **kwargs):
-                if children:
-                    raise OSError("cannot fork")
-                self.terminated = self.waited = False
-                children.append(self)
-
-            def terminate(self):
-                self.terminated = True
-
-            def wait(self, timeout=None):
-                self.waited = True
-                return 0
-
-        monkeypatch.setattr(subprocess, "Popen", SecondSpawnFails)
-        with pytest.raises(OSError, match="cannot fork"):
-            main([
-                "resolve", "--domain", "beer", "--scale", "0.2", "--k", "4",
-                "--distributed", "2", "--queue-dir", str(tmp_path / "queue"),
-            ])
-        assert len(children) == 1 and children[0].terminated and children[0].waited
-
-
 class TestCacheCommand:
     @staticmethod
     def _populate(cache_dir, versions=(1,)):
@@ -283,32 +205,44 @@ class TestArgumentValidation:
         assert "--port must be non-negative" in capsys.readouterr().err
 
 
-class TestWorkersEnvKnob:
-    """``REPRO_ENGINE_WORKERS`` garbage must degrade to 1, never crash."""
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "  ", "1.5"])
-    def test_garbage_degrades_to_one(self, raw, monkeypatch):
-        from repro.cli import _default_workers
+class TestWorkersDefault:
+    """``--workers`` defaults to 1 on every subcommand that has it; no
+    environment variable moves the default."""
 
+    @pytest.mark.parametrize("raw", ["4", "junk"])
+    @pytest.mark.parametrize("command", ["resolve", "plan", "serve"])
+    def test_default_is_one_whatever_the_environment(self, command, raw, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", raw)
-        assert _default_workers() == 1
+        assert _build_parser().parse_args([command]).workers == 1
 
-    def test_valid_value_respected(self, monkeypatch):
-        from repro.cli import _default_workers
+    @pytest.mark.parametrize("command", ["resolve", "plan", "serve"])
+    def test_explicit_flag_is_respected(self, command):
+        assert _build_parser().parse_args([command, "--workers", "3"]).workers == 3
 
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", " 4 ")
-        assert _default_workers() == 4
+    def test_plan_schedules_one_worker_by_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
+        assert main(["plan", "--domain", "restaurants", "--scale", "0.2"]) == 0
+        assert "knobs: workers=1 " in capsys.readouterr().out
 
-    def test_unset_defaults_to_one(self, monkeypatch):
-        from repro.cli import _default_workers
 
-        monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
-        assert _default_workers() == 1
+class TestNoDistributedRunner:
+    """The distributed runner's subcommand and flags are gone: argparse
+    refuses them like any unknown argument."""
 
-    def test_env_knob_feeds_parser_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "3")
-        args = _build_parser().parse_args(["serve"])
-        assert args.workers == 3
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "junk")
-        args = _build_parser().parse_args(["resolve"])
-        assert args.workers == 1
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--queue-dir", "queue"],
+        ["resolve", "--distributed", "2"],
+        ["resolve", "--queue-dir", "queue"],
+    ])
+    def test_removed_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_lists_no_worker_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["--help"])
+        usage = capsys.readouterr().out
+        assert "serve" in usage and "worker" not in usage
