@@ -12,7 +12,7 @@ Figure 5; the final matcher after a fixed labeling budget reproduces the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class ActiveLearningLoop:
     # ------------------------------------------------------------------
     # Pair featurisation via the encoding store
     # ------------------------------------------------------------------
-    def _irs_for(self, pairs: Sequence[RecordPair]) -> Tuple[np.ndarray, np.ndarray]:
-        return self.store.gather_pair_irs(pairs)
-
     def _train_matcher(self, labeled: PairSet, matcher: Optional[SiameseMatcher] = None) -> SiameseMatcher:
         """(Re)train the matcher on the current labeled pool.
 
@@ -182,11 +179,8 @@ class ActiveLearningLoop:
     def _evaluate(self, matcher: SiameseMatcher) -> Optional[PRF]:
         if self.test_pairs is None or len(self.test_pairs) == 0:
             return None
-        left, right, labels = pair_ir_arrays(
-            self.representation, self.task, self.test_pairs, store=self.store
-        )
-        predictions = matcher.predict(left, right)
-        return precision_recall_f1(labels.astype(int), predictions)
+        predictions = (self.store.score_pairs(matcher, self.test_pairs) > 0.5).astype(np.int64)
+        return precision_recall_f1(self.test_pairs.labels(), predictions)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -288,8 +282,7 @@ class ActiveLearningLoop:
         if self.strategy == "random":
             return self._random_sampler.select(unlabeled)
 
-        left, right = self._irs_for(unlabeled)
-        probabilities = matcher.predict_proba(left, right)
+        probabilities = self.store.score_pairs(matcher, unlabeled)
 
         if self.strategy == "entropy":
             return self._entropy_sampler.select(unlabeled, probabilities)

@@ -115,23 +115,40 @@ class SiameseMatcher(Module):
             sigma.reshape(batch, self.arity, latent),
         )
 
+    def _encode_rows(self, irs, rows: np.ndarray) -> Tuple[Tensor, Tensor]:
+        """(mu, sigma) of ``irs[rows]``, encoding each distinct row once.
+
+        ``irs`` is a whole table's IRs (an ndarray or a
+        :class:`~repro.engine.quant.CodecArray`, which then decodes only the
+        distinct rows); the heads of a row depend on that row alone, so
+        gathering them by the inverse index equals encoding ``irs[rows]``.
+        """
+        unique, inverse = np.unique(rows, return_inverse=True)
+        mu, sigma = self._encode_side(Tensor(irs[unique]))
+        return Tensor(mu.data[inverse]), Tensor(sigma.data[inverse])
+
     def forward(self, left_irs: Tensor, right_irs: Tensor) -> Tuple[Tensor, Tensor]:
         """Return (logits, per-pair mean attribute distance).
 
         ``logits`` has shape (batch,); the distance output is the scalar
         attribute-averaged W2^2 used by the contrastive part of the loss.
         """
-        mu_left, sigma_left = self._encode_side(left_irs)
-        mu_right, sigma_right = self._encode_side(right_irs)
+        return self._head(*self._encode_side(left_irs), *self._encode_side(right_irs))
+
+    def _head(
+        self, mu_left: Tensor, sigma_left: Tensor, mu_right: Tensor, sigma_right: Tensor
+    ) -> Tuple[Tensor, Tensor]:
+        """The pair half of :meth:`forward`: distance layer, then classifier."""
         if self.distance == "wasserstein":
             distance_vectors = wasserstein2_vector_t(mu_left, sigma_left, mu_right, sigma_right)
         else:
             distance_vectors = mahalanobis_vector_t(mu_left, sigma_left, mu_right, sigma_right)
         batch = distance_vectors.shape[0]
-        concatenated = distance_vectors.reshape(batch, self.arity * self.vae_config.latent_dim)
+        width = self.arity * self.vae_config.latent_dim
+        concatenated = distance_vectors.reshape(batch, width)
         logits = self.classifier(concatenated).reshape(batch)
         # Mean over attributes and latent dimensions: the tuple-level distance.
-        pair_distance = distance_vectors.reshape(batch, -1).mean(axis=-1)
+        pair_distance = distance_vectors.reshape(batch, width).mean(axis=-1)
         return logits, pair_distance
 
     # ------------------------------------------------------------------
@@ -183,13 +200,35 @@ class SiameseMatcher(Module):
         self.training_history = history
         return history
 
-    def predict_proba(self, left_irs: np.ndarray, right_irs: np.ndarray) -> np.ndarray:
-        """Match probabilities for aligned IR arrays."""
+    def predict_proba(
+        self,
+        left_irs: np.ndarray,
+        right_irs: np.ndarray,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Match probabilities for aligned IR arrays, or for rows of two tables.
+
+        Without ``rows`` the IR arrays are aligned pairs, (n, arity, ir_dim)
+        each.  With ``rows=(left_rows, right_rows)`` they are whole-table IRs
+        (ndarrays or :class:`~repro.engine.quant.CodecArray` code views) and pair
+        ``i`` is ``(left_irs[left_rows[i]], right_irs[right_rows[i]])``: each
+        distinct row is encoded once and the pairs gather its (mu, sigma),
+        so a record in many pairs costs one encoder pass, not one per pair.
+        """
         if not self._fitted:
             raise NotFittedError("SiameseMatcher.predict_proba called before fit")
         self.eval()
         with no_grad():
-            logits, _ = self.forward(Tensor(left_irs), Tensor(right_irs))
+            if rows is None:
+                logits, _ = self.forward(Tensor(left_irs), Tensor(right_irs))
+            else:
+                left_rows, right_rows = (np.asarray(r, dtype=np.intp) for r in rows)
+                if left_rows.shape != right_rows.shape or left_rows.ndim != 1:
+                    raise ValueError("left and right rows must be aligned 1-D index arrays")
+                logits, _ = self._head(
+                    *self._encode_rows(left_irs, left_rows),
+                    *self._encode_rows(right_irs, right_rows),
+                )
         return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))
 
     def predict(self, left_irs: np.ndarray, right_irs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -295,8 +334,10 @@ def fit_matcher_with_threshold(
     matcher.fit(left, right, labels, epochs=epochs)
     threshold = 0.5
     if validation_pairs is not None and len(validation_pairs) > 0:
-        v_left, v_right, v_labels = pair_ir_arrays(
-            representation, task, validation_pairs, store=store
-        )
-        threshold = best_threshold(v_labels.astype(int), matcher.predict_proba(v_left, v_right))
+        if store is not None:
+            probabilities = store.score_pairs(matcher, validation_pairs)
+        else:
+            v_left, v_right, _ = pair_ir_arrays(representation, task, validation_pairs)
+            probabilities = matcher.predict_proba(v_left, v_right)
+        threshold = best_threshold(validation_pairs.labels(), probabilities)
     return matcher, threshold

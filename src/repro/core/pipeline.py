@@ -47,7 +47,7 @@ from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import VAERConfig
 from repro.core.active.loop import ActiveLearningLoop, ALResult
 from repro.core.active.oracle import LabelingOracle
-from repro.core.matcher import SiameseMatcher, fit_matcher_with_threshold, pair_ir_arrays
+from repro.core.matcher import SiameseMatcher, fit_matcher_with_threshold
 from repro.core.representation import EntityRepresentationModel
 from repro.core.transfer import transfer_representation
 from repro.data.pairs import PairSet, RecordPair
@@ -240,11 +240,8 @@ class VAER:
 
     def predict_pairs(self, pairs: PairSet) -> np.ndarray:
         """Match probabilities for labeled or unlabeled pairs."""
-        representation = self._require_representation()
-        matcher = self._require_matcher()
-        assert self.task is not None
-        left, right, _ = pair_ir_arrays(representation, self.task, pairs, store=self.store)
-        return matcher.predict_proba(left, right)
+        self._require_representation()
+        return self.store.score_pairs(self._require_matcher(), pairs)
 
     def evaluate(self, test_pairs: PairSet) -> PRF:
         """Precision/recall/F1 on a labeled test pair set."""
@@ -268,8 +265,7 @@ class VAER:
         """Full ER pass: blocking then matching of every candidate pair."""
         matcher = self._require_matcher()
         candidates = self.candidate_pairs(k=k)
-        left, right = self.store.gather_pair_irs(candidates)
-        probabilities = matcher.predict_proba(left, right)
+        probabilities = self.store.score_pairs(matcher, candidates)
         return ResolutionResult(pairs=candidates, probabilities=probabilities, threshold=self.threshold)
 
     def resolve_stream(

@@ -406,11 +406,11 @@ def _query_task(handle: StateHandle, task_index: int, start: int, stop: int, k: 
 
 
 def _score_task(handle: StateHandle, batch_index: int, left_rows: np.ndarray, right_rows: np.ndarray):
-    """Score stage: gather one batch's IRs from the shared arrays and score."""
+    """Score stage: one batch's rows of the shared arrays, each distinct row encoded once."""
     state: _PlanState = worker_state(handle)
     started = time.perf_counter()
     probabilities = state.matcher.predict_proba(
-        state.left_irs[left_rows], state.right_irs[right_rows]
+        state.left_irs, state.right_irs, rows=(left_rows, right_rows)
     )
     return batch_index, probabilities, time.perf_counter() - started
 
@@ -540,6 +540,8 @@ class ResolutionExecutor:
     5. score each batch: baseline probabilities for pairs whose rows are
        untouched since, the matcher (inline, or :func:`_score_task` on the
        pool) for the rest — ``pairs_rescored``; every pair without a baseline.
+       The matcher gets row indices (``predict_proba(..., rows=)``) and
+       encodes each distinct record of the batch once — ``records_scored``.
 
     Steps 1-3 run in the parent whatever the pool; only query shards and
     score batches are pool units.  Enumeration and batch packing are the
@@ -731,8 +733,7 @@ class ResolutionExecutor:
             probabilities, unknown = self._split(pairs, scores)
             scored = None
             if unknown:
-                left_irs, right_irs = store.gather_pair_irs([pairs[i] for i in unknown])
-                scored = self.matcher.predict_proba(left_irs, right_irs)
+                scored = store.score_pairs(self.matcher, [pairs[i] for i in unknown])
             score_seconds = time.perf_counter() - started
             self._record_stage("block", block_seconds)
             self._record_stage("score", score_seconds)
@@ -742,6 +743,8 @@ class ResolutionExecutor:
     def _split(pairs: List[RecordPair], scores: Dict[PairKey, float]) -> Tuple[np.ndarray, List[int]]:
         """Baseline probabilities where known, and the positions left to score."""
         probabilities = np.empty(len(pairs))
+        if not scores:  # a cold run, or a matcher swap: nothing to look up
+            return probabilities, list(range(len(pairs)))
         unknown: List[int] = []
         for position, pair in enumerate(pairs):
             known = scores.get(pair.key())
@@ -812,7 +815,7 @@ class ResolutionExecutor:
         query_completed: Dict[int, float] = {}
         score_inflight: Dict[object, int] = {}
         score_done: Dict[int, Tuple[Optional[np.ndarray], float]] = {}
-        pending: Dict[int, Tuple[List[RecordPair], np.ndarray, List[int]]] = {}
+        pending: Dict[int, Tuple[List[RecordPair], np.ndarray, List[int], np.ndarray, np.ndarray]] = {}
         buffer: List[RecordPair] = []
         merge_seconds = 0.0
         submitted = 0
@@ -841,9 +844,9 @@ class ResolutionExecutor:
             nonlocal next_emit
             while next_emit in score_done:
                 scored, seconds = score_done.pop(next_emit)
-                pairs, probabilities, unknown = pending.pop(next_emit)
+                pairs, probabilities, unknown, left_rows, right_rows = pending.pop(next_emit)
                 self._record_stage("score", seconds)
-                store.record_external_gather(len(unknown))
+                store.record_external_gather(left_rows, right_rows)
                 yield self._emit(next_emit, pairs, probabilities, unknown, scored)
                 next_emit += 1
 
@@ -885,9 +888,9 @@ class ResolutionExecutor:
                 offset += len(head)
                 guard_store_version(store, pinned)
                 probabilities, unknown = self._split(head, scores)
-                pending[batch_index] = (head, probabilities, unknown)
                 left_rows = left.rows([head[i].left_id for i in unknown])
                 right_rows = right.rows([head[i].right_id for i in unknown])
+                pending[batch_index] = (head, probabilities, unknown, left_rows, right_rows)
                 merge_seconds += time.perf_counter() - started
                 if unknown:
                     score_inflight[submit(_score_task, batch_index, left_rows, right_rows)] = batch_index

@@ -51,6 +51,12 @@ _ARRAY_FIELDS = ("irs", "mu", "sigma")
 #: Anything with ``left_id``/``right_id`` attributes addresses a pair.
 PairLike = Union[RecordPair, LabeledPair]
 
+
+def distinct_rows(left_rows: np.ndarray, right_rows: np.ndarray) -> int:
+    """Records a batch of pairs makes the matcher encode: distinct rows per side."""
+    return int(np.unique(left_rows).size + np.unique(right_rows).size)
+
+
 @dataclass(frozen=True)
 class _SideState:
     """Memoized identity of one side's table at its last encode/fingerprint.
@@ -603,6 +609,25 @@ class EncodingStore:
         self.counters.record_pairs(len(pairs))
         return left.irs[left_rows], right.irs[right_rows]
 
+    def score_pairs(self, matcher, pairs: Sequence[PairLike]) -> np.ndarray:
+        """The matcher's probabilities for a pair sequence, (n,).
+
+        The pairs become row indices into the cached tables and the matcher
+        encodes each distinct record once (``predict_proba(..., rows=)``);
+        accounted like :meth:`gather_pair_irs`, plus ``records_scored``.
+        """
+        pairs = list(pairs)
+        if not pairs:
+            return matcher.predict_proba(*self.gather_pair_irs(pairs))
+        left = self._serve("left", records=len(pairs))
+        right = self._serve("right", records=len(pairs))
+        left_rows = left.rows([p.left_id for p in pairs])
+        right_rows = right.rows([p.right_id for p in pairs])
+        probabilities = matcher.predict_proba(left.irs, right.irs, rows=(left_rows, right_rows))
+        self.counters.record_pairs(len(pairs))
+        self.counters.record_records_scored(distinct_rows(left_rows, right_rows))
+        return probabilities
+
     def pair_ir_arrays(self, pairs: Sequence[PairLike]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(left IRs, right IRs, labels): the matcher's featurisation input.
 
@@ -661,20 +686,22 @@ class EncodingStore:
         per_attribute = ((mu_left - mu_right) ** 2 + (sigma_left - sigma_right) ** 2).sum(axis=-1)
         return per_attribute.mean(axis=-1)
 
-    def record_external_gather(self, n_pairs: int) -> None:
-        """Counter bookkeeping for gathers performed outside the store.
+    def record_external_gather(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
+        """Counter bookkeeping for a batch scored outside the store.
 
-        Sharded resolution hands row indices to pool workers which gather
+        Sharded resolution hands row indices to pool workers which score
         directly from the shared cached arrays; this mirrors the accounting
-        :meth:`gather_pair_irs` would have done (one logical hit per side
-        plus the scored pairs) so streamed and sharded runs report
-        comparable counters.
+        :meth:`score_pairs` would have done (one logical hit per side plus
+        the scored pairs and distinct records) so streamed and sharded runs
+        report equal counters.
         """
+        n_pairs = len(left_rows)
         if n_pairs <= 0:
             return
         self.counters.record_hit(records_served=n_pairs)
         self.counters.record_hit(records_served=n_pairs)
         self.counters.record_pairs(n_pairs)
+        self.counters.record_records_scored(distinct_rows(left_rows, right_rows))
 
     # ------------------------------------------------------------------
     def resident_bytes(self) -> int:

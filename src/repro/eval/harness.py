@@ -25,7 +25,7 @@ from repro.config import (
     VAERConfig,
 )
 from repro.core.active import ActiveLearningLoop, GroundTruthOracle
-from repro.core.matcher import fit_matcher_with_threshold, pair_ir_arrays
+from repro.core.matcher import fit_matcher_with_threshold
 from repro.core.representation import EntityRepresentationModel
 from repro.core.transfer import adapt_task_arity, transfer_representation
 from repro.data.generators import GeneratedDomain, load_domain
@@ -252,9 +252,8 @@ def run_vaer_matching(
     )
     matching_seconds = time.perf_counter() - start
 
-    t_left, t_right, t_labels = pair_ir_arrays(representation, domain.task, domain.splits.test, store=store)
-    predictions = (matcher.predict_proba(t_left, t_right) > threshold).astype(int)
-    metrics = precision_recall_f1(t_labels.astype(int), predictions)
+    predictions = (store.score_pairs(matcher, domain.splits.test) > threshold).astype(int)
+    metrics = precision_recall_f1(domain.splits.test.labels(), predictions)
     return MatchingRow(
         system="vaer",
         metrics=metrics,

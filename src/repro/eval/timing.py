@@ -77,6 +77,11 @@ class EngineCounters:
     against every live row instead, and ``blocking_candidates_ranked`` the
     (query, row) distances computed — their ratio to ``queries x table rows``
     is how much the hash tables actually prune.
+
+    ``records_scored`` counts the records the matcher actually encoded: per
+    scored batch, the distinct left rows plus the distinct right rows.  Its
+    gap to twice the scored pairs is the encoder work that scoring each
+    distinct record once per batch saves.
     """
 
     cache_hits: int = 0
@@ -97,6 +102,7 @@ class EngineCounters:
     blocking_queries: int = 0
     blocking_fallback_queries: int = 0
     blocking_candidates_ranked: int = 0
+    records_scored: int = 0
 
     def record_hit(self, records_served: int = 0) -> None:
         self.cache_hits += 1
@@ -190,6 +196,10 @@ class EngineCounters:
         self.blocking_fallback_queries += int(fallback)
         self.blocking_candidates_ranked += int(candidates)
 
+    def record_records_scored(self, count: int) -> None:
+        """``count`` records one scored batch ran through the matcher's encoder."""
+        self.records_scored += int(count)
+
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
@@ -214,6 +224,7 @@ class EngineCounters:
             "blocking_queries": self.blocking_queries,
             "blocking_fallback_queries": self.blocking_fallback_queries,
             "blocking_candidates_ranked": self.blocking_candidates_ranked,
+            "records_scored": self.records_scored,
         }
 
     def reset(self) -> None:
@@ -235,6 +246,7 @@ class EngineCounters:
         self.blocking_queries = 0
         self.blocking_fallback_queries = 0
         self.blocking_candidates_ranked = 0
+        self.records_scored = 0
 
 
 # ----------------------------------------------------------------------

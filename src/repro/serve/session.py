@@ -49,7 +49,7 @@ import numpy as np
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.schema import Record, Table
 from repro.engine import merge_scored_batches, release_engine_resources
-from repro.engine.store import encode_table_rows
+from repro.engine.store import distinct_rows, encode_table_rows
 from repro.eval.timing import StageTimings, engine_counters
 
 
@@ -424,9 +424,10 @@ class ServeSession:
                         continue
                     pending.append((position, row, str(right_key), float(distance)))
             if pending:
-                left_irs = np.stack([irs[position] for position, _, _, _ in pending])
-                right_irs = np.stack([np.asarray(right.irs[row]) for _, row, _, _ in pending])
-                probabilities = matcher.predict_proba(left_irs, right_irs)
+                left_rows = np.array([position for position, _, _, _ in pending], dtype=np.intp)
+                right_rows = np.array([row for _, row, _, _ in pending], dtype=np.intp)
+                probabilities = matcher.predict_proba(irs, right.irs, rows=(left_rows, right_rows))
+                self.model.store.counters.record_records_scored(distinct_rows(left_rows, right_rows))
                 for (position, _, right_key, distance), probability in zip(pending, probabilities):
                     answers[position]["candidates"].append({
                         "right_id": right_key,

@@ -153,8 +153,8 @@ class TestPlannerGraph:
 class _ConstantMatcher:
     """A matcher stand-in for tests that compare candidate keys only."""
 
-    def predict_proba(self, left_irs, right_irs):
-        return np.full(len(left_irs), 0.5)
+    def predict_proba(self, left_irs, right_irs, rows=None):
+        return np.full(len(left_irs) if rows is None else len(rows[0]), 0.5)
 
 
 class TestShardedBlockingEquivalence:

@@ -41,7 +41,9 @@ class DistanceMatcher:
     probabilities are independent of batch composition, so identity checks
     can demand exact float equality."""
 
-    def predict_proba(self, left_irs, right_irs):
+    def predict_proba(self, left_irs, right_irs, rows=None):
+        if rows is not None:  # whole-table IRs and each pair's row indices
+            left_irs, right_irs = left_irs[rows[0]], right_irs[rows[1]]
         diffs = np.asarray(left_irs) - np.asarray(right_irs)
         distances = np.sqrt((diffs ** 2).sum(axis=(1, 2)))
         return 1.0 / (1.0 + distances)
@@ -155,6 +157,29 @@ def test_supplied_pool_matches_serial_on_every_registry_domain(supplied_pool, ki
     pool = supplied_pool(kind)
     pooled = _rows(_build_model(domain, representation).resolve_stream(pool=pool, k=8, batch_size=128))
     assert not pool.broken
+    assert pooled == serial
+
+
+def _scored_run(model, pool=None):
+    """Drain a resolve; return the records it scored and the distinct rows per batch."""
+    counters = model.store.counters
+    before = counters.records_scored
+    batches = list(model.resolve_stream(pool=pool, k=5, batch_size=64))
+    distinct = sum(
+        len({p.left_id for p in b.pairs}) + len({p.right_id for p in b.pairs}) for b in batches
+    )
+    return counters.records_scored - before, distinct, sum(len(b.pairs) for b in batches)
+
+
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_records_scored_is_distinct_rows_per_batch_serial_and_pooled(beer, supplied_pool, kind):
+    """``records_scored`` counts each batch's distinct left plus distinct
+    right rows — in the parent, so a pooled run reports the serial count."""
+    domain, representation = beer
+    serial, distinct, pairs = _scored_run(_build_model(domain, representation))
+    assert serial == distinct
+    assert serial < 2 * pairs, "rows recur across a batch's pairs, so the dedupe saves encodes"
+    pooled, _, _ = _scored_run(_build_model(domain, representation), pool=supplied_pool(kind))
     assert pooled == serial
 
 

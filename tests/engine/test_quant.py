@@ -633,7 +633,9 @@ def _fresh_quant_domain():
 
 
 class _DistanceMatcher:
-    def predict_proba(self, left_irs: np.ndarray, right_irs: np.ndarray) -> np.ndarray:
+    def predict_proba(self, left_irs: np.ndarray, right_irs: np.ndarray, rows=None) -> np.ndarray:
+        if rows is not None:  # whole-table IRs and each pair's row indices
+            left_irs, right_irs = left_irs[rows[0]], right_irs[rows[1]]
         diffs = np.asarray(left_irs) - np.asarray(right_irs)
         distances = np.sqrt((diffs ** 2).sum(axis=(1, 2)))
         return 1.0 / (1.0 + distances)

@@ -47,7 +47,9 @@ MIN_PQ_WARM_COMPRESSION = 8.0
 class _DistanceMatcher:
     """Elementwise matcher: probabilities independent of batch composition."""
 
-    def predict_proba(self, left_irs, right_irs):
+    def predict_proba(self, left_irs, right_irs, rows=None):
+        if rows is not None:  # whole-table IRs and each pair's row indices
+            left_irs, right_irs = left_irs[rows[0]], right_irs[rows[1]]
         diffs = np.asarray(left_irs) - np.asarray(right_irs)
         distances = np.sqrt((diffs ** 2).sum(axis=(1, 2)))
         return 1.0 / (1.0 + distances)

@@ -190,3 +190,11 @@ class TestReporting:
         assert "Blocking queries" in text and "Blocking fallbacks" in text
         assert "Candidates ranked" in text and "60250" in text
 
+
+    def test_engine_stats_includes_records_scored(self):
+        from repro.eval.timing import EngineCounters
+
+        counters = EngineCounters()
+        counters.record_records_scored(913)
+        text = reporting.format_engine_stats(counters)
+        assert "Records scored" in text and "913" in text

@@ -10,6 +10,7 @@ preallocated arrays equal the textbook expressions evaluated with temporaries.
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, no_grad
@@ -17,6 +18,8 @@ from repro.baselines.deepmatcher import _HybridNetwork
 from repro.config import MatcherConfig, VAEConfig
 from repro.core.matcher import SiameseMatcher
 from repro.core.vae import GaussianEncoder
+from repro.engine.quant import ProductQuantizer, ScalarQuantizer
+from repro.exceptions import NotFittedError
 from repro.nn import MLP, SGD, Adam, Trainer, clip_grad_norm, mse_loss
 from repro.nn.module import Parameter
 
@@ -85,6 +88,94 @@ class TestNoGradForwardEqualsRecordingForward:
         left, right = rng.normal(size=(2, batch, arity, embedding))
         recorded, plain = _both_modes(lambda: network(Tensor(left), Tensor(right)))
         assert recorded == plain
+
+
+#: How far ``predict_proba(L, R, rows=(l, r))`` may sit from the per-pair
+#: ``predict_proba(L[l], R[r])``, in ulps of 1.0 (probabilities lie in [0, 1]).
+#: Encoding distinct rows changes only how many rows each encoder GEMM has,
+#: and a product with few rows takes a different BLAS kernel (gemv for one
+#: row; on OpenBLAS 0.3.31 a one-row logit is up to ~3e-14 off the same row
+#: inside a gemm).  Measured over these sizes: <= 4 ulps.
+ROWS_PATH_ULPS = 64
+
+
+def _random_matcher(arity, ir_dim, hidden, latent, seed, distance):
+    matcher = SiameseMatcher(
+        arity,
+        vae_config=VAEConfig(ir_dim=ir_dim, hidden_dim=hidden, latent_dim=latent),
+        config=MatcherConfig(mlp_hidden=(5, 3), seed=seed),
+        distance=distance,
+    )
+    matcher._fitted = True
+    return matcher
+
+
+def _assert_within_ulps(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= ROWS_PATH_ULPS * np.spacing(1.0))
+
+
+class TestScoringDistinctRows:
+    """``predict_proba(..., rows=)`` encodes each distinct table row once
+    and gathers (mu, sigma) per pair; it must answer like the per-pair path."""
+
+    @given(arity=st.integers(1, 4), ir_dim=sizes, hidden=sizes, latent=sizes, seed=seeds,
+           distance=st.sampled_from(["wasserstein", "mahalanobis"]),
+           left_size=st.integers(1, 6), right_size=st.integers(1, 6),
+           pairs=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_pair_scoring(self, arity, ir_dim, hidden, latent, seed, distance,
+                                     left_size, right_size, pairs):
+        rng = np.random.default_rng(seed)
+        matcher = _random_matcher(arity, ir_dim, hidden, latent, seed, distance)
+        left = rng.normal(size=(left_size, arity, ir_dim))
+        right = rng.normal(size=(right_size, arity, ir_dim))
+        # Small tables and up to 40 pairs: most rows recur many times.
+        left_rows = np.array([l % left_size for l, _ in pairs], dtype=np.intp)
+        right_rows = np.array([r % right_size for _, r in pairs], dtype=np.intp)
+        before = left.copy(), right.copy()
+        scored = matcher.predict_proba(left, right, rows=(left_rows, right_rows))
+        assert np.array_equal(left, before[0]) and np.array_equal(right, before[1])
+        if not pairs:
+            assert scored.shape == (0,)
+            return
+        _assert_within_ulps(scored, matcher.predict_proba(left[left_rows], right[right_rows]))
+
+    @given(codec=st.sampled_from([ScalarQuantizer, ProductQuantizer]), arity=st.integers(1, 4),
+           seed=seeds, distance=st.sampled_from(["wasserstein", "mahalanobis"]),
+           n_pairs=st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_codec_tables_equal_decode_then_score(self, codec, arity, seed, distance, n_pairs):
+        rng = np.random.default_rng(seed)
+        matcher = _random_matcher(arity, 8, 6, 4, seed, distance)
+        floats = [rng.normal(size=(rows, arity, 8)) for rows in (12, 9)]
+        decoded_bytes = []
+        left, right = (codec().encode(values, None, on_decode=decoded_bytes.append) for values in floats)
+        left_rows = rng.integers(0, 12, n_pairs)
+        right_rows = rng.integers(0, 9, n_pairs)
+        scored = matcher.predict_proba(left, right, rows=(left_rows, right_rows))
+        # Only the distinct rows are decoded.
+        distinct = np.unique(left_rows).size + np.unique(right_rows).size
+        assert sum(decoded_bytes) == distinct * arity * 8 * 8
+        plain_left, plain_right = left.decode(), right.decode()
+        same_rows = matcher.predict_proba(plain_left, plain_right, rows=(left_rows, right_rows))
+        assert scored.tobytes() == same_rows.tobytes()
+        _assert_within_ulps(scored, matcher.predict_proba(plain_left[left_rows], plain_right[right_rows]))
+
+    def test_unfitted_matcher_refuses(self):
+        matcher = SiameseMatcher(2, vae_config=VAEConfig(ir_dim=4, hidden_dim=4, latent_dim=2))
+        table = np.zeros((3, 2, 4))
+        empty = np.zeros(0, dtype=np.intp)
+        with pytest.raises(NotFittedError):
+            matcher.predict_proba(table, table, rows=(empty, empty))
+
+    def test_misaligned_rows_refused(self):
+        matcher = _random_matcher(2, 4, 4, 2, 0, "wasserstein")
+        table = np.zeros((3, 2, 4))
+        with pytest.raises(ValueError):
+            matcher.predict_proba(table, table, rows=(np.array([0, 1]), np.array([2])))
+        with pytest.raises(IndexError):
+            matcher.predict_proba(table, table, rows=(np.array([3]), np.array([0])))
 
 
 def _textbook_adam(data, grads, lr, betas, epsilon, weight_decay):
