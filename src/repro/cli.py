@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "affine scalar quantization (~8x smaller, near-exact blocking). "
              "pq: trained product quantization (~16-32x smaller codes; blocking "
              "ranks an ADC lookup-table shortlist, matcher still scores "
-             "rehydrated floats). Defaults to REPRO_ENGINE_CODEC when set, "
-             "else raw.",
+             "rehydrated floats). Defaults to raw.",
     )
     resolve.add_argument(
         "--incremental", action="store_true",

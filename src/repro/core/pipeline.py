@@ -62,8 +62,7 @@ from repro.engine import (
     ResolutionPlanner,
     ScoredPairs,
     WorkerPool,
-    resolve_delta,
-    resolve_stream,
+    resolve,
 )
 from repro.engine.quant import resolve_codec_name
 from repro.eval.metrics import PRF, precision_recall_f1
@@ -93,8 +92,8 @@ class VAER:
         self.threshold: float = 0.5
         self.cache_dir: Optional[Path] = Path(cache_dir) if cache_dir is not None else None
         self.shard_rows = shard_rows
-        # Resolved eagerly (explicit name or REPRO_ENGINE_CODEC) so an
-        # unknown codec fails at construction, not mid-resolve.
+        # Validated eagerly so an unknown codec fails at construction, not
+        # mid-resolve.
         self.codec = resolve_codec_name(codec)
         self._store: Optional[EncodingStore] = None
         self._baseline: Optional[ResolutionBaseline] = None
@@ -187,8 +186,9 @@ class VAER:
             epochs=epochs,
         )
         # Baseline scores belong to the previous matcher; drop them (the
-        # encodings and index would still be valid, but resolve_delta
-        # re-derives those cheaply from the store on the next cold capture).
+        # encodings and index would still be valid, but an incremental
+        # resolve re-derives those cheaply from the store on the next cold
+        # capture).
         self._baseline = None
         return self
 
@@ -287,7 +287,7 @@ class VAER:
 
         With ``workers > 1`` both the LSH blocking queries and the batch
         scoring run concurrently on the cached local worker pool through the
-        plan/execute engine (:func:`repro.engine.resolve_stream`) and merge
+        plan/execute engine (:func:`repro.engine.resolve`) and merge
         back in order; the yielded sequence is byte-identical to the
         single-process stream.  ``stage_timings`` collects per-stage
         (encode/block/score) compute seconds.
@@ -319,8 +319,10 @@ class VAER:
             pool=pool,
         )
         if not incremental:
-            return resolve_stream(self.store, matcher, **options)
-        executor = resolve_delta(self.store, matcher, baseline=self._baseline, **options)
+            return resolve(self.store, matcher, **options).run()
+        executor = resolve(
+            self.store, matcher, baseline=self._baseline, capture=True, **options
+        )
 
         def stream() -> Iterator[ResolutionBatch]:
             yield from executor.run()

@@ -19,17 +19,17 @@ planned and executed*:
   :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) or
   any subclass the caller builds; ``pool=None`` with ``workers > 1``
   borrows the cached, persistent local pool;
-* :func:`resolve_stream` — constructs that executor for a cold run; its
-  batch stream is byte-identical at every ``workers`` count and on every pool;
-* :func:`resolve_delta` — constructs it for an incremental run that
-  captures a :class:`ResolutionBaseline` and resolves against the previous
-  one (a cold run is a delta run with no baseline): a row-identity diff
-  (per-row CRCs keyed on stable record ids) classifies every current row as
-  clean, dirty, appended or deleted, so only edited and appended rows are
-  re-encoded (patch/tombstone chunk generations on disk), the LSH index is
-  mutated in place (extend/remove/patch, compaction past a load threshold)
-  and the matcher rescores only pairs the surviving baseline scores do not
-  cover — with a match stream identical to a cold full resolve.
+* :func:`resolve` — the one front-end: plans a run and constructs its
+  executor.  Its batch stream is byte-identical at every ``workers`` count
+  and on every pool.  Without a baseline the run is cold; against the
+  :class:`ResolutionBaseline` a previous run captured (``capture=True``) a
+  row-identity diff (per-row CRCs keyed on stable record ids) classifies
+  every current row as clean, dirty, appended or deleted, so only edited and
+  appended rows are re-encoded (patch/tombstone chunk generations on disk),
+  the LSH index is mutated in place (extend/remove/patch, compaction past a
+  load threshold) and the matcher rescores only pairs the surviving baseline
+  scores do not cover — with a match stream identical to a cold full
+  resolve.
 
 Batching, caching, persistence, sharding and scheduling decisions belong
 here, not in the pipeline stages that consume the encodings.
@@ -61,14 +61,13 @@ from repro.engine.quant import (
     table_sq_norms_of,
 )
 from repro.engine.plan import (
-    DeltaBounds,
     ResolutionBaseline,
     ResolutionExecutor,
     ResolutionPlan,
     ResolutionPlanner,
     Stage,
     StageUnit,
-    resolve_delta,
+    resolve,
 )
 from repro.engine.shard import (
     ForkWorkerPool,
@@ -104,7 +103,6 @@ from repro.engine.stream import (
     guard_store_version,
     iter_candidate_batches,
     pin_store_version,
-    resolve_stream,
     stream_candidate_pairs,
 )
 
@@ -113,7 +111,6 @@ __all__ = [
     "DEFAULT_SHARD_ROWS",
     "CodecArray",
     "CodecParams",
-    "DeltaBounds",
     "EncodingStore",
     "ForkWorkerPool",
     "PQParams",
@@ -161,8 +158,7 @@ __all__ = [
     "model_fingerprint",
     "pin_store_version",
     "record_crc",
-    "resolve_delta",
-    "resolve_stream",
+    "resolve",
     "rows_crc",
     "table_row_crcs",
     "shard_bounds_for",

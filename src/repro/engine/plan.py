@@ -1,4 +1,4 @@
-"""Plan/execute layer: the one engine behind ``resolve_stream`` and ``resolve_delta``.
+"""Plan/execute layer: the one resolve engine and its entry point, :func:`resolve`.
 
 Resolution is three stages — *encode* the two tables, *block* (LSH index
 build + top-K queries) to enumerate candidate pairs, *score* the candidates
@@ -7,8 +7,7 @@ in batches.  This module owns the whole of it:
 * :class:`ResolutionPlanner` partitions the left table into row-range query
   shards (:func:`~repro.engine.shard.shard_bounds_for` at the store's
   ``shard_rows``) and emits a deterministic stage graph — pure metadata,
-  computed from table sizes (and, for an incremental run, the mutation
-  summary in :class:`DeltaBounds`) alone, so a plan can be printed or
+  computed from table sizes and knobs alone, so a plan can be printed or
   inspected without encoding a single record (``repro plan`` does exactly
   that);
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
@@ -22,9 +21,8 @@ in batches.  This module owns the whole of it:
   regardless of scheduling.  Encoding and the LSH build (or its in-place
   mutation) run in the parent, on the same code a serial run uses.
 
-:func:`~repro.engine.stream.resolve_stream` constructs the executor for a
-cold run and :func:`resolve_delta` for an incremental, baseline-capturing
-one.
+:func:`resolve` plans a run and constructs its executor — cold without a
+baseline, incremental against one, capturing the next baseline on request.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,68 +92,12 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class DeltaBounds:
-    """Per-side mutation summary a delta plan schedules against.
-
-    ``base_*_rows`` counts current rows the baseline already covers (clean
-    *or* dirty); ``dirty_*_rows`` counts the in-place edits among them that
-    must be re-encoded; ``deleted_*_rows`` counts baseline rows no longer
-    present (tombstoned, no encode cost).
-    """
-
-    base_left_rows: int
-    base_right_rows: int
-    dirty_left_rows: int = 0
-    dirty_right_rows: int = 0
-    deleted_left_rows: int = 0
-    deleted_right_rows: int = 0
-
-    @classmethod
-    def from_diffs(cls, left: Optional[RowDiff], right: Optional[RowDiff]) -> "DeltaBounds":
-        """Summarise two row-identity diffs (``None`` = nothing reusable on that side)."""
-
-        def counts(diff: Optional[RowDiff]) -> Tuple[int, int, int]:
-            if diff is None:
-                return 0, 0, 0
-            return diff.appended_range[0], len(diff.dirty_new), len(diff.deleted_old)
-
-        base_left, dirty_left, deleted_left = counts(left)
-        base_right, dirty_right, deleted_right = counts(right)
-        return cls(base_left, base_right, dirty_left, dirty_right, deleted_left, deleted_right)
-
-    def clamped(self, left_rows: int, right_rows: int) -> "DeltaBounds":
-        """These bounds forced into the current tables' row ranges."""
-        base_left = max(0, min(int(self.base_left_rows), left_rows))
-        base_right = max(0, min(int(self.base_right_rows), right_rows))
-        return DeltaBounds(
-            base_left_rows=base_left,
-            base_right_rows=base_right,
-            dirty_left_rows=max(0, min(int(self.dirty_left_rows), base_left)),
-            dirty_right_rows=max(0, min(int(self.dirty_right_rows), base_right)),
-            deleted_left_rows=max(0, int(self.deleted_left_rows)),
-            deleted_right_rows=max(0, int(self.deleted_right_rows)),
-        )
-
-    def new_rows(self, side: str, total: int) -> int:
-        base = self.base_left_rows if side == "left" else self.base_right_rows
-        return max(0, total - base)
-
-    def dirty_rows(self, side: str) -> int:
-        return self.dirty_left_rows if side == "left" else self.dirty_right_rows
-
-    def deleted_rows(self, side: str) -> int:
-        return self.deleted_left_rows if side == "left" else self.deleted_right_rows
-
-
-@dataclass(frozen=True)
 class ResolutionPlan:
     """Deterministic description of one resolve run.
 
     Pure metadata: the plan is computed from table sizes and knobs alone
-    (no encoding, no disk access), so it can be printed, compared or
-    shipped to a remote runner before any expensive work starts.  A *delta*
-    plan additionally records, via ``delta``, how many rows per side are
-    covered by the baseline run — its encode stage covers only the tails.
+    (no encoding, no disk access), so it can be printed or compared before
+    any expensive work starts.
     """
 
     task_name: str
@@ -169,7 +111,6 @@ class ResolutionPlan:
     blocking: Optional[BlockingConfig]
     query_bounds: Tuple[ShardBounds, ...]
     stages: Tuple[Stage, ...] = field(default=())
-    delta: Optional[DeltaBounds] = None
 
     def stage(self, name: str) -> Stage:
         for stage in self.stages:
@@ -192,19 +133,6 @@ class ResolutionPlan:
             f"  tables: left={self.left_rows} rows ({len(self.query_bounds)} shards), "
             f"right={self.right_rows} rows",
         ]
-        if self.delta is not None:
-            def _side(side: str, total: int, base: int) -> str:
-                text = f"{side} +{self.delta.new_rows(side, total)} rows (base {base}"
-                if self.delta.dirty_rows(side):
-                    text += f", dirty {self.delta.dirty_rows(side)}"
-                if self.delta.deleted_rows(side):
-                    text += f", deleted {self.delta.deleted_rows(side)}"
-                return text + ")"
-
-            lines.append(
-                f"  delta: {_side('left', self.left_rows, self.delta.base_left_rows)}, "
-                f"{_side('right', self.right_rows, self.delta.base_right_rows)}"
-            )
         for position, stage in enumerate(self.stages, start=1):
             dependency = f" <- {', '.join(stage.depends_on)}" if stage.depends_on else ""
             lines.append(f"  [{position}] {stage.name}{dependency} — {stage.num_units} unit(s)")
@@ -268,26 +196,16 @@ class ResolutionPlanner:
             shard_rows=store.shard_rows,
         )
 
-    def plan(
-        self, delta: Optional[DeltaBounds] = None, index_reusable: bool = False
-    ) -> ResolutionPlan:
+    def plan(self) -> ResolutionPlan:
         """The deterministic stage graph for the current knobs (pure metadata).
 
-        Without ``delta`` the run is cold: both tables encode, the right
-        table's LSH index is built, every left shard is queried and every
-        candidate scored.
-
-        ``delta`` summarises the mutation since a baseline run (all zero =
-        nothing reusable).  The encode stage then schedules only the new tail
-        ranges plus *patch* units for the dirty rows.  With
-        ``index_reusable`` the block stage mutates the baseline LSH index in
-        place — *tombstone* units mask deleted right rows out of the bucket
-        maps, *patch* units rebucket edited rows, an *extend* unit hashes
-        appended rows — instead of building it; every left shard is
-        re-queried either way (top-K answers can change whenever the index
-        changes).  The score stage drops baseline probabilities for pairs
-        touching deleted or edited rows and runs the matcher only on pairs the
-        surviving baseline scores do not cover.
+        Both tables encode, the right table's LSH index is built, every left
+        shard is queried and every candidate scored.  A run against a
+        baseline executes the same graph, each stage doing only the work the
+        mutation since the baseline requires: the store re-encodes edited and
+        appended rows, the baseline index is mutated in place instead of
+        built, and the matcher scores only pairs the surviving baseline
+        scores do not cover (see :class:`ResolutionExecutor`).
         """
         left_rows = len(self.task.left)
         right_rows = len(self.task.right)
@@ -303,29 +221,16 @@ class ResolutionPlanner:
             blocking=self.blocking,
             query_bounds=tuple(shard_bounds_for("left", left_rows, self.shard_rows)),
         )
+        encode_units = [
+            StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
+            StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
+        ]
         block_units = [StageUnit("build right", right_rows, f"hash rows 0..{right_rows}")]
-        if delta is None:
-            encode_units = [
-                StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
-                StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
-            ]
-            score_detail = (
-                f"streaming, <={bare.max_batches()} batches of <={self.batch_size} pairs"
-            )
-        else:
-            delta = delta.clamped(left_rows, right_rows)
-            encode_units = self._delta_encode_units(delta, left_rows, right_rows)
-            if index_reusable:
-                block_units = self._index_mutation_units(delta, right_rows)
-            score_detail = (
-                "streaming; baseline scores dropped for pairs touching "
-                "deleted/edited rows, matcher runs only on pairs "
-                "involving new or dirty rows"
-            )
         block_units.extend(
             StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
             for b in bare.query_bounds
         )
+        score_detail = f"streaming, <={bare.max_batches()} batches of <={self.batch_size} pairs"
         return replace(
             bare,
             stages=(
@@ -337,37 +242,7 @@ class ResolutionPlanner:
                     units=(StageUnit(name="batches", detail=score_detail),),
                 ),
             ),
-            delta=delta,
         )
-
-    @staticmethod
-    def _delta_encode_units(delta: DeltaBounds, left_rows: int, right_rows: int) -> List[StageUnit]:
-        units: List[StageUnit] = []
-        for side, total in (("left", left_rows), ("right", right_rows)):
-            dirty, new = delta.dirty_rows(side), delta.new_rows(side, total)
-            if dirty == new == 0:
-                units.append(StageUnit(side, 0, "cached (no new or dirty rows)"))
-            if dirty:
-                units.append(StageUnit(f"{side} patch", dirty, f"re-encode {dirty} edited row(s) in place"))
-            if new:
-                units.append(StageUnit(f"{side} tail", new, f"append-only encode rows {total - new}..{total}"))
-        return units
-
-    @staticmethod
-    def _index_mutation_units(delta: DeltaBounds, right_rows: int) -> List[StageUnit]:
-        units: List[StageUnit] = []
-        if delta.deleted_right_rows:
-            units.append(StageUnit(
-                "tombstone right", delta.deleted_right_rows, "mask deleted rows out of the bucket maps"
-            ))
-        if delta.dirty_right_rows:
-            units.append(StageUnit("patch right", delta.dirty_right_rows, "rebucket edited rows in place"))
-        new = delta.new_rows("right", right_rows)
-        if new:
-            units.append(StageUnit(
-                "extend right", new, f"hash rows {right_rows - new}..{right_rows} into existing buckets"
-            ))
-        return units or [StageUnit("reuse right index", 0, "no new rows")]
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +261,10 @@ class _PlanState:
     flat: np.ndarray  # record-level query vectors of the left table
     keys: Sequence[object]  # aligned query keys
     search: NearestNeighbourSearch
-    left_irs: Optional[np.ndarray]  # None once swapped for a shared-cache reference
-    right_irs: Optional[np.ndarray]
+    # Whole-table IRs the matcher gathers each batch's rows from; code views
+    # (:class:`CodecArray`) under a quantized codec, decoded per batch.
+    left_irs: Union[np.ndarray, CodecArray]
+    right_irs: Union[np.ndarray, CodecArray]
     matcher: object
 
 
@@ -568,7 +445,6 @@ class ResolutionExecutor:
         capture: bool = False,
         threshold: float = 0.5,
         stage_timings: Optional[StageTimings] = None,
-        diffs: Optional[Dict[str, Tuple[int, Optional[RowDiff]]]] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.plan = plan
@@ -580,20 +456,6 @@ class ResolutionExecutor:
         self.threshold = threshold
         self.stage_timings = stage_timings
         self.baseline_out: Optional[ResolutionBaseline] = None
-        #: Revision-stamped per-side diffs precomputed by :func:`resolve_delta`
-        #: (side -> (table revision, diff)); reused at run time only while the
-        #: table's revision still matches, so planning and execution never
-        #: disagree about the mutation they describe.
-        self._diffs = diffs or {}
-
-    def _diff_side(self, baseline: ResolutionBaseline, side: str) -> Optional[RowDiff]:
-        table = self.store.task.left if side == "left" else self.store.task.right
-        memo = self._diffs.get(side)
-        if memo is not None and memo[0] == table.revision:
-            return memo[1]
-        diff = baseline.diff_side(side, table)
-        self._diffs[side] = (table.revision, diff)
-        return diff
 
     def _record_stage(self, stage: str, seconds: float, units: int = 1) -> None:
         if self.stage_timings is not None:
@@ -618,8 +480,8 @@ class ResolutionExecutor:
             baseline = None
         left_diff = right_diff = None
         if baseline is not None:
-            left_diff = self._diff_side(baseline, "left")
-            right_diff = self._diff_side(baseline, "right")
+            left_diff = baseline.diff_side("left", store.task.left)
+            right_diff = baseline.diff_side("right", store.task.right)
 
         # One pool for the query fan-out and scoring.  It predates the run,
         # so workers never inherit the encoded arrays; the run publishes
@@ -939,57 +801,53 @@ def _apply_right_diff(
         index.extend(tail, [str(key) for key in right.keys[base:total]])
 
 
-def resolve_delta(
+def resolve(
     store: EncodingStore,
     matcher,
+    *,
     baseline: Optional[ResolutionBaseline] = None,
+    capture: bool = False,
     blocking: Optional[BlockingConfig] = None,
     k: int = 10,
     batch_size: int = 2048,
     threshold: float = 0.5,
-    stage_timings: Optional[StageTimings] = None,
     workers: int = 1,
+    stage_timings: Optional[StageTimings] = None,
     pool: Optional[WorkerPool] = None,
 ) -> ResolutionExecutor:
-    """Plan an incremental resolve against ``baseline`` and return its executor.
+    """Plan a resolve run over ``store`` and return its executor.
 
-    Returns the capturing :class:`ResolutionExecutor` (rather than the raw
-    iterator) so the caller can collect ``baseline_out`` after draining
-    ``.run()`` — :meth:`repro.core.pipeline.VAER.resolve_stream` does exactly
-    that to chain incremental runs.  With ``baseline=None`` the run is a
-    cold resolve that merely *captures* a baseline for the next call.  The
-    plan is parameterised by a row-identity diff of both tables against the
-    baseline snapshot, so its encode/block stages name the exact patch,
-    tombstone and tail units the executor will run.  A supplied ``pool``
-    runs the units and sizes the plan (``workers`` is then its worker count).
+    The one front-end of the engine.  Without ``baseline`` the run is cold;
+    with one it pays only for the rows mutated since (see
+    :class:`ResolutionExecutor`).  ``capture`` publishes the refreshed
+    :class:`ResolutionBaseline` on ``baseline_out`` once ``.run()`` is
+    drained — :meth:`repro.core.pipeline.VAER.resolve_stream` chains
+    incremental runs that way.  Knob validation is eager, so a bad
+    ``batch_size`` fails here, before any expensive work starts.
+
+    ``workers=1`` enumerates candidates through
+    :func:`~repro.engine.stream.iter_candidate_batches` and scores each batch
+    inline; with ``workers > 1`` the query shards and score batches run on
+    the cached local worker pool (borrowed on first iteration, handed
+    back when the stream is exhausted or closed) and re-merge in
+    deterministic order, so identical knobs yield the identical batch
+    stream whatever the worker count.  A supplied ``pool`` runs the units
+    instead and sizes the plan (``workers`` is then its worker count); it
+    is the caller's to shut down.  ``stage_timings`` collects per-stage
+    compute seconds and the delta counters.
     """
     if pool is not None:
         workers = pool.workers
-    pinned = store.representation.encoding_version
-    left_diff = right_diff = None
-    diffs: Dict[str, Tuple[int, Optional[RowDiff]]] = {}
-    if baseline is not None and baseline.encoding_version == pinned:
-        left_diff = baseline.diff_side("left", store.task.left)
-        right_diff = baseline.diff_side("right", store.task.right)
-        diffs = {
-            "left": (store.task.left.revision, left_diff),
-            "right": (store.task.right.revision, right_diff),
-        }
     plan = ResolutionPlanner.from_store(
         store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
-    ).plan(
-        delta=DeltaBounds.from_diffs(left_diff, right_diff),
-        index_reusable=baseline is not None
-        and baseline.index_usable(pinned, blocking, right_diff),
-    )
+    ).plan()
     return ResolutionExecutor(
         plan,
         store,
         matcher,
         baseline=baseline,
-        capture=True,
+        capture=capture,
         threshold=threshold,
         stage_timings=stage_timings,
-        diffs=diffs,
         pool=pool,
     )

@@ -56,8 +56,6 @@ from __future__ import annotations
 
 import base64
 import math
-import os
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,11 +75,9 @@ __all__ = [
     "get_codec",
     "params_from_json",
     "resolve_codec_name",
-    "CODEC_ENV_VAR",
     "DEFAULT_CODEC",
 ]
 
-CODEC_ENV_VAR = "REPRO_ENGINE_CODEC"
 DEFAULT_CODEC = "raw"
 
 # int8 code range. Symmetric [-127, 127] (−128 unused) so negation and
@@ -508,20 +504,6 @@ class CodecArray:
             on_decode=self.on_decode,
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["CodecArray"]) -> "CodecArray":
-        if not parts:
-            raise ValueError("concat of zero CodecArrays")
-        head = parts[0]
-        for part in parts[1:]:
-            if part.params != head.params:
-                raise ValueError("cannot concat CodecArrays with different params")
-        return cls(
-            np.concatenate([p.codes for p in parts], axis=0),
-            head.params,
-            on_decode=head.on_decode,
-        )
-
     # -- pickling: drop the counter hook (process-local) ----------------
     def __getstate__(self):
         return {"codes": self.codes, "params": self.params}
@@ -883,34 +865,11 @@ def get_codec(name: str) -> Codec:
         ) from None
 
 
-#: Environment codec values already warned about (one-shot per process).
-_WARNED_ENV_CODECS: set = set()
-
-
 def resolve_codec_name(name: Optional[str] = None) -> str:
-    """Resolve an explicit codec name, falling back to ``REPRO_ENGINE_CODEC``.
-
-    Explicit names are validated loudly. An unset/empty environment value
-    resolves to the raw default; an unknown environment value also degrades
-    to ``raw`` but emits a one-shot :class:`RuntimeWarning` naming the
-    ignored value and the available codecs, so a typo'd
-    ``REPRO_ENGINE_CODEC=pq8`` no longer silently runs uncompressed.
-    """
+    """The codec ``name`` selects (validated loudly), or ``raw`` when unset."""
     if name:
         get_codec(name)  # validate explicit choices loudly
         return name
-    env = os.environ.get(CODEC_ENV_VAR, "").strip().lower()
-    if env in _CODECS:
-        return env
-    if env and env not in _WARNED_ENV_CODECS:
-        _WARNED_ENV_CODECS.add(env)
-        warnings.warn(
-            f"ignoring {CODEC_ENV_VAR}={env!r}: not a codec "
-            f"(available: {', '.join(available_codecs())}); falling back to "
-            f"{DEFAULT_CODEC!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return DEFAULT_CODEC
 
 

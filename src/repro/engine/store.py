@@ -132,8 +132,8 @@ class EncodingStore:
         computed encodings are written back, so repeated runs on the same
         task and representation skip table encoding entirely.
     codec:
-        Encoding codec name (``"raw"`` or ``"int8"``); ``None`` resolves
-        through ``REPRO_ENGINE_CODEC`` and defaults to ``raw``.  With a
+        Encoding codec name (``"raw"``, ``"int8"`` or ``"pq"``); ``None``
+        is ``raw``.  With a
         quantized codec the resident arrays are
         :class:`~repro.engine.quant.CodecArray` code views — one byte per
         dimension — and floats are rehydrated only for gathered rows
@@ -419,29 +419,18 @@ class EncodingStore:
         diff = diff_rows(cached.keys, memo.row_crcs, table)
         if diff is None:
             return None
-        self._adopt_params(side, cached)
         base, total = diff.appended_range
-        encode_positions = list(diff.dirty_new) + list(range(base, total))
-        fresh = (
-            self._compute_records(side, table, encode_positions)
-            if encode_positions
-            else None
-        )
-        self.counters.record_rows_tombstoned(len(diff.deleted_old))
         dirty = set(diff.dirty_new)
-        if not dirty and not diff.deleted_old:
-            merged = _concat_encodings(cached, fresh) if fresh is not None else cached
-        else:
-            reused_positions = [p for p in range(base) if p not in dirty]
-            reused_old = [diff.survivor_old[p] for p in reused_positions]
-            merged = _splice_encodings(
-                keys=tuple(table.record_ids()),
-                reused_positions=reused_positions,
-                reused=cached,
-                reused_rows=reused_old,
-                fresh_positions=encode_positions,
-                fresh=fresh,
-            )
+        reused_positions = [p for p in range(base) if p not in dirty]
+        merged = self._reencode_and_splice(
+            side,
+            table,
+            reused=cached,
+            reused_positions=reused_positions,
+            reused_rows=[diff.survivor_old[p] for p in reused_positions],
+            encode_positions=list(diff.dirty_new) + list(range(base, total)),
+            deleted=len(diff.deleted_old),
+        )
         fingerprint = self.table_fingerprint(side)  # recomputed for the new state
         if self.persistent is not None:
             # The disk entry may lag the in-memory state (or not exist at
@@ -493,27 +482,52 @@ class EncodingStore:
         if reused is None:
             return None
         positions, base = reused
-        self._adopt_params(side, base)
-        encode_positions = delta.encode_positions()
+        merged = self._reencode_and_splice(
+            side,
+            table,
+            reused=base,
+            reused_positions=positions,
+            reused_rows=range(len(base)),
+            encode_positions=delta.encode_positions(),
+            deleted=len(delta.deleted_rows),
+        )
+        self._write_through(side, table, merged, delta)
+        return merged
+
+    def _reencode_and_splice(
+        self,
+        side: str,
+        table: Table,
+        reused: TableEncodings,
+        reused_positions: Sequence[int],
+        reused_rows: Sequence[int],
+        encode_positions: Sequence[int],
+        deleted: int,
+    ) -> TableEncodings:
+        """A mutated table's encodings: reused rows plus a re-encode of the rest.
+
+        The one refresh of both mutation paths, whether ``reused`` came from
+        memory or from disk: row ``reused_rows[i]`` of ``reused`` fills
+        current row ``reused_positions[i]``, the rows at ``encode_positions``
+        (edited and appended) go through the encoder with the side's fixed
+        quantization params, and ``deleted`` vanished rows are counted as
+        tombstoned.
+        """
+        self._adopt_params(side, reused)
         fresh = (
             self._compute_records(side, table, encode_positions)
             if encode_positions
             else None
         )
-        self.counters.record_rows_tombstoned(len(delta.deleted_rows))
-        if delta.is_append_only:
-            merged = _concat_encodings(base, fresh) if fresh is not None else base
-        else:
-            merged = _splice_encodings(
-                keys=tuple(table.record_ids()),
-                reused_positions=positions,
-                reused=base,
-                reused_rows=range(len(base)),
-                fresh_positions=encode_positions,
-                fresh=fresh,
-            )
-        self._write_through(side, table, merged, delta)
-        return merged
+        self.counters.record_rows_tombstoned(deleted)
+        return _splice_encodings(
+            keys=tuple(table.record_ids()),
+            reused_positions=reused_positions,
+            reused=reused,
+            reused_rows=reused_rows,
+            fresh_positions=encode_positions,
+            fresh=fresh,
+        )
 
     def _write_through(
         self, side: str, table: Table, encodings: TableEncodings, delta: Optional["TableDelta"]
@@ -770,8 +784,8 @@ def _splice_encodings(
     ``reused_positions[i]`` (a current-table row) is filled from row
     ``reused_rows[i]`` of ``reused``; ``fresh_positions[j]`` from row ``j``
     of ``fresh``.  Together the two position sets must tile ``range(len(
-    keys))`` — the result is indistinguishable from a whole-table encode of
-    the current table.
+    keys))`` — edits, deletions and appends alike — and the result is
+    indistinguishable from a whole-table encode of the current table.
     """
     n = len(keys)
     reference = fresh if fresh is not None else reused
@@ -814,30 +828,5 @@ def _splice_encodings(
         irs=out["irs"],
         mu=out["mu"],
         sigma=out["sigma"],
-        row_index={key: row for row, key in enumerate(keys)},
-    )
-
-
-def _concat_encodings(prefix: TableEncodings, tail: TableEncodings) -> TableEncodings:
-    """Stitch a reused prefix and a freshly encoded tail into one table.
-
-    The delta path's merge point: ``prefix`` rows came from the in-memory or
-    on-disk cache, ``tail`` rows from an append-only encode; the result is
-    indistinguishable from a whole-table encode of the grown table.
-    """
-    if len(tail) == 0:
-        return prefix
-    keys = tuple(prefix.keys) + tuple(tail.keys)
-
-    def _cat(head, rows):
-        if isinstance(head, CodecArray):
-            return head.concat_rows(rows)  # code-space append, no decode
-        return np.concatenate([np.asarray(head), rows])
-
-    return TableEncodings(
-        keys=keys,
-        irs=_cat(prefix.irs, tail.irs),
-        mu=_cat(prefix.mu, tail.mu),
-        sigma=_cat(prefix.sigma, tail.sigma),
         row_index={key: row for row, key in enumerate(keys)},
     )

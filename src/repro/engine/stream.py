@@ -2,22 +2,20 @@
 
 ``VAER.resolve`` materialises every candidate pair and its feature tensors at
 once, which is fine for benchmark tables but not for production-scale inputs.
-:func:`resolve_stream` chunk-wise pipelines the same blocking → featurisation
-→ matching flow: the right-hand table is indexed once, left-hand records are
-queried in blocks, and candidate pairs are featurised and scored in slices of
-at most ``batch_size`` pairs.  Peak memory is therefore bounded by the cached
-table encodings plus one scoring batch, regardless of how many candidate
-pairs blocking emits.  With ``workers > 1`` the planner engine
-(:mod:`repro.engine.plan`) reuses the exact candidate enumeration and batch
-packing below but fans blocking queries and per-batch scoring out across a
-:class:`~repro.engine.shard.WorkerPool` — the cached local one, or a pool the
-caller passes.
+This module holds the serial candidate stream the resolve executor
+(:mod:`repro.engine.plan`) scores: the right-hand table is indexed once,
+left-hand records are queried in blocks, and candidate pairs are packed into
+batches of at most ``batch_size`` pairs.  Peak memory is therefore bounded by
+the cached table encodings plus one scoring batch, regardless of how many
+candidate pairs blocking emits.  A pooled run reuses the exact candidate
+enumeration and batch packing below, fanning the blocking queries and
+per-batch scoring out across a :class:`~repro.engine.shard.WorkerPool`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +23,7 @@ from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
 from repro.engine.store import EncodingStore
-from repro.eval.timing import StageTimings
 from repro.exceptions import StaleEncodingError
-
-if TYPE_CHECKING:  # pragma: no cover - shard imports this module
-    from repro.engine.shard import WorkerPool
 
 
 @dataclass
@@ -181,53 +175,3 @@ def iter_candidate_batches(
         ),
         batch_size,
     )
-
-
-def resolve_stream(
-    store: EncodingStore,
-    matcher,
-    blocking: Optional[BlockingConfig] = None,
-    k: int = 10,
-    batch_size: int = 2048,
-    threshold: float = 0.5,
-    workers: int = 1,
-    stage_timings: Optional[StageTimings] = None,
-    pool: Optional["WorkerPool"] = None,
-) -> Iterator[ResolutionBatch]:
-    """Score the candidate stream in bounded-memory batches.
-
-    Yields :class:`ResolutionBatch` objects whose concatenated pairs and
-    probabilities equal a monolithic ``resolve`` pass over the same store.
-    Argument validation is eager (not deferred to the first iteration), so a
-    bad ``batch_size`` fails before any expensive work starts.
-
-    A thin constructor of the plan/execute engine's one executor for a cold
-    run (no baseline, nothing captured): a
-    :class:`~repro.engine.plan.ResolutionPlanner` partitions the left table
-    into query shards and a :class:`~repro.engine.plan.ResolutionExecutor`
-    runs the encode → block → score stage graph.  ``workers=1`` enumerates
-    candidates through :func:`iter_candidate_batches` above and scores each
-    batch inline; with ``workers > 1`` the LSH blocking queries *and* the
-    per-batch scoring run concurrently on the cached local worker pool
-    (borrowed on first iteration, handed back when the iterator is exhausted
-    or closed) and re-merge in deterministic order, so identical knobs
-    always produce the identical batch stream, whatever the worker count.
-    A supplied ``pool`` runs the units instead and sizes the plan
-    (``workers`` is then its worker count); it is the caller's to shut down.
-    ``stage_timings`` collects per-stage compute seconds.
-    """
-    from repro.engine.plan import ResolutionExecutor, ResolutionPlanner
-
-    if pool is not None:
-        workers = pool.workers
-    plan = ResolutionPlanner.from_store(
-        store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
-    ).plan()
-    return ResolutionExecutor(
-        plan,
-        store,
-        matcher,
-        threshold=threshold,
-        stage_timings=stage_timings,
-        pool=pool,
-    ).run()

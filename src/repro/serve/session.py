@@ -136,7 +136,7 @@ class Snapshot:
 
     ``pairs`` is the complete scored candidate stream in the engine's
     deterministic enumeration order — exactly the concatenation a batch
-    ``resolve_delta`` over the same table state yields, which is what makes
+    ``VAER.resolve_delta`` over the same table state yields, which is what makes
     daemon answers byte-comparable to the batch oracle.
     """
 

@@ -3,7 +3,7 @@
 Three invariants pin the delta engine:
 
 * **Equivalence** — for every registry domain, resolving base + appended
-  rows through the delta plan yields the identical candidate stream and
+  rows through an incremental run yields the identical candidate stream and
   match set as a cold full resolve of the grown tables;
 * **Chunk-fingerprint reuse** — appending ``k`` rows re-encodes only the
   tail (``rows_reencoded <= chunk-aligned k``; here exactly ``k``) and never
@@ -31,13 +31,12 @@ from repro.data.generators import (
 )
 from repro.data.generators.base import DomainSpec, SyntheticDomainGenerator, compose, pick
 from repro.engine import (
-    DeltaBounds,
+    CodecArray,
     EncodingStore,
     PersistentEncodingCache,
     ResolutionPlanner,
     merge_scored_batches,
-    resolve_delta,
-    resolve_stream,
+    resolve,
 )
 from repro.engine.shard import ThreadWorkerPool, WorkerPool, acquire_pool, release_pool
 from repro.eval.timing import EngineCounters, StageTimings
@@ -101,7 +100,7 @@ class TestRegistryEquivalence:
     @pytest.mark.parametrize("name", DOMAIN_NAMES)
     def test_delta_resolve_equals_cold_full_resolve(self, name):
         """The acceptance contract, on every registry domain: base + append
-        through the delta plan == cold full resolve of the grown tables."""
+        through an incremental run == cold full resolve of the grown tables."""
         domain = load_domain(name, scale=0.2)
         representation = EntityRepresentationModel(
             VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7), ir_method="lsa"
@@ -112,7 +111,7 @@ class TestRegistryEquivalence:
         store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
-        executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
+        executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
         base = merge_scored_batches(executor.run())
         baseline = executor.baseline_out
         assert baseline is not None and len(baseline.scores) == len(base)
@@ -121,8 +120,8 @@ class TestRegistryEquivalence:
         append_rows(domain, side="right", rows=9)
         append_rows(domain, side="left", rows=5)
         rescored_before = store.counters.pairs_rescored
-        warm = resolve_delta(
-            store, matcher, baseline=baseline, blocking=blocking, k=4, batch_size=13
+        warm = resolve(
+            store, matcher, baseline=baseline, capture=True, blocking=blocking, k=4, batch_size=13
         )
         delta = merge_scored_batches(warm.run())
         # Only the appended tails were pushed through the encoder.
@@ -135,7 +134,7 @@ class TestRegistryEquivalence:
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         cold = merge_scored_batches(
-            resolve_stream(cold_store, matcher, blocking=blocking, k=4, batch_size=13)
+            resolve(cold_store, matcher, blocking=blocking, k=4, batch_size=13).run()
         )
         assert [p.key() for p in delta.pairs] == [p.key() for p in cold.pairs]
         # Reused pairs are byte-identical; tail rows were encoded in a
@@ -161,7 +160,7 @@ class TestRegistryEquivalence:
         store = EncodingStore(
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
-        executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
+        executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
         merge_scored_batches(executor.run())
         baseline = executor.baseline_out
 
@@ -178,8 +177,8 @@ class TestRegistryEquivalence:
 
         rows_before = store.counters.rows_reencoded
         rescored_before = store.counters.pairs_rescored
-        warm = resolve_delta(
-            store, matcher, baseline=baseline, blocking=blocking, k=4, batch_size=13
+        warm = resolve(
+            store, matcher, baseline=baseline, capture=True, blocking=blocking, k=4, batch_size=13
         )
         delta = merge_scored_batches(warm.run())
         assert store.counters.tables_encoded == 2, "delta run must not re-encode tables"
@@ -197,7 +196,7 @@ class TestRegistryEquivalence:
             representation, domain.task, counters=EngineCounters(), shard_rows=16
         )
         cold = merge_scored_batches(
-            resolve_stream(cold_store, matcher, blocking=blocking, k=4, batch_size=13)
+            resolve(cold_store, matcher, blocking=blocking, k=4, batch_size=13).run()
         )
         assert [p.key() for p in delta.pairs] == [p.key() for p in cold.pairs]
         np.testing.assert_allclose(delta.probabilities, cold.probabilities, atol=1e-9)
@@ -237,7 +236,7 @@ class TestRegistryEquivalence:
             store = EncodingStore(
                 representation, d.task, counters=EngineCounters(), shard_rows=8
             )
-            executor = resolve_delta(store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13)
+            executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
             merge_scored_batches(executor.run())
             return store, executor.baseline_out
 
@@ -249,12 +248,12 @@ class TestRegistryEquivalence:
             # > shard_rows: fans out
             reencoded.update(r.record_id for r in append_rows(d, side="right", rows=20))
 
-        serial = list(resolve_delta(
-            store_serial, matcher, baseline=baseline_serial, blocking=blocking,
+        serial = list(resolve(
+            store_serial, matcher, baseline=baseline_serial, capture=True, blocking=blocking,
             k=4, batch_size=1, workers=1,
         ).run())
-        pooled_executor = resolve_delta(
-            store_pooled, matcher, baseline=baseline_pooled, blocking=blocking,
+        pooled_executor = resolve(
+            store_pooled, matcher, baseline=baseline_pooled, capture=True, blocking=blocking,
             k=4, batch_size=1, workers=2,
         )
         assert pooled_executor.plan.workers == 2
@@ -272,7 +271,7 @@ class TestRegistryEquivalence:
         ).fit(domain.task)
         matcher = _DistanceMatcher()
         store = EncodingStore(representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, matcher, baseline=None, k=4, batch_size=13)
+        executor = resolve(store, matcher, baseline=None, capture=True, k=4, batch_size=13)
         base = merge_scored_batches(executor.run())
         baseline = executor.baseline_out
         old_left = {p.left_id for p in base.pairs} | {r.record_id for r in domain.task.left}
@@ -281,7 +280,7 @@ class TestRegistryEquivalence:
         appended = append_rows(domain, side="right", rows=7)
         new_right = {r.record_id for r in appended}
         rescored_before = store.counters.pairs_rescored
-        warm = resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13)
+        warm = resolve(store, matcher, baseline=baseline, capture=True, k=4, batch_size=13)
         delta = merge_scored_batches(warm.run())
         # Every pair absent from the baseline involves an appended row; all
         # old-old pairs were served from the baseline scores.
@@ -462,7 +461,7 @@ class TestChunkFingerprintReuse:
 
         def round_(baseline):
             del hashed[:]
-            executor = resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13)
+            executor = resolve(store, matcher, baseline=baseline, capture=True, k=4, batch_size=13)
             merge_scored_batches(executor.run())
             return executor.baseline_out
 
@@ -517,15 +516,15 @@ class TestModeEquivalence:
                 delta_representation, domain.task, counters=EngineCounters(), shard_rows=shard_rows
             )
 
-        reference = _batch_rows(resolve_stream(fresh_store(_fresh_tiny_domain()), matcher, **knobs))
+        reference = _batch_rows(resolve(fresh_store(_fresh_tiny_domain()), matcher, **knobs).run())
         served_by_workers = {}
         for workers in (1, 2):
             domain = _fresh_tiny_domain()
             assert _batch_rows(
-                resolve_stream(fresh_store(domain), matcher, workers=workers, **knobs)
+                resolve(fresh_store(domain), matcher, workers=workers, **knobs).run()
             ) == reference
             store = fresh_store(domain)
-            capturing = resolve_delta(store, matcher, baseline=None, workers=workers, **knobs)
+            capturing = resolve(store, matcher, baseline=None, capture=True, workers=workers, **knobs)
             assert _batch_rows(capturing.run()) == reference
             baseline = capturing.baseline_out
             assert store.counters.tables_encoded == 2
@@ -553,8 +552,8 @@ class TestModeEquivalence:
             reencoded = store.counters.rows_reencoded
             tombstoned = store.counters.rows_tombstoned
             timings = StageTimings()
-            warm = resolve_delta(
-                store, matcher, baseline=baseline, workers=workers, stage_timings=timings, **knobs
+            warm = resolve(
+                store, matcher, baseline=baseline, capture=True, workers=workers, stage_timings=timings, **knobs
             )
             served = list(warm.run())
             served_by_workers[workers] = _batch_rows(served)
@@ -562,7 +561,7 @@ class TestModeEquivalence:
             assert len(gone) <= store.counters.rows_tombstoned - tombstoned <= deletes
             assert store.counters.tables_encoded == 2  # the cold capture only
 
-            cold = list(resolve_stream(fresh_store(domain), matcher, **knobs))
+            cold = list(resolve(fresh_store(domain), matcher, **knobs).run())
             assert [row[:2] for row in _batch_rows(served)] == [row[:2] for row in _batch_rows(cold)]
             served, cold = merge_scored_batches(served), merge_scored_batches(cold)
             assert all(p.right_id not in gone for p in served.pairs)
@@ -618,7 +617,7 @@ class TestDeadPoolResume:
             )
             baseline = None
             if mutated:
-                capturing = resolve_delta(store, matcher, baseline=None, **knobs)
+                capturing = resolve(store, matcher, baseline=None, capture=True, **knobs)
                 list(capturing.run())
                 baseline = capturing.baseline_out
                 delete_rows(domain, side="right", rows=2)
@@ -627,9 +626,9 @@ class TestDeadPoolResume:
             runs.append((store, baseline))
 
         (store, baseline), (twin_store, twin_baseline) = runs
-        serial = list(resolve_delta(store, matcher, baseline=baseline, **knobs).run())
+        serial = list(resolve(store, matcher, baseline=baseline, capture=True, **knobs).run())
         pool = _DyingPool(budget)
-        executor = resolve_delta(twin_store, matcher, baseline=twin_baseline, pool=pool, **knobs)
+        executor = resolve(twin_store, matcher, baseline=twin_baseline, capture=True, pool=pool, **knobs)
         resumed = list(executor.run())
         assert pool.broken == pool.refused
         # Every pooled run submits one task per planned query shard.
@@ -672,8 +671,8 @@ class TestPoolUnits:
                     mutate_rows(domain, side="right", rows=3)
                     append_rows(domain, side="right", rows=20)
                     append_rows(domain, side="left", rows=12)
-                executor = resolve_delta(
-                    store, _DistanceMatcher(), baseline=baseline, pool=pool, k=4, batch_size=13
+                executor = resolve(
+                    store, _DistanceMatcher(), baseline=baseline, capture=True, pool=pool, k=4, batch_size=13
                 )
                 del pool.submitted[:]
                 list(executor.run())
@@ -696,19 +695,19 @@ class TestBaselineHygiene:
         representation = self._fit(domain)
         matcher = _DistanceMatcher()
         store = EncodingStore(representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, matcher, baseline=None, k=4, batch_size=13)
+        executor = resolve(store, matcher, baseline=None, capture=True, k=4, batch_size=13)
         list(executor.run())
         baseline = executor.baseline_out
 
         representation.fit(domain.task, epochs=1)  # bumps encoding_version
-        warm = resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13)
+        warm = resolve(store, matcher, baseline=baseline, capture=True, k=4, batch_size=13)
         refreshed = merge_scored_batches(warm.run())
         assert warm.baseline_out.encoding_version == representation.encoding_version
         # Stale baseline contributed nothing: everything was rescored.
         assert store.counters.pairs_rescored >= len(refreshed)
 
         cold_store = EncodingStore(representation, domain.task, counters=EngineCounters())
-        cold = merge_scored_batches(resolve_stream(cold_store, matcher, k=4, batch_size=13))
+        cold = merge_scored_batches(resolve(cold_store, matcher, k=4, batch_size=13).run())
         assert [p.key() for p in refreshed.pairs] == [p.key() for p in cold.pairs]
         np.testing.assert_array_equal(refreshed.probabilities, cold.probabilities)
 
@@ -721,7 +720,7 @@ class TestBaselineHygiene:
         domain = _fresh_tiny_domain()
         matcher = _DistanceMatcher()
         store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, matcher, baseline=None, k=4, batch_size=13)
+        executor = resolve(store, matcher, baseline=None, capture=True, k=4, batch_size=13)
         merge_scored_batches(executor.run())
         baseline = executor.baseline_out
         mutations_at_capture = baseline.index.mutations
@@ -730,7 +729,7 @@ class TestBaselineHygiene:
         # resolve, consume a single batch, abandon the stream.
         records_before = {r.record_id: r for r in domain.task.right}
         edited = mutate_rows(domain, side="right", rows=1, seed=31)[0]
-        abandoned = resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13)
+        abandoned = resolve(store, matcher, baseline=baseline, capture=True, k=4, batch_size=13)
         stream = abandoned.run()
         next(iter(stream))
         assert abandoned.baseline_out is None, "an abandoned stream publishes nothing"
@@ -747,12 +746,12 @@ class TestBaselineHygiene:
             baseline.diff_side("right", domain.task.right),
         )
         warm = merge_scored_batches(
-            resolve_delta(store, matcher, baseline=baseline, k=4, batch_size=13).run()
+            resolve(store, matcher, baseline=baseline, capture=True, k=4, batch_size=13).run()
         )
         cold_store = EncodingStore(
             delta_representation, domain.task, counters=EngineCounters()
         )
-        cold = merge_scored_batches(resolve_stream(cold_store, matcher, k=4, batch_size=13))
+        cold = merge_scored_batches(resolve(cold_store, matcher, k=4, batch_size=13).run())
         assert [p.key() for p in warm.pairs] == [p.key() for p in cold.pairs]
         np.testing.assert_allclose(warm.probabilities, cold.probabilities, atol=1e-9)
         assert {p.key() for p in warm.matches()} == {p.key() for p in cold.matches()}
@@ -760,13 +759,13 @@ class TestBaselineHygiene:
     def test_new_matcher_invalidates_scores_not_index(self, delta_representation):
         domain = _fresh_tiny_domain()
         store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, _DistanceMatcher(), baseline=None, k=4, batch_size=13)
+        executor = resolve(store, _DistanceMatcher(), baseline=None, capture=True, k=4, batch_size=13)
         base = merge_scored_batches(executor.run())
         baseline = executor.baseline_out
 
         rescored_before = store.counters.pairs_rescored
         other = _DistanceMatcher()  # different object: scores must not be reused
-        warm = resolve_delta(store, other, baseline=baseline, k=4, batch_size=13)
+        warm = resolve(store, other, baseline=baseline, capture=True, k=4, batch_size=13)
         again = merge_scored_batches(warm.run())
         assert store.counters.pairs_rescored - rescored_before == len(again)
         assert [p.key() for p in again.pairs] == [p.key() for p in base.pairs]
@@ -800,104 +799,132 @@ class TestPipelineBaselineLifecycle:
         assert model._baseline is None
 
 
-class TestDeltaPlan:
-    def test_delta_plan_stage_graph(self):
-        domain = _fresh_tiny_domain()
-        planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
-        base_right = len(domain.task.right) - 6
-        plan = planner.plan(
-            delta=DeltaBounds(base_left_rows=len(domain.task.left), base_right_rows=base_right),
-            index_reusable=True,
-        )
-        assert [stage.name for stage in plan.stages] == ["encode", "block", "score"]
-        assert plan.workers == 1
-        assert plan.delta.base_right_rows == base_right
-        assert plan.delta.new_rows("right", plan.right_rows) == 6
-        assert plan.delta.new_rows("left", plan.left_rows) == 0
-        encode = plan.stage("encode")
-        assert encode.units[0].rows == 0 and "cached" in encode.units[0].detail
-        assert encode.units[1].rows == 6 and "append-only" in encode.units[1].detail
-        block = plan.stage("block")
-        assert block.units[0].name == "extend right" and block.units[0].rows == 6
-        assert "new or dirty rows" in plan.stage("score").units[0].detail
-
-    def test_delta_plan_mutation_units(self):
-        """Edits and deletions surface as patch/tombstone units in the graph."""
-        domain = _fresh_tiny_domain()
-        planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
-        plan = planner.plan(
-            delta=DeltaBounds(
-                base_left_rows=len(domain.task.left),
-                base_right_rows=len(domain.task.right) - 5,
-                dirty_right_rows=3,
-                deleted_right_rows=2,
-            ),
-            index_reusable=True,
-        )
-        assert plan.delta.dirty_right_rows == 3
-        assert plan.delta.deleted_right_rows == 2
-        encode_names = [unit.name for unit in plan.stage("encode").units]
-        assert "right patch" in encode_names and "right tail" in encode_names
-        block_names = [unit.name for unit in plan.stage("block").units]
-        assert block_names[:3] == ["tombstone right", "patch right", "extend right"]
-        text = plan.describe()
-        assert "dirty 3" in text and "deleted 2" in text
-        assert "tombstone right" in text
-
-    def test_delta_plan_pooled_encode_units(self):
-        """Pending rows encode in the parent whatever the worker count: a
-        pooled plan whose tail outgrows a shard has the serial encode units."""
-        domain = _fresh_tiny_domain()
-        delta = DeltaBounds(
-            base_left_rows=len(domain.task.left), base_right_rows=len(domain.task.right) - 20
-        )
-        plans = [
-            ResolutionPlanner(domain.task, k=4, batch_size=13, workers=workers, shard_rows=8).plan(
-                delta=delta, index_reusable=True
-            )
-            for workers in (1, 2)
-        ]
-        assert plans[1].workers == 2
-        assert plans[1].stage("encode") == plans[0].stage("encode")
-        assert [(u.name, u.rows) for u in plans[1].stage("encode").units] == [
-            ("left", 0), ("right tail", 20),
-        ]
-
-    def test_delta_plan_without_baseline_is_cold(self):
-        domain = _fresh_tiny_domain()
-        planner = ResolutionPlanner(domain.task, k=4, batch_size=13, shard_rows=16)
-        plan = planner.plan(delta=DeltaBounds(0, 0))
-        # Nothing reusable: the block stage is the cold run's, unit for unit.
-        assert plan.stage("block") == planner.plan().stage("block")
-        assert plan.stage("block").units[0].name == "build right"
-        assert all(unit.rows > 0 for unit in plan.stage("encode").units)
-        # Base rows are clamped into the table's range.
-        clamped = ResolutionPlanner(domain.task, shard_rows=16).plan(delta=DeltaBounds(10_000, -5))
-        assert clamped.delta.base_left_rows == len(domain.task.left)
-        assert clamped.delta.base_right_rows == 0
-
-    def test_delta_plan_describe_mentions_delta(self):
-        domain = _fresh_tiny_domain()
-        plan = ResolutionPlanner(domain.task, k=4, shard_rows=16).plan(
-            delta=DeltaBounds(base_left_rows=len(domain.task.left), base_right_rows=30),
-            index_reusable=True,
-        )
-        text = plan.describe()
-        assert "delta:" in text and "extend right" in text
-        assert f"base {30}" in text
-
+class TestDeltaCounters:
     def test_stage_timings_carry_delta_counters(self, delta_representation):
+        """Edits, deletions and appends each show up in the run's counters:
+        the executor's report of what a delta run did."""
         domain = _fresh_tiny_domain()
         store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
-        executor = resolve_delta(store, _DistanceMatcher(), baseline=None, k=4, batch_size=13)
+        executor = resolve(store, _DistanceMatcher(), baseline=None, capture=True, k=4, batch_size=13)
         list(executor.run())
-        append_rows(domain, side="right", rows=5)
+        delete_rows(domain, side="right", rows=2)
+        mutate_rows(domain, side="right", rows=3)
+        append_rows(domain, side="right", rows=4)
         timings = StageTimings()
-        warm = resolve_delta(
-            store, _DistanceMatcher(), baseline=executor.baseline_out,
+        warm = resolve(
+            store, _DistanceMatcher(), baseline=executor.baseline_out, capture=True,
             k=4, batch_size=13, stage_timings=timings,
         )
         total = sum(len(batch) for batch in warm.run())
-        assert timings.counter("rows_reencoded") == 5
+        assert timings.counter("rows_reencoded") == 3 + 4
+        assert timings.counter("rows_tombstoned") == 2
         assert 0 < timings.counter("pairs_rescored") <= total
         assert "block-extend" in timings.stages()
+
+    @pytest.mark.parametrize("codec", ["raw", "int8", "pq"])
+    def test_append_only_refresh_splices_in_place(self, delta_representation, codec):
+        """An append-only mutation takes the same splice as edits: cached rows
+        come back byte-for-byte, only the tail is encoded, nothing is
+        tombstoned."""
+        domain = _fresh_tiny_domain()
+        store = EncodingStore(
+            delta_representation, domain.task, counters=EngineCounters(), codec=codec
+        )
+        before = store.table_encodings("right")
+        appended = append_rows(domain, side="right", rows=5)
+        reencoded = store.counters.rows_reencoded
+        after = store.table_encodings("right")
+        assert after.keys == tuple(domain.task.right.record_ids())
+        assert after.keys[-5:] == tuple(r.record_id for r in appended)
+        assert store.counters.rows_reencoded - reencoded == 5
+        assert store.counters.rows_tombstoned == 0
+        assert store.counters.tables_encoded == 1
+
+        def rows(array):
+            return array.codes if isinstance(array, CodecArray) else np.asarray(array)
+
+        # The tail holds the appended rows' own encodings, quantized with the
+        # side's fixed params.
+        cold = EncodingStore(delta_representation, domain.task).table_encodings("right")
+        for name in ("irs", "mu", "sigma"):
+            old, new = getattr(before, name), getattr(after, name)
+            assert isinstance(new, CodecArray) == isinstance(old, CodecArray)
+            assert len(rows(new)) == len(before) + 5
+            np.testing.assert_array_equal(rows(new)[: len(before)], rows(old))
+            tail = np.asarray(getattr(cold, name))[len(before):]
+            if isinstance(old, CodecArray):
+                np.testing.assert_array_equal(rows(new)[len(before):], old.encode_rows(tail))
+            else:
+                np.testing.assert_allclose(rows(new)[len(before):], tail, atol=1e-9)
+
+
+class TestResolveFrontEnd:
+    def test_resolve_without_baseline_is_cold(self, delta_representation):
+        """No baseline means a cold run, captured or not: same plan, same
+        stream, nothing counted as a delta."""
+        matcher = _DistanceMatcher()
+        streams = []
+        for capture in (False, True):
+            domain = _fresh_tiny_domain()
+            store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
+            executor = resolve(store, matcher, capture=capture, k=4, batch_size=13)
+            assert executor.plan == ResolutionPlanner.from_store(store, k=4, batch_size=13).plan()
+            streams.append(_batch_rows(executor.run()))
+            assert store.counters.tables_encoded == 2
+            assert store.counters.rows_reencoded == 0
+            assert store.counters.rows_tombstoned == 0
+        assert streams[0] == streams[1]
+
+    def test_delta_run_plans_the_cold_stage_graph(self, delta_representation):
+        """The plan is the grown tables' cold plan: a baseline changes what
+        the executor reuses, never the stage graph."""
+        domain = _fresh_tiny_domain()
+        store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
+        executor = resolve(store, _DistanceMatcher(), capture=True, k=4, batch_size=13)
+        list(executor.run())
+        append_rows(domain, side="right", rows=6)
+        warm = resolve(
+            store, _DistanceMatcher(), baseline=executor.baseline_out, k=4, batch_size=13
+        )
+        assert [stage.name for stage in warm.plan.stages] == ["encode", "block", "score"]
+        assert warm.plan.right_rows == len(domain.task.right)
+        assert warm.plan == ResolutionPlanner.from_store(store, k=4, batch_size=13).plan()
+        assert "delta:" not in warm.plan.describe()
+
+    def test_capture_off_publishes_no_baseline(self, delta_representation):
+        domain = _fresh_tiny_domain()
+        store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
+        matcher = _DistanceMatcher()
+        captured = resolve(store, matcher, capture=True, k=4, batch_size=13)
+        list(captured.run())
+        assert captured.baseline_out is not None
+        append_rows(domain, side="right", rows=3)
+        warm = resolve(store, matcher, baseline=captured.baseline_out, k=4, batch_size=13)
+        list(warm.run())
+        assert warm.baseline_out is None
+
+    def test_supplied_pool_sizes_the_plan(self, delta_representation):
+        matcher = _DistanceMatcher()
+        serial = _batch_rows(
+            resolve(
+                EncodingStore(delta_representation, _fresh_tiny_domain().task),
+                matcher, k=4, batch_size=13,
+            ).run()
+        )
+        pool = ThreadWorkerPool(3)
+        try:
+            executor = resolve(
+                EncodingStore(delta_representation, _fresh_tiny_domain().task),
+                matcher, workers=1, pool=pool, k=4, batch_size=13,
+            )
+            assert executor.plan.workers == 3
+            assert _batch_rows(executor.run()) == serial
+        finally:
+            pool.shutdown()
+
+    def test_bad_knobs_fail_before_any_work(self, delta_representation):
+        domain = _fresh_tiny_domain()
+        store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
+        with pytest.raises(ValueError, match="batch_size"):
+            resolve(store, _DistanceMatcher(), batch_size=0)
+        assert store.counters.tables_encoded == 0

@@ -7,8 +7,8 @@ Three invariants pin the plan/execute refactor:
 * pooled blocking (the executor's query fan-out, one pool task per planned
   shard) produces the *identical* candidate-pair list as a serial search, on
   every registry domain;
-* planner-driven resolution is byte-identical to ``resolve_stream`` for any
-  (k, batch_size, workers) combination, and a warm run against a chunked
+* pooled resolution is byte-identical to the serial ``resolve`` stream for
+  any (k, batch_size, workers) combination, and a warm run against a chunked
   persistent cache encodes zero tables.
 """
 
@@ -27,7 +27,7 @@ from repro.engine import (
     ResolutionExecutor,
     ResolutionPlanner,
     merge_scored_batches,
-    resolve_stream,
+    resolve,
     shard_bounds_for,
 )
 from repro.eval.timing import EngineCounters, StageTimings
@@ -67,10 +67,9 @@ class TestPlannerGraph:
             plan.stage("transmogrify")
 
     def test_cold_plan_units(self, tiny_domain):
-        """The cold graph (``plan()`` without ``delta``), unit for unit."""
+        """The stage graph every run executes, unit for unit."""
         left, right = len(tiny_domain.task.left), len(tiny_domain.task.right)
         plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, shard_rows=16).plan()
-        assert plan.delta is None
         assert [(u.name, u.rows, u.detail) for u in plan.stage("encode").units] == [
             ("left", left, "IR transform + VAE forward"),
             ("right", right, "IR transform + VAE forward"),
@@ -175,7 +174,7 @@ class TestShardedBlockingEquivalence:
             .candidate_pairs(left.flat_mu(), left.keys, k=5)
         )
         pooled = merge_scored_batches(
-            resolve_stream(store, _ConstantMatcher(), blocking=config, k=5, workers=WORKERS)
+            resolve(store, _ConstantMatcher(), blocking=config, k=5, workers=WORKERS).run()
         )
         assert len(pooled) > 0
         assert [p.key() for p in pooled.pairs] == [p.key() for p in serial]
@@ -192,9 +191,9 @@ class TestPlannerResolveEquivalence:
     @example(batch_size=1, k=4, workers=2)
     def test_planner_resolve_byte_identical_to_stream(self, planned_pipeline, batch_size, k, workers):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
-        streamed = merge_scored_batches(resolve_stream(store, matcher, k=k, batch_size=batch_size))
+        streamed = merge_scored_batches(resolve(store, matcher, k=k, batch_size=batch_size).run())
         planned = merge_scored_batches(
-            resolve_stream(store, matcher, k=k, batch_size=batch_size, workers=workers)
+            resolve(store, matcher, k=k, batch_size=batch_size, workers=workers).run()
         )
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
@@ -209,7 +208,7 @@ class TestPlannerResolveEquivalence:
         )
         planned = merge_scored_batches(executor.run())
         streamed = merge_scored_batches(
-            resolve_stream(store, matcher, k=5, batch_size=13, threshold=planned_pipeline.threshold)
+            resolve(store, matcher, k=5, batch_size=13, threshold=planned_pipeline.threshold).run()
         )
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
@@ -228,9 +227,9 @@ class TestPlannerResolveEquivalence:
 
     def test_oversized_k_and_batch(self, planned_pipeline):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
-        streamed = merge_scored_batches(resolve_stream(store, matcher, k=100, batch_size=10_000))
+        streamed = merge_scored_batches(resolve(store, matcher, k=100, batch_size=10_000).run())
         planned = merge_scored_batches(
-            resolve_stream(store, matcher, k=100, batch_size=10_000, workers=2)
+            resolve(store, matcher, k=100, batch_size=10_000, workers=2).run()
         )
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
@@ -238,9 +237,9 @@ class TestPlannerResolveEquivalence:
     def test_batches_emitted_in_index_order(self, planned_pipeline):
         indices = [
             batch.batch_index
-            for batch in resolve_stream(
+            for batch in resolve(
                 planned_pipeline.store, planned_pipeline.matcher, k=5, batch_size=13, workers=2
-            )
+            ).run()
         ]
         assert indices == list(range(len(indices)))
 
@@ -262,7 +261,7 @@ class TestWarmChunkedCacheResolve:
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )
         cold = merge_scored_batches(
-            resolve_stream(cold_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
+            resolve(cold_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2).run()
         )
         assert cold_store.counters.tables_encoded == 2
 
@@ -275,7 +274,7 @@ class TestWarmChunkedCacheResolve:
             counters=EngineCounters(), persistent=cache, shard_rows=16,
         )
         warm = merge_scored_batches(
-            resolve_stream(warm_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2)
+            resolve(warm_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2).run()
         )
         assert warm_store.counters.tables_encoded == 0, "warm planner run must not encode"
         assert warm_store.counters.disk_hits == 2

@@ -37,8 +37,7 @@ from repro.engine import (
     WorkerPool,
     fork_pool_available,
     merge_scored_batches,
-    resolve_delta,
-    resolve_stream,
+    resolve,
 )
 from repro.engine import shard as shard_module
 from repro.engine import sharedmem
@@ -96,7 +95,7 @@ class TestPoolReuse:
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         merge_scored_batches(
-            resolve_stream(store, _DistanceMatcher(), k=4, batch_size=13, workers=2)
+            resolve(store, _DistanceMatcher(), k=4, batch_size=13, workers=2).run()
         )
         assert shard_module.POOL_SPAWNS == before + 1
 
@@ -108,14 +107,14 @@ class TestPoolReuse:
         store = _store(representation, domain.task)
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
-        executor = resolve_delta(
-            store, matcher, baseline=None, blocking=blocking, k=4, batch_size=13, workers=2
+        executor = resolve(
+            store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13, workers=2
         )
         merge_scored_batches(executor.run())
         assert shard_module.POOL_SPAWNS == before + 1, "cold resolve must spawn one pool"
         append_rows(domain, side="right", rows=7)
-        warm = resolve_delta(
-            store, matcher, baseline=executor.baseline_out, blocking=blocking,
+        warm = resolve(
+            store, matcher, baseline=executor.baseline_out, capture=True, blocking=blocking,
             k=4, batch_size=13, workers=2,
         )
         merge_scored_batches(warm.run())
@@ -157,10 +156,10 @@ class TestTransportEquivalence:
         def run(pool):
             domain = load_domain("restaurants", scale=0.2)  # private copy to mutate
             store = _store(representation, domain.task)
-            cold = resolve_delta(store, matcher, baseline=None, pool=pool, **knobs)
+            cold = resolve(store, matcher, baseline=None, capture=True, pool=pool, **knobs)
             rounds = [_rows(cold.run())]
             append_rows(domain, side="right", rows=7)
-            warm = resolve_delta(store, matcher, baseline=cold.baseline_out, pool=pool, **knobs)
+            warm = resolve(store, matcher, baseline=cold.baseline_out, capture=True, pool=pool, **knobs)
             rounds.append(_rows(warm.run()))
             return rounds
 
@@ -179,12 +178,12 @@ class TestTransportEquivalence:
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
         pooled = _rows(
-            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=2)
+            resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=2).run()
         )
         shutdown_pools()
         before = shard_module.POOL_SPAWNS
         serial = _rows(
-            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=1)
+            resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=1).run()
         )
         assert shard_module.POOL_SPAWNS == before and shard_module._CACHED_POOL is None
         assert serial == pooled
@@ -226,16 +225,16 @@ class TestSuppliedPool:
         counted in ``POOL_SPAWNS``, not cached, not shut down."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
-        streamed = _rows(resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13))
+        streamed = _rows(resolve(_store(representation, domain.task), matcher, k=4, batch_size=13).run())
         shutdown_pools()
         pool = _InlinePool()
         before = shard_module.POOL_SPAWNS
         drained = _rows(
-            resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool)
+            resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool).run()
         )
-        abandoned = resolve_stream(
+        abandoned = resolve(
             _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
-        )
+        ).run()
         first = next(abandoned)
         abandoned.close()
         assert drained == streamed and _rows([first]) == streamed[:1]
@@ -248,11 +247,11 @@ class TestSuppliedPool:
         dead pool is flagged for its owner, who still shuts it down."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
-        serial = _rows(resolve_stream(_store(representation, domain.task), matcher, k=4, batch_size=13))
+        serial = _rows(resolve(_store(representation, domain.task), matcher, k=4, batch_size=13).run())
         pool = _InlinePool()
-        stream = resolve_stream(
+        stream = resolve(
             _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
-        )
+        ).run()
         resumed = [next(stream)]
         pool.dead = True
         resumed.extend(stream)
@@ -267,22 +266,22 @@ class TestSuppliedPool:
         matcher = _DistanceMatcher()
         knobs = [dict(k=4, batch_size=13), dict(k=3, batch_size=9)]
         serial = [
-            _rows(resolve_stream(_store(representation, domain.task), matcher, **knob))
+            _rows(resolve(_store(representation, domain.task), matcher, **knob).run())
             for knob in knobs
         ]
         pools = [ThreadWorkerPool(2), ThreadWorkerPool(2)]
         results = [None, None]
         gate = threading.Barrier(2, timeout=60)
 
-        def resolve(slot):
-            stream = resolve_stream(
+        def run(slot):
+            stream = resolve(
                 _store(representation, domain.task), matcher, pool=pools[slot], **knobs[slot]
-            )
+            ).run()
             first = next(stream)
             gate.wait()  # both runs are mid-stream at once
             results[slot] = _rows([first, *stream])
 
-        threads = [threading.Thread(target=resolve, args=(slot,)) for slot in (0, 1)]
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
         try:
             for thread in threads:
                 thread.start()

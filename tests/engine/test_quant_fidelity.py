@@ -29,7 +29,7 @@ import pytest
 from repro.config import BlockingConfig, VAEConfig
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, load_domain
-from repro.engine import EncodingStore, PersistentEncodingCache, merge_scored_batches, resolve_delta
+from repro.engine import EncodingStore, PersistentEncodingCache, merge_scored_batches, resolve
 from repro.eval.timing import EngineCounters
 
 SCALE = 6.0
@@ -84,8 +84,8 @@ def _measure(name: str, root: Path) -> dict:
     for codec in CODECS:
         cache_dir = root / name / codec
         cold = _store(representation, domain, codec, cache_dir)
-        scored = merge_scored_batches(resolve_delta(
-            cold, _DistanceMatcher(), blocking=BlockingConfig(seed=19), k=8, batch_size=512,
+        scored = merge_scored_batches(resolve(
+            cold, _DistanceMatcher(), capture=True, blocking=BlockingConfig(seed=19), k=8, batch_size=512,
         ).run())
         warm = _store(representation, domain, codec, cache_dir)
         warm.table_encodings("left")

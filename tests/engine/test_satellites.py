@@ -1,7 +1,7 @@
 """Engine regressions: ``pq`` codec ergonomics and the cache audit commands.
 
-* the ``pq`` codec must resolve end to end — name resolution, the
-  environment knob and CLI flag parsing all accept it now that the trained
+* the ``pq`` codec must resolve end to end — name resolution and
+  CLI flag parsing both accept it now that the trained
   product quantizer replaced the stub (unknown codecs still fail fast with
   the catalogue named);
 * ``cache verify`` must audit a shared cache directory — manifest structure
@@ -24,7 +24,6 @@ from repro.engine import (
     get_codec,
     resolve_codec_name,
 )
-from repro.engine.quant import CODEC_ENV_VAR
 from repro.eval.timing import EngineCounters
 
 
@@ -44,10 +43,6 @@ class TestPqCodecErgonomics:
     def test_unknown_codec_still_fails_with_catalogue(self):
         with pytest.raises(ValueError, match="available"):
             resolve_codec_name("zstd")
-
-    def test_pq_env_value_selects_pq(self, monkeypatch):
-        monkeypatch.setenv(CODEC_ENV_VAR, "pq")
-        assert resolve_codec_name() == "pq"
 
     def test_cli_rejects_unknown_codec_at_flag_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

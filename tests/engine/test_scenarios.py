@@ -6,7 +6,7 @@ one matcher, and resolves the task three ways:
 
 * monolithic :meth:`VAER.resolve` (everything scored at once);
 * streamed :meth:`VAER.resolve_stream` (bounded-memory batches);
-* sharded ``resolve_stream(workers=N)`` (parallel worker-pool scoring).
+* sharded ``resolve(workers=N).run()`` (parallel worker-pool scoring).
 
 The three paths must produce the same candidate enumeration, the same match
 set and the same threshold; streamed and sharded must be *byte-identical*.
@@ -99,7 +99,7 @@ class TestScenarioEquivalence:
         set as a cold full resolve of the grown task.
         """
         from repro.data.generators import append_rows
-        from repro.engine import EncodingStore, resolve_stream
+        from repro.engine import EncodingStore, resolve
         from repro.eval.timing import EngineCounters
 
         append = int(os.environ.get("REPRO_ENGINE_APPEND_ROWS", "10"))
@@ -131,8 +131,8 @@ class TestScenarioEquivalence:
             model.representation, domain.task, counters=EngineCounters()
         )
         cold = merge_scored_batches(
-            resolve_stream(cold_store, model.matcher, blocking=config.blocking,
-                           k=5, batch_size=17, threshold=model.threshold)
+            resolve(cold_store, model.matcher, blocking=config.blocking,
+                           k=5, batch_size=17, threshold=model.threshold).run()
         )
         assert [p.key() for p in delta.pairs] == [p.key() for p in cold.pairs]
         np.testing.assert_allclose(delta.probabilities, cold.probabilities, atol=1e-9)
@@ -150,7 +150,7 @@ class TestScenarioEquivalence:
         cold full resolve of the mutated task.
         """
         from repro.data.generators import append_rows, delete_rows, mutate_rows
-        from repro.engine import EncodingStore, resolve_stream
+        from repro.engine import EncodingStore, resolve
         from repro.eval.timing import EngineCounters
 
         edits = int(os.environ.get("REPRO_ENGINE_EDIT_ROWS", "6"))
@@ -188,8 +188,8 @@ class TestScenarioEquivalence:
             model.representation, domain.task, counters=EngineCounters()
         )
         cold = merge_scored_batches(
-            resolve_stream(cold_store, model.matcher, blocking=config.blocking,
-                           k=5, batch_size=17, threshold=model.threshold)
+            resolve(cold_store, model.matcher, blocking=config.blocking,
+                           k=5, batch_size=17, threshold=model.threshold).run()
         )
         assert [p.key() for p in delta.pairs] == [p.key() for p in cold.pairs]
         np.testing.assert_allclose(delta.probabilities, cold.probabilities, atol=1e-9)

@@ -11,7 +11,7 @@ from repro.engine import (
     PersistentEncodingCache,
     ScoredPairs,
     merge_scored_batches,
-    resolve_stream,
+    resolve,
     shard_bounds_for,
 )
 from repro.eval.timing import EngineCounters, StageTimings
@@ -76,9 +76,9 @@ class TestResolveSharded:
     def test_rejects_bad_arguments_eagerly(self, sharded_pipeline):
         store, matcher = sharded_pipeline.store, sharded_pipeline.matcher
         with pytest.raises(ValueError):
-            resolve_stream(store, matcher, batch_size=0, workers=2)
+            resolve(store, matcher, batch_size=0, workers=2).run()
         with pytest.raises(ValueError):
-            resolve_stream(store, matcher, batch_size=8, workers=0)
+            resolve(store, matcher, batch_size=8, workers=0).run()
 
     def test_incremental_fills_a_stage_timings_sink(self, sharded_pipeline):
         """The one executor accounts every batch in every mode: an
@@ -99,19 +99,19 @@ class TestResolveSharded:
                 sharded_pipeline.representation, tiny_domain.task,
                 counters=EngineCounters(), shard_rows=16,
             )
-            list(resolve_stream(store, sharded_pipeline.matcher, k=5, batch_size=13, **sinks))
+            list(resolve(store, sharded_pipeline.matcher, k=5, batch_size=13, **sinks).run())
             return store.stats()
 
         assert drained(stage_timings=StageTimings()) == drained()
 
     def test_single_worker_equals_stream(self, sharded_pipeline):
         streamed = merge_scored_batches(
-            resolve_stream(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13)
+            resolve(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13).run()
         )
         serial = merge_scored_batches(
-            resolve_stream(
+            resolve(
                 sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13, workers=1,
-            )
+            ).run()
         )
         assert [p.key() for p in serial.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(serial.probabilities, streamed.probabilities)
@@ -125,7 +125,7 @@ class TestResolveSharded:
             np.testing.assert_array_equal(a.probabilities, b.probabilities)
             batches.append(a)
         reference = merge_scored_batches(
-            resolve_stream(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13)
+            resolve(sharded_pipeline.store, sharded_pipeline.matcher, k=5, batch_size=13).run()
         )
         merged = merge_scored_batches(batches)
         np.testing.assert_array_equal(

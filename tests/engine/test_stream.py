@@ -6,7 +6,7 @@ import pytest
 from repro.config import MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.pairs import RecordPair
-from repro.engine import EncodingStore, ScoredPairs, resolve_stream, stream_candidate_pairs
+from repro.engine import EncodingStore, ScoredPairs, resolve, stream_candidate_pairs
 from repro.eval.timing import EngineCounters
 from repro.exceptions import StaleEncodingError
 
@@ -71,7 +71,7 @@ class TestResolveStream:
         )
         # The error must surface at call time, not on first iteration.
         with pytest.raises(ValueError):
-            resolve_stream(store, resolved_pipeline.matcher, batch_size=0)
+            resolve(store, resolved_pipeline.matcher, batch_size=0).run()
 
 
 class TestResolveStreamEdgeCases:

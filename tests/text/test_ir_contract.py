@@ -23,7 +23,7 @@ from repro.config import MatcherConfig, VAEConfig, VAERConfig
 from repro.core.pipeline import VAER
 from repro.data.generators import available_domains, load_domain
 from repro.data.schema import Record, Table
-from repro.engine import EncodingStore, merge_scored_batches, resolve_stream
+from repro.engine import EncodingStore, merge_scored_batches, resolve
 from repro.eval.timing import EngineCounters
 from repro.text import EmbDIModel, HashEmbedding, IRGenerator, LSAModel, Vocabulary
 from repro.text.ir import IR_METHODS, _corpus_of
@@ -149,9 +149,9 @@ def test_resolve_stream_agrees_with_the_dense_reference(name, monkeypatch):
 
     def drained():
         store = EncodingStore(model.representation, domain.task, counters=EngineCounters())
-        return merge_scored_batches(list(resolve_stream(
+        return merge_scored_batches(list(resolve(
             store, model.matcher, blocking=config.blocking, k=5, batch_size=64, threshold=model.threshold
-        )))
+        ).run()))
 
     sparse_run = drained()
     monkeypatch.setattr(LSAModel, "transform", reference_lsa)
