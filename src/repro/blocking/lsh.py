@@ -14,14 +14,22 @@ projections and registers the vectors, :meth:`hash_rows` hashes a row range
 into per-table bucket maps, and :meth:`install_tables` merges maps in row
 order.  :meth:`build` composes the three over the whole table and
 :meth:`extend` hashes only the appended rows.  Queries run
-block-at-a-time: :meth:`query_batch` computes the
-bucket ids of a whole block of query vectors in one projection pass, gathers
-every row's bucket candidates into one CSR list and scores the block with a
-single distance-kernel call; only the bucket lookups and the final top-k cut
-remain per row.  Quantized tables additionally
-declare a query-time policy through their codec params (rank-cut expansion
-and low-margin multiprobe — see :meth:`_query_policy`) so approximate codes
-trade a wider exact-scored shortlist for recall instead of losing it.
+block-at-a-time: :meth:`query_batch` computes the bucket ids of a whole
+block of query vectors in one projection pass and turns them into one
+boolean (queries x stored rows) membership mask — bucket labels per stored
+row, compared per table, ANDed with the live mask; only the bucket lookups
+and the final top-k cut remain per row.  Over float tables one GEMM gives
+``|q|^2 + |x|^2 - 2 q.x`` for every stored row, a rounding-error bound
+``B = c (d + 2) u (|q|^2 + |x|^2)`` turns it into an interval that holds
+the exact kernel's value, and only members whose lower end reaches the
+``(k + 1)``-th smallest upper end are rescored exactly
+(:func:`_raw_sq_distances`) — the answer of ranking every candidate, to the
+byte.  Answers are ordered by (distance, stored row) for every codec, so
+exact ties break by row.  Quantized tables score the mask's CSR form with
+the asymmetric kernel and additionally declare a query-time policy through
+their codec params (rank-cut expansion and low-margin multiprobe — see
+:meth:`_query_policy`) so approximate codes trade a wider exact-scored
+shortlist for recall instead of losing it.
 
 The index is additionally *mutable in place* — the incremental-blocking
 layer of delta resolution: :meth:`extend` appends rows into the existing
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -56,11 +65,17 @@ DEFAULT_COMPACTION_LOAD = 0.3
 #: bounds the transient float materialisation of a build/extend hash pass.
 _HASH_BLOCK_ROWS = 4096
 
-#: (query, bucket candidate) pairs one ranking block gathers before it is
-#: scored — bounds the CSR id and distance arrays of a kernel call.
+#: (query, stored row) cells of one ranking block — bounds its membership
+#: mask and, on raw tables, each float temporary of the shortlist GEMM
+#: (~8 MB of float64; three of them plus the masks stay near 32 MB).
 _RANK_BLOCK_PAIRS = 1 << 20
 
-#: Elements of one difference block in the raw kernels (~32 MB of float64).
+#: Safety factor ``c`` of the shortlist bound ``c * (d + 2) * u * (|q|^2 +
+#: |x|^2)``; the rounding analysis in :meth:`EuclideanLSHIndex._rank_raw`
+#: needs a little under 4.
+_SHORTLIST_SLACK = 8.0
+
+#: Elements of one difference block of the exact raw kernel (~32 MB of float64).
 _DIFF_BLOCK_ELEMENTS = 1 << 22
 
 
@@ -164,12 +179,18 @@ class EuclideanLSHIndex:
         self._dead: Set[int] = set()
         self._key_rows: Optional[Dict[object, int]] = None
         self._mutations: int = 0
-        # Linear-scan fallback working set, keyed by the mutation counter:
-        # (mutations, live row indices, gathered live vectors).
-        self._live_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
-        # Asymmetric-ranking working set over code vectors, keyed likewise:
-        # (mutations, per-row ||c*s||^2 norms).
+        # Code-table linear-scan working set, keyed by the mutation counter:
+        # (mutations, live row indices, gathered live codes).
+        self._live_cache: Optional[Tuple[int, np.ndarray, object]] = None
+        # Per-row squared norms of the stored table (||x||^2, or ||c*s||^2
+        # over code vectors), keyed likewise: (mutations, norms).
         self._norms_cache: Optional[Tuple[int, np.ndarray]] = None
+        # Membership-mask working set, keyed likewise: (mutations, per-table
+        # bucket key -> label, (tables, rows) label of every stored row,
+        # live-row mask or None).
+        self._bucket_cache: Optional[
+            Tuple[int, List[Dict], np.ndarray, Optional[np.ndarray]]
+        ] = None
 
     # ------------------------------------------------------------------
     # Build: prepare -> hash_rows -> install_tables
@@ -229,7 +250,9 @@ class EuclideanLSHIndex:
             bucket_ids = self._bucket_ids(self._vectors[block_start:block_stop])
             for table_index in range(self.num_tables):
                 table = partial[table_index]
-                for local, bucket in enumerate(map(tuple, bucket_ids[table_index])):
+                # One tolist() per table: native-int keys hash faster than
+                # np.int64 tuples and compare equal to them.
+                for local, bucket in enumerate(map(tuple, bucket_ids[table_index].tolist())):
                     table[bucket].append(block_start + local)
         return [dict(table) for table in partial]
 
@@ -250,6 +273,7 @@ class EuclideanLSHIndex:
                 for bucket, rows in bucket_map.items():
                     table[bucket].extend(rows)
         self._tables = tables
+        self._bucket_cache = None  # new tables under the same mutation count
         return self
 
     def build(self, vectors: np.ndarray, keys: Optional[Sequence[object]] = None) -> "EuclideanLSHIndex":
@@ -529,14 +553,24 @@ class EuclideanLSHIndex:
         """Top-``k`` results for a whole block of query vectors.
 
         Bucket hashing is array-at-a-time (one projection pass computes the
-        bucket ids of every query row) and so is ranking: rows are scored in
-        blocks of at most ``_RANK_BLOCK_PAIRS`` candidate pairs, one distance
-        kernel call per block (see :meth:`_rank_block`).  A row whose buckets
-        hold fewer than ``k`` candidates is ranked against every live row.
-        One call is recorded in the engine counters (queries, linear-scan
-        fallbacks, candidate distances).  ``exclude`` optionally supplies one key
-        per query row to drop from that row's results (the per-row
-        counterpart of :meth:`query`'s ``exclude``).
+        bucket ids of every query row) and so is candidate gathering: each
+        block of query rows — at most ``_RANK_BLOCK_PAIRS`` (query, stored
+        row) cells — gets one boolean membership mask (:meth:`_members`).  A
+        row whose mask holds fewer than ``k`` candidates takes every live row
+        instead: the linear-scan fallback is the same mask, filled.  Raw
+        tables rank the mask through one GEMM shortlist and an exact rescore
+        (:meth:`_rank_raw`), code tables through the asymmetric kernel
+        (:meth:`_rank_codes`).
+
+        Every answer is ordered by (distance, stored row) — exact ties break
+        by row — so a row's answer never depends on the rows sharing its
+        block.  On raw tables it equals ranking the full candidate set with
+        :func:`_raw_sq_distances`, in keys and in distance bytes.  One call
+        is recorded in the engine counters (queries, linear-scan fallbacks,
+        candidates ranked, distances computed by the per-pair kernel).
+        ``exclude`` optionally supplies one key per query row to drop from
+        that row's results (the per-row counterpart of :meth:`query`'s
+        ``exclude``); keys are unique, so it drops at most one row.
 
         Over quantized tables the stored codec's query policy applies
         (see :meth:`_query_policy`): results may carry up to
@@ -567,165 +601,297 @@ class EuclideanLSHIndex:
         id_blocks = [np.floor(scaled).astype(np.int64)]
         if probes:
             id_blocks.extend(self._probe_ids(scaled, id_blocks[0], probes))
-        # Bucket keys as native-int tuples: one tolist() converts the whole
-        # id block, and hashing int tuples is measurably cheaper than
-        # hashing np.int64 tuples in this per-row loop.
+        # Bucket keys as native ints: one tolist() converts the whole id
+        # block for the per-row dict lookups of _members.
         bucket_blocks = [ids.tolist() for ids in id_blocks]
         results: List[Optional[List[Tuple[object, float]]]] = [None] * n
-        starved_rows: List[int] = []
-        block_rows: List[int] = []
-        block_ids: List[np.ndarray] = []
-        block_pairs = ranked = 0
-        for row in range(n):
-            candidates: set = set()
-            for table_index in range(self.num_tables):
-                table = self._tables[table_index]
-                for buckets in bucket_blocks:
-                    bucket = tuple(buckets[table_index][row])
-                    candidates.update(table.get(bucket, ()))
-            if self._dead:
-                # Tombstone mask: deleted rows never surface as candidates,
-                # so answers equal a rebuild over the live vectors alone.
-                candidates -= self._dead
-            if len(candidates) < k_effective:
-                # Linear-scan fallback, ranked densely below.
-                starved_rows.append(row)
-                continue
-            block_rows.append(row)
-            block_ids.append(np.fromiter(sorted(candidates), dtype=np.intp, count=len(candidates)))
-            block_pairs += len(candidates)
-            if block_pairs >= _RANK_BLOCK_PAIRS:
-                self._rank_block(vectors, block_rows, block_ids, k_effective, exclude, results)
-                ranked += block_pairs
-                block_rows, block_ids, block_pairs = [], [], 0
-        if block_rows:
-            self._rank_block(vectors, block_rows, block_ids, k_effective, exclude, results)
-        ranked += block_pairs
-        if starved_rows:
-            # Every live row is a candidate: recall never collapses on small
-            # tables.  Blocks keep the dense difference temp to ~32 MB.
-            live = len(self._live_rows()[0])
-            step = max(1, _DIFF_BLOCK_ELEMENTS // max(1, live * self._vectors.shape[1]))
-            for start in range(0, len(starved_rows), step):
-                self._rank_block(
-                    vectors, starved_rows[start : start + step], None, k_effective, exclude, results
+        codes = _is_code_array(self._vectors)
+        step = max(1, _RANK_BLOCK_PAIRS // max(1, self.size))
+        fallback = ranked = rescored = 0
+        for start in range(0, n, step):
+            rows = range(start, min(n, start + step))
+            members, live = self._members(bucket_blocks, rows)
+            starved = np.count_nonzero(members, axis=1) < k_effective
+            if starved.any():
+                # Every live row is a candidate: recall never collapses on
+                # small tables.
+                members[starved] = True if live is None else live
+            fallback += int(np.count_nonzero(starved))
+            ranked += int(np.count_nonzero(members))
+            queries = vectors[rows.start : rows.stop]
+            if codes:
+                rescored += self._rank_codes(
+                    queries, rows, members, starved, k_effective, exclude, results
                 )
-            ranked += live * len(starved_rows)
-        engine_counters().record_blocking(n, len(starved_rows), ranked)
+            else:
+                rescored += self._rank_raw(queries, rows, members, k_effective, exclude, results)
+        engine_counters().record_blocking(n, fallback, ranked, rescored)
         return results  # type: ignore[return-value]
 
-    def _rank_block(
+    def _members(
+        self, bucket_blocks: List[list], rows: range
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Candidate mask of query ``rows`` and the live-row mask.
+
+        ``bucket_blocks`` holds every query's bucket ids, one nested list
+        ``(tables, queries, hash_size)`` per probe.  Cell ``(i, j)`` of the
+        ``(len(rows), stored rows)`` mask is set when stored row ``j`` shares
+        a bucket with query ``rows[i]`` in some table and is not tombstoned.
+        The live mask is ``None`` when nothing is tombstoned.
+        """
+        lookups, labels, live = self._bucket_labels()
+        members = np.zeros((len(rows), self.size), dtype=bool)
+        hits = np.empty_like(members)
+        for table_index, lookup in enumerate(lookups):
+            get = lookup.get
+            for buckets in bucket_blocks:
+                # -2 marks a bucket the table does not hold; no row has it.
+                block = buckets[table_index][rows.start : rows.stop]
+                wanted = np.fromiter(
+                    (get(tuple(bucket), -2) for bucket in block), dtype=np.intp, count=len(rows)
+                )
+                np.equal(wanted[:, None], labels[table_index], out=hits)
+                members |= hits
+        if live is not None:
+            # Tombstones: deleted rows never surface as candidates, so
+            # answers equal a rebuild over the live vectors alone.
+            members &= live
+        return members, live
+
+    def _rank_raw(
         self,
-        vectors: np.ndarray,
-        query_rows: List[int],
-        candidate_ids: Optional[List[np.ndarray]],
+        queries: np.ndarray,
+        rows: range,
+        members: np.ndarray,
+        k: int,
+        exclude: Optional[Sequence[object]],
+        results: List[Optional[List[Tuple[object, float]]]],
+    ) -> int:
+        """Rank one block of query rows over a float table; returns the
+        number of exactly scored (query, row) pairs.
+
+        The exact top ``k`` of each row's members, without gathering them:
+
+        1. ``G = |q|^2 + |x|^2 - 2 q.x`` against every stored row, one GEMM.
+        2. ``B = c (d + 2) u (|q|^2 + |x|^2)``, ``u`` the unit roundoff of
+           the table's dtype (the GEMM's), bounds ``|G - E|`` where ``E`` is
+           what :func:`_raw_sq_distances` returns.  Whatever the summation
+           order of the BLAS and the reductions, with or without FMA, ``E``
+           lies within ``gamma_(d+2) |q - x|^2 <= 2 gamma_(d+2) (|q|^2 +
+           |x|^2)`` of the true squared distance, and ``G`` within
+           ``gamma_d`` of each norm, ``gamma_d |q||x|`` of the product and
+           two roundings more: ``c`` a little under 4 suffices.  ``c = 8``
+           also covers rounding the norms and ``G +- B``, and float64
+           queries rounded to a float32 table (at most ``3 u (|q|^2 +
+           |x|^2)`` more).  An absolute ``c (d + 2)`` smallest normals
+           covers underflow.
+        3. ``tau``, the ``(k + 1)``-th smallest ``G + B`` among members, and
+           the shortlist: members with ``G - B <= tau`` (non-finite bounds
+           stay in).  A member left out has ``E > tau``, above the ``E`` of
+           ``k + 1`` members, so it ranks below ``k + 1`` and cannot reach
+           the top ``k`` even after ``exclude`` drops one row.
+        4. The shortlist is scored by :func:`_raw_sq_distances`, so returned
+           distances are the bytes a full-candidate ranking returns.
+
+        Starved rows arrive with their members already widened to every live
+        row and need nothing else.
+        """
+        table = self._vectors
+        dim = table.shape[1]
+        unit = np.finfo(table.dtype)
+        gemm_queries = queries.astype(table.dtype, copy=False)
+        approx = gemm_queries @ table.T
+        approx *= -2.0
+        query_norms = np.einsum("ij,ij->i", gemm_queries, gemm_queries)
+        bound = np.add.outer(query_norms, self._table_norms())
+        approx += bound
+        bound *= _SHORTLIST_SLACK * (dim + 2) * float(unit.eps) / 2
+        bound += _SHORTLIST_SLACK * (dim + 2) * float(unit.tiny)
+        upper = approx + bound
+        lower = np.subtract(approx, bound, out=approx)
+        np.copyto(upper, np.inf, where=~members)
+        if k < upper.shape[1]:
+            upper.partition(k, axis=1)
+            tau = upper[:, k]
+        else:
+            tau = np.full(len(upper), np.inf, dtype=upper.dtype)
+        shortlist = np.greater(lower, tau[:, None])
+        np.logical_not(shortlist, out=shortlist)
+        shortlist &= members
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(shortlist, axis=1), out=offsets[1:])
+        candidates = np.nonzero(shortlist)[1]
+        squared = _raw_sq_distances(queries, table, candidates, offsets)
+        self._emit(rows, candidates, offsets, np.sqrt(squared, out=squared), k, exclude, results)
+        return len(candidates)
+
+    def _rank_codes(
+        self,
+        queries: np.ndarray,
+        rows: range,
+        members: np.ndarray,
+        starved: np.ndarray,
+        k: int,
+        exclude: Optional[Sequence[object]],
+        results: List[Optional[List[Tuple[object, float]]]],
+    ) -> int:
+        """Rank one block of query rows over a code table; returns the
+        number of kernel distances.
+
+        Bucket-ranked rows score their mask's CSR form (``np.nonzero``: row
+        ids ascending per query) in one asymmetric-kernel call; starved rows
+        score every live row in one dense call.  The distances are exact
+        w.r.t. the *decoded* table, so ranking error against the raw index
+        is bounded by the codec's quantization error.
+        """
+        norms = self._table_norms()
+        bucketed = np.flatnonzero(~starved)
+        scored = 0
+        if len(bucketed):
+            mask = members[bucketed]
+            offsets = np.zeros(len(bucketed) + 1, dtype=np.intp)
+            np.cumsum(np.count_nonzero(mask, axis=1), out=offsets[1:])
+            candidates = np.nonzero(mask)[1]
+            squared = _quant().asymmetric_sq_distances(
+                queries[bucketed],
+                self._vectors,
+                table_sq_norms=norms,
+                candidates=(candidates, offsets),
+            )
+            distances = np.sqrt(squared, out=squared)
+            bucketed_rows = [rows[position] for position in bucketed]
+            self._emit(bucketed_rows, candidates, offsets, distances, k, exclude, results)
+            scored += len(candidates)
+        if len(bucketed) < len(rows):
+            live_rows, base = self._live_rows()
+            squared = _quant().asymmetric_sq_distances(
+                queries[starved], base, table_sq_norms=norms[live_rows]
+            )
+            # The dense (starved, live) block as a CSR list, for _emit.
+            count = len(squared)
+            offsets = np.arange(count + 1, dtype=np.intp) * len(live_rows)
+            distances = np.sqrt(squared, out=squared).ravel()
+            starved_rows = [rows[position] for position in np.flatnonzero(starved)]
+            candidates = np.tile(live_rows, count)
+            self._emit(starved_rows, candidates, offsets, distances, k, exclude, results)
+            scored += squared.size
+        return scored
+
+    def _emit(
+        self,
+        query_rows: Sequence[int],
+        candidates: np.ndarray,
+        offsets: np.ndarray,
+        distances: np.ndarray,
         k: int,
         exclude: Optional[Sequence[object]],
         results: List[Optional[List[Tuple[object, float]]]],
     ) -> None:
-        """Rank one block of query rows with a single distance-kernel call.
-
-        ``candidate_ids`` holds each row's sorted bucket candidates; the block
-        scores them as one CSR list (flat row ids + per-query offsets) and
-        each query's top ``k`` comes out of its own segment.  ``None`` ranks
-        the block against every live row, computed densely.  Over code
-        vectors the distances come from the asymmetric kernel — exact w.r.t.
-        the *decoded* table, so ranking error against the raw index is
-        bounded by the codec's quantization error.  A row's answer does not
-        depend on the rows sharing its block: the kernels reduce per pair.
-        """
-        assert self._vectors is not None
-        queries = vectors[query_rows]
-        codes = _is_code_array(self._vectors)
-        if candidate_ids is None:
-            rows, base = self._live_rows()
-            if codes:
-                squared = _quant().asymmetric_sq_distances(
-                    queries, base, table_sq_norms=self._code_norms()[rows]
-                )
-            else:
-                diffs = base[None, :, :] - queries[:, None, :]
-                squared = np.einsum("bnd,bnd->bn", diffs, diffs)
-        else:
-            offsets = np.zeros(len(query_rows) + 1, dtype=np.intp)
-            np.cumsum([len(ids) for ids in candidate_ids], out=offsets[1:])
-            rows = np.concatenate(candidate_ids)
-            if codes:
-                squared = _quant().asymmetric_sq_distances(
-                    queries,
-                    self._vectors,
-                    table_sq_norms=self._code_norms(),
-                    candidates=(rows, offsets),
-                )
-            else:
-                squared = _raw_sq_distances(queries, self._vectors, rows, offsets)
-        distances = np.sqrt(squared, out=squared)
+        """Each query's top ``k`` out of its CSR segment of ``candidates``."""
         for position, row in enumerate(query_rows):
-            if candidate_ids is None:
-                segment_rows, segment = rows, distances[position]
-            else:
-                span = slice(offsets[position], offsets[position + 1])
-                segment_rows, segment = rows[span], distances[span]
+            span = slice(offsets[position], offsets[position + 1])
             excluded = exclude[row] if exclude is not None else None
-            results[row] = self._top_k(segment_rows, segment, k, excluded)
+            results[row] = self._top_k(candidates[span], distances[span], k, excluded)
 
     def _top_k(
         self, rows: np.ndarray, distances: np.ndarray, k: int, excluded: Optional[object]
     ) -> List[Tuple[object, float]]:
-        """The ``k`` nearest ``(key, distance)`` of one query, ``excluded`` skipped."""
-        order = np.argsort(distances)
+        """The ``k`` nearest ``(key, distance)`` of one query, ``excluded``
+        skipped, ordered by (distance, row): exact ties break by stored row,
+        so the answer does not depend on how many candidates were ranked.
+
+        Only the head — every candidate within the ``(k + 1)``-th smallest
+        distance, ties included — is sorted; the rest is read only when
+        exclusions leave the head short of ``k``.
+        """
+        if len(distances) > k + 1:
+            head = np.flatnonzero(distances <= np.partition(distances, k)[k])
+            ranked = self._ranked(rows[head], distances[head], k, excluded)
+            if len(ranked) >= k:
+                return ranked
+        return self._ranked(rows, distances, k, excluded)
+
+    def _ranked(
+        self, rows: np.ndarray, distances: np.ndarray, k: int, excluded: Optional[object]
+    ) -> List[Tuple[object, float]]:
+        """The first ``k`` non-excluded ``(key, distance)`` in (distance, row) order."""
+        order = np.lexsort((rows, distances))
         keys = self._keys
         ranked: List[Tuple[object, float]] = []
-        # The head almost always suffices; the tail is read only when
-        # exclusions (or a short candidate list) leave it short of k.
-        for part in (order[: k + 1], order[k + 1 :]):
-            for row, distance in zip(rows[part].tolist(), distances[part].tolist()):
-                key = keys[row]
-                if excluded is not None and key == excluded:
-                    continue
-                ranked.append((key, distance))
-                if len(ranked) >= k:
-                    return ranked
+        for row, distance in zip(rows[order].tolist(), distances[order].tolist()):
+            key = keys[row]
+            if excluded is not None and key == excluded:
+                continue
+            ranked.append((key, distance))
+            if len(ranked) >= k:
+                break
         return ranked
 
-    def _live_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted live row indices and their vectors, cached per mutation.
+    def _live_rows(self) -> Tuple[np.ndarray, object]:
+        """Live row indices and their code vectors, cached per mutation.
 
-        The linear-scan fallback's working set: rebuilding the live-row
-        gather for every starved query row used to dominate small-index
-        queries.  With no tombstones the vectors are served zero-copy; the
-        cache is keyed by :attr:`mutations`, so any structural change
-        (extend/remove/patch/compact) invalidates it on next use.
+        The working set of a code table's linear-scan fallback (the dense
+        asymmetric kernel).  With no tombstones the codes are served
+        zero-copy; the cache is keyed by :attr:`mutations`, so any
+        structural change (extend/remove/patch/compact) invalidates it on
+        next use.
         """
         assert self._vectors is not None
         cache = self._live_cache
         if cache is not None and cache[0] == self._mutations:
             return cache[1], cache[2]
-        if self._dead:
-            rows = np.asarray(
-                sorted(set(range(len(self._vectors))) - self._dead), dtype=np.intp
-            )
-            base = (
-                self._vectors.take_rows(rows)
-                if _is_code_array(self._vectors)
-                else self._vectors[rows]
-            )
+        live = self._bucket_labels()[2]
+        if live is None:
+            rows, base = np.arange(self.size, dtype=np.intp), self._vectors
         else:
-            rows = np.arange(len(self._vectors), dtype=np.intp)
-            base = self._vectors
+            rows = np.flatnonzero(live)
+            base = self._vectors.take_rows(rows)
         self._live_cache = (self._mutations, rows, base)
         return rows, base
 
-    def _code_norms(self) -> np.ndarray:
-        """Per-row ``||c*s||^2`` of the stored code vectors, cached per mutation.
+    def _bucket_labels(self) -> Tuple[List[Dict], np.ndarray, Optional[np.ndarray]]:
+        """Bucket labels for the membership mask, cached per mutation.
 
-        The constant term of the asymmetric distance kernel; amortised
-        across every ranked block of a mutation epoch.
+        Per table, a bucket key -> label map and the ``(tables, stored
+        rows)`` label of every stored row; plus the live-row mask (``None``
+        when nothing is tombstoned).  Derived from the bucket-list tables,
+        which stay the mutable truth: every mutation invalidates it.
+        """
+        cache = self._bucket_cache
+        if cache is not None and cache[0] == self._mutations:
+            return cache[1], cache[2], cache[3]
+        lookups: List[Dict] = []
+        labels = np.full((self.num_tables, self.size), -1, dtype=np.intp)
+        for table_index, table in enumerate(self._tables):
+            lookups.append({bucket: label for label, bucket in enumerate(table)})
+            counts = [len(rows) for rows in table.values()]
+            rows = np.fromiter(
+                chain.from_iterable(table.values()), dtype=np.intp, count=sum(counts)
+            )
+            labels[table_index, rows] = np.repeat(np.arange(len(table)), counts)
+        live = None
+        if self._dead:
+            live = np.ones(self.size, dtype=bool)
+            live[list(self._dead)] = False
+        self._bucket_cache = (self._mutations, lookups, labels, live)
+        return lookups, labels, live
+
+    def _table_norms(self) -> np.ndarray:
+        """Per-row squared norms of the stored table, cached per mutation.
+
+        ``||x||^2`` of a float table (the GEMM shortlist's norm term, in the
+        table's dtype) or ``||c*s||^2`` of code vectors (the constant term
+        of the asymmetric distance kernel); amortised across every ranked
+        block of a mutation epoch.
         """
         cache = self._norms_cache
         if cache is not None and cache[0] == self._mutations:
             return cache[1]
-        norms = _quant().table_sq_norms_of(self._vectors)
+        vectors = self._vectors
+        if _is_code_array(vectors):
+            norms = _quant().table_sq_norms_of(vectors)
+        else:
+            norms = np.einsum("ij,ij->i", vectors, vectors)
         self._norms_cache = (self._mutations, norms)
         return norms
 
@@ -748,6 +914,7 @@ class EuclideanLSHIndex:
         state["_key_rows"] = None
         state["_live_cache"] = None
         state["_norms_cache"] = None
+        state["_bucket_cache"] = None
         state["_projections32"] = None
         tables = state.pop("_tables")
         packed = []
@@ -767,6 +934,7 @@ class EuclideanLSHIndex:
         # States packed by older builds predate the derived caches.
         self.__dict__.setdefault("_projections32", None)
         self.__dict__.setdefault("_norms_cache", None)
+        self.__dict__.setdefault("_bucket_cache", None)
         tables: List[BucketMap] = []
         for keys, counts, rows in packed:
             table: BucketMap = {}

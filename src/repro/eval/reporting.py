@@ -136,7 +136,8 @@ def format_engine_stats(counters: Optional[EngineCounters] = None) -> str:
         "Tables encoded", "Disk hits", "Disk misses", "Chunk loads",
         "Rows re-encoded", "Rows tombstoned", "Chunks patched",
         "Pairs rescored", "Fingerprints", "Bytes stored", "Bytes decoded",
-        "Blocking queries", "Blocking fallbacks", "Candidates ranked", "Records scored",
+        "Blocking queries", "Blocking fallbacks", "Candidates ranked", "Candidates rescored",
+        "Records scored",
     ]
     row = [
         str(counters.cache_hits),
@@ -158,6 +159,7 @@ def format_engine_stats(counters: Optional[EngineCounters] = None) -> str:
         str(counters.blocking_queries),
         str(counters.blocking_fallback_queries),
         str(counters.blocking_candidates_ranked),
+        str(counters.blocking_candidates_rescored),
         str(counters.records_scored),
     ]
     return format_table(headers, [row])

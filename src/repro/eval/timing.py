@@ -74,9 +74,15 @@ class EngineCounters:
     The blocking layer (:mod:`repro.blocking.lsh`) reports what its queries
     did: ``blocking_queries`` counts query rows, ``blocking_fallback_queries``
     those whose buckets held fewer than ``k`` candidates and were ranked
-    against every live row instead, and ``blocking_candidates_ranked`` the
-    (query, row) distances computed — their ratio to ``queries x table rows``
-    is how much the hash tables actually prune.
+    against every live row instead, ``blocking_candidates_ranked`` the
+    (query, candidate row) pairs ranked — their ratio to ``queries x table
+    rows`` is how much the hash tables actually prune — and
+    ``blocking_candidates_rescored`` the pair distances the per-pair kernel
+    computed: on float tables the exact rescore of the GEMM shortlist (at
+    least ``k`` per query whenever ``k`` rows live, at most the ranked
+    candidates), on code tables every ranked candidate.  The shortlist
+    follows a GEMM whose low bits depend on the block shape, so this counter
+    may differ by a row between serial and pooled runs whose answers agree.
 
     ``records_scored`` counts the records the matcher actually encoded: per
     scored batch, the distinct left rows plus the distinct right rows.  Its
@@ -102,6 +108,7 @@ class EngineCounters:
     blocking_queries: int = 0
     blocking_fallback_queries: int = 0
     blocking_candidates_ranked: int = 0
+    blocking_candidates_rescored: int = 0
     records_scored: int = 0
 
     def record_hit(self, records_served: int = 0) -> None:
@@ -189,12 +196,14 @@ class EngineCounters:
         """
         self.bytes_decoded += int(count)
 
-    def record_blocking(self, queries: int, fallback: int, candidates: int) -> None:
+    def record_blocking(self, queries: int, fallback: int, candidates: int, rescored: int) -> None:
         """One ``query_batch`` call: rows queried, rows ranked by linear
-        scan, and candidate distances computed over the whole call."""
+        scan, candidates ranked and pair distances the kernel computed over
+        the whole call."""
         self.blocking_queries += int(queries)
         self.blocking_fallback_queries += int(fallback)
         self.blocking_candidates_ranked += int(candidates)
+        self.blocking_candidates_rescored += int(rescored)
 
     def record_records_scored(self, count: int) -> None:
         """``count`` records one scored batch ran through the matcher's encoder."""
@@ -224,6 +233,7 @@ class EngineCounters:
             "blocking_queries": self.blocking_queries,
             "blocking_fallback_queries": self.blocking_fallback_queries,
             "blocking_candidates_ranked": self.blocking_candidates_ranked,
+            "blocking_candidates_rescored": self.blocking_candidates_rescored,
             "records_scored": self.records_scored,
         }
 
@@ -246,6 +256,7 @@ class EngineCounters:
         self.blocking_queries = 0
         self.blocking_fallback_queries = 0
         self.blocking_candidates_ranked = 0
+        self.blocking_candidates_rescored = 0
         self.records_scored = 0
 
 

@@ -518,3 +518,96 @@ class TestBlockRanking:
         ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
         assert fallbacks * len(table) <= ranked < len(_RANKING_QUERIES) * len(table)
         assert all(len(answer) == 3 for answer in answers)
+
+
+# ----------------------------------------------------------------------
+# Raw ranking against a brute-force reference
+# ----------------------------------------------------------------------
+def _reference_answers(index, queries, k, exclude):
+    """Every bucket candidate (every live row when fewer than ``k``), scored
+    by ``_raw_sq_distances`` and ordered by (distance, row) — no shortlist."""
+    live = [row for row in range(index.size) if row not in index._dead]
+    bucket_ids = index._bucket_ids(queries)
+    answers = []
+    for i in range(len(queries)):
+        found = set()
+        for table_index, table in enumerate(index._tables):
+            found.update(table.get(tuple(bucket_ids[table_index, i].tolist()), ()))
+        found -= index._dead
+        rows = np.asarray(sorted(found) if len(found) >= k else live, dtype=np.intp)
+        squared = lsh_module._raw_sq_distances(
+            queries[i : i + 1], index._vectors, rows, np.asarray([0, len(rows)])
+        )
+        distances = np.sqrt(squared).tolist()
+        answer = []
+        for position in sorted(range(len(rows)), key=lambda j: (distances[j], rows[j])):
+            key = index.keys[rows[position]]
+            if key != exclude[i]:
+                answer.append((key, distances[position]))
+        answers.append(answer[:k])
+    return answers
+
+
+def _as_bytes(answers):
+    return [[(key, np.float64(distance).tobytes()) for key, distance in row] for row in answers]
+
+
+@st.composite
+def _raw_ranking_cases(draw):
+    """A float table with duplicated rows and, at large norm, near-ties whose
+    ``|q|^2 + |x|^2 - 2 q.x`` cancels; queries near it and far from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    dtype, query_dtype = (draw(st.sampled_from([np.float64, np.float32])) for _ in range(2))
+    n, dim = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # Rows at 1e4 apart by multiples of a tiny offset: in float32 most
+        # collapse into exact ties.
+        offset = draw(st.sampled_from([1e-9, 1e-3]))
+        table = 1e4 + offset * rng.integers(-3, 4, size=(n, dim))
+        noise = offset
+    else:
+        table = rng.normal(size=(n, dim))
+        noise = 0.1
+    for row in rng.integers(0, n, size=draw(st.integers(0, n))):
+        table[row] = table[rng.integers(0, n)]  # exact duplicates: exact ties
+    near = table[rng.integers(0, n, size=draw(st.integers(1, 12)))]
+    near = near + noise * rng.integers(-2, 3, size=near.shape)
+    far = table.mean(axis=0) + rng.normal(scale=50.0, size=(draw(st.integers(0, 3)), dim))
+    return table.astype(dtype), np.concatenate([near, far]).astype(query_dtype)
+
+
+class TestRawRankingMatchesBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_raw_ranking_cases(),
+        k=st.integers(1, 34),
+        width=st.sampled_from([0.01, 1.0, 1e6]),
+        dead_share=st.sampled_from([0.0, 0.3, 0.9]),
+        excluding=st.booleans(),
+        block_pairs=st.sampled_from([1, 37, 1 << 20]),
+    )
+    def test_query_batch_equals_the_full_candidate_reference(
+        self, case, k, width, dead_share, excluding, block_pairs
+    ):
+        """Keys and distance bytes of ``query_batch`` equal the reference for
+        fp64 and fp32 tables and queries, exact ties and cancelling near-ties,
+        tombstones, ``exclude``, starved rows and ``k`` above the live rows."""
+        table, queries = case
+        keys = [f"k{i}" for i in range(len(table))]
+        index = EuclideanLSHIndex(
+            num_tables=3, hash_size=4, bucket_width=width, seed=9, compaction_load=1.0
+        ).build(table, keys)
+        dead = keys[: int(dead_share * len(keys))]
+        if dead:
+            index.remove(dead)
+        exclude = [keys[(3 * i) % len(keys)] if excluding else None for i in range(len(queries))]
+        counters = engine_counters()
+        before = counters.as_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lsh_module, "_RANK_BLOCK_PAIRS", block_pairs)
+            answers = index.query_batch(queries, k=k, exclude=exclude)
+        after = counters.as_dict()
+        assert _as_bytes(answers) == _as_bytes(_reference_answers(index, queries, k, exclude))
+        rescored = after["blocking_candidates_rescored"] - before["blocking_candidates_rescored"]
+        ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
+        assert min(k, index.live_size) * len(queries) <= rescored <= ranked

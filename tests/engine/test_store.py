@@ -192,7 +192,7 @@ class TestEmptyAndCounters:
             "pairs_rescored", "fingerprints_computed",
             "bytes_stored", "bytes_decoded",
             "blocking_queries", "blocking_fallback_queries", "blocking_candidates_ranked",
-            "records_scored",
+            "blocking_candidates_rescored", "records_scored",
         }
         assert stats["cache_misses"] == 1
         assert stats["tables_encoded"] == 1
@@ -224,6 +224,7 @@ class TestEmptyAndCounters:
             "pairs_rescored": 0, "fingerprints_computed": 0,
             "bytes_stored": 0, "bytes_decoded": 0,
             "blocking_queries": 0, "blocking_fallback_queries": 0,
-            "blocking_candidates_ranked": 0, "records_scored": 0,
+            "blocking_candidates_ranked": 0, "blocking_candidates_rescored": 0,
+            "records_scored": 0,
         }
         assert counters.hit_rate() == 0.0

@@ -185,10 +185,11 @@ class TestReporting:
         from repro.eval.timing import EngineCounters
 
         counters = EngineCounters()
-        counters.record_blocking(250, 3, 60250)
+        counters.record_blocking(250, 3, 60250, 4731)
         text = reporting.format_engine_stats(counters)
         assert "Blocking queries" in text and "Blocking fallbacks" in text
         assert "Candidates ranked" in text and "60250" in text
+        assert "Candidates rescored" in text and "4731" in text
 
 
     def test_engine_stats_includes_records_scored(self):

@@ -54,6 +54,12 @@ class TestProtocol:
         assert stats["blocking_queries"] > 0
         assert 0 <= stats["blocking_fallback_queries"] <= stats["blocking_queries"]
         assert stats["blocking_candidates_ranked"] >= stats["blocking_queries"]
+        # Exact rescores: at least one per query, at most every candidate.
+        assert (
+            stats["blocking_queries"]
+            <= stats["blocking_candidates_rescored"]
+            <= stats["blocking_candidates_ranked"]
+        )
 
     def test_resolve_roundtrips_floats_exactly(self, server):
         _, match_server, client = server
