@@ -9,54 +9,53 @@ projects vectors onto random Gaussian directions, shifts and quantises them
 into buckets of width ``w``; near vectors collide in at least one table with
 high probability.
 
-The index build is three steps: :meth:`prepare` fixes the random
-projections and registers the vectors, :meth:`hash_rows` hashes a row range
-into per-table bucket maps, and :meth:`install_tables` merges maps in row
+The index holds its buckets once, as labels: per hash table a ``{bucket
+key: label}`` lookup holding exactly the buckets some stored row is in, a
+``(tables, stored rows)`` array with the label of each row's bucket, and a
+live-row mask.  The build is three steps: :meth:`prepare` fixes the random
+projections and registers the vectors, :meth:`hash_rows` computes the
+bucket ids of a row range, and :meth:`install_tables` labels them in row
 order.  :meth:`build` composes the three over the whole table and
 :meth:`extend` hashes only the appended rows.  Queries run
 block-at-a-time: :meth:`query_batch` computes the bucket ids of a whole
-block of query vectors in one projection pass and turns them into one
-boolean (queries x stored rows) membership mask — bucket labels per stored
-row, compared per table, ANDed with the live mask; only the bucket lookups
-and the final top-k cut remain per row.  Over float tables one GEMM gives
-``|q|^2 + |x|^2 - 2 q.x`` for every stored row, a rounding-error bound
-``B = c (d + 2) u (|q|^2 + |x|^2)`` turns it into an interval that holds
-the exact kernel's value, and only members whose lower end reaches the
-``(k + 1)``-th smallest upper end are rescored exactly
-(:func:`_raw_sq_distances`) — the answer of ranking every candidate, to the
-byte.  Answers are ordered by (distance, stored row) for every codec, so
-exact ties break by row.  Quantized tables score the mask's CSR form with
-the asymmetric kernel and additionally declare a query-time policy through
-their codec params (rank-cut expansion and low-margin multiprobe — see
-:meth:`_query_policy`) so approximate codes trade a wider exact-scored
-shortlist for recall instead of losing it.
+block of query vectors in one projection pass, looks up their labels and
+compares them with the stored rows' labels, table by table, into one
+boolean (queries x stored rows) membership mask ANDed with the live mask;
+only the bucket lookups and the final top-k cut remain per row.  Over
+float tables one GEMM gives ``|q|^2 + |x|^2 - 2 q.x`` for every stored
+row, a rounding-error bound ``B = c (d + 2) u (|q|^2 + |x|^2)`` turns it
+into an interval that holds the exact kernel's value, and only members
+whose lower end reaches the ``(k + 1)``-th smallest upper end are rescored
+exactly (:func:`_raw_sq_distances`) — the answer of ranking every
+candidate, to the byte.  Answers are ordered by (distance, stored row) for
+every codec, so exact ties break by row.  Quantized tables score the mask's
+CSR form with the asymmetric kernel and additionally declare a query-time
+policy through their codec params (rank-cut expansion and low-margin
+multiprobe — see :meth:`_query_policy`) so approximate codes trade a wider
+exact-scored shortlist for recall instead of losing it.
 
 The index is additionally *mutable in place* — the incremental-blocking
-layer of delta resolution: :meth:`extend` appends rows into the existing
-buckets, :meth:`remove` tombstones rows by key (a mask consulted during
-candidate gathering; bucket lists are untouched until compaction),
-:meth:`patch` swaps a row's vector and rebuckets just that row.  Once the
-tombstoned fraction passes ``compaction_load`` the index :meth:`compact`\\ s:
-dead rows are dropped and the survivors renumbered, leaving hash tables
-*bucket-identical* to a from-scratch build over the live vectors.  Query
+layer of delta resolution — and every mutation writes the labels directly:
+:meth:`extend` appends label columns, :meth:`remove` tombstones rows by key
+(clears their live bit; labels are untouched until compaction), and
+:meth:`patch` swaps a row's vector, relabels just that row and drops any
+bucket it emptied.  Once the tombstoned fraction passes ``compaction_load``
+the index :meth:`compact`\\ s: dead rows' label columns go, and so do the
+buckets no survivor holds, leaving the buckets — and the rows in each — of
+a from-scratch build over the live vectors.  A new bucket always takes a
+fresh label, so a label names one bucket for the life of the index.  Query
 answers are identical to a rebuild at every point before and after
 compaction.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import defaultdict
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.eval.timing import engine_counters
 from repro.exceptions import NotFittedError
-
-#: One hash table: bucket key -> row indices of the vectors hashed into it.
-BucketMap = Dict[Tuple[int, ...], List[int]]
 
 #: Tombstoned fraction above which :meth:`EuclideanLSHIndex.remove` compacts.
 DEFAULT_COMPACTION_LOAD = 0.3
@@ -116,21 +115,28 @@ def _raw_sq_distances(
     return out
 
 
-def _coerce_vectors(vectors):
-    """Vectors as stored/queried: zero-copy for fp32/fp64 and code arrays.
+def _float_rows(vectors) -> np.ndarray:
+    """Vectors read once as floats: code arrays decoded, fp32/fp64 passed
+    through, any other dtype upcast to fp64.
 
-    Historically every entry point forced ``np.asarray(..., dtype=np.float64)``
-    — a silent full-table upcast *copy* for float32 inputs and a full decode
-    for code arrays.  Float inputs now pass through unchanged (only exotic
-    dtypes are upcast) and :class:`repro.engine.quant.CodecArray` inputs stay
-    compressed.
+    For the rows a call only reads — query blocks, patched rows, hash
+    blocks; tables the index stores go through :func:`_coerce_vectors`.
     """
     if _is_code_array(vectors):
-        return vectors
+        vectors = vectors.decode()
     vectors = np.asarray(vectors)
     if vectors.dtype not in (np.float32, np.float64):
         vectors = vectors.astype(np.float64)
     return vectors
+
+
+def _coerce_vectors(vectors):
+    """Vectors as stored: zero-copy for fp32/fp64 and code arrays.
+
+    Float inputs pass through unchanged (only exotic dtypes are upcast)
+    and :class:`repro.engine.quant.CodecArray` inputs stay compressed.
+    """
+    return vectors if _is_code_array(vectors) else _float_rows(vectors)
 
 
 class EuclideanLSHIndex:
@@ -173,10 +179,17 @@ class EuclideanLSHIndex:
         self._projections: Optional[np.ndarray] = None
         self._projections32: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
-        self._tables: List[BucketMap] = []
         self._vectors: Optional[np.ndarray] = None
         self._keys: List[object] = []
-        self._dead: Set[int] = set()
+        # Per hash table, bucket key -> label: exactly the buckets some
+        # stored row is in (empty until install_tables).
+        self._lookups: List[Dict[Tuple[int, ...], int]] = []
+        # (tables, stored rows): the label of each row's bucket.
+        self._labels = np.empty((num_tables, 0), dtype=np.intp)
+        # Stored rows that are not tombstoned.
+        self._live = np.ones(0, dtype=bool)
+        # The next fresh label; labels are never reused.
+        self._next_label = 0
         self._key_rows: Optional[Dict[object, int]] = None
         self._mutations: int = 0
         # Code-table linear-scan working set, keyed by the mutation counter:
@@ -185,12 +198,6 @@ class EuclideanLSHIndex:
         # Per-row squared norms of the stored table (||x||^2, or ||c*s||^2
         # over code vectors), keyed likewise: (mutations, norms).
         self._norms_cache: Optional[Tuple[int, np.ndarray]] = None
-        # Membership-mask working set, keyed likewise: (mutations, per-table
-        # bucket key -> label, (tables, rows) label of every stored row,
-        # live-row mask or None).
-        self._bucket_cache: Optional[
-            Tuple[int, List[Dict], np.ndarray, Optional[np.ndarray]]
-        ] = None
 
     # ------------------------------------------------------------------
     # Build: prepare -> hash_rows -> install_tables
@@ -198,8 +205,8 @@ class EuclideanLSHIndex:
     def prepare(self, vectors: np.ndarray, keys: Optional[Sequence[object]] = None) -> "EuclideanLSHIndex":
         """Fix the projections and register ``vectors`` without hashing them.
 
-        After ``prepare`` the index is *not* queryable yet: the hash tables
-        are built by feeding :meth:`hash_rows` output to
+        After ``prepare`` the index is *not* queryable yet: the buckets are
+        installed by feeding :meth:`hash_rows` output to
         :meth:`install_tables`.
 
         ``vectors`` may be float64, float32 (hashed through the fp32
@@ -221,78 +228,67 @@ class EuclideanLSHIndex:
         self._keys = list(keys) if keys is not None else list(range(n))
         if len(self._keys) != n:
             raise ValueError("keys must align with vectors")
-        self._tables = []
-        self._dead = set()
+        self._lookups = []
+        self._live = np.ones(n, dtype=bool)
         self._key_rows = None
         self._mutations += 1
         return self
 
-    def hash_rows(self, start: int, stop: int) -> List[BucketMap]:
-        """Per-table bucket maps of rows ``[start, stop)`` (global indices).
+    def hash_rows(self, start: int, stop: int) -> np.ndarray:
+        """Bucket ids of rows ``[start, stop)`` (global indices), as a
+        ``(tables, rows, hash_size)`` int64 array.
 
-        Pure function of the prepared projections and vectors; the maps of
-        consecutive ranges merge with :meth:`install_tables`.  Bucket ids for
-        the whole range are computed in one array-at-a-time projection
-        pass.
+        Pure function of the prepared projections and vectors, computed in
+        one array-at-a-time projection pass; :meth:`install_tables` labels
+        the ids of consecutive ranges.
         """
         if self._vectors is None:
             raise NotFittedError("EuclideanLSHIndex.hash_rows called before prepare")
-        start = max(0, start)
-        stop = min(len(self._vectors), stop)
-        partial: List[BucketMap] = [defaultdict(list) for _ in range(self.num_tables)]
-        if start >= stop:
-            return [dict(table) for table in partial]
+        start, stop = max(0, start), min(len(self._vectors), stop)
         # Code vectors decode block by block, so hashing a cold table never
         # materialises more than one block of floats at a time.
-        block = _HASH_BLOCK_ROWS if _is_code_array(self._vectors) else stop - start
+        block = _HASH_BLOCK_ROWS if _is_code_array(self._vectors) else max(1, stop - start)
+        ids = [np.empty((self.num_tables, 0, self.hash_size), dtype=np.int64)]
         for block_start in range(start, stop, block):
-            block_stop = min(stop, block_start + block)
-            bucket_ids = self._bucket_ids(self._vectors[block_start:block_stop])
-            for table_index in range(self.num_tables):
-                table = partial[table_index]
-                # One tolist() per table: native-int keys hash faster than
-                # np.int64 tuples and compare equal to them.
-                for local, bucket in enumerate(map(tuple, bucket_ids[table_index].tolist())):
-                    table[bucket].append(block_start + local)
-        return [dict(table) for table in partial]
+            ids.append(self._bucket_ids(self._vectors[block_start : min(stop, block_start + block)]))
+        return np.concatenate(ids, axis=1)
 
-    def install_tables(self, partials: Iterable[List[BucketMap]]) -> "EuclideanLSHIndex":
-        """Merge partial bucket maps (in ascending row-range order) into the index.
+    def install_tables(self, bucket_ids: Iterable[np.ndarray]) -> "EuclideanLSHIndex":
+        """Install :meth:`hash_rows` output, given in ascending row-range
+        order and covering every prepared row, as the index's buckets.
 
-        Feeding the ranges in row order keeps each bucket's row list sorted
-        exactly as one :meth:`build` over all the rows would produce it.
+        Each distinct bucket key of a table gets a fresh label and every
+        row the label of its bucket, so the buckets are those one
+        :meth:`build` over all the rows installs.
         """
         if self._vectors is None:
             raise NotFittedError("EuclideanLSHIndex.install_tables called before prepare")
-        tables: List[BucketMap] = [defaultdict(list) for _ in range(self.num_tables)]
-        for partial in partials:
-            if len(partial) != self.num_tables:
-                raise ValueError("partial bucket maps must cover every hash table")
-            for table_index, bucket_map in enumerate(partial):
-                table = tables[table_index]
-                for bucket, rows in bucket_map.items():
-                    table[bucket].extend(rows)
-        self._tables = tables
-        self._bucket_cache = None  # new tables under the same mutation count
+        bucket_ids = list(bucket_ids)
+        if any(ids.ndim != 3 or len(ids) != self.num_tables for ids in bucket_ids):
+            raise ValueError("bucket ids must cover every hash table")
+        self._lookups = [{} for _ in range(self.num_tables)]
+        self._next_label = 0
+        labels = [np.empty((self.num_tables, 0), dtype=np.intp)]
+        labels += [self._labels_of(ids, grow=True) for ids in bucket_ids]
+        self._labels = np.concatenate(labels, axis=1)
         return self
 
     def build(self, vectors: np.ndarray, keys: Optional[Sequence[object]] = None) -> "EuclideanLSHIndex":
         """Index ``vectors``; ``keys`` are the identifiers returned by queries."""
         self.prepare(vectors, keys)
-        assert self._vectors is not None
-        return self.install_tables([self.hash_rows(0, len(self._vectors))])
+        return self.install_tables([self.hash_rows(0, self.size)])
 
     def extend(self, vectors: np.ndarray, keys: Sequence[object]) -> "EuclideanLSHIndex":
         """Install additional rows into a built index without a rebuild.
 
         The incremental-blocking primitive: appended rows are hashed with
         the *existing* projections through :meth:`hash_rows` (the step
-        :meth:`build` uses) and appended into the existing bucket lists in
-        place — O(delta) bucket work, not O(table).
-        New rows receive the next global indices, so every bucket's row list
-        stays exactly what a from-scratch :meth:`build` over the
-        concatenated vectors produces; query answers are therefore
-        identical to a full rebuild.
+        :meth:`build` uses) and their label columns appended — O(delta)
+        bucket work, not O(table).  New rows receive the next global
+        indices and join the buckets their keys name, so the buckets are
+        exactly what a from-scratch :meth:`build` over the concatenated
+        vectors installs; query answers are therefore identical to a full
+        rebuild.
         """
         self._require_built("extend")
         vectors = _coerce_vectors(vectors)
@@ -319,14 +315,34 @@ class EuclideanLSHIndex:
         self._keys.extend(keys)
         self._key_rows = None
         self._mutations += 1
-        for table, bucket_map in zip(self._tables, self.hash_rows(start, len(self._vectors))):
-            for bucket, rows in bucket_map.items():
-                existing = table.get(bucket)
-                if existing is None:
-                    table[bucket] = rows
-                else:
-                    existing.extend(rows)
+        labels = self._labels_of(self.hash_rows(start, len(self._vectors)), grow=True)
+        self._labels = np.concatenate([self._labels, labels], axis=1)
+        self._live = np.concatenate([self._live, np.ones(len(keys), dtype=bool)])
         return self
+
+    def _labels_of(self, bucket_ids: np.ndarray, grow: bool = False) -> np.ndarray:
+        """``(tables, rows)`` labels of ``(tables, rows, hash_size)`` bucket ids.
+
+        A key the table's lookup does not hold gets ``-1``, which no row
+        holds — or, with ``grow``, the next fresh label, which the lookup
+        then holds.  Labels are never reused, not even after the bucket
+        that held one is dropped, so two buckets never share a label.
+        """
+        labels = np.empty(bucket_ids.shape[:2], dtype=np.intp)
+        for table_index, lookup in enumerate(self._lookups):
+            # One tolist() per table: native-int keys hash faster than
+            # np.int64 tuples and compare equal to them.
+            buckets = list(map(tuple, bucket_ids[table_index].tolist()))
+            if grow:
+                for bucket in buckets:
+                    if bucket not in lookup:
+                        lookup[bucket] = self._next_label
+                        self._next_label += 1
+            get = lookup.get
+            labels[table_index] = np.fromiter(
+                (get(bucket, -1) for bucket in buckets), dtype=np.intp, count=len(buckets)
+            )
+        return labels
 
     # ------------------------------------------------------------------
     # In-place mutation: remove (tombstones), patch, compaction
@@ -334,9 +350,8 @@ class EuclideanLSHIndex:
     def _rows_of(self, keys: Sequence[object]) -> List[int]:
         """Live row indices of ``keys`` (raises ``KeyError`` on unknown keys)."""
         if self._key_rows is None:
-            self._key_rows = {
-                key: row for row, key in enumerate(self._keys) if row not in self._dead
-            }
+            stored = self._keys
+            self._key_rows = {stored[row]: row for row in np.flatnonzero(self._live).tolist()}
         mapping = self._key_rows
         rows = []
         for key in keys:
@@ -347,42 +362,36 @@ class EuclideanLSHIndex:
         return rows
 
     def remove(self, keys: Sequence[object]) -> "EuclideanLSHIndex":
-        """Tombstone rows by key, without touching any bucket list.
+        """Tombstone rows by key: clear their live bit, keep their labels.
 
         Deleted rows are masked out during candidate gathering, so query
         answers immediately equal a from-scratch build over the surviving
         vectors — O(1) per removal.  Once the tombstoned fraction exceeds
         ``compaction_load`` the index compacts (see :meth:`compact`), after
-        which the hash tables themselves are bucket-identical to a rebuild.
+        which its buckets themselves are those of a rebuild.
         """
         self._require_built("remove")
         rows = self._rows_of(keys)
         self._mutations += 1
-        self._dead.update(rows)
+        self._live[rows] = False
         if self._key_rows is not None:
             for key in keys:
                 self._key_rows.pop(key, None)
-        assert self._vectors is not None
-        if self._dead and len(self._dead) > self.compaction_load * len(self._vectors):
+        if self.tombstoned > self.compaction_load * self.size:
             self.compact()
         return self
 
     def patch(self, vectors: np.ndarray, keys: Sequence[object]) -> "EuclideanLSHIndex":
-        """Swap the vectors of existing rows in place and rebucket them.
+        """Swap the vectors of existing rows in place and relabel them.
 
-        The edited row keeps its row index, is pulled out of the buckets its
-        old vector hashed to and inserted — in row order, via ``insort`` —
-        into the buckets of the new vector, so the resulting tables are
-        bucket-identical to a from-scratch build over the edited vectors.
+        The edited row keeps its row index and takes the labels of its new
+        vector's buckets (a bucket no row held yet gets a fresh label); a
+        bucket it left that no stored row holds any more is dropped from the
+        lookup, so the buckets are those of a from-scratch build over the
+        edited vectors.
         """
         self._require_built("patch")
-        if _is_code_array(vectors):
-            # Patches touch few rows: decode them once, re-encoding happens
-            # row-wise against the stored representation below.
-            vectors = vectors.decode()
-        vectors = np.asarray(vectors)
-        if vectors.dtype not in (np.float32, np.float64):
-            vectors = vectors.astype(np.float64)
+        vectors = _float_rows(vectors)
         if vectors.ndim != 2:
             raise ValueError(f"expected a 2-d array of vectors, got shape {vectors.shape}")
         assert self._vectors is not None
@@ -399,60 +408,52 @@ class EuclideanLSHIndex:
         rows = self._rows_of(keys)
         self._mutations += 1
         old_buckets = self._bucket_ids(self._vectors[rows])
-        new_buckets = self._bucket_ids(vectors)
+        old_labels = self._labels[:, rows]
         for position, row in enumerate(rows):
             self._vectors[row] = vectors[position]
-            for table_index in range(self.num_tables):
-                table = self._tables[table_index]
-                old_bucket = tuple(old_buckets[table_index, position])
-                new_bucket = tuple(new_buckets[table_index, position])
-                if old_bucket == new_bucket:
-                    continue
-                members = table.get(old_bucket)
-                if members is not None:
-                    try:
-                        members.remove(row)
-                    except ValueError:  # pragma: no cover - inconsistent table
-                        pass
-                    if not members:
-                        del table[old_bucket]
-                insort(table.setdefault(new_bucket, []), row)
+        self._labels[:, rows] = self._labels_of(self._bucket_ids(vectors), grow=True)
+        for table_index, lookup in enumerate(self._lookups):
+            emptied = ~self._held_labels(table_index)[old_labels[table_index]]
+            for bucket in map(tuple, old_buckets[table_index, emptied].tolist()):
+                lookup.pop(bucket, None)
         return self
 
     def compact(self) -> "EuclideanLSHIndex":
         """Drop tombstoned rows and renumber the survivors.
 
-        Surviving rows keep their relative order, so every bucket's row list
-        — renumbered through the same old-to-new map — stays sorted exactly
-        as a serial :meth:`build` over the live vectors would produce it;
-        buckets left empty are deleted like a rebuild would never have
-        created them.  A no-op when nothing is tombstoned.
+        Surviving rows keep their relative order and their labels; buckets
+        no survivor holds are dropped from the lookups, like a rebuild would
+        never have created them.  The buckets — and the rows in each — are
+        then those of a serial :meth:`build` over the live vectors.  A no-op
+        when nothing is tombstoned.
         """
         self._require_built("compact")
-        if not self._dead:
+        if self._live.all():
             return self
         assert self._vectors is not None
         self._mutations += 1
-        alive = [row for row in range(len(self._vectors)) if row not in self._dead]
-        renumber = {old: new for new, old in enumerate(alive)}
+        alive = np.flatnonzero(self._live)
         if _is_code_array(self._vectors):
             # A plain fancy-index would decode; keep the survivors as codes.
             self._vectors = self._vectors.take_rows(alive)
         else:
             self._vectors = self._vectors[alive]
-        self._keys = [self._keys[row] for row in alive]
-        tables: List[BucketMap] = []
-        for table in self._tables:
-            compacted: BucketMap = {}
-            for bucket, rows in table.items():
-                survivors = [renumber[row] for row in rows if row in renumber]
-                if survivors:
-                    compacted[bucket] = survivors
-            tables.append(compacted)
-        self._tables = tables
-        self._dead = set()
+        self._keys = [self._keys[row] for row in alive.tolist()]
+        self._labels = self._labels[:, alive]
+        for table_index, lookup in enumerate(self._lookups):
+            held = self._held_labels(table_index).tolist()
+            self._lookups[table_index] = {
+                bucket: label for bucket, label in lookup.items() if held[label]
+            }
+        self._live = np.ones(len(alive), dtype=bool)
         self._key_rows = None
         return self
+
+    def _held_labels(self, table_index: int) -> np.ndarray:
+        """Bool mask over every label issued: held by some stored row of the table."""
+        held = np.zeros(self._next_label, dtype=bool)
+        held[self._labels[table_index]] = True
+        return held
 
     def _scaled_projections(self, vectors) -> np.ndarray:
         """Projections shifted and scaled to bucket units (floor = bucket id).
@@ -461,9 +462,7 @@ class EuclideanLSHIndex:
         bucket — the margin signal query-time multiprobe perturbs.
         """
         assert self._projections is not None and self._offsets is not None
-        if _is_code_array(vectors):
-            vectors = vectors.decode()  # callers pass bounded row blocks
-        vectors = np.asarray(vectors)
+        vectors = _float_rows(vectors)  # callers pass bounded row blocks
         if vectors.dtype == np.float32:
             # fp32 fast path: project with a (lazily cached) fp32 copy of
             # the projections instead of upcasting the whole vector block.
@@ -472,8 +471,6 @@ class EuclideanLSHIndex:
                 projections = self._projections.astype(np.float32)
                 self._projections32 = projections
         else:
-            if vectors.dtype != np.float64:
-                vectors = vectors.astype(np.float64)
             projections = self._projections
         # shape: (num_tables, n, hash_size)
         projected = np.einsum("thd,nd->tnh", projections, vectors)
@@ -525,7 +522,7 @@ class EuclideanLSHIndex:
         return out
 
     def _require_built(self, operation: str) -> None:
-        if self._vectors is None or not self._tables:
+        if self._vectors is None or not self._lookups:
             raise NotFittedError(f"EuclideanLSHIndex.{operation} called before build")
 
     # ------------------------------------------------------------------
@@ -541,7 +538,7 @@ class EuclideanLSHIndex:
         yields an empty result; ``k`` larger than the index size simply
         returns every (non-excluded) vector.
         """
-        vector = _coerce_vectors(np.atleast_1d(vector)).reshape(1, -1)
+        vector = _float_rows(np.atleast_1d(vector)).reshape(1, -1)
         return self.query_batch(vector, k=k, exclude=[exclude])[0]
 
     def query_batch(
@@ -555,12 +552,12 @@ class EuclideanLSHIndex:
         Bucket hashing is array-at-a-time (one projection pass computes the
         bucket ids of every query row) and so is candidate gathering: each
         block of query rows — at most ``_RANK_BLOCK_PAIRS`` (query, stored
-        row) cells — gets one boolean membership mask (:meth:`_members`).  A
-        row whose mask holds fewer than ``k`` candidates takes every live row
-        instead: the linear-scan fallback is the same mask, filled.  Raw
-        tables rank the mask through one GEMM shortlist and an exact rescore
-        (:meth:`_rank_raw`), code tables through the asymmetric kernel
-        (:meth:`_rank_codes`).
+        row) cells — gets one boolean membership mask (:meth:`_members`)
+        from its buckets' labels.  A row whose mask holds fewer than ``k``
+        candidates takes every live row instead: the linear-scan fallback
+        is the same mask, filled.  Raw tables rank the mask through one GEMM
+        shortlist and an exact rescore (:meth:`_rank_raw`), code tables
+        through the asymmetric kernel (:meth:`_rank_codes`).
 
         Every answer is ordered by (distance, stored row) — exact ties break
         by row — so a row's answer never depends on the rows sharing its
@@ -581,11 +578,7 @@ class EuclideanLSHIndex:
         self._require_built("query_batch")
         if k <= 0:
             raise ValueError("k must be positive")
-        if _is_code_array(vectors):
-            vectors = vectors.decode()  # queries are per-row floats anyway
-        vectors = np.asarray(vectors)
-        if vectors.dtype not in (np.float32, np.float64):
-            vectors = vectors.astype(np.float64)
+        vectors = _float_rows(vectors)
         if vectors.ndim == 1:
             vectors = vectors.reshape(1, -1)
         if vectors.ndim != 2:
@@ -601,21 +594,18 @@ class EuclideanLSHIndex:
         id_blocks = [np.floor(scaled).astype(np.int64)]
         if probes:
             id_blocks.extend(self._probe_ids(scaled, id_blocks[0], probes))
-        # Bucket keys as native ints: one tolist() converts the whole id
-        # block for the per-row dict lookups of _members.
-        bucket_blocks = [ids.tolist() for ids in id_blocks]
         results: List[Optional[List[Tuple[object, float]]]] = [None] * n
         codes = _is_code_array(self._vectors)
         step = max(1, _RANK_BLOCK_PAIRS // max(1, self.size))
         fallback = ranked = rescored = 0
         for start in range(0, n, step):
             rows = range(start, min(n, start + step))
-            members, live = self._members(bucket_blocks, rows)
+            members = self._members(id_blocks, rows)
             starved = np.count_nonzero(members, axis=1) < k_effective
             if starved.any():
                 # Every live row is a candidate: recall never collapses on
                 # small tables.
-                members[starved] = True if live is None else live
+                members[starved] = self._live
             fallback += int(np.count_nonzero(starved))
             ranked += int(np.count_nonzero(members))
             queries = vectors[rows.start : rows.stop]
@@ -628,35 +618,27 @@ class EuclideanLSHIndex:
         engine_counters().record_blocking(n, fallback, ranked, rescored)
         return results  # type: ignore[return-value]
 
-    def _members(
-        self, bucket_blocks: List[list], rows: range
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Candidate mask of query ``rows`` and the live-row mask.
+    def _members(self, id_blocks: List[np.ndarray], rows: range) -> np.ndarray:
+        """Candidate mask of query ``rows``.
 
-        ``bucket_blocks`` holds every query's bucket ids, one nested list
-        ``(tables, queries, hash_size)`` per probe.  Cell ``(i, j)`` of the
-        ``(len(rows), stored rows)`` mask is set when stored row ``j`` shares
-        a bucket with query ``rows[i]`` in some table and is not tombstoned.
-        The live mask is ``None`` when nothing is tombstoned.
+        ``id_blocks`` holds every query's bucket ids, one ``(tables,
+        queries, hash_size)`` array per probe; :meth:`_labels_of` turns
+        those of ``rows`` into labels (``-1`` for a bucket no stored row is
+        in).  Cell ``(i, j)`` of the ``(len(rows), stored rows)`` mask is set
+        when stored row ``j`` is live and holds the label of query
+        ``rows[i]``'s bucket in some table.
         """
-        lookups, labels, live = self._bucket_labels()
         members = np.zeros((len(rows), self.size), dtype=bool)
         hits = np.empty_like(members)
-        for table_index, lookup in enumerate(lookups):
-            get = lookup.get
-            for buckets in bucket_blocks:
-                # -2 marks a bucket the table does not hold; no row has it.
-                block = buckets[table_index][rows.start : rows.stop]
-                wanted = np.fromiter(
-                    (get(tuple(bucket), -2) for bucket in block), dtype=np.intp, count=len(rows)
-                )
-                np.equal(wanted[:, None], labels[table_index], out=hits)
+        for ids in id_blocks:
+            wanted = self._labels_of(ids[:, rows.start : rows.stop])
+            for table_index in range(self.num_tables):
+                np.equal(wanted[table_index, :, None], self._labels[table_index], out=hits)
                 members |= hits
-        if live is not None:
-            # Tombstones: deleted rows never surface as candidates, so
-            # answers equal a rebuild over the live vectors alone.
-            members &= live
-        return members, live
+        # Tombstones: deleted rows never surface as candidates, so answers
+        # equal a rebuild over the live vectors alone.
+        members &= self._live
+        return members
 
     def _rank_raw(
         self,
@@ -840,41 +822,13 @@ class EuclideanLSHIndex:
         cache = self._live_cache
         if cache is not None and cache[0] == self._mutations:
             return cache[1], cache[2]
-        live = self._bucket_labels()[2]
-        if live is None:
+        if self._live.all():
             rows, base = np.arange(self.size, dtype=np.intp), self._vectors
         else:
-            rows = np.flatnonzero(live)
+            rows = np.flatnonzero(self._live)
             base = self._vectors.take_rows(rows)
         self._live_cache = (self._mutations, rows, base)
         return rows, base
-
-    def _bucket_labels(self) -> Tuple[List[Dict], np.ndarray, Optional[np.ndarray]]:
-        """Bucket labels for the membership mask, cached per mutation.
-
-        Per table, a bucket key -> label map and the ``(tables, stored
-        rows)`` label of every stored row; plus the live-row mask (``None``
-        when nothing is tombstoned).  Derived from the bucket-list tables,
-        which stay the mutable truth: every mutation invalidates it.
-        """
-        cache = self._bucket_cache
-        if cache is not None and cache[0] == self._mutations:
-            return cache[1], cache[2], cache[3]
-        lookups: List[Dict] = []
-        labels = np.full((self.num_tables, self.size), -1, dtype=np.intp)
-        for table_index, table in enumerate(self._tables):
-            lookups.append({bucket: label for label, bucket in enumerate(table)})
-            counts = [len(rows) for rows in table.values()]
-            rows = np.fromiter(
-                chain.from_iterable(table.values()), dtype=np.intp, count=sum(counts)
-            )
-            labels[table_index, rows] = np.repeat(np.arange(len(table)), counts)
-        live = None
-        if self._dead:
-            live = np.ones(self.size, dtype=bool)
-            live[list(self._dead)] = False
-        self._bucket_cache = (self._mutations, lookups, labels, live)
-        return lookups, labels, live
 
     def _table_norms(self) -> np.ndarray:
         """Per-row squared norms of the stored table, cached per mutation.
@@ -899,52 +853,31 @@ class EuclideanLSHIndex:
     # Pickling (worker-pool state transport)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Pack bucket tables into numpy triples for efficient transport.
+        """Drop the derived caches and send each lookup as two arrays.
 
         A built index travels to pool workers through the shared-memory
-        publisher, which hoists large ndarrays into zero-copy segments —
-        but dicts of tuple-keyed Python lists would still be pickled
-        element by element.  Packing each table as ``(bucket keys array,
-        per-bucket counts, concatenated row lists)`` turns the dominant
-        payload into three hoistable arrays; insertion order (and hence
-        query behaviour) round-trips exactly.  Derived caches are dropped
-        and rebuilt lazily on the other side.
+        publisher, which hoists large ndarrays (the vectors, ``_labels``,
+        ``_live``) into zero-copy segments — but a dict of tuple keys would
+        still be pickled entry by entry, so each lookup travels as ``(int64
+        bucket keys (buckets, hash_size), intp labels)``.
         """
         state = self.__dict__.copy()
-        state["_key_rows"] = None
-        state["_live_cache"] = None
-        state["_norms_cache"] = None
-        state["_bucket_cache"] = None
-        state["_projections32"] = None
-        tables = state.pop("_tables")
-        packed = []
-        for table in tables:
-            keys = np.asarray(list(table.keys()), dtype=np.int64).reshape(-1, self.hash_size)
-            counts = np.asarray([len(rows) for rows in table.values()], dtype=np.int64)
-            rows = np.asarray(
-                [row for rows in table.values() for row in rows], dtype=np.int64
+        state.update(_key_rows=None, _live_cache=None, _norms_cache=None, _projections32=None)
+        state["_lookups"] = [
+            (
+                np.array(list(lookup), dtype=np.int64).reshape(-1, self.hash_size),
+                np.fromiter(lookup.values(), dtype=np.intp, count=len(lookup)),
             )
-            packed.append((keys, counts, rows))
-        state["_packed_tables"] = packed
+            for lookup in self._lookups
+        ]
         return state
 
     def __setstate__(self, state):
-        packed = state.pop("_packed_tables")
         self.__dict__.update(state)
-        # States packed by older builds predate the derived caches.
-        self.__dict__.setdefault("_projections32", None)
-        self.__dict__.setdefault("_norms_cache", None)
-        self.__dict__.setdefault("_bucket_cache", None)
-        tables: List[BucketMap] = []
-        for keys, counts, rows in packed:
-            table: BucketMap = {}
-            rows_list = rows.tolist()
-            offset = 0
-            for bucket, count in zip(keys.tolist(), counts.tolist()):
-                table[tuple(bucket)] = rows_list[offset : offset + count]
-                offset += count
-            tables.append(table)
-        self._tables = tables
+        self._lookups = [
+            dict(zip(map(tuple, keys.tolist()), labels.tolist()))
+            for keys, labels in state["_lookups"]
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -955,12 +888,12 @@ class EuclideanLSHIndex:
     @property
     def live_size(self) -> int:
         """Rows actually searchable (stored minus tombstoned)."""
-        return self.size - len(self._dead)
+        return int(np.count_nonzero(self._live))
 
     @property
     def tombstoned(self) -> int:
         """Rows tombstoned but not yet compacted away."""
-        return len(self._dead)
+        return self.size - self.live_size
 
     @property
     def mutations(self) -> int:
@@ -981,17 +914,18 @@ class EuclideanLSHIndex:
     @property
     def live_keys(self) -> Tuple[object, ...]:
         """Keys of the searchable rows, in row order."""
-        if not self._dead:
-            return tuple(self._keys)
-        return tuple(
-            key for row, key in enumerate(self._keys) if row not in self._dead
-        )
+        return tuple(self._keys[row] for row in np.flatnonzero(self._live).tolist())
 
     def bucket_statistics(self) -> Dict[str, float]:
-        """Mean and max bucket occupancy across tables (diagnostics)."""
+        """Mean and max bucket occupancy across tables (diagnostics).
+
+        Every stored row counts, tombstoned ones included, until
+        :meth:`compact` drops them.
+        """
         self._require_built("bucket_statistics")
-        sizes = [len(bucket) for table in self._tables for bucket in table.values()]
-        if not sizes:  # built over an empty table: no buckets at all
+        sizes = np.concatenate([np.bincount(labels) for labels in self._labels])
+        sizes = sizes[sizes > 0]
+        if not len(sizes):  # built over an empty table: no buckets at all
             return {"mean_bucket_size": 0.0, "max_bucket_size": 0.0, "num_buckets": 0.0}
         return {
             "mean_bucket_size": float(np.mean(sizes)),

@@ -111,24 +111,6 @@ class NearestNeighbourSearch:
             raise NotFittedError("NearestNeighbourSearch.index accessed before build")
         return self._index
 
-    # ------------------------------------------------------------------
-    # In-place mutation passthroughs (the incremental-blocking surface)
-    # ------------------------------------------------------------------
-    def extend(self, vectors: np.ndarray, keys: Sequence[object]) -> "NearestNeighbourSearch":
-        """Install appended rows into the built index (no rebuild)."""
-        self.index.extend(vectors, keys)
-        return self
-
-    def remove(self, keys: Sequence[object]) -> "NearestNeighbourSearch":
-        """Tombstone deleted rows; answers exclude them immediately."""
-        self.index.remove(keys)
-        return self
-
-    def patch(self, vectors: np.ndarray, keys: Sequence[object]) -> "NearestNeighbourSearch":
-        """Swap edited rows' vectors in place and rebucket just those rows."""
-        self.index.patch(vectors, keys)
-        return self
-
     def top_k(self, query_vectors: np.ndarray, query_keys: Sequence[object], k: int = 10) -> List[NeighbourResult]:
         """Top-K neighbours of every query vector.
 

@@ -271,10 +271,9 @@ class _PlanState:
 def _query_task(handle: StateHandle, task_index: int, start: int, stop: int, k: int, query_chunk: int):
     """Block stage: top-K candidate pairs of one planned query shard.
 
-    Rows are walked through :func:`repro.engine.shard.query_shard_pairs`,
-    the chunk-walk definition every enumerator shares; results are per-row
-    and rank-ordered, so concatenating task results in row order reproduces
-    the serial candidate stream pair for pair.
+    Rows are walked through :func:`repro.engine.shard.query_shard_pairs`;
+    results are per-row and rank-ordered, so concatenating task results in
+    row order reproduces the serial candidate stream pair for pair.
     """
     state: _PlanState = worker_state(handle)
     started = time.perf_counter()

@@ -307,9 +307,10 @@ def query_shard_pairs(
 ) -> List[RecordPair]:
     """Top-K candidate pairs of one row range, queried chunk by chunk.
 
-    The one query loop of the planner's serial blocking pass and its pool
-    tasks, so the chunk walk that underpins the byte-identity contract has a
-    single definition.
+    The query loop of the planner's pool tasks.  The serial pass walks its
+    own chunks in :func:`repro.engine.stream.stream_candidate_pairs`; a
+    row's answer does not depend on the rows queried with it, so the tasks'
+    pairs, concatenated in row order, are the serial stream's.
     """
     pairs: List[RecordPair] = []
     for chunk_start in range(start, stop, query_chunk):

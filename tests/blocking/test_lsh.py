@@ -1,5 +1,7 @@
 """Euclidean LSH index correctness and recall behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,25 @@ def clustered_vectors():
         vectors.append(centre + rng.normal(scale=0.5, size=(20, 8)))
         labels.extend([c] * 20)
     return np.vstack(vectors), np.array(labels)
+
+
+def _buckets(index):
+    """Per table, ``{bucket key: ascending stored rows}`` read from the
+    index's lookups and row labels, empty buckets omitted."""
+    tables = []
+    for lookup, labels in zip(index._lookups, index._labels):
+        table = {}
+        for bucket, label in lookup.items():
+            rows = np.flatnonzero(labels == label).tolist()
+            if rows:
+                table[bucket] = rows
+        tables.append(table)
+    return tables
+
+
+def _lookup_sizes(index):
+    """Buckets each table's lookup holds, an emptied one left behind included."""
+    return [len(lookup) for lookup in index._lookups]
 
 
 class TestEuclideanLSHIndex:
@@ -174,14 +195,14 @@ class TestEdgeCases:
 
 class TestShardedBuild:
     def test_hash_rows_install_matches_build(self, clustered_vectors):
-        """Partial maps merged in row order reproduce the serial tables."""
+        """Bucket ids of row ranges installed in row order reproduce the
+        serial buckets."""
         vectors, _ = clustered_vectors
         serial = EuclideanLSHIndex(seed=2).build(vectors)
         sharded = EuclideanLSHIndex(seed=2).prepare(vectors)
         partials = [sharded.hash_rows(start, start + 13) for start in range(0, len(vectors), 13)]
         sharded.install_tables(partials)
-        for serial_table, sharded_table in zip(serial._tables, sharded._tables):
-            assert dict(serial_table) == dict(sharded_table)
+        assert _buckets(serial) == _buckets(sharded)
         for row in (0, 25, 59):
             assert serial.query(vectors[row], k=5) == sharded.query(vectors[row], k=5)
 
@@ -193,13 +214,13 @@ class TestShardedBuild:
         vectors, _ = clustered_vectors
         index = EuclideanLSHIndex(seed=2).prepare(vectors)
         empty = index.hash_rows(500, 900)
-        assert all(table == {} for table in empty)
+        assert empty.shape == (index.num_tables, 0, index.hash_size)
 
     def test_install_rejects_wrong_table_count(self, clustered_vectors):
         vectors, _ = clustered_vectors
         index = EuclideanLSHIndex(num_tables=4, seed=2).prepare(vectors)
         with pytest.raises(ValueError):
-            index.install_tables([[{}, {}]])
+            index.install_tables([np.zeros((2, len(vectors), index.hash_size), dtype=np.int64)])
 
 
 class TestBucketStatistics:
@@ -240,8 +261,7 @@ class TestExtend:
         grown = EuclideanLSHIndex(seed=4).build(vectors[:40], keys[:40])
         grown.extend(vectors[40:], keys[40:])
         assert grown.size == full.size and grown.keys == full.keys
-        for full_table, grown_table in zip(full._tables, grown._tables):
-            assert dict(full_table) == dict(grown_table)
+        assert _buckets(full) == _buckets(grown)
         queries = vectors[::7]
         assert full.query_batch(queries, k=5) == grown.query_batch(queries, k=5)
 
@@ -252,8 +272,7 @@ class TestExtend:
         for start in range(20, len(vectors), 11):
             stop = min(start + 11, len(vectors))
             grown.extend(vectors[start:stop], list(range(start, stop)))
-        for full_table, grown_table in zip(full._tables, grown._tables):
-            assert dict(full_table) == dict(grown_table)
+        assert _buckets(full) == _buckets(grown)
         assert full.query(vectors[3], k=4) == grown.query(vectors[3], k=4)
 
     def test_extend_validations(self, clustered_vectors):
@@ -316,10 +335,10 @@ class TestRemovePatchCompact:
         edited[dirty] = rng.normal(scale=40.0, size=(len(dirty), vectors.shape[1]))
         index.patch(edited[dirty], [keys[i] for i in dirty])
         rebuilt = EuclideanLSHIndex(seed=7).build(edited, keys)
-        # Bucket-identical, not just answer-identical: patch reinserts the
-        # row at its sorted position inside the destination buckets.
-        for patched_table, rebuilt_table in zip(index._tables, rebuilt._tables):
-            assert {b: r for b, r in patched_table.items() if r} == dict(rebuilt_table)
+        # Bucket-identical, not just answer-identical: patch relabels the
+        # rows and drops the buckets they emptied.
+        assert _buckets(index) == _buckets(rebuilt)
+        assert _lookup_sizes(index) == _lookup_sizes(rebuilt)
         queries = edited[::5]
         assert index.query_batch(queries, k=5) == rebuilt.query_batch(queries, k=5)
 
@@ -335,8 +354,8 @@ class TestRemovePatchCompact:
         rebuilt = EuclideanLSHIndex(seed=8).build(vectors[alive], [keys[i] for i in alive])
         assert index.size == rebuilt.size == len(alive)
         assert index.keys == rebuilt.keys
-        for compacted_table, rebuilt_table in zip(index._tables, rebuilt._tables):
-            assert dict(compacted_table) == dict(rebuilt_table)
+        assert _buckets(index) == _buckets(rebuilt)
+        assert _lookup_sizes(index) == _lookup_sizes(rebuilt)
 
     def test_load_threshold_triggers_automatic_compaction(self, clustered_vectors):
         vectors, _ = clustered_vectors
@@ -525,16 +544,19 @@ class TestBlockRanking:
 # ----------------------------------------------------------------------
 def _reference_answers(index, queries, k, exclude):
     """Every bucket candidate (every live row when fewer than ``k``), scored
-    by ``_raw_sq_distances`` and ordered by (distance, row) — no shortlist."""
-    live = [row for row in range(index.size) if row not in index._dead]
-    bucket_ids = index._bucket_ids(queries)
+    by ``_raw_sq_distances`` and ordered by (distance, row) — no shortlist.
+
+    Membership is recomputed from the stored vectors' bucket ids, so the
+    reference does not share the index's bucket representation."""
+    live_keys = set(index.live_keys)
+    live = [row for row, key in enumerate(index.keys) if key in live_keys]
+    stored_ids = index._bucket_ids(index._vectors)
+    query_ids = index._bucket_ids(queries)
     answers = []
     for i in range(len(queries)):
-        found = set()
-        for table_index, table in enumerate(index._tables):
-            found.update(table.get(tuple(bucket_ids[table_index, i].tolist()), ()))
-        found -= index._dead
-        rows = np.asarray(sorted(found) if len(found) >= k else live, dtype=np.intp)
+        collides = (stored_ids == query_ids[:, i : i + 1]).all(axis=2).any(axis=0)
+        found = [row for row in live if collides[row]]
+        rows = np.asarray(found if len(found) >= k else live, dtype=np.intp)
         squared = lsh_module._raw_sq_distances(
             queries[i : i + 1], index._vectors, rows, np.asarray([0, len(rows)])
         )
@@ -611,3 +633,111 @@ class TestRawRankingMatchesBruteForce:
         rescored = after["blocking_candidates_rescored"] - before["blocking_candidates_rescored"]
         ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
         assert min(k, index.live_size) * len(queries) <= rescored <= ranked
+
+
+# ----------------------------------------------------------------------
+# Mutation sequences against a rebuild
+# ----------------------------------------------------------------------
+_SEQUENCE_DIM = 5
+_SEQUENCE_CENTRES = np.random.default_rng(15).normal(scale=3.0, size=(4, _SEQUENCE_DIM))
+
+
+def _sequence_rows(rng, count, codec):
+    """``count`` clustered rows in the dtype ``codec`` stores or patches with."""
+    rows = _SEQUENCE_CENTRES[rng.integers(0, 4, count)] + rng.normal(
+        scale=0.6, size=(count, _SEQUENCE_DIM)
+    )
+    return rows.astype(np.float32) if codec == "fp32" else rows
+
+
+def _sequence_index(width):
+    return EuclideanLSHIndex(
+        num_tables=3, hash_size=4, bucket_width=width, seed=16, compaction_load=0.3
+    )
+
+
+class TestMutationSequences:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        codec=st.sampled_from(["fp64", "fp32", "int8"]),
+        seed=st.integers(0, 2 ** 16),
+        width=st.sampled_from([0.7, 1.5]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["extend", "remove", "patch", "compact", "pickle"]),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_every_step_answers_like_a_rebuild(self, codec, seed, width, steps):
+        """After each ``extend`` / ``remove`` (crossing ``compaction_load``) /
+        ``patch`` / ``compact`` / pickle round trip, ``query_batch`` keys and
+        distance bytes equal those of a fresh build over the live vectors in
+        ``live_keys`` order; whenever nothing is tombstoned (after every
+        compaction, too) the buckets and each lookup's size equal the
+        rebuild's, so neither a reused label nor a kept empty bucket hides."""
+        rng = np.random.default_rng(seed)
+        start = _sequence_rows(rng, 12, codec)
+        # The mirror of what the index stores: every stored row, dead ones
+        # included, in the same representation (int8 codes under fixed params).
+        stored = quant.get_codec("int8").encode(start, None) if codec == "int8" else start
+        keys = [f"k{i}" for i in range(len(start))]
+        alive = [True] * len(keys)
+        # The index stores float tables zero-copy: give it its own rows.
+        own = stored.take_rows(np.arange(len(keys))) if codec == "int8" else stored.copy()
+        index = _sequence_index(width).build(own, keys)
+        for step, count in steps:
+            live = [row for row, flag in enumerate(alive) if flag]
+            if step == "extend":
+                rows = _sequence_rows(rng, count, codec)
+                if codec == "int8":
+                    stored = stored.concat_rows(rows)
+                else:
+                    stored = np.concatenate([stored, rows])
+                new_keys = [f"k{len(keys) + i}" for i in range(count)]
+                keys.extend(new_keys)
+                alive.extend([True] * count)
+                index.extend(rows, new_keys)
+            elif step == "remove":
+                doomed = rng.permutation(live)[: min(count, len(live) - 2)].tolist()
+                for row in doomed:
+                    alive[row] = False
+                index.remove([keys[row] for row in doomed])
+            elif step == "patch":
+                edited = sorted(rng.permutation(live)[:count].tolist())
+                rows = _sequence_rows(rng, len(edited), codec)
+                # Half the patches move every other row far away, into
+                # buckets no row holds yet.
+                rows[::2] += rng.choice([0.0, 25.0])
+                if codec == "int8":
+                    # Edited rows arrive as codes under the table's params,
+                    # as the executor hands them over.
+                    rows = quant.CodecArray(stored.encode_rows(rows), stored.params)
+                    stored.codes[edited] = rows.codes
+                else:
+                    stored[edited] = rows
+                index.patch(rows, [keys[row] for row in edited])
+            elif step == "compact":
+                index.compact()
+            else:
+                index = pickle.loads(pickle.dumps(index))
+            live = [row for row, flag in enumerate(alive) if flag]
+            live_stored = stored.take_rows(live) if codec == "int8" else stored[live]
+            rebuilt = _sequence_index(width).build(
+                live_stored, [keys[row] for row in live]
+            )
+            assert index.live_keys == rebuilt.keys
+            queries = np.concatenate([
+                _sequence_rows(rng, 6, "fp64"),
+                rng.normal(scale=40.0, size=(2, _SEQUENCE_DIM)),
+            ])
+            k = int(rng.integers(1, 9))
+            assert _as_bytes(index.query_batch(queries, k=k)) == _as_bytes(
+                rebuilt.query_batch(queries, k=k)
+            ), step
+            if index.tombstoned == 0:
+                assert _buckets(index) == _buckets(rebuilt), step
+                assert _lookup_sizes(index) == _lookup_sizes(rebuilt), step
+                assert index.bucket_statistics() == rebuilt.bucket_statistics()
