@@ -21,18 +21,21 @@ block-at-a-time: :meth:`query_batch` computes the bucket ids of a whole
 block of query vectors in one projection pass, looks up their labels and
 compares them with the stored rows' labels, table by table, into one
 boolean (queries x stored rows) membership mask ANDed with the live mask;
-only the bucket lookups and the final top-k cut remain per row.  Over
-float tables one GEMM gives ``|q|^2 + |x|^2 - 2 q.x`` for every stored
-row, a rounding-error bound ``B = c (d + 2) u (|q|^2 + |x|^2)`` turns it
-into an interval that holds the exact kernel's value, and only members
-whose lower end reaches the ``(k + 1)``-th smallest upper end are rescored
-exactly (:func:`_raw_sq_distances`) — the answer of ranking every
-candidate, to the byte.  Answers are ordered by (distance, stored row) for
-every codec, so exact ties break by row.  Quantized tables score the mask's
-CSR form with the asymmetric kernel and additionally declare a query-time
-policy through their codec params (rank-cut expansion and low-margin
-multiprobe — see :meth:`_query_policy`) so approximate codes trade a wider
-exact-scored shortlist for recall instead of losing it.
+only the bucket lookups and the final top-k cut remain per row.  Every
+table kind is ranked by one routine: one GEMM gives the table's exact
+kernel in the form ``|a|^2 + |b|^2 - 2 a.b`` for every stored row — the
+float rows themselves, int8 codes in the kernel's shifted frame, pq rows
+decoded one bounded block at a time — a rounding-error bound per table
+kind turns it into an interval that holds the kernel's value, and only
+members whose lower end reaches the ``(k + 1)``-th smallest upper end are
+scored by the kernel (:func:`_raw_sq_distances` on float tables, the
+asymmetric kernel on code tables) — the answer of ranking every candidate
+with it, to the byte.  Answers are ordered by (distance, stored row) for
+every codec, so exact ties break by row.  Quantized tables additionally
+declare a query-time policy through their codec params (rank-cut
+expansion and low-margin multiprobe — see :meth:`_query_policy`) so
+approximate codes trade a wider exact-scored shortlist for recall instead
+of losing it.
 
 The index is additionally *mutable in place* — the incremental-blocking
 layer of delta resolution — and every mutation writes the labels directly:
@@ -65,12 +68,13 @@ DEFAULT_COMPACTION_LOAD = 0.3
 _HASH_BLOCK_ROWS = 4096
 
 #: (query, stored row) cells of one ranking block — bounds its membership
-#: mask and, on raw tables, each float temporary of the shortlist GEMM
-#: (~8 MB of float64; three of them plus the masks stay near 32 MB).
+#: mask and each float temporary of the shortlist GEMM (~8 MB of float64;
+#: three of them plus the masks stay near 32 MB) — and elements of one block
+#: of stored rows a code table decodes for that GEMM.
 _RANK_BLOCK_PAIRS = 1 << 20
 
-#: Safety factor ``c`` of the shortlist bound ``c * (d + 2) * u * (|q|^2 +
-#: |x|^2)``; the rounding analysis in :meth:`EuclideanLSHIndex._rank_raw`
+#: Safety factor ``c`` of the shortlist bound ``c * (d + 2) * u * (|a|^2 +
+#: |b|^2)``; the rounding analysis in :meth:`EuclideanLSHIndex._intervals`
 #: needs a little under 4.
 _SHORTLIST_SLACK = 8.0
 
@@ -192,11 +196,8 @@ class EuclideanLSHIndex:
         self._next_label = 0
         self._key_rows: Optional[Dict[object, int]] = None
         self._mutations: int = 0
-        # Code-table linear-scan working set, keyed by the mutation counter:
-        # (mutations, live row indices, gathered live codes).
-        self._live_cache: Optional[Tuple[int, np.ndarray, object]] = None
         # Per-row squared norms of the stored table (||x||^2, or ||c*s||^2
-        # over code vectors), keyed likewise: (mutations, norms).
+        # over code vectors), keyed by the mutation counter: (mutations, norms).
         self._norms_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -212,8 +213,8 @@ class EuclideanLSHIndex:
         ``vectors`` may be float64, float32 (hashed through the fp32
         projection fast path, no upcast copy) or a
         :class:`repro.engine.quant.CodecArray` — the index then keeps the
-        int8 codes resident, hashes in bounded decode blocks and ranks
-        candidates through the asymmetric distance kernel.
+        codes resident, hashes in bounded decode blocks and scores its
+        ranking shortlist with the asymmetric distance kernel.
         """
         vectors = _coerce_vectors(vectors)
         if vectors.ndim != 2:
@@ -555,16 +556,18 @@ class EuclideanLSHIndex:
         row) cells — gets one boolean membership mask (:meth:`_members`)
         from its buckets' labels.  A row whose mask holds fewer than ``k``
         candidates takes every live row instead: the linear-scan fallback
-        is the same mask, filled.  Raw tables rank the mask through one GEMM
-        shortlist and an exact rescore (:meth:`_rank_raw`), code tables
-        through the asymmetric kernel (:meth:`_rank_codes`).
+        is the same mask, filled.  Every table kind ranks the mask the same
+        way (:meth:`_rank`): a GEMM shortlist under a rigorous rounding
+        bound, then the table's exact per-pair kernel on the shortlist.
 
         Every answer is ordered by (distance, stored row) — exact ties break
         by row — so a row's answer never depends on the rows sharing its
-        block.  On raw tables it equals ranking the full candidate set with
-        :func:`_raw_sq_distances`, in keys and in distance bytes.  One call
-        is recorded in the engine counters (queries, linear-scan fallbacks,
-        candidates ranked, distances computed by the per-pair kernel).
+        block.  It equals ranking the full candidate set with the table's
+        per-pair kernel — :func:`_raw_sq_distances` on float tables, the CSR
+        form of :func:`repro.engine.quant.asymmetric_sq_distances` on code
+        tables — in keys and in distance bytes.  One call is recorded in the
+        engine counters (queries, linear-scan fallbacks, candidates ranked,
+        distances computed by the per-pair kernel).
         ``exclude`` optionally supplies one key per query row to drop from
         that row's results (the per-row counterpart of :meth:`query`'s
         ``exclude``); keys are unique, so it drops at most one row.
@@ -595,7 +598,6 @@ class EuclideanLSHIndex:
         if probes:
             id_blocks.extend(self._probe_ids(scaled, id_blocks[0], probes))
         results: List[Optional[List[Tuple[object, float]]]] = [None] * n
-        codes = _is_code_array(self._vectors)
         step = max(1, _RANK_BLOCK_PAIRS // max(1, self.size))
         fallback = ranked = rescored = 0
         for start in range(0, n, step):
@@ -609,12 +611,7 @@ class EuclideanLSHIndex:
             fallback += int(np.count_nonzero(starved))
             ranked += int(np.count_nonzero(members))
             queries = vectors[rows.start : rows.stop]
-            if codes:
-                rescored += self._rank_codes(
-                    queries, rows, members, starved, k_effective, exclude, results
-                )
-            else:
-                rescored += self._rank_raw(queries, rows, members, k_effective, exclude, results)
+            rescored += self._rank(queries, rows, members, k_effective, exclude, results)
         engine_counters().record_blocking(n, fallback, ranked, rescored)
         return results  # type: ignore[return-value]
 
@@ -640,7 +637,7 @@ class EuclideanLSHIndex:
         members &= self._live
         return members
 
-    def _rank_raw(
+    def _rank(
         self,
         queries: np.ndarray,
         rows: range,
@@ -649,47 +646,32 @@ class EuclideanLSHIndex:
         exclude: Optional[Sequence[object]],
         results: List[Optional[List[Tuple[object, float]]]],
     ) -> int:
-        """Rank one block of query rows over a float table; returns the
-        number of exactly scored (query, row) pairs.
+        """Rank one block of query rows; returns the number of (query, row)
+        pairs the table's exact kernel scored.
 
-        The exact top ``k`` of each row's members, without gathering them:
+        The exact top ``k`` of each row's members, on every table kind,
+        without running the exact kernel on all of them:
 
-        1. ``G = |q|^2 + |x|^2 - 2 q.x`` against every stored row, one GEMM.
-        2. ``B = c (d + 2) u (|q|^2 + |x|^2)``, ``u`` the unit roundoff of
-           the table's dtype (the GEMM's), bounds ``|G - E|`` where ``E`` is
-           what :func:`_raw_sq_distances` returns.  Whatever the summation
-           order of the BLAS and the reductions, with or without FMA, ``E``
-           lies within ``gamma_(d+2) |q - x|^2 <= 2 gamma_(d+2) (|q|^2 +
-           |x|^2)`` of the true squared distance, and ``G`` within
-           ``gamma_d`` of each norm, ``gamma_d |q||x|`` of the product and
-           two roundings more: ``c`` a little under 4 suffices.  ``c = 8``
-           also covers rounding the norms and ``G +- B``, and float64
-           queries rounded to a float32 table (at most ``3 u (|q|^2 +
-           |x|^2)`` more).  An absolute ``c (d + 2)`` smallest normals
-           covers underflow.
-        3. ``tau``, the ``(k + 1)``-th smallest ``G + B`` among members, and
+        1. ``G``, the kernel's distance in GEMM form (:meth:`_intervals`),
+           against every stored row, and ``B`` with ``|G - K| <= B`` for the
+           kernel's result ``K`` on every pair.
+        2. ``tau``, the ``(k + 1)``-th smallest ``G + B`` among members, and
            the shortlist: members with ``G - B <= tau`` (non-finite bounds
-           stay in).  A member left out has ``E > tau``, above the ``E`` of
+           stay in).  A member left out has ``K > tau``, above the ``K`` of
            ``k + 1`` members, so it ranks below ``k + 1`` and cannot reach
-           the top ``k`` even after ``exclude`` drops one row.
-        4. The shortlist is scored by :func:`_raw_sq_distances`, so returned
-           distances are the bytes a full-candidate ranking returns.
+           the top ``k`` even after ``exclude`` drops one row.  No kernel
+           returns a negative distance (the asymmetric one clips at zero),
+           so ``G + B`` is clipped there too.
+        3. The shortlist is scored by the kernel (:meth:`_kernel`), so
+           returned distances are the bytes ranking every member with it
+           returns.
 
         Starved rows arrive with their members already widened to every live
         row and need nothing else.
         """
-        table = self._vectors
-        dim = table.shape[1]
-        unit = np.finfo(table.dtype)
-        gemm_queries = queries.astype(table.dtype, copy=False)
-        approx = gemm_queries @ table.T
-        approx *= -2.0
-        query_norms = np.einsum("ij,ij->i", gemm_queries, gemm_queries)
-        bound = np.add.outer(query_norms, self._table_norms())
-        approx += bound
-        bound *= _SHORTLIST_SLACK * (dim + 2) * float(unit.eps) / 2
-        bound += _SHORTLIST_SLACK * (dim + 2) * float(unit.tiny)
+        approx, bound = self._intervals(queries)
         upper = approx + bound
+        np.maximum(upper, 0.0, out=upper)
         lower = np.subtract(approx, bound, out=approx)
         np.copyto(upper, np.inf, where=~members)
         if k < upper.shape[1]:
@@ -703,61 +685,95 @@ class EuclideanLSHIndex:
         offsets = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum(np.count_nonzero(shortlist, axis=1), out=offsets[1:])
         candidates = np.nonzero(shortlist)[1]
-        squared = _raw_sq_distances(queries, table, candidates, offsets)
+        squared = self._kernel(queries, candidates, offsets)
         self._emit(rows, candidates, offsets, np.sqrt(squared, out=squared), k, exclude, results)
         return len(candidates)
 
-    def _rank_codes(
-        self,
-        queries: np.ndarray,
-        rows: range,
-        members: np.ndarray,
-        starved: np.ndarray,
-        k: int,
-        exclude: Optional[Sequence[object]],
-        results: List[Optional[List[Tuple[object, float]]]],
-    ) -> int:
-        """Rank one block of query rows over a code table; returns the
-        number of kernel distances.
+    def _intervals(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(G, B)`` of a query block against every stored row.
 
-        Bucket-ranked rows score their mask's CSR form (``np.nonzero``: row
-        ids ascending per query) in one asymmetric-kernel call; starved rows
-        score every live row in one dense call.  The distances are exact
-        w.r.t. the *decoded* table, so ranking error against the raw index
-        is bounded by the codec's quantization error.
+        ``G = |a|^2 + |b|^2 - 2 a.b`` is the table's kernel in GEMM form
+        (:meth:`_gemm_frame`), one BLAS product per block of stored rows
+        holding at most ``_RANK_BLOCK_PAIRS`` elements (code tables decode
+        that block, and only that block), and ``B`` bounds ``|G - K|``, ``K``
+        the kernel's result:
+
+        * ``B0 = c (d + 2) u (|a|^2 + |b|^2)``, ``u`` the unit roundoff of
+          the product's dtype, ``d`` its inner dimension.  Raw tables (``a =
+          q``, ``b = x``, ``K`` from :func:`_raw_sq_distances`): whatever the
+          summation order of the BLAS and the reductions, with or without
+          FMA, ``K`` lies within ``gamma_(d+2) |q - x|^2 <= 2 gamma_(d+2)
+          (|q|^2 + |x|^2)`` of the true squared distance, and ``G`` within
+          ``gamma_d`` of each norm, ``gamma_d |q||x|`` of the product and
+          two roundings more: ``c`` a little under 4 suffices.  ``c = 8``
+          also covers rounding the norms and ``G +- B``, and float64
+          queries rounded to a float32 table (at most ``3 u (|q|^2 +
+          |x|^2)`` more).  An absolute ``c (d + 2)`` smallest normals
+          covers underflow.
+        * int8 (``a = (q - o) s``, ``b`` the codes, the norm terms ``|q -
+          o|^2`` and ``|c s|^2`` the very floats the kernel adds): ``G`` and
+          ``K`` differ only in the float64 dot product's summation order and
+          the two additions each makes.  Each dot is within ``gamma_d
+          sum|a_i b_i| <= gamma_d (|q - o|^2 + |c s|^2) / 2`` of the exact
+          one (``|a_i b_i|`` is ``|q_i - o_i| |c_i s_i|`` up to one rounding,
+          and ``|c s|^2`` is the float32 norm term up to ``~4 u_32``, which
+          the slack absorbs), and each addition adds at most ``2 u (|q -
+          o|^2 + |c s|^2)``: ``|G - K| <= (2 gamma_d + 8 u) (...)``, inside
+          ``B0`` with room to spare.
+        * pq (``a = q32``, ``b`` the decoded rows): ``G`` is within ``B0`` of
+          ``E = |q32 - x|^2``, as for a raw table.  The ADC kernel rounds a
+          difference and its square (three factors ``1 + delta`` on a
+          non-negative term), then adds non-negative terms, ``dsub - 1``
+          times along a cell and ``m - 1`` times across cells, all in
+          float32: its result is ``sum e_i (1 + theta_i)`` with ``|theta_i|
+          <= gamma_32(m + dsub + 1)``, within ``rho E`` of ``E`` for ``rho =
+          gamma_32(m + dsub + 3)``.  ``E <= G + B0``, so ``B = B0 + rho
+          max(G + B0, 0)``; the spare half of ``B0`` covers rounding that
+          product.
         """
-        norms = self._table_norms()
-        bucketed = np.flatnonzero(~starved)
-        scored = 0
-        if len(bucketed):
-            mask = members[bucketed]
-            offsets = np.zeros(len(bucketed) + 1, dtype=np.intp)
-            np.cumsum(np.count_nonzero(mask, axis=1), out=offsets[1:])
-            candidates = np.nonzero(mask)[1]
-            squared = _quant().asymmetric_sq_distances(
-                queries[bucketed],
-                self._vectors,
-                table_sq_norms=norms,
-                candidates=(candidates, offsets),
+        a, a_norms, read_rows, rho = self._gemm_frame(queries)
+        dim = a.shape[1]
+        approx = np.empty((len(a), self.size), dtype=a.dtype)
+        bound = np.empty_like(approx)
+        step = max(1, _RANK_BLOCK_PAIRS // max(1, dim))
+        for start in range(0, self.size, step):
+            stop = min(self.size, start + step)
+            b, b_norms = read_rows(start, stop)
+            approx[:, start:stop] = a @ b.T
+            np.add.outer(a_norms, b_norms, out=bound[:, start:stop])
+        approx *= -2.0
+        approx += bound
+        unit = np.finfo(approx.dtype)
+        bound *= _SHORTLIST_SLACK * (dim + 2) * float(unit.eps) / 2
+        bound += _SHORTLIST_SLACK * (dim + 2) * float(unit.tiny)
+        if rho:
+            bound += rho * np.maximum(approx + bound, 0.0)
+        return approx, bound
+
+    def _gemm_frame(self, queries: np.ndarray):
+        """``(a, a_norms, rows, rho)``: the table's kernel as a GEMM (see
+        :func:`repro.engine.quant.gemm_frame`, which code tables take).
+
+        A float table is its own frame: the queries in the table's dtype,
+        the stored rows and the cached ``|x|^2``; ``rho`` is 0.
+        """
+        table, norms = self._vectors, self._table_norms()
+        if _is_code_array(table):
+            return _quant().gemm_frame(queries, table, norms)
+        a = queries.astype(table.dtype, copy=False)
+        a_norms = np.einsum("ij,ij->i", a, a)
+        return a, a_norms, lambda start, stop: (table[start:stop], norms[start:stop]), 0.0
+
+    def _kernel(self, queries: np.ndarray, candidates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Exact squared distances of the CSR pairs ``(candidates, offsets)``:
+        :func:`_raw_sq_distances` on float tables, the asymmetric kernel on
+        code tables (looked up on its module at call time)."""
+        table = self._vectors
+        if _is_code_array(table):
+            return _quant().asymmetric_sq_distances(
+                queries, table, table_sq_norms=self._table_norms(), candidates=(candidates, offsets)
             )
-            distances = np.sqrt(squared, out=squared)
-            bucketed_rows = [rows[position] for position in bucketed]
-            self._emit(bucketed_rows, candidates, offsets, distances, k, exclude, results)
-            scored += len(candidates)
-        if len(bucketed) < len(rows):
-            live_rows, base = self._live_rows()
-            squared = _quant().asymmetric_sq_distances(
-                queries[starved], base, table_sq_norms=norms[live_rows]
-            )
-            # The dense (starved, live) block as a CSR list, for _emit.
-            count = len(squared)
-            offsets = np.arange(count + 1, dtype=np.intp) * len(live_rows)
-            distances = np.sqrt(squared, out=squared).ravel()
-            starved_rows = [rows[position] for position in np.flatnonzero(starved)]
-            candidates = np.tile(live_rows, count)
-            self._emit(starved_rows, candidates, offsets, distances, k, exclude, results)
-            scored += squared.size
-        return scored
+        return _raw_sq_distances(queries, table, candidates, offsets)
 
     def _emit(
         self,
@@ -809,27 +825,6 @@ class EuclideanLSHIndex:
                 break
         return ranked
 
-    def _live_rows(self) -> Tuple[np.ndarray, object]:
-        """Live row indices and their code vectors, cached per mutation.
-
-        The working set of a code table's linear-scan fallback (the dense
-        asymmetric kernel).  With no tombstones the codes are served
-        zero-copy; the cache is keyed by :attr:`mutations`, so any
-        structural change (extend/remove/patch/compact) invalidates it on
-        next use.
-        """
-        assert self._vectors is not None
-        cache = self._live_cache
-        if cache is not None and cache[0] == self._mutations:
-            return cache[1], cache[2]
-        if self._live.all():
-            rows, base = np.arange(self.size, dtype=np.intp), self._vectors
-        else:
-            rows = np.flatnonzero(self._live)
-            base = self._vectors.take_rows(rows)
-        self._live_cache = (self._mutations, rows, base)
-        return rows, base
-
     def _table_norms(self) -> np.ndarray:
         """Per-row squared norms of the stored table, cached per mutation.
 
@@ -862,7 +857,7 @@ class EuclideanLSHIndex:
         bucket keys (buckets, hash_size), intp labels)``.
         """
         state = self.__dict__.copy()
-        state.update(_key_rows=None, _live_cache=None, _norms_cache=None, _projections32=None)
+        state.update(_key_rows=None, _norms_cache=None, _projections32=None)
         state["_lookups"] = [
             (
                 np.array(list(lookup), dtype=np.int64).reshape(-1, self.hash_size),

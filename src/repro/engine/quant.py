@@ -38,11 +38,13 @@ Three pieces:
     rows in one call. For ``int8`` the kernel folds the per-dimension
     scale into the query and multiplies against the raw codes (the
     de-scaled identity). For ``pq`` it is a classic ADC (asymmetric
-    distance computation) kernel: once per query block it builds the
-    lookup tables of partial squared distances (as wide as the largest
-    codebook present), then accumulates table distances by indexing a
-    query's table with the stored codes — per-row cost ``m`` byte
-    gathers and adds, independent of the float dimension.
+    distance computation) kernel: the dense form builds every query's
+    lookup tables of partial squared distances once per query block and
+    indexes them with the stored codes; the candidate form computes only
+    the listed pairs' partial distances, to the same bytes.
+    :func:`gemm_frame` states either kernel as one matrix product plus a
+    relative rounding term — what the LSH index ranks a whole table by
+    before it scores a shortlist with the kernel itself.
 
 The quantize-once invariant: parameters are fitted at the first full
 encode of a table and then *fixed*; appended or edited rows are encoded
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import base64
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +72,7 @@ __all__ = [
     "ProductQuantizer",
     "asymmetric_sq_distances",
     "candidate_chunks",
+    "gemm_frame",
     "table_sq_norms_of",
     "available_codecs",
     "get_codec",
@@ -184,6 +187,25 @@ def _f16_b64(data: str, shape: Tuple[int, ...]) -> np.ndarray:
     return array.reshape(shape).astype(np.float32)
 
 
+class PQLayout(NamedTuple):
+    """A :class:`PQParams`' codebooks stacked for array-at-a-time kernels.
+
+    ``centroids`` is ``(m, ksub, dsub)`` float32, subspace ``j``'s codebook
+    zero-padded in ``centroids[j]``; coordinate ``t`` of subspace ``j``
+    reads query dimension ``dims[j, t]`` — ``d`` in padded slots, which
+    address an appended zero column, so they add exactly zero.  Float
+    dimension ``i`` of a decoded row is ``values[start[i] +
+    code[subspace[i]]]``, ``values`` being ``centroids`` laid out ``(m,
+    dsub, ksub)`` as flat float64.
+    """
+
+    centroids: np.ndarray
+    dims: np.ndarray
+    subspace: np.ndarray
+    start: np.ndarray
+    values: np.ndarray
+
+
 class PQParams:
     """Trained product-quantization parameters (the ``pq`` codec).
 
@@ -203,7 +225,9 @@ class PQParams:
     manifest payload halves relative to float32 centroids.
     """
 
-    __slots__ = ("codebooks", "splits", "trailing")
+    # ``_layout`` caches the stacked codebooks (see :meth:`layout`); it is
+    # derived, so pickles carry only the three fields above it.
+    __slots__ = ("codebooks", "splits", "trailing", "_layout")
 
     codec_name = "pq"
     code_dtype = np.dtype(np.uint8)
@@ -244,6 +268,35 @@ class PQParams:
                 raise ValueError(f"PQ codebook {j} has shape {cb.shape}")
             if not 1 <= cb.shape[0] <= 256:
                 raise ValueError(f"PQ codebook {j} holds {cb.shape[0]} entries")
+        self._layout: Optional[PQLayout] = None
+
+    def __getstate__(self):
+        # The default slot state, minus the derived layout cache.
+        return None, {"codebooks": self.codebooks, "splits": self.splits, "trailing": self.trailing}
+
+    def layout(self) -> "PQLayout":
+        """The codebooks stacked once per params object (see :class:`PQLayout`)."""
+        layout = getattr(self, "_layout", None)  # unset on unpickled params
+        if layout is None:
+            m, d = self.m, self.d
+            ksub = max((cb.shape[0] for cb in self.codebooks), default=1)
+            dsub = max((cb.shape[1] for cb in self.codebooks), default=1)
+            centroids = np.zeros((m, ksub, dsub), dtype=np.float32)
+            for j, cb in enumerate(self.codebooks):
+                centroids[j, : cb.shape[0], : cb.shape[1]] = cb
+            subspace = np.repeat(np.arange(m, dtype=np.intp), np.diff(self.splits))
+            coordinate = np.arange(d) - np.asarray(self.splits[:-1], dtype=np.intp)[subspace]
+            dims = np.full((m, dsub), d, dtype=np.intp)
+            dims[subspace, coordinate] = np.arange(d)
+            layout = PQLayout(
+                centroids,
+                dims,
+                subspace,
+                (subspace * dsub + coordinate) * ksub,
+                centroids.transpose(0, 2, 1).astype(np.float64).reshape(-1),
+            )
+            self._layout = layout
+        return layout
 
     # -- geometry ------------------------------------------------------
     @property
@@ -268,12 +321,17 @@ class PQParams:
 
     # -- code mapping --------------------------------------------------
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Float64 rows of ``codes``: one gather from the stacked codebooks
+        per block of at most :data:`_BLOCK_BYTES` of index."""
         codes = np.asarray(codes)
         single = codes.ndim == 1
         rows = codes.reshape(-1, self.m) if not single else codes.reshape(1, self.m)
+        layout = self.layout()
         out = np.empty((rows.shape[0], self.d), dtype=np.float64)
-        for j, cb in enumerate(self.codebooks):
-            out[:, self.splits[j]:self.splits[j + 1]] = cb[rows[:, j]]
+        block = max(1, _BLOCK_BYTES // (8 * max(1, self.d)))
+        for start in range(0, len(rows), block):
+            index = rows[start : start + block, layout.subspace] + layout.start
+            np.take(layout.values, index, out=out[start : start + block], mode="clip")
         shaped = out.reshape((rows.shape[0],) + self.trailing)
         return shaped[0] if single else shaped
 
@@ -309,7 +367,9 @@ class PQParams:
 
     def reshaped(self, trailing_shape: Tuple[int, ...]) -> "PQParams":
         trailing = _resolve_trailing(trailing_shape, self.d)
-        return PQParams(self.codebooks, self.splits, trailing)
+        params = PQParams(self.codebooks, self.splits, trailing)
+        params._layout = self.layout()  # built once, shared by every view: no trailing shape in it
+        return params
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PQParams):
@@ -910,7 +970,8 @@ def asymmetric_sq_distances(
     :class:`CodecArray`. The kernel never materialises the decoded table.
     Without ``candidates`` the result is the dense ``(m, n)`` matrix (the
     reference the candidate form is tested against). With ``candidates``
-    (a CSR ``(rows, offsets)`` pair, see :data:`Candidates`) every query is
+    (a CSR ``(rows, offsets)`` pair, see :data:`Candidates`; the offsets
+    start at 0, never decrease and end at ``len(rows)``) every query is
     scored against its own table rows only and the result is the flat
     float64 array aligned with ``rows`` — the whole block in one call.
     In both forms a query's distances do not depend on which other
@@ -923,17 +984,22 @@ def asymmetric_sq_distances(
         ||q - (c s + o)||^2 = ||q - o||^2 - 2 ((q - o) s) . c + ||c s||^2
 
     — and takes one dot product against the raw codes per pair (float32
-    and blockwise in the dense form). ``table_sq_norms`` (the
-    ``||c s||^2`` term) can be precomputed with :func:`table_sq_norms_of`
-    and cached across queries.
+    and blockwise in the dense form, float64 in the candidate form).
+    ``table_sq_norms`` (the ``||c s||^2`` term) can be precomputed with
+    :func:`table_sq_norms_of` and cached across queries.
 
-    For ``pq`` it is the ADC kernel: it builds the lookup tables of
-    partial squared distances once per query block (one pass over the
-    ``m`` codebooks for all rows of the block; as wide as the largest
-    codebook present, at most :data:`_LUT_BYTES` per block) and sums
-    ``lut[q, j, code[i, j]]`` over ``j`` by code indexing. The LUT already
-    carries the full distance, so the norm-cache term is zero for PQ
-    tables and the argument is ignored.
+    For ``pq`` it is the ADC kernel over ``q32``, the query rounded to
+    float32. A (query, row, subspace) cell is the squared distance of the
+    query's subvector to the row's centroid: float32 differences, squared
+    and accumulated one subspace dimension at a time from zero. The dense
+    form builds every query's lookup tables of cells once per query block
+    (as wide as the largest codebook present, at most :data:`_LUT_BYTES`
+    per block) and adds ``lut[q, j, code[i, j]]`` over ``j`` in turn. The
+    candidate form evaluates only the listed pairs' ``m`` cells, in flat
+    blocks across queries, and sums them with ``.sum(axis=1)`` — the same
+    bytes the lookup-table gather summed the same way gives. The cells
+    carry the full distance, so the norm-cache term is zero for PQ tables
+    and the argument is ignored.
     """
     if table.ndim != 2:
         raise ValueError("asymmetric distances expect a 2-D code table")
@@ -942,7 +1008,12 @@ def asymmetric_sq_distances(
     q = np.atleast_2d(q)
     if candidates is not None:
         rows, offsets = (np.asarray(part, dtype=np.intp) for part in candidates)
-        if len(offsets) != len(q) + 1 or offsets[0] != 0 or offsets[-1] != len(rows):
+        if (
+            len(offsets) != len(q) + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(rows)
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
             raise ValueError("candidate offsets must bracket every query's rows")
         candidates = (rows, offsets)
     if isinstance(table.params, PQParams):
@@ -955,6 +1026,53 @@ def asymmetric_sq_distances(
     return out[0] if squeeze and candidates is None else out
 
 
+def gemm_frame(
+    query: np.ndarray, table: CodecArray, table_sq_norms: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], Tuple[np.ndarray, np.ndarray]], float]:
+    """:func:`asymmetric_sq_distances` in the form one BLAS product ranks.
+
+    Returns ``(a, a_norms, rows, rounding)``, ``rows(start, stop) -> (b,
+    b_norms)`` reading table rows ``[start, stop)``, all float64.  In exact
+    arithmetic the kernel's distance of query ``i`` to row ``r`` is ``a_norms[i]
+    + b_norms[r] - 2 a[i] . b[r]``; its float result strays from that by the
+    rounding the same form costs a float table plus ``rounding`` times it.
+
+    * ``int8``: the kernel's own frame — ``a = (q - o) s`` and ``||q - o||^2``
+      as the kernel computes them, ``b`` the codes and ``b_norms`` the
+      ``||c s||^2`` the kernel adds; ``rounding`` is 0.
+    * ``pq``: ``a = q32``, ``b`` the rows decoded by ``decode_codes`` (one
+      block per call, nothing kept) and their squared norms; ``rounding``
+      is ``gamma(m + dsub + 3)`` in float32, every ADC summand being
+      non-negative.
+    """
+    q = np.atleast_2d(np.asarray(query, dtype=np.float64))
+    params = table.params
+    if isinstance(params, PQParams):
+        a = q.astype(np.float32).astype(np.float64)
+
+        def rows(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+            b = table[start:stop]
+            return b, np.einsum("ij,ij->i", b, b)
+
+        dsub = params.layout().centroids.shape[2]
+        steps = (params.m + dsub + 3) * float(np.finfo(np.float32).eps) / 2
+        return a, np.einsum("ij,ij->i", a, a), rows, steps / (1.0 - steps)
+    if table_sq_norms is None:
+        table_sq_norms = table_sq_norms_of(table)
+    a, a_norms = _int8_query_frame(q, params)
+
+    def code_rows(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        return table.codes[start:stop].astype(np.float64), table_sq_norms[start:stop]
+
+    return a, a_norms, code_rows, 0.0
+
+
+def _int8_query_frame(q: np.ndarray, params: CodecParams) -> Tuple[np.ndarray, np.ndarray]:
+    """``((q - o) s, ||q - o||^2)``: the query side of the de-scaled identity."""
+    shifted = q - params.offset
+    return shifted * params.scale, (shifted * shifted).sum(axis=1)
+
+
 def _int8_sq_distances(
     q: np.ndarray,
     table: CodecArray,
@@ -963,9 +1081,7 @@ def _int8_sq_distances(
 ) -> np.ndarray:
     """The de-scaled identity: a dot product per (query, row) pair, all rows
     of the table (float32, blockwise) or the listed candidates (float64)."""
-    shifted = q - table.params.offset  # (m, d)
-    scaled_q = shifted * table.params.scale  # fold scale into the query side
-    query_sq_norms = (shifted * shifted).sum(axis=1)
+    scaled_q, query_sq_norms = _int8_query_frame(q, table.params)
     d = max(1, table.codes.shape[1])
     if candidates is None:
         n = len(table)
@@ -993,26 +1109,30 @@ def _int8_sq_distances(
     return out
 
 
+def _pq_query_slots(q: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``(queries, m, dsub)`` float32: each slot's query coordinate, zero
+    in padded slots (``dims`` addresses an appended zero column)."""
+    padded = np.concatenate(
+        [q.astype(np.float32), np.zeros((len(q), 1), dtype=np.float32)], axis=1
+    )
+    return padded[:, dims]
+
+
 def _pq_lookup_tables(
     q: np.ndarray, centroids: np.ndarray, dims: np.ndarray
 ) -> np.ndarray:
     """``lut[i, j, c]``: squared distance of query ``i``'s subvector ``j`` to
     centroid ``c`` — one ``(len(q), m, ksub)`` float32 block.
 
-    ``centroids`` is the zero-padded codebook stack laid out
-    ``(dsub, m, ksub)`` and ``dims`` the ``(dsub, m)`` query dimension of
-    every padded slot (``q.shape[1]`` addresses an appended zero column).
-    The squared differences accumulate one subspace dimension at a time,
-    element by element, so a query's tables are the same in every block
-    it joins.
+    ``centroids`` and ``dims`` are the :class:`PQLayout` fields. The squared
+    differences accumulate one subspace dimension at a time, element by
+    element, so a query's tables are the same in every block it joins.
     """
-    padded = np.concatenate(
-        [q.astype(np.float32), np.zeros((len(q), 1), dtype=np.float32)], axis=1
-    )[:, dims]  # (nq, dsub, m)
-    luts = np.zeros((len(q),) + centroids.shape[1:], dtype=np.float32)
+    padded = _pq_query_slots(q, dims)  # (nq, m, dsub)
+    luts = np.zeros((len(q),) + centroids.shape[:2], dtype=np.float32)
     diff = np.empty_like(luts)
-    for t in range(len(centroids)):
-        np.subtract(padded[:, t, :, None], centroids[t], out=diff)
+    for t in range(centroids.shape[2]):
+        np.subtract(padded[:, :, t, None], centroids[:, :, t], out=diff)
         np.multiply(diff, diff, out=diff)
         luts += diff
     return luts
@@ -1021,45 +1141,62 @@ def _pq_lookup_tables(
 def _pq_adc_sq_distances(
     q: np.ndarray, table: CodecArray, candidates: Optional[Candidates]
 ) -> np.ndarray:
-    """ADC: lookup tables once per query block + code-indexed accumulate."""
+    """ADC over the whole table (lookup tables once per query block) or
+    over the listed pairs' cells (:func:`_pq_cell_sq_distances`)."""
     params = table.params
-    nq, m = q.shape[0], params.m
     if q.shape[1] != params.d:
         raise ValueError(
             f"query dimension {q.shape[1]} does not match PQ table d={params.d}"
         )
-    ksub = max((cb.shape[0] for cb in params.codebooks), default=1)
-    dsub = max((cb.shape[1] for cb in params.codebooks), default=1)
-    centroids = np.zeros((dsub, m, ksub), dtype=np.float32)
-    dims = np.full((dsub, m), params.d, dtype=np.intp)
-    for j, cb in enumerate(params.codebooks):
-        centroids[: cb.shape[1], j, : cb.shape[0]] = cb.T
-        dims[: cb.shape[1], j] = np.arange(params.splits[j], params.splits[j + 1])
+    layout = params.layout()
     codes = table.codes
-    n = len(table)
-    out = np.empty((nq, n) if candidates is None else len(candidates[0]), dtype=np.float64)
-    code_slot = np.arange(m, dtype=np.intp) * ksub  # flat LUT offset of subspace j
+    if candidates is not None:
+        return _pq_cell_sq_distances(q, codes, layout, *candidates)
+    nq, n = q.shape[0], len(table)
+    m, ksub = layout.centroids.shape[:2]
+    out = np.empty((nq, n), dtype=np.float64)
     query_block = max(1, _LUT_BYTES // (4 * max(1, m * ksub)))
     for q_start in range(0, nq, query_block):
         q_stop = min(nq, q_start + query_block)
-        luts = _pq_lookup_tables(q[q_start:q_stop], centroids, dims)
-        if candidates is None:
-            block = max(1, _BLOCK_BYTES // (4 * (q_stop - q_start)))
-            for start in range(0, n, block):
-                stop = min(n, start + block)
-                acc = np.zeros((q_stop - q_start, stop - start), dtype=np.float32)
-                for j in range(m):
-                    acc += luts[:, j, codes[start:stop, j]]
-                out[q_start:q_stop, start:stop] = acc
-        else:
-            rows, offsets = candidates
-            block = max(1, _BLOCK_BYTES // (4 * max(1, m)))
-            for query, entries in candidate_chunks(offsets[q_start : q_stop + 1], block):
-                # Gather from the query's own table, which stays cache
-                # resident across its candidates.
-                index = codes[rows[entries]].astype(np.intp)
-                index += code_slot
-                out[entries] = luts[query].reshape(-1).take(index).sum(axis=1)
+        luts = _pq_lookup_tables(q[q_start:q_stop], layout.centroids, layout.dims)
+        block = max(1, _BLOCK_BYTES // (4 * (q_stop - q_start)))
+        for start in range(0, n, block):
+            stop = min(n, start + block)
+            acc = np.zeros((q_stop - q_start, stop - start), dtype=np.float32)
+            for j in range(m):
+                acc += luts[:, j, codes[start:stop, j]]
+            out[q_start:q_stop, start:stop] = acc
+    return out
+
+
+def _pq_cell_sq_distances(
+    q: np.ndarray, codes: np.ndarray, layout: PQLayout, rows: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """The candidate form of ADC: each listed pair's ``m`` cells, no tables.
+
+    Pairs run in flat blocks across queries, at most :data:`_BLOCK_BYTES`
+    of float32 differences each: one gather of every pair's centroids, one
+    of its query's slots.  A cell takes the float32 operations of its
+    lookup-table entry in the same order, and a pair's ``(m,)`` row of
+    cells is summed with ``.sum(axis=1)``.
+    """
+    m, ksub, dsub = layout.centroids.shape
+    slots = _pq_query_slots(q, layout.dims)
+    centroids = layout.centroids.reshape(m * ksub, dsub)
+    subspace_start = np.arange(m, dtype=np.intp) * ksub
+    owner = np.repeat(np.arange(len(q), dtype=np.intp), np.diff(offsets))
+    out = np.empty(len(rows), dtype=np.float64)
+    block = max(1, _BLOCK_BYTES // (4 * max(1, m * dsub)))
+    for start in range(0, len(rows), block):
+        entries = slice(start, min(len(rows), start + block))
+        index = codes[rows[entries]] + subspace_start  # (pairs, m) centroid ids
+        diff = slots.take(owner[entries], axis=0)
+        diff -= centroids.take(index, axis=0)
+        np.multiply(diff, diff, out=diff)
+        cells = np.zeros(index.shape, dtype=np.float32)
+        for t in range(dsub):
+            cells += diff[:, :, t]
+        out[entries] = cells.sum(axis=1)
     return out
 
 

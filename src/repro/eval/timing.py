@@ -78,11 +78,11 @@ class EngineCounters:
     (query, candidate row) pairs ranked — their ratio to ``queries x table
     rows`` is how much the hash tables actually prune — and
     ``blocking_candidates_rescored`` the pair distances the per-pair kernel
-    computed: on float tables the exact rescore of the GEMM shortlist (at
-    least ``k`` per query whenever ``k`` rows live, at most the ranked
-    candidates), on code tables every ranked candidate.  The shortlist
-    follows a GEMM whose low bits depend on the block shape, so this counter
-    may differ by a row between serial and pooled runs whose answers agree.
+    computed: the exact rescore of the GEMM shortlist, on float and code
+    tables alike (at least the ranked ``k`` per query whenever that many
+    rows live, at most the ranked candidates).  The shortlist follows a
+    GEMM whose low bits depend on the block shape, so this counter may
+    differ by a row between serial and pooled runs whose answers agree.
 
     ``records_scored`` counts the records the matcher actually encoded: per
     scored batch, the distinct left rows plus the distinct right rows.  Its

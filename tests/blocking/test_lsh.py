@@ -498,30 +498,36 @@ class TestBlockRanking:
         owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
         np.testing.assert_array_equal(flat, dense[owner, rows])
 
-    def test_pq_query_block_builds_lookup_tables_once(self, monkeypatch):
-        """One ``query_batch`` over a pq table is one kernel call and one
-        lookup-table build per block — the bucket-ranked rows, the starved
-        rows — not one per query row, and the kernel is looked up on the
-        module at call time (the hook the benchmark tracer wraps)."""
-        calls = {"kernel": 0, "luts": 0}
+    def test_pq_query_block_scores_only_the_shortlist(self, monkeypatch):
+        """One ``query_batch`` over a pq table makes one kernel call per
+        ranking block — bucket-ranked and starved rows alike — and that call
+        scores only the GEMM shortlist, fewer pairs than the masks hold.  The
+        kernel is looked up on the module at call time (the hook the
+        benchmark tracer wraps)."""
+        scored = []
+        original = quant.asymmetric_sq_distances
 
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
+        def counting(query, table, table_sq_norms=None, candidates=None):
+            scored.append(len(candidates[0]))
+            return original(query, table, table_sq_norms=table_sq_norms, candidates=candidates)
 
-        monkeypatch.setattr(
-            quant, "asymmetric_sq_distances", counting("kernel", quant.asymmetric_sq_distances)
-        )
-        monkeypatch.setattr(quant, "_pq_lookup_tables", counting("luts", quant._pq_lookup_tables))
+        monkeypatch.setattr(quant, "asymmetric_sq_distances", counting)
         index = EuclideanLSHIndex(num_tables=4, hash_size=6, seed=5).build(_RANKING_TABLES["pq"])
-        starved_before = engine_counters().blocking_fallback_queries
+        counters = engine_counters()
+        before = counters.as_dict()
         answers = index.query_batch(_RANKING_QUERIES, k=3)
-        starved = engine_counters().blocking_fallback_queries - starved_before
+        after = counters.as_dict()
+        starved = after["blocking_fallback_queries"] - before["blocking_fallback_queries"]
+        ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
+        rescored = after["blocking_candidates_rescored"] - before["blocking_candidates_rescored"]
         assert len(answers) == len(_RANKING_QUERIES)
-        assert 0 < starved < len(_RANKING_QUERIES)  # both kinds of block ran
-        assert calls == {"kernel": 2, "luts": 2}
+        assert 0 < starved < len(_RANKING_QUERIES)  # both kinds of row ran
+        assert scored == [rescored] and rescored < ranked
+        # One query row per block: one call per row, the answers unchanged.
+        scored.clear()
+        monkeypatch.setattr(lsh_module, "_RANK_BLOCK_PAIRS", index.size)
+        assert index.query_batch(_RANKING_QUERIES, k=3) == answers
+        assert len(scored) == len(_RANKING_QUERIES)
 
     def test_query_batch_records_what_blocking_did(self):
         table = _RANKING_TABLES["raw"]
@@ -543,23 +549,37 @@ class TestBlockRanking:
 # Raw ranking against a brute-force reference
 # ----------------------------------------------------------------------
 def _reference_answers(index, queries, k, exclude):
-    """Every bucket candidate (every live row when fewer than ``k``), scored
-    by ``_raw_sq_distances`` and ordered by (distance, row) — no shortlist.
+    """Every bucket candidate (every live row when fewer than the ranked
+    ``k``), scored by the table's per-pair kernel — :func:`_raw_sq_distances`
+    or the asymmetric kernel's CSR form — and ordered by (distance, row): no
+    shortlist.  Code tables rank ``rank_expansion * k`` rows per query and
+    probe their ``extra_probes`` neighbour buckets.
 
-    Membership is recomputed from the stored vectors' bucket ids, so the
-    reference does not share the index's bucket representation."""
+    Membership is recomputed from the stored vectors' bucket ids and the
+    queries' probed ones, so the reference does not share the index's
+    bucket representation."""
+    expansion, probes = index._query_policy()
+    k *= expansion
     live_keys = set(index.live_keys)
     live = [row for row, key in enumerate(index.keys) if key in live_keys]
     stored_ids = index._bucket_ids(index._vectors)
-    query_ids = index._bucket_ids(queries)
+    scaled = index._scaled_projections(queries)
+    probed = [np.floor(scaled).astype(np.int64)]
+    probed += index._probe_ids(scaled, probed[0], probes)
     answers = []
     for i in range(len(queries)):
-        collides = (stored_ids == query_ids[:, i : i + 1]).all(axis=2).any(axis=0)
+        collides = np.zeros(index.size, dtype=bool)
+        for ids in probed:
+            collides |= (stored_ids == ids[:, i : i + 1]).all(axis=2).any(axis=0)
         found = [row for row in live if collides[row]]
         rows = np.asarray(found if len(found) >= k else live, dtype=np.intp)
-        squared = lsh_module._raw_sq_distances(
-            queries[i : i + 1], index._vectors, rows, np.asarray([0, len(rows)])
-        )
+        candidates = (rows, np.asarray([0, len(rows)]))
+        if isinstance(index._vectors, quant.CodecArray):
+            squared = quant.asymmetric_sq_distances(
+                queries[i : i + 1], index._vectors, candidates=candidates
+            )
+        else:
+            squared = lsh_module._raw_sq_distances(queries[i : i + 1], index._vectors, *candidates)
         distances = np.sqrt(squared).tolist()
         answer = []
         for position in sorted(range(len(rows)), key=lambda j: (distances[j], rows[j])):
@@ -633,6 +653,140 @@ class TestRawRankingMatchesBruteForce:
         rescored = after["blocking_candidates_rescored"] - before["blocking_candidates_rescored"]
         ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
         assert min(k, index.live_size) * len(queries) <= rescored <= ranked
+
+
+@st.composite
+def _code_ranking_cases(draw):
+    """A raw ranking case encoded as an int8 or pq table, with decoded rows
+    among the queries.  Optionally one coarse dimension and fine ones: int8's
+    float32 norm term then rounds away the fine gaps, so a decoded row's
+    neighbours score around zero and many clip to it (exact ties)."""
+    table, queries = draw(_raw_ranking_cases())
+    table = table.astype(np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        table[:, 0] = rng.normal(scale=1e3, size=2)[rng.integers(0, 2, size=len(table))]
+        fine = 10.0 ** rng.uniform(-3, -1)
+        table[:, 1:] = rng.normal(scale=fine, size=(len(table), table.shape[1] - 1))
+    codes = quant.get_codec(draw(st.sampled_from(["int8", "pq"]))).encode(table, None)
+    decoded = codes[rng.integers(0, len(table), size=draw(st.integers(1, 4)))]
+    return codes, np.concatenate([queries, decoded.astype(queries.dtype)])
+
+
+@st.composite
+def _bound_cases(draw):
+    """Adversarial tables for the GEMM interval, in every table kind: rows
+    around 1e4 (a large int8 offset; large norms with tiny gaps) or at a
+    drawn scale, queried at stored rows exactly, next to them and far away."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n, dim = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["offset", "gaps", "scaled"]))
+    if kind == "offset":
+        values = 1e4 + rng.normal(scale=1e-3, size=(n, dim))
+    elif kind == "gaps":
+        values = 1e4 + 1e-3 * rng.integers(-3, 4, size=(n, dim))
+    else:
+        values = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(n, dim))
+    codec = draw(st.sampled_from(["raw", "fp32", "int8", "pq"]))
+    if codec == "raw":
+        table = stored = values
+    elif codec == "fp32":
+        table = values.astype(np.float32)
+        stored = table.astype(np.float64)
+    else:
+        table = quant.get_codec(codec).encode(values, None)
+        stored = table.decode()
+    picked = stored[rng.integers(0, n, size=6)]
+    spread = np.abs(values - values.mean(axis=0)).max() + 1e-12
+    queries = np.concatenate([
+        picked,
+        picked + 1e-6 * spread * rng.normal(size=picked.shape),
+        values.mean(axis=0) + 30.0 * spread * rng.normal(size=(2, dim)),
+    ])
+    return table, queries
+
+
+class TestCodeRankingMatchesBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_code_ranking_cases(),
+        k=st.integers(1, 20),
+        width=st.sampled_from([0.01, 1.0, 1e6]),
+        dead_share=st.sampled_from([0.0, 0.3, 0.9]),
+        excluding=st.booleans(),
+        block_pairs=st.sampled_from([1, 37, 1 << 20]),
+        block_bytes=st.sampled_from([1, 3000, 1 << 22]),
+    )
+    def test_query_batch_equals_the_full_candidate_reference(
+        self, case, k, width, dead_share, excluding, block_pairs, block_bytes
+    ):
+        """Keys and distance bytes of ``query_batch`` over int8 and pq tables
+        equal the reference that runs the asymmetric kernel on every mask
+        candidate: exact ties (duplicated rows), near-ties at norm 1e4,
+        queries equal to decoded rows, tombstones, ``exclude``, starved rows
+        and ``k`` above the live rows, across the kernels' chunk bounds."""
+        table, queries = case
+        keys = [f"k{i}" for i in range(len(table))]
+        index = EuclideanLSHIndex(
+            num_tables=3, hash_size=4, bucket_width=width, seed=9, compaction_load=1.0
+        ).build(table, keys)
+        dead = keys[: int(dead_share * len(keys))]
+        if dead:
+            index.remove(dead)
+        exclude = [keys[(3 * i) % len(keys)] if excluding else None for i in range(len(queries))]
+        counters = engine_counters()
+        before = counters.as_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            _tiny_kernel_blocks(patch, block_pairs, block_bytes)
+            answers = index.query_batch(queries, k=k, exclude=exclude)
+            reference = _reference_answers(index, queries, k, exclude)
+        after = counters.as_dict()
+        assert _as_bytes(answers) == _as_bytes(reference)
+        rescored = after["blocking_candidates_rescored"] - before["blocking_candidates_rescored"]
+        ranked = after["blocking_candidates_ranked"] - before["blocking_candidates_ranked"]
+        ranked_k = k * index._query_policy()[0]
+        assert min(ranked_k, index.live_size) * len(queries) <= rescored <= ranked
+
+    def test_int8_rows_the_kernel_clips_to_zero_tie_by_row(self):
+        """One coarse dimension and fine ones: int8's float32 norm term
+        outweighs the fine gaps, so a decoded row's neighbours score below
+        zero and the kernel clips them to it — exact ties, which the
+        shortlist keeps whole only because its upper ends clip too."""
+        rng = np.random.default_rng(21)
+        ties = 0
+        for _ in range(20):
+            n, dim = int(rng.integers(8, 30)), int(rng.integers(2, 6))
+            values = rng.normal(scale=10.0 ** rng.uniform(-3, -1), size=(n, dim))
+            values[:, 0] = rng.normal(scale=1e3, size=2)[rng.integers(0, 2, size=n)]
+            table = quant.get_codec("int8").encode(values, None)
+            index = EuclideanLSHIndex(num_tables=3, hash_size=4, bucket_width=1e6, seed=9).build(
+                table, [f"k{i}" for i in range(n)]
+            )
+            queries = table[rng.integers(0, n, size=4)]
+            for k in (1, 2, 3):
+                answers = index.query_batch(queries, k=k)
+                reference = _reference_answers(index, queries, k, [None] * len(queries))
+                assert _as_bytes(answers) == _as_bytes(reference)
+                ties += sum(distance == 0.0 for answer in answers for _, distance in answer[1:])
+        assert ties  # the construction reaches the clip
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_bound_cases(), block_pairs=st.sampled_from([1, 50, 1 << 20]))
+    def test_gemm_interval_holds_every_kernel_distance(self, case, block_pairs):
+        """``G - B <= K <= max(G + B, 0)`` for every (query, stored row) pair,
+        ``K`` the table's exact kernel: the bound the shortlist rests on,
+        for float64, float32, int8 and pq tables."""
+        table, queries = case
+        index = EuclideanLSHIndex(num_tables=2, hash_size=3, seed=3).build(table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lsh_module, "_RANK_BLOCK_PAIRS", block_pairs)
+            approx, bound = index._intervals(queries)
+        size = index.size
+        rows = np.tile(np.arange(size), len(queries))
+        offsets = np.arange(len(queries) + 1) * size
+        kernel = index._kernel(queries, rows, offsets).reshape(len(queries), size)
+        assert np.all(approx - bound <= kernel)
+        assert np.all(kernel <= np.maximum(approx + bound, 0.0))
 
 
 # ----------------------------------------------------------------------

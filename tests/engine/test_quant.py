@@ -280,6 +280,31 @@ class TestProductQuantizer:
         grown = array.concat_rows(_clustered_floats(n=8, seed=32))
         assert len(grown) == 48 and grown.params is array.params
 
+    def test_decode_is_the_per_subspace_gather(self, monkeypatch):
+        """Decoding gathers from the stacked codebooks: the bytes of a
+        per-subspace ``codebook[codes[:, j]]`` copy, for subspaces of uneven
+        width and codebooks of uneven size, single rows and row blocks that
+        cross the decode chunk bound.  Building the stack changes neither the
+        pickle bytes nor equality."""
+        rng = np.random.default_rng(40)
+        codebooks = [rng.normal(size=(ksub, width)) for ksub, width in ((3, 2), (7, 1), (5, 4))]
+        params = PQParams(codebooks, [0, 2, 3, 7], (7,))
+        codes = np.stack([rng.integers(0, cb.shape[0], size=30) for cb in codebooks], axis=1)
+        codes = codes.astype(np.uint8)
+        want = np.concatenate(
+            [cb[codes[:, j]].astype(np.float64) for j, cb in enumerate(params.codebooks)], axis=1
+        )
+        wire = pickle.dumps(params)
+        monkeypatch.setattr(quant_module, "_BLOCK_BYTES", 8 * 7 * 4)  # four rows per block
+        decoded = params.decode_codes(codes)
+        assert decoded.dtype == np.float64
+        np.testing.assert_array_equal(decoded, want)
+        np.testing.assert_array_equal(params.decode_codes(codes[5]), want[5])
+        assert pickle.dumps(params) == wire
+        clone = pickle.loads(wire)
+        assert clone == params
+        np.testing.assert_array_equal(clone.decode_codes(codes), want)
+
     def test_m_override_via_constructor(self):
         values = _clustered_floats(n=100, d=8, seed=33)
         assert ProductQuantizer(m=2).fit(values).m == 2
@@ -536,12 +561,42 @@ class TestAsymmetricDistance:
             np.testing.assert_allclose(flat, dense[owner, rows], rtol=1e-5, atol=1e-6 * scale)
 
     def test_candidate_offsets_are_validated(self):
-        table = ScalarQuantizer().encode(_random_floats((10, 4), seed=37), None)
-        queries = _random_floats((2, 4), seed=38)
+        """Offsets must start at 0, never decrease and end at ``len(rows)``,
+        one per query plus one — on both codecs (a decreasing pair used to
+        hand one query's rows another's distances)."""
+        values = _random_floats((10, 4), seed=37)
+        queries = _random_floats((3, 4), seed=38)
         rows = np.arange(6)
-        for offsets in ([0, 3], [0, 3, 5], [1, 3, 6]):
-            with pytest.raises(ValueError, match="offsets"):
-                asymmetric_sq_distances(queries, table, candidates=(rows, offsets))
+        for codec in (ScalarQuantizer(), ProductQuantizer()):
+            table = codec.encode(values, None)
+            for offsets in ([0, 3, 6], [0, 3, 5, 5], [1, 3, 4, 6], [0, 5, 3, 6]):
+                with pytest.raises(ValueError, match="offsets"):
+                    asymmetric_sq_distances(queries, table, candidates=(rows, offsets))
+
+    def test_pq_candidate_form_sums_the_lookup_table_cells(self, monkeypatch):
+        """The candidate form builds no lookup tables, yet returns the bytes
+        of gathering each pair's ``m`` entries from its query's tables and
+        summing them with ``.sum(axis=1)``, across its flat block bound."""
+        rng = np.random.default_rng(41)
+        table = ProductQuantizer().encode(rng.normal(scale=2.0, size=(90, 14)), None)
+        queries = rng.normal(scale=2.0, size=(9, 14))
+        layout = table.params.layout()
+        luts = quant_module._pq_lookup_tables(queries, layout.centroids, layout.dims)
+        picked = [np.sort(rng.choice(90, size=size, replace=False)) for size in (90, 0, 1, 33, 0, 90, 7, 64, 2)]
+        rows = np.concatenate(picked)
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in picked])])
+        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
+        m = table.params.m
+        want = luts[owner[:, None], np.arange(m), table.codes[rows]].sum(axis=1)
+
+        def no_tables(*args):
+            raise AssertionError("the candidate form built lookup tables")
+
+        monkeypatch.setattr(quant_module, "_pq_lookup_tables", no_tables)
+        for nbytes in (1 << 22, 4 * m * 5, 1):
+            monkeypatch.setattr(quant_module, "_BLOCK_BYTES", nbytes)
+            flat = asymmetric_sq_distances(queries, table, candidates=(rows, offsets))
+            np.testing.assert_array_equal(flat, want.astype(np.float64))
 
     def test_pq_lookup_tables_are_as_wide_as_the_largest_codebook(self):
         """A table whose codebooks hold 64 entries builds 64-wide lookup
