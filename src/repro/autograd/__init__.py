@@ -25,19 +25,36 @@ Graph lifetime
 Buffers
     A closure skips operands that do not require a gradient, and a gradient
     array the closure computed itself is adopted by the receiving tensor
-    rather than copied.  ``+=``, ``*=``, :meth:`Tensor.relu_`,
-    :meth:`Tensor.clip_` and :meth:`Tensor.exp_` write into the left operand's
-    buffer when it is not part of a graph, and fall back to the recording op
-    when it is — the layers in :mod:`repro.nn` use them on products they have
-    just computed, which spares inference an array per bias add and activation.
+    rather than copied.  A node's gradient is an array nothing else refers
+    to, so its closure may overwrite it.  ``+=``, ``*=``, :meth:`Tensor.relu_`
+    and :meth:`Tensor.clip_` write into the left operand's buffer when it is
+    not part of a graph, and fall back to the recording op when it is;
+    :func:`linear` does the same with its product and
+    :meth:`Tensor.scaled_exp` with its own, which spares inference an array
+    per bias add and activation.  A leaf an optimizer
+    holds has a gradient buffer (``_grad_view``, a view into the optimizer's
+    flat buffer, see :mod:`repro.nn.module`): its first gradient of a pass is
+    written there, by a fused node straight from the product (``out=``).
+
+Fused nodes
+    :func:`linear` (``x @ W + b``, then a ReLU or a clip),
+    :meth:`Tensor.scaled_exp` (``exp(scale * x)``, the VAE's sigma head) and
+    :func:`repro.nn.siamese_loss` (the matcher's BCE plus contrastive loss)
+    each record one node where the composed primitive ops record several.
+    The node keeps its operands and what its backward needs (the activation
+    mask, the exponentials); its backward computes each gradient with the
+    ops the composed graph would use and adds them in the order that graph
+    would, so values and gradients are the composed ops' bytes.  Nothing is
+    fused when nothing records: inference runs the primitive ops in place.
 """
 
-from repro.autograd.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
+from repro.autograd.tensor import Tensor, concatenate, is_grad_enabled, linear, no_grad, stack, where
 from repro.autograd.gradcheck import numerical_gradient, check_gradient
 
 __all__ = [
     "Tensor",
     "concatenate",
+    "linear",
     "stack",
     "where",
     "no_grad",

@@ -89,6 +89,10 @@ def _released(grad: np.ndarray) -> None:
     )
 
 
+#: The slots a pickle or a deep copy of a tensor carries (all but ``_grad_view``).
+_STATE = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+
+
 class Tensor:
     """A node in the dynamic computation graph.
 
@@ -106,9 +110,14 @@ class Tensor:
     a node with ``_parents`` (its operands, in order) and ``_backward`` (a
     closure that takes this node's gradient and accumulates into the parents
     that require one).
+
+    A leaf may also hold ``_grad_view``: the array its first gradient of a
+    backward pass is written into (a view into an optimizer's flat gradient
+    buffer, see :class:`repro.nn.module.FlatParameters`).  It is not part of
+    the tensor's state: a pickle or a deep copy leaves it out.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = _STATE + ("_grad_view",)
 
     def __init__(
         self,
@@ -122,6 +131,20 @@ class Tensor:
         self._parents: Tuple[Tensor, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self.name = name
+        self._grad_view: Optional[np.ndarray] = None
+
+    def __getstate__(self):
+        # Exactly what the default would pickle without ``_grad_view``, so a
+        # pickled module's bytes do not depend on whether it was trained.
+        return getattr(self, "__dict__", None) or None, {name: getattr(self, name) for name in _STATE}
+
+    def __setstate__(self, state) -> None:
+        extra, slots = state
+        if extra:
+            self.__dict__.update(extra)
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self._grad_view = None
 
     # ------------------------------------------------------------------
     # Basic introspection
@@ -194,18 +217,33 @@ class Tensor:
         """Add ``grad`` into ``self.grad``.
 
         ``self.grad`` is always an array nothing else refers to, so later
-        contributions are added in place.  ``owned`` says the caller computed
-        ``grad`` for this call and keeps no reference: it is then adopted on
-        first use instead of copied.
+        contributions are added in place.  A first contribution is copied into
+        ``_grad_view`` when the tensor has one; otherwise ``owned`` says the
+        caller computed ``grad`` for this call and keeps no reference: it is
+        then adopted instead of copied.
         """
         grad = _as_array(grad)
         reduced = _unbroadcast(grad, self.data.shape)
         if self.grad is not None:
             self.grad += reduced
+        elif self._grad_view is not None:
+            self.grad = self._grad_view
+            self.grad[...] = reduced
         elif (owned or reduced is not grad) and reduced.flags.c_contiguous:
             self.grad = reduced
         else:
             self.grad = reduced.copy()
+
+    def _add_grad(self, op: Callable[..., np.ndarray], *operands: np.ndarray, **kwargs) -> None:
+        """Accumulate ``op(*operands, **kwargs)``, a ufunc-style op taking ``out=``.
+
+        The first contribution is computed straight into ``_grad_view`` (or a
+        new array when there is none), later ones are added in place.
+        """
+        if self.grad is None:
+            self.grad = op(*operands, out=self._grad_view, **kwargs)
+        else:
+            self.grad += op(*operands, **kwargs)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -412,13 +450,21 @@ class Tensor:
         np.exp(value, out=value)
         return self._unary(value, lambda: value)
 
-    def exp_(self) -> "Tensor":
-        """:meth:`exp`, free to overwrite ``self`` when it is not part of a graph."""
-        if self.requires_grad:
-            return self.exp()
-        np.clip(self.data, -60.0, 60.0, out=self.data)
-        np.exp(self.data, out=self.data)
-        return self
+    def scaled_exp(self, scale: float) -> "Tensor":
+        """``(self * scale).exp()`` as one node, with the same bytes both ways.
+
+        This is the VAE's sigma head, ``exp(0.5 * log_var)``.
+        """
+        value = self.data * scale
+        np.clip(value, -60.0, 60.0, out=value)
+        np.exp(value, out=value)
+
+        def backward(grad: np.ndarray) -> None:
+            grad *= value
+            grad *= scale
+            self._accumulate(grad, owned=True)
+
+        return self._result(value, (self,), backward)
 
     def log(self) -> "Tensor":
         safe = np.maximum(self.data, 1e-12)
@@ -558,6 +604,56 @@ class Tensor:
     def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
         rng = rng or np.random.default_rng()
         return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+
+
+def linear(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    *,
+    relu: bool = False,
+    clip: Optional[Tuple[float, float]] = None,
+) -> Tensor:
+    """``x @ weight + bias``, then a ReLU or a clip to ``clip = (low, high)``.
+
+    When nothing records, the product is the result's own buffer: the bias,
+    the ReLU and the clip are applied to it in place.  When the op records it
+    is one node, whatever it folds: its backward masks the gradient by the
+    activation, then writes the bias, input and weight gradients, in that
+    order, the bias and weight ones straight into their ``_grad_view``.  Each
+    value equals the one the composed primitive ops (``matmul``, ``+``,
+    ``relu``/``clip``) give, byte for byte.
+    """
+    data = x.data @ weight.data
+    if bias is not None:
+        data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if not (_mode.enabled and any(parent.requires_grad for parent in parents)):
+        out = Tensor(data)
+        return out.relu_() if relu else out if clip is None else out.clip_(*clip)
+    mask = None
+    if relu:
+        mask = data > 0
+        np.multiply(data, mask, out=data)
+    elif clip is not None:
+        low, high = clip
+        mask = (data >= low) & (data <= high)
+        np.clip(data, low, high, out=data)
+
+    def backward(grad: np.ndarray) -> None:
+        if mask is not None:
+            grad *= mask
+        # A one-row input is the batch-of-one case of the same products.
+        rows = grad if grad.ndim == 2 else grad[None, :]
+        if bias is not None and bias.requires_grad:
+            bias._add_grad(np.add.reduce, rows, axis=0)
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T, owned=True)
+        if weight.requires_grad:
+            inputs = x.data if x.data.ndim == 2 else x.data[None, :]
+            weight._add_grad(np.matmul, inputs.T, rows)
+
+    return Tensor._result(data, parents, backward)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

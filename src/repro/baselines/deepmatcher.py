@@ -43,8 +43,8 @@ class _HybridNetwork(Module):
     def forward(self, left: Tensor, right: Tensor) -> Tensor:
         """left/right: (batch, arity, embedding_dim) -> logits (batch,)."""
         batch = left.shape[0]
-        left_summary = self.summarizer(left.reshape(batch * self.arity, self.embedding_dim)).relu_()
-        right_summary = self.summarizer(right.reshape(batch * self.arity, self.embedding_dim)).relu_()
+        left_summary = self.summarizer(left.reshape(batch * self.arity, self.embedding_dim), relu=True)
+        right_summary = self.summarizer(right.reshape(batch * self.arity, self.embedding_dim), relu=True)
         difference = (left_summary - right_summary).abs()
         product = left_summary * right_summary
         comparison = concatenate([difference, product], axis=-1)

@@ -36,8 +36,7 @@ from repro.nn import (
     Module,
     Trainer,
     TrainingHistory,
-    binary_cross_entropy_with_logits,
-    contrastive_loss,
+    siamese_loss,
 )
 
 
@@ -108,7 +107,7 @@ class SiameseMatcher(Module):
         batch = irs.shape[0]
         flat = irs.reshape(batch * self.arity, self.vae_config.ir_dim)
         mu, log_var = self.encoder(flat)
-        sigma = (log_var * 0.5).exp_()
+        sigma = log_var.scaled_exp(0.5)
         latent = self.vae_config.latent_dim
         return (
             mu.reshape(batch, self.arity, latent),
@@ -156,10 +155,10 @@ class SiameseMatcher(Module):
     # ------------------------------------------------------------------
     def loss(self, left_irs: np.ndarray, right_irs: np.ndarray, labels: np.ndarray) -> Tensor:
         logits, pair_distance = self.forward(Tensor(left_irs), Tensor(right_irs))
-        labels_t = Tensor(np.asarray(labels, dtype=np.float64))
-        classification = binary_cross_entropy_with_logits(logits, labels_t)
-        contrastive = contrastive_loss(pair_distance, labels_t, margin=self.config.margin)
-        return classification + self.config.contrastive_weight * contrastive
+        return siamese_loss(
+            logits, pair_distance, np.asarray(labels, dtype=np.float64),
+            margin=self.config.margin, contrastive_weight=self.config.contrastive_weight,
+        )
 
     # ------------------------------------------------------------------
     # Training / inference

@@ -47,12 +47,10 @@ class GaussianEncoder(Module):
         self.log_var_head = Linear(hidden_dim, latent_dim, activation="linear", rng=rng)
 
     def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        # The trailing-underscore ops reuse the layer output they are handed
-        # whenever no graph needs it (inference), and record otherwise.
-        hidden = self.hidden(x).relu_()
+        hidden = self.hidden(x, relu=True)
         mu = self.mu_head(hidden)
         # Clip the log-variance so sigma stays in a numerically safe range.
-        log_var = self.log_var_head(hidden).clip_(-8.0, 8.0)
+        log_var = self.log_var_head(hidden, clip=(-8.0, 8.0))
         return mu, log_var
 
 
@@ -65,7 +63,7 @@ class GaussianDecoder(Module):
         self.output = Linear(hidden_dim, ir_dim, activation="linear", rng=rng)
 
     def forward(self, z: Tensor) -> Tensor:
-        return self.output(self.hidden(z).relu_())
+        return self.output(self.hidden(z, relu=True))
 
 
 class VariationalAutoEncoder(Module):
@@ -97,7 +95,7 @@ class VariationalAutoEncoder(Module):
         """
         if not self.training:
             return mu
-        sigma = (log_var * 0.5).exp_()
+        sigma = log_var.scaled_exp(0.5)
         epsilon = Tensor(self._rng.standard_normal(mu.shape))
         return mu + sigma * epsilon
 

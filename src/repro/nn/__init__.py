@@ -14,6 +14,7 @@ from repro.nn.losses import (
     binary_cross_entropy_with_logits,
     gaussian_kl_divergence,
     contrastive_loss,
+    siamese_loss,
 )
 from repro.nn.optim import Optimizer, SGD, Adam, clip_grad_norm
 from repro.nn.train import (
@@ -47,6 +48,7 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "gaussian_kl_divergence",
     "contrastive_loss",
+    "siamese_loss",
     "Optimizer",
     "SGD",
     "Adam",

@@ -5,15 +5,20 @@ provided: dense layers with optional non-linearity, dropout, and a
 ``Sequential`` container.  The VAE-specific Gaussian head lives in
 :mod:`repro.core.vae` because its reparameterisation behaviour is part of the
 paper's contribution rather than generic library code.
+
+A :class:`Linear` layer records one graph node per call
+(:func:`repro.autograd.linear`), and the activation that follows it folds
+into that node: ``layer(x, relu=True)`` or ``layer(x, clip=(low, high))``,
+and a :class:`Sequential` folds each ``Linear`` followed by a ``ReLU``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, linear
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -54,13 +59,9 @@ class Linear(Module):
         self.weight = Parameter(weight, name="weight")
         self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            # The product is this layer's own array: when nothing records,
-            # the bias is added into it rather than into a second one.
-            out += self.bias
-        return out
+    def forward(self, x: Tensor, *, relu: bool = False, clip: Optional[Tuple[float, float]] = None) -> Tensor:
+        """``x W + b``, then a ReLU (``relu=True``) or a clip to ``clip = (low, high)``."""
+        return linear(x, self.weight, self.bias, relu=relu, clip=clip)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features} -> {self.out_features})"
@@ -106,15 +107,28 @@ class Dropout(Module):
 
 
 class Sequential(Module):
-    """Run child modules in order, feeding each output into the next layer."""
+    """Run child modules in order, feeding each output into the next layer.
+
+    A :class:`Linear` followed by a :class:`ReLU` runs as one call,
+    ``linear(x, relu=True)``; the ``ReLU`` keeps its place in ``layers`` (and
+    so in the ``state_dict`` names).
+    """
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self.layers: List[Module] = list(modules)
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
+        layers = self.layers
+        i = 0
+        while i < len(layers):
+            layer = layers[i]
+            if isinstance(layer, Linear) and i + 1 < len(layers) and type(layers[i + 1]) is ReLU:
+                x = layer(x, relu=True)
+                i += 2
+            else:
+                x = layer(x)
+                i += 1
         return x
 
     def append(self, module: Module) -> "Sequential":

@@ -76,3 +76,39 @@ def contrastive_loss(distances: Tensor, labels: Tensor, margin: float) -> Tensor
     margin_term = (Tensor(np.full(distances.shape, margin)) - distances).maximum(zeros)
     loss = labels * distances + (1.0 - labels) * margin_term
     return loss.mean()
+
+
+def siamese_loss(logits: Tensor, distances: Tensor, labels: Tensor, margin: float, contrastive_weight: float) -> Tensor:
+    """Equation 4 as one graph node: ``binary_cross_entropy_with_logits(logits,
+    labels) + contrastive_weight * contrastive_loss(distances, labels, margin)``.
+
+    The value and both gradients are the bytes the two composed losses give:
+    every array below is one op of theirs, in their order, and the three
+    terms of the logits' gradient (from ``max(z, 0)``, ``z * y`` and
+    ``softplus(-|z|)``) are added in the order the composed graph's backward
+    pass adds them.
+    """
+    y = labels.data if isinstance(labels, Tensor) else np.asarray(labels, dtype=np.float64)
+    z, d = logits.data, distances.data
+    neg_abs = np.abs(z) * -1.0
+    bce = np.maximum(z, 0.0) - z * y + np.logaddexp(0.0, neg_abs)
+    one_minus_y = 1.0 - y
+    slack = np.full(d.shape, margin) - d
+    contrastive = y * d + one_minus_y * np.maximum(slack, 0.0)
+    total = np.asarray(bce.sum() / float(z.size) + (contrastive.sum() / float(d.size)) * contrastive_weight)
+
+    def backward(grad: np.ndarray) -> None:
+        if logits.requires_grad:
+            per_row = np.broadcast_to(grad / float(z.size), z.shape)
+            term = per_row * (z >= 0.0)
+            term += (-per_row) * y
+            sigmoid = 1.0 / (1.0 + np.exp(-np.clip(neg_abs, -60.0, 60.0)))
+            term += ((per_row * sigmoid) * -1.0) * np.sign(z)
+            logits._accumulate(term, owned=True)
+        if distances.requires_grad:
+            per_row = np.broadcast_to((grad * contrastive_weight) / float(d.size), d.shape)
+            term = per_row * y
+            term += -((per_row * one_minus_y) * (slack >= 0.0))
+            distances._accumulate(term, owned=True)
+
+    return Tensor._result(total, (logits, distances), backward)

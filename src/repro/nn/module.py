@@ -5,12 +5,27 @@ recursively through attributes, ``state_dict``/``load_state_dict`` move
 weights in and out (used by the transferability experiments of the paper),
 and ``train``/``eval`` toggle behaviour of stochastic layers such as dropout
 and the VAE sampling layer.
+
+Flat buffers
+    An optimizer keeps the parameters it updates in a :class:`FlatParameters`:
+    one contiguous float64 buffer holds their values and one their
+    gradients, and each parameter's ``data`` and gradient buffer are views
+    into them.  The optimizer owns the buffers; a parameter owns nothing but
+    its views, so a pickle or a deep copy of a module carries the views'
+    values and never the buffers, and the bytes are those of separate arrays.
+    ``load_state_dict`` writes into the existing views.
+
+    ``param.grad`` is ``None`` until a backward pass reaches the parameter:
+    the first gradient of the pass is written into its view and becomes
+    ``param.grad``, later ones are added in place, and ``zero_grad`` sets it
+    back to ``None`` without touching the buffer.  An optimizer step skips a
+    parameter whose ``grad`` is ``None``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +37,61 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: Optional[str] = None) -> None:
         super().__init__(data, requires_grad=True, name=name)
+
+
+class FlatParameters:
+    """A parameter list whose values and gradients live in one buffer each.
+
+    Building it copies each parameter's values into its segment of ``data``
+    and rebinds ``param.data`` to that view, and points the parameter's
+    gradient buffer (``_grad_view``) at its segment of ``grad``.  Segments
+    follow the list's order, so a step over the parameters that hold a
+    gradient is one ufunc call per run of consecutive such parameters
+    (:meth:`spans`), one call in all when every parameter has one.
+    """
+
+    def __init__(self, parameters: Iterable[Parameter]) -> None:
+        self.parameters: List[Parameter] = list(parameters)
+        if len({id(param) for param in self.parameters}) != len(self.parameters):
+            raise ValueError("a parameter appears more than once in the list")
+        bounds = np.cumsum([0] + [param.data.size for param in self.parameters]).tolist()
+        self.data = np.empty(bounds[-1])
+        self.grad = np.empty(bounds[-1])
+        self._segments = []
+        for param, lo, hi in zip(self.parameters, bounds, bounds[1:]):
+            shape = param.data.shape
+            values = self.data[lo:hi].reshape(shape)
+            values[...] = param.data
+            param.data = values
+            param._grad_view = self.grad[lo:hi].reshape(shape)
+            self._segments.append((lo, hi, values, param._grad_view))
+
+    def spans(self) -> List[list]:
+        """``[lo, hi, sizes]`` of each run of consecutive parameters that hold
+        a gradient: its offsets in the buffers and its parameters' sizes.
+
+        Values and gradients that are not the buffers' views are copied in
+        first, and the parameter is bound back to its views: a gradient
+        assigned to ``param.grad`` directly or computed while another owner
+        held the parameter, values rebound to ``param.data``.
+        """
+        spans: List[list] = []
+        for param, (lo, hi, values, grads) in zip(self.parameters, self._segments):
+            grad = param.grad
+            if grad is None:
+                continue
+            if param.data is not values:
+                values[...] = param.data
+                param.data = values
+            if grad is not grads:
+                grads[...] = grad
+                param.grad = grads
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
+                spans[-1][2].append(hi - lo)
+            else:
+                spans.append([lo, hi, [hi - lo]])
+        return spans
 
 
 class Module:
@@ -113,7 +183,10 @@ class Module:
         return OrderedDict((name, param.data.copy()) for name, param in self.named_parameters())
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load weights produced by :meth:`state_dict`.
+        """Load weights produced by :meth:`state_dict`, into the parameters' arrays.
+
+        Each value is copied into the parameter's existing ``data`` (a view
+        into an optimizer's buffer when one holds it), never rebound.
 
         Parameters
         ----------
@@ -140,7 +213,7 @@ class Module:
                     f"shape mismatch for parameter {name!r}: "
                     f"expected {param.data.shape}, got {value.shape}"
                 )
-            param.data = value.copy()
+            param.data[...] = value
 
     def copy_weights_from(self, other: "Module") -> None:
         """Copy weights from a module with an identical parameter layout."""

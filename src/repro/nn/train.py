@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer, clip_grad_norm
+from repro.nn.optim import Optimizer
 
 
 def batch_indices(
@@ -126,7 +126,8 @@ class Trainer:
     max_epochs:
         Upper bound on training epochs.
     grad_clip:
-        Optional global-norm gradient clipping threshold.
+        Optional global-norm gradient clipping threshold, applied to the
+        gradients of the parameters the optimizer updates.
     early_stopping:
         Optional :class:`EarlyStopping` monitor on the epoch training loss.
     rng:
@@ -157,7 +158,6 @@ class Trainer:
         """Train on the given aligned arrays and return the loss history."""
         history = TrainingHistory()
         self.module.train()
-        parameters = self.module.parameters()
         for _ in range(self.max_epochs):
             epoch_loss = 0.0
             batches = 0
@@ -166,7 +166,7 @@ class Trainer:
                 loss = self.loss_fn(*batch)
                 loss.backward()
                 if self.grad_clip is not None:
-                    clip_grad_norm(parameters, self.grad_clip)
+                    self.optimizer.clip_grad_norm(self.grad_clip)
                 self.optimizer.step()
                 epoch_loss += float(loss.data)
                 batches += 1

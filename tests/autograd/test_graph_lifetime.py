@@ -187,7 +187,6 @@ class TestBufferReuse:
     @pytest.mark.parametrize("inplace, reference", [
         (lambda t: t.relu_(), lambda t: t.relu()),
         (lambda t: t.clip_(-0.5, 0.5), lambda t: t.clip(-0.5, 0.5)),
-        (lambda t: t.exp_(), lambda t: t.exp()),
     ])
     def test_underscore_ops_reuse_a_plain_buffer_and_spare_a_graph(self, rng, inplace, reference):
         data = rng.normal(size=(4, 5)) * 40.0
@@ -201,5 +200,5 @@ class TestBufferReuse:
         assert result.data.tobytes() == expected.tobytes()
 
     def test_underscore_ops_record_like_their_plain_forms(self, rng):
-        check_gradient(lambda a: ((a * 1.0).relu_() + (a * 0.5).exp_() + (a * 1.0).clip_(-0.3, 0.3)).sum(),
+        check_gradient(lambda a: ((a * 1.0).relu_() + (a * 1.0).clip_(-0.3, 0.3)).sum(),
                        [rng.normal(size=(3, 3))])

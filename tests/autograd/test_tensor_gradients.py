@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradient, concatenate, stack, where
+from repro.autograd import Tensor, check_gradient, concatenate, linear, stack, where
+from repro.nn import binary_cross_entropy_with_logits, contrastive_loss, siamese_loss
 
 
 @pytest.fixture
@@ -87,6 +88,108 @@ class TestMatmulGradients:
 
     def test_1d_1d(self, rng):
         check_gradient(lambda a, b: a @ b, [rng.normal(size=4), rng.normal(size=4)])
+
+
+ACTIVATIONS = {"none": {}, "relu": {"relu": True}, "clip": {"clip": (-0.5, 0.5)}}
+
+
+@pytest.fixture
+def own_rng():
+    """A generator of these tests' own, so the session ``rng`` stream the
+    other tests draw from is the same with or without them."""
+    return np.random.default_rng(37)
+
+
+class TestFusedOpGradients:
+    """``linear`` (with and without bias, each folded activation, the input
+    requiring a gradient or not), ``scaled_exp`` and ``siamese_loss`` against
+    finite differences, and byte for byte against the ops they fold."""
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (4,)])
+    def test_linear(self, own_rng, activation, bias, input_grad, x_shape):
+        kwargs = ACTIVATIONS[activation]
+        x = own_rng.normal(size=x_shape)
+        coeff = Tensor(own_rng.normal(size=x_shape[:-1] + (3,)))
+        params = [own_rng.normal(size=(4, 3))] + ([own_rng.normal(size=(3,)) * 0.3] if bias else [])
+
+        def loss(x_t, w, b=None):
+            return (linear(x_t, w, b, **kwargs) * coeff).sum()
+
+        if input_grad:
+            check_gradient(loss, [x] + params)
+        else:
+            constant = Tensor(x)
+            check_gradient(lambda *ps: loss(constant, *ps), params)
+            assert constant.grad is None
+
+    def test_linear_input_reached_twice_accumulates(self, own_rng):
+        # The Siamese encoder case: one weight, two inputs, one backward.
+        def f(a, b, w, bias):
+            return (linear(a, w, bias, relu=True).sum() + (linear(b, w, bias, clip=(-1.0, 1.0)) ** 2).sum())
+
+        check_gradient(f, [own_rng.normal(size=(3, 4)), own_rng.normal(size=(2, 4)),
+                           own_rng.normal(size=(4, 5)), own_rng.normal(size=(5,))])
+
+    def test_scaled_exp(self, own_rng):
+        check_gradient(lambda t: (t.scaled_exp(0.5) * t).sum(), [own_rng.normal(size=(3, 4))])
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_linear_equals_composed_ops_byte_for_byte(self, own_rng, activation):
+        kwargs = ACTIVATIONS[activation]
+        x, w, b = own_rng.normal(size=(6, 4)), own_rng.normal(size=(4, 3)), own_rng.normal(size=(3,))
+        upstream = own_rng.normal(size=(6, 3))
+        fused = [Tensor(v.copy(), requires_grad=True) for v in (x, w, b)]
+        composed = [Tensor(v.copy(), requires_grad=True) for v in (x, w, b)]
+        out = linear(*fused, **kwargs)
+        reference = composed[0].matmul(composed[1]) + composed[2]
+        if "relu" in kwargs:
+            reference = reference.relu()
+        elif "clip" in kwargs:
+            reference = reference.clip(*kwargs["clip"])
+        assert out.data.tobytes() == reference.data.tobytes()
+        out.backward(upstream)
+        reference.backward(upstream)
+        for ours, theirs in zip(fused, composed):
+            assert ours.grad.tobytes() == theirs.grad.tobytes()
+
+    @pytest.mark.parametrize("wrt", ["both", "logits", "distances"])
+    def test_siamese_loss(self, own_rng, wrt):
+        logits, distances = own_rng.normal(size=6) * 3.0, np.abs(own_rng.normal(size=6)) * 0.6
+        labels = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        if wrt == "both":
+            check_gradient(lambda z, d: siamese_loss(z, d, labels, 0.5, 0.7), [logits, distances])
+        elif wrt == "logits":
+            check_gradient(lambda z: siamese_loss(z, Tensor(distances), labels, 0.5, 0.7), [logits])
+        else:
+            check_gradient(lambda d: siamese_loss(Tensor(logits), d, labels, 0.5, 0.7), [distances])
+
+    def test_siamese_loss_equals_composed_losses_byte_for_byte(self, own_rng):
+        for _ in range(20):
+            n = int(own_rng.integers(1, 12))
+            logits, distances = own_rng.normal(size=n) * 10.0, np.abs(own_rng.normal(size=n))
+            labels = (own_rng.random(n) > 0.5).astype(np.float64)
+            fused = [Tensor(logits.copy(), requires_grad=True), Tensor(distances.copy(), requires_grad=True)]
+            composed = [Tensor(logits.copy(), requires_grad=True), Tensor(distances.copy(), requires_grad=True)]
+            out = siamese_loss(*fused, labels, 0.5, 1.3)
+            reference = (binary_cross_entropy_with_logits(composed[0], Tensor(labels))
+                         + 1.3 * contrastive_loss(composed[1], Tensor(labels), margin=0.5))
+            assert out.data.tobytes() == reference.data.tobytes()
+            out.backward()
+            reference.backward()
+            for ours, theirs in zip(fused, composed):
+                assert ours.grad.tobytes() == theirs.grad.tobytes()
+
+    def test_scaled_exp_equals_composed_ops_byte_for_byte(self, own_rng):
+        data, upstream = own_rng.normal(size=(5, 4)) * 40.0, own_rng.normal(size=(5, 4))
+        fused, composed = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
+        out, reference = fused.scaled_exp(0.5), (composed * 0.5).exp()
+        assert out.data.tobytes() == reference.data.tobytes()
+        out.backward(upstream)
+        reference.backward(upstream)
+        assert fused.grad.tobytes() == composed.grad.tobytes()
 
 
 class TestReductionAndShapeGradients:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.active import BudgetedOracle, GaussianKDE, GroundTruthOracle, NoisyOracle
+from repro.core.active import kde as kde_module
 from repro.data.pairs import RecordPair
 from repro.exceptions import NotFittedError
 
@@ -56,6 +58,53 @@ class TestGaussianKDE:
     def test_likelihood_floor(self, rng):
         kde = GaussianKDE().fit(rng.normal(size=50))
         assert kde.likelihood(1e9) >= 1e-9
+
+
+def _textbook_density(samples, bandwidth, points):
+    """The whole (points x samples) kernel matrix, every step a new array."""
+    z = (points[:, None] - samples[None, :]) / bandwidth
+    kernel = np.exp(-0.5 * z ** 2) / np.sqrt(2.0 * np.pi)
+    return kernel.mean(axis=1) / bandwidth
+
+
+class TestRowBlockedEvaluate:
+    """``evaluate`` works one block of points at a time in one reused buffer;
+    its densities must be the textbook expression's bytes."""
+
+    @given(n_points=st.integers(1, 40), n_samples=st.integers(1, 60),
+           block=st.sampled_from([1, 7, 16, 64, 1 << 16]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_textbook_expression(self, n_points, n_samples, block, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.gamma(2.0, 1.0, size=n_samples)
+        points = rng.gamma(2.0, 1.0, size=n_points) * rng.choice([0.1, 1.0, 10.0])
+        kde = GaussianKDE().fit(samples)
+        saved = kde_module._BLOCK_ELEMENTS
+        kde_module._BLOCK_ELEMENTS = block  # 1 and 7: fewer elements than one row of samples
+        try:
+            density = kde.evaluate(points)
+        finally:
+            kde_module._BLOCK_ELEMENTS = saved
+        expected = _textbook_density(samples, kde.fitted_bandwidth, points)
+        assert density.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_points", [1, 3, 4, 5, 12])
+    def test_block_boundaries_and_one_point(self, n_points, monkeypatch):
+        # 16 samples and 64-element blocks: 4 points per block, so 4 and 12
+        # end on a boundary, 5 starts a block with one point, 1 is one point.
+        monkeypatch.setattr(kde_module, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(n_points)
+        samples, points = rng.normal(size=16), rng.normal(size=n_points)
+        kde = GaussianKDE().fit(samples)
+        density = kde.evaluate(points)
+        assert density.tobytes() == _textbook_density(samples, kde.fitted_bandwidth, points).tobytes()
+
+    def test_more_samples_than_one_block_holds(self):
+        rng = np.random.default_rng(3)
+        samples = rng.gamma(2.0, 1.0, size=kde_module._BLOCK_ELEMENTS + 5)
+        points = rng.gamma(2.0, 1.0, size=3)
+        kde = GaussianKDE().fit(samples)
+        assert kde.evaluate(points).tobytes() == _textbook_density(samples, kde.fitted_bandwidth, points).tobytes()
 
 
 class TestOracles:
