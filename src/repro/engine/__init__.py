@@ -101,9 +101,7 @@ from repro.engine.stream import (
     ResolutionBatch,
     ScoredPairs,
     guard_store_version,
-    iter_candidate_batches,
     pin_store_version,
-    stream_candidate_pairs,
 )
 
 __all__ = [
@@ -153,7 +151,6 @@ __all__ = [
     "encode_table_rows",
     "encoding_fingerprint",
     "guard_store_version",
-    "iter_candidate_batches",
     "merge_scored_batches",
     "model_fingerprint",
     "pin_store_version",
@@ -162,5 +159,4 @@ __all__ = [
     "rows_crc",
     "table_row_crcs",
     "shard_bounds_for",
-    "stream_candidate_pairs",
 ]

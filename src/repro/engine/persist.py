@@ -421,8 +421,6 @@ class TableDelta:
     table.  ``survivor_stored[j]`` is the stored index of current row ``j``
     for ``j < base_rows``.
 
-    * ``valid_chunks`` — manifest chunk entries every one of whose rows is
-      live, surviving and content-clean (fully reusable as-is);
     * ``dirty_ranges`` — current-row ranges whose content changed in place
       (must be re-encoded; their chunks need superseding generations);
     * ``appended_range`` — current-row range ``[base_rows, total_rows)`` of
@@ -432,7 +430,6 @@ class TableDelta:
     """
 
     manifest: Dict[str, Any]
-    valid_chunks: Tuple[Tuple[int, int, int, int], ...]
     dirty_ranges: Tuple[Tuple[int, int], ...]
     appended_range: Tuple[int, int]
     deleted_rows: Tuple[int, ...]
@@ -1134,7 +1131,6 @@ class PersistentEncodingCache:
             return None
         if recorded.get("model") != fingerprint.get("model"):
             return None
-        tombstones = set(manifest["tombstones"])
         live_stored = self._live_stored_indices(manifest)
         live_keys = [manifest["keys"][i] for i in live_stored]
         live_crcs = [manifest["row_crcs"][i] for i in live_stored]
@@ -1145,16 +1141,8 @@ class PersistentEncodingCache:
         deleted_rows = tuple(live_stored[j] for j in diff.deleted_old)
         if len(diff.dirty_new) >= len(survivor_stored):
             return None  # nothing provably clean to reuse
-        dirty_stored = {survivor_stored[position] for position in diff.dirty_new}
-        unusable = tombstones | set(deleted_rows) | dirty_stored
-        valid_chunks = tuple(
-            (int(a), int(b), int(crc), int(gen))
-            for a, b, crc, gen in manifest["chunks"]
-            if unusable.isdisjoint(range(int(a), int(b)))
-        )
         return TableDelta(
             manifest=manifest,
-            valid_chunks=valid_chunks,
             dirty_ranges=group_ranges(diff.dirty_new),
             appended_range=diff.appended_range,
             deleted_rows=deleted_rows,

@@ -13,13 +13,14 @@ in batches.  This module owns the whole of it:
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
   against a :class:`ResolutionBaseline`, serial or on a
   :class:`~repro.engine.shard.WorkerPool` (the cached local one, or
-  whichever pool the caller passes).  The pool runs two kinds of unit only:
-  one query task per planned left-table shard and one score task per
-  batch, overlapped and merged back deterministically — candidate order by
-  (shard, row, neighbour rank), scored batches by ``(batch_index,
-  pair_index)`` — so the yielded stream is byte-identical to the serial one
-  regardless of scheduling.  Encoding and the LSH build (or its in-place
-  mutation) run in the parent, on the same code a serial run uses.
+  whichever pool the caller passes).  Every mode runs one batch source:
+  one query task per planned left-table shard, in row order, whose pairs
+  :func:`~repro.engine.stream.pack_batches` packs into batches, and one
+  score task per batch the baseline does not cover.  Only where those
+  tasks run differs — inline, or on the pool with bounded in-flight depth
+  and results taken in submission order — so the yielded stream is the
+  same bytes whatever the scheduling.  Encoding and the LSH build (or its
+  in-place mutation) always run in the parent.
 
 :func:`resolve` plans a run and constructs its executor — cold without a
 baseline, incremental against one, capturing the next baseline on request.
@@ -28,7 +29,8 @@ baseline, incremental against one, capturing the next baseline on request.
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait
+from collections import deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -56,7 +58,7 @@ from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings
 from repro.engine.stream import (
     ResolutionBatch,
     guard_store_version,
-    iter_candidate_batches,
+    pack_batches,
     pin_store_version,
     query_chunk_for,
 )
@@ -268,27 +270,27 @@ class _PlanState:
     matcher: object
 
 
-def _query_task(handle: StateHandle, task_index: int, start: int, stop: int, k: int, query_chunk: int):
+def _query_task(handle: StateHandle, start: int, stop: int, k: int, query_chunk: int):
     """Block stage: top-K candidate pairs of one planned query shard.
 
     Rows are walked through :func:`repro.engine.shard.query_shard_pairs`;
     results are per-row and rank-ordered, so concatenating task results in
-    row order reproduces the serial candidate stream pair for pair.
+    row order gives the candidate stream of the whole left table.
     """
     state: _PlanState = worker_state(handle)
     started = time.perf_counter()
     pairs = query_shard_pairs(state.search, state.flat, state.keys, start, stop, k, query_chunk)
-    return task_index, pairs, time.perf_counter() - started
+    return pairs, time.perf_counter() - started
 
 
-def _score_task(handle: StateHandle, batch_index: int, left_rows: np.ndarray, right_rows: np.ndarray):
+def _score_task(handle: StateHandle, left_rows: np.ndarray, right_rows: np.ndarray):
     """Score stage: one batch's rows of the shared arrays, each distinct row encoded once."""
     state: _PlanState = worker_state(handle)
     started = time.perf_counter()
     probabilities = state.matcher.predict_proba(
         state.left_irs, state.right_irs, rows=(left_rows, right_rows)
     )
-    return batch_index, probabilities, time.perf_counter() - started
+    return probabilities, time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -410,27 +412,27 @@ class ResolutionExecutor:
     3. mutate the baseline LSH index in place — deleted right rows
        tombstoned, edited rows rebucketed, appended rows hashed in, each step
        answer-identical to a rebuild — or build it;
-    4. take candidate batches from the serial source
-       (:func:`~repro.engine.stream.iter_candidate_batches`) or, with a pool,
-       from :meth:`_pump`, which overlaps the query fan-out with scoring;
+    4. run :meth:`_schedule`, the one batch source of every mode: one
+       :func:`_query_task` per planned left shard, its pairs packed by
+       :func:`~repro.engine.stream.pack_batches`;
     5. score each batch: baseline probabilities for pairs whose rows are
-       untouched since, the matcher (inline, or :func:`_score_task` on the
-       pool) for the rest — ``pairs_rescored``; every pair without a baseline.
-       The matcher gets row indices (``predict_proba(..., rows=)``) and
-       encodes each distinct record of the batch once — ``records_scored``.
+       untouched since, :func:`_score_task` for the rest —
+       ``pairs_rescored``; every pair without a baseline.  The matcher gets
+       row indices (``predict_proba(..., rows=)``) and encodes each distinct
+       record of the batch once — ``records_scored``.
 
-    Steps 1-3 run in the parent whatever the pool; only query shards and
-    score batches are pool units.  Enumeration and batch packing are the
-    same in every mode and batches are
-    emitted strictly in ``batch_index`` order, so the stream is
-    byte-identical whatever the worker count.  Against a baseline, reused
-    probabilities are the baseline's bytes and rescored ones equal a cold
-    run's up to matmul batch-composition round-off (~1 ulp), so the match
-    set is identical.  A pool that dies hands the rest of the run to the
-    serial source.  ``pool=None`` borrows the cached local pool when the
-    plan has ``workers > 1`` and hands it back afterwards; a supplied
-    ``pool`` is used as is and left alone — never cached, released or shut
-    down here.  With ``capture`` the refreshed
+    Steps 1-3 run in the parent whatever the pool; only the query and score
+    tasks of steps 4-5 go to a pool (:meth:`_ordered` decides: inline, or
+    submitted with bounded depth).  Batches are emitted strictly in
+    ``batch_index`` order, so the stream is byte-identical whatever the
+    worker count.  Against a baseline, reused probabilities are the
+    baseline's bytes and rescored ones equal a cold run's up to matmul
+    batch-composition round-off (~1 ulp), so the match set is identical.  A
+    pool that dies hands the rest of the run to the same schedule inline.
+    ``pool=None`` borrows the cached local pool when the plan has
+    ``workers > 1`` and hands it back afterwards; a supplied ``pool`` is
+    used as is and left alone — never cached, released or shut down here.
+    With ``capture`` the refreshed
     :class:`ResolutionBaseline` is published on ``baseline_out`` once the
     stream is exhausted (an abandoned stream publishes nothing).
     """
@@ -552,24 +554,22 @@ class ResolutionExecutor:
         pinned: int,
         scores: Dict[PairKey, float],
     ) -> Iterator[ResolutionBatch]:
-        """Scored batches from the pool while it lives, then the serial source.
+        """:meth:`_schedule` on the pool while it lives, then inline.
 
-        Candidate enumeration and batch packing are deterministic, so batch
-        ``i`` of the serial source is exactly the batch the pump would have
-        emitted as ``i``: after a dead pool the serial source skips what was
-        already emitted and consumers see one contiguous, duplicate-free
-        stream.
+        The schedule is deterministic, so batch ``i`` of the inline run is
+        exactly the batch the pooled run emitted as ``i``: after a dead pool
+        the inline run skips what was already emitted and consumers see one
+        contiguous, duplicate-free stream.
         """
-        plan, store = self.plan, self.store
+        state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
         emitted = 0
         if pool is not None and not pool.broken:
-            state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
             try:
                 started = time.perf_counter()
                 handle = pool.publish(state)
                 self._record_stage("dispatch", time.perf_counter() - started)
                 try:
-                    for batch in self._pump(pool, handle, left, right, pinned, scores):
+                    for batch in self._schedule(pool, handle, left, right, pinned, scores):
                         emitted = batch.batch_index + 1
                         yield batch
                 finally:
@@ -577,28 +577,110 @@ class ResolutionExecutor:
                 return
             except BrokenExecutor:
                 pool.broken = True
-        iterator = iter_candidate_batches(
-            store, blocking=plan.blocking, k=plan.k, batch_size=plan.batch_size, search=search
-        )
-        while True:
-            started = time.perf_counter()
-            try:
-                batch_index, pairs = next(iterator)
-            except StopIteration:
-                return
-            block_seconds = time.perf_counter() - started
-            if batch_index < emitted:
-                continue
-            guard_store_version(store, pinned)
-            started = time.perf_counter()
-            probabilities, unknown = self._split(pairs, scores)
-            scored = None
-            if unknown:
-                scored = store.score_pairs(self.matcher, [pairs[i] for i in unknown])
-            score_seconds = time.perf_counter() - started
-            self._record_stage("block", block_seconds)
-            self._record_stage("score", score_seconds)
-            yield self._emit(batch_index, pairs, probabilities, unknown, scored)
+        yield from self._schedule(None, StateHandle(state=state), left, right, pinned, scores, emitted)
+
+    def _schedule(
+        self,
+        pool: Optional[WorkerPool],
+        handle: StateHandle,
+        left: TableEncodings,
+        right: TableEncodings,
+        pinned: int,
+        scores: Dict[PairKey, float],
+        skip: int = 0,
+    ) -> Iterator[ResolutionBatch]:
+        """The one batch source: query shards -> :func:`pack_batches` -> score.
+
+        One :func:`_query_task` per planned query shard, in row order; its
+        pair lists are packed into batches, each batch split against the
+        baseline ``scores`` and :func:`_score_task` run on the rows still
+        unknown (a batch the baseline covers dispatches nothing).  Batches
+        below ``skip`` are enumerated but not scored.  Recorded: ``block``
+        (per shard), ``score`` (per batch), ``merge`` (the parent's seconds
+        splitting batches and gathering their rows) and, with a pool,
+        ``dispatch`` and ``block-ipc`` (see :meth:`_ordered`).
+        """
+        plan, store = self.plan, self.store
+        merge_seconds = 0.0
+
+        def shards():
+            for shard in plan.query_bounds:
+                guard_store_version(store, pinned)
+                yield None, (_query_task, shard.start, shard.stop, plan.k, plan.query_chunk)
+
+        def candidates():
+            for _, (pairs, seconds), round_trip in self._ordered(pool, handle, shards()):
+                self._record_stage("block", seconds)
+                if round_trip is not None:
+                    self._record_stage("block-ipc", max(0.0, round_trip - seconds))
+                yield pairs
+
+        def score_units():
+            nonlocal merge_seconds
+            for batch_index, pairs in pack_batches(candidates(), plan.batch_size):
+                if batch_index < skip:
+                    continue
+                guard_store_version(store, pinned)
+                started = time.perf_counter()
+                probabilities, unknown = self._split(pairs, scores)
+                left_rows = left.rows([pairs[i].left_id for i in unknown])
+                right_rows = right.rows([pairs[i].right_id for i in unknown])
+                merge_seconds += time.perf_counter() - started
+                call = (_score_task, left_rows, right_rows) if unknown else None
+                yield (batch_index, pairs, probabilities, unknown, left_rows, right_rows), call
+
+        for unit, result, _ in self._ordered(pool, handle, score_units()):
+            batch_index, pairs, probabilities, unknown, left_rows, right_rows = unit
+            seconds = 0.0
+            if result is not None:
+                scored, seconds = result
+                probabilities[unknown] = scored
+                store.counters.record_pairs_rescored(len(unknown))
+            self._record_stage("score", seconds)
+            self._record_counter("pairs_rescored", len(unknown))
+            store.record_external_gather(left_rows, right_rows)
+            yield ResolutionBatch(pairs, probabilities, threshold=self.threshold, batch_index=batch_index)
+        self._record_stage("merge", merge_seconds)
+        guard_store_version(store, pinned)
+
+    def _ordered(self, pool: Optional[WorkerPool], handle: StateHandle, units) -> Iterator[tuple]:
+        """Run ``(tag, call)`` units; yield ``(tag, result, round_trip)`` in unit order.
+
+        ``call`` is ``(fn, *args)``, run as ``fn(handle, *args)``, or None
+        (nothing to run, result None).  Without a pool each call runs inline
+        and ``round_trip`` is None.  With one, at most ``2 × workers`` units
+        are in flight — finished-but-unconsumed ones included, so a slow
+        early unit cannot make the parent buffer the whole stream — and
+        ``round_trip`` is the seconds from submit to completion (stamped by
+        a done-callback); the seconds spent in ``submit`` are ``dispatch``.
+        """
+        if pool is None:
+            for tag, call in units:
+                yield tag, None if call is None else call[0](handle, *call[1:]), None
+            return
+        inflight: deque = deque()
+
+        def landed():
+            tag, future, stamps = inflight.popleft()
+            if future is None:
+                return tag, None, None
+            result = future.result()
+            # ``result`` can return before the done-callbacks have run.
+            completed = stamps[1] if len(stamps) > 1 else time.perf_counter()
+            return tag, result, completed - stamps[0]
+
+        for tag, call in units:
+            future, stamps = None, []
+            if call is not None:
+                stamps.append(time.perf_counter())
+                future = pool.submit(call[0], handle, *call[1:])
+                self._record_stage("dispatch", time.perf_counter() - stamps[0])
+                future.add_done_callback(lambda _, stamps=stamps: stamps.append(time.perf_counter()))
+            inflight.append((tag, future, stamps))
+            if len(inflight) >= 2 * pool.workers:
+                yield landed()
+        while inflight:
+            yield landed()
 
     @staticmethod
     def _split(pairs: List[RecordPair], scores: Dict[PairKey, float]) -> Tuple[np.ndarray, List[int]]:
@@ -614,166 +696,6 @@ class ResolutionExecutor:
             else:
                 probabilities[position] = known
         return probabilities, unknown
-
-    def _emit(
-        self,
-        batch_index: int,
-        pairs: List[RecordPair],
-        probabilities: np.ndarray,
-        unknown: List[int],
-        scored: Optional[np.ndarray],
-    ) -> ResolutionBatch:
-        """Fill in the matcher's answers for ``unknown`` and account the batch."""
-        if unknown:
-            probabilities[unknown] = scored
-            self.store.counters.record_pairs_rescored(len(unknown))
-        self._record_counter("pairs_rescored", len(unknown))
-        return ResolutionBatch(
-            pairs=pairs,
-            probabilities=probabilities,
-            threshold=self.threshold,
-            batch_index=batch_index,
-        )
-
-    def _pump(
-        self,
-        pool: WorkerPool,
-        handle: StateHandle,
-        left: TableEncodings,
-        right: TableEncodings,
-        pinned: int,
-        scores: Dict[PairKey, float],
-    ) -> Iterator[ResolutionBatch]:
-        """Overlap query tasks and score batches with bounded in-flight depth.
-
-        One :func:`_query_task` per planned query shard, submitted in row
-        order as depth allows.  Recorded besides ``block``, ``score`` and
-        ``merge``: ``dispatch``, the parent's seconds in ``submit`` (the
-        state's publication is timed by :meth:`_batches`), and ``block-ipc``,
-        per query task the time from submit to completion (stamped by a
-        done-callback) minus the worker's compute.
-
-        Backpressure counts both unfinished futures *and* finished-but-
-        unconsumed results in each stage: when one early unit is slow, later
-        completions park until it lands, and without counting them the
-        parent would keep submitting and buffer the whole stream — the
-        unbounded materialisation this layer exists to avoid.  Emission is
-        strictly ordered: query tasks are consumed by ascending row range,
-        and batches are yielded by ascending ``batch_index``.
-        """
-        plan, store = self.plan, self.store
-        bounds = plan.query_bounds
-        if not bounds:
-            return
-        max_inflight = max(2, plan.workers * 2)
-
-        query_inflight: Dict[object, int] = {}
-        query_done: Dict[int, Tuple[List[RecordPair], float]] = {}
-        # Per query task: when it was submitted, and when its future
-        # completed (written by a done-callback in whichever thread
-        # finishes the future).
-        query_submitted: Dict[int, float] = {}
-        query_completed: Dict[int, float] = {}
-        score_inflight: Dict[object, int] = {}
-        score_done: Dict[int, Tuple[Optional[np.ndarray], float]] = {}
-        pending: Dict[int, Tuple[List[RecordPair], np.ndarray, List[int], np.ndarray, np.ndarray]] = {}
-        buffer: List[RecordPair] = []
-        merge_seconds = 0.0
-        submitted = 0
-        next_task = 0
-        batch_index = 0
-        next_emit = 0
-
-        def submit(fn, *args):
-            started = time.perf_counter()
-            future = pool.submit(fn, handle, *args)
-            self._record_stage("dispatch", time.perf_counter() - started)
-            return future
-
-        def collect(inflight: Dict[object, int], done: Dict, block: bool) -> None:
-            if not inflight:
-                return
-            completed, _ = wait(
-                list(inflight), timeout=None if block else 0, return_when=FIRST_COMPLETED
-            )
-            for future in completed:
-                inflight.pop(future)
-                key, payload, seconds = future.result()
-                done[key] = (payload, seconds)
-
-        def emit_ready() -> Iterator[ResolutionBatch]:
-            nonlocal next_emit
-            while next_emit in score_done:
-                scored, seconds = score_done.pop(next_emit)
-                pairs, probabilities, unknown, left_rows, right_rows = pending.pop(next_emit)
-                self._record_stage("score", seconds)
-                store.record_external_gather(left_rows, right_rows)
-                yield self._emit(next_emit, pairs, probabilities, unknown, scored)
-                next_emit += 1
-
-        while True:
-            # Top up the query fan-out.
-            while submitted < len(bounds) and len(query_inflight) + len(query_done) < max_inflight:
-                guard_store_version(store, pinned)
-                shard = bounds[submitted]
-                query_submitted[submitted] = time.perf_counter()
-                future = submit(_query_task, submitted, shard.start, shard.stop, plan.k, plan.query_chunk)
-                future.add_done_callback(
-                    lambda _, task=submitted: query_completed.__setitem__(task, time.perf_counter())
-                )
-                query_inflight[future] = submitted
-                submitted += 1
-            collect(query_inflight, query_done, block=False)
-            # Consume finished tasks strictly in row-range order.
-            while next_task in query_done:
-                pairs, seconds = query_done.pop(next_task)
-                self._record_stage("block", seconds)
-                # ``wait`` can return before the done-callbacks have run.
-                completed = query_completed.pop(next_task, time.perf_counter())
-                round_trip = completed - query_submitted.pop(next_task)
-                self._record_stage("block-ipc", max(0.0, round_trip - seconds))
-                started = time.perf_counter()
-                buffer.extend(pairs)
-                merge_seconds += time.perf_counter() - started
-                next_task += 1
-            blocking_done = next_task >= len(bounds)
-            # Pack and submit score batches (partial batch only at the end),
-            # walking the buffer by offset and compacting once per round:
-            # re-slicing the remainder per batch copies it every emission.
-            offset = 0
-            while len(buffer) - offset >= plan.batch_size or (
-                blocking_done and offset < len(buffer)
-            ):
-                started = time.perf_counter()
-                head = buffer[offset : offset + plan.batch_size]
-                offset += len(head)
-                guard_store_version(store, pinned)
-                probabilities, unknown = self._split(head, scores)
-                left_rows = left.rows([head[i].left_id for i in unknown])
-                right_rows = right.rows([head[i].right_id for i in unknown])
-                pending[batch_index] = (head, probabilities, unknown, left_rows, right_rows)
-                merge_seconds += time.perf_counter() - started
-                if unknown:
-                    score_inflight[submit(_score_task, batch_index, left_rows, right_rows)] = batch_index
-                else:  # served whole from the baseline: nothing to dispatch
-                    score_done[batch_index] = (None, 0.0)
-                batch_index += 1
-                while len(score_inflight) + len(score_done) >= max_inflight:
-                    collect(score_inflight, score_done, block=True)
-                    yield from emit_ready()
-            del buffer[:offset]
-            collect(score_inflight, score_done, block=False)
-            yield from emit_ready()
-            if blocking_done and not score_inflight and not score_done and not buffer:
-                break
-            if not blocking_done and next_task not in query_done:
-                # Progress needs the next task: park on the query futures.
-                collect(query_inflight, query_done, block=True)
-            elif blocking_done and score_inflight:
-                collect(score_inflight, score_done, block=True)
-                yield from emit_ready()
-        self._record_stage("merge", merge_seconds)
-        guard_store_version(store, pinned)
 
 
 def _apply_right_diff(
@@ -824,13 +746,11 @@ def resolve(
     incremental runs that way.  Knob validation is eager, so a bad
     ``batch_size`` fails here, before any expensive work starts.
 
-    ``workers=1`` enumerates candidates through
-    :func:`~repro.engine.stream.iter_candidate_batches` and scores each batch
-    inline; with ``workers > 1`` the query shards and score batches run on
-    the cached local worker pool (borrowed on first iteration, handed
-    back when the stream is exhausted or closed) and re-merge in
-    deterministic order, so identical knobs yield the identical batch
-    stream whatever the worker count.  A supplied ``pool`` runs the units
+    ``workers=1`` runs the query shards and score batches inline; with
+    ``workers > 1`` they run on the cached local worker pool (borrowed on
+    first iteration, handed back when the stream is exhausted or closed)
+    and are consumed in submission order, so identical knobs yield the
+    identical batch stream whatever the worker count.  A supplied ``pool`` runs the units
     instead and sizes the plan (``workers`` is then its worker count); it
     is the caller's to shut down.  ``stage_timings`` collects per-stage
     compute seconds and the delta counters.

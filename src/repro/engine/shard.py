@@ -1,7 +1,7 @@
 """Row-range shard bounds and the worker-pool seam of the resolve stages.
 
-This module owns two building blocks the planner-driven engine
-(:mod:`repro.engine.plan`) fans work out with:
+This module owns the building blocks the planner-driven engine
+(:mod:`repro.engine.plan`) runs its query shards and score batches with:
 
 * :func:`shard_bounds_for` / :class:`ShardBounds` — the row ranges a table
   is partitioned into, derived from table sizes alone, so planning never
@@ -14,16 +14,18 @@ This module owns two building blocks the planner-driven engine
   through shared-memory segments, :mod:`repro.engine.sharedmem`) and
   :class:`ThreadWorkerPool` (workers share the address space, the handle
   simply carries the state object); any other subclass can be passed as
-  ``pool=``.
+  ``pool=``;
+* :func:`query_shard_pairs` — the one chunk walk of a left-table shard,
+  and :func:`merge_scored_batches`, which concatenates a scored stream.
 
 An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
 pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
 instrumented by :data:`POOL_SPAWNS`); a pool the caller supplies is used as
-is and never cached, released or shut down by the engine.  Either way
-candidate pairs are enumerated with *exactly* the same chunking and batch
-packing as the serial schedule, query shards and score batches fan out
-across the pool, and results merge back deterministically by
-``(batch_index, pair_index)`` regardless of completion order.
+is and never cached, released or shut down by the engine.  Either way the
+executor runs the one schedule a serial run uses — query shards through
+:func:`query_shard_pairs`, packed into score batches — only submitting its
+query and score tasks to the pool and taking their results in submission
+order, so the stream does not depend on completion order.
 
 Which local pool
 ----------------
@@ -118,9 +120,8 @@ class WorkerPool:
     makes a stage state reachable from the pool's workers and ``release``
     withdraws it; ``workers`` sizes the fan-out.  ``broken`` is set by
     callers that observed the pool die (``submit`` or a future raising
-    :class:`concurrent.futures.BrokenExecutor`): the caller falls back to
-    the serial schedule for the rest of its run and the pool is never handed
-    out again.
+    :class:`concurrent.futures.BrokenExecutor`): the caller runs the rest of
+    its schedule inline and the pool is never handed out again.
 
     The defaults describe a pool whose workers share this process's memory,
     so a subclass passed as ``pool=`` only has to say how ``submit`` runs a
@@ -307,10 +308,10 @@ def query_shard_pairs(
 ) -> List[RecordPair]:
     """Top-K candidate pairs of one row range, queried chunk by chunk.
 
-    The query loop of the planner's pool tasks.  The serial pass walks its
-    own chunks in :func:`repro.engine.stream.stream_candidate_pairs`; a
-    row's answer does not depend on the rows queried with it, so the tasks'
-    pairs, concatenated in row order, are the serial stream's.
+    The only query loop: the executor's query task runs it once per
+    planned shard, inline or on a pool.  A row's answer does not depend on
+    the rows queried with it, so the shards' pairs, concatenated in row
+    order, are the candidate stream of the whole table at any shard size.
     """
     pairs: List[RecordPair] = []
     for chunk_start in range(start, stop, query_chunk):

@@ -176,5 +176,8 @@ class Trainer:
             history.record(mean_loss)
             if self.early_stopping is not None and self.early_stopping.update(mean_loss):
                 break
+        # The last batch's gradients are views into the optimizer's flat
+        # buffer; left on the parameters they double a fitted model's pickle.
+        self.optimizer.zero_grad()
         self.module.eval()
         return history

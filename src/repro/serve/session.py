@@ -308,7 +308,6 @@ class ServeSession:
         self._close_lock = threading.Lock()
         self._started_at = time.monotonic()
         self._mutations_applied = 0
-        self._row_index_cache: Optional[Tuple[int, Dict[str, int]]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -409,7 +408,6 @@ class ServeSession:
                 k=top,
             )
             right = self.model.store.table_encodings("right")
-            row_of = self._right_row_index(snapshot.generation, right)
             answers: List[Dict[str, object]] = []
             pending: List[Tuple[int, int, str, float]] = []
             for position, result in enumerate(results):
@@ -419,7 +417,7 @@ class ServeSession:
                     "candidates": candidates,
                 })
                 for right_key, distance in result.neighbours:
-                    row = row_of.get(str(right_key))
+                    row = right.row_index.get(str(right_key))
                     if row is None:  # pragma: no cover - index/store drift guard
                         continue
                     pending.append((position, row, str(right_key), float(distance)))
@@ -614,12 +612,3 @@ class ServeSession:
         )
         self._snapshot = snapshot
         return snapshot, stage
-
-    def _right_row_index(self, generation: int, encodings) -> Dict[str, int]:
-        """Right key → row position map, memoised per snapshot generation."""
-        cached = self._row_index_cache
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        row_of = {str(key): row for row, key in enumerate(encodings.keys)}
-        self._row_index_cache = (generation, row_of)
-        return row_of

@@ -610,8 +610,6 @@ class TestDeltaProbeAndExtend:
         assert delta.base_rows == 20 and delta.new_rows == 0
         assert delta.dirty_ranges == ((10, 11),)
         assert delta.deleted_rows == ()
-        # Only the chunk holding row 10 loses validity.
-        assert [chunk[:2] for chunk in delta.valid_chunks] == [(0, 8), (16, 20)]
         # An edit in the first chunk is equally recoverable (no prefix rule).
         edited.replace(Record("r0", ("EDITED", "beta-0")))
         again = cache.delta("t", "right", 1, _synthetic_fingerprint(edited), edited)
@@ -631,9 +629,6 @@ class TestDeltaProbeAndExtend:
         assert delta.deleted_rows == (5, 13)
         assert delta.dirty_ranges == () and delta.new_rows == 0
         assert delta.base_rows == 18 == delta.total_rows
-        # Chunks containing the deleted stored rows are no longer fully valid
-        # (their clean rows are still served through load_reused).
-        assert [chunk[:2] for chunk in delta.valid_chunks] == [(16, 20)]
         positions, stored = delta.reused_rows()
         assert len(positions) == 18
         assert 5 not in stored and 13 not in stored

@@ -187,7 +187,7 @@ class TestPlannerResolveEquivalence:
         k=st.integers(min_value=1, max_value=8),
         workers=st.integers(min_value=2, max_value=3),
     )
-    # One pair per batch: the pump packs many batches out of each query task.
+    # One pair per batch: the schedule packs many batches out of each query task.
     @example(batch_size=1, k=4, workers=2)
     def test_planner_resolve_byte_identical_to_stream(self, planned_pipeline, batch_size, k, workers):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher

@@ -6,7 +6,9 @@ import pytest
 from repro.config import MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.pairs import RecordPair
-from repro.engine import EncodingStore, ScoredPairs, resolve, stream_candidate_pairs
+from repro.blocking.neighbours import NearestNeighbourSearch
+from repro.engine import EncodingStore, ScoredPairs, resolve
+from repro.engine.shard import query_shard_pairs
 from repro.eval.timing import EngineCounters
 from repro.exceptions import StaleEncodingError
 
@@ -22,22 +24,22 @@ def resolved_pipeline(tiny_domain):
     return model
 
 
-class TestStreamCandidatePairs:
-    def test_covers_same_pairs_as_monolithic_blocking(self, resolved_pipeline):
+class TestCandidateStream:
+    def test_covers_same_pairs_as_monolithic_blocking(self, resolved_pipeline, tiny_domain):
+        """Small query shards and chunks enumerate the monolithic candidates."""
         monolithic = resolved_pipeline.candidate_pairs(k=5)
+        store = EncodingStore(
+            resolved_pipeline.representation, tiny_domain.task, counters=EngineCounters(), shard_rows=9
+        )
         streamed = [
             pair
-            for chunk in stream_candidate_pairs(
-                resolved_pipeline.store, blocking=resolved_pipeline.config.blocking, k=5, query_chunk=7
-            )
-            for pair in chunk
+            for batch in resolve(
+                store, resolved_pipeline.matcher, blocking=resolved_pipeline.config.blocking,
+                k=5, batch_size=7,
+            ).run()
+            for pair in batch.pairs
         ]
         assert [p.key() for p in streamed] == [p.key() for p in monolithic]
-
-    def test_rejects_bad_chunk_size_eagerly(self, resolved_pipeline):
-        # The error must surface at call time, not on first iteration.
-        with pytest.raises(ValueError):
-            stream_candidate_pairs(resolved_pipeline.store, query_chunk=0)
 
 
 class TestResolveStream:
@@ -100,18 +102,14 @@ class TestResolveStreamEdgeCases:
     def test_query_chunk_larger_than_left_table(self, resolved_pipeline, tiny_domain):
         """One oversized chunk equals the many-small-chunks enumeration."""
         store = resolved_pipeline.store
-        blocking = resolved_pipeline.config.blocking
-        big = [
-            p for chunk in stream_candidate_pairs(
-                store, blocking=blocking, k=5, query_chunk=10 * len(tiny_domain.task.left)
-            )
-            for p in chunk
-        ]
-        small = [
-            p for chunk in stream_candidate_pairs(store, blocking=blocking, k=5, query_chunk=3)
-            for p in chunk
-        ]
-        assert [p.key() for p in big] == [p.key() for p in small]
+        search = NearestNeighbourSearch.from_store(store, config=resolved_pipeline.config.blocking)
+        left = store.table_encodings("left")
+        rows = len(left)
+
+        def walk(query_chunk):
+            return query_shard_pairs(search, left.flat_mu(), left.keys, 0, rows, 5, query_chunk)
+
+        assert [p.key() for p in walk(10 * rows)] == [p.key() for p in walk(3)]
 
     def test_store_invalidated_mid_stream_raises(self, tiny_domain):
         """A version bump mid-stream must raise, not silently serve stale scores."""
@@ -130,14 +128,22 @@ class TestResolveStreamEdgeCases:
             next(stream)
 
     def test_candidate_stream_invalidation_raises(self, tiny_domain):
-        """The blocking stream itself also refuses to span a version bump."""
-        config = VAERConfig(vae=VAEConfig(ir_dim=16, hidden_dim=24, latent_dim=8, epochs=2, seed=3))
+        """The query fan-out also refuses to span a version bump: with one
+        batch per query shard, the next batch first needs the next shard."""
+        config = VAERConfig(
+            vae=VAEConfig(ir_dim=16, hidden_dim=24, latent_dim=8, epochs=2, seed=3),
+            matcher=MatcherConfig(epochs=5, mlp_hidden=(24, 12), seed=5),
+        )
         model = VAER(config).fit_representation(tiny_domain.task)
-        chunks = stream_candidate_pairs(model.store, k=5, query_chunk=7)
-        next(chunks)
+        model.fit_matcher(tiny_domain.splits.train)
+        store = EncodingStore(
+            model.representation, tiny_domain.task, counters=EngineCounters(), shard_rows=8
+        )
+        stream = resolve(store, model.matcher, k=5, batch_size=8 * 5).run()
+        next(stream)
         model.representation.fit(tiny_domain.task, epochs=1)
         with pytest.raises(StaleEncodingError):
-            next(chunks)
+            next(stream)
 
 
 class TestMatchThresholdBoundary:

@@ -1,9 +1,15 @@
 """Trainer loop, batching utilities and early stopping."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.config import VAERConfig
+from repro.core import VAER
+from repro.engine import model_fingerprint
 from repro.nn import (
     Adam,
     EarlyStopping,
@@ -15,6 +21,7 @@ from repro.nn import (
     iterate_minibatches,
     mse_loss,
 )
+from repro.nn.optim import Optimizer
 
 
 class TestBatching:
@@ -156,3 +163,38 @@ class TestTrainer:
         )
         history = trainer.fit(np.zeros((0, 2)), np.zeros(0))
         assert history.epoch_losses == []
+
+
+class TestFittedModelsHoldNoGradients:
+    """``fit`` ends by clearing gradients: the last batch's ``grad`` arrays
+    (views into the optimizer's flat buffer) would otherwise ride along in
+    every pickle of a fitted model.  Clearing them touches no weight byte."""
+
+    def test_fitted_vae_and_matcher(self, tiny_domain, small_vae_config, small_matcher_config, monkeypatch):
+        before_clear = []
+        original = Optimizer.zero_grad
+
+        def recording(self):
+            before_clear.append([param.data.tobytes() for param in self.parameters])
+            original(self)
+
+        monkeypatch.setattr(Optimizer, "zero_grad", recording)
+        model = VAER(VAERConfig(vae=small_vae_config, matcher=small_matcher_config))
+        representation = model.fit_representation(tiny_domain.task).representation
+        vae_weights = before_clear[-1]
+        model.fit_matcher(tiny_domain.splits.train)
+        matcher_weights = before_clear[-1]
+
+        for module, last_step in ((representation.vae, vae_weights), (model.matcher, matcher_weights)):
+            assert all(param.grad is None for param in module.parameters())
+            assert [array.tobytes() for array in module.state_dict().values()] == last_step
+            weight_bytes = sum(param.data.nbytes for param in module.parameters())
+            assert len(pickle.dumps(module)) < 1.5 * weight_bytes
+
+        reference = copy.deepcopy(representation)
+        names = list(reference.vae.state_dict())
+        reference.vae.load_state_dict({
+            name: np.frombuffer(raw).reshape(array.shape)
+            for name, raw, array in zip(names, vae_weights, reference.vae.state_dict().values())
+        })
+        assert model_fingerprint(representation) == model_fingerprint(reference)
