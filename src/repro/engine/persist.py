@@ -38,14 +38,17 @@ chunk of any other format is a plain miss too — a load neither serves,
 rewrites nor removes it — and a stray ``<task>/<side>-vN.npz`` is not an
 entry at all.
 
-There is one chunk reader: every read opens the archive with ``np.load``,
-checks the metadata embedded in it against what the manifest expects (format,
-task, side, model fingerprint, row range, chunk CRC, generation, codec) and
-reads the three arrays, which verifies each member's zip CRC-32 — a payload
-damaged on disk is a miss, never an answer.  Nothing stays open between
-reads, so a long-lived process pins no descriptors and no superseded
-archives.  Chunk reads are reported through the ``chunk_loads`` counter of
-whatever :class:`~repro.eval.timing.EngineCounters` the caller passes in.
+There is one chunk check, :meth:`PersistentEncodingCache._read_chunk`, and
+both every load and ``repro cache verify`` run it: it opens the archive once,
+compares the metadata embedded in it with the identity the manifest implies
+(format, task, side, encoding version, model fingerprint and codec — one
+header per entry — plus the chunk's row range, CRC and generation) and reads
+the three arrays, which verifies each member's zip CRC-32 — a payload damaged
+on disk is a miss, never an answer, and a verify that passes is an entry a
+load serves.  Nothing stays open between reads, so a long-lived process pins
+no descriptors and no superseded archives.  Chunk reads are reported through
+the ``chunk_loads`` counter of whatever
+:class:`~repro.eval.timing.EngineCounters` the caller passes in.
 
 Keying and invalidation rules
 -----------------------------
@@ -81,16 +84,23 @@ minus tombstones, in stored order) always equals the current table.
 table *by record id*: surviving rows are matched by key, compared by row
 CRC, and classified clean or dirty; vanished rows become tombstone
 candidates; trailing new rows are the appended range.  The resulting
-:class:`TableDelta` tells the store exactly which current rows need
-encoding (``dirty_ranges`` + ``appended_range``) and which can be served
-from disk (:meth:`PersistentEncodingCache.load_reused`).
-:meth:`PersistentEncodingCache.patch` then writes the superseding chunk
-generations and appended chunks first and the manifest last, so concurrent
-readers see either the old complete entry or the new one, never a torn
-state.  Old generations are swept by :meth:`prune`.
-:meth:`PersistentEncodingCache.load_range` reads only the chunks overlapping
-a ``[start, stop)`` *live*-row range — the warm-load path for
-row-range-sharded consumers.
+:class:`TableDelta` — the probed manifest, its live -> stored row map and
+that :class:`RowDiff` — tells the store exactly which current rows need
+encoding (``encode_positions()``) and which can be served from disk
+(:meth:`PersistentEncodingCache.load_reused`).
+
+There is one writer: :meth:`~PersistentEncodingCache.save`,
+:meth:`~PersistentEncodingCache.extend` and
+:meth:`~PersistentEncodingCache.patch` are one write-through, a new entry
+being a write-through onto an empty manifest.  It writes the superseding
+generations of chunks holding edited rows and the appended chunks first —
+each one gather per array of the rows at the chunk's current positions —
+and the manifest last, so concurrent readers see either the old complete
+entry or the new one, never a torn state.  Old generations are swept by
+:meth:`~PersistentEncodingCache.prune`.
+:meth:`~PersistentEncodingCache.load_range` reads only the chunks
+overlapping a ``[start, stop)`` *live*-row range; nothing in the engine calls
+it today.
 """
 
 from __future__ import annotations
@@ -111,7 +121,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.engine.quant import CodecArray, params_from_json
-from repro.nn.serialization import _META_KEY, load_metadata, save_state_dict
+from repro.nn.serialization import _META_KEY, save_state_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.representation import EntityRepresentationModel
@@ -248,24 +258,6 @@ def _encodings_codec(encodings: "TableEncodings") -> Tuple[str, Optional[Dict[st
     return names.pop(), {name: arrays[name].params.to_json() for name in _ARRAY_KEYS}
 
 
-def _stored_rows(array, start: int, stop: int) -> np.ndarray:
-    """Rows ``[start, stop)`` of an encoding array in *stored* form.
-
-    For a :class:`CodecArray` this is the int8 code rows (plain indexing
-    would rehydrate floats — exactly what a chunk write must not do).
-    """
-    if isinstance(array, CodecArray):
-        return array.codes[start:stop]
-    return np.asarray(array[start:stop])
-
-
-def _stored_row(array, position: int) -> np.ndarray:
-    """One row of an encoding array in stored (code or float) form."""
-    if isinstance(array, CodecArray):
-        return array.codes[position]
-    return array[position]
-
-
 def _manifest_codec(manifest: Dict[str, Any]) -> Tuple[str, Optional[Dict[str, Any]]]:
     """``(name, params)`` of a validated manifest's codec field."""
     codec = manifest["codec"]
@@ -273,8 +265,8 @@ def _manifest_codec(manifest: Dict[str, Any]) -> Tuple[str, Optional[Dict[str, A
     return codec["name"], params if isinstance(params, dict) else None
 
 
-def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings") -> str:
-    """The codec of an entry, once ``encodings`` are known to be writable into it.
+def _check_writable(manifest: Dict[str, Any], encodings: "TableEncodings") -> None:
+    """Raise unless ``encodings`` can be written into the manifest's entry.
 
     Quantize-once: rows written into an existing entry must carry its codec
     *and* its fixed params, or old and new chunks would decode inconsistently.
@@ -285,7 +277,6 @@ def _entry_codec_for(manifest: Dict[str, Any], encodings: "TableEncodings") -> s
         raise ValueError(f"cannot write {codec!r} encodings into a {old_codec!r}-codec entry")
     if params is not None and params != old_params:
         raise ValueError("cannot write: encodings use different codec params than the entry")
-    return codec
 
 
 @contextmanager
@@ -348,6 +339,16 @@ class RowDiff:
     def appended_rows(self) -> int:
         return self.total_rows - len(self.survivor_old)
 
+    def encode_positions(self) -> Tuple[int, ...]:
+        """Current rows that must go through the encoder (dirty + appended)."""
+        return self.dirty_new + tuple(range(*self.appended_range))
+
+    def reused_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(current positions, old positions) of the clean surviving rows."""
+        dirty = set(self.dirty_new)
+        positions = tuple(p for p in range(len(self.survivor_old)) if p not in dirty)
+        return positions, tuple(self.survivor_old[p] for p in positions)
+
 
 def diff_rows(
     old_keys: Sequence[object],
@@ -401,77 +402,133 @@ def diff_rows(
     )
 
 
-def group_ranges(positions: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """Sorted positions grouped into maximal half-open ``[start, stop)`` runs."""
-    ranges: List[Tuple[int, int]] = []
-    for position in positions:
-        if ranges and ranges[-1][1] == position:
-            ranges[-1] = (ranges[-1][0], position + 1)
-        else:
-            ranges.append((position, position + 1))
-    return tuple(ranges)
-
-
 @dataclass(frozen=True)
 class TableDelta:
-    """Result of probing a cache entry against a (possibly mutated) table.
+    """A cache entry probed against a (possibly mutated) table.
 
-    Coordinates: *stored* indices address the manifest's append-only row
-    layout (tombstoned rows included); *current* indices address the live
-    table.  ``survivor_stored[j]`` is the stored index of current row ``j``
-    for ``j < base_rows``.
-
-    * ``dirty_ranges`` — current-row ranges whose content changed in place
-      (must be re-encoded; their chunks need superseding generations);
-    * ``appended_range`` — current-row range ``[base_rows, total_rows)`` of
-      rows the manifest has never seen;
-    * ``deleted_rows`` — stored indices whose records vanished from the
-      table (tombstone candidates for :meth:`PersistentEncodingCache.patch`).
+    ``diff`` is :func:`diff_rows` of the entry's *live* rows (stored rows
+    minus tombstones, in stored order) against the table, and
+    ``live_stored[i]`` is the *stored* index — the manifest's append-only
+    row layout — of live row ``i``.  Everything else is a view of the two:
+    ``deleted_rows`` are the stored indices whose records vanished
+    (tombstone candidates for :meth:`PersistentEncodingCache.patch`),
+    ``appended_range`` the current rows the manifest has never seen.
     """
 
     manifest: Dict[str, Any]
-    dirty_ranges: Tuple[Tuple[int, int], ...]
-    appended_range: Tuple[int, int]
-    deleted_rows: Tuple[int, ...]
-    survivor_stored: Tuple[int, ...]
-    total_rows: int
+    live_stored: Tuple[int, ...]
+    diff: RowDiff
+
+    @property
+    def deleted_rows(self) -> Tuple[int, ...]:
+        return tuple(self.live_stored[j] for j in self.diff.deleted_old)
+
+    @property
+    def appended_range(self) -> Tuple[int, int]:
+        return self.diff.appended_range
 
     @property
     def base_rows(self) -> int:
         """Current rows covered by the stored entry (clean or dirty)."""
-        return self.appended_range[0]
+        return len(self.diff.survivor_old)
+
+    @property
+    def total_rows(self) -> int:
+        return self.diff.total_rows
 
     @property
     def new_rows(self) -> int:
-        return self.total_rows - self.base_rows
+        return self.diff.appended_rows
 
     @property
     def dirty_rows(self) -> int:
-        return sum(stop - start for start, stop in self.dirty_ranges)
+        return len(self.diff.dirty_new)
 
     @property
     def is_append_only(self) -> bool:
-        return not self.dirty_ranges and not self.deleted_rows
-
-    def dirty_positions(self) -> Tuple[int, ...]:
-        return tuple(
-            position
-            for start, stop in self.dirty_ranges
-            for position in range(start, stop)
-        )
+        return not self.diff.dirty_new and not self.diff.deleted_old
 
     def encode_positions(self) -> Tuple[int, ...]:
         """Current rows that must go through the encoder (dirty + appended)."""
-        return self.dirty_positions() + tuple(range(*self.appended_range))
+        return self.diff.encode_positions()
 
     def reused_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(current positions, stored indices) of clean surviving rows."""
-        dirty = set(self.dirty_positions())
-        positions = [
-            position for position in range(self.base_rows) if position not in dirty
-        ]
-        stored = [self.survivor_stored[position] for position in positions]
-        return tuple(positions), tuple(stored)
+        positions, live = self.diff.reused_rows()
+        return positions, tuple(self.live_stored[j] for j in live)
+
+
+# ----------------------------------------------------------------------
+# One entry, seen from its chunks
+# ----------------------------------------------------------------------
+def _addresses(manifest: Dict[str, Any], task_name: str, side: str, encoding_version: int) -> bool:
+    """Whether a validated manifest is the entry of ``(task, side, version)``."""
+    return (manifest["task"], manifest["side"], manifest["encoding_version"]) == (
+        task_name, side, int(encoding_version)
+    )
+
+
+def _entry_header(manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """The identity every chunk of an entry embeds, built once per entry.
+
+    The model fingerprint rides in every chunk, not just the manifest:
+    concurrent writers of the same key (e.g. differently-seeded models at
+    the same version) overwrite chunk paths in place, so a reader holding
+    the *other* writer's manifest must be able to reject a foreign chunk
+    instead of mixing encodings.  Deliberately *not* the whole-table CRC —
+    chunks must stay addressable after an append changes it.  The codec
+    name rides along for the same reason: a reader must never decode codes
+    as floats or vice versa.
+    """
+    return {
+        "format": CACHE_FORMAT_VERSION,
+        "task": manifest["task"],
+        "side": manifest["side"],
+        "encoding_version": manifest["encoding_version"],
+        "model": manifest["fingerprint"].get("model"),
+        "codec": manifest["codec"]["name"],
+    }
+
+
+def _chunk_metadata(header: Dict[str, Any], chunk: Sequence[int]) -> Dict[str, Any]:
+    """One chunk's embedded metadata: the entry header plus its own fields."""
+    start, stop, crc, generation = chunk
+    metadata = dict(header)
+    # The key order chunks are written in: the codec name comes last.
+    metadata.update(
+        start=start, stop=stop, row_crc=crc, generation=generation, codec=metadata.pop("codec")
+    )
+    return metadata
+
+
+def _stored_layout(manifest: Dict[str, Any]) -> Dict[str, Tuple[Any, Tuple[int, ...]]]:
+    """Per array: the codec params (``None`` for raw) and the per-row shape
+    chunks store — for PQ codes ``(m,)``, not the manifest's logical shape.
+
+    Raises one of ``_LOAD_ERRORS`` when the manifest's params do not parse.
+    """
+    codec_name, codec_params = _manifest_codec(manifest)
+    layout: Dict[str, Tuple[Any, Tuple[int, ...]]] = {}
+    for name in _ARRAY_KEYS:
+        if codec_name == RAW_CODEC:
+            layout[name] = (None, tuple(manifest["shapes"][name][1:]))
+        else:
+            params = params_from_json(codec_name, codec_params[name])
+            layout[name] = (params, tuple(params.code_trailing))
+    return layout
+
+
+def _stored_gather(array, positions: np.ndarray) -> np.ndarray:
+    """The stored rows of ``array`` at ``positions`` in one gather; a ``-1``
+    position (a tombstoned row) is a zero row, never read again.
+
+    A :class:`CodecArray` gives its code rows — indexing it would rehydrate
+    floats, exactly what a chunk write must not do.
+    """
+    stored = array.codes if isinstance(array, CodecArray) else np.asarray(array)
+    rows = stored[np.maximum(positions, 0)]
+    rows[positions < 0] = 0
+    return rows
 
 
 class PersistentEncodingCache:
@@ -525,6 +582,10 @@ class PersistentEncodingCache:
         """Archive path of one row-range chunk generation."""
         return self.dir_for(task_name, side, encoding_version) / self.chunk_name(start, stop, generation)
 
+    def _entry_dir(self, entry: Dict[str, Any]) -> Path:
+        """Chunk directory of a manifest (or of its chunk header)."""
+        return self.dir_for(entry["task"], entry["side"], entry["encoding_version"])
+
     def entries(self) -> List[Path]:
         """The manifest path of every entry, sorted."""
         if not self.directory.is_dir():
@@ -562,6 +623,23 @@ class PersistentEncodingCache:
             return None
         return side, int(version)
 
+    def _scan(self) -> Iterator[Tuple[Path, Dict[str, Any], Optional[Dict[str, Any]]]]:
+        """``(chunk dir, {task, side, version}, manifest)`` of every entry.
+
+        The one entry scan behind ``list``, ``verify`` and ``prune``.  The
+        location comes from the directory names (version ``-1`` for a
+        foreign name); the manifest is validated as a load reads it, and is
+        ``None`` when no load would serve it — unreadable, malformed, of
+        another format, or naming another entry than its directory.
+        """
+        for path in self.entries():
+            chunk_dir = path.parent
+            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+            manifest = self._valid_manifest(self._read_json(path))
+            if manifest is not None and self._entry_dir(manifest) != chunk_dir:
+                manifest = None
+            yield chunk_dir, {"task": chunk_dir.parent.name, "side": side, "version": version}, manifest
+
     def describe_entries(self) -> List[Dict[str, Any]]:
         """One summary row per entry (the ``repro cache list`` data).
 
@@ -573,62 +651,48 @@ class PersistentEncodingCache:
         stale garbage is visible.
         """
         rows: List[Dict[str, Any]] = []
-        for entry in self.entries():
-            chunk_dir = entry.parent
-            task = chunk_dir.parent.name
-            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+        for chunk_dir, where, manifest in self._scan():
             total_bytes = sum(p.stat().st_size for p in chunk_dir.glob("*.npz"))
-            manifest = self._valid_manifest(self._read_json(entry))
-            if manifest is not None:
-                fingerprint = manifest.get("fingerprint", {})
-                chunks = manifest["chunks"]
-                # What the entry would occupy fully rehydrated: the
-                # float64 size of the stored shapes, codec-independent —
-                # against on-disk bytes it shows the compression ratio.
-                decoded_bytes = sum(
-                    8 * math.prod(int(d) for d in shape)
-                    for shape in manifest["shapes"].values()
-                )
-                rows.append({
-                    "task": task, "side": side, "version": version,
-                    "rows": len(manifest["keys"]) - len(manifest["tombstones"]),
-                    "tombstones": len(manifest["tombstones"]),
-                    "chunks": len(chunks),
-                    "generations": len({int(chunk[3]) for chunk in chunks}) if chunks else 0,
-                    "bytes": total_bytes,
-                    "codec": _manifest_codec(manifest)[0],
-                    "decoded_bytes": decoded_bytes,
-                    # Compression vs raw float64: decoded size over the
-                    # stored chunk bytes (~1.0 for raw entries — npz
-                    # framing only; >1 for coded entries).
-                    "compression_ratio": (
-                        round(decoded_bytes / total_bytes, 2) if total_bytes else None
-                    ),
-                    "content_crc": fingerprint.get("content_crc"),
-                    "weights_crc": (fingerprint.get("model") or {}).get("weights_crc"),
-                })
-            else:
-                rows.append({
-                    "task": task, "side": side, "version": version,
-                    "rows": None, "tombstones": None, "chunks": None, "generations": None,
-                    "bytes": total_bytes, "codec": None, "decoded_bytes": None,
-                    "compression_ratio": None,
-                    "content_crc": None, "weights_crc": None,
-                })
+            if manifest is None:
+                rows.append(dict(
+                    where, rows=None, tombstones=None, chunks=None, generations=None,
+                    bytes=total_bytes, codec=None, decoded_bytes=None, compression_ratio=None,
+                    content_crc=None, weights_crc=None,
+                ))
+                continue
+            fingerprint = manifest["fingerprint"]
+            chunks = manifest["chunks"]
+            # What the entry would occupy fully rehydrated: the float64 size
+            # of the stored shapes, codec-independent — against on-disk
+            # bytes it shows the compression ratio.
+            decoded_bytes = sum(8 * math.prod(shape) for shape in manifest["shapes"].values())
+            rows.append(dict(
+                where,
+                rows=len(manifest["keys"]) - len(manifest["tombstones"]),
+                tombstones=len(manifest["tombstones"]),
+                chunks=len(chunks),
+                generations=len({chunk[3] for chunk in chunks}),
+                bytes=total_bytes,
+                codec=_manifest_codec(manifest)[0],
+                decoded_bytes=decoded_bytes,
+                # Compression vs raw float64: decoded size over the stored
+                # chunk bytes (~1.0 for raw entries — npz framing only; >1
+                # for coded entries).
+                compression_ratio=round(decoded_bytes / total_bytes, 2) if total_bytes else None,
+                content_crc=fingerprint.get("content_crc"),
+                weights_crc=fingerprint["model"].get("weights_crc"),
+            ))
         return rows
 
     def verify_entries(self) -> List[Dict[str, Any]]:
         """Audit manifests and chunk archives (``repro cache verify``).
 
-        Runs the exact validation :meth:`load` performs — structural
-        manifest checks via ``_valid_manifest``, then each referenced
-        chunk's embedded metadata against the manifest's expectations
-        (task, side, model fingerprint, row range, per-chunk CRC,
-        generation, codec) and the zip CRC-32 of every member of the
-        archive — but *without* materialising any arrays: the audit streams
-        every referenced archive once, so it costs one sequential read of the
-        cache directory and no more memory than a read buffer.  Returns one
-        report per entry::
+        Runs what :meth:`load` runs: the manifest validation, then the one
+        chunk check (:meth:`_read_chunk`) on every referenced chunk — its
+        embedded metadata against the identity the manifest implies, every
+        member read (which verifies its zip CRC-32) and its stored shape.
+        The audit reads every referenced archive once and holds one
+        chunk's arrays at a time.  Returns one report per entry::
 
             {"task", "side", "version", "chunks_checked", "ok", "problems": [...]}
 
@@ -636,57 +700,24 @@ class PersistentEncodingCache:
         treat as a miss.
         """
         reports: List[Dict[str, Any]] = []
-        for entry in self.entries():
-            chunk_dir = entry.parent
-            task_dir = chunk_dir.parent.name
-            side, version = self._parse_generation(chunk_dir.name) or (chunk_dir.name, -1)
+        for _, where, manifest in self._scan():
             problems: List[str] = []
             checked = 0
-            manifest = self._valid_manifest(self._read_json(entry))
             if manifest is None:
                 problems.append("manifest unreadable or structurally invalid")
             else:
-                task = manifest.get("task", task_dir)
-                fingerprint = manifest.get("fingerprint")
-                model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
-                codec = _manifest_codec(manifest)[0]
-                if manifest.get("side") not in (None, side):
-                    problems.append(
-                        f"manifest side {manifest.get('side')!r} does not match "
-                        f"directory {side!r}"
-                    )
-                for start, stop, row_crc, generation in (
-                    tuple(chunk) for chunk in manifest["chunks"]
-                ):
-                    checked += 1
-                    path = chunk_dir / self.chunk_name(start, stop, generation)
-                    name = path.name
-                    if not path.is_file():
-                        problems.append(f"{name}: missing chunk archive")
-                        continue
-                    try:
-                        metadata = load_metadata(path)
-                        with zipfile.ZipFile(path) as archive:
-                            damaged = archive.testzip()
-                    except _LOAD_ERRORS:
-                        metadata = damaged = None
-                    if metadata is None:
-                        problems.append(f"{name}: chunk metadata unreadable (torn write?)")
-                    elif not self._chunk_metadata_valid(
-                        metadata, task, side, model, start, stop, row_crc, generation, codec
-                    ):
-                        problems.append(
-                            f"{name}: chunk metadata does not match manifest "
-                            "(format, fingerprint, row range, CRC, generation or codec)"
-                        )
-                    elif damaged is not None:
-                        problems.append(
-                            f"{name}: member {damaged} fails its CRC-32 (damaged payload)"
-                        )
-            reports.append({
-                "task": task_dir, "side": side, "version": version,
-                "chunks_checked": checked, "ok": not problems, "problems": problems,
-            })
+                try:
+                    layout = _stored_layout(manifest)
+                except _LOAD_ERRORS:
+                    problems.append("manifest codec params unreadable")
+                else:
+                    header = _entry_header(manifest)
+                    for chunk in manifest["chunks"]:
+                        checked += 1
+                        found = self._read_chunk(header, layout, chunk)
+                        if isinstance(found, str):
+                            problems.append(found)
+            reports.append(dict(where, chunks_checked=checked, ok=not problems, problems=problems))
         return reports
 
     def prune(self, dry_run: bool = False) -> Dict[str, Any]:
@@ -698,13 +729,12 @@ class PersistentEncodingCache:
         abandoned extensions — are removed too.  With ``dry_run`` nothing is
         deleted; the counts report what a real prune would remove.
         """
-        generations: Dict[Tuple[str, str], List[Tuple[int, Path]]] = {}
-        for entry in self.entries():
-            parsed = self._parse_generation(entry.parent.name)
-            if parsed is None:
-                continue
-            side, version = parsed
-            generations.setdefault((entry.parent.parent.name, side), []).append((version, entry))
+        generations: Dict[Tuple[str, str], List[Tuple[int, Path, Optional[Dict[str, Any]]]]] = {}
+        for chunk_dir, where, manifest in self._scan():
+            if where["version"] >= 0:
+                generations.setdefault((where["task"], where["side"]), []).append(
+                    (where["version"], chunk_dir, manifest)
+                )
         removed: Dict[str, Any] = {"entries": 0, "files": 0, "bytes": 0, "bytes_by_codec": {}}
 
         def _count_codec(codec: str, nbytes: int) -> None:
@@ -712,25 +742,20 @@ class PersistentEncodingCache:
             by_codec[codec] = by_codec.get(codec, 0) + int(nbytes)
 
         for group in generations.values():
-            group.sort()
-            for _, entry in group[:-1]:
+            group.sort(key=lambda generation: generation[0])
+            for _, chunk_dir, stale in group[:-1]:
                 removed["entries"] += 1
-                stale = self._valid_manifest(self._read_json(entry))
                 codec = _manifest_codec(stale)[0] if stale is not None else "unknown"
-                removed["files"] += len(list(entry.parent.glob("*")))
-                reclaimed = self._remove_chunk_dir(entry.parent, dry_run=dry_run)
+                removed["files"] += len(list(chunk_dir.glob("*")))
+                reclaimed = self._remove_chunk_dir(chunk_dir, dry_run=dry_run)
                 removed["bytes"] += reclaimed
                 _count_codec(codec, reclaimed)
             # Sweep unreferenced chunk archives out of the surviving entry.
-            _, kept = group[-1]
-            manifest = self._valid_manifest(self._read_json(kept))
+            _, chunk_dir, manifest = group[-1]
             if manifest is None:
                 continue
-            referenced = {
-                self.chunk_name(int(a), int(b), int(gen))
-                for a, b, _, gen in manifest["chunks"]
-            }
-            for chunk in kept.parent.glob("*.npz"):
+            referenced = {self.chunk_name(a, b, gen) for a, b, _, gen in manifest["chunks"]}
+            for chunk in chunk_dir.glob("*.npz"):
                 if chunk.name not in referenced:
                     size = chunk.stat().st_size
                     removed["files"] += 1
@@ -754,6 +779,8 @@ class PersistentEncodingCache:
     ) -> Path:
         """Persist one table's encodings in row-range chunks; returns the manifest path.
 
+        A write-through onto an empty entry — no keys, chunks or tombstones,
+        codec and shapes taken from ``encodings`` — so every row is appended.
         Chunks are written first (write-then-rename each), the manifest last,
         so concurrent readers (shared cache dirs across processes/nodes)
         never observe a partial entry: either the manifest is present and
@@ -763,29 +790,28 @@ class PersistentEncodingCache:
         CRCs become the manifest's ``row_crcs`` and every chunk's CRC, which
         is what makes the entry delta-probeable.
         """
-        row_crcs = table_row_crcs(table)
-        if len(row_crcs) != len(encodings):
-            raise ValueError(
-                f"table has {len(row_crcs)} rows but encodings describe {len(encodings)}"
-            )
         codec_name, codec_params = _encodings_codec(encodings)
-        chunks = [
-            [start, stop, rows_crc(row_crcs[start:stop]), 0]
-            for start, stop in self._chunk_bounds(0, len(encodings))
-        ]
-        self._write_chunks(
-            task_name, side, encoding_version, fingerprint, encodings, chunks, 0,
-            codec=codec_name,
-        )
-        return self._write_manifest(
-            task_name, side, encoding_version, fingerprint,
-            keys=encodings.keys,
-            row_crcs=list(row_crcs),
-            tombstones=[],
-            chunks=chunks,
-            trailing={name: getattr(encodings, name).shape[1:] for name in _ARRAY_KEYS},
-            codec={"name": codec_name, "params": codec_params},
-        )
+        empty = {
+            "format": CACHE_FORMAT_VERSION,
+            "task": task_name,
+            "side": side,
+            "encoding_version": int(encoding_version),
+            "fingerprint": fingerprint,
+            "keys": [],
+            "row_crcs": [],
+            "tombstones": [],
+            "chunk_rows": int(self.chunk_rows),
+            "chunks": [],
+            "shapes": {
+                name: [0] + [int(d) for d in getattr(encodings, name).shape[1:]]
+                for name in _ARRAY_KEYS
+            },
+            "codec": {"name": codec_name, "params": codec_params},
+        }
+        every_row_appended = TableDelta(empty, (), RowDiff((), (), (), len(encodings)))
+        return self._write_through(
+            task_name, side, encoding_version, fingerprint, table, every_row_appended, encodings
+        )[0]
 
     def extend(
         self,
@@ -855,206 +881,88 @@ class PersistentEncodingCache:
         delta: "TableDelta",
         encodings: "TableEncodings",
     ) -> Tuple[Path, Dict[str, int]]:
-        """The one writer behind :meth:`extend` and :meth:`patch`."""
-        old = delta.manifest
-        codec = _entry_codec_for(old, encodings)
-        stored = len(old["keys"])
-        tombstones = set(int(t) for t in old["tombstones"])
-        new_dead = [int(row) for row in delta.deleted_rows]
-        tombstones.update(new_dead)
+        """The one writer behind :meth:`save`, :meth:`extend` and :meth:`patch`.
 
-        # Stored index -> current position for every surviving row.
-        current_of_stored: Dict[int, int] = {
-            int(stored_index): position
-            for position, stored_index in enumerate(delta.survivor_stored)
-        }
-        # Surviving rows take the current table's CRC (an edit changed it),
-        # tombstoned rows keep the one they were stored with.
+        Chunks holding no edited row are kept as they are.  Every chunk
+        written — a superseding generation or a chunk appended after the
+        stored rows — is one gather per array of the stored rows at the
+        chunk's current positions (:func:`_stored_gather`).
+        """
+        old, diff = delta.manifest, delta.diff
+        if not _addresses(old, task_name, side, encoding_version):
+            raise ValueError(f"the delta was probed from another entry than {task_name!r} {side}")
+        _check_writable(old, encodings)
         current_crcs = table_row_crcs(table)
-        row_crcs: List[int] = list(old["row_crcs"])
-        for stored_index, position in current_of_stored.items():
-            row_crcs[stored_index] = current_crcs[position]
-
-        # Superseding generations for chunks holding dirty rows.
-        dirty_stored = {
-            int(delta.survivor_stored[position]) for position in delta.dirty_positions()
-        }
-        # Zero-fill templates in the entry's *stored* form: float chunks keep
-        # the logical trailing shape, coded chunks their code dtype and code
-        # trailing (for PQ that is ``(m,)``, not the manifest's logical shape).
-        templates = {
-            name: _stored_rows(getattr(encodings, name), 0, 0) for name in _ARRAY_KEYS
-        }
-        chunks: List[List[int]] = []
-        patched = 0
-        for chunk_start, chunk_stop, chunk_crc, generation in old["chunks"]:
-            chunk_start, chunk_stop = int(chunk_start), int(chunk_stop)
-            if dirty_stored.isdisjoint(range(chunk_start, chunk_stop)):
-                chunks.append([chunk_start, chunk_stop, int(chunk_crc), int(generation)])
-                continue
-            new_generation = int(generation) + 1
-            arrays: Dict[str, np.ndarray] = {
-                name: np.zeros((chunk_stop - chunk_start,) + empty.shape[1:], dtype=empty.dtype)
-                for name, empty in templates.items()
-            }
-            for stored_index in range(chunk_start, chunk_stop):
-                position = current_of_stored.get(stored_index)
-                if position is None:
-                    continue  # tombstoned: zero-filled, never read again
-                for name in _ARRAY_KEYS:
-                    arrays[name][stored_index - chunk_start] = _stored_row(
-                        getattr(encodings, name), position
-                    )
-            new_crc = rows_crc(row_crcs[chunk_start:chunk_stop])
-            self._write_chunk_arrays(
-                task_name, side, encoding_version, fingerprint,
-                chunk_start, chunk_stop, new_crc, new_generation, arrays,
-                codec=codec,
+        if len(current_crcs) != len(encodings):
+            raise ValueError(
+                f"table has {len(current_crcs)} rows but encodings describe {len(encodings)}"
             )
-            chunks.append([chunk_start, chunk_stop, new_crc, new_generation])
-            patched += 1
+        stored = len(old["keys"])
+        base, total = diff.appended_range
+        # Stored row -> current position, -1 for a tombstone: survivors keep
+        # their stored index, appended rows continue the layout.
+        survivors = np.asarray([delta.live_stored[j] for j in diff.survivor_old], dtype=np.intp)
+        position_of = np.full(stored + total - base, -1, dtype=np.intp)
+        position_of[survivors] = np.arange(base)
+        position_of[stored:] = np.arange(base, total)
+        # Live rows take the current table's CRC (an edit changed it),
+        # tombstoned rows keep the one they were stored with.
+        crcs = np.zeros(len(position_of), dtype=np.int64)
+        crcs[:stored] = old["row_crcs"]
+        live = position_of >= 0
+        crcs[live] = np.asarray(current_crcs, dtype=np.int64)[position_of[live]]
+        dirty = np.zeros(len(position_of), dtype=bool)
+        dirty[survivors[list(diff.dirty_new)]] = True
 
-        # Appended rows: new stored chunks after the existing layout.  Stored
-        # rows ``[stored, stored + appended)`` are the current rows
-        # ``delta.appended_range`` — contiguous at the table's tail.
-        base, total = delta.appended_range
-        row_crcs.extend(current_crcs[base:total])
-        appended_chunks = [
-            [start, stop, rows_crc(row_crcs[start:stop]), 0]
-            for start, stop in self._chunk_bounds(stored, stored + total - base)
-        ]
-        self._write_chunks(
-            task_name, side, encoding_version, fingerprint, encodings, appended_chunks,
-            stored - base, codec=codec,
+        chunks = [list(chunk) for chunk in old["chunks"]]
+        written = [chunk for chunk in chunks if dirty[chunk[0] : chunk[1]].any()]
+        for chunk in written:
+            chunk[3] += 1
+        patched = len(written)
+        for start in range(stored, len(position_of), self.chunk_rows):
+            chunks.append([start, min(start + self.chunk_rows, len(position_of)), 0, 0])
+            written.append(chunks[-1])
+        for chunk in written:
+            chunk[2] = rows_crc(crcs[chunk[0] : chunk[1]])
+        manifest = dict(
+            old,
+            fingerprint=fingerprint,
+            keys=old["keys"] + [str(key) for key in encodings.keys[base:total]],
+            row_crcs=crcs.tolist(),
+            tombstones=sorted(set(old["tombstones"]).union(delta.deleted_rows)),
+            chunk_rows=int(self.chunk_rows),
+            chunks=chunks,
+            shapes={name: [len(position_of)] + old["shapes"][name][1:] for name in _ARRAY_KEYS},
         )
-        path = self._write_manifest(
-            task_name, side, encoding_version, fingerprint,
-            keys=list(old["keys"]) + list(encodings.keys[base:total]),
-            row_crcs=row_crcs,
-            tombstones=sorted(tombstones),
-            chunks=chunks + appended_chunks,
-            trailing={name: old["shapes"][name][1:] for name in _ARRAY_KEYS},
-            codec=dict(old["codec"]),
-        )
+        header = _entry_header(manifest)
+        path = self._entry_dir(manifest) / MANIFEST_NAME
+        path.parent.mkdir(parents=True, exist_ok=True)
+        for chunk in written:
+            rows = position_of[chunk[0] : chunk[1]]
+            self._write_chunk(
+                header, chunk,
+                {name: _stored_gather(getattr(encodings, name), rows) for name in _ARRAY_KEYS},
+            )
+        temporary = path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
+        with _renamed_into(temporary, path):
+            temporary.write_text(json.dumps(manifest))
         return path, {
             "chunks_patched": patched,
-            "rows_tombstoned": len(new_dead),
-            "chunks_appended": len(appended_chunks),
+            "rows_tombstoned": len(delta.deleted_rows),
+            "chunks_appended": len(written) - patched,
         }
 
-    def _chunk_bounds(self, start: int, stop: int) -> List[Tuple[int, int]]:
-        """``chunk_rows``-sized row ranges tiling ``[start, stop)``."""
-        return [
-            (lo, min(lo + self.chunk_rows, stop)) for lo in range(start, stop, self.chunk_rows)
-        ]
-
-    def _write_chunks(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        encodings: "TableEncodings",
-        chunks: List[List[int]],
-        offset: int,
-        codec: str,
+    def _write_chunk(
+        self, header: Dict[str, Any], chunk: Sequence[int], arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Write chunk archives for ``chunks`` (global row ranges) from
-        ``encodings`` indexed locally at ``offset``."""
-        for start, stop, crc, generation in chunks:
-            arrays = {
-                name: _stored_rows(getattr(encodings, name), start - offset, stop - offset)
-                for name in _ARRAY_KEYS
-            }
-            self._write_chunk_arrays(
-                task_name, side, encoding_version, fingerprint,
-                start, stop, crc, generation, arrays, codec=codec,
-            )
-
-    def _write_chunk_arrays(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        start: int,
-        stop: int,
-        crc: int,
-        generation: int,
-        arrays: Dict[str, np.ndarray],
-        codec: str,
-    ) -> None:
-        chunk_dir = self.dir_for(task_name, side, encoding_version)
-        chunk_dir.mkdir(parents=True, exist_ok=True)
-        model = fingerprint.get("model") if isinstance(fingerprint, dict) else None
-        path = self.chunk_path(task_name, side, encoding_version, start, stop, generation)
-        # The model fingerprint and row CRC ride in every chunk, not just
-        # the manifest: concurrent writers of the same key (e.g.
-        # differently-seeded models at the same version) overwrite chunk
-        # paths in place, so a reader holding the *other* writer's
-        # manifest must be able to reject a foreign chunk instead of
-        # mixing encodings.  Deliberately *not* the whole-table CRC —
-        # chunks must stay addressable after an append changes it.  The
-        # codec name rides along for the same reason: a reader must never
-        # decode int8 codes as floats or vice versa.
-        metadata = {
-            "format": CACHE_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "model": model,
-            "start": int(start),
-            "stop": int(stop),
-            "row_crc": int(crc),
-            "generation": int(generation),
-            "codec": str(codec),
-        }
+        """Land one chunk archive atomically, its metadata the entry header
+        plus the chunk's own row range, CRC and generation."""
+        path = self._entry_dir(header) / self.chunk_name(chunk[0], chunk[1], chunk[3])
         # The temp name keeps the .npz suffix (np.savez appends it
         # otherwise) and the pid so parallel writers cannot collide.
         temporary = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
         with _renamed_into(temporary, path):
-            save_state_dict(arrays, temporary, metadata=metadata)
-
-    def _write_manifest(
-        self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        fingerprint: Dict[str, Any],
-        keys: Sequence[object],
-        row_crcs: List[int],
-        tombstones: List[int],
-        chunks: List[List[int]],
-        trailing: Dict[str, Sequence[int]],
-        codec: Dict[str, Any],
-    ) -> Path:
-        """Build an entry's manifest and land it atomically (always last).
-
-        ``trailing`` is each array's logical per-row shape; the leading
-        dimension is the stored row count, i.e. ``len(keys)``.
-        """
-        manifest = {
-            "format": CACHE_FORMAT_VERSION,
-            "task": task_name,
-            "side": side,
-            "encoding_version": int(encoding_version),
-            "fingerprint": fingerprint,
-            "keys": [str(key) for key in keys],
-            "row_crcs": row_crcs,
-            "tombstones": tombstones,
-            "chunk_rows": int(self.chunk_rows),
-            "chunks": chunks,
-            "shapes": {
-                name: [len(keys)] + [int(d) for d in trailing[name]] for name in _ARRAY_KEYS
-            },
-            "codec": codec,
-        }
-        manifest_path = self.manifest_path(task_name, side, encoding_version)
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = manifest_path.with_name(f".{MANIFEST_NAME}.{os.getpid()}.tmp")
-        with _renamed_into(temporary, manifest_path):
-            temporary.write_text(json.dumps(manifest))
-        return manifest_path
+            save_state_dict(arrays, temporary, metadata=_chunk_metadata(header, chunk))
 
     # ------------------------------------------------------------------
     # Reading
@@ -1077,7 +985,7 @@ class PersistentEncodingCache:
         if manifest is None:
             return None
         live = len(manifest["keys"]) - len(manifest["tombstones"])
-        return self._load_rows(manifest, task_name, side, encoding_version, 0, live, counters)
+        return self._load_rows(manifest, 0, live, counters)
 
     def load_range(
         self,
@@ -1091,17 +999,16 @@ class PersistentEncodingCache:
     ) -> Optional["TableEncodings"]:
         """Load only the live rows ``[start, stop)`` of a matching entry.
 
-        Reads just the chunks overlapping the range — the lazy warm path for
-        row-range-sharded consumers.  Row indices in the returned encodings
-        are local to the range (0-based).
-        Returns ``None`` on any miss, exactly like :meth:`load`.
+        Reads just the chunks overlapping the range.  Row indices in the
+        returned encodings are local to the range (0-based).  Returns
+        ``None`` on any miss, exactly like :meth:`load`.
         """
         if start < 0 or stop < start:
             raise ValueError(f"invalid row range [{start}, {stop})")
         manifest = self._read_manifest(task_name, side, encoding_version, fingerprint)
         if manifest is None:
             return None
-        return self._load_rows(manifest, task_name, side, encoding_version, start, stop, counters)
+        return self._load_rows(manifest, start, stop, counters)
 
     # ------------------------------------------------------------------
     # Delta probing (the incremental-resolution entry point)
@@ -1124,31 +1031,17 @@ class PersistentEncodingCache:
         Returns ``None`` when nothing is reusable (no clean surviving rows).
         """
         manifest = self._read_manifest_loose(task_name, side, encoding_version)
-        if manifest is None:
-            return None
-        recorded = manifest.get("fingerprint")
-        if not isinstance(recorded, dict):
-            return None
-        if recorded.get("model") != fingerprint.get("model"):
+        if manifest is None or manifest["fingerprint"].get("model") != fingerprint.get("model"):
             return None
         live_stored = self._live_stored_indices(manifest)
-        live_keys = [manifest["keys"][i] for i in live_stored]
-        live_crcs = [manifest["row_crcs"][i] for i in live_stored]
-        diff = diff_rows(live_keys, live_crcs, table)
-        if diff is None:
-            return None
-        survivor_stored = tuple(live_stored[j] for j in diff.survivor_old)
-        deleted_rows = tuple(live_stored[j] for j in diff.deleted_old)
-        if len(diff.dirty_new) >= len(survivor_stored):
-            return None  # nothing provably clean to reuse
-        return TableDelta(
-            manifest=manifest,
-            dirty_ranges=group_ranges(diff.dirty_new),
-            appended_range=diff.appended_range,
-            deleted_rows=deleted_rows,
-            survivor_stored=survivor_stored,
-            total_rows=len(table),
+        diff = diff_rows(
+            [manifest["keys"][i] for i in live_stored],
+            [manifest["row_crcs"][i] for i in live_stored],
+            table,
         )
+        if diff is None or len(diff.dirty_new) >= len(diff.survivor_old):
+            return None  # nothing provably clean to reuse
+        return TableDelta(manifest=manifest, live_stored=tuple(live_stored), diff=diff)
 
     def load_prefix(
         self,
@@ -1166,9 +1059,7 @@ class PersistentEncodingCache:
         was overwritten since the probe (the usual degrade-to-miss
         contract).
         """
-        return self._load_rows(
-            delta.manifest, task_name, side, encoding_version, 0, delta.base_rows, counters
-        )
+        return self._load_rows(delta.manifest, 0, delta.base_rows, counters)
 
     def load_reused(
         self,
@@ -1188,9 +1079,7 @@ class PersistentEncodingCache:
         written yet at probe time).  ``None`` on any chunk-level miss.
         """
         positions, stored_indices = delta.reused_rows()
-        loaded = self._load_stored_rows(
-            delta.manifest, task_name, side, encoding_version, stored_indices, counters
-        )
+        loaded = self._load_stored_rows(delta.manifest, stored_indices, counters)
         if loaded is None:
             return None
         return positions, loaded
@@ -1210,7 +1099,7 @@ class PersistentEncodingCache:
     ) -> Optional[Dict[str, Any]]:
         """The validated manifest of a key, or ``None`` on any mismatch."""
         manifest = self._read_manifest_loose(task_name, side, encoding_version)
-        if manifest is None or manifest.get("fingerprint") != fingerprint:
+        if manifest is None or manifest["fingerprint"] != fingerprint:
             return None
         return manifest
 
@@ -1221,14 +1110,7 @@ class PersistentEncodingCache:
         table fingerprint — the delta probe validates content row-wise."""
         path = self.manifest_path(task_name, side, encoding_version)
         manifest = self._valid_manifest(self._read_json(path))
-        if manifest is None:
-            return None
-        if manifest.get("task") != task_name or manifest.get("side") != side:
-            return None
-        try:
-            if int(manifest.get("encoding_version", -1)) != int(encoding_version):
-                return None
-        except (TypeError, ValueError):
+        if manifest is None or not _addresses(manifest, task_name, side, encoding_version):
             return None
         return manifest
 
@@ -1237,9 +1119,18 @@ class PersistentEncodingCache:
         """The manifest if it is structurally valid and of the current format.
 
         Pure validation — nothing is filled in or rewritten: a manifest of
-        any other format is ``None``, exactly like a corrupt one.
+        any other format is ``None``, exactly like a corrupt one.  Every
+        field a reader or the writer uses is checked here, so a malformed
+        one is a miss rather than a raise deep in a load, probe or patch.
         """
         if not isinstance(manifest, dict) or manifest.get("format") != CACHE_FORMAT_VERSION:
+            return None
+        if not (isinstance(manifest.get("task"), str) and isinstance(manifest.get("side"), str)):
+            return None
+        if not isinstance(manifest.get("encoding_version"), int):
+            return None
+        fingerprint = manifest.get("fingerprint")
+        if not (isinstance(fingerprint, dict) and isinstance(fingerprint.get("model"), dict)):
             return None
         codec = manifest.get("codec")
         if not (isinstance(codec, dict) and isinstance(codec.get("name"), str)):
@@ -1253,7 +1144,13 @@ class PersistentEncodingCache:
         row_crcs = manifest.get("row_crcs")
         if not isinstance(keys, list) or not isinstance(chunks, list) or not isinstance(shapes, dict):
             return None
-        if set(shapes) != set(_ARRAY_KEYS):
+        # Each array's shape is [stored rows, per-row dims...].
+        if set(shapes) != set(_ARRAY_KEYS) or not all(
+            isinstance(shape, list)
+            and shape[:1] == [len(keys)]
+            and all(isinstance(d, int) and d >= 0 for d in shape)
+            for shape in shapes.values()
+        ):
             return None
         if not isinstance(tombstones, list):
             return None
@@ -1265,7 +1162,7 @@ class PersistentEncodingCache:
             return None
         # A corrupt element would otherwise surface as a raise deep in the
         # delta probe — a cache must never fail a resolution run.
-        if not all(isinstance(crc, int) for crc in row_crcs):
+        if not all(isinstance(crc, int) and 0 <= crc < 2 ** 32 for crc in row_crcs):
             return None
         # Chunks must tile [0, n) contiguously and in order — anything else
         # (hand-edited manifest, mixed-up files) is a stale manifest: miss.
@@ -1273,9 +1170,9 @@ class PersistentEncodingCache:
         for chunk in chunks:
             if not (isinstance(chunk, list) and len(chunk) == 4):
                 return None
-            chunk_start, chunk_stop, chunk_crc, generation = chunk
-            if not isinstance(chunk_crc, int) or not isinstance(generation, int):
+            if not all(isinstance(field, int) for field in chunk):
                 return None
+            chunk_start, chunk_stop, _, generation = chunk
             if chunk_start != position or chunk_stop <= chunk_start or generation < 0:
                 return None
             position = chunk_stop
@@ -1294,188 +1191,116 @@ class PersistentEncodingCache:
     def _load_rows(
         self,
         manifest: Dict[str, Any],
-        task_name: str,
-        side: str,
-        encoding_version: int,
         start: int,
         stop: int,
         counters: Optional["EngineCounters"],
     ) -> Optional["TableEncodings"]:
         """Materialise live rows ``[start, stop)`` from the chunks covering them."""
         live = self._live_stored_indices(manifest)
-        stop = min(stop, len(live))
-        stored_indices = tuple(live[start:stop]) if start < stop else ()
-        return self._load_stored_rows(
-            manifest, task_name, side, encoding_version, stored_indices, counters
-        )
+        return self._load_stored_rows(manifest, live[start:stop], counters)
 
     def _load_stored_rows(
         self,
         manifest: Dict[str, Any],
-        task_name: str,
-        side: str,
-        encoding_version: int,
         stored_indices: Sequence[int],
         counters: Optional["EngineCounters"],
     ) -> Optional["TableEncodings"]:
         """Materialise the given stored rows (ascending) as local encodings.
 
         For quantized entries the materialised arrays are
-        :class:`~repro.engine.quant.CodecArray` views over the int8 chunk
-        data — floats are rehydrated only when a consumer gathers rows, so a
-        cold table never builds its full float store.
+        :class:`~repro.engine.quant.CodecArray` views over the chunk codes —
+        floats are rehydrated only when a consumer gathers rows, so a cold
+        table never builds its full float store.
         """
         from repro.engine.store import TableEncodings
 
-        codec_name, codec_params = _manifest_codec(manifest)
-        on_decode = counters.record_bytes_decoded if counters is not None else None
-
-        def _finalise(name: str, array: np.ndarray):
-            if codec_name == RAW_CODEC:
-                return array
-            params = params_from_json(codec_name, codec_params[name])
-            if array.dtype != params.code_dtype:
-                raise ValueError(
-                    f"{codec_name} chunk holds {array.dtype}, expected {params.code_dtype}"
-                )
-            return CodecArray(array, params, on_decode=on_decode)
-
-        def _empty_stored(name: str) -> np.ndarray:
-            # The stored (code) trailing shape, which for PQ differs from
-            # the manifest's logical shapes — ask the params.
-            if codec_name == RAW_CODEC:
-                trailing = [int(d) for d in manifest["shapes"][name][1:]]
-                return np.zeros([0] + trailing, dtype=np.float64)
-            params = params_from_json(codec_name, codec_params[name])
-            return np.zeros((0,) + params.code_trailing, dtype=params.code_dtype)
-
-        keys = tuple(manifest["keys"][i] for i in stored_indices)
-        if not stored_indices:
-            try:
-                empty = {
-                    name: _finalise(name, _empty_stored(name)) for name in _ARRAY_KEYS
-                }
-            except _LOAD_ERRORS:
-                return None
-            return TableEncodings(keys=keys, row_index={}, **empty)
-        lo, hi = stored_indices[0], stored_indices[-1] + 1
+        try:
+            layout = _stored_layout(manifest)
+        except _LOAD_ERRORS:
+            return None
+        header = _entry_header(manifest)
         pieces: Dict[str, List[np.ndarray]] = {name: [] for name in _ARRAY_KEYS}
-        model = manifest["fingerprint"].get("model")
-        served = 0
-        for chunk_start, chunk_stop, chunk_crc, generation in manifest["chunks"]:
-            chunk_start, chunk_stop = int(chunk_start), int(chunk_stop)
-            if chunk_stop <= lo or chunk_start >= hi:
-                continue
-            first = bisect_left(stored_indices, chunk_start)
-            last = bisect_right(stored_indices, chunk_stop - 1)
+        for chunk in manifest["chunks"]:
+            first = bisect_left(stored_indices, chunk[0])
+            last = bisect_right(stored_indices, chunk[1] - 1)
             if first == last:
                 continue
-            local = [stored_indices[j] - chunk_start for j in range(first, last)]
-            arrays = self._read_chunk(
-                task_name, side, encoding_version, model,
-                chunk_start, chunk_stop, int(chunk_crc), int(generation),
-                codec=codec_name,
-            )
-            if arrays is None:
+            arrays = self._read_chunk(header, layout, chunk)
+            if isinstance(arrays, str):
                 return None
             if counters is not None:
                 counters.record_chunk_load()
-            contiguous = local[-1] - local[0] + 1 == len(local)
-            gather = np.asarray(local, dtype=np.intp)
+            local = [stored_indices[j] - chunk[0] for j in range(first, last)]
+            if local[-1] - local[0] + 1 == len(local):
+                rows = slice(local[0], local[-1] + 1)  # a view of the chunk's array, not a copy
+            else:
+                rows = np.asarray(local, dtype=np.intp)
             for name in _ARRAY_KEYS:
-                if arrays[name].shape[0] != chunk_stop - chunk_start:
-                    return None
-                if contiguous:
-                    # A slice is a view of the chunk's array, not a copy.
-                    pieces[name].append(arrays[name][local[0] : local[-1] + 1])
-                else:
-                    pieces[name].append(np.asarray(arrays[name])[gather])
-            served += len(local)
-        if served != len(stored_indices):
-            return None
-        try:
-            merged = {
-                # A range served by a single chunk stays a zero-copy view;
-                # multi-chunk ranges concatenate.
-                name: _finalise(name, parts[0] if len(parts) == 1 else np.concatenate(parts))
-                for name, parts in pieces.items()
-            }
-        except _LOAD_ERRORS:
-            return None
-        if merged["irs"].shape[0] != len(keys):
-            return None
+                pieces[name].append(arrays[name][rows])
+        on_decode = counters.record_bytes_decoded if counters is not None else None
+        merged: Dict[str, Any] = {}
+        for name, (params, trailing) in layout.items():
+            parts = pieces[name]
+            if not parts:
+                dtype = np.float64 if params is None else params.code_dtype
+                parts = [np.zeros((0,) + trailing, dtype=dtype)]
+            # A range served by a single chunk stays a zero-copy view;
+            # multi-chunk ranges concatenate.
+            array = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            merged[name] = array if params is None else CodecArray(array, params, on_decode=on_decode)
+        keys = tuple(manifest["keys"][i] for i in stored_indices)
         return TableEncodings(
-            keys=keys,
-            irs=merged["irs"],
-            mu=merged["mu"],
-            sigma=merged["sigma"],
-            row_index={key: row for row, key in enumerate(keys)},
+            keys=keys, row_index={key: row for row, key in enumerate(keys)}, **merged
         )
 
     def _read_chunk(
         self,
-        task_name: str,
-        side: str,
-        encoding_version: int,
-        model: Optional[Dict[str, Any]],
-        start: int,
-        stop: int,
-        row_crc: int,
-        generation: int,
-        codec: str,
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """One chunk generation's arrays, validated against its metadata.
+        header: Dict[str, Any],
+        layout: Dict[str, Tuple[Any, Tuple[int, ...]]],
+        chunk: Sequence[int],
+    ) -> Union[Dict[str, np.ndarray], str]:
+        """One chunk generation's arrays, or why no load can serve them.
 
-        The one chunk reader.  Reading a member checks its zip CRC-32, so an
-        archive damaged on disk raises inside ``np.load`` and is a miss.
+        The one chunk check, run by every load and by :meth:`verify_entries`:
+        opens the archive once, compares its embedded metadata with what the
+        entry ``header`` and the manifest's ``chunk`` entry imply, then reads
+        each member — which verifies its zip CRC-32, so an archive damaged on
+        disk is a problem, never an answer — and checks its stored shape
+        (and code dtype) against ``layout`` (:func:`_stored_layout`).
         """
-        path = self.chunk_path(task_name, side, encoding_version, start, stop, generation)
+        start, stop = chunk[0], chunk[1]
+        path = self._entry_dir(header) / self.chunk_name(start, stop, chunk[3])
+        if not path.is_file():
+            return f"{path.name}: missing chunk archive"
+        arrays: Dict[str, np.ndarray] = {}
+        member = None
         try:
             with np.load(path, allow_pickle=False) as archive:
                 metadata = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
-                if not isinstance(metadata, dict) or not self._chunk_metadata_valid(
-                    metadata, task_name, side, model, start, stop, row_crc, generation, codec
-                ):
-                    return None
-                return {name: archive[name] for name in _ARRAY_KEYS}
+                if metadata != _chunk_metadata(header, chunk):
+                    return (
+                        f"{path.name}: chunk metadata does not match manifest "
+                        "(format, fingerprint, row range, CRC, generation or codec)"
+                    )
+                for member in _ARRAY_KEYS:
+                    arrays[member] = archive[member]
         except _LOAD_ERRORS:
-            # OSError covers a missing archive; BadZipFile/struct.error cover
-            # truncated ones (killed writer) whose zip header still looks
-            # plausible, and a failed member CRC.
-            return None
-
-    @staticmethod
-    def _chunk_metadata_valid(
-        metadata: Dict[str, Any],
-        task_name: str,
-        side: str,
-        model: Optional[Dict[str, Any]],
-        start: int,
-        stop: int,
-        row_crc: int,
-        generation: int,
-        codec: str,
-    ) -> bool:
-        """Whether one chunk's embedded metadata matches what the manifest expects."""
-        try:
-            if metadata.get("format") != CACHE_FORMAT_VERSION:
-                return False
-            if metadata.get("task") != task_name or metadata.get("side") != side:
-                return False
-            if metadata.get("model") != model:
-                return False
-            if int(metadata.get("row_crc", -1)) != int(row_crc):
-                return False
-            if int(metadata.get("start", -1)) != start or int(metadata.get("stop", -1)) != stop:
-                return False
-            if int(metadata.get("generation", 0)) != int(generation):
-                return False
-            # An untagged chunk is a miss: nothing is implicitly raw.
-            if metadata.get("codec") != str(codec):
-                return False
-        except (TypeError, ValueError):
-            return False
-        return True
+            # OSError covers a vanished archive; BadZipFile/struct.error
+            # cover truncated ones (killed writer) whose zip header still
+            # looks plausible, and a failed member CRC.
+            if member is None:
+                return f"{path.name}: chunk metadata unreadable (torn write?)"
+            return f"{path.name}: member {member} unreadable or fails its CRC-32 (damaged payload)"
+        for name, (params, trailing) in layout.items():
+            array = arrays[name]
+            if array.shape != (stop - start,) + trailing or (
+                params is not None and array.dtype != params.code_dtype
+            ):
+                return (
+                    f"{path.name}: member {name} is {array.dtype} {array.shape}, "
+                    f"not the entry's stored rows {(stop - start,) + trailing}"
+                )
+        return arrays
 
     def __repr__(self) -> str:
         return (

@@ -11,8 +11,10 @@ Three pieces:
 
 ``Codec``
     The pluggable protocol: ``fit`` derives per-table parameters once,
-    ``encode``/``decode`` map floats to codes and back. ``raw`` is the
-    identity codec (the default — every pre-existing path is untouched),
+    ``encode`` wraps floats into their resident form, a
+    :class:`CodecArray` of codes that decodes itself on a gather or
+    ``CodecArray.decode``. ``raw`` is the identity codec (the default —
+    ``encode`` returns the floats, every pre-existing path is untouched),
     ``int8`` is per-dimension scale/zero-point scalar quantization, and
     ``pq`` is trained product quantization: each row is split into ``m``
     subvectors and every subvector is replaced by the index of its
@@ -594,8 +596,9 @@ class Codec:
     ``fit(values)`` derives per-table params from a full float array
     (quantize-once: call it exactly once per table/array, at the first
     full encode). ``encode`` wraps floats into the compressed resident
-    form, ``decode`` rehydrates. The ``raw`` codec is the identity on
-    plain ndarrays, so codec-agnostic code can call these unconditionally.
+    form, a :class:`CodecArray` that rehydrates the rows a consumer
+    gathers. The ``raw`` codec is the identity on plain ndarrays, so
+    codec-agnostic code can call these unconditionally.
     """
 
     name: str = "abstract"
@@ -605,9 +608,6 @@ class Codec:
         raise NotImplementedError
 
     def encode(self, values: np.ndarray, params: Optional[AnyParams], on_decode=None):
-        raise NotImplementedError
-
-    def decode(self, stored) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -622,9 +622,6 @@ class RawCodec(Codec):
 
     def encode(self, values: np.ndarray, params: Optional[CodecParams], on_decode=None):
         return values
-
-    def decode(self, stored) -> np.ndarray:
-        return np.asarray(stored)
 
 
 class ScalarQuantizer(Codec):
@@ -661,11 +658,6 @@ class ScalarQuantizer(Codec):
             params = self.fit(values)
         codes = _encode_with(np.asarray(values, dtype=np.float64), params)
         return CodecArray(codes, params, on_decode=on_decode)
-
-    def decode(self, stored) -> np.ndarray:
-        if isinstance(stored, CodecArray):
-            return stored.decode()
-        return np.asarray(stored)
 
 
 # -- PQ training knobs --------------------------------------------------
@@ -898,11 +890,6 @@ class ProductQuantizer(Codec):
             params = self.fit(values)
         codes = params.encode_values(np.asarray(values, dtype=np.float64))
         return CodecArray(codes, params, on_decode=on_decode)
-
-    def decode(self, stored) -> np.ndarray:
-        if isinstance(stored, CodecArray):
-            return stored.decode()
-        return np.asarray(stored)
 
 
 _CODECS: Dict[str, Codec] = {

@@ -419,16 +419,14 @@ class EncodingStore:
         diff = diff_rows(cached.keys, memo.row_crcs, table)
         if diff is None:
             return None
-        base, total = diff.appended_range
-        dirty = set(diff.dirty_new)
-        reused_positions = [p for p in range(base) if p not in dirty]
+        reused_positions, reused_rows = diff.reused_rows()
         merged = self._reencode_and_splice(
             side,
             table,
             reused=cached,
             reused_positions=reused_positions,
-            reused_rows=[diff.survivor_old[p] for p in reused_positions],
-            encode_positions=list(diff.dirty_new) + list(range(base, total)),
+            reused_rows=reused_rows,
+            encode_positions=diff.encode_positions(),
             deleted=len(diff.deleted_old),
         )
         fingerprint = self.table_fingerprint(side)  # recomputed for the new state
@@ -488,8 +486,8 @@ class EncodingStore:
             reused=base,
             reused_positions=positions,
             reused_rows=range(len(base)),
-            encode_positions=delta.encode_positions(),
-            deleted=len(delta.deleted_rows),
+            encode_positions=delta.diff.encode_positions(),
+            deleted=len(delta.diff.deleted_old),
         )
         self._write_through(side, table, merged, delta)
         return merged

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator
 
 
@@ -214,50 +214,11 @@ class EngineCounters:
         return self.cache_hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "encodes_avoided": self.encodes_avoided,
-            "pairs_scored": self.pairs_scored,
-            "tables_encoded": self.tables_encoded,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "chunk_loads": self.chunk_loads,
-            "rows_reencoded": self.rows_reencoded,
-            "rows_tombstoned": self.rows_tombstoned,
-            "chunks_patched": self.chunks_patched,
-            "pairs_rescored": self.pairs_rescored,
-            "fingerprints_computed": self.fingerprints_computed,
-            "bytes_stored": self.bytes_stored,
-            "bytes_decoded": self.bytes_decoded,
-            "blocking_queries": self.blocking_queries,
-            "blocking_fallback_queries": self.blocking_fallback_queries,
-            "blocking_candidates_ranked": self.blocking_candidates_ranked,
-            "blocking_candidates_rescored": self.blocking_candidates_rescored,
-            "records_scored": self.records_scored,
-        }
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}
 
     def reset(self) -> None:
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.encodes_avoided = 0
-        self.pairs_scored = 0
-        self.tables_encoded = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.chunk_loads = 0
-        self.rows_reencoded = 0
-        self.rows_tombstoned = 0
-        self.chunks_patched = 0
-        self.pairs_rescored = 0
-        self.fingerprints_computed = 0
-        self.bytes_stored = 0
-        self.bytes_decoded = 0
-        self.blocking_queries = 0
-        self.blocking_fallback_queries = 0
-        self.blocking_candidates_ranked = 0
-        self.blocking_candidates_rescored = 0
-        self.records_scored = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Persistent encoding cache: chunked layout, keying, invalidation, laziness,
 and the content-addressed delta path (probe → prefix load → extend)."""
 
+import copy
 import errno
 import json
 import os
 import pickle
+import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import VAEConfig
 from repro.core.representation import EntityRepresentationModel
-from repro.data.schema import Record, Table
+from repro.data.schema import ERTask, Record, Table
 from repro.engine import (
     CodecArray,
     EncodingStore,
@@ -608,12 +611,12 @@ class TestDeltaProbeAndExtend:
         delta = cache.delta("t", "right", 1, _synthetic_fingerprint(edited), edited)
         assert delta is not None
         assert delta.base_rows == 20 and delta.new_rows == 0
-        assert delta.dirty_ranges == ((10, 11),)
+        assert delta.diff.dirty_new == (10,)
         assert delta.deleted_rows == ()
         # An edit in the first chunk is equally recoverable (no prefix rule).
         edited.replace(Record("r0", ("EDITED", "beta-0")))
         again = cache.delta("t", "right", 1, _synthetic_fingerprint(edited), edited)
-        assert again is not None and again.dirty_ranges == ((0, 1), (10, 11))
+        assert again is not None and again.diff.dirty_new == (0, 10)
         assert again.encode_positions() == (0, 10)
         positions, stored = again.reused_rows()
         assert 0 not in positions and 10 not in positions and len(positions) == 18
@@ -627,7 +630,7 @@ class TestDeltaProbeAndExtend:
         delta = cache.delta("t", "right", 1, _synthetic_fingerprint(shrunk), shrunk)
         assert delta is not None
         assert delta.deleted_rows == (5, 13)
-        assert delta.dirty_ranges == () and delta.new_rows == 0
+        assert delta.encode_positions() == () and delta.new_rows == 0
         assert delta.base_rows == 18 == delta.total_rows
         positions, stored = delta.reused_rows()
         assert len(positions) == 18
@@ -650,7 +653,7 @@ class TestDeltaProbeAndExtend:
             table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
         delta = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
         assert delta is not None
-        assert delta.dirty_ranges == ((3, 4),)
+        assert delta.diff.dirty_new == (3,)
         assert delta.deleted_rows == (11,)
         assert delta.appended_range == (19, 23)
         assert delta.new_rows == 4 and delta.dirty_rows == 1
@@ -684,6 +687,15 @@ class TestDeltaProbeAndExtend:
             table.add(Record(f"r{i}", (f"alpha-{i}", f"beta-{i}")))
         again = cache.delta("t", "right", 1, _synthetic_fingerprint(table), table)
         assert again is not None and again.base_rows == 31
+
+    def test_write_through_rejects_a_delta_of_another_entry(self, tmp_path):
+        cache, table, _, _ = self._saved(tmp_path, n=20)
+        table.add(Record("r20", ("alpha-20", "beta-20")))
+        grown_fp = _synthetic_fingerprint(table)
+        delta = cache.delta("t", "right", 1, grown_fp, table)
+        with pytest.raises(ValueError, match="another entry"):
+            cache.extend("t", "left", 1, grown_fp, table, delta, _synthetic_encodings(21))
+        assert cache.entries() == [cache.manifest_path("t", "right", 1)]
 
     def test_patch_writes_superseding_generations_and_tombstones(self, tmp_path):
         """Edits supersede chunks (old generation untouched on disk), deletes
@@ -924,3 +936,154 @@ class TestCrossProcessWarmth:
         assert served.keys == fresh.keys
         np.testing.assert_allclose(served.mu, fresh.mu, atol=1e-12)
         np.testing.assert_allclose(served.sigma, fresh.sigma, atol=1e-12)
+
+
+class TestMalformedEntries:
+    """A malformed manifest field or chunk is a miss on every path, never a
+    raise, and verify fails exactly the entries a load misses.  ``shapes``
+    must be ``[stored rows, per-row dims...]`` of non-negative ints."""
+
+    @pytest.mark.parametrize("shape", [None, [], "6x2x3", [6, "3", 3], [5, 2, 3], [6, -2, 3]])
+    def test_malformed_shape_is_listed_unreadable_and_missed(self, tmp_path, shape):
+        cache = PersistentEncodingCache(tmp_path / "shapes", chunk_rows=4)
+        table = _synthetic_table(6)
+        fingerprint = _synthetic_fingerprint(table)
+        cache.save("t", "right", 1, fingerprint, _synthetic_encodings(6), table=table)
+        manifest_path = cache.manifest_path("t", "right", 1)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shapes"]["irs"] = shape
+        manifest_path.write_text(json.dumps(manifest))
+
+        (row,) = cache.describe_entries()
+        assert row["rows"] is None
+        assert [report["ok"] for report in cache.verify_entries()] == [False]
+        assert cache.load("t", "right", 1, fingerprint) is None
+        assert cache.delta("t", "right", 1, fingerprint, table) is None
+
+    def test_store_over_malformed_shapes_reencodes(self, tiny_domain, tiny_representation, tmp_path):
+        """The write-through of an appended row must not trip over the
+        corrupted field: the store encodes the table and saves it afresh."""
+        task = copy.deepcopy(tiny_domain.task)
+        cache = PersistentEncodingCache(tmp_path / "shapes-store", chunk_rows=8)
+        _store(tiny_representation, task, cache).table_encodings("right")
+        manifest_path = cache.manifest_path(task.name, "right", tiny_representation.encoding_version)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shapes"]["irs"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        task.right.add(Record("appended-0", ("omega nu", "oslo", "12.50")))
+
+        store = _store(tiny_representation, task, cache)
+        served = store.table_encodings("right")
+        assert store.counters.tables_encoded == 1 and store.counters.disk_misses == 1
+        assert served.keys == tuple(task.right.record_ids())
+        assert [report["ok"] for report in cache.verify_entries()] == [True]
+
+
+    def test_chunk_rows_disagreeing_with_the_manifest_fail_verify_and_load(self, tmp_path):
+        """A chunk whose metadata matches but whose arrays hold another row
+        count: verify runs the load's own chunk check, so both reject it."""
+        cache = PersistentEncodingCache(tmp_path / "short", chunk_rows=4)
+        table = _synthetic_table(6)
+        fingerprint = _synthetic_fingerprint(table)
+        cache.save("t", "right", 1, fingerprint, _synthetic_encodings(6), table=table)
+        chunk = cache.chunk_path("t", "right", 1, 0, 4)
+        metadata = load_metadata(chunk)
+        with np.load(chunk) as archive:
+            arrays = {name: archive[name][:3] for name in ("irs", "mu", "sigma")}
+        save_state_dict(arrays, chunk, metadata=metadata)
+
+        assert cache.load("t", "right", 1, fingerprint) is None
+        (report,) = cache.verify_entries()
+        assert not report["ok"] and [chunk.name in problem for problem in report["problems"]] == [True]
+
+#: One mutation of a generated sequence: (kind, selector, use a fresh store).
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "edit", "delete", "reorder"]),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _stored_form(array):
+    return array.codes if isinstance(array, CodecArray) else np.asarray(array)
+
+
+class TestGeneratedWriteThrough:
+    """Random append / edit / delete / reorder sequences through a store
+    with a small-chunk cache: after every step the entry the write-through
+    left must load as exactly what the store serves, carry the table's live
+    row CRCs and pass verify before and after a prune.  A step either reuses
+    the store (the in-memory refresh path) or starts a fresh one (the disk
+    delta path)."""
+
+    @pytest.mark.parametrize("codec", ["raw", "int8"])
+    def test_write_through_leaves_a_loadable_entry(self, tiny_representation, codec):
+        @settings(max_examples=20, deadline=None)
+        @given(steps=_STEPS)
+        def run(steps):
+            with tempfile.TemporaryDirectory() as directory:
+                self._check_sequence(tiny_representation, codec, Path(directory), steps)
+
+        run()
+
+    @staticmethod
+    def _check_sequence(representation, codec, directory, steps):
+        rng = np.random.default_rng(len(steps))
+
+        def record(tag):
+            return Record(tag, (f"alpha {tag}", ("paris", "oslo", "rome")[rng.integers(3)], f"{rng.uniform(5, 200):.2f}"))
+
+        left = Table("gen-left", ("name", "city", "price"), [record(f"l{i}") for i in range(3)])
+        right = Table("gen-right", ("name", "city", "price"), [record(f"r{i}") for i in range(10)])
+        task = ERTask("generated", left, right)
+        cache = PersistentEncodingCache(directory, chunk_rows=4)
+
+        def fresh():
+            return EncodingStore(
+                representation, task, counters=EngineCounters(), persistent=cache, codec=codec
+            )
+
+        store = fresh()
+        store.table_encodings("right")
+        appended = 0
+        for step, (kind, selector, restart) in enumerate(steps):
+            ids = right.record_ids()
+            if kind == "append":
+                for _ in range(1 + selector % 5):
+                    right.add(record(f"a{appended}"))
+                    appended += 1
+            elif kind == "edit":
+                right.replace(record(ids[selector % len(ids)]))
+            elif kind == "delete" and len(ids) > 2:
+                right.remove(ids[selector % len(ids)])
+            elif kind == "reorder":
+                # Re-add a suffix of rows in another order: every moved row
+                # is a deletion plus an append of the same id.
+                moved = [right.remove(rid) for rid in ids[selector % len(ids):]]
+                for position in np.random.default_rng(selector).permutation(len(moved)):
+                    right.add(moved[position])
+            if restart:
+                store = fresh()
+            served = store.table_encodings("right")
+
+            version = representation.encoding_version
+            fingerprint = store.table_fingerprint("right")
+            loaded = cache.load(task.name, "right", version, fingerprint)
+            assert loaded is not None, f"step {step} ({kind}) left no loadable entry"
+            assert loaded.keys == served.keys == tuple(right.record_ids())
+            for name in ("irs", "mu", "sigma"):
+                expected = _stored_form(getattr(served, name))
+                actual = _stored_form(getattr(loaded, name))
+                assert actual.dtype == expected.dtype and actual.shape == expected.shape
+                assert actual.tobytes() == expected.tobytes()
+            manifest = json.loads(cache.manifest_path(task.name, "right", version).read_text())
+            dead = set(manifest["tombstones"])
+            live_crcs = [crc for row, crc in enumerate(manifest["row_crcs"]) if row not in dead]
+            assert live_crcs == list(table_row_crcs(right))
+            assert all(report["ok"] for report in cache.verify_entries())
+            cache.prune()
+            assert all(report["ok"] for report in cache.verify_entries())
