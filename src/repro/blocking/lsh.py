@@ -845,16 +845,15 @@ class EuclideanLSHIndex:
         return norms
 
     # ------------------------------------------------------------------
-    # Pickling (worker-pool state transport)
+    # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Drop the derived caches and send each lookup as two arrays.
+        """Drop the derived caches and pickle each lookup as two arrays.
 
-        A built index travels to pool workers through the shared-memory
-        publisher, which hoists large ndarrays (the vectors, ``_labels``,
-        ``_live``) into zero-copy segments — but a dict of tuple keys would
-        still be pickled entry by entry, so each lookup travels as ``(int64
-        bucket keys (buckets, hash_size), intp labels)``.
+        The index never travels to pool workers (blocking runs in the
+        resolving process); a pickle is a copy made by a caller.  A dict of
+        tuple keys would be pickled entry by entry, so each lookup is stored
+        as ``(int64 bucket keys (buckets, hash_size), intp labels)``.
         """
         state = self.__dict__.copy()
         state.update(_key_rows=None, _norms_cache=None, _projections32=None)

@@ -11,7 +11,7 @@ Usage (after installing the package)::
     python -m repro resolve --domain music --workers 4 --cache-dir .repro-cache
     python -m repro resolve --domain music --incremental --append-rows 64
     python -m repro resolve --domain music --incremental --edit-rows 16 --delete-rows 8
-    python -m repro plan --domain music --workers 4 --shard-rows 1024
+    python -m repro plan --domain music --workers 4
     python -m repro cache list --cache-dir .repro-cache --json
     python -m repro cache prune --cache-dir .repro-cache --dry-run
     python -m repro cache verify --cache-dir .repro-cache
@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     resolve.add_argument(
         "--workers", type=int, default=1,
-        help="Worker pool size for sharded parallel blocking and scoring "
-             "(1 = single process).",
+        help="Worker pool size for pooled scoring; blocking runs in this "
+             "process (1 = single process).",
     )
     resolve.add_argument(
         "--cache-dir", default=None,
@@ -147,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="Worker pool size the plan schedules for.",
     )
-    plan.add_argument("--shard-rows", type=int, default=2048, help="Rows per left-table query shard.")
 
     cache = subparsers.add_parser(
         "cache",
@@ -284,17 +283,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     code = _check_positive(
         ("--k", args.k), ("--batch-size", args.batch_size),
-        ("--workers", args.workers), ("--shard-rows", args.shard_rows),
+        ("--workers", args.workers),
     )
     if code:
         return code
     domain = load_domain(args.domain, scale=args.scale)
     plan = ResolutionPlanner(
-        domain.task,
-        k=args.k,
-        batch_size=args.batch_size,
-        workers=args.workers,
-        shard_rows=args.shard_rows,
+        domain.task, k=args.k, batch_size=args.batch_size, workers=args.workers
     ).plan()
     print(plan.describe())
     return 0

@@ -53,7 +53,6 @@ from repro.core.transfer import transfer_representation
 from repro.data.pairs import PairSet, RecordPair
 from repro.data.schema import ERTask
 from repro.engine import (
-    DEFAULT_SHARD_ROWS,
     EncodingStore,
     PersistentEncodingCache,
     ResolutionBaseline,
@@ -82,7 +81,6 @@ class VAER:
         self,
         config: Optional[VAERConfig] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        shard_rows: int = DEFAULT_SHARD_ROWS,
         codec: Optional[str] = None,
     ) -> None:
         self.config = config or VAERConfig()
@@ -91,7 +89,6 @@ class VAER:
         self.task: Optional[ERTask] = None
         self.threshold: float = 0.5
         self.cache_dir: Optional[Path] = Path(cache_dir) if cache_dir is not None else None
-        self.shard_rows = shard_rows
         # Validated eagerly so an unknown codec fails at construction, not
         # mid-resolve.
         self.codec = resolve_codec_name(codec)
@@ -154,7 +151,6 @@ class VAER:
                 representation,
                 self.task,
                 persistent=persistent,
-                shard_rows=self.shard_rows,
                 codec=self.codec,
             )
         return self._store
@@ -285,14 +281,14 @@ class VAER:
         pairs at once, so arbitrarily large candidate sets resolve in bounded
         memory.
 
-        With ``workers > 1`` both the LSH blocking queries and the batch
-        scoring run concurrently on the cached local worker pool through the
-        plan/execute engine (:func:`repro.engine.resolve`) and merge
-        back in order; the yielded sequence is byte-identical to the
-        single-process stream.  ``stage_timings`` collects per-stage
-        (encode/block/score) compute seconds.
+        With ``workers > 1`` the batches are scored concurrently on the
+        cached local worker pool through the plan/execute engine
+        (:func:`repro.engine.resolve`) and merge back in order, while the
+        LSH blocking queries run in this process; the yielded sequence is
+        byte-identical to the single-process stream.  ``stage_timings``
+        collects per-stage (encode/block/score) compute seconds.
 
-        ``pool`` runs the same stage units on a pool of the caller's instead
+        ``pool`` runs the same score units on a pool of the caller's instead
         (and sizes the plan by its worker count): a
         :class:`repro.engine.ForkWorkerPool`, a
         :class:`repro.engine.ThreadWorkerPool` or any
@@ -368,8 +364,8 @@ class VAER:
         baseline is refreshed when the stream is fully drained (an abandoned
         stream keeps the previous baseline).  Refitting the representation
         or matcher invalidates the affected parts automatically.  With
-        ``workers > 1`` (or a supplied ``pool``) query shards and score
-        batches run on the worker pool; encodes and index mutations run in
+        ``workers > 1`` (or a supplied ``pool``) score batches run on the
+        worker pool; encodes, index mutations and blocking queries run in
         this process.
         """
         return self.resolve_stream(
@@ -410,7 +406,6 @@ class VAER:
             k=k,
             batch_size=batch_size,
             workers=workers,
-            shard_rows=self.shard_rows,
         ).plan()
 
     # ------------------------------------------------------------------
@@ -425,7 +420,6 @@ class VAER:
             "matcher_fitted": self.matcher is not None,
             "threshold": self.threshold,
             "cache_dir": str(self.cache_dir) if self.cache_dir is not None else None,
-            "shard_rows": self.shard_rows,
             "codec": self.codec,
         }
         if self.representation is not None:

@@ -10,11 +10,11 @@ planned and executed*:
   row-range-chunked (``<task>/<side>-vN/chunk-<a>-<b>.npz`` + manifest) so
   warm loads are lazy per shard; one on-disk format, anything else is a miss;
 * :class:`ResolutionPlanner` / :class:`ResolutionExecutor` — the plan/execute
-  core: a deterministic encode → block → score stage graph over row-range
-  shards, run by the one executor — cold or against a baseline, serially or
-  on a :class:`WorkerPool` — with results merged deterministically by
-  ``(batch_index, pair_index)``;
-* :class:`WorkerPool` — the one seam for *where units run*, passed as
+  core: a deterministic encode → block → score stage graph over left-table
+  query chunks, run by the one executor — cold or against a baseline,
+  scoring inline or on a :class:`WorkerPool` — with results merged
+  deterministically by ``(batch_index, pair_index)``;
+* :class:`WorkerPool` — the one seam for *where score units run*, passed as
   ``pool=``: :class:`ForkWorkerPool` (shared-memory state publishing),
   :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) or
   any subclass the caller builds; ``pool=None`` with ``workers > 1``
@@ -92,7 +92,6 @@ from repro.engine.sharedmem import (
     shared_memory_available,
 )
 from repro.engine.store import (
-    DEFAULT_SHARD_ROWS,
     EncodingStore,
     TableEncodings,
     encode_table_rows,
@@ -106,7 +105,6 @@ from repro.engine.stream import (
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "DEFAULT_SHARD_ROWS",
     "CodecArray",
     "CodecParams",
     "EncodingStore",

@@ -4,23 +4,23 @@ Resolution is three stages — *encode* the two tables, *block* (LSH index
 build + top-K queries) to enumerate candidate pairs, *score* the candidates
 in batches.  This module owns the whole of it:
 
-* :class:`ResolutionPlanner` partitions the left table into row-range query
-  shards (:func:`~repro.engine.shard.shard_bounds_for` at the store's
-  ``shard_rows``) and emits a deterministic stage graph — pure metadata,
-  computed from table sizes and knobs alone, so a plan can be printed or
-  inspected without encoding a single record (``repro plan`` does exactly
-  that);
+* :class:`ResolutionPlanner` partitions the left table into query chunks of
+  :func:`~repro.engine.stream.query_chunk_for` rows — the one grain of a
+  resolve — and emits a deterministic stage graph: pure metadata, computed
+  from table sizes and knobs alone, so a plan can be printed or inspected
+  without encoding a single record (``repro plan`` does exactly that);
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
   against a :class:`ResolutionBaseline`, serial or on a
   :class:`~repro.engine.shard.WorkerPool` (the cached local one, or
   whichever pool the caller passes).  Every mode runs one batch source:
-  one query task per planned left-table shard, in row order, whose pairs
+  the parent queries each planned chunk in row order, whose pairs
   :func:`~repro.engine.stream.pack_batches` packs into batches, and one
-  score task per batch the baseline does not cover.  Only where those
+  score task per batch the baseline does not cover.  Only where the score
   tasks run differs — inline, or on the pool with bounded in-flight depth
   and results taken in submission order — so the yielded stream is the
-  same bytes whatever the scheduling.  Encoding and the LSH build (or its
-  in-place mutation) always run in the parent.
+  same bytes whatever the scheduling.  Encoding, the LSH build (or its
+  in-place mutation) and every blocking query run in the parent, whose
+  BLAS already spreads each chunk's GEMM over the cores.
 
 :func:`resolve` plans a run and constructs its executor — cold without a
 baseline, incremental against one, capturing the next baseline on request.
@@ -49,12 +49,11 @@ from repro.engine.shard import (
     StateHandle,
     WorkerPool,
     acquire_pool,
-    query_shard_pairs,
     release_pool,
     shard_bounds_for,
     worker_state,
 )
-from repro.engine.store import DEFAULT_SHARD_ROWS, EncodingStore, TableEncodings
+from repro.engine.store import EncodingStore, TableEncodings
 from repro.engine.stream import (
     ResolutionBatch,
     guard_store_version,
@@ -69,7 +68,7 @@ PairKey = Tuple[str, str]
 
 
 # ----------------------------------------------------------------------
-# The plan: a deterministic stage graph over row-range shards
+# The plan: a deterministic stage graph over left-table query chunks
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StageUnit:
@@ -108,7 +107,6 @@ class ResolutionPlan:
     k: int
     batch_size: int
     workers: int
-    shard_rows: int
     query_chunk: int
     blocking: Optional[BlockingConfig]
     query_bounds: Tuple[ShardBounds, ...]
@@ -130,9 +128,9 @@ class ResolutionPlan:
         """Human-readable stage graph (the ``repro plan`` output)."""
         lines = [
             f"resolution plan for task {self.task_name!r}",
-            f"  knobs: workers={self.workers} shard_rows={self.shard_rows} "
-            f"k={self.k} batch_size={self.batch_size} query_chunk={self.query_chunk}",
-            f"  tables: left={self.left_rows} rows ({len(self.query_bounds)} shards), "
+            f"  knobs: workers={self.workers} k={self.k} batch_size={self.batch_size} "
+            f"query_chunk={self.query_chunk}",
+            f"  tables: left={self.left_rows} rows ({len(self.query_bounds)} query chunk(s)), "
             f"right={self.right_rows} rows",
         ]
         for position, stage in enumerate(self.stages, start=1):
@@ -149,10 +147,10 @@ class ResolutionPlan:
 
 
 class ResolutionPlanner:
-    """Partition a task's resolve run into a stage graph over row shards.
+    """Partition a task's resolve run into a stage graph over query chunks.
 
-    Parameters mirror the resolve knobs; ``shard_rows`` fixes the left-table
-    row ranges the query fan-out submits, one pool task per range.
+    Parameters mirror the resolve knobs; ``batch_size`` and ``k`` fix the
+    left-table query chunk (:func:`~repro.engine.stream.query_chunk_for`).
     """
 
     def __init__(
@@ -162,7 +160,6 @@ class ResolutionPlanner:
         k: int = 10,
         batch_size: int = 2048,
         workers: int = 1,
-        shard_rows: int = DEFAULT_SHARD_ROWS,
     ) -> None:
         if k <= 0:
             raise ValueError("k must be positive")
@@ -170,14 +167,11 @@ class ResolutionPlanner:
             raise ValueError("batch_size must be positive")
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if shard_rows <= 0:
-            raise ValueError("shard_rows must be positive")
         self.task = task
         self.blocking = blocking
         self.k = k
         self.batch_size = batch_size
         self.workers = workers
-        self.shard_rows = shard_rows
 
     @classmethod
     def from_store(
@@ -188,21 +182,14 @@ class ResolutionPlanner:
         batch_size: int = 2048,
         workers: int = 1,
     ) -> "ResolutionPlanner":
-        """Planner over a store's task, adopting the store's shard layout."""
-        return cls(
-            store.task,
-            blocking=blocking,
-            k=k,
-            batch_size=batch_size,
-            workers=workers,
-            shard_rows=store.shard_rows,
-        )
+        """Planner over a store's task."""
+        return cls(store.task, blocking=blocking, k=k, batch_size=batch_size, workers=workers)
 
     def plan(self) -> ResolutionPlan:
         """The deterministic stage graph for the current knobs (pure metadata).
 
         Both tables encode, the right table's LSH index is built, every left
-        shard is queried and every candidate scored.  A run against a
+        query chunk is queried and every candidate scored.  A run against a
         baseline executes the same graph, each stage doing only the work the
         mutation since the baseline requires: the store re-encodes edited and
         appended rows, the baseline index is mutated in place instead of
@@ -211,6 +198,7 @@ class ResolutionPlanner:
         """
         left_rows = len(self.task.left)
         right_rows = len(self.task.right)
+        query_chunk = query_chunk_for(self.batch_size, self.k)
         bare = ResolutionPlan(
             task_name=self.task.name,
             left_rows=left_rows,
@@ -218,10 +206,9 @@ class ResolutionPlanner:
             k=self.k,
             batch_size=self.batch_size,
             workers=self.workers,
-            shard_rows=self.shard_rows,
-            query_chunk=query_chunk_for(self.batch_size, self.k),
+            query_chunk=query_chunk,
             blocking=self.blocking,
-            query_bounds=tuple(shard_bounds_for("left", left_rows, self.shard_rows)),
+            query_bounds=tuple(shard_bounds_for("left", left_rows, query_chunk)),
         )
         encode_units = [
             StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
@@ -248,39 +235,22 @@ class ResolutionPlanner:
 
 
 # ----------------------------------------------------------------------
-# Worker tasks (state arrives through the handle the pool published it
-# under — a pool can predate any stage's state, so nothing is inherited)
+# The score task (state arrives through the handle the pool published it
+# under — a pool can predate any run's state, so nothing is inherited)
 # ----------------------------------------------------------------------
 @dataclass
 class _PlanState:
-    """Everything a pool worker needs, published under one state handle.
+    """Everything a score task needs, published under one state handle.
 
-    Deliberately slim — bare arrays rather than richer store objects — so
-    a pool's publisher ships exactly the payloads workers touch and the
-    residual pickle stays small.
+    Whole-table IRs the matcher gathers each batch's rows from — code views
+    (:class:`CodecArray`) under a quantized codec, decoded per batch — and
+    the matcher itself: bare arrays rather than richer store objects, so a
+    pool's publisher ships exactly the payloads workers touch.
     """
 
-    flat: np.ndarray  # record-level query vectors of the left table
-    keys: Sequence[object]  # aligned query keys
-    search: NearestNeighbourSearch
-    # Whole-table IRs the matcher gathers each batch's rows from; code views
-    # (:class:`CodecArray`) under a quantized codec, decoded per batch.
     left_irs: Union[np.ndarray, CodecArray]
     right_irs: Union[np.ndarray, CodecArray]
     matcher: object
-
-
-def _query_task(handle: StateHandle, start: int, stop: int, k: int, query_chunk: int):
-    """Block stage: top-K candidate pairs of one planned query shard.
-
-    Rows are walked through :func:`repro.engine.shard.query_shard_pairs`;
-    results are per-row and rank-ordered, so concatenating task results in
-    row order gives the candidate stream of the whole left table.
-    """
-    state: _PlanState = worker_state(handle)
-    started = time.perf_counter()
-    pairs = query_shard_pairs(state.search, state.flat, state.keys, start, stop, k, query_chunk)
-    return pairs, time.perf_counter() - started
 
 
 def _score_task(handle: StateHandle, left_rows: np.ndarray, right_rows: np.ndarray):
@@ -412,8 +382,8 @@ class ResolutionExecutor:
     3. mutate the baseline LSH index in place — deleted right rows
        tombstoned, edited rows rebucketed, appended rows hashed in, each step
        answer-identical to a rebuild — or build it;
-    4. run :meth:`_schedule`, the one batch source of every mode: one
-       :func:`_query_task` per planned left shard, its pairs packed by
+    4. run :meth:`_schedule`, the one batch source of every mode: the
+       top-K query of each planned left chunk, its pairs packed by
        :func:`~repro.engine.stream.pack_batches`;
     5. score each batch: baseline probabilities for pairs whose rows are
        untouched since, :func:`_score_task` for the rest —
@@ -421,9 +391,9 @@ class ResolutionExecutor:
        row indices (``predict_proba(..., rows=)``) and encodes each distinct
        record of the batch once — ``records_scored``.
 
-    Steps 1-3 run in the parent whatever the pool; only the query and score
-    tasks of steps 4-5 go to a pool (:meth:`_ordered` decides: inline, or
-    submitted with bounded depth).  Batches are emitted strictly in
+    Steps 1-4 run in the parent whatever the pool; only the score tasks of
+    step 5 go to a pool (:meth:`_ordered` decides: inline, or submitted
+    with bounded depth).  Batches are emitted strictly in
     ``batch_index`` order, so the stream is byte-identical whatever the
     worker count.  Against a baseline, reused probabilities are the
     baseline's bytes and rescored ones equal a cold run's up to matmul
@@ -484,9 +454,8 @@ class ResolutionExecutor:
             left_diff = baseline.diff_side("left", store.task.left)
             right_diff = baseline.diff_side("right", store.task.right)
 
-        # One pool for the query fan-out and scoring.  It predates the run,
-        # so workers never inherit the encoded arrays; the run publishes
-        # what its tasks need.
+        # The pool scores.  It predates the run, so workers never inherit
+        # the encoded arrays; the run publishes what its score tasks need.
         pool = self.pool if plan.workers > 1 else None
         borrowed = pool is None and plan.workers > 1
         if borrowed:
@@ -561,7 +530,7 @@ class ResolutionExecutor:
         the inline run skips what was already emitted and consumers see one
         contiguous, duplicate-free stream.
         """
-        state = _PlanState(left.flat_mu(), left.keys, search, left.irs, right.irs, self.matcher)
+        state = _PlanState(left.irs, right.irs, self.matcher)
         emitted = 0
         if pool is not None and not pool.broken:
             try:
@@ -569,7 +538,7 @@ class ResolutionExecutor:
                 handle = pool.publish(state)
                 self._record_stage("dispatch", time.perf_counter() - started)
                 try:
-                    for batch in self._schedule(pool, handle, left, right, pinned, scores):
+                    for batch in self._schedule(pool, handle, search, left, right, pinned, scores):
                         emitted = batch.batch_index + 1
                         yield batch
                 finally:
@@ -577,42 +546,44 @@ class ResolutionExecutor:
                 return
             except BrokenExecutor:
                 pool.broken = True
-        yield from self._schedule(None, StateHandle(state=state), left, right, pinned, scores, emitted)
+        yield from self._schedule(
+            None, StateHandle(state=state), search, left, right, pinned, scores, emitted
+        )
 
     def _schedule(
         self,
         pool: Optional[WorkerPool],
         handle: StateHandle,
+        search: NearestNeighbourSearch,
         left: TableEncodings,
         right: TableEncodings,
         pinned: int,
         scores: Dict[PairKey, float],
         skip: int = 0,
     ) -> Iterator[ResolutionBatch]:
-        """The one batch source: query shards -> :func:`pack_batches` -> score.
+        """The one batch source: query chunks -> :func:`pack_batches` -> score.
 
-        One :func:`_query_task` per planned query shard, in row order; its
-        pair lists are packed into batches, each batch split against the
+        Each planned query chunk is queried here, in row order; its pair
+        lists are packed into batches, each batch split against the
         baseline ``scores`` and :func:`_score_task` run on the rows still
         unknown (a batch the baseline covers dispatches nothing).  Batches
         below ``skip`` are enumerated but not scored.  Recorded: ``block``
-        (per shard), ``score`` (per batch), ``merge`` (the parent's seconds
+        (per chunk), ``score`` (per batch), ``merge`` (the parent's seconds
         splitting batches and gathering their rows) and, with a pool,
-        ``dispatch`` and ``block-ipc`` (see :meth:`_ordered`).
+        ``dispatch`` (see :meth:`_ordered`).
         """
         plan, store = self.plan, self.store
         merge_seconds = 0.0
 
-        def shards():
-            for shard in plan.query_bounds:
-                guard_store_version(store, pinned)
-                yield None, (_query_task, shard.start, shard.stop, plan.k, plan.query_chunk)
-
         def candidates():
-            for _, (pairs, seconds), round_trip in self._ordered(pool, handle, shards()):
-                self._record_stage("block", seconds)
-                if round_trip is not None:
-                    self._record_stage("block-ipc", max(0.0, round_trip - seconds))
+            flat, keys = left.flat_mu(), left.keys
+            for chunk in plan.query_bounds:
+                guard_store_version(store, pinned)
+                started = time.perf_counter()
+                pairs = search.candidate_pairs(
+                    flat[chunk.start : chunk.stop], keys[chunk.start : chunk.stop], k=plan.k
+                )
+                self._record_stage("block", time.perf_counter() - started)
                 yield pairs
 
         def score_units():
@@ -629,7 +600,7 @@ class ResolutionExecutor:
                 call = (_score_task, left_rows, right_rows) if unknown else None
                 yield (batch_index, pairs, probabilities, unknown, left_rows, right_rows), call
 
-        for unit, result, _ in self._ordered(pool, handle, score_units()):
+        for unit, result in self._ordered(pool, handle, score_units()):
             batch_index, pairs, probabilities, unknown, left_rows, right_rows = unit
             seconds = 0.0
             if result is not None:
@@ -644,39 +615,32 @@ class ResolutionExecutor:
         guard_store_version(store, pinned)
 
     def _ordered(self, pool: Optional[WorkerPool], handle: StateHandle, units) -> Iterator[tuple]:
-        """Run ``(tag, call)`` units; yield ``(tag, result, round_trip)`` in unit order.
+        """Run ``(tag, call)`` units; yield ``(tag, result)`` in unit order.
 
         ``call`` is ``(fn, *args)``, run as ``fn(handle, *args)``, or None
-        (nothing to run, result None).  Without a pool each call runs inline
-        and ``round_trip`` is None.  With one, at most ``2 × workers`` units
-        are in flight — finished-but-unconsumed ones included, so a slow
-        early unit cannot make the parent buffer the whole stream — and
-        ``round_trip`` is the seconds from submit to completion (stamped by
-        a done-callback); the seconds spent in ``submit`` are ``dispatch``.
+        (nothing to run, result None).  Without a pool each call runs
+        inline.  With one, at most ``2 × workers`` units are in flight —
+        finished-but-unconsumed ones included, so a slow early unit cannot
+        make the parent buffer the whole stream — and the seconds spent in
+        ``submit`` are ``dispatch``.
         """
         if pool is None:
             for tag, call in units:
-                yield tag, None if call is None else call[0](handle, *call[1:]), None
+                yield tag, None if call is None else call[0](handle, *call[1:])
             return
         inflight: deque = deque()
 
         def landed():
-            tag, future, stamps = inflight.popleft()
-            if future is None:
-                return tag, None, None
-            result = future.result()
-            # ``result`` can return before the done-callbacks have run.
-            completed = stamps[1] if len(stamps) > 1 else time.perf_counter()
-            return tag, result, completed - stamps[0]
+            tag, future = inflight.popleft()
+            return tag, None if future is None else future.result()
 
         for tag, call in units:
-            future, stamps = None, []
+            future = None
             if call is not None:
-                stamps.append(time.perf_counter())
+                started = time.perf_counter()
                 future = pool.submit(call[0], handle, *call[1:])
-                self._record_stage("dispatch", time.perf_counter() - stamps[0])
-                future.add_done_callback(lambda _, stamps=stamps: stamps.append(time.perf_counter()))
-            inflight.append((tag, future, stamps))
+                self._record_stage("dispatch", time.perf_counter() - started)
+            inflight.append((tag, future))
             if len(inflight) >= 2 * pool.workers:
                 yield landed()
         while inflight:
@@ -746,13 +710,13 @@ def resolve(
     incremental runs that way.  Knob validation is eager, so a bad
     ``batch_size`` fails here, before any expensive work starts.
 
-    ``workers=1`` runs the query shards and score batches inline; with
-    ``workers > 1`` they run on the cached local worker pool (borrowed on
-    first iteration, handed back when the stream is exhausted or closed)
-    and are consumed in submission order, so identical knobs yield the
-    identical batch stream whatever the worker count.  A supplied ``pool`` runs the units
-    instead and sizes the plan (``workers`` is then its worker count); it
-    is the caller's to shut down.  ``stage_timings`` collects per-stage
+    Blocking always runs in this process.  ``workers=1`` scores the batches
+    inline too; with ``workers > 1`` they are scored on the cached local
+    worker pool (borrowed on first iteration, handed back when the stream
+    is exhausted or closed) and consumed in submission order, so identical
+    knobs yield the identical batch stream whatever the worker count.  A
+    supplied ``pool`` scores instead and sizes the plan (``workers`` is
+    then its worker count); it is the caller's to shut down.  ``stage_timings`` collects per-stage
     compute seconds and the delta counters.
     """
     if pool is not None:

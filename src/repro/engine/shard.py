@@ -1,31 +1,30 @@
-"""Row-range shard bounds and the worker-pool seam of the resolve stages.
+"""Row-range bounds and the worker-pool seam of the resolve stages.
 
 This module owns the building blocks the planner-driven engine
-(:mod:`repro.engine.plan`) runs its query shards and score batches with:
+(:mod:`repro.engine.plan`) runs a resolve with:
 
 * :func:`shard_bounds_for` / :class:`ShardBounds` — the row ranges a table
-  is partitioned into, derived from table sizes alone, so planning never
-  forces an encode;
+  is partitioned into (the planner's query chunks), derived from table
+  sizes alone, so planning never forces an encode;
 * :class:`WorkerPool` — the one seam between the executor and *where its
-  units run*.  A pool is a value the caller passes, not process state: it
-  takes ``submit`` calls, publishes stage state (``publish`` / ``release``)
-  through a transport it owns, and reports ``workers`` and ``broken``.
-  Two local implementations exist: :class:`ForkWorkerPool` (state travels
-  through shared-memory segments, :mod:`repro.engine.sharedmem`) and
-  :class:`ThreadWorkerPool` (workers share the address space, the handle
-  simply carries the state object); any other subclass can be passed as
-  ``pool=``;
-* :func:`query_shard_pairs` — the one chunk walk of a left-table shard,
-  and :func:`merge_scored_batches`, which concatenates a scored stream.
+  score units run*.  A pool is a value the caller passes, not process
+  state: it takes ``submit`` calls, publishes the run's state
+  (``publish`` / ``release``) through a transport it owns, and reports
+  ``workers`` and ``broken``.  Two local implementations exist:
+  :class:`ForkWorkerPool` (state travels through shared-memory segments,
+  :mod:`repro.engine.sharedmem`) and :class:`ThreadWorkerPool` (workers
+  share the address space, the handle simply carries the state object);
+  any other subclass can be passed as ``pool=``;
+* :func:`merge_scored_batches`, which concatenates a scored stream.
 
 An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
 pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
 instrumented by :data:`POOL_SPAWNS`); a pool the caller supplies is used as
 is and never cached, released or shut down by the engine.  Either way the
-executor runs the one schedule a serial run uses — query shards through
-:func:`query_shard_pairs`, packed into score batches — only submitting its
-query and score tasks to the pool and taking their results in submission
-order, so the stream does not depend on completion order.
+executor runs the one schedule a serial run uses — the parent queries each
+chunk and packs the pairs into score batches — only submitting the score
+tasks to the pool and taking their results in submission order, so the
+stream does not depend on completion order.
 
 Which local pool
 ----------------
@@ -34,14 +33,14 @@ start method and shared-memory segments both work (:func:`fork_pool_available`),
 and falls back to threads everywhere else (NumPy's BLAS releases the GIL in
 the kernels that dominate; fork stays off on macOS, where forking after the
 parent has touched Accelerate/BLAS aborts the children).  The local pool is
-*persistent*: one pool serves the query and score units of a resolve and is
-cached across resolves (delta rounds reuse it), so spawn cost is paid
-once.  Because the pool can predate any given stage's state, forked
-workers never rely on copy-on-write inheritance; each stage *publishes* its
-state and tasks ship only the small :class:`StateHandle` plus index ranges.
-Work is deterministic on every pool: workers run the same NumPy ops on the
-same arrays, so merged results are byte-identical to a single-process run
-over the same store.
+*persistent*: one pool serves the score units of a resolve and is cached
+across resolves (delta rounds reuse it), so spawn cost is paid once.
+Because the pool can predate any given run's state, forked workers never
+rely on copy-on-write inheritance; each run *publishes* its state and tasks
+ship only the small :class:`StateHandle` plus row indices.  Work is
+deterministic on every pool: workers run the same NumPy ops on the same
+arrays, so merged results are byte-identical to a single-process run over
+the same store.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.pairs import RecordPair
 from repro.engine import sharedmem
 from repro.engine.stream import ScoredPairs
@@ -75,15 +73,15 @@ class ShardBounds:
         return self.stop - self.start
 
 
-def shard_bounds_for(side: str, n_rows: int, shard_rows: int) -> List[ShardBounds]:
-    """Row ranges covering ``n_rows`` rows of one side, in row order."""
-    if shard_rows <= 0:
-        raise ValueError("shard_rows must be positive")
+def shard_bounds_for(side: str, n_rows: int, range_rows: int) -> List[ShardBounds]:
+    """Ranges of ``range_rows`` rows covering ``n_rows`` rows of one side, in row order."""
+    if range_rows <= 0:
+        raise ValueError("range_rows must be positive")
     if n_rows <= 0:
         return []
     return [
-        ShardBounds(side=side, index=i, start=start, stop=min(start + shard_rows, n_rows))
-        for i, start in enumerate(range(0, n_rows, shard_rows))
+        ShardBounds(side=side, index=i, start=start, stop=min(start + range_rows, n_rows))
+        for i, start in enumerate(range(0, n_rows, range_rows))
     ]
 
 
@@ -114,10 +112,10 @@ def worker_state(handle: StateHandle) -> object:
 
 
 class WorkerPool:
-    """Where a resolve's stage units run: the seam the executor is given.
+    """Where a resolve's score units run: the seam the executor is given.
 
     ``submit`` returns a :class:`concurrent.futures.Future`; ``publish``
-    makes a stage state reachable from the pool's workers and ``release``
+    makes a run's state reachable from the pool's workers and ``release``
     withdraws it; ``workers`` sizes the fan-out.  ``broken`` is set by
     callers that observed the pool die (``submit`` or a future raising
     :class:`concurrent.futures.BrokenExecutor`): the caller runs the rest of
@@ -295,31 +293,6 @@ def release_engine_resources() -> None:
 
 
 atexit.register(release_engine_resources)
-
-
-def query_shard_pairs(
-    search: NearestNeighbourSearch,
-    flat: np.ndarray,
-    keys,
-    start: int,
-    stop: int,
-    k: int,
-    query_chunk: int,
-) -> List[RecordPair]:
-    """Top-K candidate pairs of one row range, queried chunk by chunk.
-
-    The only query loop: the executor's query task runs it once per
-    planned shard, inline or on a pool.  A row's answer does not depend on
-    the rows queried with it, so the shards' pairs, concatenated in row
-    order, are the candidate stream of the whole table at any shard size.
-    """
-    pairs: List[RecordPair] = []
-    for chunk_start in range(start, stop, query_chunk):
-        chunk_stop = min(chunk_start + query_chunk, stop)
-        pairs.extend(
-            search.candidate_pairs(flat[chunk_start:chunk_stop], keys[chunk_start:chunk_stop], k=k)
-        )
-    return pairs
 
 
 def merge_scored_batches(batches: Iterable[ScoredPairs]) -> ScoredPairs:

@@ -42,9 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - break the engine <-> core import cycle
 
 SIDES = ("left", "right")
 
-#: Default number of rows per table shard.
-DEFAULT_SHARD_ROWS = 2048
-
 #: The three encoded arrays a :class:`TableEncodings` carries.
 _ARRAY_FIELDS = ("irs", "mu", "sigma")
 
@@ -142,11 +139,6 @@ class EncodingStore:
         every mutation re-encode, so codes splice consistently across
         chunks and generations.  The codec rides in the persistent-cache
         fingerprint, so raw and quantized entries never serve each other.
-    shard_rows:
-        Rows per left-table query shard, the unit a pooled resolve submits
-        to its workers (the last shard may be short).  The cache itself
-        holds one contiguous array per table, so gathers spanning shards
-        stay a single fancy-index.
     """
 
     def __init__(
@@ -156,15 +148,9 @@ class EncodingStore:
         counters: Optional[EngineCounters] = None,
         persistent: Optional["PersistentEncodingCache"] = None,
         codec: Optional[str] = None,
-        shard_rows: int = DEFAULT_SHARD_ROWS,
     ) -> None:
-        if shard_rows <= 0:
-            raise ValueError("shard_rows must be positive")
         self.representation = representation
         self.task = task
-        #: Rows per query shard: the left-table ranges a planner over this
-        #: store fans out, one pool task each.
-        self.shard_rows = shard_rows
         self.counters = counters if counters is not None else engine_counters()
         self.persistent = persistent
         self.codec_name = resolve_codec_name(codec)
@@ -701,10 +687,10 @@ class EncodingStore:
     def record_external_gather(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
         """Counter bookkeeping for a batch scored outside the store.
 
-        Sharded resolution hands row indices to pool workers which score
+        The resolve executor hands row indices to score tasks which score
         directly from the shared cached arrays; this mirrors the accounting
         :meth:`score_pairs` would have done (one logical hit per side plus
-        the scored pairs and distinct records) so streamed and sharded runs
+        the scored pairs and distinct records) so serial and pooled runs
         report equal counters.
         """
         n_pairs = len(left_rows)

@@ -3,10 +3,10 @@
 ``VAER.resolve`` materialises every candidate pair and its feature tensors at
 once, which is fine for benchmark tables but not for production-scale inputs.
 The resolve executor (:mod:`repro.engine.plan`) streams instead: left-table
-query shards yield candidate lists, :func:`pack_batches` packs them into
+query chunks yield candidate lists, :func:`pack_batches` packs them into
 batches of at most ``batch_size`` pairs, and each batch is scored and
 yielded as a :class:`ResolutionBatch`.  Peak memory is therefore bounded by
-the cached table encodings plus a few shards and scoring batches, however
+the cached table encodings plus a few chunks and scoring batches, however
 many candidate pairs blocking emits.  This module holds the pieces every
 run shares — the scored-batch types, the one packer, the query-chunk stride
 and the store-version guard.
@@ -62,7 +62,7 @@ def guard_store_version(store: EncodingStore, pinned: int) -> None:
     Encoding caches invalidate transparently on version bumps, which is the
     right behaviour *between* operations but silently wrong *during* one: a
     stream that continued after a refit would mix scores from two different
-    encoders.  The resolve executor calls this before every query shard and
+    encoders.  The resolve executor calls this before every query chunk and
     every batch.
     """
     current = store.representation.encoding_version
@@ -83,8 +83,9 @@ class ResolutionBatch(ScoredPairs):
 def query_chunk_for(batch_size: int, k: int) -> int:
     """Left-table rows per blocking query chunk for a given batch size.
 
-    The single definition of the chunk derivation: the planner records it
-    and every query shard walks its rows in these strides.
+    The single definition of the chunk derivation: the planner partitions
+    the left table into chunks of this many rows, the one grain of a
+    resolve.
     """
     return max(1, batch_size // max(1, k))
 

@@ -14,10 +14,8 @@ from repro.eval.metrics import (
 )
 from repro.eval.timing import (
     EngineCounters,
-    Timer,
     engine_counters,
     reset_engine_counters,
-    timed,
 )
 
 _HARNESS_EXPORTS = {
@@ -44,8 +42,6 @@ __all__ = [
     "best_threshold",
     "neighbour_prf_at_k",
     "recall_at_k",
-    "Timer",
-    "timed",
     "EngineCounters",
     "engine_counters",
     "reset_engine_counters",

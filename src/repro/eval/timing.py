@@ -1,48 +1,9 @@
-"""Wall-clock timing helpers (Table VI) and engine instrumentation counters."""
+"""Engine instrumentation: cache and throughput counters, per-stage resolve timings."""
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator
-
-
-@dataclass
-class Timer:
-    """Accumulates named wall-clock durations."""
-
-    durations: Dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def measure(self, name: str) -> Iterator[None]:
-        """Context manager adding the elapsed time under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.durations[name] = self.durations.get(name, 0.0) + elapsed
-
-    def seconds(self, name: str) -> float:
-        return self.durations.get(name, 0.0)
-
-    def total(self) -> float:
-        return sum(self.durations.values())
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.durations)
-
-
-@contextmanager
-def timed() -> Iterator[list]:
-    """Context manager yielding a single-element list that receives the duration."""
-    result = [0.0]
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result[0] = time.perf_counter() - start
+from dataclasses import dataclass, fields
+from typing import Dict
 
 
 # ----------------------------------------------------------------------
@@ -80,9 +41,10 @@ class EngineCounters:
     ``blocking_candidates_rescored`` the pair distances the per-pair kernel
     computed: the exact rescore of the GEMM shortlist, on float and code
     tables alike (at least the ranked ``k`` per query whenever that many
-    rows live, at most the ranked candidates).  The shortlist follows a
-    GEMM whose low bits depend on the block shape, so this counter may
-    differ by a row between serial and pooled runs whose answers agree.
+    rows live, at most the ranked candidates).  Every blocking query runs
+    in the resolving process on the same query chunks whatever the pool,
+    so all four blocking counters are equal between serial and pooled
+    runs.
 
     ``records_scored`` counts the records the matcher actually encoded: per
     scored batch, the distinct left rows plus the distinct right rows.  Its
@@ -233,15 +195,14 @@ class StageTimings:
 
     The :class:`repro.engine.plan.ResolutionExecutor` reports every timed
     work unit here under its stage name (``encode``, ``block``, ``score``),
-    accumulating seconds and unit counts per stage.  Pooled runs add the
-    parallel-overhead stages, with one meaning on every pool: ``dispatch``
-    (the parent's seconds publishing stage state and submitting units),
-    ``block-ipc`` (per query task, submit-to-completion time minus the
-    worker's compute) and ``merge`` (deterministic reassembly).  So a sweep
-    can show where the wall clock went, not just that it moved.  The
-    ``block`` and ``score`` seconds are *worker compute* time: with a pool,
-    the summed figure exceeds the run's wall clock — the gap is the parallel
-    speedup.
+    accumulating seconds and unit counts per stage, plus ``merge`` (the
+    parent's seconds splitting batches against the baseline and gathering
+    their rows).  Pooled runs add ``dispatch``: the parent's seconds
+    publishing the run's state and submitting score units.  So a sweep can
+    show where the wall clock went, not just that it moved.  ``encode`` and
+    ``block`` always run in the parent; ``score`` seconds are *worker
+    compute* time, so with a pool the summed figure can exceed the run's
+    wall clock — the gap is the parallel speedup.
     """
 
     def __init__(self) -> None:

@@ -28,7 +28,7 @@ class ActiveLearningError(ReproError):
 class StaleEncodingError(ReproError):
     """Raised when cached encodings are invalidated while still being consumed.
 
-    Streaming and sharded resolution pin the representation model's
+    Streaming and pooled resolution pin the representation model's
     ``encoding_version`` when they start; if the model is refit or transferred
     mid-stream, continuing would silently mix scores from two different
     encoders, so the stream fails loudly instead.

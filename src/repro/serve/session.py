@@ -295,7 +295,7 @@ class ServeSession:
         self.workers = int(workers)
         #: Optional :class:`repro.engine.WorkerPool` — when set, every
         #: refresh (the cold resolve and each mutation's delta resolve) runs
-        #: its stage units there (a fork or thread pool, or any subclass
+        #: its score units there (a fork or thread pool, or any subclass
         #: the caller builds) instead of the cached local pool.  The session
         #: does not own the pool; the caller shuts it down.
         self.pool = pool

@@ -39,7 +39,7 @@ from repro.engine import (
     resolve,
 )
 from repro.engine.shard import ThreadWorkerPool, WorkerPool, acquire_pool, release_pool
-from repro.eval.timing import EngineCounters, StageTimings
+from repro.eval.timing import EngineCounters, StageTimings, engine_counters
 
 
 class _DistanceMatcher:
@@ -108,9 +108,7 @@ class TestRegistryEquivalence:
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
 
-        store = EncodingStore(
-            representation, domain.task, counters=EngineCounters(), shard_rows=16
-        )
+        store = EncodingStore(representation, domain.task, counters=EngineCounters())
         executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
         base = merge_scored_batches(executor.run())
         baseline = executor.baseline_out
@@ -130,9 +128,7 @@ class TestRegistryEquivalence:
         rescored = store.counters.pairs_rescored - rescored_before
         assert 0 < rescored < len(delta), "some baseline scores must be reused"
 
-        cold_store = EncodingStore(
-            representation, domain.task, counters=EngineCounters(), shard_rows=16
-        )
+        cold_store = EncodingStore(representation, domain.task, counters=EngineCounters())
         cold = merge_scored_batches(
             resolve(cold_store, matcher, blocking=blocking, k=4, batch_size=13).run()
         )
@@ -157,9 +153,7 @@ class TestRegistryEquivalence:
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
 
-        store = EncodingStore(
-            representation, domain.task, counters=EngineCounters(), shard_rows=16
-        )
+        store = EncodingStore(representation, domain.task, counters=EngineCounters())
         executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
         merge_scored_batches(executor.run())
         baseline = executor.baseline_out
@@ -192,9 +186,7 @@ class TestRegistryEquivalence:
         stale = [p for p in delta.pairs if p.right_id in edited_ids]
         assert stale, "edited rows should still block (they remain similar)"
 
-        cold_store = EncodingStore(
-            representation, domain.task, counters=EngineCounters(), shard_rows=16
-        )
+        cold_store = EncodingStore(representation, domain.task, counters=EngineCounters())
         cold = merge_scored_batches(
             resolve(cold_store, matcher, blocking=blocking, k=4, batch_size=13).run()
         )
@@ -218,12 +210,12 @@ class TestRegistryEquivalence:
         self._check_parallel_delta_tail()
 
     def _check_parallel_delta_tail(self):
-        """workers>1 fans the left-shard queries and the scoring across the
-        pool while the pending rows (more than one shard of them) encode in
-        the parent, as in a serial run; the pooled delta stream must equal
-        the serial one byte for byte — keys, batch packing and probabilities,
-        pairs touching a re-encoded row included.  The delta round packs one
-        pair per batch, so every query task's pairs span many batches."""
+        """workers>1 fans the scoring across the pool while the pending rows
+        encode and every query chunk is queried in the parent, as in a
+        serial run; the pooled delta stream must equal the serial one byte
+        for byte — keys, batch packing and probabilities, pairs touching a
+        re-encoded row included.  The delta round packs one pair per batch,
+        so every query chunk's pairs span many batches."""
         domain = _fresh_tiny_domain()
         twin = _fresh_tiny_domain()
         representation = EntityRepresentationModel(
@@ -233,9 +225,7 @@ class TestRegistryEquivalence:
         blocking = BlockingConfig(seed=19)
 
         def capture(d):
-            store = EncodingStore(
-                representation, d.task, counters=EngineCounters(), shard_rows=8
-            )
+            store = EncodingStore(representation, d.task, counters=EngineCounters())
             executor = resolve(store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13)
             merge_scored_batches(executor.run())
             return store, executor.baseline_out
@@ -245,7 +235,6 @@ class TestRegistryEquivalence:
         reencoded = set()
         for d in (domain, twin):
             reencoded.update(r.record_id for r in mutate_rows(d, side="right", rows=3))
-            # > shard_rows: fans out
             reencoded.update(r.record_id for r in append_rows(d, side="right", rows=20))
 
         serial = list(resolve(
@@ -488,14 +477,13 @@ class TestModeEquivalence:
     @given(
         k=st.integers(min_value=1, max_value=6),
         batch_size=st.integers(min_value=1, max_value=40),
-        shard_rows=st.sampled_from((8, 16, 64)),
         edits=st.integers(min_value=0, max_value=6),
         left_edits=st.integers(min_value=0, max_value=3),
         deletes=st.integers(min_value=0, max_value=6),
         appends=st.integers(min_value=0, max_value=10),
     )
     def test_every_mode_equals_a_cold_serial_resolve(
-        self, delta_representation, k, batch_size, shard_rows, edits, left_edits, deletes, appends
+        self, delta_representation, k, batch_size, edits, left_edits, deletes, appends
     ):
         """One executor, one answer.  Cold: workers in {1, 2} x capture in
         {False, True} yield byte-identical batch streams.  After any mix of
@@ -512,9 +500,7 @@ class TestModeEquivalence:
         knobs = dict(blocking=blocking, k=k, batch_size=batch_size)
 
         def fresh_store(domain):
-            return EncodingStore(
-                delta_representation, domain.task, counters=EngineCounters(), shard_rows=shard_rows
-            )
+            return EncodingStore(delta_representation, domain.task, counters=EngineCounters())
 
         reference = _batch_rows(resolve(fresh_store(_fresh_tiny_domain()), matcher, **knobs).run())
         served_by_workers = {}
@@ -573,8 +559,8 @@ class TestModeEquivalence:
             ]
             np.testing.assert_allclose(served.probabilities, cold.probabilities, atol=1e-9)
             assert len(warm.baseline_out.scores) == len(served)
-        # The pool runs only query and score units, so the served delta
-        # streams are the same bytes at either worker count.
+        # The pool runs only score units, so the served delta streams are
+        # the same bytes at either worker count.
         assert served_by_workers[2] == served_by_workers[1]
 
 
@@ -598,13 +584,12 @@ class _DyingPool(WorkerPool):
 
 
 class TestDeadPoolResume:
-    # Pool tasks of these runs, in submission order: the 5 query shards (40
-    # left rows, shard_rows=8) interleaved with one score task per batch the
-    # baseline does not fully cover (all 13 when cold).
+    # Pool tasks of these runs, in submission order: one score task per
+    # batch the baseline does not fully cover (all 13 when cold).
     @pytest.mark.parametrize("budget", [0, 2, 4, 6, 8, 10, 14, 22, 10**6])
     @pytest.mark.parametrize("mutated", [False, True], ids=["cold", "baseline"])
     def test_stream_survives_pool_death_at_any_task(self, delta_representation, mutated, budget):
-        """A pool that dies before, inside or after the query fan-out hands
+        """A pool that dies before, during or after the score fan-out hands
         the rest of the run to the serial source: the stream equals the
         serial one, with no duplicate or missing ``batch_index``."""
         matcher = _DistanceMatcher()
@@ -612,9 +597,7 @@ class TestDeadPoolResume:
         runs = []
         for _ in ("serial", "dying"):
             domain = _fresh_tiny_domain()
-            store = EncodingStore(
-                delta_representation, domain.task, counters=EngineCounters(), shard_rows=8
-            )
+            store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
             baseline = None
             if mutated:
                 capturing = resolve(store, matcher, baseline=None, capture=True, **knobs)
@@ -622,7 +605,7 @@ class TestDeadPoolResume:
                 baseline = capturing.baseline_out
                 delete_rows(domain, side="right", rows=2)
                 mutate_rows(domain, side="right", rows=2)
-                append_rows(domain, side="right", rows=5)  # < shard_rows: encoded inline
+                append_rows(domain, side="right", rows=5)
             runs.append((store, baseline))
 
         (store, baseline), (twin_store, twin_baseline) = runs
@@ -631,9 +614,9 @@ class TestDeadPoolResume:
         executor = resolve(twin_store, matcher, baseline=twin_baseline, capture=True, pool=pool, **knobs)
         resumed = list(executor.run())
         assert pool.broken == pool.refused
-        # Every pooled run submits one task per planned query shard.
-        if budget < len(executor.plan.query_bounds):
-            assert pool.refused
+        # A cold pooled run submits one score task per batch.
+        if not mutated:
+            assert pool.refused == (budget < len(resumed))
         if budget == 10**6:
             assert not pool.refused
         assert [b.batch_index for b in resumed] == list(range(len(resumed)))
@@ -653,35 +636,60 @@ class _RecordingPool(ThreadWorkerPool):
         return super().submit(fn, *args, **kwargs)
 
 
+_BLOCKING_COUNTERS = (
+    "blocking_queries",
+    "blocking_fallback_queries",
+    "blocking_candidates_ranked",
+    "blocking_candidates_rescored",
+)
+
+
 class TestPoolUnits:
-    def test_only_query_and_score_units_reach_the_pool(self, delta_representation):
-        """Encodes and the LSH build or mutation run in the parent: a cold
-        resolve and a delta round whose pending rows outgrow a shard each
-        submit one query task per planned shard plus score tasks, and
-        nothing else."""
-        domain = _fresh_tiny_domain()
-        store = EncodingStore(
-            delta_representation, domain.task, counters=EngineCounters(), shard_rows=8
-        )
-        pool = _RecordingPool(2)
-        baseline = None
+    def test_only_score_units_reach_the_pool(self, delta_representation):
+        """Encodes, the LSH build or mutation and every blocking query run
+        in the parent: a cold resolve and a delta round each submit score
+        tasks only — one per batch the baseline does not cover — so the
+        process-wide blocking counters of a run on a recording pool or on
+        the local pool equal a serial run's, round for round."""
+        recording = _RecordingPool(2)
+        runs = {}
         try:
-            for mutate in (False, True):
-                if mutate:
-                    mutate_rows(domain, side="right", rows=3)
-                    append_rows(domain, side="right", rows=20)
-                    append_rows(domain, side="left", rows=12)
-                executor = resolve(
-                    store, _DistanceMatcher(), baseline=baseline, capture=True, pool=pool, k=4, batch_size=13
-                )
-                del pool.submitted[:]
-                list(executor.run())
-                baseline = executor.baseline_out
-                assert set(pool.submitted) == {"_query_task", "_score_task"}
-                assert pool.submitted.count("_query_task") == len(executor.plan.query_bounds)
+            for mode, pool, workers in (("serial", None, 1), ("recording", recording, 2), ("local", None, 2)):
+                domain = _fresh_tiny_domain()
+                store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
+                baseline = None
+                rounds = []
+                for mutate in (False, True):
+                    if mutate:
+                        mutate_rows(domain, side="right", rows=3)
+                        append_rows(domain, side="right", rows=20)
+                        append_rows(domain, side="left", rows=12)
+                    executor = resolve(
+                        store, _DistanceMatcher(), baseline=baseline, capture=True,
+                        pool=pool, workers=workers, k=4, batch_size=13,
+                    )
+                    del recording.submitted[:]
+                    before = engine_counters().as_dict()
+                    batches = list(executor.run())
+                    after = engine_counters().as_dict()
+                    baseline = executor.baseline_out
+                    if pool is not None:
+                        assert set(recording.submitted) == {"_score_task"}
+                        assert 0 < len(recording.submitted) <= len(batches)
+                        if not mutate:
+                            assert len(recording.submitted) == len(batches)
+                    rounds.append((
+                        _batch_rows(batches),
+                        {name: after[name] - before[name] for name in _BLOCKING_COUNTERS},
+                    ))
+                assert store.counters.rows_reencoded == 3 + 20 + 12
+                runs[mode] = rounds
         finally:
-            pool.shutdown()
-        assert store.counters.rows_reencoded == 3 + 20 + 12
+            recording.shutdown()
+        assert runs["serial"][0][1]["blocking_queries"] == 40
+        assert runs["serial"][1][1]["blocking_queries"] == 40 + 12
+        assert runs["recording"] == runs["serial"]
+        assert runs["local"] == runs["serial"]
 
 
 class TestBaselineHygiene:

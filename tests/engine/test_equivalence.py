@@ -40,32 +40,30 @@ def _random_task(rng: np.random.Generator, left_rows: int, right_rows: int, name
     return ERTask(name=name, left=left, right=right)
 
 
-def _fit_store(task: ERTask, shard_rows: int) -> EncodingStore:
+def _fit_store(task: ERTask) -> EncodingStore:
     config = VAEConfig(ir_dim=8, hidden_dim=12, latent_dim=4, epochs=1, seed=7)
     representation = EntityRepresentationModel(config, ir_method="lsa").fit(task)
-    return EncodingStore(
-        representation, task, counters=EngineCounters(), shard_rows=shard_rows
-    )
+    return EncodingStore(representation, task, counters=EngineCounters())
 
 
-def _sharded_latent_distances(store: EncodingStore, pairs) -> np.ndarray:
+def _sharded_latent_distances(store: EncodingStore, pairs, slice_rows: int) -> np.ndarray:
     """Score pairs by gathering mu rows *through row-range shard slices*.
 
-    Each referenced row is fetched from the slice of the shard that owns it
-    (at its shard-local row), proving the row-range decomposition loses no
-    information relative to the contiguous cached arrays.
+    Each referenced row is fetched from the ``slice_rows``-row slice that
+    owns it (at its shard-local row), proving the row-range decomposition
+    loses no information relative to the contiguous cached arrays.
     """
     if not pairs:
         return np.zeros(0)
 
     def gather_mu(side: str, record_ids) -> np.ndarray:
         full = store.table_encodings(side)
-        bounds = shard_bounds_for(side, len(full), store.shard_rows)
+        bounds = shard_bounds_for(side, len(full), slice_rows)
         shards = [full.mu[b.start : b.stop] for b in bounds]
         rows = []
         for rid in record_ids:
             global_row = full.row_index[rid]
-            owner = bounds[global_row // store.shard_rows]
+            owner = bounds[global_row // slice_rows]
             rows.append(shards[owner.index][global_row - owner.start])
         return np.stack(rows)
 
@@ -79,9 +77,7 @@ def _sharded_latent_distances(store: EncodingStore, pairs) -> np.ndarray:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fixed_store(tiny_domain, tiny_representation):
-    return EncodingStore(
-        tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=7
-    )
+    return EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
 
 
 class TestRandomizedPairSets:
@@ -96,7 +92,7 @@ class TestRandomizedPairSets:
 
         vectorized = fixed_store.pair_latent_distances(pairs)
         loop = pair_distance_loop(tiny_domain.task, tiny_representation, pairs)
-        sharded = _sharded_latent_distances(fixed_store, pairs)
+        sharded = _sharded_latent_distances(fixed_store, pairs, 7)
 
         assert vectorized.shape == loop.shape == sharded.shape == (len(pairs),)
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
@@ -119,44 +115,44 @@ class TestRandomizedPairSets:
 # Randomized tables (parametrized seeds), degenerate shapes included
 # ----------------------------------------------------------------------
 class TestRandomizedTables:
-    @pytest.mark.parametrize("seed,left_rows,right_rows,shard_rows", [
+    @pytest.mark.parametrize("seed,left_rows,right_rows,slice_rows", [
         (0, 6, 9, 4),
         (1, 12, 5, 3),
         (2, 9, 12, 100),  # one shard spanning everything
     ])
-    def test_random_tables_agree(self, seed, left_rows, right_rows, shard_rows, pair_distance_loop):
+    def test_random_tables_agree(self, seed, left_rows, right_rows, slice_rows, pair_distance_loop):
         rng = np.random.default_rng(seed)
         task = _random_task(rng, left_rows, right_rows, f"rand{seed}")
-        store = _fit_store(task, shard_rows)
+        store = _fit_store(task)
         pairs = [
             RecordPair(f"l{rng.integers(left_rows)}", f"r{rng.integers(right_rows)}")
             for _ in range(25)
         ]
         vectorized = pair_latent_distances(task, store.representation, pairs, store=store)
         loop = pair_distance_loop(task, store.representation, pairs)
-        sharded = _sharded_latent_distances(store, pairs)
+        sharded = _sharded_latent_distances(store, pairs, slice_rows)
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
         np.testing.assert_allclose(sharded, loop, atol=ATOL)
 
     def test_single_row_tables(self, pair_distance_loop):
         rng = np.random.default_rng(5)
         task = _random_task(rng, 1, 1, "single")
-        store = _fit_store(task, shard_rows=4)
+        store = _fit_store(task)
         pairs = [RecordPair("l0", "r0")] * 3  # repeated references to the only row
         vectorized = store.pair_latent_distances(pairs)
         loop = pair_distance_loop(task, store.representation, pairs)
-        sharded = _sharded_latent_distances(store, pairs)
-        assert len(shard_bounds_for("left", 1, store.shard_rows)) == 1
+        sharded = _sharded_latent_distances(store, pairs, 4)
+        assert len(shard_bounds_for("left", 1, 4)) == 1
         np.testing.assert_allclose(vectorized, loop, atol=ATOL)
         np.testing.assert_allclose(sharded, loop, atol=ATOL)
 
     def test_empty_pair_set(self, pair_distance_loop):
         rng = np.random.default_rng(6)
         task = _random_task(rng, 3, 3, "emptypairs")
-        store = _fit_store(task, shard_rows=2)
+        store = _fit_store(task)
         assert store.pair_latent_distances([]).shape == (0,)
         assert pair_distance_loop(task, store.representation, []).shape == (0,)
-        assert _sharded_latent_distances(store, []).shape == (0,)
+        assert _sharded_latent_distances(store, [], 2).shape == (0,)
         left, right, labels = store.pair_ir_arrays([])
         assert left.shape[0] == right.shape[0] == labels.shape[0] == 0
 
@@ -164,10 +160,10 @@ class TestRandomizedTables:
         """Concatenating every shard slice reproduces the cached arrays exactly."""
         rng = np.random.default_rng(8)
         task = _random_task(rng, 11, 7, "reassemble")
-        store = _fit_store(task, shard_rows=3)
+        store = _fit_store(task)
         for side in ("left", "right"):
             full = store.table_encodings(side)
-            bounds = shard_bounds_for(side, len(full), store.shard_rows)
+            bounds = shard_bounds_for(side, len(full), 3)
             assert sum(b.rows for b in bounds) == len(full)
             for name in ("irs", "mu", "sigma"):
                 array = getattr(full, name)

@@ -2,11 +2,11 @@
 
 Three invariants pin the plan/execute refactor:
 
-* the plan is pure metadata — stage graph and shard bounds derive from table
-  sizes alone, no encoding;
-* pooled blocking (the executor's query fan-out, one pool task per planned
-  shard) produces the *identical* candidate-pair list as a serial search, on
-  every registry domain;
+* the plan is pure metadata — stage graph and query chunks derive from table
+  sizes and knobs alone, no encoding;
+* a pooled resolve (chunked queries in the parent, score tasks on the pool)
+  produces the *identical* candidate-pair list as a serial search, on every
+  registry domain;
 * pooled resolution is byte-identical to the serial ``resolve`` stream for
   any (k, batch_size, workers) combination, and a warm run against a chunked
   persistent cache encodes zero tables.
@@ -21,6 +21,7 @@ from repro.config import BlockingConfig, MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, load_domain
+from repro.data.schema import ERTask, Table
 from repro.engine import (
     EncodingStore,
     PersistentEncodingCache,
@@ -30,6 +31,7 @@ from repro.engine import (
     resolve,
     shard_bounds_for,
 )
+from repro.engine.stream import query_chunk_for
 from repro.eval.timing import EngineCounters, StageTimings
 
 WORKERS = 2
@@ -41,7 +43,7 @@ def planned_pipeline(tiny_domain):
         vae=VAEConfig(ir_dim=16, hidden_dim=24, latent_dim=8, epochs=3, seed=3),
         matcher=MatcherConfig(epochs=10, mlp_hidden=(24, 12), seed=5),
     )
-    model = VAER(config, shard_rows=16).fit_representation(tiny_domain.task)
+    model = VAER(config).fit_representation(tiny_domain.task)
     model.fit_matcher(tiny_domain.splits.train, tiny_domain.splits.validation)
     return model
 
@@ -50,15 +52,13 @@ class TestPlannerGraph:
     def test_plan_is_pure_metadata(self, tiny_domain, tiny_representation):
         """Planning must not encode a single record."""
         counters = EngineCounters()
-        store = EncodingStore(
-            tiny_representation, tiny_domain.task, counters=counters, shard_rows=16
-        )
+        store = EncodingStore(tiny_representation, tiny_domain.task, counters=counters)
         ResolutionPlanner.from_store(store, k=5, batch_size=32, workers=4).plan()
         assert counters.tables_encoded == 0
         assert counters.cache_misses == 0
 
     def test_stage_graph_shape(self, tiny_domain):
-        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, workers=4, shard_rows=16).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, workers=4).plan()
         assert [stage.name for stage in plan.stages] == ["encode", "block", "score"]
         assert plan.stage("encode").depends_on == ()
         assert plan.stage("block").depends_on == ("encode",)
@@ -69,7 +69,9 @@ class TestPlannerGraph:
     def test_cold_plan_units(self, tiny_domain):
         """The stage graph every run executes, unit for unit."""
         left, right = len(tiny_domain.task.left), len(tiny_domain.task.right)
-        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, shard_rows=16).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32).plan()
+        chunk = plan.query_chunk
+        assert chunk == 32 // 5
         assert [(u.name, u.rows, u.detail) for u in plan.stage("encode").units] == [
             ("left", left, "IR transform + VAE forward"),
             ("right", right, "IR transform + VAE forward"),
@@ -77,21 +79,21 @@ class TestPlannerGraph:
         assert [(u.name, u.rows, u.detail) for u in plan.stage("block").units] == [
             ("build right", right, f"hash rows 0..{right}"),
         ] + [
-            (f"query left[{i}]", min(16, left - s), f"top-5 rows {s}..{min(s + 16, left)}")
-            for i, s in enumerate(range(0, left, 16))
+            (f"query left[{i}]", min(chunk, left - s), f"top-5 rows {s}..{min(s + chunk, left)}")
+            for i, s in enumerate(range(0, left, chunk))
         ]
         assert [(u.name, u.rows, u.detail) for u in plan.stage("score").units] == [
             ("batches", 0, f"streaming, <={plan.max_batches()} batches of <=32 pairs"),
         ]
 
     def test_bounds_cover_both_tables(self, tiny_domain):
-        plan = ResolutionPlanner(tiny_domain.task, shard_rows=16).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32).plan()
         assert plan.query_bounds[0].start == 0
         assert plan.query_bounds[-1].stop == len(tiny_domain.task.left)
         for previous, current in zip(plan.query_bounds, plan.query_bounds[1:]):
             assert previous.stop == current.start
         # The block stage schedules one build unit for the whole right table
-        # and one query unit per left shard.
+        # and one query unit per left chunk.
         assert plan.stage("block").num_units == 1 + len(plan.query_bounds)
 
     def test_max_batches_upper_bound(self, tiny_domain):
@@ -100,14 +102,14 @@ class TestPlannerGraph:
         assert plan.max_batches() == (n * 5 + 16) // 17
 
     def test_describe_mentions_every_stage(self, tiny_domain):
-        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, workers=4, shard_rows=16).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, workers=4).plan()
         text = plan.describe()
-        for token in ("encode", "block", "score", "workers=4", "shard_rows=16", tiny_domain.task.name):
+        for token in ("encode", "block", "score", "workers=4", "query_chunk=6", tiny_domain.task.name):
             assert token in text
 
     def test_describe_elides_units_past_the_limit(self, tiny_domain):
         """Long stages are cut at max_units with an explicit '+N more' line."""
-        plan = ResolutionPlanner(tiny_domain.task, shard_rows=4).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=20).plan()
         block = plan.stage("block")
         assert block.num_units > 3
         text = plan.describe(max_units=2)
@@ -119,7 +121,7 @@ class TestPlannerGraph:
             assert unit.name in full
 
     def test_describe_lists_rows_and_details(self, tiny_domain):
-        plan = ResolutionPlanner(tiny_domain.task, k=5, shard_rows=16).plan()
+        plan = ResolutionPlanner(tiny_domain.task, k=5).plan()
         text = plan.describe()
         assert f"({len(tiny_domain.task.left)} rows)" in text  # encode unit annotation
         assert "IR transform + VAE forward" in text
@@ -128,25 +130,53 @@ class TestPlannerGraph:
         assert text.index("[1] encode") < text.index("[2] block <- encode") < text.index("[3] score <- block")
 
     def test_invalid_knobs_rejected(self, tiny_domain):
-        for kwargs in ({"k": 0}, {"batch_size": 0}, {"workers": 0}, {"shard_rows": 0}):
+        for kwargs in ({"k": 0}, {"batch_size": 0}, {"workers": 0}):
             with pytest.raises(ValueError):
                 ResolutionPlanner(tiny_domain.task, **kwargs)
 
-    def test_from_store_adopts_shard_layout(self, tiny_domain, tiny_representation):
-        store = EncodingStore(
-            tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=16
-        )
-        plan = ResolutionPlanner.from_store(store, workers=2).plan()
-        assert plan.shard_rows == 16
+    def test_from_store_plans_query_chunks(self, tiny_domain, tiny_representation):
+        """The query units are the chunks a serial run walks: one grain."""
+        store = EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
+        plan = ResolutionPlanner.from_store(store, k=4, batch_size=13, workers=2).plan()
+        assert plan.query_chunk == query_chunk_for(13, 4) == 3
         assert [(b.start, b.stop) for b in plan.query_bounds] == [
             (b.start, b.stop)
-            for b in shard_bounds_for("left", len(tiny_domain.task.left), store.shard_rows)
+            for b in shard_bounds_for("left", len(tiny_domain.task.left), plan.query_chunk)
         ]
 
     def test_pipeline_plan_resolution(self, planned_pipeline, tiny_domain):
         plan = planned_pipeline.plan_resolution(k=5, batch_size=32, workers=3)
-        assert plan.workers == 3 and plan.shard_rows == 16
+        assert plan.workers == 3 and plan.query_chunk == 6
         assert plan.left_rows == len(tiny_domain.task.left)
+
+
+class TestOneGrain:
+    """A resolve has one grain, the query chunk of ``query_chunk_for(batch_size,
+    k)`` rows: the plan's query units are those chunks, and a serial run
+    queries each of them once."""
+
+    # k > batch_size (7, 10) floors the chunk at one row; 2048 / 10 covers
+    # the whole tiny left table in one chunk.
+    @pytest.mark.parametrize("batch_size,k", [(1, 4), (7, 10), (13, 4), (32, 5), (2048, 10)])
+    def test_serial_run_queries_each_planned_chunk_once(self, planned_pipeline, batch_size, k):
+        store, matcher = planned_pipeline.store, planned_pipeline.matcher
+        plan = ResolutionPlanner.from_store(store, k=k, batch_size=batch_size).plan()
+        chunk = query_chunk_for(batch_size, k)
+        assert plan.query_chunk == chunk
+        assert plan.query_bounds == tuple(shard_bounds_for("left", len(store.task.left), chunk))
+        assert [u.rows for u in plan.stage("block").units[1:]] == [b.rows for b in plan.query_bounds]
+        stage_timings = StageTimings()
+        list(resolve(store, matcher, k=k, batch_size=batch_size, stage_timings=stage_timings).run())
+        assert stage_timings.units("block") == 1 + len(plan.query_bounds)
+
+    def test_empty_left_table_plans_no_query_units(self, tiny_domain):
+        right = tiny_domain.task.right
+        task = ERTask(name="empty-left", left=Table("left", right.attributes, []), right=right)
+        plan = ResolutionPlanner(task, k=5, batch_size=32).plan()
+        assert plan.query_bounds == ()
+        assert [u.name for u in plan.stage("block").units] == ["build right"]
+        assert plan.max_batches() == 0
+        assert "left=0 rows (0 query chunk(s))" in plan.describe()
 
 
 class _ConstantMatcher:
@@ -159,13 +189,13 @@ class _ConstantMatcher:
 class TestShardedBlockingEquivalence:
     @pytest.mark.parametrize("name", DOMAIN_NAMES)
     def test_identical_candidate_pairs_on_every_registry_domain(self, name):
-        """The executor's pooled source — one query task per planned shard —
-        enumerates exactly the serial candidates."""
+        """The executor's pooled source — one-row query chunks in the parent,
+        score tasks on the pool — enumerates exactly the serial candidates."""
         domain = load_domain(name, scale=0.25)
         representation = EntityRepresentationModel(
             VAEConfig(ir_dim=12, hidden_dim=16, latent_dim=6, epochs=1, seed=7), ir_method="lsa"
         ).fit(domain.task)
-        store = EncodingStore(representation, domain.task, counters=EngineCounters(), shard_rows=7)
+        store = EncodingStore(representation, domain.task, counters=EngineCounters())
         config = BlockingConfig(seed=17)
         left, right = store.table_encodings("left"), store.table_encodings("right")
         serial = (
@@ -174,7 +204,7 @@ class TestShardedBlockingEquivalence:
             .candidate_pairs(left.flat_mu(), left.keys, k=5)
         )
         pooled = merge_scored_batches(
-            resolve(store, _ConstantMatcher(), blocking=config, k=5, workers=WORKERS).run()
+            resolve(store, _ConstantMatcher(), blocking=config, k=5, batch_size=7, workers=WORKERS).run()
         )
         assert len(pooled) > 0
         assert [p.key() for p in pooled.pairs] == [p.key() for p in serial]
@@ -187,7 +217,7 @@ class TestPlannerResolveEquivalence:
         k=st.integers(min_value=1, max_value=8),
         workers=st.integers(min_value=2, max_value=3),
     )
-    # One pair per batch: the schedule packs many batches out of each query task.
+    # One pair per batch: the schedule packs many batches out of each query chunk.
     @example(batch_size=1, k=4, workers=2)
     def test_planner_resolve_byte_identical_to_stream(self, planned_pipeline, batch_size, k, workers):
         store, matcher = planned_pipeline.store, planned_pipeline.matcher
@@ -213,16 +243,12 @@ class TestPlannerResolveEquivalence:
         assert [p.key() for p in planned.pairs] == [p.key() for p in streamed.pairs]
         np.testing.assert_array_equal(planned.probabilities, streamed.probabilities)
         # Every stage of the graph reported compute time, plus the pooled
-        # dispatch/IPC/merge breakdown.
-        assert set(stage_timings.stages()) == {
-            "encode", "block", "score", "dispatch", "block-ipc", "merge",
-        }
-        # One build, then one pool task per planned query shard, each with
-        # its own submit-to-completion overhead sample.
+        # dispatch and the merge.
+        assert set(stage_timings.stages()) == {"encode", "block", "score", "dispatch", "merge"}
+        # One build, then one query per planned chunk, in the parent.
         assert stage_timings.units("block") == 1 + len(plan.query_bounds)
-        assert stage_timings.units("block-ipc") == len(plan.query_bounds)
-        # Dispatch: the state's publication plus every submitted unit.
-        assert stage_timings.units("dispatch") > len(plan.query_bounds)
+        # Dispatch: the state's publication plus one score task per batch.
+        assert stage_timings.units("dispatch") == 1 + stage_timings.units("score")
         assert stage_timings.counter("pairs_rescored") == len(planned)
 
     def test_oversized_k_and_batch(self, planned_pipeline):
@@ -258,7 +284,7 @@ class TestWarmChunkedCacheResolve:
 
         cold_store = EncodingStore(
             tiny_representation, tiny_domain.task,
-            counters=EngineCounters(), persistent=cache, shard_rows=16,
+            counters=EngineCounters(), persistent=cache,
         )
         cold = merge_scored_batches(
             resolve(cold_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2).run()
@@ -271,7 +297,7 @@ class TestWarmChunkedCacheResolve:
         )
         warm_store = EncodingStore(
             tiny_representation, tiny_domain.task,
-            counters=EngineCounters(), persistent=cache, shard_rows=16,
+            counters=EngineCounters(), persistent=cache,
         )
         warm = merge_scored_batches(
             resolve(warm_store, matcher, k=5, batch_size=13, threshold=threshold, workers=2).run()

@@ -76,9 +76,7 @@ def pool_domain():
 
 
 def _store(representation, task):
-    return EncodingStore(
-        representation, task, counters=EngineCounters(), shard_rows=16
-    )
+    return EncodingStore(representation, task, counters=EngineCounters())
 
 
 def _rows(batches):
@@ -259,6 +257,37 @@ class TestSuppliedPool:
         assert _rows(resumed) == serial
         assert pool.broken and not pool.shut_down
         assert shard_module._CACHED_POOL is not pool
+
+    @pytest.mark.parametrize("base", [_InlinePool, ThreadWorkerPool], ids=["inline", "thread"])
+    def test_pool_is_published_only_what_score_tasks_read(self, pool_domain, base):
+        """Blocking runs in the parent, so a run publishes one state — the
+        two IR tables and the matcher, no index, encodings or keys — and
+        withdraws it when the stream is drained."""
+        domain, representation = pool_domain
+        matcher = _DistanceMatcher()
+        published, released = [], []
+
+        class _PublishRecordingPool(base):
+            def publish(self, state):
+                published.append(state)
+                return super().publish(state)
+
+            def release(self, handle):
+                released.append(handle.state)
+                super().release(handle)
+
+        pool = _PublishRecordingPool() if base is _InlinePool else _PublishRecordingPool(2)
+        store = _store(representation, domain.task)
+        try:
+            list(resolve(store, matcher, k=4, batch_size=13, pool=pool).run())
+        finally:
+            pool.shutdown()
+        assert len(published) == 1 and released == published
+        state = published[0]
+        assert sorted(vars(state)) == ["left_irs", "matcher", "right_irs"]
+        assert state.matcher is matcher
+        assert state.left_irs is store.table_encodings("left").irs
+        assert state.right_irs is store.table_encodings("right").irs
 
     def test_two_pools_resolve_concurrently(self, pool_domain):
         """Two resolves on two threads, each with its own store and pool."""

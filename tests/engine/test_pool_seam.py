@@ -145,8 +145,8 @@ def test_supplied_pool_matches_serial_stream(tmp_path, beer, supplied_pool, kind
     pooled = _rows(model.resolve_stream(pool=pool, k=5, batch_size=64, stage_timings=stage))
     assert pooled == serial
     assert not pool.broken
-    assert "block-ipc" in stage.stages(), "the query shards ran on the supplied pool"
-    assert stage.seconds("dispatch") >= 0.0
+    # The state's publication, then one score task per batch on the pool.
+    assert stage.units("dispatch") == 1 + stage.units("score")
     assert _publications(pool) == {}, "every published stage state was released"
 
 
@@ -219,7 +219,7 @@ def test_one_worker_pool_degenerates_to_local_serial(beer, supplied_pool, kind):
         pool=pool, k=5, batch_size=64, stage_timings=stage,
     ))
     assert pooled == serial
-    assert "block-ipc" not in stage.stages() and "dispatch" not in stage.stages()
+    assert "dispatch" not in stage.stages()
     assert getattr(pool, "submitted", 0) == 0
     assert shard_module.POOL_SPAWNS == spawns
 

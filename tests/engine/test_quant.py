@@ -688,7 +688,7 @@ def _resolve(representation, domain, codec, cache=None, baseline=None, store=Non
     if store is None:
         store = EncodingStore(
             representation, domain.task, counters=EngineCounters(),
-            shard_rows=16, persistent=cache, codec=codec,
+            persistent=cache, codec=codec,
         )
     executor = resolve(
         store, _DistanceMatcher(), baseline=baseline, capture=True,
@@ -760,7 +760,7 @@ class TestStoreEquivalence:
         cold_mu = cold_store.table_encodings("right").mu
         warm_store = EncodingStore(
             quant_representation, domain.task, counters=EngineCounters(),
-            shard_rows=16, persistent=cache, codec="pq",
+            persistent=cache, codec="pq",
         )
         warm_mu = warm_store.table_encodings("right").mu
         assert warm_store.counters.disk_hits >= 1
@@ -814,7 +814,7 @@ class TestQuantizePatchPruneRoundtrip:
         assert set(removed["bytes_by_codec"]) <= {"int8"}
         warm = EncodingStore(
             quant_representation, int8_store.task, counters=EngineCounters(),
-            shard_rows=16, persistent=int8_cache, codec="int8",
+            persistent=int8_cache, codec="int8",
         )
         warm.table_encodings("right")
         assert warm.counters.disk_hits >= 1
@@ -841,7 +841,7 @@ class TestQuantizePatchPruneRoundtrip:
         assert set(removed["bytes_by_codec"]) <= {"pq"}
         warm = EncodingStore(
             quant_representation, pq_store.task, counters=EngineCounters(),
-            shard_rows=16, persistent=pq_cache, codec="pq",
+            persistent=pq_cache, codec="pq",
         )
         warm.table_encodings("right")
         assert warm.counters.disk_hits >= 1

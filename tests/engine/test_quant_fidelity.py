@@ -57,7 +57,7 @@ class _DistanceMatcher:
 
 def _store(representation, domain, codec: str, cache_dir: Path) -> EncodingStore:
     return EncodingStore(
-        representation, domain.task, counters=EngineCounters(), shard_rows=256,
+        representation, domain.task, counters=EngineCounters(),
         persistent=PersistentEncodingCache(cache_dir, chunk_rows=CHUNK_ROWS), codec=codec,
     )
 

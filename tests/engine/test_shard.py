@@ -1,4 +1,4 @@
-"""Shard bounds of an EncodingStore and parallel resolve behaviour."""
+"""Row-range bounds, shard loads of the persistent cache and parallel resolve behaviour."""
 
 import numpy as np
 import pytest
@@ -24,34 +24,22 @@ def sharded_pipeline(tiny_domain):
         vae=VAEConfig(ir_dim=16, hidden_dim=24, latent_dim=8, epochs=3, seed=3),
         matcher=MatcherConfig(epochs=10, mlp_hidden=(24, 12), seed=5),
     )
-    model = VAER(config, shard_rows=16).fit_representation(tiny_domain.task)
+    model = VAER(config).fit_representation(tiny_domain.task)
     model.fit_matcher(tiny_domain.splits.train, tiny_domain.splits.validation)
     return model
 
 
-@pytest.fixture()
-def store(tiny_domain, tiny_representation):
-    return EncodingStore(
-        tiny_representation, tiny_domain.task, counters=EngineCounters(), shard_rows=16
-    )
-
-
 class TestShardViews:
-    def test_bounds_cover_table_in_order(self, store, tiny_domain):
-        bounds = shard_bounds_for("left", len(tiny_domain.task.left), store.shard_rows)
+    def test_bounds_cover_table_in_order(self, tiny_domain):
+        bounds = shard_bounds_for("left", len(tiny_domain.task.left), 16)
         assert bounds[0].start == 0
         assert bounds[-1].stop == len(tiny_domain.task.left)
         for previous, current in zip(bounds, bounds[1:]):
             assert previous.stop == current.start
-        assert all(b.rows <= store.shard_rows for b in bounds)
+        assert all(b.rows <= 16 for b in bounds)
         assert [b.index for b in bounds] == list(range(len(bounds)))
-
-    def test_pipeline_store_is_sharded(self, sharded_pipeline):
-        assert sharded_pipeline.store.shard_rows == 16
-
-    def test_invalid_shard_rows_rejected(self, tiny_domain, tiny_representation):
         with pytest.raises(ValueError):
-            EncodingStore(tiny_representation, tiny_domain.task, shard_rows=0)
+            shard_bounds_for("left", len(tiny_domain.task.left), 0)
 
     def test_shard_local_row_index(self, tiny_domain, tiny_representation, tmp_path):
         """A shard loaded by row range addresses its own rows 0..len-1 by
@@ -59,7 +47,7 @@ class TestShardViews:
         cache = PersistentEncodingCache(tmp_path / "cache", chunk_rows=16)
         store = EncodingStore(
             tiny_representation, tiny_domain.task, counters=EngineCounters(),
-            persistent=cache, shard_rows=16,
+            persistent=cache,
         )
         full = store.table_encodings("left")
         shard = cache.load_range(
@@ -97,7 +85,7 @@ class TestResolveSharded:
         def drained(**sinks):
             store = EncodingStore(
                 sharded_pipeline.representation, tiny_domain.task,
-                counters=EngineCounters(), shard_rows=16,
+                counters=EngineCounters(),
             )
             list(resolve(store, sharded_pipeline.matcher, k=5, batch_size=13, **sinks).run())
             return store.stats()

@@ -6,9 +6,7 @@ import pytest
 from repro.config import MatcherConfig, VAERConfig, VAEConfig
 from repro.core import VAER
 from repro.data.pairs import RecordPair
-from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.engine import EncodingStore, ScoredPairs, resolve
-from repro.engine.shard import query_shard_pairs
 from repro.eval.timing import EngineCounters
 from repro.exceptions import StaleEncodingError
 
@@ -26,10 +24,10 @@ def resolved_pipeline(tiny_domain):
 
 class TestCandidateStream:
     def test_covers_same_pairs_as_monolithic_blocking(self, resolved_pipeline, tiny_domain):
-        """Small query shards and chunks enumerate the monolithic candidates."""
+        """One-row query chunks enumerate the monolithic candidates."""
         monolithic = resolved_pipeline.candidate_pairs(k=5)
         store = EncodingStore(
-            resolved_pipeline.representation, tiny_domain.task, counters=EngineCounters(), shard_rows=9
+            resolved_pipeline.representation, tiny_domain.task, counters=EngineCounters()
         )
         streamed = [
             pair
@@ -101,15 +99,17 @@ class TestResolveStreamEdgeCases:
 
     def test_query_chunk_larger_than_left_table(self, resolved_pipeline, tiny_domain):
         """One oversized chunk equals the many-small-chunks enumeration."""
-        store = resolved_pipeline.store
-        search = NearestNeighbourSearch.from_store(store, config=resolved_pipeline.config.blocking)
-        left = store.table_encodings("left")
-        rows = len(left)
+        rows = len(tiny_domain.task.left)
 
         def walk(query_chunk):
-            return query_shard_pairs(search, left.flat_mu(), left.keys, 0, rows, 5, query_chunk)
+            executor = resolve(
+                resolved_pipeline.store, resolved_pipeline.matcher,
+                blocking=resolved_pipeline.config.blocking, k=5, batch_size=5 * query_chunk,
+            )
+            assert executor.plan.query_chunk == query_chunk
+            return [p.key() for batch in executor.run() for p in batch.pairs]
 
-        assert [p.key() for p in walk(10 * rows)] == [p.key() for p in walk(3)]
+        assert walk(10 * rows) == walk(3)
 
     def test_store_invalidated_mid_stream_raises(self, tiny_domain):
         """A version bump mid-stream must raise, not silently serve stale scores."""
@@ -128,8 +128,8 @@ class TestResolveStreamEdgeCases:
             next(stream)
 
     def test_candidate_stream_invalidation_raises(self, tiny_domain):
-        """The query fan-out also refuses to span a version bump: with one
-        batch per query shard, the next batch first needs the next shard."""
+        """The query walk also refuses to span a version bump: with one
+        batch per query chunk, the next batch first needs the next chunk."""
         config = VAERConfig(
             vae=VAEConfig(ir_dim=16, hidden_dim=24, latent_dim=8, epochs=2, seed=3),
             matcher=MatcherConfig(epochs=5, mlp_hidden=(24, 12), seed=5),
@@ -137,7 +137,7 @@ class TestResolveStreamEdgeCases:
         model = VAER(config).fit_representation(tiny_domain.task)
         model.fit_matcher(tiny_domain.splits.train)
         store = EncodingStore(
-            model.representation, tiny_domain.task, counters=EngineCounters(), shard_rows=8
+            model.representation, tiny_domain.task, counters=EngineCounters()
         )
         stream = resolve(store, model.matcher, k=5, batch_size=8 * 5).run()
         next(stream)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.data.generators import load_domain
 
 
 class TestParser:
@@ -38,11 +39,11 @@ class TestParser:
         assert args.workers == 4 and args.cache_dir == ".repro-cache"
 
     def test_plan_arguments(self):
-        args = _build_parser().parse_args(
-            ["plan", "--domain", "music", "--workers", "4", "--shard-rows", "512"]
-        )
-        assert args.domain == "music" and args.workers == 4 and args.shard_rows == 512
+        args = _build_parser().parse_args(["plan", "--domain", "music", "--workers", "4"])
+        assert args.domain == "music" and args.workers == 4
         assert args.k == 10 and args.batch_size == 2048  # defaults
+        with pytest.raises(SystemExit):  # the plan has no shard knob
+            _build_parser().parse_args(["plan", "--shard-rows", "512"])
 
     def test_resolve_incremental_arguments(self):
         args = _build_parser().parse_args(["resolve", "--incremental", "--append-rows", "96"])
@@ -72,16 +73,34 @@ class TestCommands:
         training run's time and still print the full stage graph."""
         assert main([
             "plan", "--domain", "restaurants", "--scale", "0.3",
-            "--workers", "4", "--shard-rows", "16", "--k", "5",
+            "--workers", "4", "--batch-size", "20", "--k", "5",
         ]) == 0
         output = capsys.readouterr().out
-        for token in ("encode", "block", "score", "workers=4", "shard_rows=16"):
+        for token in ("encode", "block", "score", "workers=4", "query_chunk=4"):
             assert token in output
 
     def test_plan_rejects_bad_arguments(self, capsys):
         assert main(["plan", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert main(["plan", "--shard-rows", "-1"]) == 2
+        assert main(["plan", "--batch-size", "-1"]) == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_plan_prints_one_query_unit_per_chunk(self, capsys):
+        """The block stage is one build plus one query unit per
+        ``batch_size // k``-row chunk of the left table."""
+        assert main([
+            "plan", "--domain", "beer", "--workers", "2", "--batch-size", "100", "--k", "10",
+        ]) == 0
+        output = capsys.readouterr().out
+        chunks = -(-len(load_domain("beer").task.left) // 10)
+        assert f"({chunks} query chunk(s))" in output
+        assert f"block <- encode — {1 + chunks} unit(s)" in output
+        assert "query_chunk=10" in output
+
+    def test_plan_has_no_shard_rows_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", "--domain", "beer", "--shard-rows", "8"])
+        assert excinfo.value.code == 2
         assert "--shard-rows" in capsys.readouterr().err
 
     def test_resolve_rejects_bad_mutation_arguments(self, capsys):
