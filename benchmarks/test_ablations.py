@@ -36,9 +36,9 @@ def test_ablation_distance_metric(benchmark, domains, harness_config):
         scores[distance] = row.metrics.f1
         rows.append([distance, f"{row.metrics.precision:.2f}", f"{row.metrics.recall:.2f}", f"{row.metrics.f1:.2f}"])
 
-    benchmark(lambda: run_vaer_matching(
+    benchmark.pedantic(lambda: run_vaer_matching(
         domain, harness_config, representation=representation, distance="mahalanobis",
-    ))
+    ), rounds=1, iterations=1)
 
     print("\n\nAblation — matcher distance metric (restaurants)\n")
     print(format_table(["Distance", "P", "R", "F1"], rows))
@@ -59,9 +59,9 @@ def test_ablation_contrastive_term(benchmark, domains, harness_config):
         scores[label] = row.metrics.f1
         rows.append([label, f"{row.metrics.f1:.2f}"])
 
-    benchmark(lambda: run_vaer_matching(
+    benchmark.pedantic(lambda: run_vaer_matching(
         domain, harness_config, representation=representation, contrastive_weight=0.0,
-    ))
+    ), rounds=1, iterations=1)
 
     print("\n\nAblation — contrastive term of Equation 4 (citations1)\n")
     print(format_table(["Variant", "F1"], rows))
@@ -84,10 +84,10 @@ def test_ablation_al_strategy(benchmark, domains, harness_config):
         scores[strategy] = result.active.f1
         rows.append([strategy, f"{result.active.f1:.2f}", str(result.labels_used)])
 
-    benchmark(lambda: active_learning_experiment(
+    benchmark.pedantic(lambda: active_learning_experiment(
         domain, harness_config, label_budget=10, iterations=1,
         strategy="random", representation=representation,
-    ))
+    ), rounds=1, iterations=1)
 
     print("\n\nAblation — AL sampling strategy at a 40-label budget (beer)\n")
     print(format_table(["Strategy", "F1", "Labels"], rows))
@@ -119,7 +119,7 @@ def test_ablation_kl_weight(benchmark, domains, harness_config):
         recalls[beta] = recall
         rows.append([f"beta={beta}", f"{recall:.2f}"])
 
-    benchmark(lambda: recall_at_k_experiment(domain, harness_config, ks=(10,)))
+    benchmark.pedantic(lambda: recall_at_k_experiment(domain, harness_config, ks=(10,)), rounds=1, iterations=1)
 
     print("\n\nAblation — KL weight of the VAE objective, recall@10 (cosmetics)\n")
     print(format_table(["KL weight", "Recall@10"], rows))

@@ -23,10 +23,12 @@ def test_figure4_recall_at_k_curve(benchmark, domains, harness_config):
             domain, harness_config, ks=KS, representation=models[name]
         )
 
-    benchmark(
+    benchmark.pedantic(
         lambda: recall_at_k_experiment(
             domains["restaurants"], harness_config, ks=(10,), representation=models["restaurants"]
-        )
+        ),
+        rounds=1,
+        iterations=1,
     )
 
     print("\n\nFigure 4 — VAER-LSA recall@K as K increases\n")

@@ -20,9 +20,9 @@ def test_figure5_f1_vs_labels(benchmark, domains, harness_config):
     rows_by_domain = compute_al_rows(domains, harness_config)
     traces = {name: row.f1_trace for name, row in rows_by_domain.items()}
 
-    benchmark(lambda: active_learning_experiment(
+    benchmark.pedantic(lambda: active_learning_experiment(
         domains["restaurants"], harness_config, label_budget=12, iterations=1,
-    ))
+    ), rounds=1, iterations=1)
 
     print("\n\nFigure 5 — active learning F1 curves (labels:F1 per iteration)\n")
     print(format_f1_trace(traces))

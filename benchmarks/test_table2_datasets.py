@@ -36,7 +36,7 @@ def _dataset_rows(domains):
 
 def test_table2_dataset_statistics(benchmark, all_domains):
     """Generate one domain under the benchmark timer and print Table II."""
-    benchmark(lambda: load_domain("restaurants", scale=bench_scale()))
+    benchmark.pedantic(lambda: load_domain("restaurants", scale=bench_scale()), rounds=1, iterations=1)
 
     headers = [
         "Domain", "Card.", "Arity", "Train", "Test", "Kind",

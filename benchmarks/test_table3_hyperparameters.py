@@ -10,7 +10,7 @@ from repro.eval.reporting import format_table
 
 
 def test_table3_hyperparameters(benchmark):
-    config = benchmark(VAERConfig.paper_defaults)
+    config = benchmark.pedantic(VAERConfig.paper_defaults, rounds=1, iterations=1)
 
     rows = [
         ["Repr. learning", "VAE hidden dimension", str(config.vae.hidden_dim), "200"],

@@ -29,9 +29,9 @@ def compute_matching_results(domains, harness_config):
 def test_table5_matching_effectiveness(benchmark, domains, harness_config):
     results = compute_matching_results(domains, harness_config)
 
-    benchmark(lambda: matching_experiment(
+    benchmark.pedantic(lambda: matching_experiment(
         domains["restaurants"], harness_config, systems=("deeper",)
-    ))
+    ), rounds=1, iterations=1)
 
     print("\n\nTable V — supervised matching P/R/F1\n")
     print(format_matching_table(results))

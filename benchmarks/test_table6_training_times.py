@@ -21,7 +21,7 @@ from benchmarks.test_table5_matching import compute_matching_results
 def test_table6_training_times(benchmark, domains, harness_config):
     results = compute_matching_results(domains, harness_config)
 
-    benchmark(lambda: run_vaer_matching(domains["restaurants"], harness_config))
+    benchmark.pedantic(lambda: run_vaer_matching(domains["restaurants"], harness_config), rounds=1, iterations=1)
 
     print("\n\nTable VI — training times in seconds (repr + matching)\n")
     print(format_timing_table(results))

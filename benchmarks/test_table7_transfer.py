@@ -27,7 +27,7 @@ def test_table7_transferability(benchmark, domains, harness_config):
 
     rows = transfer_experiment(source, targets, harness_config)
 
-    benchmark(lambda: transfer_experiment(source, targets[:1], harness_config))
+    benchmark.pedantic(lambda: transfer_experiment(source, targets[:1], harness_config), rounds=1, iterations=1)
 
     print("\n\nTable VII — local vs transferred representation model (source: citations2)\n")
     print(format_transfer_table(rows))

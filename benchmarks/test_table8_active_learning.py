@@ -45,9 +45,9 @@ def test_table8_active_learning(benchmark, domains, harness_config):
     rows_by_domain = compute_al_rows(domains, harness_config)
     rows = list(rows_by_domain.values())
 
-    benchmark(lambda: active_learning_experiment(
+    benchmark.pedantic(lambda: active_learning_experiment(
         domains["restaurants"], harness_config, label_budget=20, iterations=2,
-    ))
+    ), rounds=1, iterations=1)
 
     print(f"\n\nTable VIII — active learning (budget = {LABEL_BUDGET} labels)\n")
     print(format_active_learning_table(rows))

@@ -371,7 +371,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     print("\nEngine cache statistics\n")
     print(format_engine_stats())
-    print("\nPer-stage timings (encode -> block -> score, plus dispatch/IPC/merge for pooled runs)\n")
+    print("\nPer-stage timings (encode -> block -> score, plus merge, and dispatch for pooled runs)\n")
     print(format_stage_timings(stage_timings))
     return 0
 

@@ -68,7 +68,7 @@ class EntityEncoding:
 
     def flat_mu(self) -> np.ndarray:
         """Record-level vectors for LSH search: concatenated attribute means."""
-        return self.mu.reshape(len(self), -1)
+        return self.mu.reshape(len(self), self.arity * self.latent_dim)
 
 
 class EntityRepresentationModel:

@@ -15,10 +15,11 @@ planned and executed*:
   scoring inline or on a :class:`WorkerPool` — with results merged
   deterministically by ``(batch_index, pair_index)``;
 * :class:`WorkerPool` — the one seam for *where score units run*, passed as
-  ``pool=``: :class:`ForkWorkerPool` (shared-memory state publishing),
-  :class:`ThreadWorkerPool` (where fork or shared memory is unavailable) or
-  any subclass the caller builds; ``pool=None`` with ``workers > 1``
-  borrows the cached, persistent local pool;
+  ``pool=``: :class:`ForkWorkerPool` (worker processes),
+  :class:`ThreadWorkerPool` (where fork is unavailable) or any subclass the
+  caller builds — each score task carries its batch's rows, so a pool is
+  only ``submit``; ``pool=None`` with ``workers > 1`` borrows the cached,
+  persistent local pool;
 * :func:`resolve` — the one front-end: plans a run and constructs its
   executor.  Its batch stream is byte-identical at every ``workers`` count
   and on every pool.  Without a baseline the run is cold; against the
@@ -72,7 +73,6 @@ from repro.engine.plan import (
 from repro.engine.shard import (
     ForkWorkerPool,
     ShardBounds,
-    StateHandle,
     ThreadWorkerPool,
     WorkerPool,
     acquire_pool,
@@ -83,13 +83,6 @@ from repro.engine.shard import (
     release_pool,
     shard_bounds_for,
     shutdown_pools,
-)
-from repro.engine.sharedmem import (
-    StatePublication,
-    StateSpec,
-    detach_all,
-    publish_state,
-    shared_memory_available,
 )
 from repro.engine.store import (
     EncodingStore,
@@ -123,9 +116,6 @@ __all__ = [
     "ShardBounds",
     "Stage",
     "StageUnit",
-    "StateHandle",
-    "StatePublication",
-    "StateSpec",
     "TableDelta",
     "TableEncodings",
     "ThreadWorkerPool",
@@ -137,13 +127,10 @@ __all__ = [
     "params_from_json",
     "resolve_codec_name",
     "table_sq_norms_of",
-    "detach_all",
     "fork_pool_available",
     "make_pool",
-    "publish_state",
     "release_engine_resources",
     "release_pool",
-    "shared_memory_available",
     "shutdown_pools",
     "diff_rows",
     "encode_table_rows",

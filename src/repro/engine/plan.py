@@ -44,15 +44,7 @@ from repro.config import BlockingConfig
 from repro.data.pairs import RecordPair
 from repro.data.schema import ERTask
 from repro.engine.quant import CodecArray
-from repro.engine.shard import (
-    ShardBounds,
-    StateHandle,
-    WorkerPool,
-    acquire_pool,
-    release_pool,
-    shard_bounds_for,
-    worker_state,
-)
+from repro.engine.shard import ShardBounds, WorkerPool, acquire_pool, release_pool, shard_bounds_for
 from repro.engine.store import EncodingStore, TableEncodings
 from repro.engine.stream import (
     ResolutionBatch,
@@ -235,31 +227,24 @@ class ResolutionPlanner:
 
 
 # ----------------------------------------------------------------------
-# The score task (state arrives through the handle the pool published it
-# under — a pool can predate any run's state, so nothing is inherited)
+# The score task (it carries everything it reads — a pool can predate any
+# run's state, so nothing is inherited)
 # ----------------------------------------------------------------------
-@dataclass
-class _PlanState:
-    """Everything a score task needs, published under one state handle.
+def _gather_rows(irs: Union[np.ndarray, CodecArray], rows: np.ndarray) -> Tuple[object, np.ndarray]:
+    """``irs``'s distinct ``rows`` (code views stay codes) and the inverse index.
 
-    Whole-table IRs the matcher gathers each batch's rows from — code views
-    (:class:`CodecArray`) under a quantized codec, decoded per batch — and
-    the matcher itself: bare arrays rather than richer store objects, so a
-    pool's publisher ships exactly the payloads workers touch.
+    ``np.unique`` of the inverse is ``arange``, so a matcher that encodes
+    the distinct rows of what it is given encodes these very rows.
     """
+    unique, inverse = np.unique(rows, return_inverse=True)
+    distinct = irs.take_rows(unique) if isinstance(irs, CodecArray) else irs[unique]
+    return distinct, inverse
 
-    left_irs: Union[np.ndarray, CodecArray]
-    right_irs: Union[np.ndarray, CodecArray]
-    matcher: object
 
-
-def _score_task(handle: StateHandle, left_rows: np.ndarray, right_rows: np.ndarray):
-    """Score stage: one batch's rows of the shared arrays, each distinct row encoded once."""
-    state: _PlanState = worker_state(handle)
+def _score_task(matcher, left_irs, right_irs, left_rows: np.ndarray, right_rows: np.ndarray):
+    """Score stage: one batch's pairs over its gathered rows, each row encoded once."""
     started = time.perf_counter()
-    probabilities = state.matcher.predict_proba(
-        state.left_irs, state.right_irs, rows=(left_rows, right_rows)
-    )
+    probabilities = matcher.predict_proba(left_irs, right_irs, rows=(left_rows, right_rows))
     return probabilities, time.perf_counter() - started
 
 
@@ -455,7 +440,7 @@ class ResolutionExecutor:
             right_diff = baseline.diff_side("right", store.task.right)
 
         # The pool scores.  It predates the run, so workers never inherit
-        # the encoded arrays; the run publishes what its score tasks need.
+        # the encoded arrays; each score task carries its batch's rows.
         pool = self.pool if plan.workers > 1 else None
         borrowed = pool is None and plan.workers > 1
         if borrowed:
@@ -530,30 +515,20 @@ class ResolutionExecutor:
         the inline run skips what was already emitted and consumers see one
         contiguous, duplicate-free stream.
         """
-        state = _PlanState(left.irs, right.irs, self.matcher)
         emitted = 0
         if pool is not None and not pool.broken:
             try:
-                started = time.perf_counter()
-                handle = pool.publish(state)
-                self._record_stage("dispatch", time.perf_counter() - started)
-                try:
-                    for batch in self._schedule(pool, handle, search, left, right, pinned, scores):
-                        emitted = batch.batch_index + 1
-                        yield batch
-                finally:
-                    pool.release(handle)
+                for batch in self._schedule(pool, search, left, right, pinned, scores):
+                    emitted = batch.batch_index + 1
+                    yield batch
                 return
             except BrokenExecutor:
                 pool.broken = True
-        yield from self._schedule(
-            None, StateHandle(state=state), search, left, right, pinned, scores, emitted
-        )
+        yield from self._schedule(None, search, left, right, pinned, scores, emitted)
 
     def _schedule(
         self,
         pool: Optional[WorkerPool],
-        handle: StateHandle,
         search: NearestNeighbourSearch,
         left: TableEncodings,
         right: TableEncodings,
@@ -596,11 +571,15 @@ class ResolutionExecutor:
                 probabilities, unknown = self._split(pairs, scores)
                 left_rows = left.rows([pairs[i].left_id for i in unknown])
                 right_rows = right.rows([pairs[i].right_id for i in unknown])
+                call = None
+                if unknown:
+                    left_irs, left_index = _gather_rows(left.irs, left_rows)
+                    right_irs, right_index = _gather_rows(right.irs, right_rows)
+                    call = (_score_task, self.matcher, left_irs, right_irs, left_index, right_index)
                 merge_seconds += time.perf_counter() - started
-                call = (_score_task, left_rows, right_rows) if unknown else None
                 yield (batch_index, pairs, probabilities, unknown, left_rows, right_rows), call
 
-        for unit, result in self._ordered(pool, handle, score_units()):
+        for unit, result in self._ordered(pool, score_units()):
             batch_index, pairs, probabilities, unknown, left_rows, right_rows = unit
             seconds = 0.0
             if result is not None:
@@ -614,10 +593,10 @@ class ResolutionExecutor:
         self._record_stage("merge", merge_seconds)
         guard_store_version(store, pinned)
 
-    def _ordered(self, pool: Optional[WorkerPool], handle: StateHandle, units) -> Iterator[tuple]:
+    def _ordered(self, pool: Optional[WorkerPool], units) -> Iterator[tuple]:
         """Run ``(tag, call)`` units; yield ``(tag, result)`` in unit order.
 
-        ``call`` is ``(fn, *args)``, run as ``fn(handle, *args)``, or None
+        ``call`` is ``(fn, *args)``, run as ``fn(*args)``, or None
         (nothing to run, result None).  Without a pool each call runs
         inline.  With one, at most ``2 × workers`` units are in flight —
         finished-but-unconsumed ones included, so a slow early unit cannot
@@ -626,7 +605,7 @@ class ResolutionExecutor:
         """
         if pool is None:
             for tag, call in units:
-                yield tag, None if call is None else call[0](handle, *call[1:])
+                yield tag, None if call is None else call[0](*call[1:])
             return
         inflight: deque = deque()
 
@@ -638,7 +617,7 @@ class ResolutionExecutor:
             future = None
             if call is not None:
                 started = time.perf_counter()
-                future = pool.submit(call[0], handle, *call[1:])
+                future = pool.submit(*call)
                 self._record_stage("dispatch", time.perf_counter() - started)
             inflight.append((tag, future))
             if len(inflight) >= 2 * pool.workers:

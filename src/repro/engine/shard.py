@@ -8,13 +8,11 @@ This module owns the building blocks the planner-driven engine
   sizes alone, so planning never forces an encode;
 * :class:`WorkerPool` — the one seam between the executor and *where its
   score units run*.  A pool is a value the caller passes, not process
-  state: it takes ``submit`` calls, publishes the run's state
-  (``publish`` / ``release``) through a transport it owns, and reports
-  ``workers`` and ``broken``.  Two local implementations exist:
-  :class:`ForkWorkerPool` (state travels through shared-memory segments,
-  :mod:`repro.engine.sharedmem`) and :class:`ThreadWorkerPool` (workers
-  share the address space, the handle simply carries the state object);
-  any other subclass can be passed as ``pool=``;
+  state: it takes ``submit`` calls and reports ``workers`` and ``broken``.
+  Two local implementations exist: :class:`ForkWorkerPool` (worker
+  processes; each task's arguments are pickled to them) and
+  :class:`ThreadWorkerPool` (threads of this process); any other subclass
+  can be passed as ``pool=``;
 * :func:`merge_scored_batches`, which concatenates a scored stream.
 
 An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
@@ -29,18 +27,18 @@ stream does not depend on completion order.
 Which local pool
 ----------------
 Observed, not configured: :func:`make_pool` forks on Linux when the ``fork``
-start method and shared-memory segments both work (:func:`fork_pool_available`),
+start method and a process-shared lock both work (:func:`fork_pool_available`),
 and falls back to threads everywhere else (NumPy's BLAS releases the GIL in
 the kernels that dominate; fork stays off on macOS, where forking after the
 parent has touched Accelerate/BLAS aborts the children).  The local pool is
 *persistent*: one pool serves the score units of a resolve and is cached
 across resolves (delta rounds reuse it), so spawn cost is paid once.
-Because the pool can predate any given run's state, forked workers never
-rely on copy-on-write inheritance; each run *publishes* its state and tasks
-ship only the small :class:`StateHandle` plus row indices.  Work is
-deterministic on every pool: workers run the same NumPy ops on the same
-arrays, so merged results are byte-identical to a single-process run over
-the same store.
+Because the pool can predate any given run's state, workers never rely on
+inherited state: each score task carries exactly what it reads — the
+matcher, its batch's distinct rows of the two IR tables and the row
+indices into them.  Work is deterministic on every pool: workers run the
+same NumPy ops on the same arrays, so merged results are byte-identical to
+a single-process run over the same store.
 """
 
 from __future__ import annotations
@@ -50,12 +48,11 @@ import multiprocessing
 import sys
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.data.pairs import RecordPair
-from repro.engine import sharedmem
 from repro.engine.stream import ScoredPairs
 
 
@@ -88,42 +85,16 @@ def shard_bounds_for(side: str, n_rows: int, range_rows: int) -> List[ShardBound
 # ----------------------------------------------------------------------
 # The worker-pool seam
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StateHandle:
-    """Reference to one published stage state, carried by every task.
-
-    Exactly one field is set: ``state`` (the object itself — pools whose
-    workers share the publisher's address space) or ``spec`` (a small
-    picklable description with an ``attach()`` method — pools whose workers
-    must map or load the state themselves).
-    """
-
-    spec: Optional[object] = None
-    state: Optional[object] = None
-
-
-def worker_state(handle: StateHandle) -> object:
-    """The state a task's handle refers to, in whichever process runs it.
-
-    Specs memoize their attachment per process, so only the first task of a
-    stage pays the unpickle.
-    """
-    return handle.state if handle.spec is None else handle.spec.attach()
-
-
 class WorkerPool:
     """Where a resolve's score units run: the seam the executor is given.
 
-    ``submit`` returns a :class:`concurrent.futures.Future`; ``publish``
-    makes a run's state reachable from the pool's workers and ``release``
-    withdraws it; ``workers`` sizes the fan-out.  ``broken`` is set by
-    callers that observed the pool die (``submit`` or a future raising
+    ``submit`` returns a :class:`concurrent.futures.Future`; ``workers``
+    sizes the fan-out.  ``broken`` is set by callers that observed the pool
+    die (``submit`` or a future raising
     :class:`concurrent.futures.BrokenExecutor`): the caller runs the rest of
-    its schedule inline and the pool is never handed out again.
-
-    The defaults describe a pool whose workers share this process's memory,
-    so a subclass passed as ``pool=`` only has to say how ``submit`` runs a
-    call.
+    its schedule inline and the pool is never handed out again.  A task
+    carries everything it reads, so a subclass passed as ``pool=`` only has
+    to say how ``submit`` runs a call.
     """
 
     def __init__(self, workers: int) -> None:
@@ -133,17 +104,8 @@ class WorkerPool:
     def submit(self, fn, /, *args, **kwargs) -> Future:
         raise NotImplementedError
 
-    def publish(self, state: object) -> StateHandle:
-        return StateHandle(state=state)
-
-    def release(self, handle: StateHandle) -> None:
-        """Withdraw a published state (tasks carrying it have finished)."""
-
     def shutdown(self) -> None:
-        """Stop the workers and withdraw every published state (idempotent)."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers}, broken={self.broken})"
+        """Stop the workers (idempotent)."""
 
 
 class _ExecutorPool(WorkerPool):
@@ -176,31 +138,11 @@ class ThreadWorkerPool(_ExecutorPool):
 
 
 class ForkWorkerPool(_ExecutorPool):
-    """Forked worker processes; state is published to shared memory.
-
-    The pool owns its publications: ``release`` unlinks one state's
-    segments, ``shutdown`` whatever an abandoned run left behind.
-    """
+    """Forked worker processes; each task's arguments are pickled to them."""
 
     def __init__(self, workers: int) -> None:
         context = multiprocessing.get_context("fork")
         super().__init__(ProcessPoolExecutor(max_workers=workers, mp_context=context), workers)
-        self._publications: Dict[str, sharedmem.StatePublication] = {}
-
-    def publish(self, state: object) -> StateHandle:
-        publication = sharedmem.publish_state(state)
-        self._publications[publication.spec.token] = publication
-        return StateHandle(spec=publication.spec)
-
-    def release(self, handle: StateHandle) -> None:
-        publication = self._publications.pop(handle.spec.token, None)
-        if publication is not None:
-            publication.close()
-
-    def shutdown(self) -> None:
-        while self._publications:
-            self._publications.popitem()[1].close()
-        super().shutdown()
 
 
 #: Pools spawned by :func:`make_pool` since import — the observable cost the
@@ -209,28 +151,35 @@ class ForkWorkerPool(_ExecutorPool):
 #: none.  Pools a caller builds and supplies itself are not counted.
 POOL_SPAWNS = 0
 
+#: Memo of :func:`fork_pool_available` (None until first asked).
+_FORK_POOL_AVAILABLE: Optional[bool] = None
+
 
 def fork_pool_available() -> bool:
-    """Whether this process can run a :class:`ForkWorkerPool`.
+    """Whether this process can run a :class:`ForkWorkerPool` (memoized probe).
 
-    Linux with the ``fork`` start method and working shared-memory segments:
-    the fork pool ships stage state through segments, so without them the
-    process path would pickle arrays per task and threads are the better
-    fallback.
+    Linux with the ``fork`` start method and a working fork-context
+    :func:`multiprocessing.Lock` — the POSIX semaphore a process pool's
+    queues need, which fails exactly where ``/dev/shm`` is missing (sealed
+    sandboxes), so those get threads.
     """
-    return (
-        sys.platform.startswith("linux")
-        and "fork" in multiprocessing.get_all_start_methods()
-        and sharedmem.shared_memory_available()
-    )
+    global _FORK_POOL_AVAILABLE
+    if _FORK_POOL_AVAILABLE is None:
+        available = sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods()
+        if available:
+            try:
+                multiprocessing.get_context("fork").Lock()
+            except (ImportError, OSError):
+                available = False
+        _FORK_POOL_AVAILABLE = available
+    return _FORK_POOL_AVAILABLE
 
 
 def make_pool(workers: int) -> WorkerPool:
     """Spawn a new local pool (callers normally want :func:`acquire_pool`).
 
-    Workers are stateless at spawn time — stage state arrives later through
-    :meth:`WorkerPool.publish` — which is what makes one pool reusable
-    across resolves and delta rounds.
+    Workers are stateless — every task carries what it reads — which is
+    what makes one pool reusable across resolves and delta rounds.
     """
     global POOL_SPAWNS
     POOL_SPAWNS += 1
@@ -284,12 +233,10 @@ def release_engine_resources() -> None:
 
     A batch CLI run can lean on the ``atexit`` hook below, but a daemon
     that stops serving one task (or goes idle) must not keep the cached
-    local pool or the shared-memory segments it published (including those
-    an abandoned run never released) alive for hours.  Idempotent and safe to
-    call between tasks: the next resolve simply re-acquires a pool on demand.
+    local pool's workers alive for hours.  Idempotent and safe to call
+    between tasks: the next resolve simply re-acquires a pool on demand.
     """
     shutdown_pools()
-    sharedmem.detach_all()
 
 
 atexit.register(release_engine_resources)

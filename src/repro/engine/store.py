@@ -102,7 +102,8 @@ class TableEncodings:
 
     def flat_mu(self) -> np.ndarray:
         """Record-level vectors for LSH search: concatenated attribute means."""
-        return self.mu.reshape(len(self), -1)
+        _, arity, latent = self.mu.shape
+        return self.mu.reshape(len(self), arity * latent)
 
     def entity_encoding(self) -> "EntityEncoding":
         """The legacy :class:`EntityEncoding` view (shared arrays, not copies)."""
@@ -687,11 +688,10 @@ class EncodingStore:
     def record_external_gather(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
         """Counter bookkeeping for a batch scored outside the store.
 
-        The resolve executor hands row indices to score tasks which score
-        directly from the shared cached arrays; this mirrors the accounting
-        :meth:`score_pairs` would have done (one logical hit per side plus
-        the scored pairs and distinct records) so serial and pooled runs
-        report equal counters.
+        The resolve executor hands each batch's gathered rows to a score
+        task; this mirrors the accounting :meth:`score_pairs` would have
+        done (one logical hit per side plus the scored pairs and distinct
+        records) so serial and pooled runs report equal counters.
         """
         n_pairs = len(left_rows)
         if n_pairs <= 0:

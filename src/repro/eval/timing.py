@@ -197,8 +197,8 @@ class StageTimings:
     work unit here under its stage name (``encode``, ``block``, ``score``),
     accumulating seconds and unit counts per stage, plus ``merge`` (the
     parent's seconds splitting batches against the baseline and gathering
-    their rows).  Pooled runs add ``dispatch``: the parent's seconds
-    publishing the run's state and submitting score units.  So a sweep can
+    their rows).  Pooled runs add ``dispatch``: the parent's seconds in
+    ``submit``, one unit per score task.  So a sweep can
     show where the wall clock went, not just that it moved.  ``encode`` and
     ``block`` always run in the parent; ``score`` seconds are *worker
     compute* time, so with a pool the summed figure can exceed the run's

@@ -230,8 +230,8 @@ class MatchServer:
         """Graceful stop: drain the mutation queue, then stop the listener.
 
         The session closes first — new mutations are refused while queued
-        ones complete and engine resources (worker pool, shared memory) are
-        released — then the HTTP loop exits.  Idempotent.
+        ones complete and the cached worker pool is shut down — then the
+        HTTP loop exits.  Idempotent.
         """
         with self._shutdown_lock:
             if self._shut_down:

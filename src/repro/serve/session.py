@@ -29,7 +29,7 @@ Concurrency model (the snapshot-isolation contract the server documents):
 
 Shutdown drains the queue (pending mutations complete, late ones are
 refused), joins the writer, and releases every engine resource the process
-holds — the cached local worker pool with its shared-memory publications
+holds — the cached local worker pool
 (:func:`repro.engine.release_engine_resources`).
 Persistent-cache manifests are flushed synchronously by each mutation's
 write-then-rename, so a drained queue implies a consistent on-disk cache.

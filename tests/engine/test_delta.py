@@ -200,7 +200,7 @@ class TestRegistryEquivalence:
     def test_parallel_delta_tail_on_a_pool_that_predates_the_model(self):
         """The production case: the cached pool was spawned by an earlier
         resolve, so its workers cannot have inherited anything of this run
-        and encode with a published (pickled) copy of the model."""
+        and score with the (pickled) matcher and rows each task carries."""
         pool = acquire_pool(2)
         try:
             for future in [pool.submit(time.sleep, 0.2) for _ in range(2)]:

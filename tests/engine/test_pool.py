@@ -1,4 +1,4 @@
-"""Worker pools: spawn accounting, the ``pool=`` seam, shared memory.
+"""Worker pools: spawn accounting, the ``pool=`` seam, the fork probe.
 
 Pinned here:
 
@@ -8,18 +8,19 @@ Pinned here:
   encode → block → score stages and across resolves;
 * **Transport equivalence** — a thread pool and a fork pool passed as
   ``pool=`` both produce the serial stream's bytes, cold and over one delta
-  round, and the local pool is a thread pool wherever the shared-memory
-  probe fails;
+  round, and the local pool is a thread pool wherever the fork probe
+  fails;
 * **Pools are values** — a supplied pool is never spawned, cached or shut
   down by the engine, survives an abandoned stream, hands a run over to the
   serial schedule when marked broken, and two of them resolve concurrently;
   a subclass that writes only ``submit`` serves ``VAER.resolve_stream`` and
   ``ServeSession`` with the serial bytes, and a closed session leaves it
   usable;
-* **Shared-memory lifecycle** — publish/attach round-trips hoisted arrays
-  losslessly, attachments memoize, and publication close is idempotent.
+* **Tasks carry their batch** — each submitted score task holds exactly its
+  batch's distinct rows of the two IR tables (code tables as codes).
 """
 
+import multiprocessing
 import threading
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
@@ -31,6 +32,7 @@ from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import append_rows, load_domain
 from repro.engine import (
+    CodecArray,
     EncodingStore,
     ForkWorkerPool,
     ThreadWorkerPool,
@@ -40,7 +42,6 @@ from repro.engine import (
     resolve,
 )
 from repro.engine import shard as shard_module
-from repro.engine import sharedmem
 from repro.engine.shard import acquire_pool, make_pool, release_pool, shutdown_pools
 from repro.eval.timing import EngineCounters
 from repro.serve import ServeSession
@@ -186,10 +187,20 @@ class TestTransportEquivalence:
         assert shard_module.POOL_SPAWNS == before and shard_module._CACHED_POOL is None
         assert serial == pooled
 
-    def test_shm_kill_switch_forces_thread_transport(self, monkeypatch):
-        """No shared memory (a failed probe) means no fork pool: threads."""
-        monkeypatch.setattr(sharedmem, "_available", False)  # the memoized probe
+    def test_failed_fork_probe_forces_thread_pool(self, monkeypatch):
+        """A fork-context lock that cannot be made (no ``/dev/shm``) means no
+        fork pool: the probe says so, once, and the local pool is threads."""
+        probes = []
+
+        def no_semaphores(self):
+            probes.append(True)
+            raise OSError("sem_open: no such file or directory")
+
+        monkeypatch.setattr(shard_module, "_FORK_POOL_AVAILABLE", None)  # forget the memo
+        monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Lock", no_semaphores)
         assert not fork_pool_available()
+        assert not fork_pool_available()
+        assert len(probes) == 1, "the probe is memoized"
         pool = make_pool(2)
         try:
             assert isinstance(pool, ThreadWorkerPool)
@@ -258,36 +269,46 @@ class TestSuppliedPool:
         assert pool.broken and not pool.shut_down
         assert shard_module._CACHED_POOL is not pool
 
+    @pytest.mark.parametrize("codec", ["raw", "int8", "pq"])
     @pytest.mark.parametrize("base", [_InlinePool, ThreadWorkerPool], ids=["inline", "thread"])
-    def test_pool_is_published_only_what_score_tasks_read(self, pool_domain, base):
-        """Blocking runs in the parent, so a run publishes one state — the
-        two IR tables and the matcher, no index, encodings or keys — and
-        withdraws it when the stream is drained."""
+    def test_each_score_task_carries_exactly_its_batch_rows(self, pool_domain, base, codec):
+        """Blocking runs in the parent and a task carries what it reads: the
+        matcher, its batch's distinct left and right IR rows — codes under a
+        quantized codec, as the store holds them — and each pair's index
+        into those rows."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
-        published, released = [], []
+        submitted = []
 
-        class _PublishRecordingPool(base):
-            def publish(self, state):
-                published.append(state)
-                return super().publish(state)
+        class _TaskRecordingPool(base):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn.__name__, args))
+                return super().submit(fn, *args, **kwargs)
 
-            def release(self, handle):
-                released.append(handle.state)
-                super().release(handle)
-
-        pool = _PublishRecordingPool() if base is _InlinePool else _PublishRecordingPool(2)
-        store = _store(representation, domain.task)
+        pool = _TaskRecordingPool() if base is _InlinePool else _TaskRecordingPool(2)
+        store = EncodingStore(representation, domain.task, counters=EngineCounters(), codec=codec)
         try:
-            list(resolve(store, matcher, k=4, batch_size=13, pool=pool).run())
+            batches = list(resolve(store, matcher, k=4, batch_size=13, pool=pool).run())
         finally:
             pool.shutdown()
-        assert len(published) == 1 and released == published
-        state = published[0]
-        assert sorted(vars(state)) == ["left_irs", "matcher", "right_irs"]
-        assert state.matcher is matcher
-        assert state.left_irs is store.table_encodings("left").irs
-        assert state.right_irs is store.table_encodings("right").irs
+        assert [name for name, _ in submitted] == ["_score_task"] * len(batches)
+        left, right = store.table_encodings("left"), store.table_encodings("right")
+        for batch, (_, args) in zip(batches, submitted):
+            task_matcher, left_irs, right_irs, left_index, right_index = args
+            assert task_matcher is matcher
+            for table, irs, index, ids in (
+                (left, left_irs, left_index, [p.left_id for p in batch.pairs]),
+                (right, right_irs, right_index, [p.right_id for p in batch.pairs]),
+            ):
+                rows = table.rows(ids)
+                distinct = np.unique(rows)
+                assert isinstance(irs, CodecArray) == (codec != "raw")
+                assert len(irs) == len(distinct)
+                if codec == "raw":
+                    assert irs.tobytes() == table.irs[distinct].tobytes()
+                else:
+                    assert irs.codes.tobytes() == table.irs.codes[distinct].tobytes()
+                np.testing.assert_array_equal(distinct[index], rows)
 
     def test_two_pools_resolve_concurrently(self, pool_domain):
         """Two resolves on two threads, each with its own store and pool."""
@@ -325,7 +346,7 @@ class TestSuppliedPool:
 
 class _SubmitOnlyPool(WorkerPool):
     """The least an out-of-tree pool writes: ``submit`` over an executor
-    its owner runs; ``publish`` / ``release`` / ``shutdown`` are inherited."""
+    its owner runs; ``shutdown`` is inherited."""
 
     def __init__(self, executor: ThreadPoolExecutor) -> None:
         super().__init__(workers=2)
@@ -384,30 +405,3 @@ class TestOutOfTreePool:
         assert not submit_only_pool.broken and not shutdowns
         assert shard_module._CACHED_POOL is not submit_only_pool
         assert submit_only_pool.submit(sum, (1, 2)).result(timeout=10) == 3
-
-
-class TestSharedMemoryStates:
-    def test_publish_attach_roundtrip(self):
-        if not sharedmem.shared_memory_available():
-            pytest.skip("shared memory unavailable in this environment")
-        big = np.arange(32768, dtype=np.float64).reshape(64, 512)  # >= hoist threshold
-        state = {
-            "big": big,
-            "small": np.arange(4, dtype=np.int64),
-            "label": "x",
-            "nested": {"k": 3},
-        }
-        publication = sharedmem.publish_state(state)
-        try:
-            assert publication.spec.arrays, "the large array must be hoisted to a segment"
-            attached = publication.spec.attach()
-            np.testing.assert_array_equal(attached["big"], big)
-            np.testing.assert_array_equal(attached["small"], state["small"])
-            assert attached["label"] == "x"
-            assert attached["nested"] == {"k": 3}
-            # Re-attaching the same spec is memoized, not re-unpickled.
-            assert publication.spec.attach() is attached
-        finally:
-            sharedmem.detach_all()
-            publication.close()
-            publication.close()  # idempotent
