@@ -182,10 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     serve.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="Worker pool size for delta refreshes.",
-    )
-    serve.add_argument(
         "--cache-dir", default=None,
         help="Directory for the persistent encoding cache; warm restarts skip table encoding.",
     )
@@ -447,9 +443,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.generators import load_domain
     from repro.serve import MatchServer, ServeSession
 
-    code = _check_positive(
-        ("--k", args.k), ("--batch-size", args.batch_size), ("--workers", args.workers),
-    )
+    code = _check_positive(("--k", args.k), ("--batch-size", args.batch_size))
     if code:
         return code
     if args.port < 0:
@@ -466,9 +460,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     model.fit_representation(domain.task)
     model.fit_matcher(domain.splits.train, domain.splits.validation)
 
-    session = ServeSession(
-        model, k=args.k, batch_size=args.batch_size, workers=args.workers
-    ).start()
+    session = ServeSession(model, k=args.k, batch_size=args.batch_size).start()
     server = MatchServer(session, host=args.host, port=args.port)
     snapshot = session.snapshot
     print(
@@ -483,7 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.shutdown()
-    print("daemon stopped: queue drained, cache flushed, pool released")
+    print("daemon stopped: queue drained, cache flushed")
     return 0
 
 

@@ -86,7 +86,7 @@ def bootstrap_training_data(
         from repro.engine.store import EncodingStore
 
         store = EncodingStore(representation, task)
-    left, right = store.entity_encoding("left"), store.entity_encoding("right")
+    left, right = store.table_encodings("left"), store.table_encodings("right")
     if len(left) == 0 or len(right) == 0:
         raise ActiveLearningError("cannot bootstrap on an empty table")
 

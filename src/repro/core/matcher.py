@@ -121,9 +121,13 @@ class SiameseMatcher(Module):
         :class:`~repro.engine.quant.CodecArray`, which then decodes only the
         distinct rows); the heads of a row depend on that row alone, so
         gathering them by the inverse index equals encoding ``irs[rows]``.
+        An ndarray whose every row is referenced is encoded as it is (then
+        ``unique`` is ``arange``); a code view is always indexed, because
+        indexing is its decode.
         """
         unique, inverse = np.unique(rows, return_inverse=True)
-        mu, sigma = self._encode_side(Tensor(irs[unique]))
+        whole = isinstance(irs, np.ndarray) and len(unique) == len(irs)
+        mu, sigma = self._encode_side(Tensor(irs if whole else irs[unique]))
         return Tensor(mu.data[inverse]), Tensor(sigma.data[inverse])
 
     def forward(self, left_irs: Tensor, right_irs: Tensor) -> Tuple[Tensor, Tensor]:

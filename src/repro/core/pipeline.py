@@ -28,8 +28,8 @@ replaced whenever a new representation is fitted or adopted:
   no stage ever re-tokenizes or re-encodes a record the store already holds;
 * :meth:`resolve_stream` chunks the same flow so candidate scoring runs in
   bounded-memory batches for inputs too large to score at once; with
-  ``workers > 1`` (or a supplied ``pool=``) the batches are scored in
-  parallel across a worker pool with byte-identical results;
+  ``workers > 1`` the batches are scored in parallel across the cached
+  worker pool with byte-identical results;
 * a ``cache_dir`` attaches a :class:`repro.engine.PersistentEncodingCache`
   to the store, so repeated runs on the same task and representation load
   table encodings from disk instead of recomputing them.
@@ -60,7 +60,6 @@ from repro.engine import (
     ResolutionPlan,
     ResolutionPlanner,
     ScoredPairs,
-    WorkerPool,
     resolve,
 )
 from repro.engine.quant import resolve_codec_name
@@ -271,7 +270,6 @@ class VAER:
         workers: int = 1,
         stage_timings: Optional[StageTimings] = None,
         incremental: bool = False,
-        pool: Optional[WorkerPool] = None,
     ) -> Iterator[ResolutionBatch]:
         """Chunked ER pass: score candidates in bounded-memory batches.
 
@@ -286,16 +284,9 @@ class VAER:
         (:func:`repro.engine.resolve`) and merge back in order, while the
         LSH blocking queries run in this process; the yielded sequence is
         byte-identical to the single-process stream.  ``stage_timings``
-        collects per-stage (encode/block/score) compute seconds.
-
-        ``pool`` runs the same score units on a pool of the caller's instead
-        (and sizes the plan by its worker count): a
-        :class:`repro.engine.ForkWorkerPool`, a
-        :class:`repro.engine.ThreadWorkerPool` or any
-        :class:`repro.engine.WorkerPool` subclass.  A pool that dies
-        mid-run degrades to the serial schedule here.  The stream stays
-        byte-identical to the serial one; the pool is the caller's to shut
-        down.
+        collects per-stage (encode/block/score) compute seconds.  A pool
+        the caller builds goes to :func:`repro.engine.resolve`, the one
+        entry point that takes one.
 
         With ``incremental=True`` the same executor resolves against the
         baseline captured by the previous incremental run: the first such
@@ -312,7 +303,6 @@ class VAER:
             threshold=self.threshold,
             workers=workers,
             stage_timings=stage_timings,
-            pool=pool,
         )
         if not incremental:
             return resolve(self.store, matcher, **options).run()
@@ -332,8 +322,6 @@ class VAER:
         k: Optional[int] = None,
         batch_size: int = 2048,
         stage_timings: Optional[StageTimings] = None,
-        workers: int = 1,
-        pool: Optional[WorkerPool] = None,
     ) -> Iterator[ResolutionBatch]:
         """Incremental ER pass: pay only for rows mutated since the last one.
 
@@ -363,14 +351,12 @@ class VAER:
         round-off for rescored ones — the equivalence the delta tests pin.  The
         baseline is refreshed when the stream is fully drained (an abandoned
         stream keeps the previous baseline).  Refitting the representation
-        or matcher invalidates the affected parts automatically.  With
-        ``workers > 1`` (or a supplied ``pool``) score batches run on the
-        worker pool; encodes, index mutations and blocking queries run in
-        this process.
+        or matcher invalidates the affected parts automatically.  It runs
+        serially; ``resolve_stream(incremental=True, workers=N)`` scores
+        the same rounds on the cached worker pool.
         """
         return self.resolve_stream(
-            k=k, batch_size=batch_size, workers=workers,
-            stage_timings=stage_timings, incremental=True, pool=pool,
+            k=k, batch_size=batch_size, stage_timings=stage_timings, incremental=True,
         )
 
     @property

@@ -15,11 +15,12 @@ planned and executed*:
   scoring inline or on a :class:`WorkerPool` — with results merged
   deterministically by ``(batch_index, pair_index)``;
 * :class:`WorkerPool` — the one seam for *where score units run*, passed as
-  ``pool=``: :class:`ForkWorkerPool` (worker processes),
-  :class:`ThreadWorkerPool` (where fork is unavailable) or any subclass the
-  caller builds — each score task carries its batch's rows, so a pool is
-  only ``submit``; ``pool=None`` with ``workers > 1`` borrows the cached,
-  persistent local pool;
+  ``pool=`` to :func:`resolve`, the only entry point that takes one:
+  :class:`ForkWorkerPool` (worker processes), :class:`ThreadWorkerPool`
+  (where fork is unavailable) or any subclass the caller builds — each
+  score task carries its batch's rows, so a pool is only ``submit``;
+  ``pool=None`` with ``workers > 1`` borrows the cached, persistent local
+  pool (``VAER.resolve_stream(workers=N)``); the daemon runs serially;
 * :func:`resolve` — the one front-end: plans a run and constructs its
   executor.  Its batch stream is byte-identical at every ``workers`` count
   and on every pool.  Without a baseline the run is cold; against the

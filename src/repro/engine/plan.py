@@ -569,18 +569,19 @@ class ResolutionExecutor:
                 guard_store_version(store, pinned)
                 started = time.perf_counter()
                 probabilities, unknown = self._split(pairs, scores)
-                left_rows = left.rows([pairs[i].left_id for i in unknown])
-                right_rows = right.rows([pairs[i].right_id for i in unknown])
-                call = None
+                call, distinct = None, 0
                 if unknown:
+                    left_rows = left.rows([pairs[i].left_id for i in unknown])
+                    right_rows = right.rows([pairs[i].right_id for i in unknown])
                     left_irs, left_index = _gather_rows(left.irs, left_rows)
                     right_irs, right_index = _gather_rows(right.irs, right_rows)
                     call = (_score_task, self.matcher, left_irs, right_irs, left_index, right_index)
+                    distinct = len(left_irs) + len(right_irs)
                 merge_seconds += time.perf_counter() - started
-                yield (batch_index, pairs, probabilities, unknown, left_rows, right_rows), call
+                yield (batch_index, pairs, probabilities, unknown, distinct), call
 
         for unit, result in self._ordered(pool, score_units()):
-            batch_index, pairs, probabilities, unknown, left_rows, right_rows = unit
+            batch_index, pairs, probabilities, unknown, distinct = unit
             seconds = 0.0
             if result is not None:
                 scored, seconds = result
@@ -588,7 +589,7 @@ class ResolutionExecutor:
                 store.counters.record_pairs_rescored(len(unknown))
             self._record_stage("score", seconds)
             self._record_counter("pairs_rescored", len(unknown))
-            store.record_external_gather(left_rows, right_rows)
+            store.record_external_gather(len(unknown), distinct)
             yield ResolutionBatch(pairs, probabilities, threshold=self.threshold, batch_index=batch_index)
         self._record_stage("merge", merge_seconds)
         guard_store_version(store, pinned)

@@ -12,7 +12,8 @@ This module owns the building blocks the planner-driven engine
   Two local implementations exist: :class:`ForkWorkerPool` (worker
   processes; each task's arguments are pickled to them) and
   :class:`ThreadWorkerPool` (threads of this process); any other subclass
-  can be passed as ``pool=``;
+  can be passed as ``pool=`` to :func:`repro.engine.resolve`, the only
+  entry point that takes one;
 * :func:`merge_scored_batches`, which concatenates a scored stream.
 
 An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
@@ -231,10 +232,11 @@ def shutdown_pools() -> None:
 def release_engine_resources() -> None:
     """Release everything a long-lived process holds between resolve tasks.
 
-    A batch CLI run can lean on the ``atexit`` hook below, but a daemon
-    that stops serving one task (or goes idle) must not keep the cached
-    local pool's workers alive for hours.  Idempotent and safe to call
-    between tasks: the next resolve simply re-acquires a pool on demand.
+    A batch CLI run can lean on the ``atexit`` hook below, but a
+    long-lived process that ran a pooled resolve and goes idle must not
+    keep the cached local pool's workers alive for hours.  Idempotent and
+    safe to call between tasks: the next resolve simply re-acquires a pool
+    on demand.
     """
     shutdown_pools()
 

@@ -37,7 +37,7 @@ from repro.engine.quant import CodecArray, CodecParams, get_codec, resolve_codec
 from repro.eval.timing import EngineCounters, engine_counters
 
 if TYPE_CHECKING:  # pragma: no cover - break the engine <-> core import cycle
-    from repro.core.representation import EntityEncoding, EntityRepresentationModel
+    from repro.core.representation import EntityRepresentationModel
     from repro.engine.persist import PersistentEncodingCache, TableDelta
 
 SIDES = ("left", "right")
@@ -104,12 +104,6 @@ class TableEncodings:
         """Record-level vectors for LSH search: concatenated attribute means."""
         _, arity, latent = self.mu.shape
         return self.mu.reshape(len(self), arity * latent)
-
-    def entity_encoding(self) -> "EntityEncoding":
-        """The legacy :class:`EntityEncoding` view (shared arrays, not copies)."""
-        from repro.core.representation import EntityEncoding
-
-        return EntityEncoding(keys=self.keys, mu=self.mu, sigma=self.sigma)
 
 
 class EncodingStore:
@@ -555,43 +549,8 @@ class EncodingStore:
         return self._serve(side)
 
     # ------------------------------------------------------------------
-    # Table-level views
+    # Pair gathering
     # ------------------------------------------------------------------
-    def keys(self, side: str) -> Tuple[str, ...]:
-        return self.table_encodings(side).keys
-
-    def irs(self, side: str) -> np.ndarray:
-        return self.table_encodings(side).irs
-
-    def mu(self, side: str) -> np.ndarray:
-        return self.table_encodings(side).mu
-
-    def sigma(self, side: str) -> np.ndarray:
-        return self.table_encodings(side).sigma
-
-    def flat_mu(self, side: str) -> np.ndarray:
-        return self.table_encodings(side).flat_mu()
-
-    def entity_encoding(self, side: str) -> EntityEncoding:
-        """Legacy-shaped view for consumers built on :class:`EntityEncoding`."""
-        return self.table_encodings(side).entity_encoding()
-
-    def encode_task(self) -> Dict[str, EntityEncoding]:
-        """Both sides as legacy encodings (mirrors the representation API)."""
-        return {side: self.entity_encoding(side) for side in SIDES}
-
-    # ------------------------------------------------------------------
-    # Pair indexing and gathering
-    # ------------------------------------------------------------------
-    def pair_rows(self, pairs: Sequence[PairLike]) -> Tuple[np.ndarray, np.ndarray]:
-        """(left rows, right rows) gather indices of a pair sequence.
-
-        Pure indexing — does not count as serving encodings.
-        """
-        left = self._lookup("left")[0].rows([p.left_id for p in pairs])
-        right = self._lookup("right")[0].rows([p.right_id for p in pairs])
-        return left, right
-
     def gather_pair_irs(self, pairs: Sequence[PairLike]) -> Tuple[np.ndarray, np.ndarray]:
         """IR input tensors of a pair sequence, each (n, arity, ir_dim)."""
         pairs = list(pairs)
@@ -685,21 +644,21 @@ class EncodingStore:
         per_attribute = ((mu_left - mu_right) ** 2 + (sigma_left - sigma_right) ** 2).sum(axis=-1)
         return per_attribute.mean(axis=-1)
 
-    def record_external_gather(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
+    def record_external_gather(self, n_pairs: int, distinct: int) -> None:
         """Counter bookkeeping for a batch scored outside the store.
 
         The resolve executor hands each batch's gathered rows to a score
         task; this mirrors the accounting :meth:`score_pairs` would have
-        done (one logical hit per side plus the scored pairs and distinct
-        records) so serial and pooled runs report equal counters.
+        done (one logical hit per side plus the ``n_pairs`` scored pairs
+        and the ``distinct`` left plus right rows they reference) so serial
+        and pooled runs report equal counters.
         """
-        n_pairs = len(left_rows)
         if n_pairs <= 0:
             return
         self.counters.record_hit(records_served=n_pairs)
         self.counters.record_hit(records_served=n_pairs)
         self.counters.record_pairs(n_pairs)
-        self.counters.record_records_scored(distinct_rows(left_rows, right_rows))
+        self.counters.record_records_scored(distinct)
 
     # ------------------------------------------------------------------
     def resident_bytes(self) -> int:

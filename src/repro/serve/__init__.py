@@ -22,7 +22,7 @@ programmatically::
     session = ServeSession(model, k=10, batch_size=2048).start()
     server = MatchServer(session, port=0).start()
     ...
-    server.shutdown()   # drain queue, flush cache, release worker pool
+    server.shutdown()   # drain queue, flush cache, stop listening
 """
 
 from repro.serve.client import MatchClient, ServeClientError, record_payload

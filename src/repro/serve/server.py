@@ -11,7 +11,7 @@ GET       /stats      operational counters (queue depth, uptime, pairs)
 POST      /resolve    point query: scored pairs for ``left_ids`` (or all)
 POST      /query      resolve ad-hoc records against the live right table
 POST      /mutate     ingest/edit/delete through the single-writer queue
-POST      /shutdown   graceful shutdown (drain, flush, release, stop)
+POST      /shutdown   graceful shutdown (drain, flush, stop)
 ========  ==========  ====================================================
 
 Every response carries the ``(generation, encoding_version,
@@ -230,8 +230,7 @@ class MatchServer:
         """Graceful stop: drain the mutation queue, then stop the listener.
 
         The session closes first — new mutations are refused while queued
-        ones complete and the cached worker pool is shut down — then the
-        HTTP loop exits.  Idempotent.
+        ones complete — then the HTTP loop exits.  Idempotent.
         """
         with self._shutdown_lock:
             if self._shut_down:

@@ -27,10 +27,9 @@ Concurrency model (the snapshot-isolation contract the server documents):
   readers-writer lock for the duration of the search; snapshot reads need
   no lock at all.
 
-Shutdown drains the queue (pending mutations complete, late ones are
-refused), joins the writer, and releases every engine resource the process
-holds — the cached local worker pool
-(:func:`repro.engine.release_engine_resources`).
+Every refresh runs serially in the writer thread, so the session holds
+no worker pool.  Shutdown drains the queue (pending mutations complete,
+late ones are refused) and joins the writer.
 Persistent-cache manifests are flushed synchronously by each mutation's
 write-then-rename, so a drained queue implies a consistent on-disk cache.
 """
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.blocking.neighbours import NearestNeighbourSearch
 from repro.data.schema import Record, Table
-from repro.engine import merge_scored_batches, release_engine_resources
+from repro.engine import merge_scored_batches
 from repro.engine.store import distinct_rows, encode_table_rows
 from repro.eval.timing import StageTimings, engine_counters
 
@@ -277,13 +276,9 @@ class ServeSession:
         model,
         k: Optional[int] = None,
         batch_size: int = 2048,
-        workers: int = 1,
-        pool=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if workers <= 0:
-            raise ValueError("workers must be positive")
         if model.task is None:
             raise ValueError("model must be fitted to a task before serving")
         self.model = model
@@ -292,13 +287,6 @@ class ServeSession:
         if self.k <= 0:
             raise ValueError("k must be positive")
         self.batch_size = int(batch_size)
-        self.workers = int(workers)
-        #: Optional :class:`repro.engine.WorkerPool` — when set, every
-        #: refresh (the cold resolve and each mutation's delta resolve) runs
-        #: its score units there (a fork or thread pool, or any subclass
-        #: the caller builds) instead of the cached local pool.  The session
-        #: does not own the pool; the caller shuts it down.
-        self.pool = pool
         self._snapshot: Optional[Snapshot] = None
         self._generation = -1
         self._index_lock = _ReadWriteLock()
@@ -324,7 +312,7 @@ class ServeSession:
         return self
 
     def close(self) -> None:
-        """Graceful shutdown: refuse new mutations, drain, release resources.
+        """Graceful shutdown: refuse new mutations, drain the queue.
 
         Pending mutations complete (their requesters get real reports);
         anything enqueued after the close flag flips is failed with
@@ -338,7 +326,6 @@ class ServeSession:
         if self._writer is not None:
             self._writer.join()
             self._writer = None
-        release_engine_resources()
 
     @property
     def closed(self) -> bool:
@@ -583,8 +570,7 @@ class ServeSession:
         """
         stage = StageTimings()
         batches = list(self.model.resolve_delta(
-            k=self.k, batch_size=self.batch_size,
-            stage_timings=stage, workers=self.workers, pool=self.pool,
+            k=self.k, batch_size=self.batch_size, stage_timings=stage,
         ))
         merged = merge_scored_batches(batches)
         pairs: List[Tuple[str, str, float]] = []

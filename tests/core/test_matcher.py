@@ -108,6 +108,29 @@ class TestTrainingAndInference:
         )
         assert matcher.training_history is not None
 
+    def test_rows_covering_an_array_encode_it_without_a_copy(
+        self, trained_matcher, tiny_domain, tiny_representation, monkeypatch
+    ):
+        """A score task's gathered rows are all referenced, so the encoder
+        reads that very ndarray; rows covering part of it are gathered."""
+        left, right, _ = pair_ir_arrays(tiny_representation, tiny_domain.task, tiny_domain.splits.test)
+        seen = []
+        encode_side = SiameseMatcher._encode_side
+
+        def spy(self, irs):
+            seen.append(irs.data)
+            return encode_side(self, irs)
+
+        monkeypatch.setattr(SiameseMatcher, "_encode_side", spy)
+        every = np.arange(len(left))[::-1]
+        covered = trained_matcher.predict_proba(left, right, rows=(every, every))
+        assert seen[0] is left and seen[1] is right
+        np.testing.assert_allclose(covered, trained_matcher.predict_proba(left[every], right[every]))
+        seen.clear()
+        part = every[1:]
+        trained_matcher.predict_proba(left, right, rows=(part, part))
+        assert not any(np.shares_memory(irs, left) or np.shares_memory(irs, right) for irs in seen)
+
     def test_custom_threshold_changes_predictions(self, trained_matcher, tiny_domain, tiny_representation):
         left, right, _ = pair_ir_arrays(tiny_representation, tiny_domain.task, tiny_domain.splits.test)
         strict = trained_matcher.predict(left, right, threshold=0.99).sum()

@@ -84,6 +84,19 @@ class TestBlockingAndResolve:
         assert true_found > 0
 
 
+    @pytest.mark.parametrize("method, option", [
+        ("resolve_stream", "pool"),
+        ("resolve_delta", "workers"),
+        ("resolve_delta", "pool"),
+    ])
+    def test_pool_options_are_refused(self, fitted_pipeline, method, option):
+        """A pool is chosen only in :func:`repro.engine.resolve`: the
+        pipeline's streams take no pool, and its delta stream no worker
+        count (``resolve_stream(incremental=True, workers=N)`` has one)."""
+        with pytest.raises(TypeError):
+            getattr(fitted_pipeline, method)(k=4, **{option: 2})
+
+
 class TestTransferAndActiveLearning:
     def test_use_representation_transfers(self, tiny_domain, pipeline_config, tiny_representation):
         model = VAER(pipeline_config).use_representation(tiny_representation, tiny_domain.task)

@@ -2,9 +2,9 @@
 resources.
 
 A latent bug while every process was one batch run: the cached pool was
-only torn down ``atexit``.  A daemon that serves for hours needs it
-released eagerly.  (The persistent cache holds nothing between reads, so it
-has nothing to release.)"""
+only torn down ``atexit``.  A long-lived process that ran a pooled resolve
+and then idles for hours needs it released eagerly.  (The persistent cache
+holds nothing between reads, so it has nothing to release.)"""
 
 from repro.engine import release_engine_resources
 from repro.engine import shard as shard_module

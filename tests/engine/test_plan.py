@@ -202,8 +202,8 @@ class TestEmptyTables:
         model.task = ERTask(name=f"empty-{empty}", left=tables["left"], right=tables["right"])
         model.matcher = _ConstantMatcher()
         assert list(model.resolve_stream(k=4, batch_size=13, workers=workers)) == []
-        assert list(model.resolve_delta(k=4, batch_size=13, workers=workers)) == []
-        assert list(model.resolve_delta(k=4, batch_size=13, workers=workers)) == []
+        assert list(model.resolve_stream(k=4, batch_size=13, workers=workers, incremental=True)) == []
+        assert list(model.resolve_stream(k=4, batch_size=13, workers=workers, incremental=True)) == []
         assert len(model.resolve(k=4)) == 0
         assert model.candidate_pairs(k=4) == []
 

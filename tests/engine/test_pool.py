@@ -13,9 +13,8 @@ Pinned here:
 * **Pools are values** — a supplied pool is never spawned, cached or shut
   down by the engine, survives an abandoned stream, hands a run over to the
   serial schedule when marked broken, and two of them resolve concurrently;
-  a subclass that writes only ``submit`` serves ``VAER.resolve_stream`` and
-  ``ServeSession`` with the serial bytes, and a closed session leaves it
-  usable;
+  a subclass that writes only ``submit`` serves :func:`repro.engine.resolve`
+  with the serial ``VAER.resolve_stream`` bytes;
 * **Tasks carry their batch** — each submitted score task holds exactly its
   batch's distinct rows of the two IR tables (code tables as codes).
 """
@@ -44,7 +43,6 @@ from repro.engine import (
 from repro.engine import shard as shard_module
 from repro.engine.shard import acquire_pool, make_pool, release_pool, shutdown_pools
 from repro.eval.timing import EngineCounters
-from repro.serve import ServeSession
 
 
 class _DistanceMatcher:
@@ -372,36 +370,14 @@ class TestOutOfTreePool:
         with ThreadPoolExecutor(max_workers=2) as executor:
             yield _SubmitOnlyPool(executor)
 
-    def test_vaer_stream_on_a_submit_only_pool_matches_serial(self, pool_domain, submit_only_pool):
+    def test_resolve_on_a_submit_only_pool_matches_serial(self, pool_domain, submit_only_pool):
         domain, representation = pool_domain
         serial = _rows(_vaer(domain, representation).resolve_stream(k=4, batch_size=13))
-        pooled = _rows(
-            _vaer(domain, representation).resolve_stream(k=4, batch_size=13, pool=submit_only_pool)
-        )
+        model = _vaer(domain, representation)
+        pooled = _rows(resolve(
+            model.store, model.matcher, pool=submit_only_pool, blocking=model.config.blocking,
+            threshold=model.threshold, k=4, batch_size=13,
+        ).run())
         assert pooled == serial
         assert submit_only_pool.submitted > 0, "the stage units ran on the supplied pool"
         assert not submit_only_pool.broken
-
-    def test_serve_session_on_a_submit_only_pool(self, pool_domain, submit_only_pool, monkeypatch):
-        """The snapshot equals a local session's; closing the session leaves
-        the pool unbroken, not shut down and still taking work."""
-        domain, representation = pool_domain
-        local = ServeSession(_vaer(domain, representation), k=4, batch_size=13).start()
-        try:
-            reference = local.snapshot
-        finally:
-            local.close()
-        shutdowns = []
-        monkeypatch.setattr(submit_only_pool, "shutdown", lambda: shutdowns.append(True))
-        session = ServeSession(
-            _vaer(domain, representation), k=4, batch_size=13, pool=submit_only_pool
-        ).start()
-        try:
-            snapshot = session.snapshot
-        finally:
-            session.close()
-        assert snapshot == reference
-        assert submit_only_pool.submitted > 0, "the refresh ran on the supplied pool"
-        assert not submit_only_pool.broken and not shutdowns
-        assert shard_module._CACHED_POOL is not submit_only_pool
-        assert submit_only_pool.submit(sum, (1, 2)).result(timeout=10) == 3

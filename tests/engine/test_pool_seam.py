@@ -4,8 +4,9 @@ The ``pool=`` seam's whole contract is that running the stage units on a
 pool the caller built changes where they run, not what comes out: same
 candidate pairs, same order, same probability bytes as the serial
 ``VAER.resolve_stream``.  Every test here runs three kinds of supplied
-pool through the public entry points (``VAER.resolve_stream`` and
-``ServeSession``):
+pool through :func:`repro.engine.resolve`, the one entry point that takes
+``pool=`` (cold, and over incremental rounds against the captured
+baseline):
 
 * ``submit-only`` — a :class:`WorkerPool` subclass that writes only
   ``submit``, over a thread executor its owner runs (the least an
@@ -32,7 +33,7 @@ from repro.core.pipeline import VAER
 from repro.core.representation import EntityRepresentationModel
 from repro.data.generators import DOMAIN_NAMES, append_rows, delete_rows, load_domain, mutate_rows
 from repro.data.schema import Record
-from repro.engine import ForkWorkerPool, ThreadWorkerPool, WorkerPool, fork_pool_available
+from repro.engine import ForkWorkerPool, ThreadWorkerPool, WorkerPool, fork_pool_available, resolve
 from repro.engine import shard as shard_module
 from repro.eval.timing import StageTimings
 from repro.serve import MutationSpec, ServeSession
@@ -124,6 +125,16 @@ def _rows(batches):
     ]
 
 
+def _pooled_run(model, pool, **knobs):
+    """The executor of a run on ``pool``: :func:`repro.engine.resolve` over
+    the model's store and matcher with the blocking config and threshold
+    ``VAER.resolve_stream`` passes."""
+    return resolve(
+        model.store, model.matcher, pool=pool,
+        blocking=model.config.blocking, threshold=model.threshold, **knobs,
+    )
+
+
 @pytest.fixture(scope="module")
 def beer():
     """The beer domain and a representation fitted on it; tests that mutate
@@ -163,7 +174,7 @@ def test_supplied_pool_matches_serial_stream(tmp_path, beer, supplied_pool, kind
     pool = supplied_pool(kind, workers)
     stage = StageTimings()
     model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
-    pooled = _rows(model.resolve_stream(pool=pool, k=5, batch_size=64, stage_timings=stage))
+    pooled = _rows(_pooled_run(model, pool, k=5, batch_size=64, stage_timings=stage).run())
     assert pooled == serial
     assert not pool.broken
     # One submitted score task per batch; nothing else reaches the pool.
@@ -183,6 +194,7 @@ def test_pooled_stream_equals_serial_on_every_codec(beer, beer_matcher, supplied
     for model in models.values():
         model.matcher = beer_matcher
     pool = supplied_pool(kind)
+    baseline = None
     for round_index in range(3):
         if round_index:
             for domain in domains.values():
@@ -191,9 +203,9 @@ def test_pooled_stream_equals_serial_on_every_codec(beer, beer_matcher, supplied
                 append_rows(domain, side="left", rows=4)
                 delete_rows(domain, side="left", rows=2)
         serial = _rows(models["serial"].resolve_stream(k=5, batch_size=64, incremental=True))
-        pooled = _rows(
-            models["pooled"].resolve_stream(pool=pool, k=5, batch_size=64, incremental=True)
-        )
+        executor = _pooled_run(models["pooled"], pool, baseline=baseline, capture=True, k=5, batch_size=64)
+        pooled = _rows(executor.run())
+        baseline = executor.baseline_out
         assert pooled == serial, f"round {round_index}"
         assert not pool.broken
 
@@ -203,7 +215,7 @@ def test_pooled_stream_equals_serial_on_every_codec(beer, beer_matcher, supplied
 def test_supplied_pool_matches_serial_on_every_registry_domain(supplied_pool, kind, name):
     domain, representation, serial = _registry_case(name)
     pool = supplied_pool(kind)
-    pooled = _rows(_build_model(domain, representation).resolve_stream(pool=pool, k=8, batch_size=128))
+    pooled = _rows(_pooled_run(_build_model(domain, representation), pool, k=8, batch_size=128).run())
     assert not pool.broken
     assert pooled == serial
 
@@ -212,7 +224,7 @@ def _scored_run(model, pool=None):
     """Drain a resolve; return the records it scored and the distinct rows per batch."""
     counters = model.store.counters
     before = counters.records_scored
-    batches = list(model.resolve_stream(pool=pool, k=5, batch_size=64))
+    batches = list(_pooled_run(model, pool, k=5, batch_size=64).run())
     distinct = sum(
         len({p.left_id for p in b.pairs}) + len({p.right_id for p in b.pairs}) for b in batches
     )
@@ -247,7 +259,7 @@ def test_dead_pool_hands_the_run_to_the_serial_schedule(beer, death):
         executor.submit(int).exception(timeout=10)  # the failed start breaks the executor
     try:
         pool = SubmitOnlyPool(executor, workers=2)
-        pooled = _rows(_build_model(domain, representation).resolve_stream(pool=pool, k=5, batch_size=64))
+        pooled = _rows(_pooled_run(_build_model(domain, representation), pool, k=5, batch_size=64).run())
     finally:
         executor.shutdown()
     assert pool.broken and pool.submitted >= 1
@@ -263,9 +275,9 @@ def test_one_worker_pool_degenerates_to_local_serial(beer, supplied_pool, kind):
     pool = supplied_pool(kind, workers=1)
     spawns = shard_module.POOL_SPAWNS
     stage = StageTimings()
-    pooled = _rows(_build_model(domain, representation).resolve_stream(
-        pool=pool, k=5, batch_size=64, stage_timings=stage,
-    ))
+    pooled = _rows(_pooled_run(
+        _build_model(domain, representation), pool, k=5, batch_size=64, stage_timings=stage,
+    ).run())
     assert pooled == serial
     assert "dispatch" not in stage.stages()
     assert getattr(pool, "submitted", 0) == 0
@@ -282,46 +294,48 @@ def test_reused_pool_across_incremental_rounds(tmp_path, beer, supplied_pool, ki
     model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
     oracle = _build_model(oracle_domain, representation)
     pool = supplied_pool(kind)
+    baseline = None
     for round_index in range(2):
         if round_index:
             for mutated in (domain, oracle_domain):
                 mutate_rows(mutated, side="right", rows=3)
                 append_rows(mutated, side="right", rows=5)
-        pooled = _rows(model.resolve_stream(pool=pool, k=5, batch_size=64, incremental=True))
+        executor = _pooled_run(model, pool, baseline=baseline, capture=True, k=5, batch_size=64)
+        pooled = _rows(executor.run())
+        baseline = executor.baseline_out
         assert pooled == _rows(oracle.resolve_stream(k=5, batch_size=64, incremental=True))
         assert not pool.broken
 
 
 @pytest.mark.parametrize("kind", POOL_KINDS)
-def test_serve_session_refreshes_through_supplied_pool(tmp_path, beer, supplied_pool, kind):
-    """The cold refresh and a mutation's delta refresh both run on the
-    supplied pool and match the batch oracle exactly; closing the session
-    leaves the pool healthy and still taking work."""
+def test_pooled_rounds_equal_the_serial_daemon(tmp_path, beer, supplied_pool, kind):
+    """The daemon refreshes serially; an engine resolve on a supplied pool
+    over the same cold and edited tables yields its snapshot exactly, and
+    closing the session leaves the pool healthy and still taking work."""
     _, representation = beer
-    domain = load_domain("beer", scale=0.3)  # private copy to mutate
-    model = _build_model(domain, representation, cache_dir=str(tmp_path / "cache"))
-    oracle = _build_model(load_domain("beer", scale=0.3), representation)
+    served = load_domain("beer", scale=0.3)  # private copies to mutate
+    pooled_domain = load_domain("beer", scale=0.3)
+    session_model = _build_model(served, representation, cache_dir=str(tmp_path / "cache"))
+    model = _build_model(pooled_domain, representation)
     pool = supplied_pool(kind)
-    session = ServeSession(model, k=4, batch_size=32, pool=pool).start()
+    session = ServeSession(session_model, k=4, batch_size=32).start()
     try:
-        reference = _rows(oracle.resolve_stream(k=4, batch_size=32))
-        assert [(p[0], p[1]) for p in session.snapshot.pairs] == [
-            key for _, keys, _ in reference for key in keys
-        ]
-        assert np.array([p[2] for p in session.snapshot.pairs]).tobytes() == b"".join(
-            raw for _, _, raw in reference
-        )
-        target = domain.task.right.records()[2]
-        edited = Record(target.record_id, tuple(f"EDIT-{value}" for value in target.values))
-        session.mutate(MutationSpec(side="right", edit=(edited,)))
-        oracle.task.right.replace(edited)
-        expected = [
-            (pair.left_id, pair.right_id, float(p))
-            for batch in oracle.resolve_stream(k=4, batch_size=32)
-            for pair, p in zip(batch.pairs, batch.probabilities)
-        ]
-        assert list(session.snapshot.pairs) == expected
-        assert not pool.broken
+        baseline = None
+        for round_index in range(2):
+            if round_index:
+                target = served.task.right.records()[2]
+                edited = Record(target.record_id, tuple(f"EDIT-{value}" for value in target.values))
+                session.mutate(MutationSpec(side="right", edit=(edited,)))
+                pooled_domain.task.right.replace(edited)
+            executor = _pooled_run(model, pool, baseline=baseline, capture=True, k=4, batch_size=32)
+            expected = [
+                (pair.left_id, pair.right_id, float(p))
+                for batch in executor.run()
+                for pair, p in zip(batch.pairs, batch.probabilities)
+            ]
+            baseline = executor.baseline_out
+            assert list(session.snapshot.pairs) == expected, f"round {round_index}"
+            assert not pool.broken
     finally:
         session.close()
     assert not pool.broken

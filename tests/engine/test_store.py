@@ -12,6 +12,13 @@ from repro.engine import EncodingStore
 from repro.eval.timing import EngineCounters
 
 
+class _ZeroMatcher:
+    """Scores every pair 0; the counters do not depend on the scores."""
+
+    def predict_proba(self, left_irs, right_irs, rows=None):
+        return np.zeros(len(rows[0]) if rows is not None else len(left_irs))
+
+
 @pytest.fixture()
 def store(tiny_domain, tiny_representation):
     return EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
@@ -116,7 +123,7 @@ class TestInvalidation:
 class TestBatchedEqualsLegacy:
     def test_encodings_match_encode_table(self, store, tiny_domain, tiny_representation):
         legacy = tiny_representation.encode_table(tiny_domain.task.left)
-        cached = store.entity_encoding("left")
+        cached = store.table_encodings("left")
         assert cached.keys == legacy.keys
         np.testing.assert_allclose(cached.mu, legacy.mu, atol=1e-8)
         np.testing.assert_allclose(cached.sigma, legacy.sigma, atol=1e-8)
@@ -175,12 +182,22 @@ class TestEmptyAndCounters:
         # The legacy path would have re-encoded each pair's two records.
         assert store.counters.encodes_avoided == 2 * len(some_pairs)
 
-    def test_pair_rows_is_silent_indexing(self, store, some_pairs):
-        store.table_encodings("left")
-        store.table_encodings("right")
-        hits_before = store.counters.cache_hits
-        store.pair_rows(some_pairs)
-        assert store.counters.cache_hits == hits_before
+    def test_external_gather_books_what_score_pairs_books(
+        self, store, tiny_domain, tiny_representation, some_pairs
+    ):
+        """A batch scored outside the store, booked with its pair count and
+        distinct left-plus-right row count, moves the counters exactly as
+        :meth:`score_pairs` does on the same pairs."""
+        external = EncodingStore(tiny_representation, tiny_domain.task, counters=EngineCounters())
+        for warmed in (store, external):
+            warmed.table_encodings("left")
+            warmed.table_encodings("right")
+        store.score_pairs(_ZeroMatcher(), some_pairs)
+        distinct = len({p.left_id for p in some_pairs}) + len({p.right_id for p in some_pairs})
+        external.record_external_gather(len(some_pairs), distinct)
+        external.record_external_gather(0, 0)  # a batch with nothing to score books nothing
+        assert external.stats() == store.stats()
+        assert store.counters.records_scored == distinct
 
     def test_stats_snapshot(self, store):
         store.table_encodings("left")

@@ -6,7 +6,10 @@ import threading
 import pytest
 
 from repro.data.schema import Record
-from repro.engine import merge_scored_batches
+from repro.engine import merge_scored_batches, release_engine_resources
+from repro.engine import plan as plan_module
+from repro.engine import shard as shard_module
+from repro.engine.shard import acquire_pool, release_pool
 from repro.serve import (
     MutationSpec,
     ServeError,
@@ -208,10 +211,45 @@ class TestLifecycle:
         _, model = build_model()
         with pytest.raises(ValueError):
             ServeSession(model, batch_size=0)
-        with pytest.raises(ValueError):
-            ServeSession(model, workers=0)
+        for removed in ("workers", "pool"):  # the daemon always refreshes serially
+            with pytest.raises(TypeError):
+                ServeSession(model, **{removed: 1})
         with pytest.raises(ValueError):
             ServeSession(model, k=-1)
+
+    def test_refreshes_acquire_no_pool(self, build_model, monkeypatch):
+        """The cold refresh and a mutation's delta refresh both run serially
+        in the writer: neither asks the engine for a worker pool."""
+        domain, model = build_model()
+        acquired = []
+        acquire = plan_module.acquire_pool
+        monkeypatch.setattr(
+            plan_module, "acquire_pool", lambda workers: acquired.append(workers) or acquire(workers)
+        )
+        session = ServeSession(model, k=4, batch_size=13).start()
+        try:
+            target = domain.task.right.records()[2]
+            report = session.mutate(MutationSpec(
+                side="right", edit=(Record(target.record_id, _edited_values(target)),)
+            ))
+        finally:
+            session.close()
+        assert report.generation == 1
+        assert acquired == []
+
+    def test_close_leaves_the_cached_pool(self, build_model):
+        """A session holds no pool, so closing it does not release the
+        process's cached one: the next pooled resolve reuses it."""
+        _, model = build_model()
+        pool = acquire_pool(2)
+        release_pool(pool)
+        spawns = shard_module.POOL_SPAWNS
+        try:
+            ServeSession(model, k=4, batch_size=13).start().close()
+            assert shard_module._CACHED_POOL is pool
+            assert shard_module.POOL_SPAWNS == spawns
+        finally:
+            release_engine_resources()
 
     def test_unstarted_session_raises(self, build_model):
         _, model = build_model()

@@ -207,7 +207,6 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("argv, flag", [
         (["serve", "--k", "0"], "--k"),
         (["serve", "--batch-size", "-5"], "--batch-size"),
-        (["serve", "--workers", "0"], "--workers"),
         (["resolve", "--k", "-1"], "--k"),
         (["resolve", "--batch-size", "0"], "--batch-size"),
         (["resolve", "--workers", "-2"], "--workers"),
@@ -230,12 +229,12 @@ class TestWorkersDefault:
     environment variable moves the default."""
 
     @pytest.mark.parametrize("raw", ["4", "junk"])
-    @pytest.mark.parametrize("command", ["resolve", "plan", "serve"])
+    @pytest.mark.parametrize("command", ["resolve", "plan"])
     def test_default_is_one_whatever_the_environment(self, command, raw, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", raw)
         assert _build_parser().parse_args([command]).workers == 1
 
-    @pytest.mark.parametrize("command", ["resolve", "plan", "serve"])
+    @pytest.mark.parametrize("command", ["resolve", "plan"])
     def test_explicit_flag_is_respected(self, command):
         assert _build_parser().parse_args([command, "--workers", "3"]).workers == 3
 
@@ -246,13 +245,14 @@ class TestWorkersDefault:
 
 
 class TestNoDistributedRunner:
-    """The distributed runner's subcommand and flags are gone: argparse
-    refuses them like any unknown argument."""
+    """The distributed runner's subcommand and flags, and the daemon's
+    pool size, are gone: argparse refuses them like any unknown argument."""
 
     @pytest.mark.parametrize("argv", [
         ["worker", "--queue-dir", "queue"],
         ["resolve", "--distributed", "2"],
         ["resolve", "--queue-dir", "queue"],
+        ["serve", "--workers", "2"],
     ])
     def test_removed_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
