@@ -8,10 +8,10 @@ Usage (after installing the package)::
     python -m repro transfer --source citations2 --target beer
     python -m repro representation --domain beer --ir lsa
     python -m repro resolve --domain restaurants --k 10 --batch-size 2048
-    python -m repro resolve --domain music --workers 4 --cache-dir .repro-cache
+    python -m repro resolve --domain music --cache-dir .repro-cache
     python -m repro resolve --domain music --incremental --append-rows 64
     python -m repro resolve --domain music --incremental --edit-rows 16 --delete-rows 8
-    python -m repro plan --domain music --workers 4
+    python -m repro plan --domain music
     python -m repro cache list --cache-dir .repro-cache --json
     python -m repro cache prune --cache-dir .repro-cache --dry-run
     python -m repro cache verify --cache-dir .repro-cache
@@ -101,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     resolve.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
     resolve.add_argument(
-        "--workers", type=int, default=1,
-        help="Worker pool size for pooled scoring; blocking runs in this "
-             "process (1 = single process).",
-    )
-    resolve.add_argument(
         "--cache-dir", default=None,
         help="Directory for the persistent encoding cache; repeated runs skip table encoding.",
     )
@@ -143,10 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--scale", type=float, default=1.0, help="Dataset size multiplier.")
     plan.add_argument("--k", type=int, default=10, help="Top-K neighbours per record for blocking.")
     plan.add_argument("--batch-size", type=int, default=2048, help="Candidate pairs scored per batch.")
-    plan.add_argument(
-        "--workers", type=int, default=1,
-        help="Worker pool size the plan schedules for.",
-    )
 
     cache = subparsers.add_parser(
         "cache",
@@ -277,16 +268,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.data.generators import load_domain
     from repro.engine import ResolutionPlanner
 
-    code = _check_positive(
-        ("--k", args.k), ("--batch-size", args.batch_size),
-        ("--workers", args.workers),
-    )
+    code = _check_positive(("--k", args.k), ("--batch-size", args.batch_size))
     if code:
         return code
     domain = load_domain(args.domain, scale=args.scale)
-    plan = ResolutionPlanner(
-        domain.task, k=args.k, batch_size=args.batch_size, workers=args.workers
-    ).plan()
+    plan = ResolutionPlanner(domain.task, k=args.k, batch_size=args.batch_size).plan()
     print(plan.describe())
     return 0
 
@@ -297,9 +283,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     from repro.eval.reporting import format_engine_stats, format_stage_timings
     from repro.eval.timing import StageTimings, reset_engine_counters
 
-    code = _check_positive(
-        ("--batch-size", args.batch_size), ("--k", args.k), ("--workers", args.workers),
-    )
+    code = _check_positive(("--batch-size", args.batch_size), ("--k", args.k))
     if code:
         return code
     if args.append_rows < 0 or args.edit_rows < 0 or args.delete_rows < 0:
@@ -319,7 +303,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         """(candidates, matches, batches) of one fully drained resolve."""
         candidates = matches = batches = 0
         for batch in model.resolve_stream(
-            k=args.k, batch_size=args.batch_size, workers=args.workers,
+            k=args.k, batch_size=args.batch_size,
             stage_timings=stage_timings, incremental=args.incremental,
         ):
             candidates += len(batch)
@@ -332,7 +316,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     print(
         f"domain={args.domain} ir={args.ir} k={args.k} batch_size={args.batch_size} "
-        f"workers={args.workers} codec={model.codec}"
+        f"codec={model.codec}"
     )
     print(f"  candidate pairs scored: {candidates} (in {batches} batches)")
     print(f"  predicted matches:      {matches} (threshold {model.threshold:.2f})")
@@ -367,7 +351,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     print("\nEngine cache statistics\n")
     print(format_engine_stats())
-    print("\nPer-stage timings (encode -> block -> score, plus merge, and dispatch for pooled runs)\n")
+    print("\nPer-stage timings (encode -> block -> score, plus merge)\n")
     print(format_stage_timings(stage_timings))
     return 0
 

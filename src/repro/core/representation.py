@@ -165,11 +165,6 @@ class EntityRepresentationModel:
         irs = self.ir_generator.transform_record(record)
         return self.vae.encode_numpy(irs)
 
-    def record_irs(self, record: Record) -> np.ndarray:
-        """Raw IRs of a record (used by the matcher's input pipeline)."""
-        self._require_fitted()
-        return self.ir_generator.transform_record(record)
-
     def sample_record_latents(self, record: Record, num_samples: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Sample latent codes for each attribute of a record.
 

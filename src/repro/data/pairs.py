@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.schema import ERTask, Record
 from repro.exceptions import SchemaError
 
 
@@ -141,14 +140,6 @@ class PairSet:
             first.extend(group[i] for i in order[:cut])
             second.extend(group[i] for i in order[cut:])
         return PairSet(first), PairSet(second)
-
-    # ------------------------------------------------------------------
-    def materialize(self, task: ERTask) -> List[Tuple[Record, Record, int]]:
-        """Resolve record ids to actual records of the task."""
-        return [
-            (task.left[pair.left_id], task.right[pair.right_id], pair.label)
-            for pair in self._pairs
-        ]
 
 
 @dataclass

@@ -14,13 +14,12 @@ planned and executed*:
   query chunks, run by the one executor — cold or against a baseline,
   scoring inline or on a :class:`WorkerPool` — with results merged
   deterministically by ``(batch_index, pair_index)``;
-* :class:`WorkerPool` — the one seam for *where score units run*, passed as
-  ``pool=`` to :func:`resolve`, the only entry point that takes one:
-  :class:`ForkWorkerPool` (worker processes), :class:`ThreadWorkerPool`
-  (where fork is unavailable) or any subclass the caller builds — each
-  score task carries its batch's rows, so a pool is only ``submit``;
-  ``pool=None`` with ``workers > 1`` borrows the cached, persistent local
-  pool (``VAER.resolve_stream(workers=N)``); the daemon runs serially;
+* :class:`WorkerPool` — *where score units run*: one
+  :mod:`concurrent.futures` executor, built as a :class:`ForkWorkerPool`
+  (worker processes) or, where fork is unavailable, a
+  :class:`ThreadWorkerPool`.  ``workers > 1`` borrows the cached,
+  persistent local pool (``VAER.resolve_stream(workers=N)``); each score
+  task carries its batch's rows; the daemon runs serially;
 * :func:`resolve` — the one front-end: plans a run and constructs its
   executor.  Its batch stream is byte-identical at every ``workers`` count
   and on every pool.  Without a baseline the run is cold; against the
@@ -83,7 +82,6 @@ from repro.engine.shard import (
     release_engine_resources,
     release_pool,
     shard_bounds_for,
-    shutdown_pools,
 )
 from repro.engine.store import (
     EncodingStore,
@@ -132,7 +130,6 @@ __all__ = [
     "make_pool",
     "release_engine_resources",
     "release_pool",
-    "shutdown_pools",
     "diff_rows",
     "encode_table_rows",
     "encoding_fingerprint",

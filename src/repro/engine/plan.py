@@ -10,9 +10,8 @@ in batches.  This module owns the whole of it:
   from table sizes and knobs alone, so a plan can be printed or inspected
   without encoding a single record (``repro plan`` does exactly that);
 * :class:`ResolutionExecutor` runs the stages — the only executor: cold or
-  against a :class:`ResolutionBaseline`, serial or on a
-  :class:`~repro.engine.shard.WorkerPool` (the cached local one, or
-  whichever pool the caller passes).  Every mode runs one batch source:
+  against a :class:`ResolutionBaseline`, serial or on the cached local
+  :class:`~repro.engine.shard.WorkerPool`.  Every mode runs one batch source:
   the parent queries each planned chunk in row order, whose pairs
   :func:`~repro.engine.stream.pack_batches` packs into batches, and one
   score task per batch the baseline does not cover.  Only where the score
@@ -31,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -110,12 +109,6 @@ class ResolutionPlan:
                 return stage
         raise KeyError(f"plan has no stage {name!r}")
 
-    def max_batches(self) -> int:
-        """Upper bound on scored batches (dedup can only shrink it)."""
-        if self.left_rows == 0:
-            return 0
-        return (self.left_rows * self.k + self.batch_size - 1) // self.batch_size
-
     def describe(self, max_units: int = 8) -> str:
         """Human-readable stage graph (the ``repro plan`` output)."""
         lines = [
@@ -191,7 +184,18 @@ class ResolutionPlanner:
         left_rows = len(self.task.left)
         right_rows = len(self.task.right)
         query_chunk = query_chunk_for(self.batch_size, self.k)
-        bare = ResolutionPlan(
+        query_bounds = tuple(shard_bounds_for("left", left_rows, query_chunk))
+        encode_units = [
+            StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
+            StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
+        ]
+        block_units = [StageUnit("build right", right_rows, f"hash rows 0..{right_rows}")]
+        block_units.extend(
+            StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
+            for b in query_bounds
+        )
+        score_unit = StageUnit(name="batches", detail=f"streaming, batches of <={self.batch_size} pairs")
+        return ResolutionPlan(
             task_name=self.task.name,
             left_rows=left_rows,
             right_rows=right_rows,
@@ -200,28 +204,11 @@ class ResolutionPlanner:
             workers=self.workers,
             query_chunk=query_chunk,
             blocking=self.blocking,
-            query_bounds=tuple(shard_bounds_for("left", left_rows, query_chunk)),
-        )
-        encode_units = [
-            StageUnit(name="left", rows=left_rows, detail="IR transform + VAE forward"),
-            StageUnit(name="right", rows=right_rows, detail="IR transform + VAE forward"),
-        ]
-        block_units = [StageUnit("build right", right_rows, f"hash rows 0..{right_rows}")]
-        block_units.extend(
-            StageUnit(name=f"query left[{b.index}]", rows=b.rows, detail=f"top-{self.k} rows {b.start}..{b.stop}")
-            for b in bare.query_bounds
-        )
-        score_detail = f"streaming, <={bare.max_batches()} batches of <={self.batch_size} pairs"
-        return replace(
-            bare,
+            query_bounds=query_bounds,
             stages=(
                 Stage(name="encode", depends_on=(), units=tuple(encode_units)),
                 Stage(name="block", depends_on=("encode",), units=tuple(block_units)),
-                Stage(
-                    name="score",
-                    depends_on=("block",),
-                    units=(StageUnit(name="batches", detail=score_detail),),
-                ),
+                Stage(name="score", depends_on=("block",), units=(score_unit,)),
             ),
         )
 
@@ -384,10 +371,8 @@ class ResolutionExecutor:
     baseline's bytes and rescored ones equal a cold run's up to matmul
     batch-composition round-off (~1 ulp), so the match set is identical.  A
     pool that dies hands the rest of the run to the same schedule inline.
-    ``pool=None`` borrows the cached local pool when the plan has
-    ``workers > 1`` and hands it back afterwards; a supplied ``pool`` is
-    used as is and left alone — never cached, released or shut down here.
-    With ``capture`` the refreshed
+    A plan with ``workers > 1`` borrows the cached local pool and hands it
+    back afterwards.  With ``capture`` the refreshed
     :class:`ResolutionBaseline` is published on ``baseline_out`` once the
     stream is exhausted (an abandoned stream publishes nothing).
     """
@@ -401,12 +386,10 @@ class ResolutionExecutor:
         capture: bool = False,
         threshold: float = 0.5,
         stage_timings: Optional[StageTimings] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.plan = plan
         self.store = store
         self.matcher = matcher
-        self.pool = pool
         self.baseline = baseline
         self.capture = capture
         self.threshold = threshold
@@ -441,10 +424,7 @@ class ResolutionExecutor:
 
         # The pool scores.  It predates the run, so workers never inherit
         # the encoded arrays; each score task carries its batch's rows.
-        pool = self.pool if plan.workers > 1 else None
-        borrowed = pool is None and plan.workers > 1
-        if borrowed:
-            pool = acquire_pool(plan.workers)
+        pool = acquire_pool(plan.workers) if plan.workers > 1 else None
         try:
             # Pinned before encoding: a refit landing between the two encodes
             # trips the guard instead of pairing a version-N left table with a
@@ -482,7 +462,7 @@ class ResolutionExecutor:
                 yield batch
             guard_store_version(store, pinned)
         finally:
-            if borrowed:
+            if pool is not None:
                 release_pool(pool)
         if self.capture:
             left_table, right_table = store.task.left, store.task.right
@@ -678,7 +658,6 @@ def resolve(
     threshold: float = 0.5,
     workers: int = 1,
     stage_timings: Optional[StageTimings] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> ResolutionExecutor:
     """Plan a resolve run over ``store`` and return its executor.
 
@@ -694,13 +673,10 @@ def resolve(
     inline too; with ``workers > 1`` they are scored on the cached local
     worker pool (borrowed on first iteration, handed back when the stream
     is exhausted or closed) and consumed in submission order, so identical
-    knobs yield the identical batch stream whatever the worker count.  A
-    supplied ``pool`` scores instead and sizes the plan (``workers`` is
-    then its worker count); it is the caller's to shut down.  ``stage_timings`` collects per-stage
-    compute seconds and the delta counters.
+    knobs yield the identical batch stream whatever the worker count.
+    ``stage_timings`` collects per-stage compute seconds and the delta
+    counters.
     """
-    if pool is not None:
-        workers = pool.workers
     plan = ResolutionPlanner.from_store(
         store, blocking=blocking, k=k, batch_size=batch_size, workers=workers
     ).plan()
@@ -712,5 +688,4 @@ def resolve(
         capture=capture,
         threshold=threshold,
         stage_timings=stage_timings,
-        pool=pool,
     )

@@ -1,4 +1,4 @@
-"""Row-range bounds and the worker-pool seam of the resolve stages.
+"""Row-range bounds and the worker pool of the resolve stages.
 
 This module owns the building blocks the planner-driven engine
 (:mod:`repro.engine.plan`) runs a resolve with:
@@ -6,24 +6,21 @@ This module owns the building blocks the planner-driven engine
 * :func:`shard_bounds_for` / :class:`ShardBounds` — the row ranges a table
   is partitioned into (the planner's query chunks), derived from table
   sizes alone, so planning never forces an encode;
-* :class:`WorkerPool` — the one seam between the executor and *where its
-  score units run*.  A pool is a value the caller passes, not process
-  state: it takes ``submit`` calls and reports ``workers`` and ``broken``.
-  Two local implementations exist: :class:`ForkWorkerPool` (worker
-  processes; each task's arguments are pickled to them) and
-  :class:`ThreadWorkerPool` (threads of this process); any other subclass
-  can be passed as ``pool=`` to :func:`repro.engine.resolve`, the only
-  entry point that takes one;
+* :class:`WorkerPool` — *where a resolve's score units run*: one
+  :mod:`concurrent.futures` executor plus its ``workers`` count and a
+  ``broken`` flag.  It has two constructors, :class:`ForkWorkerPool`
+  (worker processes; each task's arguments are pickled to them) and
+  :class:`ThreadWorkerPool` (threads of this process), and
+  :func:`make_pool` picks one;
 * :func:`merge_scored_batches`, which concatenates a scored stream.
 
-An executor given ``pool=None`` and ``workers > 1`` borrows the cached local
-pool (:func:`acquire_pool` / :func:`release_pool` over a single slot,
-instrumented by :data:`POOL_SPAWNS`); a pool the caller supplies is used as
-is and never cached, released or shut down by the engine.  Either way the
-executor runs the one schedule a serial run uses — the parent queries each
-chunk and packs the pairs into score batches — only submitting the score
-tasks to the pool and taking their results in submission order, so the
-stream does not depend on completion order.
+An executor whose plan has ``workers > 1`` borrows the cached local pool
+(:func:`acquire_pool` / :func:`release_pool` over a single slot,
+instrumented by :data:`POOL_SPAWNS`).  It runs the one schedule a serial
+run uses — the parent queries each chunk and packs the pairs into score
+batches — only submitting the score tasks to the pool and taking their
+results in submission order, so the stream does not depend on completion
+order.
 
 Which local pool
 ----------------
@@ -84,42 +81,28 @@ def shard_bounds_for(side: str, n_rows: int, range_rows: int) -> List[ShardBound
 
 
 # ----------------------------------------------------------------------
-# The worker-pool seam
+# The worker pool
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """Where a resolve's score units run: the seam the executor is given.
+    """Where a resolve's score units run: one :mod:`concurrent.futures` executor.
 
     ``submit`` returns a :class:`concurrent.futures.Future`; ``workers``
     sizes the fan-out.  ``broken`` is set by callers that observed the pool
     die (``submit`` or a future raising
     :class:`concurrent.futures.BrokenExecutor`): the caller runs the rest of
-    its schedule inline and the pool is never handed out again.  A task
-    carries everything it reads, so a subclass passed as ``pool=`` only has
-    to say how ``submit`` runs a call.
+    its schedule inline and the pool is never handed out again.
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, executor: Executor, workers: int) -> None:
         self.workers = int(workers)
         self.broken = False
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Stop the workers (idempotent)."""
-
-
-class _ExecutorPool(WorkerPool):
-    """A pool over one :mod:`concurrent.futures` executor."""
-
-    def __init__(self, executor: Executor, workers: int) -> None:
-        super().__init__(workers)
         self._executor: Optional[Executor] = executor
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         return self._executor.submit(fn, *args, **kwargs)
 
     def shutdown(self) -> None:
+        """Stop the workers (idempotent)."""
         executor, self._executor = self._executor, None
         if executor is None:
             return
@@ -131,14 +114,14 @@ class _ExecutorPool(WorkerPool):
             pass
 
 
-class ThreadWorkerPool(_ExecutorPool):
+class ThreadWorkerPool(WorkerPool):
     """Threads of this process: the fallback where fork is unavailable."""
 
     def __init__(self, workers: int) -> None:
         super().__init__(ThreadPoolExecutor(max_workers=workers), workers)
 
 
-class ForkWorkerPool(_ExecutorPool):
+class ForkWorkerPool(WorkerPool):
     """Forked worker processes; each task's arguments are pickled to them."""
 
     def __init__(self, workers: int) -> None:
@@ -149,7 +132,7 @@ class ForkWorkerPool(_ExecutorPool):
 #: Pools spawned by :func:`make_pool` since import — the observable cost the
 #: cached slot exists to minimise.  Regression tests pin this: one full
 #: pooled resolve must spawn exactly one pool, and delta rounds must spawn
-#: none.  Pools a caller builds and supplies itself are not counted.
+#: none.
 POOL_SPAWNS = 0
 
 #: Memo of :func:`fork_pool_available` (None until first asked).
@@ -221,24 +204,18 @@ def release_pool(pool: WorkerPool) -> None:
         pool.shutdown()
 
 
-def shutdown_pools() -> None:
-    """Tear down the cached pool (idempotent)."""
+def release_engine_resources() -> None:
+    """Tear down the cached pool (idempotent).
+
+    A batch CLI run can lean on the ``atexit`` hook below, but a
+    long-lived process that ran a pooled resolve and goes idle must not
+    keep the cached local pool's workers alive for hours.  Safe to call
+    between tasks: the next resolve simply re-acquires a pool on demand.
+    """
     global _CACHED_POOL
     pool, _CACHED_POOL = _CACHED_POOL, None
     if pool is not None:
         pool.shutdown()
-
-
-def release_engine_resources() -> None:
-    """Release everything a long-lived process holds between resolve tasks.
-
-    A batch CLI run can lean on the ``atexit`` hook below, but a
-    long-lived process that ran a pooled resolve and goes idle must not
-    keep the cached local pool's workers alive for hours.  Idempotent and
-    safe to call between tasks: the next resolve simply re-acquires a pool
-    on demand.
-    """
-    shutdown_pools()
 
 
 atexit.register(release_engine_resources)

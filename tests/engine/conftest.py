@@ -10,6 +10,8 @@ import pytest
 from repro.core.representation import EntityRepresentationModel
 from repro.data.pairs import RecordPair
 from repro.data.schema import ERTask
+from repro.engine import release_engine_resources
+from repro.engine import shard as shard_module
 
 
 def _pair_latent_distances_loop(
@@ -38,3 +40,24 @@ def _pair_latent_distances_loop(
 def pair_distance_loop():
     """The per-pair oracle as a fixture, so tests avoid cross-module imports."""
     return _pair_latent_distances_loop
+
+
+@pytest.fixture()
+def install_pool(monkeypatch):
+    """``install_pool(pool)`` makes ``pool`` the local pool a ``workers > 1``
+    resolve borrows: the cached slot is emptied and
+    :func:`repro.engine.shard.make_pool` patched to hand ``pool`` out (for
+    its own worker count only).  The slot is emptied again at teardown,
+    shutting down the pool a run handed back to it."""
+
+    def install(pool):
+        def make_pool(workers):
+            assert workers == pool.workers, "the run asked for a different pool size"
+            return pool
+
+        release_engine_resources()
+        monkeypatch.setattr(shard_module, "make_pool", make_pool)
+        return pool
+
+    yield install
+    release_engine_resources()

@@ -14,7 +14,7 @@ Three invariants pin the delta engine:
 """
 
 import time
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor, Executor, Future
 
 import numpy as np
 import pytest
@@ -564,12 +564,21 @@ class TestModeEquivalence:
         assert served_by_workers[2] == served_by_workers[1]
 
 
+class _InlineExecutor(Executor):
+    """Runs each task in the caller, before ``submit`` returns."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class _DyingPool(WorkerPool):
     """Runs each task inline; ``submit`` raises ``BrokenExecutor`` once
     ``budget`` tasks have run — a pool whose workers all died at that point."""
 
     def __init__(self, budget: int) -> None:
-        super().__init__(workers=2)
+        super().__init__(_InlineExecutor(), workers=2)
         self.budget = budget
         self.refused = False
 
@@ -578,9 +587,7 @@ class _DyingPool(WorkerPool):
             self.refused = True
             raise BrokenExecutor("injected pool death")
         self.budget -= 1
-        future: Future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
+        return super().submit(fn, *args, **kwargs)
 
 
 class TestDeadPoolResume:
@@ -588,7 +595,7 @@ class TestDeadPoolResume:
     # batch the baseline does not fully cover (all 13 when cold).
     @pytest.mark.parametrize("budget", [0, 2, 4, 6, 8, 10, 14, 22, 10**6])
     @pytest.mark.parametrize("mutated", [False, True], ids=["cold", "baseline"])
-    def test_stream_survives_pool_death_at_any_task(self, delta_representation, mutated, budget):
+    def test_stream_survives_pool_death_at_any_task(self, delta_representation, install_pool, mutated, budget):
         """A pool that dies before, during or after the score fan-out hands
         the rest of the run to the serial source: the stream equals the
         serial one, with no duplicate or missing ``batch_index``."""
@@ -610,8 +617,8 @@ class TestDeadPoolResume:
 
         (store, baseline), (twin_store, twin_baseline) = runs
         serial = list(resolve(store, matcher, baseline=baseline, capture=True, **knobs).run())
-        pool = _DyingPool(budget)
-        executor = resolve(twin_store, matcher, baseline=twin_baseline, capture=True, pool=pool, **knobs)
+        pool = install_pool(_DyingPool(budget))
+        executor = resolve(twin_store, matcher, baseline=twin_baseline, capture=True, workers=2, **knobs)
         resumed = list(executor.run())
         assert pool.broken == pool.refused
         # A cold pooled run submits one score task per batch.
@@ -645,7 +652,7 @@ _BLOCKING_COUNTERS = (
 
 
 class TestPoolUnits:
-    def test_only_score_units_reach_the_pool(self, delta_representation):
+    def test_only_score_units_reach_the_pool(self, delta_representation, install_pool):
         """Encodes, the LSH build or mutation and every blocking query run
         in the parent: a cold resolve and a delta round each submit score
         tasks only — one per batch the baseline does not cover — so the
@@ -654,7 +661,9 @@ class TestPoolUnits:
         recording = _RecordingPool(2)
         runs = {}
         try:
-            for mode, pool, workers in (("serial", None, 1), ("recording", recording, 2), ("local", None, 2)):
+            for mode, workers in (("serial", 1), ("local", 2), ("recording", 2)):
+                if mode == "recording":
+                    install_pool(recording)
                 domain = _fresh_tiny_domain()
                 store = EncodingStore(delta_representation, domain.task, counters=EngineCounters())
                 baseline = None
@@ -666,14 +675,14 @@ class TestPoolUnits:
                         append_rows(domain, side="left", rows=12)
                     executor = resolve(
                         store, _DistanceMatcher(), baseline=baseline, capture=True,
-                        pool=pool, workers=workers, k=4, batch_size=13,
+                        workers=workers, k=4, batch_size=13,
                     )
                     del recording.submitted[:]
                     before = engine_counters().as_dict()
                     batches = list(executor.run())
                     after = engine_counters().as_dict()
                     baseline = executor.baseline_out
-                    if pool is not None:
+                    if mode == "recording":
                         assert set(recording.submitted) == {"_score_task"}
                         assert 0 < len(recording.submitted) <= len(batches)
                         if not mutate:
@@ -911,7 +920,9 @@ class TestResolveFrontEnd:
         list(warm.run())
         assert warm.baseline_out is None
 
-    def test_supplied_pool_sizes_the_plan(self, delta_representation):
+    def test_workers_size_the_plan_and_the_borrowed_pool(self, delta_representation, install_pool):
+        """``workers=3`` plans three workers and scores on the local pool of
+        that size, with the serial stream's bytes."""
         matcher = _DistanceMatcher()
         serial = _batch_rows(
             resolve(
@@ -919,16 +930,14 @@ class TestResolveFrontEnd:
                 matcher, k=4, batch_size=13,
             ).run()
         )
-        pool = ThreadWorkerPool(3)
-        try:
-            executor = resolve(
-                EncodingStore(delta_representation, _fresh_tiny_domain().task),
-                matcher, workers=1, pool=pool, k=4, batch_size=13,
-            )
-            assert executor.plan.workers == 3
-            assert _batch_rows(executor.run()) == serial
-        finally:
-            pool.shutdown()
+        pool = install_pool(_RecordingPool(3))
+        executor = resolve(
+            EncodingStore(delta_representation, _fresh_tiny_domain().task),
+            matcher, workers=3, k=4, batch_size=13,
+        )
+        assert executor.plan.workers == 3
+        assert _batch_rows(executor.run()) == serial
+        assert pool.submitted and set(pool.submitted) == {"_score_task"}
 
     def test_bad_knobs_fail_before_any_work(self, delta_representation):
         domain = _fresh_tiny_domain()

@@ -83,7 +83,7 @@ class TestPlannerGraph:
             for i, s in enumerate(range(0, left, chunk))
         ]
         assert [(u.name, u.rows, u.detail) for u in plan.stage("score").units] == [
-            ("batches", 0, f"streaming, <={plan.max_batches()} batches of <=32 pairs"),
+            ("batches", 0, "streaming, batches of <=32 pairs"),
         ]
 
     def test_bounds_cover_both_tables(self, tiny_domain):
@@ -95,11 +95,6 @@ class TestPlannerGraph:
         # The block stage schedules one build unit for the whole right table
         # and one query unit per left chunk.
         assert plan.stage("block").num_units == 1 + len(plan.query_bounds)
-
-    def test_max_batches_upper_bound(self, tiny_domain):
-        plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=17).plan()
-        n = len(tiny_domain.task.left)
-        assert plan.max_batches() == (n * 5 + 16) // 17
 
     def test_describe_mentions_every_stage(self, tiny_domain):
         plan = ResolutionPlanner(tiny_domain.task, k=5, batch_size=32, workers=4).plan()
@@ -175,7 +170,6 @@ class TestOneGrain:
         plan = ResolutionPlanner(task, k=5, batch_size=32).plan()
         assert plan.query_bounds == ()
         assert [u.name for u in plan.stage("block").units] == ["build right"]
-        assert plan.max_batches() == 0
         assert "left=0 rows (0 query chunk(s))" in plan.describe()
 
 

@@ -1,4 +1,4 @@
-"""Worker pools: spawn accounting, the ``pool=`` seam, the fork probe.
+"""Worker pools: spawn accounting, borrowing, the fork probe.
 
 Pinned here:
 
@@ -6,22 +6,23 @@ Pinned here:
   (:data:`repro.engine.shard.POOL_SPAWNS`), and delta rounds after it spawn
   none: the single-slot cache hands the same pool back across the
   encode → block → score stages and across resolves;
-* **Transport equivalence** — a thread pool and a fork pool passed as
-  ``pool=`` both produce the serial stream's bytes, cold and over one delta
-  round, and the local pool is a thread pool wherever the fork probe
+* **Transport equivalence** — a thread pool and a fork pool installed as
+  the local pool both produce the serial stream's bytes, cold and over one
+  delta round, and the local pool is a thread pool wherever the fork probe
   fails;
-* **Pools are values** — a supplied pool is never spawned, cached or shut
-  down by the engine, survives an abandoned stream, hands a run over to the
-  serial schedule when marked broken, and two of them resolve concurrently;
-  a subclass that writes only ``submit`` serves :func:`repro.engine.resolve`
-  with the serial ``VAER.resolve_stream`` bytes;
+* **Borrowing** — a ``workers > 1`` run borrows the local pool and hands
+  it back to the cache whether the stream is drained or abandoned; a pool
+  that dies mid-run is marked broken, shut down and never cached, and the
+  run finishes on the serial schedule; two concurrent runs each borrow a
+  pool of their own; ``VAER.resolve_stream(workers=2)`` on an installed
+  pool yields the serial bytes;
 * **Tasks carry their batch** — each submitted score task holds exactly its
   batch's distinct rows of the two IR tables (code tables as codes).
 """
 
 import multiprocessing
 import threading
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,10 +39,11 @@ from repro.engine import (
     WorkerPool,
     fork_pool_available,
     merge_scored_batches,
+    release_engine_resources,
     resolve,
 )
 from repro.engine import shard as shard_module
-from repro.engine.shard import acquire_pool, make_pool, release_pool, shutdown_pools
+from repro.engine.shard import acquire_pool, make_pool, release_pool
 from repro.eval.timing import EngineCounters
 
 
@@ -89,7 +91,7 @@ class TestPoolReuse:
     def test_full_resolve_spawns_exactly_one_pool(self, pool_domain):
         domain, representation = pool_domain
         store = _store(representation, domain.task)
-        shutdown_pools()
+        release_engine_resources()
         before = shard_module.POOL_SPAWNS
         merge_scored_batches(
             resolve(store, _DistanceMatcher(), k=4, batch_size=13, workers=2).run()
@@ -102,7 +104,7 @@ class TestPoolReuse:
         matcher = _DistanceMatcher()
         blocking = BlockingConfig(seed=19)
         store = _store(representation, domain.task)
-        shutdown_pools()
+        release_engine_resources()
         before = shard_module.POOL_SPAWNS
         executor = resolve(
             store, matcher, baseline=None, capture=True, blocking=blocking, k=4, batch_size=13, workers=2
@@ -118,7 +120,7 @@ class TestPoolReuse:
         assert shard_module.POOL_SPAWNS == before + 1, "delta round must reuse the cached pool"
 
     def test_broken_pool_is_not_recycled(self):
-        shutdown_pools()
+        release_engine_resources()
         before = shard_module.POOL_SPAWNS
         pool = acquire_pool(2)
         assert shard_module.POOL_SPAWNS == before + 1
@@ -128,10 +130,10 @@ class TestPoolReuse:
         assert shard_module.POOL_SPAWNS == before + 2, "broken pools must never be handed back"
         assert not fresh.broken
         release_pool(fresh)
-        shutdown_pools()
+        release_engine_resources()
 
     def test_shape_change_replaces_cached_pool(self):
-        shutdown_pools()
+        release_engine_resources()
         before = shard_module.POOL_SPAWNS
         release_pool(acquire_pool(2))
         assert shard_module.POOL_SPAWNS == before + 1
@@ -139,34 +141,35 @@ class TestPoolReuse:
         assert shard_module.POOL_SPAWNS == before + 1
         release_pool(acquire_pool(3))  # different shape: fresh spawn
         assert shard_module.POOL_SPAWNS == before + 2
-        shutdown_pools()
+        release_engine_resources()
 
 
 class TestTransportEquivalence:
-    def test_thread_fallback_matches_fork_path(self, pool_domain):
+    def test_thread_fallback_matches_fork_path(self, pool_domain, install_pool):
         """thread == fork == serial bytes, cold and over one delta round
         (the fork side only where this platform can fork)."""
         _, representation = pool_domain
         matcher = _DistanceMatcher()
         knobs = dict(blocking=BlockingConfig(seed=19), k=4, batch_size=13)
 
-        def run(pool):
+        def run(workers):
             domain = load_domain("restaurants", scale=0.2)  # private copy to mutate
             store = _store(representation, domain.task)
-            cold = resolve(store, matcher, baseline=None, capture=True, pool=pool, **knobs)
+            cold = resolve(store, matcher, baseline=None, capture=True, workers=workers, **knobs)
             rounds = [_rows(cold.run())]
             append_rows(domain, side="right", rows=7)
-            warm = resolve(store, matcher, baseline=cold.baseline_out, capture=True, pool=pool, **knobs)
+            warm = resolve(store, matcher, baseline=cold.baseline_out, capture=True, workers=workers, **knobs)
             rounds.append(_rows(warm.run()))
             return rounds
 
-        serial = run(None)
+        serial = run(1)
         for pool_class in (ThreadWorkerPool, ForkWorkerPool):
             if pool_class is ForkWorkerPool and not fork_pool_available():
                 continue
-            pool = pool_class(2)
+            pool = install_pool(pool_class(2))
             try:
-                assert run(pool) == serial, type(pool).__name__
+                assert run(2) == serial, pool_class.__name__
+                assert shard_module._CACHED_POOL is pool
             finally:
                 pool.shutdown()
 
@@ -177,7 +180,7 @@ class TestTransportEquivalence:
         pooled = _rows(
             resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=2).run()
         )
-        shutdown_pools()
+        release_engine_resources()
         before = shard_module.POOL_SPAWNS
         serial = _rows(
             resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=1).run()
@@ -206,70 +209,77 @@ class TestTransportEquivalence:
             pool.shutdown()
 
 
+class _InlineExecutor(Executor):
+    """Runs each task in the caller, before ``submit`` returns."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class _InlinePool(WorkerPool):
     """Runs each task inline; once ``dead`` is set, ``submit`` fails like a
     pool whose workers are gone."""
 
     def __init__(self) -> None:
-        super().__init__(workers=2)
+        super().__init__(_InlineExecutor(), workers=2)
         self.dead = False
         self.shut_down = False
 
     def submit(self, fn, /, *args, **kwargs):
         if self.dead:
             raise BrokenExecutor("workers are gone")
-        future: Future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
+        return super().submit(fn, *args, **kwargs)
 
     def shutdown(self) -> None:
         self.shut_down = True
+        super().shutdown()
 
 
-class TestSuppliedPool:
-    def test_supplied_pool_spawns_nothing_and_matches_stream(self, pool_domain):
-        """Drained or abandoned mid-way, a supplied pool is left alone: not
-        counted in ``POOL_SPAWNS``, not cached, not shut down."""
+class TestInstalledPool:
+    def test_borrowed_pool_is_handed_back_drained_or_abandoned(self, pool_domain, install_pool):
+        """Drained or abandoned mid-way, a run hands the pool it borrowed
+        back to the cache slot, alive."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
         streamed = _rows(resolve(_store(representation, domain.task), matcher, k=4, batch_size=13).run())
-        shutdown_pools()
-        pool = _InlinePool()
-        before = shard_module.POOL_SPAWNS
+        pool = install_pool(_InlinePool())
         drained = _rows(
-            resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool).run()
+            resolve(_store(representation, domain.task), matcher, k=4, batch_size=13, workers=2).run()
         )
+        assert shard_module._CACHED_POOL is pool
         abandoned = resolve(
-            _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
+            _store(representation, domain.task), matcher, k=4, batch_size=13, workers=2
         ).run()
         first = next(abandoned)
+        assert shard_module._CACHED_POOL is None, "the running stream holds the pool"
         abandoned.close()
         assert drained == streamed and _rows([first]) == streamed[:1]
-        assert shard_module.POOL_SPAWNS == before
-        assert shard_module._CACHED_POOL is None
+        assert shard_module._CACHED_POOL is pool
         assert not pool.shut_down and not pool.broken
 
-    def test_pool_that_dies_mid_run_is_marked_broken_and_left_alone(self, pool_domain):
+    def test_pool_that_dies_mid_run_is_marked_broken_and_shut_down(self, pool_domain, install_pool):
         """The run resumes serially (no duplicate or missing batch); the
-        dead pool is flagged for its owner, who still shuts it down."""
+        dead pool is flagged, shut down and never cached."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
         serial = _rows(resolve(_store(representation, domain.task), matcher, k=4, batch_size=13).run())
-        pool = _InlinePool()
+        pool = install_pool(_InlinePool())
         stream = resolve(
-            _store(representation, domain.task), matcher, k=4, batch_size=13, pool=pool
+            _store(representation, domain.task), matcher, k=4, batch_size=13, workers=2
         ).run()
         resumed = [next(stream)]
         pool.dead = True
         resumed.extend(stream)
         assert [b.batch_index for b in resumed] == list(range(len(serial)))
         assert _rows(resumed) == serial
-        assert pool.broken and not pool.shut_down
-        assert shard_module._CACHED_POOL is not pool
+        assert pool.broken and pool.shut_down
+        assert shard_module._CACHED_POOL is None
 
     @pytest.mark.parametrize("codec", ["raw", "int8", "pq"])
     @pytest.mark.parametrize("base", [_InlinePool, ThreadWorkerPool], ids=["inline", "thread"])
-    def test_each_score_task_carries_exactly_its_batch_rows(self, pool_domain, base, codec):
+    def test_each_score_task_carries_exactly_its_batch_rows(self, pool_domain, install_pool, base, codec):
         """Blocking runs in the parent and a task carries what it reads: the
         matcher, its batch's distinct left and right IR rows — codes under a
         quantized codec, as the store holds them — and each pair's index
@@ -283,10 +293,10 @@ class TestSuppliedPool:
                 submitted.append((fn.__name__, args))
                 return super().submit(fn, *args, **kwargs)
 
-        pool = _TaskRecordingPool() if base is _InlinePool else _TaskRecordingPool(2)
+        pool = install_pool(_TaskRecordingPool() if base is _InlinePool else _TaskRecordingPool(2))
         store = EncodingStore(representation, domain.task, counters=EngineCounters(), codec=codec)
         try:
-            batches = list(resolve(store, matcher, k=4, batch_size=13, pool=pool).run())
+            batches = list(resolve(store, matcher, k=4, batch_size=13, workers=2).run())
         finally:
             pool.shutdown()
         assert [name for name, _ in submitted] == ["_score_task"] * len(batches)
@@ -308,8 +318,9 @@ class TestSuppliedPool:
                     assert irs.codes.tobytes() == table.irs.codes[distinct].tobytes()
                 np.testing.assert_array_equal(distinct[index], rows)
 
-    def test_two_pools_resolve_concurrently(self, pool_domain):
-        """Two resolves on two threads, each with its own store and pool."""
+    def test_two_pools_resolve_concurrently(self, pool_domain, monkeypatch):
+        """Two resolves on two threads, each with its own store: both are
+        mid-stream at once, so each borrows a thread pool of its own."""
         domain, representation = pool_domain
         matcher = _DistanceMatcher()
         knobs = [dict(k=4, batch_size=13), dict(k=3, batch_size=9)]
@@ -317,13 +328,20 @@ class TestSuppliedPool:
             _rows(resolve(_store(representation, domain.task), matcher, **knob).run())
             for knob in knobs
         ]
-        pools = [ThreadWorkerPool(2), ThreadWorkerPool(2)]
+        pools = []
+
+        def make_thread_pool(workers):
+            pools.append(ThreadWorkerPool(workers))
+            return pools[-1]
+
+        release_engine_resources()
+        monkeypatch.setattr(shard_module, "make_pool", make_thread_pool)
         results = [None, None]
         gate = threading.Barrier(2, timeout=60)
 
         def run(slot):
             stream = resolve(
-                _store(representation, domain.task), matcher, pool=pools[slot], **knobs[slot]
+                _store(representation, domain.task), matcher, workers=2, **knobs[slot]
             ).run()
             first = next(stream)
             gate.wait()  # both runs are mid-stream at once
@@ -339,21 +357,22 @@ class TestSuppliedPool:
         finally:
             for pool in pools:
                 pool.shutdown()
+            release_engine_resources()
         assert results == serial
+        assert len(pools) == 2
 
 
 class _SubmitOnlyPool(WorkerPool):
-    """The least an out-of-tree pool writes: ``submit`` over an executor
-    its owner runs; ``shutdown`` is inherited."""
+    """A pool that writes only ``submit``, counting tasks, over an executor
+    its owner runs."""
 
     def __init__(self, executor: ThreadPoolExecutor) -> None:
-        super().__init__(workers=2)
-        self.executor = executor
+        super().__init__(executor, workers=2)
         self.submitted = 0
 
     def submit(self, fn, /, *args, **kwargs):
         self.submitted += 1
-        return self.executor.submit(fn, *args, **kwargs)
+        return super().submit(fn, *args, **kwargs)
 
 
 def _vaer(domain, representation):
@@ -364,20 +383,16 @@ def _vaer(domain, representation):
     return model
 
 
-class TestOutOfTreePool:
+class TestPipelinePool:
     @pytest.fixture()
-    def submit_only_pool(self):
+    def submit_only_pool(self, install_pool):
         with ThreadPoolExecutor(max_workers=2) as executor:
-            yield _SubmitOnlyPool(executor)
+            yield install_pool(_SubmitOnlyPool(executor))
 
-    def test_resolve_on_a_submit_only_pool_matches_serial(self, pool_domain, submit_only_pool):
+    def test_resolve_stream_on_a_submit_only_pool_matches_serial(self, pool_domain, submit_only_pool):
         domain, representation = pool_domain
         serial = _rows(_vaer(domain, representation).resolve_stream(k=4, batch_size=13))
-        model = _vaer(domain, representation)
-        pooled = _rows(resolve(
-            model.store, model.matcher, pool=submit_only_pool, blocking=model.config.blocking,
-            threshold=model.threshold, k=4, batch_size=13,
-        ).run())
+        pooled = _rows(_vaer(domain, representation).resolve_stream(k=4, batch_size=13, workers=2))
         assert pooled == serial
-        assert submit_only_pool.submitted > 0, "the stage units ran on the supplied pool"
+        assert submit_only_pool.submitted > 0, "the score units ran on the installed pool"
         assert not submit_only_pool.broken

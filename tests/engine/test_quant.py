@@ -747,6 +747,17 @@ class TestStoreEquivalence:
             if pair in raw_by_pair:
                 assert abs(probability - raw_by_pair[pair]) < 0.05
 
+    def test_pq_shortlist_outgrows_k_pairs_per_left_row(self, quant_representation):
+        """Raw blocking emits at most ``k`` pairs per left row; pq ranks
+        ``rank_expansion * k``, so its stream is longer than any batch count
+        derived from the table sizes and ``k`` alone."""
+        domain = _fresh_quant_domain()
+        _, _, raw_scored = _resolve(quant_representation, domain, "raw")
+        _, _, pq_scored = _resolve(quant_representation, domain, "pq")
+        per_k = len(domain.task.left) * 4  # _resolve blocks with k=4
+        assert len(raw_scored.pairs) <= per_k
+        assert per_k < len(pq_scored.pairs) <= PQParams.rank_expansion * per_k
+
     def test_pq_cold_warm_byte_identical(self, quant_representation, tmp_path):
         """The quantize-once warm path: a fresh store serves the *same
         bytes* from disk — codes equal, params equal, no re-encode — and

@@ -106,6 +106,33 @@ class TestProtocol:
         stats = client.stats()
         assert stats["mutations_applied"] == stats["generation"] == 3
 
+    def test_index_mutations_counts_right_index_changes(self, server):
+        """``index_mutations`` moves only when the right table's LSH index
+        is mutated in place: a left-side edit leaves it, a right-side edit
+        and a right-side delete each raise it by one, and ``/stats``,
+        ``/health`` and ``/resolve`` all report the snapshot's value."""
+        domain, match_server, client = server
+
+        def index_mutations():
+            value = match_server.session.snapshot.index_mutations
+            assert client.stats()["index_mutations"] == value
+            assert client.health()["index_mutations"] == value
+            assert client.resolve([])["index_mutations"] == value
+            return value
+
+        start = index_mutations()
+        left_target = domain.task.left.records()[1]
+        client.mutate(
+            side="left", edit=[record_payload(left_target.record_id, [f"L-{v}" for v in left_target.values])]
+        )
+        assert index_mutations() == start
+        right_target = domain.task.right.records()[1]
+        client.mutate(edit=[record_payload(right_target.record_id, [f"R-{v}" for v in right_target.values])])
+        assert index_mutations() == start + 1
+        client.mutate(delete=[domain.task.right.record_ids()[4]])
+        assert index_mutations() == start + 2
+        assert client.stats()["generation"] == 3
+
 
 class TestErrors:
     def test_unknown_paths_404(self, server):

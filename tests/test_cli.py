@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _build_parser, main
 from repro.data.generators import load_domain
+from repro.engine import plan as plan_module
 
 
 class TestParser:
@@ -30,17 +31,15 @@ class TestParser:
     def test_resolve_arguments(self):
         args = _build_parser().parse_args(["resolve", "--k", "5", "--batch-size", "128"])
         assert args.domain == "restaurants" and args.k == 5 and args.batch_size == 128
-        assert args.workers == 1 and args.cache_dir is None  # defaults
+        assert args.cache_dir is None  # default
 
-    def test_resolve_sharding_arguments(self):
-        args = _build_parser().parse_args(
-            ["resolve", "--workers", "4", "--cache-dir", ".repro-cache"]
-        )
-        assert args.workers == 4 and args.cache_dir == ".repro-cache"
+    def test_resolve_cache_dir_argument(self):
+        args = _build_parser().parse_args(["resolve", "--cache-dir", ".repro-cache"])
+        assert args.cache_dir == ".repro-cache"
 
     def test_plan_arguments(self):
-        args = _build_parser().parse_args(["plan", "--domain", "music", "--workers", "4"])
-        assert args.domain == "music" and args.workers == 4
+        args = _build_parser().parse_args(["plan", "--domain", "music"])
+        assert args.domain == "music"
         assert args.k == 10 and args.batch_size == 2048  # defaults
         with pytest.raises(SystemExit):  # the plan has no shard knob
             _build_parser().parse_args(["plan", "--shard-rows", "512"])
@@ -73,15 +72,15 @@ class TestCommands:
         training run's time and still print the full stage graph."""
         assert main([
             "plan", "--domain", "restaurants", "--scale", "0.3",
-            "--workers", "4", "--batch-size", "20", "--k", "5",
+            "--batch-size", "20", "--k", "5",
         ]) == 0
         output = capsys.readouterr().out
-        for token in ("encode", "block", "score", "workers=4", "query_chunk=4"):
+        for token in ("encode", "block", "score", "workers=1", "query_chunk=4"):
             assert token in output
 
     def test_plan_rejects_bad_arguments(self, capsys):
-        assert main(["plan", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert main(["plan", "--k", "0"]) == 2
+        assert "--k" in capsys.readouterr().err
         assert main(["plan", "--batch-size", "-1"]) == 2
         assert "--batch-size" in capsys.readouterr().err
 
@@ -89,7 +88,7 @@ class TestCommands:
         """The block stage is one build plus one query unit per
         ``batch_size // k``-row chunk of the left table."""
         assert main([
-            "plan", "--domain", "beer", "--workers", "2", "--batch-size", "100", "--k", "10",
+            "plan", "--domain", "beer", "--batch-size", "100", "--k", "10",
         ]) == 0
         output = capsys.readouterr().out
         chunks = -(-len(load_domain("beer").task.left) // 10)
@@ -209,7 +208,6 @@ class TestArgumentValidation:
         (["serve", "--batch-size", "-5"], "--batch-size"),
         (["resolve", "--k", "-1"], "--k"),
         (["resolve", "--batch-size", "0"], "--batch-size"),
-        (["resolve", "--workers", "-2"], "--workers"),
         (["plan", "--k", "0"], "--k"),
         (["plan", "--batch-size", "-1"], "--batch-size"),
     ])
@@ -225,18 +223,22 @@ class TestArgumentValidation:
 
 
 class TestWorkersDefault:
-    """``--workers`` defaults to 1 on every subcommand that has it; no
-    environment variable moves the default."""
+    """The CLI plans and resolves serially; no environment variable moves
+    the worker count."""
 
     @pytest.mark.parametrize("raw", ["4", "junk"])
     @pytest.mark.parametrize("command", ["resolve", "plan"])
-    def test_default_is_one_whatever_the_environment(self, command, raw, monkeypatch):
+    def test_default_is_one_whatever_the_environment(self, command, raw, capsys, monkeypatch):
+        """With the variable set, a resolve never borrows a pool and a plan
+        schedules one worker."""
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", raw)
-        assert _build_parser().parse_args([command]).workers == 1
-
-    @pytest.mark.parametrize("command", ["resolve", "plan"])
-    def test_explicit_flag_is_respected(self, command):
-        assert _build_parser().parse_args([command, "--workers", "3"]).workers == 3
+        borrowed = []
+        monkeypatch.setattr(plan_module, "acquire_pool", borrowed.append)
+        assert main([
+            command, "--domain", "restaurants", "--scale", "0.2", "--batch-size", "64", "--k", "5",
+        ]) == 0
+        assert borrowed == []
+        assert command == "resolve" or "knobs: workers=1 " in capsys.readouterr().out
 
     def test_plan_schedules_one_worker_by_default(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
@@ -245,14 +247,17 @@ class TestWorkersDefault:
 
 
 class TestNoDistributedRunner:
-    """The distributed runner's subcommand and flags, and the daemon's
-    pool size, are gone: argparse refuses them like any unknown argument."""
+    """The distributed runner's subcommand and flags, and the pool size of
+    the daemon, resolve and plan, are gone: argparse refuses them like any
+    unknown argument."""
 
     @pytest.mark.parametrize("argv", [
         ["worker", "--queue-dir", "queue"],
         ["resolve", "--distributed", "2"],
         ["resolve", "--queue-dir", "queue"],
         ["serve", "--workers", "2"],
+        ["resolve", "--workers", "2"],
+        ["plan", "--workers", "2"],
     ])
     def test_removed_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
